@@ -350,12 +350,23 @@ def _worker_main(
     fault: _t.Optional[_chaos.Fault],
     heartbeat_interval_s: float,
 ) -> None:
-    """Worker-process entry: heartbeat thread + shard replay."""
+    """Worker-process entry: heartbeat thread + shard replay.
+
+    The heartbeat thread and the final result/error share one pipe;
+    every send holds one lock, so a heartbeat can never interleave with
+    the bytes of a result.
+    """
+    lock = threading.Lock()
+
+    def send(message: tuple) -> None:
+        with lock:
+            conn.send(message)
+
     try:
         if fault is not None and fault.kind == _chaos.HANG:
             # one heartbeat, then silence: a wedged worker, not a dead
             # one — only the heartbeat timeout can catch it
-            conn.send(("heartbeat", shard_id))
+            send(("heartbeat", shard_id))
             while True:  # pragma: no cover - killed by supervisor
                 time.sleep(3600.0)
         stop = threading.Event()
@@ -363,7 +374,7 @@ def _worker_main(
         def _beat() -> None:
             while not stop.wait(heartbeat_interval_s):
                 try:
-                    conn.send(("heartbeat", shard_id))
+                    send(("heartbeat", shard_id))
                 except OSError:  # supervisor went away
                     return
 
@@ -383,12 +394,10 @@ def _worker_main(
             )
         finally:
             stop.set()
-        conn.send(("result", shard_id, result))
+        send(("result", shard_id, result))
     except BaseException as error:  # noqa: BLE001 - ship it upstream
         try:
-            conn.send(
-                ("error", shard_id, f"{type(error).__name__}: {error}")
-            )
+            send(("error", shard_id, f"{type(error).__name__}: {error}"))
         except OSError:  # pragma: no cover - pipe already gone
             pass
         raise SystemExit(1)
@@ -492,7 +501,7 @@ class WorkerPool:
         ]
         if mode == "process":
             results = self._run_processes(
-                plan, shards, engine, fault_plan, report
+                plan, shards, engine, fault_plan, report, workers
             )
         else:
             results = self._run_inprocess(
@@ -726,7 +735,11 @@ class WorkerPool:
         engine: str,
         fault_plan: _t.Optional[_chaos.FaultPlan],
         report: FarmReport,
+        workers: int,
     ) -> _t.Dict[int, _t.Dict[str, _t.Any]]:
+        """Supervise worker processes, at most ``workers`` at a time
+        (the count :meth:`resolve_mode` computed, never the raw
+        ``0 = auto`` config value)."""
         farm = self.farm
         ctx = _mp_context()
         results: _t.Dict[int, _t.Dict[str, _t.Any]] = {}
@@ -828,11 +841,12 @@ class WorkerPool:
                 outstanding -= 1
 
         try:
-            while outstanding > len(degraded) or active:
+            # ``outstanding`` counts shards neither merged nor degraded
+            while outstanding:
                 now = time.monotonic()
-                if queue and len(active) < farm.workers:
+                if queue and len(active) < workers:
                     queue.sort(key=lambda item: item[0])
-                    while queue and len(active) < farm.workers:
+                    while queue and len(active) < workers:
                         if queue[0][0] > now:
                             break
                         _, shard, attempt = queue.pop(0)
@@ -841,6 +855,15 @@ class WorkerPool:
                     state.conn: state for state in active.values()
                 }
                 if not conns:
+                    if not queue or workers < 1:
+                        # liveness: nothing runs and nothing can launch,
+                        # yet shards are outstanding — fail loudly
+                        # instead of sleeping forever
+                        raise FarmError(
+                            f"farm supervisor stalled: {outstanding} "
+                            f"shard(s) outstanding, none active, none "
+                            f"launchable (workers={workers})"
+                        )
                     time.sleep(poll_s)
                     continue
                 for conn in _mp_connection.wait(

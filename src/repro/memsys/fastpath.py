@@ -360,8 +360,9 @@ def _vector_plan(
             data.update(chunked)
             data["segments"] = None  # line-rate: the channel never idles
         else:
-            outcome, bank_counts, open_final = _chunk_outcomes(
-                bank_c, row_c, ab_c, closed, n_banks
+            outcome = _chunk_outcomes(bank_c, row_c, ab_c, closed)
+            bank_counts, open_final = _bank_state(
+                bank_c, row_c, ab_c, closed, outcome, n_banks
             )
             if check_fifo and not _fifo_certificate(
                 bank_c, row_c, outcome, depth, n_banks
@@ -455,18 +456,18 @@ def _chunk_outcomes(
     row_c: np.ndarray,
     ab_c: _t.Optional[np.ndarray],
     closed: bool,
-    n_banks: int,
-) -> _t.Tuple[np.ndarray, np.ndarray, _t.List[_t.Optional[int]]]:
-    """FIFO row-buffer outcomes for one all-banks-closed stream.
+) -> np.ndarray:
+    """FIFO row-buffer outcome codes for one all-banks-closed stream.
 
-    Returns ``(outcome codes, per-bank outcome counts, final open
-    rows)`` for a request slice served in order starting from closed
-    row buffers — a whole channel without refresh, or one refresh epoch
+    The request slice is served in order starting from closed row
+    buffers — a whole channel without refresh, or one refresh epoch
     chunk (each boundary precharges every bank, so every chunk restarts
     from the same state).  ``ab_c`` is ``None`` for a host-only stream;
     for an all-bank stream it marks the AB register broadcasts, which
     are charged code :data:`_BROADCAST`, never touch a row buffer, and
     therefore pass through the PIM row scan without disturbing it.
+    Outcomes are prefix-stable: request ``j``'s code only looks at
+    earlier requests of the slice.
     """
     n_c = bank_c.shape[0]
     if closed:
@@ -475,15 +476,9 @@ def _chunk_outcomes(
         # hoist (FIFO by construction) and all banks end closed.  AB
         # broadcasts bypass the row buffers under any policy.
         outcome = np.full(n_c, _MISS, dtype=np.int64)
-        bank_counts = np.zeros((n_banks, 3), dtype=np.int64)
         if ab_c is not None:
             outcome[ab_c] = _BROADCAST
-            bank_counts[:, _MISS] = int(n_c - int(ab_c.sum()))
-        else:
-            bank_counts[:, _MISS] = np.bincount(
-                bank_c, minlength=n_banks
-            )
-        return outcome, bank_counts, [None] * n_banks
+        return outcome
     if ab_c is not None:
         # All-bank lockstep: every bank holds the previous PIM row, so
         # outcomes are uniform across banks and follow from the PIM row
@@ -498,13 +493,7 @@ def _chunk_outcomes(
                 pim_rows[1:] == pim_rows[:-1], _HIT, _CONFLICT
             )
         outcome[~ab_c] = pim_out
-        bank_counts = np.tile(
-            np.bincount(pim_out, minlength=3), (n_banks, 1)
-        )
-        open_final = (
-            [int(pim_rows[-1])] * n_banks if m else [None] * n_banks
-        )
-        return outcome, bank_counts, open_final
+        return outcome
     # FIFO row-buffer outcomes: compare each request's row with the
     # previous request on the same bank (stable sort groups banks while
     # preserving service order within each).
@@ -517,21 +506,43 @@ def _chunk_outcomes(
         prev_sorted[1:][same] = sorted_row[:-1][same]
     prev_row = np.empty(n_c, dtype=np.int64)
     prev_row[order] = prev_sorted
-    outcome = np.where(
+    return np.where(
         row_c == prev_row,
         _HIT,
         np.where(prev_row < 0, _MISS, _CONFLICT),
     )
-    bank_counts = np.bincount(
+
+
+def _bank_state(
+    bank_c: np.ndarray,
+    row_c: np.ndarray,
+    ab_c: _t.Optional[np.ndarray],
+    closed: bool,
+    outcome: np.ndarray,
+    n_banks: int,
+) -> _t.Tuple[np.ndarray, _t.List[_t.Optional[int]]]:
+    """``(per-bank outcome counts, final open rows)`` after serving a
+    slice whose :func:`_chunk_outcomes` codes are ``outcome``."""
+    if ab_c is not None:
+        # lockstep: every bank sees the PIM subsequence
+        pim = ~ab_c
+        counts = np.tile(np.bincount(outcome[pim], minlength=3), (n_banks, 1))
+        pim_rows = row_c[pim]
+        last: _t.Optional[int] = (
+            int(pim_rows[-1]) if pim_rows.shape[0] and not closed else None
+        )
+        return counts, [last] * n_banks
+    counts = np.bincount(
         bank_c * 3 + outcome, minlength=3 * n_banks
     ).reshape(n_banks, 3)
-    open_final: _t.List[_t.Optional[int]] = [None] * n_banks
-    group_ends = np.nonzero(
-        np.r_[sorted_bank[1:] != sorted_bank[:-1], True]
-    )[0]
-    for end in group_ends.tolist():
-        open_final[int(sorted_bank[end])] = int(sorted_row[end])
-    return outcome, bank_counts, open_final
+    if closed:
+        return counts, [None] * n_banks
+    # each bank holds the row of its latest request
+    latest = np.full(n_banks, -1, dtype=np.int64)
+    np.maximum.at(latest, bank_c, np.arange(bank_c.shape[0]))
+    return counts, [
+        None if j < 0 else int(row_c[j]) for j in latest.tolist()
+    ]
 
 
 def _chunked_refresh_channel(
@@ -566,11 +577,11 @@ def _chunked_refresh_channel(
     start = np.empty(n_c)
     finish = np.empty(n_c)
     chunk_id = np.empty(n_c, dtype=np.int64)
-    bank_counts = np.zeros((n_banks, 3), dtype=np.int64)
-    open_final: _t.List[_t.Optional[int]] = [None] * n_banks
     i = 0
+    tail_start = 0
     chunk = 0
     epoch_applied = 0
+    window = limit
     t = 0.0  # finish time of the previous service
     while i < n_c:
         s = t if i else 0.0
@@ -580,55 +591,61 @@ def _chunked_refresh_channel(
             fence = refresh.rank_fence(s)
             if fence > s:
                 s = s + (fence - s)  # the engine's stall timeout
-        window = min(n_c - i, limit)
-        out_w, _counts_w, _open_w = _chunk_outcomes(
-            bank_c[i : i + window],
-            row_c[i : i + window],
-            None if ab_c is None else ab_c[i : i + window],
-            closed,
-            n_banks,
-        )
-        f_w = _seq_cumsum(s, latencies[out_w])
-        s_w = np.empty(window)
-        s_w[0] = s
-        s_w[1:] = f_w[:-1]
-        crossed = np.floor(s_w / trefi) > epoch_applied
-        if bool(crossed.any()):
-            k = int(np.argmax(crossed))
-        elif window < n_c - i:  # pragma: no cover - defensive
-            # the window bound guarantees a boundary crossing before it
-            # runs out; bail to the exact tier rather than continue a
-            # chunk on stale bank state if float edges ever break that
-            return None
-        else:
-            k = window
+        # scan a window sized from the previous epoch; when no boundary
+        # falls inside it, widen to the bound (outcomes are
+        # prefix-stable, so the wider scan restarts from the same state)
+        window = min(n_c - i, window)
+        while True:
+            out_w = _chunk_outcomes(
+                bank_c[i : i + window],
+                row_c[i : i + window],
+                None if ab_c is None else ab_c[i : i + window],
+                closed,
+            )
+            f_w = _seq_cumsum(s, latencies[out_w])
+            s_w = np.empty(window)
+            s_w[0] = s
+            s_w[1:] = f_w[:-1]
+            crossed = np.floor(s_w / trefi) > epoch_applied
+            if bool(crossed.any()) or window == n_c - i:
+                break
+            if window >= limit:  # pragma: no cover - defensive
+                # the window bound guarantees a boundary crossing before
+                # it runs out; bail to the exact tier rather than
+                # continue a chunk on stale bank state if float edges
+                # ever break that
+                return None
+            window = min(n_c - i, limit)
+        k = int(np.argmax(crossed)) if bool(crossed.any()) else window
         if k == 0:  # pragma: no cover - defensive (float edge)
             return None
-        # outcomes are prefix-stable (request j's code only looks at
-        # earlier requests of the same chunk), so re-scanning just the
-        # committed prefix yields exactly ``out_w[:k]`` plus the
-        # chunk's bank counts and final open rows; each boundary
-        # precharges every bank, so ``open_final`` is replaced, not
-        # merged
-        out_k, counts_k, open_final = _chunk_outcomes(
-            bank_c[i : i + k],
-            row_c[i : i + k],
-            None if ab_c is None else ab_c[i : i + k],
-            closed,
-            n_banks,
-        )
-        bank_counts += counts_k
-        outcome[i : i + k] = out_k
+        outcome[i : i + k] = out_w[:k]
         start[i : i + k] = s_w[:k]
         finish[i : i + k] = f_w[:k]
         chunk_id[i : i + k] = chunk
         chunk += 1
         t = float(f_w[k - 1])
+        tail_start = i
         i += k
+        window = 2 * k
     if check_fifo and not _fifo_certificate(
         bank_c, row_c, outcome, depth, n_banks, chunk_id=chunk_id
     ):
         return None
+    # counts add up over the chunks' disjoint slices; every boundary
+    # precharges every bank, so the open rows are the last chunk's
+    bank_counts, _ = _bank_state(
+        bank_c, row_c, ab_c, closed, outcome, n_banks
+    )
+    tail = slice(tail_start, n_c)
+    _, open_final = _bank_state(
+        bank_c[tail],
+        row_c[tail],
+        None if ab_c is None else ab_c[tail],
+        closed,
+        outcome[tail],
+        n_banks,
+    )
     return {
         "outcome": outcome,
         "start": start,

@@ -63,7 +63,14 @@ import numpy as np
 from ..errors import ConfigError
 from .latency import ALL_BANKS, OUTCOME_NAMES
 from .registry import MetricsRegistry
-from .timeseries import _mean_per_window, _step_function, _window_index
+from .timeseries import (
+    _channel_busy,
+    _finish_window,
+    _mean_per_window,
+    _recorded,
+    _window_grid,
+    _window_index,
+)
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from .latency import ReplayTelemetry
@@ -186,22 +193,41 @@ class EnergyCoefficients:
 # ----------------------------------------------------------------------
 # per-event derivation
 # ----------------------------------------------------------------------
-def _event_components(
+def _event_energy(
     recorder: _t.Any,
     config: _t.Any,
     coefficients: EnergyCoefficients,
-) -> _t.Dict[str, np.ndarray]:
-    """Per-request energy components (pJ, trace order).
+) -> _t.Tuple[np.ndarray, _t.Dict[str, float]]:
+    """Per-request event energy (pJ, trace order) and the run's total
+    per event class.
 
-    Returns the per-request arrays for each event class plus their sum
-    (``event``); the split lets totals, per-channel/bank rollups, and
-    windowed series all come from one derivation.
+    Cached on the recorder per coefficient table, so totals,
+    per-channel/bank rollups, and every windowed series share one
+    derivation.
     """
-    from ..memsys.request import Op
+    key = (
+        "event-energy",
+        coefficients,
+        config.banks_per_channel,
+        config.timing.page_bits,
+    )
+    return recorder._memo(
+        key, lambda: _price_events(recorder, config, coefficients)
+    )
 
-    outcome = recorder.outcome_code
-    op = recorder.op_code
-    n = op.shape[0]
+
+def _price_events(
+    recorder: _t.Any,
+    config: _t.Any,
+    coefficients: EnergyCoefficients,
+) -> _t.Tuple[np.ndarray, _t.Dict[str, float]]:
+    from ..memsys.request import OPS_BY_CODE, Op
+
+    # every class's energy is a function of (op, outcome) alone: price
+    # each (op, outcome) pair once, then gather per request
+    n_outcomes = len(OUTCOME_NAMES)
+    op = np.repeat(np.arange(len(OPS_BY_CODE)), n_outcomes)
+    outcome = np.tile(np.arange(n_outcomes), len(OPS_BY_CODE))
     banks = float(config.banks_per_channel)
     lanes = float(config.timing.page_bits // _LANE_BITS)
 
@@ -238,16 +264,13 @@ def _event_components(
     event = (
         activate + precharge + read + write + broadcast + pim_compute
     )
-    assert event.shape[0] == n
-    return {
-        "activate": activate,
-        "precharge": precharge,
-        "read": read,
-        "write": write,
-        "broadcast": broadcast,
-        "pim_compute": pim_compute,
-        "event": event,
+    pair = recorder.op_code * n_outcomes + recorder.outcome_code
+    classes = (activate, precharge, read, write, broadcast, pim_compute)
+    totals = {
+        name: float(np.sum(priced[pair]))
+        for name, priced in zip(ENERGY_CLASSES, classes)
     }
+    return event[pair], totals
 
 
 def _refresh_events(
@@ -281,20 +304,6 @@ def _refresh_events(
     return begins, energy
 
 
-def _busy_ns_per_window(
-    starts: np.ndarray,
-    finishes: np.ndarray,
-    edges: np.ndarray,
-    window_ns: float,
-) -> np.ndarray:
-    """Per-window busy nanoseconds of the union of service spans."""
-    times, values = _step_function(starts, finishes)
-    busy = (values > 0).astype(np.float64)
-    return (
-        _mean_per_window(times, busy, edges, window_ns) * window_ns
-    )
-
-
 def window_energy_pj(
     telemetry: "ReplayTelemetry",
     edges: np.ndarray,
@@ -317,11 +326,9 @@ def window_energy_pj(
     makespan = float(telemetry.makespan_ns)
     count = edges.shape[0] - 1
 
-    components = _event_components(recorder, config, coefficients)
-    finish_idx = _window_index(recorder.finish, window_ns, count)
-    per_window = np.bincount(
-        finish_idx, weights=components["event"], minlength=count
-    )
+    event, _ = _event_energy(recorder, config, coefficients)
+    finish_idx = _finish_window(recorder, window_ns, count)
+    per_window = np.bincount(finish_idx, weights=event, minlength=count)
 
     begins, refresh_pj = _refresh_events(
         config, makespan, coefficients
@@ -338,13 +345,10 @@ def window_energy_pj(
     covered = np.clip(
         np.minimum(edges[1:], makespan) - edges[:-1], 0.0, window_ns
     )
-    start = recorder.start_service
-    finish = recorder.finish
-    channel = recorder.channel
     for ch in range(config.n_channels):
-        mine = channel == ch
-        busy = _busy_ns_per_window(
-            start[mine], finish[mine], edges, window_ns
+        busy = (
+            _mean_per_window(_channel_busy(recorder, ch), edges, window_ns)
+            * window_ns
         )
         idle = np.maximum(covered - busy, 0.0)
         per_window = per_window + (
@@ -372,62 +376,27 @@ def build_energy(
     Totals are independent of the grid: binning only distributes the
     same event/refresh/background energies over windows.
     """
-    from .timeseries import DEFAULT_WINDOWS
-
     coefficients = coefficients or EnergyCoefficients()
-    recorder = telemetry.recorder
-    if recorder is None or not recorder.captured:
-        raise RuntimeError(
-            "energy accounting needs a captured replay: pass "
-            "ReplayTelemetry(latency=True) to replay(..., telemetry=...)"
-        )
-    config = telemetry.config
-    if config is None:
-        raise RuntimeError(
-            "energy accounting needs a finished replay (no config "
-            "recorded yet)"
-        )
+    recorder, config = _recorded(telemetry, "energy accounting")
     makespan = float(telemetry.makespan_ns)
-    if not makespan > 0 or math.isnan(makespan):
-        raise RuntimeError(
-            f"cannot account energy over makespan {makespan!r} ns"
-        )
-    if window_ns is not None:
-        if not window_ns > 0:
-            raise ValueError(f"window_ns must be > 0, got {window_ns}")
-        window_ns = float(window_ns)
-        count = max(1, int(math.ceil(makespan / window_ns)))
-    else:
-        count = int(n_windows if n_windows is not None else DEFAULT_WINDOWS)
-        if count < 1:
-            raise ValueError(f"n_windows must be >= 1, got {count}")
-        window_ns = makespan / count
+    window_ns, count, edges = _window_grid(makespan, window_ns, n_windows)
     from ..memsys.request import Op
 
-    edges = np.arange(count + 1, dtype=np.float64) * window_ns
     n = recorder.n
-
-    components = _event_components(recorder, config, coefficients)
+    event, breakdown = _event_energy(recorder, config, coefficients)
     begins, refresh_pj = _refresh_events(
         config, makespan, coefficients
     )
 
     # background totals over the full [0, makespan] — exact busy union
     # per channel, idle as the remainder
-    start = recorder.start_service
-    finish = recorder.finish
-    channel = recorder.channel
-    bank = recorder.bank
-    op = recorder.op_code
     background_total = 0.0
     busy_by_channel: _t.List[float] = []
     whole = np.array([0.0, makespan])
     for ch in range(config.n_channels):
-        mine = channel == ch
         busy = float(
-            _busy_ns_per_window(
-                start[mine], finish[mine], whole, makespan
-            )[0]
+            _mean_per_window(_channel_busy(recorder, ch), whole, makespan)[0]
+            * makespan
         )
         busy_by_channel.append(busy)
         background_total += (
@@ -435,10 +404,7 @@ def build_energy(
             + (makespan - busy) * coefficients.background_idle_mw
         )
 
-    breakdown = {
-        name: float(np.sum(components[name]))
-        for name in ENERGY_CLASSES[:6]
-    }
+    breakdown = dict(breakdown)
     breakdown["refresh"] = float(np.sum(refresh_pj))
     breakdown["background"] = background_total
     total_pj = float(
@@ -448,19 +414,19 @@ def build_energy(
     # per-channel / per-bank event rollup: banked requests charge
     # their bank; all-bank operations spread evenly across the banks
     # they occupy in lockstep
-    event = components["event"]
     banks_n = config.banks_per_channel
     per_bank_share = np.where(
-        bank == ALL_BANKS, event / banks_n, event
+        recorder.bank == ALL_BANKS, event / banks_n, event
     )
     channels: _t.List[dict] = []
     for ch in range(config.n_channels):
-        mine = channel == ch
+        all_bank = recorder.rows(ch, ALL_BANKS)
         bank_rows = []
         for b in range(banks_n):
-            on_bank = mine & (
-                (bank == b) | (bank == ALL_BANKS)
-            )
+            # trace order, so the float sum adds in the same order
+            on_bank = recorder.rows(ch, b)
+            if all_bank.shape[0]:
+                on_bank = np.sort(np.concatenate([on_bank, all_bank]))
             bank_rows.append(
                 {
                     "bank": b,
@@ -472,7 +438,7 @@ def build_energy(
         channels.append(
             {
                 "channel": ch,
-                "event_pj": float(np.sum(event[mine])),
+                "event_pj": float(np.sum(event[recorder.rows(ch)])),
                 "busy_ns": busy_by_channel[ch],
                 "background_pj": (
                     busy_by_channel[ch]
@@ -489,7 +455,7 @@ def build_energy(
     # broadcast, one page per bank for all-bank PIM operations
     page_bits = float(config.timing.page_bits)
     bits = np.where(
-        op == Op.PIM.code, page_bits * banks_n, page_bits
+        recorder.op_code == Op.PIM.code, page_bits * banks_n, page_bits
     )
     total_bits = float(np.sum(bits))
 

@@ -67,12 +67,20 @@ class LatencyRecorder:
     * :attr:`channel`, :attr:`bank`, :attr:`row`, :attr:`op_code`,
       :attr:`outcome_code` — routing and outcome context
       (``bank == ALL_BANKS`` for all-bank PIM/AB operations).
+
+    The time-series, energy, and timeline builders share the
+    reductions they derive from these arrays (per-channel busy unions,
+    the grouping by channel and bank, window indices, per-event
+    energies) through :meth:`_memo`, so each is computed once per
+    recorder.  A recorder refuses a second capture, so the cache can
+    never go stale; it lives exactly as long as the recorder.
     """
 
     def __init__(self) -> None:
         self._requests: _t.Optional[_t.Sequence["MemRequest"]] = None
         self._plan: _t.Optional[dict] = None
         self._arrays: _t.Optional[_t.Dict[str, np.ndarray]] = None
+        self._derived: _t.Dict[_t.Hashable, _t.Any] = {}
 
     # ------------------------------------------------------------------
     # capture hooks (called by the replay engines)
@@ -284,6 +292,42 @@ class LatencyRecorder:
         arrays = self._assemble()
         return arrays["finish"] - arrays["arrival"]
 
+    # ------------------------------------------------------------------
+    # shared derivations
+    # ------------------------------------------------------------------
+    def _memo(self, key: _t.Hashable, build: _t.Callable[[], _t.Any]):
+        """``build()``, computed once per ``key`` for this recorder.
+
+        ``key`` must name everything the value depends on beyond the
+        recorded arrays (a coefficient table, a window grid).
+        """
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = self._derived[key] = build()
+            return value
+
+    def rows(
+        self, channel: int, bank: _t.Optional[int] = None
+    ) -> np.ndarray:
+        """Trace-ordered indices of the requests on ``channel`` (and,
+        when given, on ``bank`` — :data:`ALL_BANKS` for all-bank
+        operations); one stable grouping serves every lookup."""
+        groups = self._memo("rows", self._group_rows)
+        empty = np.empty(0, dtype=np.int64)
+        return groups.get(channel if bank is None else (channel, bank), empty)
+
+    def _group_rows(self) -> _t.Dict[_t.Hashable, np.ndarray]:
+        arrays = self._assemble()
+        channel = arrays["channel"]
+        bank = arrays["bank"]
+        groups: _t.Dict[_t.Hashable, np.ndarray] = {}
+        for ch, on_channel in _split_by(channel, np.arange(channel.shape[0])):
+            groups[ch] = on_channel
+            for b, on_bank in _split_by(bank[on_channel], on_channel):
+                groups[(ch, b)] = on_bank
+        return groups
+
     def percentiles(self) -> _t.Dict[str, _t.Dict[str, float]]:
         """Exact p50/p95/p99/max summaries of the three durations."""
         return {
@@ -296,6 +340,25 @@ class LatencyRecorder:
         if not self.captured:
             return "<LatencyRecorder (no replay captured)>"
         return f"<LatencyRecorder n={self.n}>"
+
+
+def _split_by(
+    keys: np.ndarray, items: np.ndarray
+) -> _t.Iterator[_t.Tuple[int, np.ndarray]]:
+    """``(key, items with that key)`` per distinct key, ascending; a
+    stable sort keeps each group's items in their original order."""
+    if keys.shape[0] == 0:
+        return
+    # channel and bank ids fit int16, which numpy radix-sorts in O(n)
+    bounds16 = np.iinfo(np.int16)
+    if bounds16.min <= keys.min() and keys.max() <= bounds16.max:
+        order = np.argsort(keys.astype(np.int16), kind="stable")
+    else:
+        order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    bounds = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
+    for group in np.split(order, bounds):
+        yield int(keys[group[0]]), items[group]
 
 
 class ReplayTelemetry:

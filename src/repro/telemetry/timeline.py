@@ -28,6 +28,12 @@ import typing as _t
 import numpy as np
 
 from .latency import ALL_BANKS, OUTCOME_NAMES
+from .timeseries import (
+    DEFAULT_WINDOWS,
+    _finish_window,
+    _recorded,
+    _window_index,
+)
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from .latency import ReplayTelemetry
@@ -128,18 +134,7 @@ def build_timeline(
     telemetry: "ReplayTelemetry", max_events: int = MAX_EVENTS
 ) -> dict:
     """Build the Chrome-trace document from one recorded replay."""
-    recorder = telemetry.recorder
-    if recorder is None or not recorder.captured:
-        raise RuntimeError(
-            "timeline export needs a captured replay: pass "
-            "ReplayTelemetry(latency=True) to replay(..., telemetry=...)"
-        )
-    config = telemetry.config
-    if config is None:
-        raise RuntimeError(
-            "timeline export needs a finished replay (no config "
-            "recorded yet)"
-        )
+    recorder, config = _recorded(telemetry, "timeline export")
     from ..memsys.request import OPS_BY_CODE, Op
 
     n_banks = config.banks_per_channel
@@ -270,15 +265,14 @@ def build_timeline(
     # Perfetto shows where the power went next to the busy spans that
     # caused it.
     if makespan == makespan and makespan > 0:
-        from .energy import EnergyCoefficients, _event_components
+        from .energy import EnergyCoefficients, _event_energy
         from .energy import _refresh_events
-        from .timeseries import DEFAULT_WINDOWS, _window_index
 
         coefficients = EnergyCoefficients()
         count = DEFAULT_WINDOWS
         window_ns = makespan / count
-        components = _event_components(recorder, config, coefficients)
-        finish_idx = _window_index(finish, window_ns, count)
+        event, _ = _event_energy(recorder, config, coefficients)
+        finish_idx = _finish_window(recorder, window_ns, count)
         begins, refresh_pj = _refresh_events(
             config, makespan, coefficients
         )
@@ -290,10 +284,10 @@ def build_timeline(
                 minlength=count,
             ) / config.n_channels
         for ch in range(config.n_channels):
-            mine = channel == ch
+            mine = recorder.rows(ch)
             event_per_window = np.bincount(
                 finish_idx[mine],
-                weights=components["event"][mine],
+                weights=event[mine],
                 minlength=count,
             )
             total = event_per_window + refresh_per_window

@@ -100,6 +100,18 @@ _HIT = OUTCOME_NAMES.index("hit")
 # ----------------------------------------------------------------------
 # exact step-function machinery
 # ----------------------------------------------------------------------
+class _Step(_t.NamedTuple):
+    """A step function ``(times, values)`` with its running integral.
+
+    ``values[k]`` holds on ``[times[k], times[k+1])``; ``integral[k]``
+    is the integral from the first event up to ``times[k]``.
+    """
+
+    times: np.ndarray
+    values: np.ndarray
+    integral: np.ndarray
+
+
 def _step_function(
     plus: np.ndarray, minus: np.ndarray
 ) -> _t.Tuple[np.ndarray, np.ndarray]:
@@ -112,34 +124,39 @@ def _step_function(
     tie-breaking (the property the bit-identity guarantee needs).
     """
     times = np.concatenate([plus, minus])
-    deltas = np.concatenate(
-        [
-            np.ones(plus.shape[0], dtype=np.int64),
-            np.full(minus.shape[0], -1, dtype=np.int64),
-        ]
-    )
     if times.shape[0] == 0:
-        return times, deltas.astype(np.float64)
+        return times, np.empty(0)
     order = np.argsort(times, kind="stable")
     times = times[order]
-    unique, starts = np.unique(times, return_index=True)
-    sums = np.add.reduceat(deltas[order], starts)
-    return unique, np.cumsum(sums).astype(np.float64)
+    deltas = np.where(order < plus.shape[0], 1, -1)
+    # each run of equal sorted times is one step
+    starts = np.flatnonzero(np.r_[True, times[1:] != times[:-1]])
+    sums = np.add.reduceat(deltas, starts)
+    return times[starts], np.cumsum(sums).astype(np.float64)
 
 
-def _integral_at(
-    t: np.ndarray, times: np.ndarray, values: np.ndarray
-) -> np.ndarray:
-    """``I(t) = integral_0^t f`` for the step function ``(times, values)``
-    (``f == 0`` before the first event)."""
+def _step(times: np.ndarray, values: np.ndarray) -> _Step:
+    integral = np.zeros(times.shape[0])
+    if times.shape[0] > 1:
+        integral[1:] = np.cumsum(values[:-1] * np.diff(times))
+    return _Step(times, values, integral)
+
+
+def _occupancy_step(starts: np.ndarray, finishes: np.ndarray) -> _Step:
+    """1 while the union of ``[start, finish)`` intervals covers the
+    instant (overlaps counted once), else 0."""
+    times, values = _step_function(starts, finishes)
+    return _step(times, (values > 0).astype(np.float64))
+
+
+def _integral_at(t: np.ndarray, step: _Step) -> np.ndarray:
+    """``I(t) = integral_0^t f`` (``f == 0`` before the first event)."""
+    times = step.times
     if times.shape[0] == 0:
         return np.zeros(t.shape[0])
-    segment = np.zeros(times.shape[0])
-    if times.shape[0] > 1:
-        segment[1:] = np.cumsum(values[:-1] * np.diff(times))
     pos = np.searchsorted(times, t, side="right") - 1
     safe = np.maximum(pos, 0)
-    out = segment[safe] + values[safe] * (t - times[safe])
+    out = step.integral[safe] + step.values[safe] * (t - times[safe])
     return np.where(pos >= 0, out, 0.0)
 
 
@@ -153,24 +170,18 @@ def _window_index(
 
 
 def _mean_per_window(
-    times: np.ndarray,
-    values: np.ndarray,
-    edges: np.ndarray,
-    window_ns: float,
+    step: _Step, edges: np.ndarray, window_ns: float
 ) -> np.ndarray:
-    return np.diff(_integral_at(edges, times, values)) / window_ns
+    return np.diff(_integral_at(edges, step)) / window_ns
 
 
 def _max_per_window(
-    times: np.ndarray,
-    values: np.ndarray,
-    edges: np.ndarray,
-    window_ns: float,
-    n_windows: int,
+    step: _Step, edges: np.ndarray, window_ns: float, n_windows: int
 ) -> np.ndarray:
     """Exact per-window maximum of the step function: the value
     carried in at each window start joined with every in-window
     event value."""
+    times, values = step.times, step.values
     if times.shape[0] == 0:
         return np.zeros(n_windows)
     pos = np.searchsorted(times, edges[:-1], side="right") - 1
@@ -178,19 +189,6 @@ def _max_per_window(
     widx = _window_index(times, window_ns, n_windows)
     np.maximum.at(maxes, widx, values)
     return maxes
-
-
-def _occupancy_per_window(
-    starts: np.ndarray,
-    finishes: np.ndarray,
-    edges: np.ndarray,
-    window_ns: float,
-) -> np.ndarray:
-    """Per-window fraction covered by the union of ``[start, finish)``
-    intervals (overlaps counted once)."""
-    times, values = _step_function(starts, finishes)
-    busy = (values > 0).astype(np.float64)
-    return _mean_per_window(times, busy, edges, window_ns)
 
 
 def _coverage_per_window(
@@ -211,6 +209,70 @@ def _coverage_per_window(
 
 
 # ----------------------------------------------------------------------
+# reductions shared across documents (cached on the recorder)
+# ----------------------------------------------------------------------
+def _channel_busy(recorder: _t.Any, channel: int) -> _Step:
+    """Busy union of one channel's service spans."""
+
+    def build() -> _Step:
+        rows = recorder.rows(channel)
+        return _occupancy_step(
+            recorder.start_service[rows], recorder.finish[rows]
+        )
+
+    return recorder._memo(("busy", channel), build)
+
+
+def _finish_window(
+    recorder: _t.Any, window_ns: float, n_windows: int
+) -> np.ndarray:
+    """Window index of every request's finish on one grid."""
+    return recorder._memo(
+        ("finish-window", window_ns, n_windows),
+        lambda: _window_index(recorder.finish, window_ns, n_windows),
+    )
+
+
+def _recorded(
+    telemetry: "ReplayTelemetry", what: str
+) -> _t.Tuple[_t.Any, _t.Any]:
+    """``(recorder, config)`` of a finished, recorded replay."""
+    recorder = telemetry.recorder
+    if recorder is None or not recorder.captured:
+        raise RuntimeError(
+            f"{what} needs a captured replay: pass "
+            "ReplayTelemetry(latency=True) to replay(..., telemetry=...)"
+        )
+    if telemetry.config is None:
+        raise RuntimeError(
+            f"{what} needs a finished replay (no config recorded yet)"
+        )
+    return recorder, telemetry.config
+
+
+def _window_grid(
+    makespan: float,
+    window_ns: _t.Optional[float],
+    n_windows: _t.Optional[int],
+) -> _t.Tuple[float, int, np.ndarray]:
+    """``(window_ns, count, edges)`` of the windowing contract: an
+    explicit ``window_ns``, or ``n_windows`` (default
+    :data:`DEFAULT_WINDOWS`) equal windows over the makespan."""
+    if window_ns is not None:
+        if not window_ns > 0:
+            raise ValueError(f"window_ns must be > 0, got {window_ns}")
+        window_ns = float(window_ns)
+        count = max(1, int(math.ceil(makespan / window_ns)))
+    else:
+        count = int(n_windows if n_windows is not None else DEFAULT_WINDOWS)
+        if count < 1:
+            raise ValueError(f"n_windows must be >= 1, got {count}")
+        window_ns = makespan / count
+    edges = np.arange(count + 1, dtype=np.float64) * window_ns
+    return window_ns, count, edges
+
+
+# ----------------------------------------------------------------------
 # the builder
 # ----------------------------------------------------------------------
 def build_timeseries(
@@ -226,49 +288,21 @@ def build_timeseries(
     deterministic functions of bit-identical inputs, so either way the
     document is bit-identical across engines.
     """
-    recorder = telemetry.recorder
-    if recorder is None or not recorder.captured:
-        raise RuntimeError(
-            "time-series derivation needs a captured replay: pass "
-            "ReplayTelemetry(latency=True) to replay(..., telemetry=...)"
-        )
-    config = telemetry.config
-    if config is None:
-        raise RuntimeError(
-            "time-series derivation needs a finished replay (no "
-            "config recorded yet)"
-        )
+    recorder, config = _recorded(telemetry, "time-series derivation")
     makespan = float(telemetry.makespan_ns)
-    if not makespan > 0 or math.isnan(makespan):
-        raise RuntimeError(
-            f"cannot window a replay with makespan {makespan!r} ns"
-        )
-    if window_ns is not None:
-        if not window_ns > 0:
-            raise ValueError(f"window_ns must be > 0, got {window_ns}")
-        window_ns = float(window_ns)
-        count = max(1, int(math.ceil(makespan / window_ns)))
-    else:
-        count = int(n_windows if n_windows is not None else DEFAULT_WINDOWS)
-        if count < 1:
-            raise ValueError(f"n_windows must be >= 1, got {count}")
-        window_ns = makespan / count
+    window_ns, count, edges = _window_grid(makespan, window_ns, n_windows)
     from ..memsys.request import Op
 
     arrival = recorder.arrival
     start = recorder.start_service
     finish = recorder.finish
     outcome = recorder.outcome_code
-    channel = recorder.channel
-    bank = recorder.bank
     op = recorder.op_code
     n = arrival.shape[0]
-
-    edges = np.arange(count + 1, dtype=np.float64) * window_ns
     window_s = window_ns * 1e-9
 
     arrive_idx = _window_index(arrival, window_ns, count)
-    finish_idx = _window_index(finish, window_ns, count)
+    finish_idx = _finish_window(recorder, window_ns, count)
     offered = np.bincount(arrive_idx, minlength=count) / window_s
     served = np.bincount(finish_idx, minlength=count) / window_s
 
@@ -300,11 +334,9 @@ def build_timeseries(
     )
 
     # exact queue depth: +1 at each arrival, -1 at each service start
-    q_times, q_values = _step_function(arrival, start)
-    depth_mean = _mean_per_window(q_times, q_values, edges, window_ns)
-    depth_max = _max_per_window(
-        q_times, q_values, edges, window_ns, count
-    )
+    depth = _step(*_step_function(arrival, start))
+    depth_mean = _mean_per_window(depth, edges, window_ns)
+    depth_max = _max_per_window(depth, edges, window_ns, count)
 
     # refresh blackout coverage (per-bank slices refresh one bank, so
     # they weigh 1/n_banks of a full-channel blackout)
@@ -326,39 +358,40 @@ def build_timeseries(
             begins, ends, weights, edges, window_ns
         )
 
-    # AB barrier stall + per-channel/per-bank busy fractions
-    ab = op == Op.AB.code
-    pim_all = bank == ALL_BANKS
+    # AB barrier stall + per-channel/per-bank busy fractions; all-bank
+    # PIM operations occupy every bank of their channel, AB broadcasts
+    # only the barrier
     ab_stall = np.zeros(count)
     channels: _t.List[dict] = []
     for ch in range(config.n_channels):
-        on_channel = channel == ch
-        ab_stall += _occupancy_per_window(
-            start[on_channel & ab], finish[on_channel & ab],
-            edges, window_ns,
+        all_bank = recorder.rows(ch, ALL_BANKS)
+        ab = all_bank[op[all_bank] == Op.AB.code]
+        pim = all_bank[op[all_bank] == Op.PIM.code]
+        ab_stall += _mean_per_window(
+            _occupancy_step(start[ab], finish[ab]), edges, window_ns
         )
         banks = []
         for b in range(config.banks_per_channel):
-            mine = on_channel & (
-                (bank == b) | (pim_all & (op == Op.PIM.code))
-            )
+            mine = np.concatenate([recorder.rows(ch, b), pim])
+            busy = _occupancy_step(start[mine], finish[mine])
             banks.append(
                 {
                     "bank": b,
-                    "busy_fraction": _occupancy_per_window(
-                        start[mine], finish[mine], edges, window_ns
+                    "busy_fraction": _mean_per_window(
+                        busy, edges, window_ns
                     ).tolist(),
                 }
             )
         channels.append(
             {
                 "channel": ch,
-                "busy_fraction": _occupancy_per_window(
-                    start[on_channel], finish[on_channel],
-                    edges, window_ns,
+                "busy_fraction": _mean_per_window(
+                    _channel_busy(recorder, ch), edges, window_ns
                 ).tolist(),
                 "served_per_s": (
-                    np.bincount(finish_idx[on_channel], minlength=count)
+                    np.bincount(
+                        finish_idx[recorder.rows(ch)], minlength=count
+                    )
                     / window_s
                 ).tolist(),
                 "banks": banks,

@@ -135,6 +135,88 @@ class TestResolveMode:
         assert why == ""
 
 
+def _single_process_stats(plan_config, trace):
+    from repro.memsys import MemorySystem
+
+    return MemorySystem(plan_config).replay(trace, engine="fast")
+
+
+def _exact(a, b):
+    return repr(dataclasses.asdict(a)) == repr(dataclasses.asdict(b))
+
+
+class TestProcessSupervision:
+    """Real worker processes under the supervisor's launch loop."""
+
+    def _trace(self, n=400):
+        config = MemSysConfig(n_channels=4, scheme="channel-interleaved")
+        trace = synthesize_trace(
+            "random", n, config, seed=1, packed=True,
+            interarrival_ns=40.0, interarrival="poisson",
+        )
+        return config, trace
+
+    def test_default_workers_launch_in_process_mode(self):
+        # workers=0 means "auto": the launch gate must use the resolved
+        # count, or no worker ever starts and the supervisor spins
+        config, trace = self._trace()
+        result = replay_farm(
+            trace, config, FarmConfig(mode="process", workers=0)
+        )
+        assert result.report.workers >= 1
+        assert result.report.degraded_shards == 0
+        assert _exact(result.stats, _single_process_stats(config, trace))
+
+    def test_heartbeats_never_corrupt_a_result(self):
+        # a heartbeat every 0.1 ms keeps the pipe busy while the result
+        # goes out; the worker's send lock keeps the two apart
+        config, trace = self._trace(n=8000)
+        result = replay_farm(
+            trace,
+            config,
+            FarmConfig(
+                mode="process", workers=2, heartbeat_interval_s=1e-4
+            ),
+        )
+        report = result.report
+        assert report.integrity_failures == 0
+        assert report.crashes == 0
+        assert report.retries == 0
+        assert _exact(result.stats, _single_process_stats(config, trace))
+
+    def test_degraded_shards_do_not_end_supervision_early(self):
+        # shards 0 and 1 exhaust their retries while 2 and 3 still wait
+        # out a backoff: the supervisor must keep going for them
+        from repro.farm.chaos import KILL, Fault, FaultPlan
+
+        config, trace = self._trace()
+        faults = {
+            (0, 0): Fault(KILL), (0, 1): Fault(KILL),
+            (1, 0): Fault(KILL), (1, 1): Fault(KILL),
+            (2, 0): Fault(KILL), (3, 0): Fault(KILL),
+        }
+        result = replay_farm(
+            trace,
+            config,
+            FarmConfig(
+                mode="process", workers=1, max_retries=1,
+                backoff_base_s=0.3, backoff_cap_s=0.3, jitter=0.0,
+            ),
+            fault_plan=FaultPlan(faults),
+        )
+        assert result.report.degraded_shards == 2
+        assert _exact(result.stats, _single_process_stats(config, trace))
+
+    def test_stalled_supervisor_raises_a_typed_error(self):
+        plan = _plan()
+        pool = WorkerPool(FarmConfig(mode="process"))
+        report = FarmReport(mode="process", workers=0, n_shards=plan.n_shards)
+        with pytest.raises(FarmError, match="stalled"):
+            pool._run_processes(
+                plan, plan.shards, "fast", None, report, workers=0
+            )
+
+
 class TestBackoff:
     def test_deterministic_per_shard_and_attempt(self):
         pool = WorkerPool(FarmConfig(seed=42))

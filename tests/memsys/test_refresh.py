@@ -325,6 +325,42 @@ class TestEngineEquivalenceGrid:
         event_stats, fast_stats, _ = replay_both(config, trace)
         assert_stats_equivalent(event_stats, fast_stats)
 
+    def test_faster_epoch_widens_the_scan_window(self, monkeypatch):
+        """A conflict-bound epoch followed by row-hit epochs: the next
+        epoch's scan window (sized from the previous epoch) holds no
+        boundary, so the scan widens — and stays bit-exact."""
+        from repro.memsys import fastpath
+        from repro.telemetry import ReplayTelemetry
+
+        scans = []
+        scan = fastpath._chunk_outcomes
+
+        def counted(*args):
+            scans.append(args[0].shape[0])
+            return scan(*args)
+
+        monkeypatch.setattr(fastpath, "_chunk_outcomes", counted)
+        config = MemSysConfig(n_channels=1, trefi_ns=TREFI, trfc_ns=TRFC)
+        trace = synthesize_trace(
+            "random", 600, config, seed=5
+        ) + synthesize_trace("sequential", 2400, config)
+        recorded = {}
+        for engine in ("event", "fast"):
+            telemetry = ReplayTelemetry()
+            system = MemorySystem(config)
+            system.replay(fresh(trace), engine=engine, telemetry=telemetry)
+            recorded[engine] = telemetry.recorder
+        assert system.last_replay_engine == "fast-vectorized"
+        epochs = len(
+            set((recorded["fast"].start_service // TREFI).tolist())
+        )
+        assert len(scans) > epochs  # at least one widened re-scan
+        for name in ("arrival", "start_service", "finish", "outcome_code"):
+            assert (
+                getattr(recorded["event"], name).tolist()
+                == getattr(recorded["fast"], name).tolist()
+            ), name
+
     def test_refresh_ab_broadcast_stream(self):
         config = MemSysConfig(
             n_channels=2,
