@@ -231,6 +231,50 @@ class AddressMap:
             addr = (addr << width) | value
         return addr << self.offset_bits
 
+    def scalar_encoder(
+        self,
+    ) -> _t.Callable[[int, int, int, int, int], int]:
+        """A fast :meth:`encode` over plain ints, for per-request loops.
+
+        Returns ``encode(channel, bankgroup, bank, row, column) ->
+        address`` with every field's shift and limit precomputed, so a
+        call builds no :class:`Coordinates` and walks no field order.
+        Out-of-range fields raise exactly what :meth:`encode` raises
+        (it handles that rare path).
+        """
+        shifts: _t.Dict[str, int] = {}
+        shift = self.offset_bits
+        for field in reversed(self.order):  # LSB first
+            shifts[field] = shift
+            shift += self._width(field)
+        s_ch, s_bg, s_ba, s_ro, s_co = (shifts[f] for f in FIELDS)
+        n_ch, n_bg, n_ba, n_ro, n_co = (
+            1 << self._width(f) for f in FIELDS
+        )
+
+        def encode(
+            channel: int, bankgroup: int, bank: int, row: int, column: int
+        ) -> int:
+            if (
+                0 <= channel < n_ch
+                and 0 <= bankgroup < n_bg
+                and 0 <= bank < n_ba
+                and 0 <= row < n_ro
+                and 0 <= column < n_co
+            ):
+                return (
+                    channel << s_ch
+                    | bankgroup << s_bg
+                    | bank << s_ba
+                    | row << s_ro
+                    | column << s_co
+                )
+            return self.encode(
+                Coordinates(channel, bankgroup, bank, row, column)
+            )
+
+        return encode
+
     _LABELS = {
         "channel": "Ch", "bankgroup": "Bg", "bank": "Ba",
         "row": "Ro", "column": "Co",

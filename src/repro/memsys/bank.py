@@ -254,6 +254,7 @@ class Bank:
     __slots__ = (
         "timing", "precharge_ns", "name", "row_policy",
         "open_row", "hits", "misses", "conflicts", "_latency_ns",
+        "_hit", "_miss", "_conflict",
     )
 
     def __init__(
@@ -278,6 +279,11 @@ class Bank:
         #: Shared with the fast-path engine so both engines charge
         #: bit-identical service times.
         self._latency_ns = latency_table(self.timing, self.precharge_ns)
+        #: One shared (frozen) result per outcome, so an access
+        #: allocates nothing.
+        self._hit = BankAccess(self._latency_ns[HIT], HIT)
+        self._miss = BankAccess(self._latency_ns[MISS], MISS)
+        self._conflict = BankAccess(self._latency_ns[CONFLICT], CONFLICT)
         #: Currently latched row, or ``None`` when the bank is closed.
         self.open_row: _t.Optional[int] = None
         self.hits = 0
@@ -295,17 +301,17 @@ class Bank:
             # Auto-precharge: the bank is always closed when the next
             # access arrives, so every access is a fresh activation.
             self.misses += 1
-            return BankAccess(self._latency_ns[MISS], MISS)
+            return self._miss
         if self.open_row == row:
             self.hits += 1
-            return BankAccess(self._latency_ns[HIT], HIT)
+            return self._hit
         if self.open_row is None:
             self.misses += 1
             self.open_row = row
-            return BankAccess(self._latency_ns[MISS], MISS)
+            return self._miss
         self.conflicts += 1
         self.open_row = row
-        return BankAccess(self._latency_ns[CONFLICT], CONFLICT)
+        return self._conflict
 
     def precharge(self) -> None:
         """Close the row buffer (e.g. between PIM kernels or refresh)."""

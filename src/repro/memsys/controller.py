@@ -164,30 +164,36 @@ class ChannelController:
         self._space_waiters.append(event)
         return event
 
+    def _route(self, request: MemRequest) -> None:
+        """Set the routing values the scheduler reads from ``coords``.
+
+        ``request.row`` and the flat bank index (``None`` for all-bank
+        PIM/AB requests), resolved once so the FR-FCFS selection scan
+        (the replay hot path) does not re-derive them per candidate per
+        selection.  The fast path's exact tier builds its records with
+        the same two values straight from the decoded address arrays.
+        """
+        coords = request.coords
+        request.row = coords.row
+        op = request.op
+        request.bank_index = (
+            None if op is Op.PIM or op is Op.AB else self._bank_index(coords)
+        )
+
     def _admit(self, request: MemRequest, now: float) -> None:
-        """Timestamp and queue ``request`` at ``now``, updating stats.
+        """Timestamp and queue a routed ``request`` at ``now``.
 
         The admission bookkeeping shared by the event engine (via
         :meth:`enqueue`) and the fast-path replay engine (which drives
         the controller with an incremental ready-time scan instead of a
-        simulator clock).  The request's flat bank index is resolved
-        here, once, so the FR-FCFS selection scan (the replay hot path)
-        does not re-derive it per candidate per selection.
+        simulator clock).  The request must carry its routing values
+        (``row``, ``bank_index``; see :meth:`_route`).
         """
         request.arrival = now
-        coords = request.coords
-        op = request.op
-        index = (
-            self._bank_index(coords)
-            if coords is not None
-            and op is not Op.PIM
-            and op is not Op.AB
-            else None
-        )
-        request.bank_index = index
+        index = request.bank_index
         if self._track_hits and index is not None:
             self._bank_queue[index].append(request)
-            hit = self.banks[index].open_row == coords.row
+            hit = self.banks[index].open_row == request.row
             request.queued_hit = hit
             if hit:
                 self._queued_hits += 1
@@ -209,6 +215,7 @@ class ChannelController:
                 f"(depth {self.queue_depth})"
             )
         request.done = self.sim.event()
+        self._route(request)
         self._admit(request, self.sim.now)
         self.sim.trace(
             "memsys.enqueue", channel=self.channel_id, addr=request.addr,
@@ -271,23 +278,18 @@ class ChannelController:
                 # register-broadcast barrier cuts both ways: nothing
                 # younger passes it, and it passes nothing older
                 break
-            if op is Op.PIM or op is Op.AB:
+            index = request.bank_index
+            if index is None:  # all-bank PIM/AB
                 fence = refresh.all_bank_fence(now)
             else:
-                index = request.bank_index
-                if index is None:
-                    index = self._bank_index(request.coords)
                 fence = refresh.bank_fence(now, index)
             if fence <= now:  # serviceable now
                 if fallback is None:
                     fallback = request
                 if (
                     frfcfs
-                    and op is not Op.PIM
-                    and op is not Op.AB
-                    and request.bank_index is not None
-                    and banks[request.bank_index].open_row
-                    == request.coords.row
+                    and index is not None
+                    and banks[index].open_row == request.row
                 ):
                     # oldest serviceable row hit wins outright
                     self._refresh_candidate = request
@@ -319,7 +321,7 @@ class ChannelController:
         open_row = self.banks[index].open_row
         delta = 0
         for request in self._bank_queue[index]:
-            hit = open_row == request.coords.row
+            hit = open_row == request.row
             if hit != request.queued_hit:
                 request.queued_hit = hit
                 delta += 1 if hit else -1
@@ -344,10 +346,10 @@ class ChannelController:
                     # never reorder a younger row hit across one
                     break
                 index = request.bank_index
-                if index is None:  # all-bank PIM, or unrouted
+                if index is None:  # all-bank PIM
                     continue
                 # inlined Bank.is_hit: this scan is the replay hot path
-                if banks[index].open_row == request.coords.row:
+                if banks[index].open_row == request.row:
                     return request
         return self.pending[0]
 
@@ -359,34 +361,29 @@ class ChannelController:
     # ------------------------------------------------------------------
     def _serve(self, request: MemRequest) -> float:
         """Drive the bank state machine(s); returns the access latency."""
-        coords = request.coords
-        assert coords is not None
         page_bits = self.banks[0].timing.page_bits
-        if request.op is Op.AB:
+        op = request.op
+        if op is Op.AB:
             # All-bank register broadcast: one column access on the
             # command/data bus, no row-buffer interaction in any bank.
             request.outcome = "broadcast"
             request.bits = page_bits
             return self.banks[0].timing.page_access_ns
-        if request.op is Op.PIM:
+        row = request.row
+        if op is Op.PIM:
             # All-bank broadcast: every bank accesses the row in
             # lockstep; the channel is held for the slowest bank.
             latency = 0.0
             worst = "hit"
             for bank in self.banks:
-                access = bank.access(coords.row)
+                access = bank.access(row)
                 if access.latency_ns > latency:
                     latency = access.latency_ns
                     worst = access.outcome
             request.outcome = worst
             request.bits = page_bits * len(self.banks)
             return latency
-        index = (
-            request.bank_index
-            if request.bank_index is not None
-            else self._bank_index(coords)
-        )
-        access = self.banks[index].access(coords.row)
+        access = self.banks[request.bank_index].access(row)
         request.outcome = access.outcome
         request.bits = page_bits
         return access.latency_ns
@@ -429,7 +426,7 @@ class ChannelController:
     def _finish_service(self, request: MemRequest, now: float) -> None:
         """Record the completion of ``request`` at ``now``."""
         request.finish = now
-        self.latency.record(request.latency)
+        self.latency.record(now - request.arrival)
         self.completed.increment()
         self.bits_delivered.increment(request.bits)
 

@@ -84,18 +84,21 @@ process bookkeeping — driving the *same* controller bookkeeping
 (:meth:`ChannelController._admit` / ``_service_delay`` /
 ``_begin_service`` / ``_finish_service``) and the same Bank state
 machines, so its statistics are bit-identical to the event engine's by
-construction.  Trace timestamps become absolute-time injector
-resumptions; refresh stalls become retry occurrences at the blackout
-end, gated by the same shared ``_service_delay`` arithmetic.
+construction.  Requests travel as slotted records built in one pass
+from the decoded arrays (op, timestamp, row, flat bank index), never as
+:class:`MemRequest` / ``Coordinates`` objects.  Trace timestamps become
+absolute-time injector resumptions; refresh stalls become retry
+occurrences at the blackout end, gated by the same shared
+``_service_delay`` arithmetic.
 
 Differences from the event engine (both tiers):
 
 * no per-event trace records are emitted (``engine="auto"`` therefore
   only picks the fast path when no tracer is attached);
 * ``MemRequest.done`` completion events are not created;
-* per-request runtime fields (coords, timestamps, outcome, bits) are
-  written back for object traces but not for
-  :class:`~repro.memsys.trace.PackedTrace` inputs, which never
+* per-request runtime fields (coords, routing, timestamps, outcome,
+  bits) are written back once, after the replay, for object traces but
+  not for :class:`~repro.memsys.trace.PackedTrace` inputs, which never
   materialize request objects at all;
 * queue-occupancy extremes (``queue_len.minimum`` / ``maximum``, not
   part of :class:`MemSysStats`) are exact under the line-rate
@@ -113,9 +116,11 @@ import heapq
 import itertools
 import math
 import typing as _t
+from operator import attrgetter
 
 import numpy as np
 
+from ..telemetry.latency import _routing_arrays
 from .addrmap import Coordinates
 from .bank import CLOSED, OUTCOMES, PER_RANK, latency_table
 from .controller import FRFCFS
@@ -140,12 +145,16 @@ def _null_phase(name: str) -> _t.ContextManager[None]:
 _HIT, _MISS, _CONFLICT, _BROADCAST = 0, 1, 2, 3
 #: Outcome vocabulary for per-request write-back (code -> name).
 _OUTCOME_NAMES = OUTCOMES + ("broadcast",)
+_OUTCOME_CODE = {name: code for code, name in enumerate(_OUTCOME_NAMES)}
 _PIM_CODE = Op.PIM.code
 _AB_CODE = Op.AB.code
 
 #: Tier-2 scheduling vocabulary, mirroring the desim heap discipline.
 _URGENT, _NORMAL = 0, 1
 _COMPLETE, _INJECT, _WAKEUP, _RETRY = 0, 1, 2, 3
+
+#: Requests per block of the object write-back.
+_WRITE_BACK_CHUNK = 4096
 
 #: Iteration cap for the arrival fixed point (each iteration is one
 #: vectorized pass; stalled-arrival chains longer than this are rare
@@ -173,9 +182,16 @@ def replay_fast(
     With ``telemetry`` attached, its profiler times the four phases
     (``decode`` / ``certificate`` / ``tier-execute`` /
     ``stats-gather``) and its latency recorder adopts the per-request
-    times — by reference (the vectorized plan arrays, or the exact
-    tier's request list), so capture costs nothing while the clock is
-    running and never perturbs the replay arithmetic.
+    times: the vectorized plan arrays by reference, or the
+    trace-ordered arrays the exact tier gathers from its records once
+    after its loop (routing straight from the decode).  Capture never
+    perturbs the replay arithmetic.
+
+    The exact tier replays slotted per-request records built from the
+    decoded arrays for packed and object traces alike.  For an object
+    trace, both tiers then write the runtime fields (``coords``,
+    ``row``, ``bank_index``, times, ``outcome``, ``bits``) back onto
+    the caller's :class:`MemRequest` objects in one pass.
 
     ``force_exact=True`` pins tier 2 without evaluating the vectorized
     certificates.  The replay-farm workers use this to reproduce the
@@ -240,7 +256,10 @@ def replay_fast(
             makespan = _commit_vector_plan(system, plan)
             system.last_replay_engine = "fast-vectorized"
             if requests is not None:
-                _write_back(requests, fields, plan)
+                _write_back(
+                    requests, fields, _bank_indices(op_codes, flat_bank),
+                    *_plan_columns(plan, len(requests)),
+                )
         if recorder is not None:
             recorder._capture_plan(
                 op_codes, fields["channel"], fields["row"],
@@ -248,23 +267,44 @@ def replay_fast(
             )
     else:
         with phase("tier-execute"):
-            if requests is None:
-                time_list: _t.Iterable[_t.Optional[float]] = (
-                    times.tolist()
-                    if times is not None
-                    else itertools.repeat(None)
+            bank_index = _bank_indices(op_codes, flat_bank)
+            records = list(
+                map(
+                    _Record,
+                    map(OPS_BY_CODE.__getitem__, op_codes.tolist()),
+                    (
+                        itertools.repeat(None)
+                        if times is None
+                        else times.tolist()
+                    ),
+                    fields["row"].tolist(),
+                    bank_index,
                 )
-                requests = [
-                    MemRequest(OPS_BY_CODE[code], addr, when)
-                    for code, addr, when in zip(
-                        op_codes.tolist(), addrs.tolist(), time_list
-                    )
-                ]
-            _assign_coords(requests, fields)
-            makespan = _replay_exact(system, requests, fields["channel"])
+            )
+            makespan = _replay_exact(system, records, fields["channel"])
             system.last_replay_engine = "fast-exact"
+            if requests is not None or recorder is not None:
+                arrival, start, finish, outcome, bits = _gather(records)
+            # free the records before a write-back allocates coords
+            del records
+            if requests is not None:
+                _write_back(
+                    requests, fields, bank_index,
+                    arrival, start, finish, outcome, bits,
+                )
         if recorder is not None:
-            recorder._capture_requests(requests)
+            arrays = {
+                "arrival": arrival,
+                "start_service": start,
+                "finish": finish,
+                "outcome": outcome,
+            }
+            arrays.update(
+                _routing_arrays(
+                    op_codes, fields["channel"], fields["row"], flat_bank
+                )
+            )
+            recorder._capture_arrays(arrays)
     system.sim._now = makespan
     with phase("stats-gather"):
         return system.gather_stats()
@@ -920,13 +960,10 @@ def _commit_vector_plan(
     return makespan
 
 
-def _write_back(
-    requests: _t.List[MemRequest],
-    fields: _t.Dict[str, np.ndarray],
-    plan: _t.List[_t.Optional[dict]],
-) -> None:
-    """Fill per-request runtime fields from the closed-form arrays."""
-    n = len(requests)
+def _plan_columns(
+    plan: _t.List[_t.Optional[dict]], n: int
+) -> _t.Tuple[np.ndarray, ...]:
+    """Trace-ordered arrival/start/finish/outcome/bits of the plan."""
     arrival = np.empty(n)
     start = np.empty(n)
     finish = np.empty(n)
@@ -941,50 +978,115 @@ def _write_back(
         finish[idx] = data["finish"]
         outcome[idx] = data["outcome"]
         bits[idx] = data["bits"]
-    columns = [
-        fields["channel"].tolist(),
-        fields["bankgroup"].tolist(),
-        fields["bank"].tolist(),
-        fields["row"].tolist(),
-        fields["column"].tolist(),
-        arrival.tolist(),
-        start.tolist(),
-        finish.tolist(),
-        outcome.tolist(),
-        bits.tolist(),
-    ]
-    for request, ch, bg, bk, ro, col, arr, st, fin, out, nbits in zip(
-        requests, *columns
-    ):
-        request.coords = Coordinates(ch, bg, bk, ro, col)
-        request.arrival = arr
-        request.start_service = st
-        request.finish = fin
-        request.outcome = _OUTCOME_NAMES[out]
-        request.bits = nbits
+    return arrival, start, finish, outcome, bits
+
+
+def _bank_indices(
+    op_codes: np.ndarray, flat_bank: np.ndarray
+) -> _t.List[_t.Optional[int]]:
+    """Per-request flat bank index, ``None`` for all-bank PIM/AB — the
+    value :meth:`ChannelController._route` gives an event request."""
+    index = flat_bank.astype(object)
+    index[(op_codes == _PIM_CODE) | (op_codes == _AB_CODE)] = None
+    return index.tolist()
+
+
+def _write_back(
+    requests: _t.List[MemRequest],
+    fields: _t.Dict[str, np.ndarray],
+    bank_index: _t.List[_t.Optional[int]],
+    arrival: np.ndarray,
+    start: np.ndarray,
+    finish: np.ndarray,
+    outcome: np.ndarray,
+    bits: np.ndarray,
+) -> None:
+    """Fill a caller's request objects from trace-ordered columns.
+
+    Shared by both tiers, once per replay: leaves every runtime field
+    the event engine sets (coords, routing, times, outcome, bits)
+    equal to the event engine's, completion events aside.
+    """
+    columns = (
+        fields["channel"], fields["bankgroup"], fields["bank"],
+        fields["row"], fields["column"], arrival, start, finish, outcome,
+        bits,
+    )
+    # chunked, so the Python-object columns never all exist at once
+    for lo in range(0, len(requests), _WRITE_BACK_CHUNK):
+        hi = lo + _WRITE_BACK_CHUNK
+        for (
+            request, index, ch, bg, bk, ro, col, arr, st, fin, out, nbits
+        ) in zip(
+            requests[lo:hi],
+            bank_index[lo:hi],
+            *(column[lo:hi].tolist() for column in columns),
+        ):
+            request.coords = Coordinates(ch, bg, bk, ro, col)
+            request.row = ro
+            request.bank_index = index
+            request.arrival = arr
+            request.start_service = st
+            request.finish = fin
+            request.outcome = _OUTCOME_NAMES[out]
+            request.bits = nbits
 
 
 # ----------------------------------------------------------------------
 # Tier 2: exact incremental replay
 # ----------------------------------------------------------------------
-def _assign_coords(
-    requests: _t.List[MemRequest], fields: _t.Dict[str, np.ndarray]
-) -> None:
-    """Vectorized-decode counterpart of per-request ``system.route``."""
-    for request, ch, bg, bk, ro, col in zip(
-        requests,
-        fields["channel"].tolist(),
-        fields["bankgroup"].tolist(),
-        fields["bank"].tolist(),
-        fields["row"].tolist(),
-        fields["column"].tolist(),
-    ):
-        request.coords = Coordinates(ch, bg, bk, ro, col)
+class _Record:
+    """One request as the exact tier's controllers see it.
+
+    A flat slotted record built from the decoded arrays: the fields the
+    shared controller code reads (``op``, ``timestamp``, and the
+    routing values ``row`` / ``bank_index``) and the runtime fields it
+    writes (``queued_hit``, ``arrival``, ``start_service``, ``finish``,
+    ``outcome``, ``bits``; unset until the replay reaches them).  Unlike
+    a :class:`MemRequest` it needs no address validation, decoded
+    :class:`Coordinates`, or field-wise equality.
+    """
+
+    __slots__ = (
+        "op", "timestamp", "row", "bank_index", "queued_hit",
+        "arrival", "start_service", "finish", "outcome", "bits",
+    )
+
+    def __init__(
+        self,
+        op: Op,
+        timestamp: _t.Optional[float],
+        row: int,
+        bank_index: _t.Optional[int],
+    ) -> None:
+        self.op = op
+        self.timestamp = timestamp
+        self.row = row
+        self.bank_index = bank_index
+
+
+def _gather(records: _t.List[_Record]) -> _t.Tuple[np.ndarray, ...]:
+    """Trace-ordered arrival/start/finish/outcome/bits of the records."""
+    n = len(records)
+
+    def column(values: _t.Iterable, dtype: type) -> np.ndarray:
+        return np.fromiter(values, dtype=dtype, count=n)
+
+    def field(name: str) -> _t.Iterator:
+        return map(attrgetter(name), records)
+
+    return (
+        column(field("arrival"), np.float64),
+        column(field("start_service"), np.float64),
+        column(field("finish"), np.float64),
+        column(map(_OUTCOME_CODE.__getitem__, field("outcome")), np.int64),
+        column(field("bits"), np.int64),
+    )
 
 
 def _replay_exact(
     system: "MemorySystem",
-    requests: _t.List[MemRequest],
+    records: _t.List[_Record],
     channel: np.ndarray,
 ) -> float:
     """Replay with the event engine's exact scheduling order, eventless.
@@ -1021,7 +1123,7 @@ def _replay_exact(
     push = heapq.heappush
     seq = itertools.count()
     channel_of = channel.tolist()
-    n = len(requests)
+    n = len(records)
     cursor = 0  # next request the injector will admit
     blocked_on = -1  # channel whose full queue blocks the injector
     now = 0.0
@@ -1062,7 +1164,7 @@ def _replay_exact(
             elif kind == _INJECT:
                 blocked_on = -1
                 while cursor < n:
-                    pending_request = requests[cursor]
+                    pending_request = records[cursor]
                     when = pending_request.timestamp
                     if when is not None and when > now:
                         # mirror the injector's absolute-time wait

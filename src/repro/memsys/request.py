@@ -85,10 +85,14 @@ class MemRequest:
         must be uniformly timestamped or uniformly line-rate.
     coords:
         Decoded coordinates, set when the system routes the request.
-    bank_index:
-        Flat in-channel bank index, cached by the controller at
-        admission (``None`` for all-bank PIM/AB requests) so the
-        FR-FCFS scan does not re-derive it per selection.
+    row, bank_index:
+        The two routing values the controller reads: the decoded row
+        and the flat in-channel bank index (``None`` for all-bank
+        PIM/AB requests).  The controller derives both from
+        ``coords`` when the event engine enqueues the request; the
+        fast path's exact tier carries them on slotted records built
+        from the decoded arrays, and writes them back with the other
+        runtime fields.
     queued_hit:
         Whether this *queued* request currently hits its bank's open
         row — the controller's per-bank open-row table entry,
@@ -110,6 +114,7 @@ class MemRequest:
     addr: int
     timestamp: _t.Optional[float] = None
     coords: _t.Optional["Coordinates"] = None
+    row: _t.Optional[int] = None
     bank_index: _t.Optional[int] = None
     queued_hit: bool = dataclasses.field(
         default=False, repr=False, compare=False

@@ -361,8 +361,14 @@ class PimCommand:
         return " ".join(parts)
 
 
+@functools.lru_cache(maxsize=8192)
 def parse_command(text: str) -> PimCommand:
     """Parse one command from its trace text (``MAC GRF,8 BANK SRF,0``).
+
+    Memoized on the text: commands and operands are frozen, so equal
+    text shares one :class:`PimCommand` (a layer trace repeats a few
+    thousand distinct commands over and over).  A malformed text raises
+    on every call; exceptions are never cached.
 
     Raises
     ------

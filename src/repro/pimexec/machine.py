@@ -53,7 +53,6 @@ import typing as _t
 import numpy as np
 
 from ..memsys import (
-    Coordinates,
     MemRequest,
     MemSysConfig,
     MemorySystem,
@@ -110,18 +109,12 @@ def page_encoder(
     :class:`~repro.memsys.AddressMap`, so per-request encoding costs no
     map construction).
     """
-    amap = config.address_map()
+    encode_fields = config.address_map().scalar_encoder()
     per_group = config.banks_per_group
 
     def encode(channel: int, flat_bank: int, row: int, col: int) -> int:
-        return amap.encode(
-            Coordinates(
-                channel=channel,
-                bankgroup=flat_bank // per_group,
-                bank=flat_bank % per_group,
-                row=row,
-                column=col,
-            )
+        return encode_fields(
+            channel, flat_bank // per_group, flat_bank % per_group, row, col
         )
 
     return encode

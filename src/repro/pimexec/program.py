@@ -65,7 +65,7 @@ import pathlib
 import typing as _t
 
 from ..errors import ConfigError, ProgramFormatError
-from ..memsys import Coordinates, MemRequest, MemSysConfig, Op
+from ..memsys import MemRequest, MemSysConfig, Op
 from .commands import PimCommand, PimExecError, PimOpcode, parse_command
 from .machine import PimExecMachine
 
@@ -146,6 +146,7 @@ class PimProgram:
             number in the message.
         """
         amap = config.address_map()
+        encode = amap.scalar_encoder()
         ppr = config.timing.pages_per_row
         gpr_row, cfr_row = self._apertures(config)
         per_group = config.banks_per_group
@@ -168,14 +169,12 @@ class PimProgram:
                         f"trace line {lineno}: row {record.row} out of "
                         f"range [0, {config.rows_per_bank})"
                     )
-                addr = amap.encode(
-                    Coordinates(
-                        channel=record.channel,
-                        bankgroup=record.bank // per_group,
-                        bank=record.bank % per_group,
-                        row=record.row,
-                        column=0,
-                    )
+                addr = encode(
+                    record.channel,
+                    record.bank // per_group,
+                    record.bank % per_group,
+                    record.row,
+                    0,
                 )
                 yield record, (
                     Op.WRITE if record.write else Op.READ
@@ -185,13 +184,7 @@ class PimProgram:
                 # columns (address/timing only — dependency tracking
                 # keys on the raw index, never the wrapped address)
                 aperture = gpr_row if record.kind == GPR else cfr_row
-                addr = amap.encode(
-                    Coordinates(
-                        channel=channel,
-                        row=aperture,
-                        column=record.index % ppr,
-                    )
-                )
+                addr = encode(channel, 0, 0, aperture, record.index % ppr)
                 yield record, (
                     Op.WRITE if record.write else Op.READ
                 ), addr, aperture, record.index % ppr
@@ -207,9 +200,7 @@ class PimProgram:
                     Op.WRITE if record.write else Op.READ
                 ), record.addr, 0, 0
             elif record.kind == AB:
-                addr = amap.encode(
-                    Coordinates(channel=channel, row=row, column=col)
-                )
+                addr = encode(channel, 0, 0, row, col)
                 yield record, Op.AB, addr, row, col
             else:  # PIM
                 command = _t.cast(PimCommand, record.command)
@@ -230,9 +221,7 @@ class PimProgram:
                         f"trace line {lineno}: PIM column {col} out of "
                         f"range [0, {ppr})"
                     )
-                addr = amap.encode(
-                    Coordinates(channel=channel, row=row, column=col)
-                )
+                addr = encode(channel, 0, 0, row, col)
                 yield record, Op.PIM, addr, row, col
 
     @property

@@ -2,13 +2,15 @@
 
 Both engines already *know* every request's arrival, service start, and
 finish: the event engine stamps them onto :class:`MemRequest` objects as
-its calendar advances, and the vectorized fast-path tier solves them in
-closed form as per-channel arrays.  :class:`LatencyRecorder` exposes
-those times as trace-ordered numpy arrays without changing either
-engine's arithmetic — the capture stores *references* (the request list,
-or the fast path's plan arrays) during replay and defers all array
-assembly to first access, so recording costs nothing measurable while
-the clock is hot (the <5% overhead floor of ``bench_memsys``).
+its calendar advances, the fast path's exact tier onto its slotted
+per-request records, and the vectorized tier solves them in closed form
+as per-channel arrays.  :class:`LatencyRecorder` exposes those times as
+trace-ordered numpy arrays without changing any engine's arithmetic —
+the event engine's request list and the vectorized plan are captured by
+*reference* and assembled on first access, and the exact tier hands over
+the arrays it gathers once after its loop, so recording costs nothing
+measurable while the clock is hot (the <5% overhead floor of
+``bench_memsys``).
 
 Because the fast path is certified bit-exact against the event engine,
 the recorded ``arrival`` / ``start_service`` / ``finish`` arrays are
@@ -95,8 +97,7 @@ class LatencyRecorder:
     def _capture_requests(
         self, requests: _t.Sequence["MemRequest"]
     ) -> None:
-        """Adopt a fully-replayed request list (event engine, or the
-        fast path's exact tier — both fill every runtime field)."""
+        """Adopt the event engine's fully-replayed request list."""
         self._guard_single_capture()
         self._requests = requests
 
@@ -123,11 +124,12 @@ class LatencyRecorder:
     ) -> None:
         """Adopt already-assembled trace-ordered arrays.
 
-        The replay farm's merge path: shard workers record through
-        their own recorders, the supervisor scatters the shard arrays
-        back to trace order and hands the merged dict here — the same
-        eight keys :meth:`_assemble` produces, so every derived
-        property behaves identically.
+        The fast path's exact tier gathers the times and outcomes from
+        its records once after the replay loop (routing from the decode,
+        through :func:`_routing_arrays`); the replay farm's supervisor
+        scatters its shard workers' arrays back to trace order.  Both
+        hand over the same eight keys :meth:`_assemble` produces, so
+        every derived property behaves identically.
         """
         self._guard_single_capture()
         expected = {
@@ -167,8 +169,6 @@ class LatencyRecorder:
     def _assemble_from_plan(
         captured: dict,
     ) -> _t.Dict[str, np.ndarray]:
-        from ..memsys.request import Op
-
         op_codes = captured["op_codes"]
         n = op_codes.shape[0]
         arrival = np.empty(n)
@@ -183,18 +183,21 @@ class LatencyRecorder:
             start[idx] = data["start"]
             finish[idx] = data["finish"]
             outcome[idx] = data["outcome"]
-        all_bank = (op_codes == Op.PIM.code) | (op_codes == Op.AB.code)
-        bank = np.where(all_bank, ALL_BANKS, captured["flat_bank"])
-        return {
+        arrays = {
             "arrival": arrival,
             "start_service": start,
             "finish": finish,
             "outcome": outcome,
-            "channel": captured["channel"].astype(np.int64),
-            "bank": bank.astype(np.int64),
-            "row": captured["row"].astype(np.int64),
-            "op": op_codes.astype(np.int64),
         }
+        arrays.update(
+            _routing_arrays(
+                op_codes,
+                captured["channel"],
+                captured["row"],
+                captured["flat_bank"],
+            )
+        )
+        return arrays
 
     @staticmethod
     def _assemble_from_requests(
@@ -340,6 +343,29 @@ class LatencyRecorder:
         if not self.captured:
             return "<LatencyRecorder (no replay captured)>"
         return f"<LatencyRecorder n={self.n}>"
+
+
+def _routing_arrays(
+    op_codes: np.ndarray,
+    channel: np.ndarray,
+    row: np.ndarray,
+    flat_bank: np.ndarray,
+) -> _t.Dict[str, np.ndarray]:
+    """The four routing keys of a capture, from the decoded arrays.
+
+    ``bank`` is the flat bank index, :data:`ALL_BANKS` for all-bank
+    PIM/AB operations — the value the event engine's requests carry.
+    """
+    from ..memsys.request import Op
+
+    all_bank = (op_codes == Op.PIM.code) | (op_codes == Op.AB.code)
+    bank = np.where(all_bank, ALL_BANKS, flat_bank)
+    return {
+        "channel": channel.astype(np.int64),
+        "bank": bank.astype(np.int64),
+        "row": row.astype(np.int64),
+        "op": op_codes.astype(np.int64),
+    }
 
 
 def _split_by(

@@ -73,6 +73,33 @@ class TestBijectivity:
         }
         assert len(seen) == amap.capacity_bytes
 
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    def test_scalar_encoder_matches_encode(self, scheme, rng):
+        amap = AddressMap.from_scheme(
+            scheme, channel_bits=2, bankgroup_bits=1, bank_bits=2,
+            row_bits=8, column_bits=3, offset_bits=5,
+        )
+        encode = amap.scalar_encoder()
+        n_mapped = amap.mapped_bits - amap.offset_bits
+        for sample in rng.integers(0, 1 << n_mapped, size=512):
+            coords = amap.decode(int(sample) << amap.offset_bits)
+            assert encode(
+                coords.channel, coords.bankgroup, coords.bank,
+                coords.row, coords.column,
+            ) == amap.encode(coords)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [(2, 0, 0, 0, 0), (0, 0, 0, -1, 0), (0, 2, 0, 0, 9), (0, 0, 0, 0, 8)],
+    )
+    def test_scalar_encoder_raises_like_encode(self, fields):
+        amap = AddressMap()
+        with pytest.raises(ValueError) as expected:
+            amap.encode(Coordinates(*fields))
+        with pytest.raises(ValueError) as actual:
+            amap.scalar_encoder()(*fields)
+        assert str(actual.value) == str(expected.value)
+
     def test_high_bits_wrap(self):
         amap = AddressMap()
         addr = 123 << amap.offset_bits

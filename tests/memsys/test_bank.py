@@ -46,6 +46,42 @@ class TestStateMachine:
         assert bank.accesses == 1
 
 
+class TestSharedAccessResults:
+    """``Bank.access`` returns one prebuilt result per outcome."""
+
+    def test_same_outcome_same_object(self):
+        bank = Bank()
+        miss = bank.access(1)
+        hit = bank.access(1)
+        assert bank.access(1) is hit
+        conflict = bank.access(2)
+        bank.precharge()
+        assert bank.access(2) is miss
+        assert bank.access(3) is conflict
+        assert len({id(miss), id(hit), id(conflict)}) == 3
+        assert (bank.hits, bank.misses, bank.conflicts) == (2, 2, 2)
+
+    def test_closed_policy_shares_its_miss(self):
+        bank = Bank(row_policy="closed")
+        first = bank.access(1)
+        assert bank.access(1) is first
+        assert bank.access(9) is first
+        assert (bank.hits, bank.misses, bank.conflicts) == (0, 3, 0)
+
+    def test_results_are_frozen_and_per_bank(self):
+        import dataclasses
+
+        bank = Bank()
+        access = bank.access(1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            access.latency_ns = 0.0
+        other = Bank(precharge_ns=5.0)
+        other.access(1)
+        assert other.access(2).latency_ns == pytest.approx(5.0 + 22.0)
+        bank.access(1)
+        assert bank.access(2).latency_ns == pytest.approx(22.0)
+
+
 class TestCounters:
     def test_hit_rate(self):
         bank = Bank()

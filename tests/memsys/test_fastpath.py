@@ -25,6 +25,9 @@ from repro.memsys import (
     SCHEMES,
     synthesize_trace,
 )
+from repro.memsys.fastpath import replay_fast
+from repro.nn import TransformerLayerSpec, transformer_layer_program
+from repro.telemetry import ReplayTelemetry
 
 SCHEME_NAMES = sorted(SCHEMES)
 POLICY_NAMES = ("fcfs", "frfcfs")
@@ -307,12 +310,10 @@ class TestFastPathSideEffects:
             fast_system.replay(fast_trace, engine="fast")
             assert fast_system.last_replay_engine == expected_tier
             for event_req, fast_req in zip(event_trace, fast_trace):
-                assert fast_req.coords == event_req.coords
-                assert fast_req.arrival == event_req.arrival
-                assert fast_req.start_service == event_req.start_service
-                assert fast_req.finish == event_req.finish
-                assert fast_req.outcome == event_req.outcome
-                assert fast_req.bits == event_req.bits
+                for name in RUNTIME_FIELDS:
+                    assert getattr(fast_req, name) == getattr(
+                        event_req, name
+                    ), name
 
     def test_queue_length_extremes_match_event_engine(self):
         """The vectorized tier's queue-occupancy min/max bookkeeping
@@ -378,6 +379,117 @@ class TestFastPathSideEffects:
         stats = system.replay(packed, engine="event")
         assert system.last_replay_engine == "event"
         assert stats.n_requests == 256
+
+
+#: Every per-request field a replay fills in (completion events aside).
+RUNTIME_FIELDS = (
+    "coords", "row", "bank_index", "arrival", "start_service",
+    "finish", "outcome", "bits",
+)
+#: The recorder's eight trace-ordered arrays.
+RECORDED_ARRAYS = (
+    "arrival", "start_service", "finish", "outcome_code",
+    "channel", "bank", "row", "op_code",
+)
+
+
+def copy_trace(trace):
+    """Payload-only copies, timestamps kept."""
+    return [MemRequest(r.op, r.addr, r.timestamp) for r in trace]
+
+
+def replay_exact_three_ways(config, trace):
+    """The event engine on objects, then the exact tier on objects and
+    on the packed trace; returns ``(stats, telemetry, requests)`` each
+    (``requests`` is ``None`` for the packed replay)."""
+    runs = []
+    event_requests = copy_trace(trace)
+    telemetry = ReplayTelemetry()
+    stats = MemorySystem(config).replay(
+        event_requests, engine="event", telemetry=telemetry
+    )
+    runs.append((stats, telemetry, event_requests))
+    for requests in (copy_trace(trace), None):
+        system = MemorySystem(config)
+        telemetry = ReplayTelemetry()
+        stats = replay_fast(
+            system,
+            requests if requests is not None
+            else PackedTrace.from_requests(trace),
+            telemetry,
+            force_exact=True,
+        )
+        assert system.last_replay_engine == "fast-exact"
+        runs.append((stats, telemetry, requests))
+    return runs
+
+
+def assert_exact_plumbing_identical(config, trace):
+    """Packed and object input through the exact tier give the event
+    engine's stats, recorder arrays, and per-request fields."""
+    (event_stats, event_tel, event_requests), *fast_runs = (
+        replay_exact_three_ways(config, trace)
+    )
+    for stats, telemetry, requests in fast_runs:
+        assert repr(stats) == repr(event_stats)
+        for name in RECORDED_ARRAYS:
+            expected = getattr(event_tel.recorder, name)
+            actual = getattr(telemetry.recorder, name)
+            assert actual.dtype == expected.dtype, name
+            assert actual.tobytes() == expected.tobytes(), name
+        if requests is None:
+            continue
+        for event_req, fast_req in zip(event_requests, requests):
+            for name in RUNTIME_FIELDS:
+                assert getattr(fast_req, name) == getattr(
+                    event_req, name
+                ), name
+
+
+class TestExactTierRecords:
+    """The exact tier's slotted records, array capture, and write-back.
+
+    The tier replays packed and object traces on the same records and
+    writes the runtime fields back onto a caller's request objects once,
+    so both inputs must leave exactly what the event engine leaves.
+    """
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    @pytest.mark.parametrize("refresh", (None, "per-rank", "per-bank"))
+    @pytest.mark.parametrize("interarrival_ns", (None, 3.0))
+    def test_random_trace_matrix(self, policy, refresh, interarrival_ns):
+        knobs = (
+            {}
+            if refresh is None
+            else dict(
+                trefi_ns=500.0, trfc_ns=60.0, refresh_granularity=refresh
+            )
+        )
+        config = MemSysConfig(
+            scheme="channel-interleaved", policy=policy, **knobs
+        )
+        arrivals = (
+            {}
+            if interarrival_ns is None
+            else dict(interarrival_ns=interarrival_ns, interarrival="poisson")
+        )
+        trace = synthesize_trace(
+            "random", 1500, config, seed=4, write_fraction=0.3, **arrivals
+        )
+        assert_exact_plumbing_identical(config, trace)
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    @pytest.mark.parametrize("timestamped", (False, True))
+    def test_mixed_pimexec_stream(self, policy, timestamped):
+        """A transformer-layer program lowers to host reads/writes, AB
+        register broadcasts, and PIM row ops on one channel."""
+        config = MemSysConfig(policy=policy)
+        spec = TransformerLayerSpec(d_model=16, n_heads=1, seq_len=4, d_ff=16)
+        trace = transformer_layer_program(spec, config).to_requests(config)
+        assert {r.op for r in trace} == set(Op)
+        if not timestamped:
+            trace = fresh(trace)
+        assert_exact_plumbing_identical(config, trace)
 
 
 def ab_all_bank_trace(config, n):

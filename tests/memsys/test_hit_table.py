@@ -36,7 +36,7 @@ def _reference_select(self):
             index = request.bank_index
             if index is None:
                 continue
-            if banks[index].open_row == request.coords.row:
+            if banks[index].open_row == request.row:
                 return request
     return self.pending[0]
 

@@ -136,3 +136,26 @@ class TestCommandParsing:
             parse_command("JUMP 3")
         with pytest.raises(PimExecError, match="empty"):
             parse_command("   ")
+
+
+class TestParseCache:
+    """``parse_command`` memoizes on the text, never on a failure."""
+
+    def test_equal_text_shares_one_command(self):
+        text = "MAC GRF,8 BANK SRF,0"
+        first = parse_command(text)
+        rebuilt = " ".join(text.split())  # equal, not the same str
+        assert rebuilt is not text
+        assert parse_command(rebuilt) is first
+        assert parse_command("MAC GRF,9 BANK SRF,0") is not first
+        assert parse_command("MAC GRF,9 BANK SRF,0") == parse_command(
+            "MAC  GRF,9 BANK SRF,0"
+        )
+
+    @pytest.mark.parametrize(
+        "text", ["FMA GRF,0 BANK SRF,0", "MAC GRF,0 BANK", "JUMP 3", ""]
+    )
+    def test_malformed_text_raises_every_call(self, text):
+        for _ in range(3):
+            with pytest.raises(PimExecError):
+                parse_command(text)
