@@ -15,7 +15,7 @@ The workload is built to hit the farm's profitable regime:
   where parallelism pays.  The closed-form vectorized tier is so fast
   that process spawn overhead would dominate, so a vectorized workload
   is the wrong thing to farm (and the benchmark asserts no shard took
-  it, and none needed tier harmonization).
+  it).
 
 The speedup floor is only *enforced* when the runner has >= 4 CPU
 cores (``floor_enforced`` in the record): on a 1-2 core machine the
@@ -92,8 +92,7 @@ def run_farm(config, trace, workers):
     elapsed = time.perf_counter() - started
     report = result.report
     assert not report.fell_back_to_single, report.fallback_reason
-    # the whole point of this workload: every shard on the exact tier,
-    # no harmonization re-runs inflating the farm's wall clock
+    # the whole point of this workload: every shard on the exact tier
     assert {s.engine for s in report.shards} == {"fast-exact"}
     assert report.harmonized_shards == 0
     return len(trace) / elapsed, result

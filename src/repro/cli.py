@@ -548,9 +548,7 @@ def _replay_command(args: argparse.Namespace) -> int:
             memsys_metrics(
                 registry=registry,
                 stats=stats,
-                # the farm merges into a throwaway system; its
-                # per-channel snapshots live in the farm report
-                system=None if args.workers else system,
+                telemetry=telemetry,
                 scheme=args.scheme,
                 policy=args.policy,
             )
@@ -650,6 +648,7 @@ def _farm_command(args: argparse.Namespace) -> int:
             memsys_metrics(
                 registry=registry,
                 stats=stats,
+                telemetry=telemetry,
                 scheme=args.scheme,
                 policy=args.policy,
             )
@@ -686,7 +685,6 @@ def _report_command(args: argparse.Namespace) -> int:
             return 2
         telemetry = ReplayTelemetry()
         farm_report = None
-        system = None
         if args.workers:
             from .farm import FarmConfig, replay_farm
 
@@ -694,8 +692,7 @@ def _report_command(args: argparse.Namespace) -> int:
             result = replay_farm(trace, config, farm, telemetry=telemetry)
             stats, farm_report = result.stats, result.report
         else:
-            system = MemorySystem(config)
-            stats = system.replay(
+            stats = MemorySystem(config).replay(
                 trace, engine=args.engine, telemetry=telemetry
             )
         source = f"repro-pim report {args.trace}"
@@ -703,7 +700,7 @@ def _report_command(args: argparse.Namespace) -> int:
         memsys_metrics(
             registry=registry,
             stats=stats,
-            system=system,
+            telemetry=telemetry,
             scheme=args.scheme,
             policy=args.policy,
         )

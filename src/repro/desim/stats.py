@@ -166,34 +166,6 @@ class Tally:
             "total": self.total,
         }
 
-    def state_dict(self) -> dict:
-        """The exact internal state (bit-faithful round trip).
-
-        Unlike :meth:`to_dict` (a human-oriented summary), this carries
-        the raw Welford accumulators, so ``load_state(state_dict())``
-        reconstructs a collector whose every future observable is
-        bit-identical — the contract the sharded replay farm's stats
-        merge relies on.
-        """
-        return {
-            "n": self._n,
-            "mean": self._mean,
-            "m2": self._m2,
-            "min": self._min,
-            "max": self._max,
-            "sum": self._sum,
-        }
-
-    def load_state(self, state: _t.Mapping[str, _t.Any]) -> "Tally":
-        """Restore the exact state captured by :meth:`state_dict`."""
-        self._n = int(state["n"])
-        self._mean = float(state["mean"])
-        self._m2 = float(state["m2"])
-        self._min = float(state["min"])
-        self._max = float(state["max"])
-        self._sum = float(state["sum"])
-        return self
-
     def __repr__(self) -> str:
         return (
             f"<Tally {self.name!r} n={self._n} mean={self.mean:.6g} "
@@ -288,27 +260,6 @@ class TimeWeighted:
             "max": self._max,
         }
 
-    def state_dict(self) -> dict:
-        """The exact internal state (bit-faithful round trip)."""
-        return {
-            "value": self._value,
-            "last": self._last,
-            "start": self._start,
-            "integral": self._integral,
-            "min": self._min,
-            "max": self._max,
-        }
-
-    def load_state(self, state: _t.Mapping[str, _t.Any]) -> "TimeWeighted":
-        """Restore the exact state captured by :meth:`state_dict`."""
-        self._value = float(state["value"])
-        self._last = float(state["last"])
-        self._start = float(state["start"])
-        self._integral = float(state["integral"])
-        self._min = float(state["min"])
-        self._max = float(state["max"])
-        return self
-
     def __repr__(self) -> str:
         return (
             f"<TimeWeighted {self.name!r} value={self._value:.6g} "
@@ -339,16 +290,6 @@ class Counter:
         """Events per unit time since observation started."""
         span = now - self._start
         return self._count / span if span > 0 else math.nan
-
-    def state_dict(self) -> dict:
-        """The exact internal state (bit-faithful round trip)."""
-        return {"count": self._count, "start": self._start}
-
-    def load_state(self, state: _t.Mapping[str, _t.Any]) -> "Counter":
-        """Restore the exact state captured by :meth:`state_dict`."""
-        self._count = int(state["count"])
-        self._start = float(state["start"])
-        return self
 
     def __repr__(self) -> str:
         return f"<Counter {self.name!r} count={self._count}>"
@@ -450,26 +391,6 @@ class StateTimer:
         out = dict(self._totals)
         out[self._state] = out.get(self._state, 0.0) + (now - self._since)
         return out
-
-    def state_dict(self) -> dict:
-        """The exact internal state (bit-faithful round trip)."""
-        return {
-            "state": self._state,
-            "since": self._since,
-            "start": self._start,
-            "totals": dict(self._totals),
-        }
-
-    def load_state(self, state: _t.Mapping[str, _t.Any]) -> "StateTimer":
-        """Restore the exact state captured by :meth:`state_dict`."""
-        self._state = str(state["state"])
-        self._since = float(state["since"])
-        self._start = float(state["start"])
-        self._totals = {
-            str(key): float(value)
-            for key, value in dict(state["totals"]).items()
-        }
-        return self
 
     def __repr__(self) -> str:
         return f"<StateTimer {self.name!r} state={self._state!r}>"

@@ -3,8 +3,8 @@
 The farm's :class:`~repro.farm.pool.FarmReport` says *what happened*
 (counters and per-shard outcomes); this module says *when*: every
 supervisor decision — plan, shard dispatch, heartbeats, retries and
-their backoff sleeps, checksum verification, degradations, tier
-harmonization, the merge — lands in a :class:`FarmEventLog` as a typed
+their backoff sleeps, checksum verification, degradations, the
+merge — lands in a :class:`FarmEventLog` as a typed
 :class:`FarmEvent` stamped on one monotonic wall clock.  Chaos
 injections are logged too (``chaos-kill`` / ``chaos-hang`` /
 ``chaos-corrupt`` / ``chaos-slow``, with the targeted shard and
@@ -52,7 +52,6 @@ EVENT_KINDS = (
     "verify",
     "shard-done",
     "degrade",
-    "harmonize",
     "fallback",
     "merge",
     "chaos-kill",
@@ -96,9 +95,8 @@ class FarmEventLog:
     """Append-only span log on one monotonic clock.
 
     One log spans one :func:`~repro.farm.pool.replay_farm` call,
-    including the harmonization re-run and any fallback — the same
-    instance threads through every :class:`~repro.farm.pool.WorkerPool`
-    invocation of the run.
+    including any fallback — the same instance threads through the
+    run's :class:`~repro.farm.pool.WorkerPool`.
     """
 
     def __init__(self) -> None:

@@ -10,8 +10,8 @@ full channel queue delays injection into *every* channel.  A uniformly
 timestamped trace whose every request is admitted exactly at its
 timestamp decouples the channels — each controller then sees exactly
 the same arrival sequence under sharded replay as under global replay,
-and the per-channel collector states (and hence every reduced
-statistic) are identical bit for bit.
+and the per-request times (and hence every reduced statistic) are
+identical bit for bit.
 
 The planner therefore marks a plan shardable only for timestamped
 traces; the worker verifies the no-backpressure certificate post hoc
@@ -89,8 +89,8 @@ def _feed(digest: "hashlib._Hash", value: _t.Any) -> None:
 def canonical_checksum(value: _t.Any) -> str:
     """SHA-256 over a canonical encoding of ``value``.
 
-    Used by shard workers to seal their result payload (collector
-    states, latency arrays, makespan) before it crosses the process
+    Used by shard workers to seal their result payload (per-request
+    arrays, bank row counters) before it crosses the process
     boundary; the supervisor recomputes it on receipt and raises
     :class:`~repro.errors.ResultIntegrityError` on mismatch.
     """

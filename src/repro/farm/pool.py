@@ -2,12 +2,12 @@
 
 :func:`replay_farm` shards a timestamped trace by channel
 (:class:`~repro.farm.planner.ShardPlanner`), replays each shard in an
-isolated worker, and merges the raw collector states back into a fresh
-:class:`~repro.memsys.MemorySystem` whose
-:meth:`~repro.memsys.MemorySystem.gather_stats` then computes **bit-
-identical** statistics to a single-process replay — the same reduction
-code runs on identical collector states, so every float matches to the
-last mantissa bit.
+isolated worker, and merges what the workers ship — their per-request
+arrays and bank row counters — back into trace order.  Channels of a
+shardable trace never interact, so the merged arrays equal a
+single-process replay's, and the reduction every replay path runs
+(:func:`~repro.memsys.system.reduce_stats`) computes **bit-identical**
+statistics from them, whichever fast-path tier each worker took.
 
 Fault tolerance is the supervisor's job: per-attempt deadlines and
 heartbeat silence detection (:class:`~repro.errors.ShardTimeout`),
@@ -44,8 +44,16 @@ from ..errors import (
     ShardTimeout,
     WorkerCrash,
 )
-from ..memsys.system import ENGINES, MemSysConfig, MemSysStats, MemorySystem
+from ..memsys.system import (
+    ENGINES,
+    MemSysConfig,
+    MemSysStats,
+    MemorySystem,
+    _finish_replay,
+)
 from ..memsys.trace import PackedTrace
+from ..telemetry.latency import LatencyRecorder
+from ..telemetry.profile import null_phase
 from . import chaos as _chaos
 from .events import FarmEventLog
 from .planner import Shard, ShardPlan, ShardPlanner, canonical_checksum
@@ -69,23 +77,8 @@ MODES = ("auto", "process", "inprocess")
 #: Exit code a chaos-killed worker dies with (distinguishable from 0).
 _CHAOS_EXIT = 87
 
-#: Internal engine token: the fast path with tier 2 pinned
-#: (``replay_fast(force_exact=True)``).  Workers are re-dispatched with
-#: this when the first round's tiers came back mixed — see
-#: :func:`replay_farm`.
-_EXACT_TIER = "fast-exact"
-
 #: The eight trace-ordered arrays a shard result must carry.
-_ARRAY_KEYS = (
-    "arrival",
-    "start_service",
-    "finish",
-    "outcome",
-    "channel",
-    "bank",
-    "row",
-    "op",
-)
+_ARRAY_KEYS = LatencyRecorder.KEYS
 
 
 # ----------------------------------------------------------------------
@@ -229,6 +222,8 @@ class FarmReport:
     crashes: int = 0
     integrity_failures: int = 0
     degraded_shards: int = 0
+    #: Always 0: shards on different fast-path tiers merge exactly.
+    #: Kept only for readers of the field.
     harmonized_shards: int = 0
     fell_back_to_single: bool = False
     fallback_reason: str = ""
@@ -283,9 +278,9 @@ def _run_shard(
 ) -> _t.Dict[str, _t.Any]:
     """Replay one shard on a fresh system; return the sealed payload.
 
-    The payload carries the raw collector state of every owned
-    channel, the shard's trace-ordered latency arrays, the makespan,
-    the no-backpressure certificate (recorded arrivals == trace
+    The payload carries the shard's trace-ordered per-request arrays,
+    the row counters of every owned channel's banks, the
+    no-backpressure certificate (recorded arrivals == trace
     timestamps), and a :func:`~repro.farm.planner.canonical_checksum`
     seal computed over all of the above.  Chaos faults are applied
     here — where real failures strike — so the supervisor cannot tell
@@ -308,28 +303,15 @@ def _run_shard(
     trace = PackedTrace(op_codes, addrs, times)
     system = MemorySystem(config)
     telemetry = ReplayTelemetry(latency=True, profile=False)
-    if engine == _EXACT_TIER:
-        from ..memsys.fastpath import replay_fast
-
-        system._replayed = True
-        stats = replay_fast(
-            system, trace, telemetry, force_exact=True
-        )
-        telemetry._finish(system, stats)
-    else:
-        system.replay(trace, engine=engine, telemetry=telemetry)
+    system.replay(trace, engine=engine, telemetry=telemetry)
     recorder = telemetry.recorder
     assert recorder is not None
     arrays = dict(recorder._assemble())
     backpressure = not np.array_equal(arrays["arrival"], times)
     result: _t.Dict[str, _t.Any] = {
-        "makespan_ns": float(system.sim.now),
         "engine": system.last_replay_engine,
         "backpressure": bool(backpressure),
-        "controllers": {
-            int(ch): system.controllers[ch].export_state()
-            for ch in channels
-        },
+        "row_counts": system.row_counts()[list(channels)],
         "arrays": arrays,
     }
     result["checksum"] = canonical_checksum(result)
@@ -467,46 +449,26 @@ class WorkerPool:
         self,
         plan: ShardPlan,
         fault_plan: _t.Optional[_chaos.FaultPlan] = None,
-        engine: _t.Optional[str] = None,
-        shard_ids: _t.Optional[_t.Sequence[int]] = None,
-        report: _t.Optional[FarmReport] = None,
     ) -> _t.Tuple[_t.Dict[int, _t.Dict[str, _t.Any]], FarmReport]:
-        """Replay the plan's shards; return ({shard_id: result}, report).
-
-        ``engine`` overrides the configured worker engine (the
-        tier-harmonization pass pins ``"fast-exact"``); ``shard_ids``
-        restricts the run to a subset; ``report`` accumulates into an
-        existing ledger instead of opening a fresh one.
-        """
+        """Replay the plan's shards; return ({shard_id: result}, report)."""
         mode, workers, why = self.resolve_mode(plan.n_shards)
-        if report is None:
-            report = FarmReport(
-                mode=mode, workers=workers, n_shards=plan.n_shards
+        report = FarmReport(
+            mode=mode, workers=workers, n_shards=plan.n_shards
+        )
+        if why:
+            report.errors.append(f"degraded to in-process: {why}")
+        report.shards = [
+            ShardOutcome(
+                shard_id=shard.shard_id,
+                channels=shard.channels,
+                n_requests=len(shard),
             )
-            if why:
-                report.errors.append(f"degraded to in-process: {why}")
-            report.shards = [
-                ShardOutcome(
-                    shard_id=shard.shard_id,
-                    channels=shard.channels,
-                    n_requests=len(shard),
-                )
-                for shard in plan.shards
-            ]
-        engine = engine if engine is not None else self.farm.engine
-        shards = [
-            shard
             for shard in plan.shards
-            if shard_ids is None or shard.shard_id in set(shard_ids)
         ]
         if mode == "process":
-            results = self._run_processes(
-                plan, shards, engine, fault_plan, report, workers
-            )
+            results = self._run_processes(plan, fault_plan, report, workers)
         else:
-            results = self._run_inprocess(
-                plan, shards, engine, fault_plan, report
-            )
+            results = self._run_inprocess(plan, fault_plan, report)
         return results, report
 
     # ------------------------------------------------------------------
@@ -570,22 +532,21 @@ class WorkerPool:
             )
         arrays = result["arrays"]
         n = len(shard)
-        if set(arrays) != set(_ARRAY_KEYS) or any(
-            arrays[key].shape != (n,) for key in _ARRAY_KEYS
+        if (
+            set(arrays) != set(_ARRAY_KEYS)
+            or any(arrays[key].shape != (n,) for key in _ARRAY_KEYS)
+            or len(result["row_counts"]) != len(shard.channels)
         ):
             raise ResultIntegrityError(
-                f"shard {shard.shard_id}: result arrays do not match "
-                f"the shard's {n} request(s)",
+                f"shard {shard.shard_id}: result does not match the "
+                f"shard's {n} request(s) on {len(shard.channels)} "
+                "channel(s)",
                 shard_id=shard.shard_id,
                 attempt=attempt,
             )
 
     def _degrade(
-        self,
-        plan: ShardPlan,
-        shard: Shard,
-        engine: str,
-        report: FarmReport,
+        self, plan: ShardPlan, shard: Shard, report: FarmReport
     ) -> _t.Dict[str, _t.Any]:
         """Past the retry budget: replay the shard here, fault-free."""
         with self.events.span(
@@ -598,7 +559,7 @@ class WorkerPool:
                 shard.trace.addrs,
                 shard.trace.times,
                 shard.channels,
-                engine,
+                self.farm.engine,
                 fault=None,
                 inprocess=True,
             )
@@ -616,13 +577,11 @@ class WorkerPool:
     def _run_inprocess(
         self,
         plan: ShardPlan,
-        shards: _t.Sequence[Shard],
-        engine: str,
         fault_plan: _t.Optional[_chaos.FaultPlan],
         report: FarmReport,
     ) -> _t.Dict[int, _t.Dict[str, _t.Any]]:
         results: _t.Dict[int, _t.Dict[str, _t.Any]] = {}
-        for shard in shards:
+        for shard in plan.shards:
             attempt = 0
             while True:
                 report.attempts += 1
@@ -649,7 +608,7 @@ class WorkerPool:
                             shard.trace.addrs,
                             shard.trace.times,
                             shard.channels,
-                            engine,
+                            self.farm.engine,
                             fault=fault,
                             inprocess=True,
                         )
@@ -719,9 +678,7 @@ class WorkerPool:
                             time.sleep(delay)
                     attempt += 1
                     continue
-                results[shard.shard_id] = self._degrade(
-                    plan, shard, engine, report
-                )
+                results[shard.shard_id] = self._degrade(plan, shard, report)
                 break
         return results
 
@@ -731,8 +688,6 @@ class WorkerPool:
     def _run_processes(
         self,
         plan: ShardPlan,
-        shards: _t.Sequence[Shard],
-        engine: str,
         fault_plan: _t.Optional[_chaos.FaultPlan],
         report: FarmReport,
         workers: int,
@@ -747,10 +702,10 @@ class WorkerPool:
         # (ready_at, shard, attempt) — retries wait out their backoff
         # here without blocking supervision of the other shards
         queue: _t.List[_t.Tuple[float, Shard, int]] = [
-            (0.0, shard, 0) for shard in shards
+            (0.0, shard, 0) for shard in plan.shards
         ]
         active: _t.Dict[int, _Active] = {}
-        outstanding = len(shards)
+        outstanding = len(plan.shards)
         poll_s = max(
             0.005, min(0.1, farm.heartbeat_interval_s / 2.0)
         )
@@ -779,7 +734,7 @@ class WorkerPool:
                     shard.trace.addrs,
                     shard.trace.times,
                     shard.channels,
-                    engine,
+                    farm.engine,
                     fault,
                     farm.heartbeat_interval_s,
                 ),
@@ -970,9 +925,7 @@ class WorkerPool:
             for state in list(active.values()):
                 _reap(state)
         for shard in degraded:
-            results[shard.shard_id] = self._degrade(
-                plan, shard, engine, report
-            )
+            results[shard.shard_id] = self._degrade(plan, shard, report)
         return results
 
 
@@ -1002,54 +955,30 @@ def _mp_context():
 def _merge(
     plan: ShardPlan,
     results: _t.Mapping[int, _t.Dict[str, _t.Any]],
-) -> _t.Tuple[MemorySystem, MemSysStats, _t.Dict[str, np.ndarray]]:
-    """Reassemble shard payloads into one exact system + stat set.
-
-    Loads every owned channel's collector state into a fresh system,
-    gives never-owned channels the engine's startup idle transition
-    (mirroring the fast path's idle-controller idiom), sets the merged
-    clock to the global makespan, and runs the ordinary
-    :meth:`~repro.memsys.MemorySystem.gather_stats` reduction — the
-    same left-fold over channels in channel order that a single
-    process runs, on bit-identical collector states, hence
-    bit-identical output.
-    """
+) -> _t.Tuple[_t.Dict[str, np.ndarray], np.ndarray]:
+    """Scatter the shards' arrays back to trace order and place their
+    channels' row counters: the inputs of one
+    :func:`~repro.memsys.system.reduce_stats` over the whole trace."""
     config = plan.config
-    system = MemorySystem(config)
-    owned: _t.Set[int] = set()
-    makespan = 0.0
+    n = len(plan.trace)
+    arrays = {
+        key: np.empty(
+            n,
+            dtype=np.float64
+            if key in ("arrival", "start_service", "finish")
+            else np.int64,
+        )
+        for key in _ARRAY_KEYS
+    }
+    row_counts = np.zeros(
+        (config.n_channels, config.banks_per_channel, 3), dtype=np.int64
+    )
     for shard in plan.shards:
         result = results[shard.shard_id]
-        makespan = max(makespan, float(result["makespan_ns"]))
-        for channel in shard.channels:
-            system.controllers[channel].load_state(
-                result["controllers"][channel]
-            )
-            owned.add(channel)
-    for channel in range(config.n_channels):
-        if channel not in owned:
-            system.controllers[channel].utilization.transition(
-                "idle", 0.0
-            )
-    system.sim._now = makespan
-    system._replayed = True
-    system.last_replay_engine = "farm"
-    stats = system.gather_stats()
-    n = len(plan.trace)
-    arrays: _t.Dict[str, np.ndarray] = {}
-    for key in _ARRAY_KEYS:
-        dtype = (
-            np.float64
-            if key in ("arrival", "start_service", "finish")
-            else np.int64
-        )
-        merged = np.empty(n, dtype=dtype)
-        for shard in plan.shards:
-            merged[shard.index] = results[shard.shard_id]["arrays"][
-                key
-            ]
-        arrays[key] = merged
-    return system, stats, arrays
+        for key in _ARRAY_KEYS:
+            arrays[key][shard.index] = result["arrays"][key]
+        row_counts[list(shard.channels)] = result["row_counts"]
+    return arrays, row_counts
 
 
 def replay_farm(
@@ -1063,7 +992,7 @@ def replay_farm(
 
     Plans a channel split, replays each shard under the
     :class:`WorkerPool` supervisor, verifies every worker's
-    no-backpressure certificate, and merges the collector states into
+    no-backpressure certificate, and merges the shards' arrays into
     statistics **bit-identical** to
     ``MemorySystem(config).replay(trace)``.  Traces that cannot be
     sharded exactly — line-rate traces, or any shard whose certificate
@@ -1097,14 +1026,10 @@ def replay_farm(
     events = FarmEventLog()
     pool = WorkerPool(farm, events=events)
     profiler = telemetry.profiler if telemetry is not None else None
+    phase = profiler.phase if profiler is not None else null_phase
     planner = ShardPlanner(config, max_shards=farm.max_shards)
-    if profiler is not None:
-        with profiler.phase("farm-plan"):
-            with events.span("plan"):
-                plan = planner.plan(trace)
-    else:
-        with events.span("plan"):
-            plan = planner.plan(trace)
+    with phase("farm-plan"), events.span("plan"):
+        plan = planner.plan(trace)
     if not plan.shardable:
         return _single_process_fallback(
             trace,
@@ -1115,47 +1040,8 @@ def replay_farm(
             plan.reason,
             events,
         )
-    if profiler is not None:
-        with profiler.phase("farm-execute"):
-            results, report = pool.run(plan, fault_plan)
-    else:
+    with phase("farm-execute"):
         results, report = pool.run(plan, fault_plan)
-    # Tier harmonization: a single-process fast replay picks ONE tier
-    # for the whole trace (tier 1 only when every channel's
-    # certificates pass), while each worker judged only its own
-    # channels.  Mixed tiers mean the full replay would have run tier
-    # 2 everywhere, so re-run the tier-1 shards with the exact tier
-    # pinned; homogeneous tiers already match the global choice, and
-    # the two tiers differ only by ulp-level Tally rounding — which is
-    # exactly what bit-identity forbids.
-    tiers = {
-        results[shard.shard_id]["engine"] for shard in plan.shards
-    }
-    if "fast-vectorized" in tiers and len(tiers) > 1:
-        redo = [
-            shard.shard_id
-            for shard in plan.shards
-            if results[shard.shard_id]["engine"] == "fast-vectorized"
-        ]
-        report.harmonized_shards = len(redo)
-        events.point(
-            "harmonize",
-            detail=f"mixed tiers: re-running {len(redo)} shard(s) "
-            "with the exact tier pinned",
-        )
-        if profiler is not None:
-            with profiler.phase("farm-harmonize"):
-                redone, _ = pool.run(
-                    plan,
-                    engine=_EXACT_TIER,
-                    shard_ids=redo,
-                    report=report,
-                )
-        else:
-            redone, _ = pool.run(
-                plan, engine=_EXACT_TIER, shard_ids=redo, report=report
-            )
-        results.update(redone)
     pressured = [
         shard.shard_id
         for shard in plan.shards
@@ -1173,17 +1059,13 @@ def replay_farm(
             "queues, so a channel split is not bit-exact",
             events,
         )
-    if profiler is not None:
-        with profiler.phase("farm-merge"):
-            with events.span("merge", detail=f"{plan.n_shards} shard(s)"):
-                system, stats, arrays = _merge(plan, results)
-    else:
-        with events.span("merge", detail=f"{plan.n_shards} shard(s)"):
-            system, stats, arrays = _merge(plan, results)
+    with phase("farm-merge"), events.span(
+        "merge", detail=f"{plan.n_shards} shard(s)"
+    ):
+        arrays, row_counts = _merge(plan, results)
+    del results  # the shard payloads are merged; free them first
+    stats = _finish_replay(config, "farm", arrays, row_counts, telemetry)
     if telemetry is not None:
-        if telemetry.recorder is not None:
-            telemetry.recorder._capture_arrays(arrays)
-        telemetry._finish(system, stats)
         telemetry.farm_events = events
     return FarmResult(
         stats=stats, report=report, telemetry=telemetry, events=events

@@ -58,11 +58,11 @@ Replay engines
   private to the system with an untouched clock, and the event engine
   otherwise.
 
-Both engines produce the same :class:`MemSysStats`: integer counters,
-makespan, and sustained bandwidth exactly, derived float aggregates to
-within ~1e-12 relative (the fast path sums vectorized instead of
-streaming Welford updates); ``tests/memsys/test_fastpath.py`` and
-``tests/memsys/test_refresh.py`` assert this across every scheme x
+Both engines produce bit-identical per-request times and bank counters,
+and every replay path reduces those with the one
+:func:`~repro.memsys.system.reduce_stats`, so both produce the same
+:class:`MemSysStats` to the last bit; ``tests/memsys/test_fastpath.py``
+and ``tests/memsys/test_refresh.py`` assert this across every scheme x
 policy x pattern x refresh granularity x arrival mode combination,
 including PIM all-bank traces.
 

@@ -317,24 +317,6 @@ class Bank:
         """Close the row buffer (e.g. between PIM kernels or refresh)."""
         self.open_row = None
 
-    def export_state(self) -> dict:
-        """Row-buffer state + counters (bit-faithful round trip)."""
-        return {
-            "open_row": self.open_row,
-            "hits": self.hits,
-            "misses": self.misses,
-            "conflicts": self.conflicts,
-        }
-
-    def load_state(self, state: _t.Mapping[str, _t.Any]) -> "Bank":
-        """Restore the exact state captured by :meth:`export_state`."""
-        open_row = state["open_row"]
-        self.open_row = None if open_row is None else int(open_row)
-        self.hits = int(state["hits"])
-        self.misses = int(state["misses"])
-        self.conflicts = int(state["conflicts"])
-        return self
-
     # ------------------------------------------------------------------
     @property
     def accesses(self) -> int:

@@ -30,10 +30,10 @@ touching the refreshing bank under per-bank refresh).  The gate is pure
 arithmetic on the clock, shared verbatim with the exact fast-path tier
 so both engines stall at bit-identical instants.
 
-Statistics flow through :mod:`repro.desim.stats`: a :class:`Tally` of
-request latencies, a :class:`TimeWeighted` queue length, a
-:class:`StateTimer` for busy/idle utilization, and :class:`Counter`\\ s
-of completed requests and delivered bits.
+The controller keeps no statistics of its own: it stamps each request's
+arrival, service start, finish, and outcome, and
+:func:`~repro.memsys.system.reduce_stats` derives every summary from
+those per-request times after the replay.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from __future__ import annotations
 import math
 import typing as _t
 
-from ..desim import Counter, StateTimer, Tally, TimeWeighted
 from ..desim.events import Event
 from .bank import Bank, PER_RANK, RefreshSchedule
 from .request import MemRequest, Op
@@ -142,14 +141,9 @@ class ChannelController:
         self._wakeup: _t.Optional[Event] = None
         self._space_waiters: _t.List[Event] = []
 
-        name = f"ch{channel_id}"
-        self.latency = Tally(f"{name}.latency")
-        self.queue_len = TimeWeighted(f"{name}.queue", 0.0, sim.now)
-        self.utilization = StateTimer("idle", sim.now, f"{name}.state")
-        self.completed = Counter(f"{name}.requests", sim.now)
-        self.bits_delivered = Counter(f"{name}.bits", sim.now)
-
-        self.process = sim.process(self._run(), name=f"memctrl.{name}")
+        self.process = sim.process(
+            self._run(), name=f"memctrl.ch{channel_id}"
+        )
 
     # ------------------------------------------------------------------
     # queue admission
@@ -198,7 +192,6 @@ class ChannelController:
             if hit:
                 self._queued_hits += 1
         self.pending.append(request)
-        self.queue_len.update(len(self.pending), now)
 
     def enqueue(self, request: MemRequest) -> Event:
         """Admit ``request``; returns its completion event.
@@ -391,16 +384,14 @@ class ChannelController:
     def _begin_service(self, now: float) -> _t.Tuple[MemRequest, float]:
         """Dequeue the next request at ``now`` and drive its banks.
 
-        The service-start sequence shared by both engines: busy
-        transition, policy selection, queue-length update, and the bank
-        state-machine access.  Returns ``(request, latency_ns)``; the
-        caller owns the passage of time (a desim timeout for the event
-        engine, ready-time arithmetic for the fast path).
+        The service-start sequence shared by both engines: policy
+        selection, dequeue, and the bank state-machine access.  Returns
+        ``(request, latency_ns)``; the caller owns the passage of time
+        (a desim timeout for the event engine, ready-time arithmetic for
+        the fast path).
         """
-        self.utilization.transition("busy", now)
         request = self._select()
         self.pending.remove(request)
-        self.queue_len.update(len(self.pending), now)
         request.start_service = now
         if not self._track_hits:
             return request, self._serve(request)
@@ -423,19 +414,11 @@ class ChannelController:
         # AB broadcasts never touch row buffers: nothing to rescan
         return request, latency
 
-    def _finish_service(self, request: MemRequest, now: float) -> None:
-        """Record the completion of ``request`` at ``now``."""
-        request.finish = now
-        self.latency.record(now - request.arrival)
-        self.completed.increment()
-        self.bits_delivered.increment(request.bits)
-
     def _run(self):
         """Controller main loop (a desim process)."""
         sim = self.sim
         while True:
             if not self.pending:
-                self.utilization.transition("idle", sim.now)
                 self._wakeup = sim.event()
                 yield self._wakeup
                 self._wakeup = None
@@ -451,7 +434,7 @@ class ChannelController:
                 if not waiter.triggered:
                     waiter.succeed()
             yield sim.timeout(latency)
-            self._finish_service(request, sim.now)
+            request.finish = sim.now
             sim.trace(
                 "memsys.complete", channel=self.channel_id,
                 addr=request.addr, outcome=request.outcome,
@@ -460,90 +443,6 @@ class ChannelController:
             done = request.done
             assert done is not None
             done.succeed(request)
-
-    # ------------------------------------------------------------------
-    # collector state export/load (the replay farm's merge hooks)
-    # ------------------------------------------------------------------
-    def export_state(self) -> dict:
-        """Exact post-replay collector + bank state of this channel.
-
-        Captures the raw internals of every statistics collector and
-        every bank's row-buffer state machine, so a shard worker can
-        ship its channel's evolution across a process boundary and the
-        farm supervisor can :meth:`load_state` it into a fresh
-        controller — after which every stats reduction
-        (:meth:`~repro.memsys.MemorySystem.gather_stats`,
-        :meth:`metrics`) computes **bit-identical** floats, because the
-        same reduction code runs on identical collector states.
-
-        Only valid between replays (an empty queue); the transient
-        scheduling structures (pending queue, open-row table) are
-        deliberately not part of the contract.
-        """
-        if self.pending:
-            raise RuntimeError(
-                f"channel {self.channel_id} still has "
-                f"{len(self.pending)} pending request(s); export_state "
-                "is a post-replay hook"
-            )
-        return {
-            "channel_id": self.channel_id,
-            "latency": self.latency.state_dict(),
-            "queue_len": self.queue_len.state_dict(),
-            "utilization": self.utilization.state_dict(),
-            "completed": self.completed.state_dict(),
-            "bits_delivered": self.bits_delivered.state_dict(),
-            "refresh_applied": list(self._refresh_applied),
-            "banks": [bank.export_state() for bank in self.banks],
-        }
-
-    def load_state(self, state: _t.Mapping[str, _t.Any]) -> None:
-        """Restore the exact state captured by :meth:`export_state`."""
-        banks = state["banks"]
-        if len(banks) != len(self.banks):
-            raise ValueError(
-                f"state carries {len(banks)} banks but channel "
-                f"{self.channel_id} has {len(self.banks)}"
-            )
-        self.latency.load_state(state["latency"])
-        self.queue_len.load_state(state["queue_len"])
-        self.utilization.load_state(state["utilization"])
-        self.completed.load_state(state["completed"])
-        self.bits_delivered.load_state(state["bits_delivered"])
-        self._refresh_applied = [
-            int(epoch) for epoch in state["refresh_applied"]
-        ]
-        for bank, bank_state in zip(self.banks, banks):
-            bank.load_state(bank_state)
-
-    # ------------------------------------------------------------------
-    @property
-    def row_hit_rate(self) -> float:
-        """Aggregate row-hit rate over the channel's banks."""
-        hits = sum(b.hits for b in self.banks)
-        total = sum(b.accesses for b in self.banks)
-        return hits / total if total else float("nan")
-
-    def metrics(self, now: float) -> _t.Dict[str, float]:
-        """Collector snapshot for the telemetry registry.
-
-        Exposes the per-channel extremes the flat
-        :class:`~repro.memsys.system.MemSysStats` summary reduces away
-        — latency min/max, peak queue occupancy, busy fraction — so a
-        metrics export preserves them.  Both replay engines leave the
-        underlying collectors in the same state, so the snapshot is
-        engine-independent.
-        """
-        return {
-            "requests": float(self.completed.count),
-            "bits_delivered": float(self.bits_delivered.count),
-            "latency_min_ns": self.latency.minimum,
-            "latency_max_ns": self.latency.maximum,
-            "queue_mean": self.queue_len.time_average(now),
-            "queue_max": self.queue_len.maximum,
-            "busy_fraction": self.utilization.fraction("busy", now),
-            "row_hit_rate": self.row_hit_rate,
-        }
 
     def __repr__(self) -> str:
         return (

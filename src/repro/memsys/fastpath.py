@@ -9,7 +9,9 @@ service starts are back-to-back while a queue is busy, arrivals are
 pinned to queue-slot releases (or to explicit trace timestamps), and
 refresh blackouts are a pure function of the clock.  This module
 exploits that determinism to replay traces at millions of requests per
-second while producing the same :class:`MemSysStats`.
+second while producing the same per-request times — and therefore, by
+the shared :func:`~repro.memsys.system.reduce_stats`, the same
+:class:`MemSysStats`.
 
 It is organized as two tiers behind one entry point,
 :func:`replay_fast`:
@@ -82,8 +84,8 @@ the event engine's ``(time, priority, insertion)`` scheduling order
 with plain tuples on a heap — no Event objects, no generators, no
 process bookkeeping — driving the *same* controller bookkeeping
 (:meth:`ChannelController._admit` / ``_service_delay`` /
-``_begin_service`` / ``_finish_service``) and the same Bank state
-machines, so its statistics are bit-identical to the event engine's by
+``_begin_service``) and the same Bank state machines, so its
+per-request times are bit-identical to the event engine's by
 construction.  Requests travel as slotted records built in one pass
 from the decoded arrays (op, timestamp, row, flat bank index), never as
 :class:`MemRequest` / ``Coordinates`` objects.  Trace timestamps become
@@ -99,19 +101,11 @@ Differences from the event engine (both tiers):
 * per-request runtime fields (coords, routing, timestamps, outcome,
   bits) are written back once, after the replay, for object traces but
   not for :class:`~repro.memsys.trace.PackedTrace` inputs, which never
-  materialize request objects at all;
-* queue-occupancy extremes (``queue_len.minimum`` / ``maximum``, not
-  part of :class:`MemSysStats`) are exact under the line-rate
-  certificate; in the gapped tiers (timestamped / fixed-point
-  arrivals) same-instant interleavings of an admission with an
-  *earlier* request's dequeue are resolved admission-first and
-  clipped at the queue depth, which can differ from the event
-  calendar by one transient slot.
+  materialize request objects at all.
 """
 
 from __future__ import annotations
 
-import contextlib
 import heapq
 import itertools
 import math
@@ -120,11 +114,13 @@ from operator import attrgetter
 
 import numpy as np
 
-from ..telemetry.latency import _routing_arrays
+from ..telemetry.latency import ALL_BANKS, OUTCOME_NAMES
+from ..telemetry.profile import null_phase
 from .addrmap import Coordinates
 from .bank import CLOSED, OUTCOMES, PER_RANK, latency_table
 from .controller import FRFCFS
 from .request import MemRequest, OPS_BY_CODE, Op
+from .system import _OUTCOME_CODE, _finish_replay, request_bits
 from .trace import PackedTrace
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -134,18 +130,11 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["replay_fast"]
 
-
-def _null_phase(name: str) -> _t.ContextManager[None]:
-    return contextlib.nullcontext()
-
 #: Outcome codes, aligned with :data:`repro.memsys.bank.OUTCOMES`; the
 #: AB register broadcast never touches a row buffer, so the bank module
 #: doesn't know it — its code 3 aligns with the telemetry layer's
 #: :data:`repro.telemetry.OUTCOME_NAMES` instead.
 _HIT, _MISS, _CONFLICT, _BROADCAST = 0, 1, 2, 3
-#: Outcome vocabulary for per-request write-back (code -> name).
-_OUTCOME_NAMES = OUTCOMES + ("broadcast",)
-_OUTCOME_CODE = {name: code for code, name in enumerate(_OUTCOME_NAMES)}
 _PIM_CODE = Op.PIM.code
 _AB_CODE = Op.AB.code
 
@@ -166,48 +155,55 @@ def replay_fast(
     system: "MemorySystem",
     trace: _t.Union[_t.Sequence[MemRequest], PackedTrace],
     telemetry: _t.Optional["ReplayTelemetry"] = None,
-    *,
-    force_exact: bool = False,
 ) -> "MemSysStats":
     """Replay ``trace`` through ``system`` without scheduling events.
 
     Called by :meth:`MemorySystem.replay` with ``engine="fast"`` (or
     ``"auto"``); picks the vectorized closed form when its certificates
-    hold and the exact incremental replay otherwise.  Populates the
-    system's controllers and banks with the same counters the event
-    engine would leave behind, advances the simulator clock to the
-    replay makespan, and reduces statistics through the shared
-    :meth:`MemorySystem.gather_stats`.
+    hold and the exact incremental replay otherwise.  Either tier ends
+    with the trace-ordered per-request arrays, which the shared
+    :func:`~repro.memsys.system.reduce_stats` turns into statistics;
+    the banks are left with the counters and open rows the event
+    engine would leave, and the simulator clock at the makespan.
 
     With ``telemetry`` attached, its profiler times the four phases
     (``decode`` / ``certificate`` / ``tier-execute`` /
-    ``stats-gather``) and its latency recorder adopts the per-request
-    times: the vectorized plan arrays by reference, or the
-    trace-ordered arrays the exact tier gathers from its records once
-    after its loop (routing straight from the decode).  Capture never
-    perturbs the replay arithmetic.
+    ``stats-gather``) and its latency recorder adopts the arrays.
+    Capture never perturbs the replay arithmetic.
 
     The exact tier replays slotted per-request records built from the
     decoded arrays for packed and object traces alike.  For an object
     trace, both tiers then write the runtime fields (``coords``,
     ``row``, ``bank_index``, times, ``outcome``, ``bits``) back onto
     the caller's :class:`MemRequest` objects in one pass.
-
-    ``force_exact=True`` pins tier 2 without evaluating the vectorized
-    certificates.  The replay-farm workers use this to reproduce the
-    tier a single-process replay of the *whole* trace would pick: the
-    two tiers accumulate :class:`~repro.desim.stats.Tally` state
-    through different (each internally exact) float reductions, so a
-    shard replayed on a different tier than its channel saw in the
-    full replay can drift by one ulp — pinning the tier restores
-    bit-identity.
     """
-    recorder = telemetry.recorder if telemetry is not None else None
-    phase = (
-        telemetry.profiler.phase
-        if telemetry is not None and telemetry.profiler is not None
-        else _null_phase
+    profiler = telemetry.profiler if telemetry is not None else None
+    phase = profiler.phase if profiler is not None else null_phase
+    engine, arrays, channel_rows = _run_tier(system, trace, phase)
+    system.last_replay_engine = engine
+    stats = _finish_replay(
+        system.config,
+        engine,
+        arrays,
+        system.row_counts(),
+        telemetry,
+        channel_rows,
     )
+    system.sim._now = stats.makespan_ns
+    return stats
+
+
+def _run_tier(
+    system: "MemorySystem",
+    trace: _t.Union[_t.Sequence[MemRequest], PackedTrace],
+    phase: _t.Callable[[str], _t.ContextManager[None]],
+) -> _t.Tuple[
+    str, _t.Dict[str, np.ndarray], _t.Optional[_t.List[np.ndarray]]
+]:
+    """Decode, certify, and replay on one tier; returns ``(engine,
+    trace-ordered arrays, per-channel rows when the tier has them)``.
+    The decode temporaries die with this frame, before the reduction
+    allocates its own."""
     with phase("decode"):
         if isinstance(trace, PackedTrace):
             requests: _t.Optional[_t.List[MemRequest]] = None
@@ -240,34 +236,31 @@ def replay_fast(
         ) % n_banks
 
     with phase("certificate"):
-        if force_exact:
-            plan = None
+        plan = _vector_plan(
+            system,
+            op_codes,
+            fields["channel"],
+            flat_bank,
+            fields["row"],
+            times,
+        )
+    with phase("tier-execute"):
+        bank_index = (
+            _bank_indices(op_codes, flat_bank)
+            if plan is None or requests is not None
+            else None
+        )
+        if plan is not None:
+            engine = "fast-vectorized"
+            _commit_banks(system, plan)
+            arrays = _plan_arrays(plan, op_codes.shape[0])
+            channel_rows = [
+                np.empty(0, dtype=np.int64) if data is None else data["idx"]
+                for data in plan
+            ]
+            del plan
         else:
-            plan = _vector_plan(
-                system,
-                op_codes,
-                fields["channel"],
-                flat_bank,
-                fields["row"],
-                times,
-            )
-    if plan is not None:
-        with phase("tier-execute"):
-            makespan = _commit_vector_plan(system, plan)
-            system.last_replay_engine = "fast-vectorized"
-            if requests is not None:
-                _write_back(
-                    requests, fields, _bank_indices(op_codes, flat_bank),
-                    *_plan_columns(plan, len(requests)),
-                )
-        if recorder is not None:
-            recorder._capture_plan(
-                op_codes, fields["channel"], fields["row"],
-                flat_bank, plan,
-            )
-    else:
-        with phase("tier-execute"):
-            bank_index = _bank_indices(op_codes, flat_bank)
+            engine = "fast-exact"
             records = list(
                 map(
                     _Record,
@@ -281,33 +274,22 @@ def replay_fast(
                     bank_index,
                 )
             )
-            makespan = _replay_exact(system, records, fields["channel"])
-            system.last_replay_engine = "fast-exact"
-            if requests is not None or recorder is not None:
-                arrival, start, finish, outcome, bits = _gather(records)
+            _replay_exact(system, records, fields["channel"])
+            arrays = _gather(records)
+            channel_rows = None
             # free the records before a write-back allocates coords
             del records
-            if requests is not None:
-                _write_back(
-                    requests, fields, bank_index,
-                    arrival, start, finish, outcome, bits,
-                )
-        if recorder is not None:
-            arrays = {
-                "arrival": arrival,
-                "start_service": start,
-                "finish": finish,
-                "outcome": outcome,
-            }
-            arrays.update(
-                _routing_arrays(
-                    op_codes, fields["channel"], fields["row"], flat_bank
-                )
+        if requests is not None:
+            _write_back(
+                requests, fields, bank_index, arrays,
+                request_bits(config, op_codes),
             )
-            recorder._capture_arrays(arrays)
-    system.sim._now = makespan
-    with phase("stats-gather"):
-        return system.gather_stats()
+        arrays.update(
+            _routing_arrays(
+                op_codes, fields["channel"], fields["row"], flat_bank
+            )
+        )
+    return engine, arrays, channel_rows
 
 
 # ----------------------------------------------------------------------
@@ -346,7 +328,6 @@ def _vector_plan(
         [table[name] for name in OUTCOMES] + [table[OUTCOMES[_HIT]]]
     )
     n_banks = config.banks_per_channel
-    page_bits = config.timing.page_bits
     closed = config.row_policy == CLOSED
     frfcfs = config.policy == FRFCFS
     plan: _t.List[_t.Optional[dict]] = []
@@ -371,18 +352,10 @@ def _vector_plan(
         # ab_c is None for host-only channels; for all-bank channels it
         # marks the AB broadcasts within the PIM/AB lockstep stream
         ab_c = ab if (any_pim or any_ab) else None
-        if ab_c is None:
-            bits: _t.Union[int, np.ndarray] = page_bits
-        elif not any_ab:
-            bits = page_bits * n_banks  # pure PIM: all banks move pages
-        elif not any_pim:
-            bits = page_bits  # pure AB: one command page per broadcast
-        else:
-            bits = np.where(ab, page_bits, page_bits * n_banks)
         check_fifo = (
             frfcfs and depth > 1 and ab_c is None and not closed
         )
-        data: dict = {"idx": idx, "bits": bits}
+        data: dict = {"idx": idx}
         if refresh is not None:
             chunked = _chunked_refresh_channel(
                 refresh,
@@ -398,7 +371,6 @@ def _vector_plan(
             if chunked is None:
                 return None
             data.update(chunked)
-            data["segments"] = None  # line-rate: the channel never idles
         else:
             outcome = _chunk_outcomes(bank_c, row_c, ab_c, closed)
             bank_counts, open_final = _bank_state(
@@ -420,25 +392,20 @@ def _vector_plan(
                 solved = _segmented_service(t_c, durations)
                 if solved is None:
                     return None
-                start, finish, segments = solved
+                start, finish = solved
                 if n_c > depth and bool(
                     np.any(t_c[depth:] < start[: n_c - depth])
                 ):
                     # backpressure certificate: an arrival would find
                     # its queue full — the injector would stall
                     return None
-                data.update(
-                    arrival=t_c,
-                    start=start,
-                    finish=finish,
-                    segments=segments,
-                )
+                data.update(arrival=t_c, start=start, finish=finish)
             else:
                 finish = _seq_cumsum(0.0, durations)
                 start = np.empty(n_c)
                 start[0] = 0.0
                 start[1:] = finish[:-1]
-                data.update(start=start, finish=finish, segments=None)
+                data.update(start=start, finish=finish)
         plan.append(data)
 
     if times is not None:
@@ -480,14 +447,9 @@ def _vector_plan(
     for data in plan:
         if data is None:
             continue
-        start, finish, segments = solved[cursor]
+        start, finish = solved[cursor]
         cursor += 1
-        data.update(
-            arrival=arrivals[data["idx"]],
-            start=start,
-            finish=finish,
-            segments=segments,
-        )
+        data.update(arrival=arrivals[data["idx"]], start=start, finish=finish)
     return plan
 
 
@@ -711,7 +673,7 @@ def _seq_cumsum(s: float, durations: np.ndarray) -> np.ndarray:
 
 def _segmented_service(
     earliest: np.ndarray, durations: np.ndarray
-) -> _t.Optional[_t.Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> _t.Optional[_t.Tuple[np.ndarray, np.ndarray]]:
     """Solve ``S[j] = max(E[j], F[j-1])``, ``F = S + d`` exactly.
 
     ``earliest`` is the per-request lower bound on service start (trace
@@ -720,10 +682,10 @@ def _segmented_service(
     but float-associated differently than the engine), then finish
     times are *recomputed* per segment with the engine's sequential
     additions (:func:`_seq_cumsum`) and the segmentation is verified
-    against the exact values.  Returns ``(start, finish,
-    segment-start indices)``, or ``None`` if an ulp-level misordering
-    in the approximate scan produced an inconsistent segmentation (the
-    caller falls back to the exact tier).
+    against the exact values.  Returns ``(start, finish)``, or ``None``
+    if an ulp-level misordering in the approximate scan produced an
+    inconsistent segmentation (the caller falls back to the exact
+    tier).
     """
     n = durations.shape[0]
     prefix = np.empty(n)
@@ -761,7 +723,7 @@ def _segmented_service(
         )
         if not bool(consistent.all()):
             return None
-    return start, finish, seg_idx
+    return start, finish
 
 
 def _arrival_fixed_point(
@@ -769,10 +731,7 @@ def _arrival_fixed_point(
     channels: _t.Sequence[_t.Tuple[np.ndarray, np.ndarray]],
     depth: int,
 ) -> _t.Optional[
-    _t.Tuple[
-        np.ndarray,
-        _t.List[_t.Tuple[np.ndarray, np.ndarray, np.ndarray]],
-    ]
+    _t.Tuple[np.ndarray, _t.List[_t.Tuple[np.ndarray, np.ndarray]]]
 ]:
     """Solve the coupled injector/service recurrences by iteration.
 
@@ -786,7 +745,7 @@ def _arrival_fixed_point(
     which is exactly the event engine's trajectory (the values
     propagate through ``max`` unchanged and the busy-segment sums use
     the engine's own addition order).  Returns ``(arrivals, [(start,
-    finish, segments), ...])`` aligned with ``channels``, or ``None``
+    finish), ...])`` aligned with ``channels``, or ``None``
     after :data:`_MAX_ARRIVAL_ITERS` without convergence.
     """
     arrivals = np.zeros(n)
@@ -876,79 +835,14 @@ def _fifo_certificate(
     return True
 
 
-def _commit_vector_plan(
+def _commit_banks(
     system: "MemorySystem", plan: _t.List[_t.Optional[dict]]
-) -> float:
-    """Write the closed-form results into the system's collectors.
-
-    Fills each controller's tally/counter/time-weighted collectors and
-    each bank's outcome counters with the values the event engine would
-    have accumulated, so :meth:`MemorySystem.gather_stats` (and any
-    post-replay introspection of banks or controllers) sees the same
-    state.  Returns the replay makespan.
-    """
-    makespan = 0.0
+) -> None:
+    """Leave every bank with the counters and open row the event engine
+    would leave behind."""
     for controller, data in zip(system.controllers, plan):
         if data is None:
-            # the engine's idle controller: one zero-width transition
-            controller.utilization.transition("idle", 0.0)
             continue
-        arrival = data["arrival"]
-        start = data["start"]
-        finish = data["finish"]
-        segments = data["segments"]
-        n_c = arrival.shape[0]
-        latency = finish - arrival
-        tally = controller.latency
-        mean = latency.mean()
-        tally._n = n_c
-        tally._sum = float(latency.sum())
-        tally._mean = float(mean)
-        tally._m2 = float(np.square(latency - mean).sum())
-        tally._min = float(latency.min())
-        tally._max = float(latency.max())
-        controller.completed._count = n_c
-        bits = data["bits"]
-        controller.bits_delivered._count = (
-            int(bits.sum())
-            if isinstance(bits, np.ndarray)
-            else int(bits) * n_c
-        )
-        queue = controller.queue_len
-        queue._integral = float((start - arrival).sum())
-        queue._value = 0.0
-        queue._last = float(start[-1])
-        queue._min = 0.0
-        busy_until = float(finish[-1])
-        utilization = controller.utilization
-        if segments is None:
-            # line-rate: the queue never runs dry, so the channel is
-            # busy end to end and every dequeue's freed slot is
-            # refilled at the same instant — the peak occupancy is the
-            # full queue (or the whole trace, when it fits in one fill)
-            queue._max = float(min(n_c, system.config.queue_depth))
-            utilization._totals = {"idle": 0.0, "busy": busy_until}
-        else:
-            # gapped arrivals: occupancy after the j-th admission,
-            # counting earlier dequeues at the same instant as still
-            # pending (the admission-first calendar order), clipped at
-            # the queue depth a full queue cannot exceed
-            occupancy = np.arange(1, n_c + 1) - np.searchsorted(
-                start, arrival, side="left"
-            )
-            queue._max = float(
-                min(int(occupancy.max()), system.config.queue_depth)
-            )
-            seg_end = np.r_[segments[1:] - 1, n_c - 1]
-            busy_total = float(
-                (finish[seg_end] - start[segments]).sum()
-            )
-            utilization._totals = {
-                "idle": busy_until - busy_total,
-                "busy": busy_total,
-            }
-        utilization._state = "idle"
-        utilization._since = busy_until
         for bank, counts, open_row in zip(
             controller.banks, data["bank_counts"], data["open_final"]
         ):
@@ -956,29 +850,49 @@ def _commit_vector_plan(
             bank.misses = int(counts[_MISS])
             bank.conflicts = int(counts[_CONFLICT])
             bank.open_row = open_row
-        makespan = max(makespan, busy_until)
-    return makespan
 
 
-def _plan_columns(
+def _plan_arrays(
     plan: _t.List[_t.Optional[dict]], n: int
-) -> _t.Tuple[np.ndarray, ...]:
-    """Trace-ordered arrival/start/finish/outcome/bits of the plan."""
-    arrival = np.empty(n)
-    start = np.empty(n)
-    finish = np.empty(n)
-    outcome = np.empty(n, dtype=np.int64)
-    bits = np.empty(n, dtype=np.int64)
+) -> _t.Dict[str, np.ndarray]:
+    """Trace-ordered times and outcomes of the plan's channels."""
+    arrays = {
+        "arrival": np.empty(n),
+        "start_service": np.empty(n),
+        "finish": np.empty(n),
+        "outcome": np.empty(n, dtype=np.int64),
+    }
     for data in plan:
         if data is None:
             continue
         idx = data["idx"]
-        arrival[idx] = data["arrival"]
-        start[idx] = data["start"]
-        finish[idx] = data["finish"]
-        outcome[idx] = data["outcome"]
-        bits[idx] = data["bits"]
-    return arrival, start, finish, outcome, bits
+        arrays["arrival"][idx] = data["arrival"]
+        arrays["start_service"][idx] = data["start"]
+        arrays["finish"][idx] = data["finish"]
+        arrays["outcome"][idx] = data["outcome"]
+    return arrays
+
+
+def _routing_arrays(
+    op_codes: np.ndarray,
+    channel: np.ndarray,
+    row: np.ndarray,
+    flat_bank: np.ndarray,
+) -> _t.Dict[str, np.ndarray]:
+    """The four routing arrays of a replay, from the decoded arrays.
+
+    ``bank`` is the flat bank index, :data:`ALL_BANKS` for all-bank
+    PIM/AB operations — the value the event engine's requests carry.
+    """
+    all_bank = (op_codes == _PIM_CODE) | (op_codes == _AB_CODE)
+    return {
+        "channel": channel.astype(np.int64, copy=False),
+        "bank": np.where(all_bank, ALL_BANKS, flat_bank).astype(
+            np.int64, copy=False
+        ),
+        "row": row.astype(np.int64, copy=False),
+        "op": op_codes.astype(np.int64, copy=False),
+    }
 
 
 def _bank_indices(
@@ -995,10 +909,7 @@ def _write_back(
     requests: _t.List[MemRequest],
     fields: _t.Dict[str, np.ndarray],
     bank_index: _t.List[_t.Optional[int]],
-    arrival: np.ndarray,
-    start: np.ndarray,
-    finish: np.ndarray,
-    outcome: np.ndarray,
+    arrays: _t.Dict[str, np.ndarray],
     bits: np.ndarray,
 ) -> None:
     """Fill a caller's request objects from trace-ordered columns.
@@ -1009,8 +920,8 @@ def _write_back(
     """
     columns = (
         fields["channel"], fields["bankgroup"], fields["bank"],
-        fields["row"], fields["column"], arrival, start, finish, outcome,
-        bits,
+        fields["row"], fields["column"], arrays["arrival"],
+        arrays["start_service"], arrays["finish"], arrays["outcome"], bits,
     )
     # chunked, so the Python-object columns never all exist at once
     for lo in range(0, len(requests), _WRITE_BACK_CHUNK):
@@ -1028,7 +939,7 @@ def _write_back(
             request.arrival = arr
             request.start_service = st
             request.finish = fin
-            request.outcome = _OUTCOME_NAMES[out]
+            request.outcome = OUTCOME_NAMES[out]
             request.bits = nbits
 
 
@@ -1065,8 +976,8 @@ class _Record:
         self.bank_index = bank_index
 
 
-def _gather(records: _t.List[_Record]) -> _t.Tuple[np.ndarray, ...]:
-    """Trace-ordered arrival/start/finish/outcome/bits of the records."""
+def _gather(records: _t.List[_Record]) -> _t.Dict[str, np.ndarray]:
+    """Trace-ordered times and outcomes of the records."""
     n = len(records)
 
     def column(values: _t.Iterable, dtype: type) -> np.ndarray:
@@ -1075,20 +986,21 @@ def _gather(records: _t.List[_Record]) -> _t.Tuple[np.ndarray, ...]:
     def field(name: str) -> _t.Iterator:
         return map(attrgetter(name), records)
 
-    return (
-        column(field("arrival"), np.float64),
-        column(field("start_service"), np.float64),
-        column(field("finish"), np.float64),
-        column(map(_OUTCOME_CODE.__getitem__, field("outcome")), np.int64),
-        column(field("bits"), np.int64),
-    )
+    return {
+        "arrival": column(field("arrival"), np.float64),
+        "start_service": column(field("start_service"), np.float64),
+        "finish": column(field("finish"), np.float64),
+        "outcome": column(
+            map(_OUTCOME_CODE.__getitem__, field("outcome")), np.int64
+        ),
+    }
 
 
 def _replay_exact(
     system: "MemorySystem",
     records: _t.List[_Record],
     channel: np.ndarray,
-) -> float:
+) -> None:
     """Replay with the event engine's exact scheduling order, eventless.
 
     A heap of plain ``(time, priority, seq, kind, channel, request)``
@@ -1097,11 +1009,11 @@ def _replay_exact(
     state: request completions, injector resumptions (a freed queue
     slot, or a trace timestamp coming due), controller wakeups (an
     enqueue into an idle channel), and refresh retries (a selection
-    stalled to the end of a blackout window).  All statistics flow
+    stalled to the end of a blackout window).  Every request passes
     through the same controller and bank methods the event engine uses
     — including the shared :meth:`ChannelController._service_delay`
     refresh gate — in the same order, with the same timestamps, so the
-    resulting stats are bit-identical.  Returns the replay makespan.
+    recorded times are bit-identical.
 
     Occurrences are drained in *rounds*: each outer iteration reads the
     heap's earliest timestamp once and pops every candidate ready at
@@ -1110,13 +1022,11 @@ def _replay_exact(
     workload), so the common completion→inject→wakeup cascade costs one
     round instead of three top-of-loop passes.  Pops stay globally
     ordered by ``(time, priority, seq)`` — a round is just the
-    same-time prefix of the calendar — so the statistics are unchanged.
+    same-time prefix of the calendar — so the recorded times are
+    unchanged.
     """
     controllers = system.controllers
     depth = system.config.queue_depth
-    for controller in controllers:
-        # mirror each controller process's startup idle transition
-        controller.utilization.transition("idle", 0.0)
     idle = [True] * len(controllers)
     woken = [False] * len(controllers)
     heap: _t.List[tuple] = []
@@ -1126,7 +1036,6 @@ def _replay_exact(
     n = len(records)
     cursor = 0  # next request the injector will admit
     blocked_on = -1  # channel whose full queue blocks the injector
-    now = 0.0
 
     def attempt_service(ch: int, at: float) -> None:
         """Start the next service on ``ch``, or schedule a refresh
@@ -1153,12 +1062,10 @@ def _replay_exact(
         while heap and heap[0][0] == round_time:
             now, _prio, _seq, kind, ch, request = pop(heap)
             if kind == _COMPLETE:
-                controller = controllers[ch]
-                controller._finish_service(request, now)
-                if controller.pending:
+                request.finish = now
+                if controllers[ch].pending:
                     attempt_service(ch, now)
                 else:
-                    controller.utilization.transition("idle", now)
                     idle[ch] = True
                     woken[ch] = False
             elif kind == _INJECT:
@@ -1195,4 +1102,3 @@ def _replay_exact(
                 attempt_service(ch, now)
             else:  # _RETRY: a refresh stall expired; re-evaluate
                 attempt_service(ch, now)
-    return now

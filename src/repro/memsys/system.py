@@ -2,11 +2,15 @@
 
 :class:`MemorySystem` ties an :class:`~repro.memsys.addrmap.AddressMap`
 to a set of per-channel controllers (each with its banks) on one
-:class:`~repro.desim.Simulator` clock, replays request streams with
-bounded-queue backpressure, and reduces the per-channel
-:mod:`repro.desim.stats` collectors into a :class:`MemSysStats` summary:
-sustained bandwidth, row-hit rate, and queue latency — the simulated
-counterparts of the §2.1 closed forms in :mod:`repro.arch.dram`.
+:class:`~repro.desim.Simulator` clock and replays request streams with
+bounded-queue backpressure.  Every replay path — the event engine, both
+fast-path tiers, and the replay farm's merge — ends in the same pure
+reduction, :func:`reduce_stats`, from the per-request arrival / start /
+finish arrays and the banks' outcome counters to a :class:`MemSysStats`
+summary: sustained bandwidth, row-hit rate, and queue latency — the
+simulated counterparts of the §2.1 closed forms in
+:mod:`repro.arch.dram`.  Equal arrays give equal statistics, whichever
+engine or tier produced them.
 """
 
 from __future__ import annotations
@@ -15,8 +19,12 @@ import dataclasses
 import math
 import typing as _t
 
+import numpy as np
+
 from ..arch.dram import DramMacroTiming
 from ..desim import Simulator
+from ..telemetry.latency import ALL_BANKS, OUTCOME_NAMES
+from ..telemetry.profile import null_phase
 from .addrmap import AddressMap, SCHEMES
 from .bank import (
     Bank,
@@ -33,7 +41,13 @@ from .trace import PackedTrace
 if _t.TYPE_CHECKING:  # pragma: no cover
     from ..telemetry import ReplayTelemetry
 
-__all__ = ["ENGINES", "MemSysConfig", "MemSysStats", "MemorySystem"]
+__all__ = [
+    "ENGINES",
+    "MemSysConfig",
+    "MemSysStats",
+    "MemorySystem",
+    "reduce_stats",
+]
 
 #: Replay engine names accepted by :meth:`MemorySystem.replay`.
 ENGINES = ("event", "fast", "auto")
@@ -186,7 +200,8 @@ class MemSysConfig:
 
 @dataclasses.dataclass
 class MemSysStats:
-    """Replay summary, reduced from the desim collectors."""
+    """Replay summary, reduced from the per-request arrays by
+    :func:`reduce_stats`."""
 
     n_requests: int
     total_bits: int
@@ -243,6 +258,9 @@ class MemorySystem:
         self.sim = sim if sim is not None else Simulator()
         self.addr_map = self.config.address_map()
         self._replayed = False
+        #: Requests :meth:`submit`\ ted outside a replay; an event-engine
+        #: replay counts them ahead of its trace.
+        self._submitted: _t.List[MemRequest] = []
         #: Which engine the last :meth:`replay` used: ``"event"``,
         #: ``"fast-vectorized"``, or ``"fast-exact"`` (``None`` before
         #: any replay).
@@ -284,6 +302,7 @@ class MemorySystem:
         The caller must respect queue backpressure (see
         :meth:`ChannelController.has_space`); :meth:`replay` does.
         """
+        self._submitted.append(request)
         return self.route(request).enqueue(request)
 
     def pim_broadcast(self, row: int) -> _t.List[MemRequest]:
@@ -384,53 +403,42 @@ class MemorySystem:
                 if self._private_sim
                 and self.sim.tracer is None
                 and self.sim.now == 0.0
+                and not self._submitted
                 else "event"
             )
         if engine == "fast":
             from .fastpath import replay_fast
 
-            if self.sim.now != 0.0:
+            if self.sim.now != 0.0 or self._submitted:
                 raise RuntimeError(
                     "the fast-path engine requires a fresh simulator "
-                    f"clock (sim.now={self.sim.now!r}); use "
-                    "engine='event' on an already-advanced simulator"
+                    f"clock (sim.now={self.sim.now!r}) and no submitted "
+                    "requests; use engine='event' on an already-used "
+                    "system"
                 )
             self._replayed = True
-            stats = replay_fast(self, requests, telemetry)
-            if telemetry is not None:
-                telemetry._finish(self, stats)
-            return stats
+            return replay_fast(self, requests, telemetry)
         self._replayed = True
 
         profiler = telemetry.profiler if telemetry is not None else None
+        phase = profiler.phase if profiler is not None else null_phase
         if isinstance(requests, PackedTrace):
-            if profiler is not None:
-                with profiler.phase("decode"):
-                    requests = requests.to_requests()
-            else:
+            with phase("decode"):
                 requests = requests.to_requests()
         self.last_replay_engine = "event"
         self.sim.process(self._injector(requests), name="memsys.injector")
-        if profiler is not None:
-            with profiler.phase("tier-execute"):
-                self.sim.run()
-        else:
+        with phase("tier-execute"):
             self.sim.run()
-        unfinished = [r for r in requests if math.isnan(r.finish)]
-        if unfinished:  # pragma: no cover - defensive
-            raise RuntimeError(
-                f"{len(unfinished)} request(s) never completed"
-            )
-        if telemetry is not None and telemetry.recorder is not None:
-            telemetry.recorder._capture_requests(requests)
-        if profiler is not None:
-            with profiler.phase("stats-gather"):
-                stats = self.gather_stats()
-        else:
-            stats = self.gather_stats()
-        if telemetry is not None:
-            telemetry._finish(self, stats)
-        return stats
+            requests = self._submitted + requests
+            unfinished = [r for r in requests if math.isnan(r.finish)]
+            if unfinished:  # pragma: no cover - defensive
+                raise RuntimeError(
+                    f"{len(unfinished)} request(s) never completed"
+                )
+            arrays = _request_arrays(requests)
+        return _finish_replay(
+            self.config, "event", arrays, self.row_counts(), telemetry
+        )
 
     @staticmethod
     def _validate_timestamps(requests: _t.Sequence[MemRequest]) -> None:
@@ -459,67 +467,20 @@ class MemorySystem:
     # ------------------------------------------------------------------
     # statistics
     # ------------------------------------------------------------------
-    def gather_stats(self) -> MemSysStats:
-        """Reduce controller/bank collectors into a summary."""
-        now = self.sim.now
-        per_channel = []
-        latency = None
-        total_bits = 0
-        n_requests = 0
-        hits = misses = conflicts = 0
-        queue_len_sum = 0.0
-        busy_sum = 0.0
-        for controller in self.controllers:
-            banks = controller.banks
-            hits += sum(b.hits for b in banks)
-            misses += sum(b.misses for b in banks)
-            conflicts += sum(b.conflicts for b in banks)
-            total_bits += controller.bits_delivered.count
-            n_requests += controller.completed.count
-            latency = (
-                controller.latency
-                if latency is None
-                else latency.merge(controller.latency)
-            )
-            mean_queue = controller.queue_len.time_average(now)
-            queue_len_sum += 0.0 if math.isnan(mean_queue) else mean_queue
-            busy = controller.utilization.fraction("busy", now)
-            busy_sum += 0.0 if math.isnan(busy) else busy
-            per_channel.append(
-                {
-                    "channel": controller.channel_id,
-                    "requests": controller.completed.count,
-                    "row_hit_rate": controller.row_hit_rate,
-                    "mean_latency_ns": controller.latency.mean,
-                    "gbit_delivered": controller.bits_delivered.count / 1e9,
-                }
-            )
-        accesses = hits + misses + conflicts
-        return MemSysStats(
-            n_requests=n_requests,
-            total_bits=total_bits,
-            makespan_ns=now,
-            sustained_bits_per_sec=(
-                total_bits / (now * 1e-9) if now > 0 else math.nan
-            ),
-            row_hit_rate=hits / accesses if accesses else math.nan,
-            row_hits=hits,
-            row_misses=misses,
-            row_conflicts=conflicts,
-            mean_queue_latency_ns=(
-                latency.mean if latency is not None else math.nan
-            ),
-            mean_queue_length=(
-                queue_len_sum / len(self.controllers)
-                if self.controllers
-                else math.nan
-            ),
-            channel_utilization=(
-                busy_sum / len(self.controllers)
-                if self.controllers
-                else math.nan
-            ),
-            per_channel=per_channel,
+    def row_counts(self) -> np.ndarray:
+        """Every bank's ``(hits, misses, conflicts)`` counters.
+
+        Shaped ``(n_channels, banks_per_channel, 3)``; the
+        :func:`reduce_stats` input the per-request arrays cannot
+        replace, since an all-bank PIM request records only its
+        slowest bank's outcome.
+        """
+        return np.array(
+            [
+                [(b.hits, b.misses, b.conflicts) for b in c.banks]
+                for c in self.controllers
+            ],
+            dtype=np.int64,
         )
 
     def __repr__(self) -> str:
@@ -528,3 +489,201 @@ class MemorySystem:
             f"<MemorySystem {c.n_channels}ch x "
             f"{c.banks_per_channel}banks {c.scheme} {c.policy}>"
         )
+
+
+# ----------------------------------------------------------------------
+# statistics: one reduction over the per-request arrays
+# ----------------------------------------------------------------------
+_OUTCOME_CODE = {name: code for code, name in enumerate(OUTCOME_NAMES)}
+
+
+def group_channels(
+    channel: np.ndarray, n_channels: int
+) -> _t.List[np.ndarray]:
+    """Trace-ordered indices of each channel's requests."""
+    return [np.flatnonzero(channel == ch) for ch in range(n_channels)]
+
+
+def request_bits(config: MemSysConfig, op: np.ndarray) -> np.ndarray:
+    """Bits each request moves: one page per host access or AB register
+    broadcast, one page per bank for an all-bank PIM operation."""
+    page_bits = config.timing.page_bits
+    return np.where(
+        op == Op.PIM.code, page_bits * config.banks_per_channel, page_bits
+    )
+
+
+def busy_ns(
+    arrival: np.ndarray, start: np.ndarray, finish: np.ndarray
+) -> float:
+    """Busy time of one channel, from its requests in trace order.
+
+    A busy period opens at a service start that finds the channel idle
+    and closes at the completion that leaves its queue empty — one with
+    no request admitted before it and still waiting.  A refresh stall
+    with work queued stays inside the period; a stall right after an
+    idle wakeup is idle time, because a period opens only when its first
+    service starts.  A completion coincident with an admission closes
+    its period and the admission wakes the channel at once, so no idle
+    time accrues between the two unless a refresh stall follows the
+    wakeup.
+    """
+    if start.shape[0] == 0:
+        return 0.0
+    if bool(np.any(start[1:] < start[:-1])):
+        # the scheduler reordered: walk the services in start order; a
+        # completion leaves work queued when any later-served request
+        # arrived before it
+        order = np.argsort(start, kind="stable")
+        start, finish = start[order], finish[order]
+        arrival = np.minimum.accumulate(arrival[order][::-1])[::-1]
+    opens = np.flatnonzero(arrival[1:] >= finish[:-1]) + 1
+    first = np.r_[0, opens]
+    last = np.r_[opens - 1, start.shape[0] - 1]
+    return float((finish[last] - start[first]).sum())
+
+
+def reduce_stats(
+    config: MemSysConfig,
+    arrays: _t.Mapping[str, np.ndarray],
+    row_counts: np.ndarray,
+    channel_rows: _t.Optional[_t.Sequence[np.ndarray]] = None,
+) -> MemSysStats:
+    """Reduce one replay into its :class:`MemSysStats`.
+
+    Parameters
+    ----------
+    config:
+        The replayed configuration.
+    arrays:
+        The trace-ordered per-request arrays a
+        :class:`~repro.telemetry.LatencyRecorder` adopts; this reads
+        ``arrival``, ``start_service``, ``finish``, ``channel`` and
+        ``op``.
+    row_counts:
+        Every bank's hit/miss/conflict counters
+        (:meth:`MemorySystem.row_counts`).
+    channel_rows:
+        :func:`group_channels` of ``arrays["channel"]``, when the
+        caller already has it.
+
+    The summary means:
+
+    * makespan — the last finish;
+    * latency — arrival to finish, averaged over requests;
+    * mean queue length — per channel, the time average of its queued
+      requests, ``sum(start - arrival) / makespan``, averaged over
+      channels;
+    * utilization — per channel, :func:`busy_ns` over the makespan,
+      averaged over channels.
+    """
+    arrival = arrays["arrival"]
+    start = arrays["start_service"]
+    finish = arrays["finish"]
+    op = arrays["op"]
+    if channel_rows is None:
+        channel_rows = group_channels(arrays["channel"], config.n_channels)
+    n_requests = int(finish.shape[0])
+    makespan = float(finish.max()) if n_requests else 0.0
+    per_channel = []
+    latency_sum = queue_sum = busy_sum = 0.0
+    total_bits = 0
+    for ch, rows in enumerate(channel_rows):
+        a, s, f = arrival[rows], start[rows], finish[rows]
+        n_c = int(rows.shape[0])
+        latency = float((f - a).sum())
+        bits = int(request_bits(config, op[rows]).sum())
+        latency_sum += latency
+        total_bits += bits
+        if makespan > 0:
+            queue_sum += float((s - a).sum()) / makespan
+            busy_sum += busy_ns(a, s, f) / makespan
+        hits = int(row_counts[ch, :, 0].sum())
+        accesses = int(row_counts[ch].sum())
+        per_channel.append(
+            {
+                "channel": ch,
+                "requests": n_c,
+                "row_hit_rate": hits / accesses if accesses else math.nan,
+                "mean_latency_ns": latency / n_c if n_c else math.nan,
+                "gbit_delivered": bits / 1e9,
+            }
+        )
+    hits, misses, conflicts = (
+        int(count) for count in row_counts.sum(axis=(0, 1))
+    )
+    accesses = hits + misses + conflicts
+    n_channels = len(channel_rows)
+    return MemSysStats(
+        n_requests=n_requests,
+        total_bits=total_bits,
+        makespan_ns=makespan,
+        sustained_bits_per_sec=(
+            total_bits / (makespan * 1e-9) if makespan > 0 else math.nan
+        ),
+        row_hit_rate=hits / accesses if accesses else math.nan,
+        row_hits=hits,
+        row_misses=misses,
+        row_conflicts=conflicts,
+        mean_queue_latency_ns=(
+            latency_sum / n_requests if n_requests else math.nan
+        ),
+        mean_queue_length=(
+            queue_sum / n_channels if n_channels else math.nan
+        ),
+        channel_utilization=(
+            busy_sum / n_channels if n_channels else math.nan
+        ),
+        per_channel=per_channel,
+    )
+
+
+def _request_arrays(
+    requests: _t.Sequence[MemRequest],
+) -> _t.Dict[str, np.ndarray]:
+    """The trace-ordered arrays of an event-engine replay's requests."""
+    n = len(requests)
+
+    def column(values: _t.Iterable, dtype: type = np.int64) -> np.ndarray:
+        return np.fromiter(values, dtype=dtype, count=n)
+
+    return {
+        "arrival": column((r.arrival for r in requests), np.float64),
+        "start_service": column(
+            (r.start_service for r in requests), np.float64
+        ),
+        "finish": column((r.finish for r in requests), np.float64),
+        "outcome": column(_OUTCOME_CODE[r.outcome] for r in requests),
+        "channel": column(r.coords.channel for r in requests),
+        "bank": column(
+            ALL_BANKS if r.bank_index is None else r.bank_index
+            for r in requests
+        ),
+        "row": column(r.row for r in requests),
+        "op": column(r.op.code for r in requests),
+    }
+
+
+def _finish_replay(
+    config: MemSysConfig,
+    engine: str,
+    arrays: _t.Dict[str, np.ndarray],
+    row_counts: np.ndarray,
+    telemetry: _t.Optional["ReplayTelemetry"],
+    channel_rows: _t.Optional[_t.List[np.ndarray]] = None,
+) -> MemSysStats:
+    """Reduce a finished replay; hand its arrays and stats to
+    ``telemetry``.  Every replay path ends here."""
+    profiler = telemetry.profiler if telemetry is not None else None
+    phase = profiler.phase if profiler is not None else null_phase
+    with phase("stats-gather"):
+        if channel_rows is None:
+            channel_rows = group_channels(
+                arrays["channel"], config.n_channels
+            )
+        stats = reduce_stats(config, arrays, row_counts, channel_rows)
+    if telemetry is not None:
+        if telemetry.recorder is not None:
+            telemetry.recorder._capture_arrays(arrays, channel_rows)
+        telemetry._finish(config, engine, stats)
+    return stats

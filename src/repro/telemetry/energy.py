@@ -380,7 +380,7 @@ def build_energy(
     recorder, config = _recorded(telemetry, "energy accounting")
     makespan = float(telemetry.makespan_ns)
     window_ns, count, edges = _window_grid(makespan, window_ns, n_windows)
-    from ..memsys.request import Op
+    from ..memsys.system import request_bits
 
     n = recorder.n
     event, breakdown = _event_energy(recorder, config, coefficients)
@@ -450,14 +450,7 @@ def build_energy(
             }
         )
 
-    # delivered bits mirror the controller's accounting (and the
-    # timeseries bandwidth series): one page per host access and AB
-    # broadcast, one page per bank for all-bank PIM operations
-    page_bits = float(config.timing.page_bits)
-    bits = np.where(
-        recorder.op_code == Op.PIM.code, page_bits * banks_n, page_bits
-    )
-    total_bits = float(np.sum(bits))
+    total_bits = float(np.sum(request_bits(config, recorder.op_code)))
 
     per_window = window_energy_pj(
         telemetry, edges, window_ns, coefficients

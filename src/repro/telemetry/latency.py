@@ -4,13 +4,12 @@ Both engines already *know* every request's arrival, service start, and
 finish: the event engine stamps them onto :class:`MemRequest` objects as
 its calendar advances, the fast path's exact tier onto its slotted
 per-request records, and the vectorized tier solves them in closed form
-as per-channel arrays.  :class:`LatencyRecorder` exposes those times as
-trace-ordered numpy arrays without changing any engine's arithmetic —
-the event engine's request list and the vectorized plan are captured by
-*reference* and assembled on first access, and the exact tier hands over
-the arrays it gathers once after its loop, so recording costs nothing
-measurable while the clock is hot (the <5% overhead floor of
-``bench_memsys``).
+as per-channel arrays.  Every replay gathers those times into
+trace-ordered numpy arrays once, after its clock stops, and reduces its
+:class:`~repro.memsys.MemSysStats` from them
+(:func:`~repro.memsys.system.reduce_stats`); :class:`LatencyRecorder`
+adopts the same arrays, so recording costs nothing measurable while the
+clock is hot (the <5% overhead floor of ``bench_memsys``).
 
 Because the fast path is certified bit-exact against the event engine,
 the recorded ``arrival`` / ``start_service`` / ``finish`` arrays are
@@ -39,17 +38,20 @@ from .profile import PhaseProfiler
 from .registry import MetricsRegistry, latency_summary
 
 if _t.TYPE_CHECKING:  # pragma: no cover
-    from ..memsys.request import MemRequest
-    from ..memsys.system import MemorySystem, MemSysConfig, MemSysStats
+    from ..memsys.system import MemSysConfig, MemSysStats
 
-__all__ = ["OUTCOME_NAMES", "LatencyRecorder", "ReplayTelemetry"]
+__all__ = [
+    "OUTCOME_NAMES",
+    "LatencyRecorder",
+    "ReplayTelemetry",
+    "channel_gauges",
+]
 
 #: Outcome vocabulary: codes 0-2 align with
 #: :data:`repro.memsys.bank.OUTCOMES`; 3 is the AB register broadcast
 #: (which never touches a row buffer, so the bank module doesn't know
 #: it).
 OUTCOME_NAMES = ("hit", "miss", "conflict", "broadcast")
-_OUTCOME_CODE = {name: code for code, name in enumerate(OUTCOME_NAMES)}
 
 #: Pseudo bank index for all-bank operations (PIM row ops, AB
 #: broadcasts), which occupy every bank of their channel at once.
@@ -57,10 +59,10 @@ ALL_BANKS = -1
 
 
 class LatencyRecorder:
-    """Trace-ordered per-request times, captured lazily from a replay.
+    """Trace-ordered per-request times adopted from one replay.
 
-    Populated by the replay engines through one of the two private
-    capture hooks; everything public is derived on first access:
+    Populated by the replay engines through :meth:`_capture_arrays`;
+    everything public is derived from the adopted arrays:
 
     * :attr:`arrival`, :attr:`start_service`, :attr:`finish` — the
       engine's exact per-request instants (ns, trace order);
@@ -78,161 +80,52 @@ class LatencyRecorder:
     never go stale; it lives exactly as long as the recorder.
     """
 
+    #: The eight arrays every capture carries.
+    KEYS = (
+        "arrival", "start_service", "finish", "outcome",
+        "channel", "bank", "row", "op",
+    )
+
     def __init__(self) -> None:
-        self._requests: _t.Optional[_t.Sequence["MemRequest"]] = None
-        self._plan: _t.Optional[dict] = None
         self._arrays: _t.Optional[_t.Dict[str, np.ndarray]] = None
+        self._channel_rows: _t.Optional[_t.List[np.ndarray]] = None
         self._derived: _t.Dict[_t.Hashable, _t.Any] = {}
 
-    # ------------------------------------------------------------------
-    # capture hooks (called by the replay engines)
-    # ------------------------------------------------------------------
-    def _guard_single_capture(self) -> None:
-        if self._requests is not None or self._plan is not None:
+    def _capture_arrays(
+        self,
+        arrays: _t.Mapping[str, np.ndarray],
+        channel_rows: _t.Optional[_t.List[np.ndarray]] = None,
+    ) -> None:
+        """Adopt one replay's trace-ordered arrays (the :data:`KEYS`).
+
+        ``channel_rows`` is the replay's grouping by channel
+        (:func:`~repro.memsys.system.group_channels`), seeding
+        :meth:`rows` so the grouping is computed once per replay.
+        """
+        if self._arrays is not None:
             raise RuntimeError(
                 "this LatencyRecorder already captured a replay; use a "
                 "fresh ReplayTelemetry per replay"
             )
-
-    def _capture_requests(
-        self, requests: _t.Sequence["MemRequest"]
-    ) -> None:
-        """Adopt the event engine's fully-replayed request list."""
-        self._guard_single_capture()
-        self._requests = requests
-
-    def _capture_plan(
-        self,
-        op_codes: np.ndarray,
-        channel: np.ndarray,
-        row: np.ndarray,
-        flat_bank: np.ndarray,
-        plan: _t.Sequence[_t.Optional[dict]],
-    ) -> None:
-        """Adopt the vectorized tier's closed-form plan arrays."""
-        self._guard_single_capture()
-        self._plan = {
-            "op_codes": op_codes,
-            "channel": channel,
-            "row": row,
-            "flat_bank": flat_bank,
-            "plan": plan,
-        }
-
-    def _capture_arrays(
-        self, arrays: _t.Dict[str, np.ndarray]
-    ) -> None:
-        """Adopt already-assembled trace-ordered arrays.
-
-        The fast path's exact tier gathers the times and outcomes from
-        its records once after the replay loop (routing from the decode,
-        through :func:`_routing_arrays`); the replay farm's supervisor
-        scatters its shard workers' arrays back to trace order.  Both
-        hand over the same eight keys :meth:`_assemble` produces, so
-        every derived property behaves identically.
-        """
-        self._guard_single_capture()
-        expected = {
-            "arrival", "start_service", "finish", "outcome",
-            "channel", "bank", "row", "op",
-        }
-        if set(arrays) != expected:
+        if set(arrays) != set(self.KEYS):
             raise ValueError(
-                f"merged capture needs keys {sorted(expected)}, got "
+                f"a capture needs keys {sorted(self.KEYS)}, got "
                 f"{sorted(arrays)}"
             )
-        self._plan = {}  # mark as captured for the guard
         self._arrays = dict(arrays)
+        self._channel_rows = channel_rows
 
     @property
     def captured(self) -> bool:
-        return self._requests is not None or self._plan is not None
+        return self._arrays is not None
 
-    # ------------------------------------------------------------------
-    # lazy assembly
-    # ------------------------------------------------------------------
     def _assemble(self) -> _t.Dict[str, np.ndarray]:
-        if self._arrays is not None:
-            return self._arrays
-        if self._plan is not None:
-            self._arrays = self._assemble_from_plan(self._plan)
-        elif self._requests is not None:
-            self._arrays = self._assemble_from_requests(self._requests)
-        else:
+        if self._arrays is None:
             raise RuntimeError(
                 "no replay captured; pass this telemetry to "
                 "MemorySystem.replay(..., telemetry=...) first"
             )
         return self._arrays
-
-    @staticmethod
-    def _assemble_from_plan(
-        captured: dict,
-    ) -> _t.Dict[str, np.ndarray]:
-        op_codes = captured["op_codes"]
-        n = op_codes.shape[0]
-        arrival = np.empty(n)
-        start = np.empty(n)
-        finish = np.empty(n)
-        outcome = np.empty(n, dtype=np.int64)
-        for data in captured["plan"]:
-            if data is None:
-                continue
-            idx = data["idx"]
-            arrival[idx] = data["arrival"]
-            start[idx] = data["start"]
-            finish[idx] = data["finish"]
-            outcome[idx] = data["outcome"]
-        arrays = {
-            "arrival": arrival,
-            "start_service": start,
-            "finish": finish,
-            "outcome": outcome,
-        }
-        arrays.update(
-            _routing_arrays(
-                op_codes,
-                captured["channel"],
-                captured["row"],
-                captured["flat_bank"],
-            )
-        )
-        return arrays
-
-    @staticmethod
-    def _assemble_from_requests(
-        requests: _t.Sequence["MemRequest"],
-    ) -> _t.Dict[str, np.ndarray]:
-        n = len(requests)
-        arrival = np.empty(n)
-        start = np.empty(n)
-        finish = np.empty(n)
-        outcome = np.empty(n, dtype=np.int64)
-        channel = np.empty(n, dtype=np.int64)
-        bank = np.empty(n, dtype=np.int64)
-        row = np.empty(n, dtype=np.int64)
-        op = np.empty(n, dtype=np.int64)
-        for i, request in enumerate(requests):
-            arrival[i] = request.arrival
-            start[i] = request.start_service
-            finish[i] = request.finish
-            outcome[i] = _OUTCOME_CODE[request.outcome]
-            coords = request.coords
-            channel[i] = coords.channel
-            index = request.bank_index
-            bank[i] = ALL_BANKS if index is None else index
-            row[i] = coords.row
-            op[i] = request.op.code
-        return {
-            "arrival": arrival,
-            "start_service": start,
-            "finish": finish,
-            "outcome": outcome,
-            "channel": channel,
-            "bank": bank,
-            "row": row,
-            "op": op,
-        }
 
     # ------------------------------------------------------------------
     # recorded arrays (trace order)
@@ -315,21 +208,24 @@ class LatencyRecorder:
     ) -> np.ndarray:
         """Trace-ordered indices of the requests on ``channel`` (and,
         when given, on ``bank`` — :data:`ALL_BANKS` for all-bank
-        operations); one stable grouping serves every lookup."""
-        groups = self._memo("rows", self._group_rows)
-        empty = np.empty(0, dtype=np.int64)
-        return groups.get(channel if bank is None else (channel, bank), empty)
+        operations); one grouping per channel serves every lookup."""
+        if self._channel_rows is None:
+            from ..memsys.system import group_channels
 
-    def _group_rows(self) -> _t.Dict[_t.Hashable, np.ndarray]:
-        arrays = self._assemble()
-        channel = arrays["channel"]
-        bank = arrays["bank"]
-        groups: _t.Dict[_t.Hashable, np.ndarray] = {}
-        for ch, on_channel in _split_by(channel, np.arange(channel.shape[0])):
-            groups[ch] = on_channel
-            for b, on_bank in _split_by(bank[on_channel], on_channel):
-                groups[(ch, b)] = on_bank
-        return groups
+            channel_ids = self.channel
+            n_channels = int(channel_ids.max()) + 1 if self.n else 0
+            self._channel_rows = group_channels(channel_ids, n_channels)
+        empty = np.empty(0, dtype=np.int64)
+        if not 0 <= channel < len(self._channel_rows):
+            return empty
+        on_channel = self._channel_rows[channel]
+        if bank is None:
+            return on_channel
+        by_bank = self._memo(
+            ("bank-rows", channel),
+            lambda: dict(_split_by(self.bank[on_channel], on_channel)),
+        )
+        return by_bank.get(bank, empty)
 
     def percentiles(self) -> _t.Dict[str, _t.Dict[str, float]]:
         """Exact p50/p95/p99/max summaries of the three durations."""
@@ -343,29 +239,6 @@ class LatencyRecorder:
         if not self.captured:
             return "<LatencyRecorder (no replay captured)>"
         return f"<LatencyRecorder n={self.n}>"
-
-
-def _routing_arrays(
-    op_codes: np.ndarray,
-    channel: np.ndarray,
-    row: np.ndarray,
-    flat_bank: np.ndarray,
-) -> _t.Dict[str, np.ndarray]:
-    """The four routing keys of a capture, from the decoded arrays.
-
-    ``bank`` is the flat bank index, :data:`ALL_BANKS` for all-bank
-    PIM/AB operations — the value the event engine's requests carry.
-    """
-    from ..memsys.request import Op
-
-    all_bank = (op_codes == Op.PIM.code) | (op_codes == Op.AB.code)
-    bank = np.where(all_bank, ALL_BANKS, flat_bank)
-    return {
-        "channel": channel.astype(np.int64),
-        "bank": bank.astype(np.int64),
-        "row": row.astype(np.int64),
-        "op": op_codes.astype(np.int64),
-    }
 
 
 def _split_by(
@@ -385,6 +258,68 @@ def _split_by(
     bounds = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
     for group in np.split(order, bounds):
         yield int(keys[group[0]]), items[group]
+
+
+def channel_gauges(
+    telemetry: "ReplayTelemetry",
+) -> _t.List[_t.Dict[str, float]]:
+    """Per-channel extremes the flat ``MemSysStats`` reduces away.
+
+    Derived from the recorder arrays of a finished replay, one entry per
+    configured channel, so a farm run and a single-process run of the
+    same trace give the same values:
+
+    * ``max_queue_length`` — peak queued (admitted, not yet served)
+      requests right after an admission, with services that start at
+      the admission's instant still counted as queued (admission
+      first), capped at the queue depth a full queue cannot exceed;
+    * ``min_latency_ns`` / ``max_latency_ns`` — arrival-to-finish
+      extremes (NaN on an idle channel);
+    * ``busy_fraction`` — the channel's
+      :func:`~repro.memsys.system.busy_ns` over the makespan, the
+      share :attr:`MemSysStats.channel_utilization` averages.
+    """
+    from ..memsys.system import busy_ns
+
+    recorder = telemetry.recorder
+    config = telemetry.config
+    if recorder is None or not recorder.captured or config is None:
+        raise RuntimeError(
+            "channel gauges need a finished replay recorded with "
+            "ReplayTelemetry(latency=True)"
+        )
+    makespan = telemetry.makespan_ns
+    gauges = []
+    for ch in range(config.n_channels):
+        rows = recorder.rows(ch)
+        arrival = recorder.arrival[rows]
+        start = recorder.start_service[rows]
+        finish = recorder.finish[rows]
+        latency = finish - arrival
+        # arrivals are non-decreasing in trace order, so the queue
+        # peaks right after some admission
+        queued = np.arange(1, rows.shape[0] + 1) - np.searchsorted(
+            np.sort(start), arrival, side="left"
+        )
+        gauges.append(
+            {
+                "max_queue_length": float(
+                    min(queued.max(initial=0), config.queue_depth)
+                ),
+                "min_latency_ns": (
+                    float(latency.min()) if rows.shape[0] else math.nan
+                ),
+                "max_latency_ns": (
+                    float(latency.max()) if rows.shape[0] else math.nan
+                ),
+                "busy_fraction": (
+                    busy_ns(arrival, start, finish) / makespan
+                    if makespan > 0
+                    else math.nan
+                ),
+            }
+        )
+    return gauges
 
 
 class ReplayTelemetry:
@@ -420,11 +355,11 @@ class ReplayTelemetry:
 
     # ------------------------------------------------------------------
     def _finish(
-        self, system: "MemorySystem", stats: "MemSysStats"
+        self, config: "MemSysConfig", engine: str, stats: "MemSysStats"
     ) -> None:
-        """Called by :meth:`MemorySystem.replay` once stats exist."""
-        self.engine = system.last_replay_engine
-        self.config = system.config
+        """Called by every replay path once its stats exist."""
+        self.engine = engine
+        self.config = config
         self.stats = stats
         self.makespan_ns = stats.makespan_ns
 

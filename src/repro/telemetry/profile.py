@@ -2,8 +2,9 @@
 
 The replay engines time their own phases — ``decode`` (array extraction
 and address decode), ``certificate`` (the closed-form certificates),
-``tier-execute`` (committing the vectorized plan, or the exact/event
-replay loop), ``stats-gather`` (collector reduction) — so a metrics
+``tier-execute`` (the closed-form solve, or the exact/event replay
+loop, plus gathering the per-request arrays), ``stats-gather``
+(:func:`~repro.memsys.system.reduce_stats`) — so a metrics
 snapshot shows *where the simulator itself spends wall-clock time*.
 This quantifies the Python-loop cost that motivates the ROADMAP's
 vectorized-pimexec item: on certified traces nearly all time is
@@ -24,7 +25,12 @@ import typing as _t
 if _t.TYPE_CHECKING:  # pragma: no cover
     from .registry import MetricsRegistry
 
-__all__ = ["PhaseProfiler"]
+__all__ = ["PhaseProfiler", "null_phase"]
+
+
+def null_phase(name: str) -> _t.ContextManager[None]:
+    """Stand-in for :meth:`PhaseProfiler.phase` when profiling is off."""
+    return contextlib.nullcontext()
 
 
 class PhaseProfiler:

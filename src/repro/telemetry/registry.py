@@ -217,15 +217,17 @@ class MetricsRegistry:
 def memsys_metrics(
     stats: _t.Any,
     registry: _t.Optional[MetricsRegistry] = None,
-    system: _t.Optional[_t.Any] = None,
+    telemetry: _t.Optional[_t.Any] = None,
     **tags: _t.Any,
 ) -> MetricsRegistry:
     """Emit one :class:`~repro.memsys.MemSysStats` into a registry.
 
-    ``system`` (the replayed :class:`~repro.memsys.MemorySystem`) adds
-    the per-channel collector snapshots of
-    :meth:`~repro.memsys.ChannelController.metrics` — latency extremes
-    and queue-occupancy peaks that the flat summary reduces away.
+    ``telemetry`` (the replay's recorded
+    :class:`~repro.telemetry.ReplayTelemetry`) adds the per-channel
+    gauges of :func:`~repro.telemetry.latency.channel_gauges` —
+    latency extremes, queue-occupancy peaks and busy fractions that the
+    flat summary reduces away — for single-process and farm replays
+    alike.
     """
     # explicit None test: an empty registry is falsy (it has __len__)
     if registry is None:
@@ -266,31 +268,15 @@ def memsys_metrics(
             row["gbit_delivered"],
             **channel_tags,
         )
-    if system is not None:
-        now = stats.makespan_ns
-        for controller in system.controllers:
-            snap = controller.metrics(now)
-            channel_tags = dict(tags, channel=controller.channel_id)
-            registry.gauge(
-                "memsys.channel.max_queue_length",
-                snap["queue_max"],
-                **channel_tags,
-            )
-            registry.gauge(
-                "memsys.channel.min_latency_ns",
-                snap["latency_min_ns"],
-                **channel_tags,
-            )
-            registry.gauge(
-                "memsys.channel.max_latency_ns",
-                snap["latency_max_ns"],
-                **channel_tags,
-            )
-            registry.gauge(
-                "memsys.channel.busy_fraction",
-                snap["busy_fraction"],
-                **channel_tags,
-            )
+    if telemetry is not None:
+        from .latency import channel_gauges
+
+        for channel, gauges in enumerate(channel_gauges(telemetry)):
+            channel_tags = dict(tags, channel=channel)
+            for name, value in gauges.items():
+                registry.gauge(
+                    f"memsys.channel.{name}", value, **channel_tags
+                )
     return registry
 
 

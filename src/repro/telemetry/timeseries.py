@@ -292,6 +292,7 @@ def build_timeseries(
     makespan = float(telemetry.makespan_ns)
     window_ns, count, edges = _window_grid(makespan, window_ns, n_windows)
     from ..memsys.request import Op
+    from ..memsys.system import request_bits
 
     arrival = recorder.arrival
     start = recorder.start_service
@@ -306,17 +307,10 @@ def build_timeseries(
     offered = np.bincount(arrive_idx, minlength=count) / window_s
     served = np.bincount(finish_idx, minlength=count) / window_s
 
-    # delivered bits: one page per host access and AB broadcast, one
-    # page per bank for all-bank PIM operations (mirrors the
-    # controller's bits_delivered accounting)
-    page_bits = float(config.timing.page_bits)
-    bits = np.where(
-        op == Op.PIM.code,
-        page_bits * config.banks_per_channel,
-        page_bits,
-    )
     gbit = (
-        np.bincount(finish_idx, weights=bits, minlength=count)
+        np.bincount(
+            finish_idx, weights=request_bits(config, op), minlength=count
+        )
         / window_s
         / 1e9
     )

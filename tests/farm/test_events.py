@@ -76,9 +76,6 @@ def _exact(single, stats):
 
 
 def _run(fault_plan=None, telemetry=None, **farm_kwargs):
-    # the event engine keeps every shard on one tier, so no
-    # harmonization re-dispatch inflates the per-shard event counts
-    # the causal assertions below pin exactly
     config, trace, single = _setup()
     kwargs = dict(CHAOS_FARM, mode="inprocess", engine="event")
     kwargs.update(farm_kwargs)

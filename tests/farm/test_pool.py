@@ -212,9 +212,7 @@ class TestProcessSupervision:
         pool = WorkerPool(FarmConfig(mode="process"))
         report = FarmReport(mode="process", workers=0, n_shards=plan.n_shards)
         with pytest.raises(FarmError, match="stalled"):
-            pool._run_processes(
-                plan, plan.shards, "fast", None, report, workers=0
-            )
+            pool._run_processes(plan, None, report, workers=0)
 
 
 class TestBackoff:
@@ -275,10 +273,11 @@ class TestVerifyResult:
             )
         }
         result = {
-            "makespan_ns": 100.0,
             "engine": "fast-exact",
             "backpressure": False,
-            "controllers": {},
+            "row_counts": np.zeros(
+                (len(shard.channels), 4, 3), dtype=np.int64
+            ),
             "arrays": arrays,
         }
         result["checksum"] = canonical_checksum(result)
@@ -320,6 +319,18 @@ class TestVerifyResult:
             if key != "checksum"
         }
         result["checksum"] = canonical_checksum(payload)
+        with pytest.raises(ResultIntegrityError):
+            WorkerPool()._verify_result(shard, 0, result)
+
+    def test_rejects_row_counts_for_other_channels(self):
+        plan = _plan()
+        shard = plan.shards[0]
+        result = self._good_result(shard)
+        result["row_counts"] = np.zeros(
+            (len(shard.channels) + 1, 4, 3), dtype=np.int64
+        )
+        del result["checksum"]
+        result["checksum"] = canonical_checksum(result)
         with pytest.raises(ResultIntegrityError):
             WorkerPool()._verify_result(shard, 0, result)
 

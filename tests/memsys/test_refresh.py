@@ -26,7 +26,6 @@ from repro.memsys import (
 
 #: HBM2-class refresh timings (ns).
 TREFI, TRFC = 3900.0, 350.0
-REL = 1e-9
 
 
 def fresh(trace):
@@ -40,7 +39,7 @@ def replay_both(config, trace):
     return event_stats, fast_stats, fast_system
 
 
-def assert_stats_equivalent(event_stats, fast_stats, rel=REL):
+def assert_stats_equivalent(event_stats, fast_stats, rel=None):
     """Stat-for-stat comparison; ``rel=None`` demands bit-exactness."""
 
     def check(actual, expected, key):

@@ -33,6 +33,7 @@ from repro.telemetry import (
     validate_energy,
     write_energy,
 )
+from tests.memsys.test_fastpath import replay_exact_tier
 
 N = 300
 
@@ -63,13 +64,7 @@ def record(config, trace, engine):
     """One recorded replay; ``engine`` may pin the exact fast tier."""
     telemetry = ReplayTelemetry()
     if engine == "exact":
-        from repro.memsys.fastpath import replay_fast
-
-        system = MemorySystem(config)
-        system._replayed = True
-        stats = replay_fast(system, trace, telemetry, force_exact=True)
-        telemetry._finish(system, stats)
-        assert telemetry.engine == "fast-exact"
+        replay_exact_tier(config, trace, telemetry)
     else:
         MemorySystem(config).replay(
             trace, engine=engine, telemetry=telemetry

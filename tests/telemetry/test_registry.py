@@ -10,6 +10,7 @@ from repro.memsys import MemSysConfig, MemorySystem, synthesize_trace
 from repro.telemetry import (
     SCHEMA,
     MetricsRegistry,
+    ReplayTelemetry,
     exact_percentile,
     latency_summary,
     memsys_metrics,
@@ -134,12 +135,13 @@ class TestMetricsRegistry:
 class TestAdapters:
     def test_memsys_metrics_reflects_a_replay(self):
         config = MemSysConfig()
-        system = MemorySystem(config)
-        stats = system.replay(
-            synthesize_trace("sequential", 512, config)
+        telemetry = ReplayTelemetry()
+        stats = MemorySystem(config).replay(
+            synthesize_trace("sequential", 512, config),
+            telemetry=telemetry,
         )
         registry = memsys_metrics(
-            stats, system=system, scheme=config.scheme
+            stats, telemetry=telemetry, scheme=config.scheme
         )
         by_name = {}
         for entry in registry.counters + registry.gauges:
@@ -149,7 +151,7 @@ class TestAdapters:
         assert "memsys.row_hit_rate" in by_name
         # per-channel rows, one per configured channel
         assert len(by_name["memsys.channel.requests"]) == config.n_channels
-        # system= adds the controller collector gauges
+        # telemetry= adds the per-channel gauges
         assert len(by_name["memsys.channel.busy_fraction"]) == config.n_channels
 
     def test_memsys_metrics_appends_into_given_registry(self):

@@ -563,6 +563,61 @@ class TestReportVerb:
         assert "report failed" in capsys.readouterr().err
 
 
+class TestFarmChannelGauges:
+    """Farm runs emit the per-channel gauges a single process emits."""
+
+    GAUGES = (
+        "memsys.channel.max_queue_length",
+        "memsys.channel.min_latency_ns",
+        "memsys.channel.max_latency_ns",
+        "memsys.channel.busy_fraction",
+    )
+    FLAGS = ("--scheme", "channel-interleaved", "--channels", "2")
+
+    @classmethod
+    def gauges(cls, snapshot):
+        return {
+            (entry["name"], entry["tags"]["channel"]): entry["value"]
+            for entry in snapshot["gauges"]
+            if entry["name"] in cls.GAUGES
+        }
+
+    def test_replay_workers_match_single_process(self, tmp_path, capsys):
+        import json
+
+        trace = TestTimeseriesFlag.write_timed_trace(tmp_path)
+        single, farm = tmp_path / "single.json", tmp_path / "farm.json"
+        assert main(
+            ["replay", str(trace), *self.FLAGS, "--metrics", str(single)]
+        ) == 0
+        assert main([
+            "replay", str(trace), *self.FLAGS,
+            "--workers", "2", "--metrics", str(farm),
+        ]) == 0
+        assert "engine:   farm (" in capsys.readouterr().out
+        expected = self.gauges(json.loads(single.read_text()))
+        assert len(expected) == len(self.GAUGES) * 2
+        assert self.gauges(json.loads(farm.read_text())) == expected
+
+    def test_report_workers_match_single_process(self, tmp_path, capsys):
+        import json
+
+        trace = TestTimeseriesFlag.write_timed_trace(tmp_path)
+        single, farm = tmp_path / "single.json", tmp_path / "farm.json"
+        assert main(
+            ["report", str(trace), *self.FLAGS, "--json", str(single)]
+        ) == 0
+        assert main([
+            "report", str(trace), *self.FLAGS,
+            "--workers", "2", "--json", str(farm),
+        ]) == 0
+        expected = self.gauges(json.loads(single.read_text())["metrics"])
+        assert len(expected) == len(self.GAUGES) * 2
+        document = json.loads(farm.read_text())
+        assert not document["farm"]["fell_back_to_single"]
+        assert self.gauges(document["metrics"]) == expected
+
+
 class TestNnCommand:
     def test_nn_command_args(self, tmp_path):
         args = build_parser().parse_args(
