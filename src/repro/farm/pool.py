@@ -77,9 +77,6 @@ MODES = ("auto", "process", "inprocess")
 #: Exit code a chaos-killed worker dies with (distinguishable from 0).
 _CHAOS_EXIT = 87
 
-#: The eight trace-ordered arrays a shard result must carry.
-_ARRAY_KEYS = LatencyRecorder.KEYS
-
 
 # ----------------------------------------------------------------------
 # configuration and report types
@@ -532,9 +529,10 @@ class WorkerPool:
             )
         arrays = result["arrays"]
         n = len(shard)
+        keys = LatencyRecorder.KEYS
         if (
-            set(arrays) != set(_ARRAY_KEYS)
-            or any(arrays[key].shape != (n,) for key in _ARRAY_KEYS)
+            set(arrays) != set(keys)
+            or any(arrays[key].shape != (n,) for key in keys)
             or len(result["row_counts"]) != len(shard.channels)
         ):
             raise ResultIntegrityError(
@@ -962,20 +960,15 @@ def _merge(
     config = plan.config
     n = len(plan.trace)
     arrays = {
-        key: np.empty(
-            n,
-            dtype=np.float64
-            if key in ("arrival", "start_service", "finish")
-            else np.int64,
-        )
-        for key in _ARRAY_KEYS
+        key: np.empty(n, dtype=dtype)
+        for key, dtype in LatencyRecorder.DTYPES.items()
     }
     row_counts = np.zeros(
         (config.n_channels, config.banks_per_channel, 3), dtype=np.int64
     )
     for shard in plan.shards:
         result = results[shard.shard_id]
-        for key in _ARRAY_KEYS:
+        for key in LatencyRecorder.KEYS:
             arrays[key][shard.index] = result["arrays"][key]
         row_counts[list(shard.channels)] = result["row_counts"]
     return arrays, row_counts

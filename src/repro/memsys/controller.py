@@ -31,9 +31,11 @@ arithmetic on the clock, shared verbatim with the exact fast-path tier
 so both engines stall at bit-identical instants.
 
 The controller keeps no statistics of its own: it stamps each request's
-arrival, service start, finish, and outcome, and
-:func:`~repro.memsys.system.reduce_stats` derives every summary from
-those per-request times after the replay.
+arrival, service start, finish, and outcome, plus the two facts the
+times cannot tell when an admission and a completion share an instant
+(the queue occupancy the admission left, and whether the service start
+found the channel idle), and :func:`~repro.memsys.system.reduce_stats`
+derives every summary from those per-request stamps after the replay.
 """
 
 from __future__ import annotations
@@ -138,6 +140,11 @@ class ChannelController:
         self._queued_hits = 0
 
         self.pending: _t.List[MemRequest] = []
+        #: No busy period is open: the channel idled since its last
+        #: service (or never served), so the next service start opens
+        #: one.  Cleared at a service start, set by a completion that
+        #: leaves the queue empty.
+        self._idle = True
         self._wakeup: _t.Optional[Event] = None
         self._space_waiters: _t.List[Event] = []
 
@@ -181,7 +188,8 @@ class ChannelController:
         :meth:`enqueue`) and the fast-path replay engine (which drives
         the controller with an incremental ready-time scan instead of a
         simulator clock).  The request must carry its routing values
-        (``row``, ``bank_index``; see :meth:`_route`).
+        (``row``, ``bank_index``; see :meth:`_route`).  Stamps the
+        queue occupancy the admission leaves on ``request.occupancy``.
         """
         request.arrival = now
         index = request.bank_index
@@ -192,6 +200,7 @@ class ChannelController:
             if hit:
                 self._queued_hits += 1
         self.pending.append(request)
+        request.occupancy = len(self.pending)
 
     def enqueue(self, request: MemRequest) -> Event:
         """Admit ``request``; returns its completion event.
@@ -385,14 +394,17 @@ class ChannelController:
         """Dequeue the next request at ``now`` and drive its banks.
 
         The service-start sequence shared by both engines: policy
-        selection, dequeue, and the bank state-machine access.  Returns
-        ``(request, latency_ns)``; the caller owns the passage of time
-        (a desim timeout for the event engine, ready-time arithmetic for
-        the fast path).
+        selection, dequeue, the busy-period mark
+        (``request.opens_busy``), and the bank state-machine access.
+        Returns ``(request, latency_ns)``; the caller owns the passage
+        of time (a desim timeout for the event engine, ready-time
+        arithmetic for the fast path).
         """
         request = self._select()
         self.pending.remove(request)
         request.start_service = now
+        request.opens_busy = self._idle
+        self._idle = False
         if not self._track_hits:
             return request, self._serve(request)
         index = request.bank_index
@@ -419,6 +431,7 @@ class ChannelController:
         sim = self.sim
         while True:
             if not self.pending:
+                self._idle = True
                 self._wakeup = sim.event()
                 yield self._wakeup
                 self._wakeup = None

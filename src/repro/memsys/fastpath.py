@@ -98,6 +98,10 @@ Differences from the event engine (both tiers):
 * no per-event trace records are emitted (``engine="auto"`` therefore
   only picks the fast path when no tracer is attached);
 * ``MemRequest.done`` completion events are not created;
+* the vectorized tier's admission occupancies (the
+  ``max_queue_length`` gauge) count a service starting at an admission's
+  instant as still queued, which can exceed the event calendar's by one
+  transient slot (see :func:`_plan_arrays`);
 * per-request runtime fields (coords, routing, timestamps, outcome,
   bits) are written back once, after the replay, for object traces but
   not for :class:`~repro.memsys.trace.PackedTrace` inputs, which never
@@ -110,7 +114,6 @@ import heapq
 import itertools
 import math
 import typing as _t
-from operator import attrgetter
 
 import numpy as np
 
@@ -120,7 +123,7 @@ from .addrmap import Coordinates
 from .bank import CLOSED, OUTCOMES, PER_RANK, latency_table
 from .controller import FRFCFS
 from .request import MemRequest, OPS_BY_CODE, Op
-from .system import _OUTCOME_CODE, _finish_replay, request_bits
+from .system import _finish_replay, _gather, request_bits
 from .trace import PackedTrace
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -179,15 +182,10 @@ def replay_fast(
     """
     profiler = telemetry.profiler if telemetry is not None else None
     phase = profiler.phase if profiler is not None else null_phase
-    engine, arrays, channel_rows = _run_tier(system, trace, phase)
+    engine, arrays = _run_tier(system, trace, phase)
     system.last_replay_engine = engine
     stats = _finish_replay(
-        system.config,
-        engine,
-        arrays,
-        system.row_counts(),
-        telemetry,
-        channel_rows,
+        system.config, engine, arrays, system.row_counts(), telemetry
     )
     system.sim._now = stats.makespan_ns
     return stats
@@ -197,13 +195,10 @@ def _run_tier(
     system: "MemorySystem",
     trace: _t.Union[_t.Sequence[MemRequest], PackedTrace],
     phase: _t.Callable[[str], _t.ContextManager[None]],
-) -> _t.Tuple[
-    str, _t.Dict[str, np.ndarray], _t.Optional[_t.List[np.ndarray]]
-]:
+) -> _t.Tuple[str, _t.Dict[str, np.ndarray]]:
     """Decode, certify, and replay on one tier; returns ``(engine,
-    trace-ordered arrays, per-channel rows when the tier has them)``.
-    The decode temporaries die with this frame, before the reduction
-    allocates its own."""
+    trace-ordered arrays)``.  The decode temporaries die with this
+    frame, before the reduction allocates its own."""
     with phase("decode"):
         if isinstance(trace, PackedTrace):
             requests: _t.Optional[_t.List[MemRequest]] = None
@@ -253,11 +248,9 @@ def _run_tier(
         if plan is not None:
             engine = "fast-vectorized"
             _commit_banks(system, plan)
-            arrays = _plan_arrays(plan, op_codes.shape[0])
-            channel_rows = [
-                np.empty(0, dtype=np.int64) if data is None else data["idx"]
-                for data in plan
-            ]
+            arrays = _plan_arrays(
+                plan, op_codes.shape[0], config.queue_depth
+            )
             del plan
         else:
             engine = "fast-exact"
@@ -276,7 +269,6 @@ def _run_tier(
             )
             _replay_exact(system, records, fields["channel"])
             arrays = _gather(records)
-            channel_rows = None
             # free the records before a write-back allocates coords
             del records
         if requests is not None:
@@ -289,7 +281,7 @@ def _run_tier(
                 op_codes, fields["channel"], fields["row"], flat_bank
             )
         )
-    return engine, arrays, channel_rows
+    return engine, arrays
 
 
 # ----------------------------------------------------------------------
@@ -424,7 +416,7 @@ def _vector_plan(
         arrival = np.zeros(n_c)
         if n_c > depth:
             arrival[depth:] = start[: n_c - depth]
-        data["arrival"] = arrival
+        data.update(arrival=arrival, line_rate=True)
         arrivals_global[idx] = arrival
     if n <= 1 or not bool(np.any(np.diff(arrivals_global) < 0)):
         return plan
@@ -449,7 +441,12 @@ def _vector_plan(
             continue
         start, finish = solved[cursor]
         cursor += 1
-        data.update(arrival=arrivals[data["idx"]], start=start, finish=finish)
+        data.update(
+            arrival=arrivals[data["idx"]],
+            start=start,
+            finish=finish,
+            line_rate=False,
+        )
     return plan
 
 
@@ -853,23 +850,52 @@ def _commit_banks(
 
 
 def _plan_arrays(
-    plan: _t.List[_t.Optional[dict]], n: int
+    plan: _t.List[_t.Optional[dict]], n: int, depth: int
 ) -> _t.Dict[str, np.ndarray]:
-    """Trace-ordered times and outcomes of the plan's channels."""
+    """Trace-ordered stamps of the plan's channels.
+
+    The closed form serves each channel in FIFO order, so a service
+    start finds the channel idle exactly when its request arrived after
+    the previous completion.  On a tie the event engine's choice
+    depends on its calendar order, but that only matters when a refresh
+    stall follows, and refresh reaches this tier only with line-rate
+    arrivals, which never idle a channel: ``A[m] = S[m - depth]``
+    precedes ``F[m - 1]``.  The admission occupancy counts services
+    starting at the admission's instant as still queued (admission
+    first), clipped at the queue depth a full queue cannot exceed; on
+    such ties it can exceed the event calendar's by one transient slot.
+    Under line-rate arrivals that count is ``min(m + 1, depth)``.
+    """
     arrays = {
         "arrival": np.empty(n),
         "start_service": np.empty(n),
         "finish": np.empty(n),
         "outcome": np.empty(n, dtype=np.int64),
+        "occupancy": np.full(n, depth, dtype=np.int32),
+        "opens_busy": np.zeros(n, dtype=np.bool_),
     }
     for data in plan:
         if data is None:
             continue
         idx = data["idx"]
-        arrays["arrival"][idx] = data["arrival"]
-        arrays["start_service"][idx] = data["start"]
-        arrays["finish"][idx] = data["finish"]
+        arrival = data["arrival"]
+        start = data["start"]
+        finish = data["finish"]
+        arrays["arrival"][idx] = arrival
+        arrays["start_service"][idx] = start
+        arrays["finish"][idx] = finish
         arrays["outcome"][idx] = data["outcome"]
+        arrays["opens_busy"][idx[0]] = True
+        if data.get("line_rate"):
+            arrays["occupancy"][idx[:depth]] = np.arange(
+                1, min(idx.shape[0], depth) + 1
+            )
+            continue
+        queued = np.arange(1, idx.shape[0] + 1) - np.searchsorted(
+            start, arrival, side="left"
+        )
+        arrays["occupancy"][idx] = np.minimum(queued, depth)
+        arrays["opens_busy"][idx[1:]] = arrival[1:] > finish[:-1]
     return arrays
 
 
@@ -952,15 +978,17 @@ class _Record:
     A flat slotted record built from the decoded arrays: the fields the
     shared controller code reads (``op``, ``timestamp``, and the
     routing values ``row`` / ``bank_index``) and the runtime fields it
-    writes (``queued_hit``, ``arrival``, ``start_service``, ``finish``,
-    ``outcome``, ``bits``; unset until the replay reaches them).  Unlike
+    writes (``queued_hit``, ``occupancy``, ``arrival``,
+    ``start_service``, ``opens_busy``, ``finish``, ``outcome``,
+    ``bits``; unset until the replay reaches them).  Unlike
     a :class:`MemRequest` it needs no address validation, decoded
     :class:`Coordinates`, or field-wise equality.
     """
 
     __slots__ = (
         "op", "timestamp", "row", "bank_index", "queued_hit",
-        "arrival", "start_service", "finish", "outcome", "bits",
+        "occupancy", "arrival", "start_service", "opens_busy", "finish",
+        "outcome", "bits",
     )
 
     def __init__(
@@ -974,26 +1002,6 @@ class _Record:
         self.timestamp = timestamp
         self.row = row
         self.bank_index = bank_index
-
-
-def _gather(records: _t.List[_Record]) -> _t.Dict[str, np.ndarray]:
-    """Trace-ordered times and outcomes of the records."""
-    n = len(records)
-
-    def column(values: _t.Iterable, dtype: type) -> np.ndarray:
-        return np.fromiter(values, dtype=dtype, count=n)
-
-    def field(name: str) -> _t.Iterator:
-        return map(attrgetter(name), records)
-
-    return {
-        "arrival": column(field("arrival"), np.float64),
-        "start_service": column(field("start_service"), np.float64),
-        "finish": column(field("finish"), np.float64),
-        "outcome": column(
-            map(_OUTCOME_CODE.__getitem__, field("outcome")), np.int64
-        ),
-    }
 
 
 def _replay_exact(
@@ -1066,6 +1074,7 @@ def _replay_exact(
                 if controllers[ch].pending:
                     attempt_service(ch, now)
                 else:
+                    controllers[ch]._idle = True
                     idle[ch] = True
                     woken[ch] = False
             elif kind == _INJECT:

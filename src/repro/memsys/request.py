@@ -99,6 +99,12 @@ class MemRequest:
         maintained at admission and on every open-row change so the
         FR-FCFS selection can skip the queue scan when no queued
         request hits (see ``ChannelController._rescan_bank``).
+    occupancy, opens_busy:
+        Controller bookkeeping the statistics read: the channel's queue
+        occupancy right after this request's admission, and whether
+        its service start found the channel idle (opening a busy
+        period).  Like ``queued_hit``, not written back by the fast
+        path, which records both in its arrays instead.
     arrival, start_service, finish:
         Simulation timestamps (ns), ``nan`` until reached.
     outcome:
@@ -117,6 +123,10 @@ class MemRequest:
     row: _t.Optional[int] = None
     bank_index: _t.Optional[int] = None
     queued_hit: bool = dataclasses.field(
+        default=False, repr=False, compare=False
+    )
+    occupancy: int = dataclasses.field(default=0, repr=False, compare=False)
+    opens_busy: bool = dataclasses.field(
         default=False, repr=False, compare=False
     )
     arrival: float = math.nan

@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import typing as _t
+from operator import attrgetter
 
 import numpy as np
 
@@ -514,32 +515,30 @@ def request_bits(config: MemSysConfig, op: np.ndarray) -> np.ndarray:
 
 
 def busy_ns(
-    arrival: np.ndarray, start: np.ndarray, finish: np.ndarray
+    start: np.ndarray, finish: np.ndarray, opens_busy: np.ndarray
 ) -> float:
     """Busy time of one channel, from its requests in trace order.
 
     A busy period opens at a service start that finds the channel idle
-    and closes at the completion that leaves its queue empty — one with
-    no request admitted before it and still waiting.  A refresh stall
-    with work queued stays inside the period; a stall right after an
-    idle wakeup is idle time, because a period opens only when its first
-    service starts.  A completion coincident with an admission closes
-    its period and the admission wakes the channel at once, so no idle
-    time accrues between the two unless a refresh stall follows the
-    wakeup.
+    (``opens_busy``, stamped by the engine that ran the replay) and
+    closes at the completion that leaves its queue empty — the last
+    service before the next opening one.  A refresh stall with work
+    queued stays inside the period; a stall right after an idle wakeup
+    is idle time, because a period opens only when its first service
+    starts.  Whether a completion coincident with an admission left the
+    queue empty depends on which of the two the calendar ran first,
+    which the times alone cannot tell: hence the engine's mark.
     """
     if start.shape[0] == 0:
         return 0.0
     if bool(np.any(start[1:] < start[:-1])):
-        # the scheduler reordered: walk the services in start order; a
-        # completion leaves work queued when any later-served request
-        # arrived before it
+        # the scheduler reordered: walk the services in start order
         order = np.argsort(start, kind="stable")
-        start, finish = start[order], finish[order]
-        arrival = np.minimum.accumulate(arrival[order][::-1])[::-1]
-    opens = np.flatnonzero(arrival[1:] >= finish[:-1]) + 1
-    first = np.r_[0, opens]
-    last = np.r_[opens - 1, start.shape[0] - 1]
+        start, finish, opens_busy = (
+            start[order], finish[order], opens_busy[order]
+        )
+    first = np.flatnonzero(opens_busy)
+    last = np.r_[first[1:] - 1, start.shape[0] - 1]
     return float((finish[last] - start[first]).sum())
 
 
@@ -558,8 +557,8 @@ def reduce_stats(
     arrays:
         The trace-ordered per-request arrays a
         :class:`~repro.telemetry.LatencyRecorder` adopts; this reads
-        ``arrival``, ``start_service``, ``finish``, ``channel`` and
-        ``op``.
+        ``arrival``, ``start_service``, ``finish``, ``opens_busy``,
+        ``channel`` and ``op``.
     row_counts:
         Every bank's hit/miss/conflict counters
         (:meth:`MemorySystem.row_counts`).
@@ -580,6 +579,7 @@ def reduce_stats(
     arrival = arrays["arrival"]
     start = arrays["start_service"]
     finish = arrays["finish"]
+    opens_busy = arrays["opens_busy"]
     op = arrays["op"]
     if channel_rows is None:
         channel_rows = group_channels(arrays["channel"], config.n_channels)
@@ -597,7 +597,7 @@ def reduce_stats(
         total_bits += bits
         if makespan > 0:
             queue_sum += float((s - a).sum()) / makespan
-            busy_sum += busy_ns(a, s, f) / makespan
+            busy_sum += busy_ns(s, f, opens_busy[rows]) / makespan
         hits = int(row_counts[ch, :, 0].sum())
         accesses = int(row_counts[ch].sum())
         per_channel.append(
@@ -638,30 +638,51 @@ def reduce_stats(
     )
 
 
+def _gather(records: _t.Sequence[_t.Any]) -> _t.Dict[str, np.ndarray]:
+    """Trace-ordered stamps of finished requests: their times, outcome
+    codes, admission occupancy and busy-period marks.  Reads the
+    attributes :class:`MemRequest` and the fast path's exact-tier
+    records share."""
+    n = len(records)
+
+    def column(
+        name: str, dtype: type, code: _t.Optional[_t.Callable] = None
+    ) -> np.ndarray:
+        values = map(attrgetter(name), records)
+        if code is not None:
+            values = map(code, values)
+        return np.fromiter(values, dtype=dtype, count=n)
+
+    return {
+        "arrival": column("arrival", np.float64),
+        "start_service": column("start_service", np.float64),
+        "finish": column("finish", np.float64),
+        "outcome": column("outcome", np.int64, _OUTCOME_CODE.__getitem__),
+        "occupancy": column("occupancy", np.int32),
+        "opens_busy": column("opens_busy", np.bool_),
+    }
+
+
 def _request_arrays(
     requests: _t.Sequence[MemRequest],
 ) -> _t.Dict[str, np.ndarray]:
     """The trace-ordered arrays of an event-engine replay's requests."""
     n = len(requests)
 
-    def column(values: _t.Iterable, dtype: type = np.int64) -> np.ndarray:
-        return np.fromiter(values, dtype=dtype, count=n)
+    def column(values: _t.Iterable) -> np.ndarray:
+        return np.fromiter(values, dtype=np.int64, count=n)
 
-    return {
-        "arrival": column((r.arrival for r in requests), np.float64),
-        "start_service": column(
-            (r.start_service for r in requests), np.float64
-        ),
-        "finish": column((r.finish for r in requests), np.float64),
-        "outcome": column(_OUTCOME_CODE[r.outcome] for r in requests),
-        "channel": column(r.coords.channel for r in requests),
-        "bank": column(
+    arrays = _gather(requests)
+    arrays.update(
+        channel=column(r.coords.channel for r in requests),
+        bank=column(
             ALL_BANKS if r.bank_index is None else r.bank_index
             for r in requests
         ),
-        "row": column(r.row for r in requests),
-        "op": column(r.op.code for r in requests),
-    }
+        row=column(r.row for r in requests),
+        op=column(r.op.code for r in requests),
+    )
+    return arrays
 
 
 def _finish_replay(
@@ -670,17 +691,13 @@ def _finish_replay(
     arrays: _t.Dict[str, np.ndarray],
     row_counts: np.ndarray,
     telemetry: _t.Optional["ReplayTelemetry"],
-    channel_rows: _t.Optional[_t.List[np.ndarray]] = None,
 ) -> MemSysStats:
     """Reduce a finished replay; hand its arrays and stats to
     ``telemetry``.  Every replay path ends here."""
     profiler = telemetry.profiler if telemetry is not None else None
     phase = profiler.phase if profiler is not None else null_phase
     with phase("stats-gather"):
-        if channel_rows is None:
-            channel_rows = group_channels(
-                arrays["channel"], config.n_channels
-            )
+        channel_rows = group_channels(arrays["channel"], config.n_channels)
         stats = reduce_stats(config, arrays, row_counts, channel_rows)
     if telemetry is not None:
         if telemetry.recorder is not None:

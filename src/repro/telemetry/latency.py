@@ -70,7 +70,10 @@ class LatencyRecorder:
       the derived durations;
     * :attr:`channel`, :attr:`bank`, :attr:`row`, :attr:`op_code`,
       :attr:`outcome_code` — routing and outcome context
-      (``bank == ALL_BANKS`` for all-bank PIM/AB operations).
+      (``bank == ALL_BANKS`` for all-bank PIM/AB operations);
+    * :attr:`occupancy`, :attr:`opens_busy` — the controller's queue
+      occupancy right after each admission, and whether each service
+      start found its channel idle.
 
     The time-series, energy, and timeline builders share the
     reductions they derive from these arrays (per-channel busy unions,
@@ -80,11 +83,20 @@ class LatencyRecorder:
     never go stale; it lives exactly as long as the recorder.
     """
 
-    #: The eight arrays every capture carries.
-    KEYS = (
-        "arrival", "start_service", "finish", "outcome",
-        "channel", "bank", "row", "op",
-    )
+    #: The arrays every capture carries, with their dtypes.
+    DTYPES = {
+        "arrival": np.float64,
+        "start_service": np.float64,
+        "finish": np.float64,
+        "outcome": np.int64,
+        "occupancy": np.int32,
+        "opens_busy": np.bool_,
+        "channel": np.int64,
+        "bank": np.int64,
+        "row": np.int64,
+        "op": np.int64,
+    }
+    KEYS = tuple(DTYPES)
 
     def __init__(self) -> None:
         self._arrays: _t.Optional[_t.Dict[str, np.ndarray]] = None
@@ -94,7 +106,7 @@ class LatencyRecorder:
     def _capture_arrays(
         self,
         arrays: _t.Mapping[str, np.ndarray],
-        channel_rows: _t.Optional[_t.List[np.ndarray]] = None,
+        channel_rows: _t.List[np.ndarray],
     ) -> None:
         """Adopt one replay's trace-ordered arrays (the :data:`KEYS`).
 
@@ -167,6 +179,18 @@ class LatencyRecorder:
     def op_code(self) -> np.ndarray:
         return self._assemble()["op"]
 
+    @property
+    def occupancy(self) -> np.ndarray:
+        """Queue occupancy of the request's channel right after its
+        admission, the request included."""
+        return self._assemble()["occupancy"]
+
+    @property
+    def opens_busy(self) -> np.ndarray:
+        """Whether the request's service start found its channel idle,
+        opening a busy period."""
+        return self._assemble()["opens_busy"]
+
     # ------------------------------------------------------------------
     # derived durations
     # ------------------------------------------------------------------
@@ -210,11 +234,7 @@ class LatencyRecorder:
         when given, on ``bank`` — :data:`ALL_BANKS` for all-bank
         operations); one grouping per channel serves every lookup."""
         if self._channel_rows is None:
-            from ..memsys.system import group_channels
-
-            channel_ids = self.channel
-            n_channels = int(channel_ids.max()) + 1 if self.n else 0
-            self._channel_rows = group_channels(channel_ids, n_channels)
+            self._assemble()  # no replay captured: raises
         empty = np.empty(0, dtype=np.int64)
         if not 0 <= channel < len(self._channel_rows):
             return empty
@@ -267,12 +287,14 @@ def channel_gauges(
 
     Derived from the recorder arrays of a finished replay, one entry per
     configured channel, so a farm run and a single-process run of the
-    same trace give the same values:
+    same trace on the same tier give the same values:
 
     * ``max_queue_length`` — peak queued (admitted, not yet served)
-      requests right after an admission, with services that start at
-      the admission's instant still counted as queued (admission
-      first), capped at the queue depth a full queue cannot exceed;
+      requests, read from the admission occupancies (see
+      :attr:`LatencyRecorder.occupancy`; the vectorized fast-path tier
+      counts a service starting at an admission's instant as still
+      queued, so on such ties its peak can exceed the event calendar's
+      by one transient slot);
     * ``min_latency_ns`` / ``max_latency_ns`` — arrival-to-finish
       extremes (NaN on an idle channel);
     * ``busy_fraction`` — the channel's
@@ -292,19 +314,13 @@ def channel_gauges(
     gauges = []
     for ch in range(config.n_channels):
         rows = recorder.rows(ch)
-        arrival = recorder.arrival[rows]
         start = recorder.start_service[rows]
         finish = recorder.finish[rows]
-        latency = finish - arrival
-        # arrivals are non-decreasing in trace order, so the queue
-        # peaks right after some admission
-        queued = np.arange(1, rows.shape[0] + 1) - np.searchsorted(
-            np.sort(start), arrival, side="left"
-        )
+        latency = finish - recorder.arrival[rows]
         gauges.append(
             {
                 "max_queue_length": float(
-                    min(queued.max(initial=0), config.queue_depth)
+                    recorder.occupancy[rows].max(initial=0)
                 ),
                 "min_latency_ns": (
                     float(latency.min()) if rows.shape[0] else math.nan
@@ -313,7 +329,8 @@ def channel_gauges(
                     float(latency.max()) if rows.shape[0] else math.nan
                 ),
                 "busy_fraction": (
-                    busy_ns(arrival, start, finish) / makespan
+                    busy_ns(start, finish, recorder.opens_busy[rows])
+                    / makespan
                     if makespan > 0
                     else math.nan
                 ),

@@ -29,7 +29,7 @@ from repro.farm import (
 )
 from repro.memsys import MemSysConfig
 from repro.memsys.trace import synthesize_trace
-from repro.telemetry import MetricsRegistry, farm_metrics
+from repro.telemetry import LatencyRecorder, MetricsRegistry, farm_metrics
 
 
 def _plan(n=200, n_channels=4, seed=0):
@@ -253,24 +253,8 @@ class TestVerifyResult:
     def _good_result(self, shard):
         n = len(shard)
         arrays = {
-            key: np.zeros(
-                n,
-                dtype=(
-                    np.float64
-                    if key in ("arrival", "start_service", "finish")
-                    else np.int64
-                ),
-            )
-            for key in (
-                "arrival",
-                "start_service",
-                "finish",
-                "outcome",
-                "channel",
-                "bank",
-                "row",
-                "op",
-            )
+            key: np.zeros(n, dtype=dtype)
+            for key, dtype in LatencyRecorder.DTYPES.items()
         }
         result = {
             "engine": "fast-exact",

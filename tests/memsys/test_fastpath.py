@@ -390,10 +390,10 @@ RUNTIME_FIELDS = (
     "coords", "row", "bank_index", "arrival", "start_service",
     "finish", "outcome", "bits",
 )
-#: The recorder's eight trace-ordered arrays.
+#: The recorder's trace-ordered arrays.
 RECORDED_ARRAYS = (
     "arrival", "start_service", "finish", "outcome_code",
-    "channel", "bank", "row", "op_code",
+    "occupancy", "opens_busy", "channel", "bank", "row", "op_code",
 )
 
 

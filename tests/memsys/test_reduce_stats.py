@@ -1,12 +1,15 @@
-"""``reduce_stats`` against a naive per-channel reference.
+"""``reduce_stats`` against naive references.
 
-The reference walks each channel's services one by one and applies the
-definitions directly — a busy period opens at a service start that
-finds the channel idle and closes at a completion with nothing admitted
-before it still waiting — so it shares no code with the vectorized
-reduction.  Hand-built arrays pin the corner cases; a real FR-FCFS
-replay with per-bank refresh checks the reduction where the scheduler
-reorders and stalls.
+The per-channel reference walks each channel's services one by one and
+applies the definitions directly — a busy period opens at a service
+start the engine marked as finding the channel idle and runs to the
+completion just before the next such start — so it shares no code with
+the vectorized reduction.  It also checks each mark against the times
+wherever they decide it (a later-served request admitted strictly before
+a completion keeps the period open; none admitted by then closes it).
+Hand-built arrays pin the corner cases; real replays check the marks
+where the scheduler reorders and stalls, and where admissions coincide
+with completions, against the calendar's own record order.
 """
 
 import math
@@ -14,9 +17,21 @@ import math
 import numpy as np
 import pytest
 
-from repro.memsys import MemSysConfig, MemorySystem, Op, synthesize_trace
+from repro.desim import Simulator
+from repro.desim.trace import Tracer
+from repro.memsys import (
+    MemRequest,
+    MemSysConfig,
+    MemorySystem,
+    Op,
+    synthesize_trace,
+)
+from repro.memsys.bank import latency_table
 from repro.memsys.system import reduce_stats
 from repro.telemetry import ALL_BANKS, ReplayTelemetry
+from repro.telemetry.latency import channel_gauges
+
+from .test_fastpath import replay_exact_tier
 
 CONFIG = MemSysConfig(n_channels=2, bankgroups=2, banks_per_group=2)
 PAGE_BITS = CONFIG.timing.page_bits
@@ -36,15 +51,16 @@ def reference(config, arrays, row_counts):
         busy = 0.0
         opened = None
         for k, i in enumerate(by_start):
-            if opened is None:
+            if arrays["opens_busy"][i]:
+                if opened is not None:
+                    busy += arrays["finish"][by_start[k - 1]] - opened
                 opened = arrays["start_service"][i]
-            finish = arrays["finish"][i]
-            waiting = any(
-                arrays["arrival"][j] < finish for j in by_start[k + 1 :]
-            )
-            if not waiting:
-                busy += finish - opened
-                opened = None
+            if k:
+                check_mark(arrays, by_start[k - 1], by_start[k:])
+            else:
+                assert arrays["opens_busy"][i]
+        if opened is not None:
+            busy += arrays["finish"][by_start[-1]] - opened
         latency = sum(
             arrays["finish"][i] - arrays["arrival"][i] for i in mine
         )
@@ -84,15 +100,31 @@ def reference(config, arrays, row_counts):
     }
 
 
+def check_mark(arrays, previous, rest):
+    """The idle mark of ``rest[0]``'s service start agrees with the
+    times wherever they decide it: the completion of ``previous`` left
+    work queued if a later-served request arrived strictly before it,
+    and left the queue empty if none arrived by then.  A tie is the
+    calendar's call."""
+    finish = arrays["finish"][previous]
+    arrivals = [arrays["arrival"][j] for j in rest]
+    if any(a < finish for a in arrivals):
+        assert not arrays["opens_busy"][rest[0]]
+    elif all(a > finish for a in arrivals):
+        assert arrays["opens_busy"][rest[0]]
+
+
 def build(requests, row_counts=None):
-    """Arrays from ``(channel, op, arrival, start, finish)`` rows."""
+    """Arrays from ``(channel, op, arrival, start, finish, opens_busy)``
+    rows."""
     columns = list(zip(*requests))
-    channel, op, arrival, start, finish = columns
+    channel, op, arrival, start, finish, opens_busy = columns
     n = len(requests)
     arrays = {
         "arrival": np.array(arrival, dtype=np.float64),
         "start_service": np.array(start, dtype=np.float64),
         "finish": np.array(finish, dtype=np.float64),
+        "opens_busy": np.array(opens_busy, dtype=np.bool_),
         "outcome": np.full(n, MISS, dtype=np.int64),
         "channel": np.array(channel, dtype=np.int64),
         "bank": np.array(
@@ -142,7 +174,11 @@ class TestBusyPeriods:
         # the second request is queued when the first completes at 10;
         # a refresh blackout holds its service until 20
         arrays, counts = build(
-            [(0, READ, 0, 0, 10), (0, READ, 5, 20, 30), (1, READ, 0, 0, 30)]
+            [
+                (0, READ, 0, 0, 10, True),
+                (0, READ, 5, 20, 30, False),
+                (1, READ, 0, 0, 30, True),
+            ]
         )
         stats, ref = assert_matches_reference(arrays, counts)
         assert ref["per_channel"][0]["busy_ns"] == 30.0
@@ -152,26 +188,59 @@ class TestBusyPeriods:
         # the channel idles from 10; the request arriving at 15 waits
         # out a blackout until 25 — idle time, not busy time
         arrays, counts = build(
-            [(0, READ, 0, 0, 10), (0, READ, 15, 25, 35), (1, READ, 0, 0, 35)]
+            [
+                (0, READ, 0, 0, 10, True),
+                (0, READ, 15, 25, 35, True),
+                (1, READ, 0, 0, 35, True),
+            ]
         )
         stats, ref = assert_matches_reference(arrays, counts)
         assert ref["per_channel"][0]["busy_ns"] == 20.0
         assert stats.channel_utilization == (20 / 35 + 1.0) / 2
 
-    def test_completion_coincident_with_admission(self):
+    @pytest.mark.parametrize(
+        "admitted_first, busy", ((True, 25.0), (False, 20.0))
+    )
+    def test_completion_coincident_with_admission(self, admitted_first, busy):
+        # the second request arrives exactly when the first completes,
+        # then waits out a blackout until 15: an admission the calendar
+        # ran first keeps the period open through the stall, one it
+        # ran after the completion finds the channel idle
         arrays, counts = build(
-            [(0, READ, 0, 0, 10), (0, READ, 10, 10, 20), (1, READ, 0, 0, 20)]
+            [
+                (0, READ, 0, 0, 10, True),
+                (0, READ, 10, 15, 25, not admitted_first),
+                (1, READ, 0, 0, 25, True),
+            ]
         )
         stats, ref = assert_matches_reference(arrays, counts)
-        assert ref["per_channel"][0]["busy_ns"] == 20.0
-        assert stats.channel_utilization == 1.0
-        assert stats.mean_queue_length == 0.0
+        assert ref["per_channel"][0]["busy_ns"] == busy
+        assert stats.channel_utilization == (busy / 25 + 1.0) / 2
+        assert stats.mean_queue_length == 5 / 25 / 2
+
+    def test_coincidence_without_stall_is_order_free(self):
+        for opens in (True, False):
+            arrays, counts = build(
+                [
+                    (0, READ, 0, 0, 10, True),
+                    (0, READ, 10, 10, 20, opens),
+                    (1, READ, 0, 0, 20, True),
+                ]
+            )
+            stats, ref = assert_matches_reference(arrays, counts)
+            assert ref["per_channel"][0]["busy_ns"] == 20.0
+            assert stats.channel_utilization == 1.0
+            assert stats.mean_queue_length == 0.0
 
     def test_reordered_service_keeps_the_period_open(self):
         # FR-FCFS hoists the third request (a row hit) over the second;
         # the second still waits, so the channel never idles
         arrays, counts = build(
-            [(0, READ, 0, 0, 10), (0, READ, 1, 20, 30), (0, READ, 2, 10, 20)]
+            [
+                (0, READ, 0, 0, 10, True),
+                (0, READ, 1, 20, 30, False),
+                (0, READ, 2, 10, 20, False),
+            ]
         )
         stats, ref = assert_matches_reference(arrays, counts)
         assert ref["per_channel"][0]["busy_ns"] == 30.0
@@ -180,7 +249,9 @@ class TestBusyPeriods:
 
 class TestChannelsAndCounters:
     def test_empty_channel(self):
-        arrays, counts = build([(0, READ, 0, 0, 10), (0, READ, 0, 10, 20)])
+        arrays, counts = build(
+            [(0, READ, 0, 0, 10, True), (0, READ, 0, 10, 20, False)]
+        )
         stats, _ = assert_matches_reference(arrays, counts)
         idle = stats.per_channel[1]
         assert idle["requests"] == 0
@@ -197,7 +268,10 @@ class TestChannelsAndCounters:
         # its recorded (worst) outcome is a miss while the banks count
         # one hit and four misses
         arrays, _ = build(
-            [(0, READ, 0, 0, 10), (0, Op.PIM.code, 0, 10, 20)]
+            [
+                (0, READ, 0, 0, 10, True),
+                (0, Op.PIM.code, 0, 10, 20, False),
+            ]
         )
         counts = np.zeros((2, CONFIG.banks_per_channel, 3), dtype=np.int64)
         counts[0, 0] = (1, 1, 0)
@@ -234,3 +308,126 @@ def test_reordering_replay_matches_reference(engine):
     assert order_differs
     again, _ = assert_matches_reference(arrays, system.row_counts(), config)
     assert repr(again) == repr(stats)
+
+
+def calendar_busy_ns(records, requests):
+    """Busy time per channel from the event calendar's own record order:
+    a completion that leaves nothing admitted and unfinished idles its
+    channel, and the next completion on that channel belongs to the
+    service that reopened it."""
+    by_addr = {request.addr: request for request in requests}
+    outstanding = {}
+    opened = {}
+    busy = {}
+    for record in records:
+        ch = record.fields["channel"]
+        if record.kind == "memsys.enqueue":
+            outstanding[ch] = outstanding.get(ch, 0) + 1
+            continue
+        request = by_addr[record.fields["addr"]]
+        opened.setdefault(ch, request.start_service)
+        outstanding[ch] -= 1
+        if outstanding[ch] == 0:
+            busy[ch] = busy.get(ch, 0.0) + request.finish - opened.pop(ch)
+    return busy
+
+
+class TestCoincidentAdmissions:
+    """Admissions that land on a completion's instant, on real replays:
+    the calendar decides whether the completion idled the channel."""
+
+    def config(self):
+        # closed-page rows give every access the same latency, so a
+        # trace can land each arrival on the previous completion
+        return MemSysConfig(
+            n_channels=1,
+            row_policy="closed",
+            trefi_ns=500.0,
+            trfc_ns=60.0,
+            refresh_granularity="per-rank",
+        )
+
+    def trace(self, config):
+        """Bursts of ten requests spaced exactly one service latency
+        apart, so each arrival coincides with the previous completion;
+        refresh blackouts stall some of the coincident starts."""
+        latency = latency_table(config.timing, config.precharge_ns)["miss"]
+        base = synthesize_trace("sequential", 400, config)
+        times = np.cumsum(
+            [0.0] + [200.0 if i % 10 == 9 else latency for i in range(399)]
+        )
+        return [
+            MemRequest(request.op, request.addr, timestamp=float(when))
+            for request, when in zip(base, times)
+        ]
+
+    def test_event_engine_matches_calendar_order(self):
+        config = self.config()
+        trace = self.trace(config)
+        tracer = Tracer(kinds={"memsys.enqueue", "memsys.complete"})
+        system = MemorySystem(config, sim=Simulator(tracer=tracer))
+        telemetry = ReplayTelemetry(profile=False)
+        stats = system.replay(trace, engine="event", telemetry=telemetry)
+        coincident = {r.finish for r in trace} & {r.arrival for r in trace}
+        stalled = [
+            r
+            for r in trace
+            if r.arrival in coincident and r.start_service > r.arrival
+        ]
+        # the case this pins: a coincident admission that the calendar
+        # ran before the completion, then a refresh stall
+        assert any(not r.opens_busy for r in stalled)
+        busy = calendar_busy_ns(tracer, trace)[0]
+        assert stats.channel_utilization == busy / stats.makespan_ns
+        recorder = telemetry.recorder
+        arrays = dict(recorder._assemble())
+        assert_matches_reference(arrays, system.row_counts(), config)
+
+    def test_exact_tier_matches_event_engine(self):
+        config = self.config()
+        event = ReplayTelemetry(profile=False)
+        exact = ReplayTelemetry(profile=False)
+        event_stats = MemorySystem(config).replay(
+            self.trace(config), engine="event", telemetry=event
+        )
+        exact_stats = replay_exact_tier(config, self.trace(config), exact)
+        assert repr(exact_stats) == repr(event_stats)
+        for key in ("occupancy", "opens_busy"):
+            assert np.array_equal(
+                getattr(exact.recorder, key), getattr(event.recorder, key)
+            ), key
+
+    def test_queue_peak_follows_the_calendar(self):
+        """Timestamps 0, 1 and T, the first request's finish: the
+        completion at T was scheduled before the injector's wait for T,
+        so the second request is dequeued before the third is admitted
+        and the queue never holds two."""
+        config = MemSysConfig(n_channels=1)
+        base = synthesize_trace("sequential", 3, config)
+        first = MemRequest(base[0].op, base[0].addr)
+        MemorySystem(config).replay([first], engine="event")
+
+        def trace():
+            return [
+                MemRequest(request.op, request.addr, timestamp=when)
+                for request, when in zip(base, (0.0, 1.0, first.finish))
+            ]
+
+        peaks = {}
+        for name in ("event", "exact", "vectorized"):
+            telemetry = ReplayTelemetry(profile=False)
+            if name == "event":
+                MemorySystem(config).replay(
+                    trace(), engine="event", telemetry=telemetry
+                )
+            elif name == "exact":
+                replay_exact_tier(config, trace(), telemetry)
+            else:
+                system = MemorySystem(config)
+                system.replay(trace(), engine="fast", telemetry=telemetry)
+                assert system.last_replay_engine == "fast-vectorized"
+            peaks[name] = channel_gauges(telemetry)[0]["max_queue_length"]
+        assert peaks["event"] == peaks["exact"] == 1.0
+        # the closed form counts the dequeue at T as still queued: one
+        # transient slot over the calendar, as documented
+        assert peaks["vectorized"] == 2.0
