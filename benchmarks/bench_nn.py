@@ -1,15 +1,19 @@
 """Benchmark: transformer-kernel and workload-trace throughput.
 
-Times the two :mod:`repro.nn` pipelines end to end:
+Times the two :mod:`repro.nn` pipelines, layer by layer:
 
 * **GEMM pipeline** — functional fp16 execution of a tiled
   ``(256 x 32) @ (32 x 32)`` GEMM on the per-bank units (every dynamic
-  CRF instruction runs in every bank under IEEE binary16) plus the
+  CRF instruction runs in every bank under IEEE binary16), then the
   replay of the generated mixed host+PIM request stream, asserting
   bit-exactness against the binary16 NumPy reference before timing
   counts;
-* **trace pipeline** — generation of a full transformer-layer program
-  trace (Poisson arrivals), parsing, lowering, and fast-path replay.
+* **trace pipeline** — building a full transformer-layer program
+  (Poisson arrivals), lowering it to requests, and fast-path replay.
+
+Each layer (``gemm.execute_s``, ``gemm.replay_s``, ``trace.build_s``,
+``trace.lower_s``, ``trace.replay_s``) is reported under ``"layers"``
+as the median and interquartile range of :data:`REPEATS` runs.
 
 It also records the simulated host-vs-PIM speedup of every nn kernel
 (plus the GEMV-shaped GEMM, the PIM-favored family).
@@ -22,6 +26,7 @@ push, next to ``BENCH_memsys.json`` and ``BENCH_pimexec.json``.
 import argparse
 import json
 import pathlib
+import statistics
 import time
 
 from repro.memsys import MemorySystem, MemSysConfig
@@ -45,15 +50,18 @@ MIN_COMMANDS_PER_SEC = 10_000
 MIN_TRACE_RECORDS_PER_SEC = 3_000
 MIN_GEMV_SPEEDUP = 1.5
 MAX_TELEMETRY_OVERHEAD_PCT = 5.0
+#: Timed runs per pipeline; each layer reports median + IQR over them.
+REPEATS = 7
 
 
 def run_gemm_pipeline(shape=None, telemetry=None):
-    """Time execute+replay of the fp16 GEMM pipeline.
+    """Time execute, then replay, of the fp16 GEMM pipeline.
 
-    Returns ``(commands_per_sec, result)``; asserts the bank state is
-    bit-exact against the binary16 reference before timing counts.  An
-    optional :class:`repro.telemetry.ReplayTelemetry` instruments the
-    replay half of the pipeline.
+    Returns ``(commands_per_sec, result, machine, seconds)`` with
+    ``seconds = {"execute_s": ..., "replay_s": ...}``; asserts the bank
+    state is bit-exact against the binary16 reference before timing
+    counts.  An optional :class:`repro.telemetry.ReplayTelemetry`
+    instruments the replay half of the pipeline.
     """
     kernel = build_nn_kernel("gemm", dtype="fp16", **(shape or GEMM_SHAPE))
     machine = kernel.machine()
@@ -61,16 +69,22 @@ def run_gemm_pipeline(shape=None, telemetry=None):
     machine.reset_requests()
     started = time.perf_counter()
     kernel.execute(machine)
+    executed = time.perf_counter()
     result = machine.replay(telemetry=telemetry)
-    elapsed = time.perf_counter() - started
+    replayed = time.perf_counter()
     assert kernel.check(machine), "bank state diverged from binary16"
-    return result.n_pim / elapsed, result, machine
+    seconds = {
+        "execute_s": executed - started,
+        "replay_s": replayed - executed,
+    }
+    return result.n_pim / (replayed - started), result, machine, seconds
 
 
 def run_trace_pipeline(spec=None):
-    """Time generate+parse+lower+replay of a transformer-layer trace.
+    """Time build, lower, and replay of a transformer-layer program.
 
-    Returns ``(records_per_sec, n_records)``.
+    Returns ``(records_per_sec, n_records, seconds)`` with ``seconds``
+    keyed ``build_s``/``lower_s``/``replay_s``.
     """
     config = MemSysConfig()
     started = time.perf_counter()
@@ -80,11 +94,28 @@ def run_trace_pipeline(spec=None):
         interarrival_ns=4.0,
         interarrival="poisson",
     )
+    built = time.perf_counter()
     requests = program.to_requests(config)
+    lowered = time.perf_counter()
     stats = MemorySystem(config).replay(requests, engine="fast")
-    elapsed = time.perf_counter() - started
+    replayed = time.perf_counter()
     assert stats.n_requests == len(requests)
-    return len(program) / elapsed, len(program)
+    seconds = {
+        "build_s": built - started,
+        "lower_s": lowered - built,
+        "replay_s": replayed - lowered,
+    }
+    return len(program) / (replayed - started), len(program), seconds
+
+
+def layer_spread(samples):
+    """Median and interquartile range of one layer's timed runs."""
+    q1, median, q3 = statistics.quantiles(samples, n=4)
+    return {
+        "median": round(median, 6),
+        "iqr": round(q3 - q1, 6),
+        "repeats": len(samples),
+    }
 
 
 def replay_overhead(shape=None, pairs=5):
@@ -158,16 +189,17 @@ def kernel_speedups():
 
 
 def test_bench_gemm_pipeline(benchmark):
-    rate, result, machine = benchmark.pedantic(
+    rate, result, machine, seconds = benchmark.pedantic(
         run_gemm_pipeline, rounds=1, iterations=1
     )
     assert result.n_pim > 0
     assert machine.unit_mode == "vectorized"
     assert rate >= MIN_COMMANDS_PER_SEC
+    assert set(seconds) == {"execute_s", "replay_s"}
 
 
 def test_bench_trace_pipeline(benchmark):
-    rate, records = benchmark.pedantic(
+    rate, records, seconds = benchmark.pedantic(
         run_trace_pipeline,
         args=(dict(d_model=16, n_heads=2, seq_len=16, d_ff=32),),
         rounds=1,
@@ -175,6 +207,7 @@ def test_bench_trace_pipeline(benchmark):
     )
     assert records > 1_000
     assert rate >= MIN_TRACE_RECORDS_PER_SEC
+    assert set(seconds) == {"build_s", "lower_s", "replay_s"}
 
 
 def test_bench_kernel_speedups(benchmark):
@@ -199,9 +232,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     run_gemm_pipeline(dict(m=128, k=8, n=8))  # warm-up
-    commands_rate, result, machine = max(
-        (run_gemm_pipeline() for _ in range(3)), key=lambda r: r[0]
-    )
+    gemm_runs = [run_gemm_pipeline() for _ in range(REPEATS)]
+    commands_rate, result, machine, _ = max(gemm_runs, key=lambda r: r[0])
     telemetry_rate, telemetry_overhead_pct, spread_pct, telemetry = (
         replay_overhead()
     )
@@ -227,9 +259,15 @@ def main(argv=None) -> int:
         / (energy["makespan_ns"] * 1e-9)
         / energy["mean_power_w"]
     )
-    trace_rate, trace_records = max(
-        (run_trace_pipeline() for _ in range(3)), key=lambda r: r[0]
-    )
+    trace_runs = [run_trace_pipeline() for _ in range(REPEATS)]
+    trace_rate, trace_records, _ = max(trace_runs, key=lambda r: r[0])
+    layers = {
+        f"{pipeline}.{layer}": layer_spread(
+            [run[-1][layer] for run in runs]
+        )
+        for pipeline, runs in (("gemm", gemm_runs), ("trace", trace_runs))
+        for layer in runs[0][-1]
+    }
     speedups = kernel_speedups()
     by_name = {row["kernel"]: row["speedup"] for row in speedups}
     record = {
@@ -250,6 +288,7 @@ def main(argv=None) -> int:
         "gemm_requests": result.n_requests,
         "trace_records": trace_records,
         "trace_records_per_sec": round(trace_rate),
+        "layers": layers,
         "kernel_speedups": speedups,
         "floor_commands_per_sec": MIN_COMMANDS_PER_SEC,
         "floor_trace_records_per_sec": MIN_TRACE_RECORDS_PER_SEC,

@@ -67,7 +67,7 @@ import typing as _t
 import numpy as np
 
 from ..memsys import MemRequest, MemSysConfig, MemorySystem, MemSysStats, Op
-from ..pimexec import DTYPES, Operand, PimCommand, PimOpcode
+from ..pimexec import DTYPES, Operand, PimCommand, PimOpcode, parse_command
 from ..pimexec.commands import GRF_REGS
 from ..pimexec.machine import LANE_BITS, PimExecMachine, page_encoder
 
@@ -111,10 +111,6 @@ class Layout:
         self.rows_per_tile = self.units * self.lanes
         self.ppr = config.timing.pages_per_row
         self.capacity_slots = config.rows_per_bank * self.ppr
-
-    def unit_coords(self, u: int) -> _t.Tuple[int, int]:
-        """``(channel, unit_index)`` of global unit ``u``."""
-        return divmod(u, self.units_per_channel)
 
     def data_bank(self, u: int) -> int:
         """Flat bank carrying global unit ``u``'s data pages (port 0)."""
@@ -268,6 +264,14 @@ def run_nn_kernel(
 # ----------------------------------------------------------------------
 # shared machine-side phases (each has a dtype-exact reference twin)
 # ----------------------------------------------------------------------
+def _tile_addrs(
+    layout: Layout, base: int, t: int, k_count: int
+) -> _t.List[_t.Tuple[int, int]]:
+    """``(row, col)`` of the ``k_count`` slots of tile ``t`` at ``base``."""
+    first = base + t * k_count
+    return [layout.slot_addr(s) for s in range(first, first + k_count)]
+
+
 def _stage_tiles(
     machine: PimExecMachine,
     layout: Layout,
@@ -276,14 +280,10 @@ def _stage_tiles(
 ) -> None:
     """Write ``(T, K, units, lanes)`` pages into the banks."""
     t_count, k_count = tiles.shape[0], tiles.shape[1]
-    for t in range(t_count):
-        for k in range(k_count):
-            row, col = layout.slot_addr(base + t * k_count + k)
-            for u in range(layout.units):
-                ch, _ = layout.unit_coords(u)
-                machine.write_bank(
-                    ch, layout.data_bank(u), row, col, tiles[t, k, u]
-                )
+    machine.write_unit_pages(
+        _tile_addrs(layout, base, 0, t_count * k_count),
+        tiles.reshape(t_count * k_count, layout.units, layout.lanes),
+    )
 
 
 def _read_tile_pages(
@@ -294,17 +294,7 @@ def _read_tile_pages(
     k_count: int,
 ) -> np.ndarray:
     """Host READ of one tile's pages -> ``(k_count, units, lanes)``."""
-    pages = np.empty(
-        (k_count, layout.units, layout.lanes), dtype=machine.np_dtype
-    )
-    for k in range(k_count):
-        row, col = layout.slot_addr(base + t * k_count + k)
-        for u in range(layout.units):
-            ch, _ = layout.unit_coords(u)
-            pages[k, u] = machine.read_bank(
-                ch, layout.data_bank(u), row, col
-            )
-    return pages
+    return machine.read_unit_pages(_tile_addrs(layout, base, t, k_count))
 
 
 def _write_tile_pages(
@@ -315,14 +305,9 @@ def _write_tile_pages(
     pages: np.ndarray,
 ) -> None:
     """Host WRITE of one tile's pages from ``(k_count, units, lanes)``."""
-    k_count = pages.shape[0]
-    for k in range(k_count):
-        row, col = layout.slot_addr(base + t * k_count + k)
-        for u in range(layout.units):
-            ch, _ = layout.unit_coords(u)
-            machine.write_bank(
-                ch, layout.data_bank(u), row, col, pages[k, u]
-            )
+    machine.write_unit_pages(
+        _tile_addrs(layout, base, t, pages.shape[0]), pages
+    )
 
 
 def _collect_pages(
@@ -333,42 +318,22 @@ def _collect_pages(
     k_count: int,
 ) -> np.ndarray:
     """Functional (request-free) peek at ``(T, K, units, lanes)`` pages."""
-    pages = np.empty(
-        (t_count, k_count, layout.units, layout.lanes),
+    units = [unit for _, _, unit in machine.iter_units()]
+    return np.array(
+        [
+            [unit.load_page(row, col) for unit in units]
+            for t in range(t_count)
+            for row, col in _tile_addrs(layout, base, t, k_count)
+        ],
         dtype=machine.np_dtype,
-    )
-    for t in range(t_count):
-        for k in range(k_count):
-            row, col = layout.slot_addr(base + t * k_count + k)
-            for u in range(layout.units):
-                ch, index = layout.unit_coords(u)
-                pages[t, k, u] = machine.unit(ch, index).load_page(
-                    row, col
-                )
-    return pages
-
-
-def _read_grfs(
-    machine: PimExecMachine, layout: Layout, space: str, index: int
-) -> np.ndarray:
-    """AB readback of one GRF register from every unit -> (units, lanes)."""
-    values = np.empty(
-        (layout.units, layout.lanes), dtype=machine.np_dtype
-    )
-    for u in range(layout.units):
-        ch, k = layout.unit_coords(u)
-        values[u] = machine.read_grf(ch, k, space, index)
-    return values
+    ).reshape(t_count, k_count, layout.units, layout.lanes)
 
 
 def _write_unit_pages(
     machine: PimExecMachine, layout: Layout, slot: int, pages: np.ndarray
 ) -> None:
     """Host WRITE of one per-unit page array ``(units, lanes)``."""
-    row, col = layout.slot_addr(slot)
-    for u in range(layout.units):
-        ch, _ = layout.unit_coords(u)
-        machine.write_bank(ch, layout.data_bank(u), row, col, pages[u])
+    machine.write_unit_pages([layout.slot_addr(slot)], pages[None])
 
 
 def _reduce_kernel(
@@ -397,6 +362,16 @@ def _reduce_kernel(
     ]
 
 
+#: The GEMM's per-output-column microcode (column ``c`` accumulates in
+#: GRF_B ``c``): zero the accumulator, multiply-accumulate a bank page
+#: by the broadcast SRF scalar, write the accumulator back to the bank.
+_GEMM_FILL = [parse_command(f"FILL GRF_B,{c} BANK") for c in range(GRF_REGS)]
+_GEMM_MAC = [
+    parse_command(f"MAC GRF_B,{c} BANK SRF,{c}") for c in range(GRF_REGS)
+]
+_GEMM_MOV = [parse_command(f"MOV BANK GRF_B,{c}") for c in range(GRF_REGS)]
+
+
 def _run_gemm(
     machine: PimExecMachine,
     layout: Layout,
@@ -414,46 +389,25 @@ def _run_gemm(
     :func:`_ref_gemm` accumulates them.
     """
     k_count, n = b.shape
-    channels = range(machine.n_channels)
     zrow, zcol = layout.slot_addr(zero_slot)
-    for t in range(t_count):
-        for j0 in range(0, n, GRF_REGS):
-            width = min(GRF_REGS, n - j0)
-            for c in range(width):
-                fill = PimCommand(
-                    PimOpcode.FILL,
-                    dst=Operand.grf_b(c),
-                    src0=Operand.bank(),
-                )
-                for ch in channels:
-                    machine.pim_step(ch, fill, zrow, zcol)
-            for k in range(k_count):
-                arow, acol = layout.slot_addr(a_base + t * k_count + k)
+    with machine.lockstep() as step:
+        for t in range(t_count):
+            a_addrs = _tile_addrs(layout, a_base, t, k_count)
+            for j0 in range(0, n, GRF_REGS):
+                width = min(GRF_REGS, n - j0)
                 for c in range(width):
-                    for ch in channels:
-                        machine.broadcast_scalar(
-                            ch, c, float(b[k, j0 + c]), arow, acol
-                        )
-                for c in range(width):
-                    mac = PimCommand(
-                        PimOpcode.MAC,
-                        dst=Operand.grf_b(c),
-                        src0=Operand.bank(),
-                        src1=Operand.srf(c),
+                    step(_GEMM_FILL[c], zrow, zcol)
+                for k, (arow, acol) in enumerate(a_addrs):
+                    machine.broadcast_scalars(
+                        b[k, j0:j0 + width], arow, acol
                     )
-                    for ch in channels:
-                        machine.pim_step(ch, mac, arow, acol)
-            for c in range(width):
-                rrow, rcol = layout.slot_addr(
-                    result_base + t * n + j0 + c
-                )
-                mov = PimCommand(
-                    PimOpcode.MOV,
-                    dst=Operand.bank(),
-                    src0=Operand.grf_b(c),
-                )
-                for ch in channels:
-                    machine.pim_step(ch, mov, rrow, rcol)
+                    for c in range(width):
+                        step(_GEMM_MAC[c], arow, acol)
+                for c in range(width):
+                    rrow, rcol = layout.slot_addr(
+                        result_base + t * n + j0 + c
+                    )
+                    step(_GEMM_MOV[c], rrow, rcol)
 
 
 def _ref_gemm(
@@ -517,12 +471,9 @@ def _run_softmax(
         machine.load_kernel(
             _reduce_kernel(Operand.grf_b(0), c_count)
         )
-        walk = [zero_addr] + [
-            layout.slot_addr(x_base + t * c_count + s)
-            for s in range(c_count)
-        ]
+        walk = [zero_addr] + _tile_addrs(layout, x_base, t, c_count)
         machine.run_kernel(walk)
-        sums = _read_grfs(machine, layout, "grf_b", 0)
+        sums = machine.read_grfs("grf_b", 0)
         _write_unit_pages(
             machine, layout, scratch_base + t, _recip(sums)
         )
@@ -587,7 +538,6 @@ def _run_layernorm(
     inv_c = np_dtype.type(1.0) / np_dtype.type(c_count)
     eps_d = np_dtype.type(eps)
     zero_addr = layout.slot_addr(zero_slot)
-    channels = range(machine.n_channels)
     affine = [
         PimCommand(
             PimOpcode.FILL, dst=Operand.grf_b(0), src0=Operand.bank()
@@ -616,18 +566,15 @@ def _run_layernorm(
         ),
     ]
     for t in range(t_count):
-        walk = [zero_addr] + [
-            layout.slot_addr(x_base + t * c_count + s)
-            for s in range(c_count)
-        ]
+        walk = [zero_addr] + _tile_addrs(layout, x_base, t, c_count)
         machine.load_kernel(_reduce_kernel(Operand.grf_b(0), c_count))
         machine.run_kernel(walk)
-        sums = _read_grfs(machine, layout, "grf_b", 0)
+        sums = machine.read_grfs("grf_b", 0)
         machine.load_kernel(
             _reduce_kernel(Operand.grf_b(1), c_count, square=True)
         )
         machine.run_kernel(walk)
-        sumsq = _read_grfs(machine, layout, "grf_b", 1)
+        sumsq = machine.read_grfs("grf_b", 1)
         mean = sums * inv_c
         var = sumsq * inv_c - mean * mean
         invstd = _recip(np.sqrt(var + eps_d))
@@ -656,19 +603,11 @@ def _run_layernorm(
                 layout.slot_addr(scratch_base + 2 * t + 1),
             ]
         )
-        for s in range(c_count):
-            row, col = layout.slot_addr(x_base + t * c_count + s)
-            for ch in channels:
-                machine.broadcast_scalar(
-                    ch, 0, float(gamma[s]), row, col
-                )
-            for ch in channels:
-                machine.broadcast_scalar(
-                    ch, 1, float(beta[s]), row, col
-                )
-            for command in affine:
-                for ch in channels:
-                    machine.pim_step(ch, command, row, col)
+        with machine.lockstep() as step:
+            for s, (row, col) in enumerate(walk[1:]):
+                machine.broadcast_scalars((gamma[s], beta[s]), row, col)
+                for command in affine:
+                    step(command, row, col)
 
 
 def _ref_layernorm(

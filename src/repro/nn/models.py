@@ -30,7 +30,8 @@ The trace is *unrolled* (one line per dynamic PIM instruction, no
 ``JUMP``), matching the HBM-PIMulator convention, and purely
 timing-level: it carries no data payloads, so it replays through
 :meth:`PimProgram.to_requests` / :meth:`MemorySystem.replay` without a
-functional machine.
+functional machine.  :func:`transformer_layer_program` builds the same
+layer directly as program records, without the text round trip.
 """
 
 from __future__ import annotations
@@ -41,9 +42,17 @@ import typing as _t
 from ..errors import ConfigError
 from ..memsys import MemSysConfig
 from ..memsys.trace import INTERARRIVALS, arrival_times
-from ..pimexec.commands import GRF_REGS
+from ..pimexec.commands import GRF_REGS, parse_command
 from ..pimexec.machine import LANE_BITS, page_encoder
-from ..pimexec.program import PimProgram, parse_pim_program
+from ..pimexec.program import (
+    AB,
+    GPR,
+    PIM,
+    SB,
+    PimProgram,
+    ProgramRecord,
+    annotate_dependencies,
+)
 
 __all__ = [
     "TransformerLayerSpec",
@@ -96,9 +105,17 @@ class TransformerLayerSpec:
 
 
 class _TraceBuilder:
-    """Collects dialect lines; stamps request-lowering records at the end."""
+    """Builds the layer's program records; keeps dialect text on request.
 
-    def __init__(self, config: MemSysConfig, channel: int) -> None:
+    Every emitter appends one :class:`ProgramRecord` (PIM records take
+    their command from the memoized :func:`parse_command` on the same
+    text the dialect carries) and, with ``keep_text``, the line's
+    text; comments only advance the line number.
+    """
+
+    def __init__(
+        self, config: MemSysConfig, channel: int, keep_text: bool = False
+    ) -> None:
         if not 0 <= channel < config.n_channels:
             raise ConfigError(
                 f"channel {channel} out of range "
@@ -110,8 +127,10 @@ class _TraceBuilder:
         self.lanes = config.timing.page_bits // LANE_BITS
         self.ppr = config.timing.pages_per_row
         self._encode = page_encoder(config)
-        #: ``(text, lowers_to_a_request)`` per line.
-        self.lines: _t.List[_t.Tuple[str, bool]] = []
+        self.records: _t.List[ProgramRecord] = []
+        #: Dialect text per line (comments included), or ``None``.
+        self.lines: _t.Optional[_t.List[str]] = [] if keep_text else None
+        self._lineno = 0
         self._slots = 0
 
     # -- slot / address helpers ---------------------------------------
@@ -135,14 +154,22 @@ class _TraceBuilder:
         return self._encode(self.channel, bank, row, col)
 
     # -- record emitters ----------------------------------------------
+    def _next_line(self) -> int:
+        self._lineno += 1
+        return self._lineno
+
     def comment(self, text: str) -> None:
-        self.lines.append((f"# {text}", False))
+        self._next_line()
+        if self.lines is not None:
+            self.lines.append(f"# {text}")
 
     def host(self, write: bool, bank: int, slot: int) -> None:
-        op = "W" if write else "R"
-        self.lines.append(
-            (f"{op} {self.page_address(bank, slot):#010x}", True)
+        addr = self.page_address(bank, slot)
+        self.records.append(
+            ProgramRecord(self._next_line(), SB, write=write, addr=addr)
         )
+        if self.lines is not None:
+            self.lines.append(f"{'W' if write else 'R'} {addr:#010x}")
 
     def host_pages(self, write: bool, base: int, slots: int) -> None:
         """One host transaction per bank per slot of a page region."""
@@ -151,17 +178,27 @@ class _TraceBuilder:
                 self.host(write, bank, slot)
 
     def gpr(self, write: bool, index: int) -> None:
-        self.lines.append(
-            (f"{'W' if write else 'R'} GPR {index}", True)
+        self.records.append(
+            ProgramRecord(self._next_line(), GPR, write=write, index=index)
         )
+        if self.lines is not None:
+            self.lines.append(f"{'W' if write else 'R'} GPR {index}")
 
     def broadcast(self, gpr_index: int) -> None:
         """Stage + all-bank broadcast (one SRF/GRF register write)."""
         self.gpr(True, gpr_index)
-        self.lines.append(("AB W", True))
+        self.records.append(ProgramRecord(self._next_line(), AB, write=True))
+        if self.lines is not None:
+            self.lines.append("AB W")
 
     def pim(self, text: str) -> None:
-        self.lines.append((f"PIM {text}", True))
+        self.records.append(
+            ProgramRecord(
+                self._next_line(), PIM, command=parse_command(text)
+            )
+        )
+        if self.lines is not None:
+            self.lines.append(f"PIM {text}")
 
     def grf_readback(self) -> None:
         """Per-bank GRF readback, modeled as staging-register reads."""
@@ -297,73 +334,53 @@ class _TraceBuilder:
                 self.pim(f"MOV {operand} GRF,{GRF_REGS}")
 
     # -- finalization -------------------------------------------------
-    def render(
+    def finish(
         self,
         interarrival_ns: _t.Optional[float],
         interarrival: str,
         seed: int,
         start_ns: float,
-    ) -> str:
-        n_requests = sum(1 for _, lowers in self.lines if lowers)
-        stamps: _t.Optional[_t.List[float]] = None
-        if interarrival_ns is not None:
-            stamps = arrival_times(
-                n_requests,
-                interarrival_ns,
-                mode=interarrival,
-                start_ns=start_ns,
-                seed=seed,
-            ).tolist()
-        out: _t.List[str] = []
-        cursor = 0
-        for text, lowers in self.lines:
-            if lowers and stamps is not None:
-                out.append(f"{text} @{stamps[cursor]!r}")
-                cursor += 1
-            else:
-                out.append(text)
+    ) -> None:
+        """Annotate dependencies and stamp every record's issue time."""
+        annotate_dependencies(self.records)
+        if interarrival_ns is None:
+            return
+        stamps = arrival_times(
+            len(self.records),
+            interarrival_ns,
+            mode=interarrival,
+            start_ns=start_ns,
+            seed=seed,
+        ).tolist()
+        for record, when in zip(self.records, stamps):
+            record.timestamp = when
+
+    def render(self) -> str:
+        """The dialect text of the (stamped) records and comments."""
+        assert self.lines is not None
+        records = iter(self.records)
+        out = []
+        for text in self.lines:
+            if not text.startswith("#"):
+                when = next(records).timestamp
+                if when is not None:
+                    text = f"{text} @{when!r}"
+            out.append(text)
         return "\n".join(out) + "\n"
 
 
-def transformer_layer_trace(
-    spec: _t.Optional[TransformerLayerSpec] = None,
-    config: _t.Optional[MemSysConfig] = None,
+def _layer_builder(
+    spec: _t.Optional[TransformerLayerSpec],
+    config: _t.Optional[MemSysConfig],
+    keep_text: bool,
     *,
     channel: int = 0,
     interarrival_ns: _t.Optional[float] = 4.0,
     interarrival: str = "fixed",
     seed: int = 0,
     start_ns: float = 0.0,
-) -> str:
-    """Emit one transformer layer as a program-dialect trace.
-
-    Parameters
-    ----------
-    spec:
-        Layer shape (defaults: ``d_model=32, n_heads=2, seq_len=32``).
-    config:
-        Memory-system geometry the addresses are encoded against
-        (paper defaults if omitted).
-    channel:
-        Representative channel carrying the lockstep PIM stream.
-    interarrival_ns:
-        Mean issue interarrival; every request-lowering record gets an
-        ``@<ns>`` stamp.  ``None`` emits an untimestamped (line-rate)
-        trace.
-    interarrival:
-        ``"fixed"`` cadence or ``"poisson"`` bursty arrivals (seeded
-        exponential gaps) — see
-        :data:`repro.memsys.trace.INTERARRIVALS`.
-    seed:
-        Seed of the Poisson arrival process.
-    start_ns:
-        Issue time of the first record.
-
-    Returns
-    -------
-    str
-        Trace text for :func:`repro.pimexec.parse_pim_program`.
-    """
+) -> _TraceBuilder:
+    """Run the layer schedule into a stamped :class:`_TraceBuilder`."""
     spec = spec or TransformerLayerSpec()
     config = config or MemSysConfig()
     if interarrival not in INTERARRIVALS:
@@ -376,7 +393,7 @@ def transformer_layer_trace(
             f"interarrival={interarrival!r} needs interarrival_ns "
             "(the mean gap of the arrival process)"
         )
-    builder = _TraceBuilder(config, channel)
+    builder = _TraceBuilder(config, channel, keep_text)
     d, heads, seq = spec.d_model, spec.n_heads, spec.seq_len
     d_head, d_ff = spec.d_head, spec.ff_width
     rows_per_tile = builder.banks * builder.lanes
@@ -467,7 +484,59 @@ def transformer_layer_trace(
         zero_slot,
         readback=True,
     )
-    return builder.render(interarrival_ns, interarrival, seed, start_ns)
+    builder.finish(interarrival_ns, interarrival, seed, start_ns)
+    return builder
+
+
+def transformer_layer_trace(
+    spec: _t.Optional[TransformerLayerSpec] = None,
+    config: _t.Optional[MemSysConfig] = None,
+    *,
+    channel: int = 0,
+    interarrival_ns: _t.Optional[float] = 4.0,
+    interarrival: str = "fixed",
+    seed: int = 0,
+    start_ns: float = 0.0,
+) -> str:
+    """Emit one transformer layer as a program-dialect trace.
+
+    Parameters
+    ----------
+    spec:
+        Layer shape (defaults: ``d_model=32, n_heads=2, seq_len=32``).
+    config:
+        Memory-system geometry the addresses are encoded against
+        (paper defaults if omitted).
+    channel:
+        Representative channel carrying the lockstep PIM stream.
+    interarrival_ns:
+        Mean issue interarrival; every request-lowering record gets an
+        ``@<ns>`` stamp.  ``None`` emits an untimestamped (line-rate)
+        trace.
+    interarrival:
+        ``"fixed"`` cadence or ``"poisson"`` bursty arrivals (seeded
+        exponential gaps) — see
+        :data:`repro.memsys.trace.INTERARRIVALS`.
+    seed:
+        Seed of the Poisson arrival process.
+    start_ns:
+        Issue time of the first record.
+
+    Returns
+    -------
+    str
+        Trace text for :func:`repro.pimexec.parse_pim_program`.
+    """
+    return _layer_builder(
+        spec,
+        config,
+        True,
+        channel=channel,
+        interarrival_ns=interarrival_ns,
+        interarrival=interarrival,
+        seed=seed,
+        start_ns=start_ns,
+    ).render()
 
 
 def transformer_layer_program(
@@ -475,7 +544,11 @@ def transformer_layer_program(
     config: _t.Optional[MemSysConfig] = None,
     **kwargs: _t.Any,
 ) -> PimProgram:
-    """Parsed :class:`~repro.pimexec.program.PimProgram` of the trace."""
-    return parse_pim_program(
-        transformer_layer_trace(spec, config, **kwargs)
-    )
+    """The :class:`~repro.pimexec.program.PimProgram` of the trace.
+
+    Built record by record (keywords as for
+    :func:`transformer_layer_trace`), without rendering the text: the
+    records equal those :func:`~repro.pimexec.parse_pim_program` reads
+    back from it.
+    """
+    return PimProgram(_layer_builder(spec, config, False, **kwargs).records)

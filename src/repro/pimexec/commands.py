@@ -326,6 +326,20 @@ class PimCommand:
             )
 
     # ------------------------------------------------------------------
+    def __hash__(self) -> int:
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        """The field hash, computed once: compiled-step caches look a
+        command up on every dynamic instruction."""
+        return hash(
+            (
+                self.opcode, self.dst, self.src0, self.src1, self.src2,
+                self.target, self.count,
+            )
+        )
+
     def operands(self) -> _t.Iterator[Operand]:
         for operand in (self.dst, self.src0, self.src1, self.src2):
             if operand is not None:

@@ -47,7 +47,9 @@ Request vocabulary (see :class:`repro.memsys.request.Op`):
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import itertools
 import typing as _t
 
 import numpy as np
@@ -242,6 +244,10 @@ class PimExecMachine:
             CommandSequencer()
             for _ in range(self.config.n_channels)
         ]
+        #: (channel, flat bank) of each unit's port-0 bank, unit order:
+        #: the request targets of whole-machine host actions.
+        self._unit_channels = [ch for ch, _, _ in self.iter_units()]
+        self._unit_banks = [i * self.ports for _, i, _ in self.iter_units()]
         self._encode = page_encoder(self.config)
         # The accumulated request stream lives packed until someone
         # asks for request *objects* (see :attr:`requests`): closed
@@ -323,33 +329,8 @@ class PimExecMachine:
         behave exactly as before) until :meth:`reset_requests`.
         """
         if self._objects is None:
-            encode = self._encode
-            pim = Op.PIM
-            objects: _t.List[MemRequest] = []
-            for chunk in self._iter_chunks():
-                if chunk[0] == "flat":
-                    _, ops_l, ch_l, bank_l, row_l, col_l = chunk
-                    objects.extend(
-                        MemRequest(
-                            OPS_BY_CODE[op],
-                            encode(ch, bank, row, col),
-                        )
-                        for op, ch, bank, row, col in zip(
-                            ops_l, ch_l, bank_l, row_l, col_l
-                        )
-                    )
-                else:
-                    _, targets, rows_l, cols_l = chunk
-                    objects.extend(
-                        MemRequest(pim, encode(ch, 0, row, col))
-                        for row, col in zip(rows_l, cols_l)
-                        for ch in targets
-                    )
-            self._chunks = []
-            self._log = _empty_log()
-            self._count = 0
-            self._objects = objects
-        return self._objects
+            self.requests = self._packed_trace().to_requests()
+        return _t.cast(_t.List[MemRequest], self._objects)
 
     @requests.setter
     def requests(self, value: _t.List[MemRequest]) -> None:
@@ -371,18 +352,56 @@ class PimExecMachine:
         if self._log[0]:
             yield ("flat",) + self._log
 
-    def _push_block(
-        self,
-        targets: _t.Sequence[int],
-        rows: _t.List[int],
-        cols: _t.List[int],
+    def _push_step(
+        self, targets: _t.Tuple[int, ...], row: int, col: int
     ) -> None:
-        """Append one lockstep block chunk (closing the flat tail)."""
+        """Append one lockstep step: a PIM request per target channel.
+
+        Extends the last chunk when it is a block over the same
+        targets with no flat request after it; otherwise opens one.
+        """
+        if self._objects is not None:
+            for channel in targets:
+                self._emit(Op.PIM, channel, 0, row, col)
+            return
         if self._log[0]:
             self._chunks.append(("flat",) + self._log)
             self._log = _empty_log()
-        self._chunks.append(("block", tuple(targets), rows, cols))
-        self._count += len(targets) * len(rows)
+        chunks = self._chunks
+        if not (
+            chunks and chunks[-1][0] == "block" and chunks[-1][1] == targets
+        ):
+            chunks.append(("block", targets, [], []))
+        chunks[-1][2].append(row)
+        chunks[-1][3].append(col)
+        self._count += len(targets)
+
+    def _emit_many(
+        self,
+        op: Op,
+        channels: _t.Sequence[int],
+        banks: _t.Sequence[int],
+        addrs: _t.Sequence[_t.Tuple[int, int]],
+    ) -> None:
+        """One ``op`` request per ``(channel, bank)`` pair, per address.
+
+        Address-major, pair-minor: the order of a per-address loop over
+        the pairs.
+        """
+        if self._objects is not None:
+            for row, col in addrs:
+                for channel, bank in zip(channels, banks):
+                    self._emit(op, channel, bank, row, col)
+            return
+        n = len(channels)
+        ops_l, ch_l, bank_l, row_l, col_l = self._log
+        ops_l.extend([op.code] * (n * len(addrs)))
+        for row, col in addrs:
+            ch_l.extend(channels)
+            bank_l.extend(banks)
+            row_l.extend([row] * n)
+            col_l.extend([col] * n)
+        self._count += n * len(addrs)
 
     def _emit(
         self, op: Op, channel: int, flat_bank: int, row: int, col: int
@@ -518,6 +537,158 @@ class PimExecMachine:
         self._emit(Op.AB, channel, unit_index * self.ports, 0, 0)
         return value.copy()
 
+    # ------------------------------------------------------------------
+    # whole-machine host actions (every unit of every channel)
+    # ------------------------------------------------------------------
+    def write_unit_pages(
+        self,
+        addrs: _t.Sequence[_t.Tuple[int, int]],
+        pages: np.ndarray,
+    ) -> None:
+        """Host writes of one page into every unit at each address.
+
+        ``pages`` is ``(len(addrs), total_units, lanes)``, units in
+        address order; each page goes to its unit's port-0 bank (the
+        even bank of a pair in bank-group mode).  Same state and the
+        same requests, in the same order, as :meth:`write_bank` per
+        address, per unit.
+        """
+        pages = np.asarray(pages)
+        shape = (len(addrs), self.total_units, self.lanes)
+        if pages.shape != shape:
+            raise PimExecError(
+                f"unit pages must have shape {shape}, got {pages.shape}"
+            )
+        for (row, col), unit_pages in zip(addrs, pages):
+            if self._vector is not None:
+                self._vector.store_pages(
+                    row,
+                    col,
+                    unit_pages.reshape(
+                        self.n_channels, self.units_per_channel, self.lanes
+                    ),
+                )
+            else:
+                for (_, _, unit), page in zip(self.iter_units(), unit_pages):
+                    unit.store_page(row, col, page)
+        self._emit_many(
+            Op.WRITE, self._unit_channels, self._unit_banks, addrs
+        )
+
+    def read_unit_pages(
+        self, addrs: _t.Sequence[_t.Tuple[int, int]]
+    ) -> np.ndarray:
+        """Host reads of every unit's page at each address.
+
+        Returns ``(len(addrs), total_units, lanes)``; the batched
+        :meth:`read_bank` of :meth:`write_unit_pages`.
+        """
+        self._emit_many(
+            Op.READ, self._unit_channels, self._unit_banks, addrs
+        )
+        units = [unit for _, _, unit in self.iter_units()]
+        pages = [
+            self._vector.load_pages(row, col)
+            if self._vector is not None
+            else [unit.load_page(row, col) for unit in units]
+            for row, col in addrs
+        ]
+        return np.array(pages, dtype=self.np_dtype).reshape(
+            len(addrs), self.total_units, self.lanes
+        )
+
+    def read_grfs(self, space: str, index: int) -> np.ndarray:
+        """Read back one GRF register of every unit -> (units, lanes).
+
+        The batched :meth:`read_grf`, one AB request per unit.
+        """
+        if space not in ("grf_a", "grf_b") or not 0 <= index < GRF_REGS:
+            raise PimExecError(
+                f"read_grfs needs grf_a/grf_b and an index in "
+                f"[0, {GRF_REGS}), got {space!r}, {index}"
+            )
+        self._emit_many(
+            Op.AB, self._unit_channels, self._unit_banks, [(0, 0)]
+        )
+        return np.array(
+            [getattr(unit, space)[index] for _, _, unit in self.iter_units()]
+        )
+
+    def broadcast_scalars(
+        self, values: _t.Sequence[float], row: int = 0, col: int = 0
+    ) -> None:
+        """AB writes of ``SRF[i] = values[i]`` in every unit.
+
+        The batched :meth:`broadcast_scalar`: for each register in
+        turn, one AB request per channel, in channel order.
+        """
+        values = np.asarray(values)
+        n = len(values)
+        if n > SRF_REGS:
+            raise PimExecError(
+                f"{n} SRF values exceed the {SRF_REGS} registers"
+            )
+        if values.dtype != self.np_dtype:
+            with np.errstate(over="ignore"):  # saturates to inf
+                values = values.astype(self.np_dtype)
+        if self._vector is not None:
+            self._vector.srf[:, :, :n] = values
+        else:
+            for _, _, unit in self.iter_units():
+                unit.srf[:n] = values
+        self._emit_many(
+            Op.AB,
+            list(range(self.n_channels)) * n,
+            [0] * (self.n_channels * n),
+            [(row, col)],
+        )
+
+    @contextlib.contextmanager
+    def lockstep(
+        self, channels: _t.Optional[_t.Sequence[int]] = None
+    ) -> _t.Iterator[_t.Callable[[PimCommand, int, int], None]]:
+        """Host-sequenced PIM steps across channels in lockstep.
+
+        Yields ``step(command, row, col)``: execute ``command`` in every
+        unit of each channel (default: all, each listed once) at
+        ``(row, col)`` and append one PIM request per channel, in
+        channel order — what :meth:`pim_step` per channel does.  On
+        the vectorized grid a step is one cached
+        :meth:`VectorUnitArray.compiled` closure per selection (one for
+        the whole machine), the block runs under one ``np.errstate``,
+        ``commands_executed`` is added once on exit, and the requests
+        go to a lockstep block chunk.
+        """
+        targets = tuple(self._channels(channels))
+        vector = self._vector
+        if vector is None:
+
+            def step_units(command: PimCommand, row: int, col: int) -> None:
+                for channel in targets:
+                    self.pim_step(channel, command, row, col)
+
+            yield step_units
+            return
+        whole = sorted(targets) == list(range(self.n_channels))
+        sels = ((),) if whole else tuple((ch,) for ch in targets)
+        compiled = vector.compiled
+        push = self._push_step
+        n_steps = 0
+
+        def step(command: PimCommand, row: int, col: int) -> None:
+            nonlocal n_steps
+            for sel in sels:
+                compiled(command, sel)(row, col)
+            push(targets, row, col)
+            n_steps += 1
+
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                yield step
+        finally:
+            for sel in sels:
+                vector.commands_executed[sel] += n_steps
+
     def load_kernel(
         self,
         commands: _t.Sequence[PimCommand],
@@ -590,7 +761,6 @@ class PimExecMachine:
         targets = self._channels(channels)
         if (
             self._vector is not None
-            and self._objects is None
             and len(targets) > 1
             and len(set(targets)) == len(targets)
             and not isinstance(walk, _t.Mapping)
@@ -637,62 +807,28 @@ class PimExecMachine:
 
         Every channel would yield the identical dynamic-instruction
         sequence (same CRF, same walk), so one generator stands in for
-        all of them: each step executes as a single vectorized op over
-        the target channels and appends the same round-robin request
-        pattern (channel-major within each step) the generic loop
-        produces.  Sequencer counters of the non-driven channels are
-        mirrored from the driver's, even on error.
+        all of them, feeding :meth:`lockstep`, which appends the same
+        round-robin request pattern (channel-major within each step)
+        the generic loop produces.  Sequencer counters of the
+        non-driven channels are mirrored from the driver's, even on
+        error.
         """
-        assert self._vector is not None
         driver = self.sequencers[targets[0]]
-        others = [self.sequencers[ch] for ch in targets[1:]]
-        whole = len(targets) == self.n_channels
-        vector = self._vector
-        sels: _t.Tuple[_t.Tuple[int, ...], ...] = (
-            ((),) if whole else tuple((ch,) for ch in targets)
-        )
-        compiled: _t.Dict[int, _t.Tuple[_t.Callable, ...]] = {}
-        rows_l: _t.List[int] = []
-        cols_l: _t.List[int] = []
-        n_targets = len(targets)
-        executed = 0
         before_instr = driver.instructions
         before_ctl = driver.control_steps
+        executed = 0
         try:
-            # one errstate block for the whole kernel — per-op IEEE
-            # behavior (inf saturation, NaN propagation) is numpy's
-            # regardless; execute() merely silences the same warnings
-            # per instruction
-            with np.errstate(over="ignore", invalid="ignore"):
+            with self.lockstep(targets) as step:
                 for command, row, col in driver.run(walk):
-                    steps = compiled.get(id(command))
-                    if steps is None:
-                        steps = tuple(
-                            vector.compile_step(command, sel)
-                            for sel in sels
-                        )
-                        compiled[id(command)] = steps
-                    for step in steps:
-                        step(row, col)
-                    rows_l.append(row)
-                    cols_l.append(col)
-                    executed += n_targets
+                    step(command, row, col)
+                    executed += len(targets)
         finally:
-            if rows_l:
-                # commands_executed, batched: every selected unit ran
-                # every dynamic instruction
-                n_steps = len(rows_l)
-                if whole:
-                    vector.commands_executed += n_steps
-                else:
-                    for ch in targets:
-                        vector.commands_executed[ch] += n_steps
-                self._push_block(targets, rows_l, cols_l)
-            delta_instr = driver.instructions - before_instr
-            delta_ctl = driver.control_steps - before_ctl
-            for sequencer in others:
-                sequencer.instructions += delta_instr
-                sequencer.control_steps += delta_ctl
+            for channel in targets[1:]:
+                sequencer = self.sequencers[channel]
+                sequencer.instructions += driver.instructions - before_instr
+                sequencer.control_steps += (
+                    driver.control_steps - before_ctl
+                )
         return executed
 
     # ------------------------------------------------------------------
@@ -708,54 +844,79 @@ class PimExecMachine:
         Lockstep blocks expand vectorized: each recorded step fans out
         to one PIM request per target channel, channel-major within
         the step — exactly the round-robin order the generic execution
-        loop appends.
+        loop appends.  Flat and block chunks each pack in one pass and
+        interleave back into stream order through one mask, so the
+        cost does not grow with the number of chunks.
         """
-        parts: _t.Tuple[list, list, list, list, list] = (
-            [], [], [], [], [],
-        )
-        pim_code = Op.PIM.code
+        flat: _t.Tuple[list, list, list, list, list] = ([], [], [], [], [])
+        blocks = []
+        is_block, sizes = [], []
         for chunk in self._iter_chunks():
             if chunk[0] == "flat":
-                _, ops_l, ch_l, bank_l, row_l, col_l = chunk
-                parts[0].append(np.array(ops_l, dtype=np.uint8))
-                parts[1].append(np.array(ch_l, dtype=np.int64))
-                parts[2].append(np.array(bank_l, dtype=np.int64))
-                parts[3].append(np.array(row_l, dtype=np.int64))
-                parts[4].append(np.array(col_l, dtype=np.int64))
+                for column, values in zip(flat, chunk[1:]):
+                    column.extend(values)
+                sizes.append(len(chunk[1]))
             else:
-                _, targets, rows_l, cols_l = chunk
-                n_steps = len(rows_l)
-                n_t = len(targets)
-                parts[0].append(
-                    np.full(n_steps * n_t, pim_code, dtype=np.uint8)
-                )
-                parts[1].append(
-                    np.tile(np.array(targets, dtype=np.int64), n_steps)
-                )
-                parts[2].append(
-                    np.zeros(n_steps * n_t, dtype=np.int64)
-                )
-                parts[3].append(
-                    np.repeat(np.array(rows_l, dtype=np.int64), n_t)
-                )
-                parts[4].append(
-                    np.repeat(np.array(cols_l, dtype=np.int64), n_t)
-                )
-        if not parts[0]:
-            return (
-                np.empty(0, dtype=np.uint8),
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-            )
-        return (
-            np.concatenate(parts[0]),
-            np.concatenate(parts[1]),
-            np.concatenate(parts[2]),
-            np.concatenate(parts[3]),
-            np.concatenate(parts[4]),
+                blocks.append(chunk)
+                sizes.append(len(chunk[1]) * len(chunk[2]))
+            is_block.append(chunk[0] == "block")
+        columns = (
+            np.array(flat[0], dtype=np.uint8),
+            *(np.array(column, dtype=np.int64) for column in flat[1:]),
         )
+        if not blocks:
+            return columns
+        # per step: its target count and the offset of its block's
+        # targets in one concatenated table; per request: its lane
+        # (position among the step's targets)
+        n_targets = [len(chunk[1]) for chunk in blocks]
+        n_steps = [len(chunk[2]) for chunk in blocks]
+        step_nt = np.repeat(n_targets, n_steps)
+        step_first = np.repeat(np.cumsum(n_targets) - n_targets, n_steps)
+        lane = np.arange(step_nt.sum()) - np.repeat(
+            np.cumsum(step_nt) - step_nt, step_nt
+        )
+        table = np.array(
+            list(itertools.chain.from_iterable(c[1] for c in blocks)),
+            dtype=np.int64,
+        )
+        block_ch = table[np.repeat(step_first, step_nt) + lane]
+        block_rows, block_cols = (
+            np.repeat(
+                np.array(
+                    list(itertools.chain.from_iterable(c[i] for c in blocks)),
+                    dtype=np.int64,
+                ),
+                step_nt,
+            )
+            for i in (2, 3)
+        )
+        mask = np.repeat(np.array(is_block), sizes)
+        block_values = (
+            Op.PIM.code, block_ch, 0, block_rows, block_cols,
+        )
+        packed = []
+        for column, values in zip(columns, block_values):
+            out = np.empty(len(mask), dtype=column.dtype)
+            out[~mask] = column
+            out[mask] = values
+            packed.append(out)
+        return tuple(packed)  # type: ignore[return-value]
+
+    def _packed_trace(self) -> PackedTrace:
+        """The packed log with addresses encoded in one vectorized pass."""
+        op_codes, channels, banks, rows, cols = self._pack_columns()
+        per_group = self.config.banks_per_group
+        addrs = self.addr_map.encode_fields(
+            {
+                "channel": channels,
+                "bankgroup": banks // per_group,
+                "bank": banks % per_group,
+                "row": rows,
+                "column": cols,
+            }
+        )
+        return PackedTrace(op_codes, addrs)
 
     def reset_requests(self) -> None:
         """Drop the accumulated request stream (e.g. after data load)."""
@@ -787,19 +948,10 @@ class PimExecMachine:
             raise PimExecError("no requests accumulated to replay")
         trace: _t.Union[PackedTrace, _t.List[MemRequest]]
         if self._objects is None:
-            op_codes, channels, banks, rows, cols = self._pack_columns()
-            per_group = self.config.banks_per_group
-            addrs = self.addr_map.encode_fields(
-                {
-                    "channel": channels,
-                    "bankgroup": banks // per_group,
-                    "bank": banks % per_group,
-                    "row": rows,
-                    "column": cols,
-                }
+            trace = self._packed_trace()
+            counts = np.bincount(
+                trace.op_codes, minlength=len(OPS_BY_CODE)
             )
-            trace = PackedTrace(op_codes, addrs)
-            counts = np.bincount(op_codes, minlength=len(OPS_BY_CODE))
             n_pim = int(counts[Op.PIM.code])
             n_broadcast = int(counts[Op.AB.code])
             n_host = int(counts[Op.READ.code] + counts[Op.WRITE.code])

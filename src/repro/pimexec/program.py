@@ -72,6 +72,7 @@ from .machine import PimExecMachine
 __all__ = [
     "ProgramRecord",
     "PimProgram",
+    "annotate_dependencies",
     "parse_pim_program",
 ]
 
@@ -84,7 +85,7 @@ SB = "sb"
 PIM = "pim"
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class ProgramRecord:
     """One parsed trace line."""
 
@@ -321,6 +322,43 @@ class PimProgram:
         return f"<PimProgram records={len(self.records)} {self.counts()}>"
 
 
+def annotate_dependencies(records: _t.Sequence[ProgramRecord]) -> None:
+    """Set every record's :attr:`~ProgramRecord.depends_on`, in one pass.
+
+    PIM instructions follow the latest ``AB W`` / ``W CFR``; ``AB W``
+    follows the latest ``W GPR``; a read follows the latest write of
+    the same GPR index, CFR index, or MEM location.  Writes and raw
+    single-bank (``SB``) records are unconstrained.
+    """
+    last_config: _t.Optional[int] = None  # latest AB W / W CFR
+    last_gpr_any: _t.Optional[int] = None
+    last_write: _t.Dict[tuple, int] = {}
+    for index, record in enumerate(records):
+        kind = record.kind
+        if kind == PIM:
+            record.depends_on = last_config
+        elif kind == AB:
+            record.depends_on = last_gpr_any
+            last_config = index
+        elif kind == SB:
+            record.depends_on = None
+        else:
+            key = (
+                (kind, record.channel, record.bank, record.row)
+                if kind == MEM
+                else (kind, record.index)
+            )
+            if record.write:
+                record.depends_on = None
+                last_write[key] = index
+                if kind == GPR:
+                    last_gpr_any = index
+                elif kind == CFR:
+                    last_config = index
+            else:
+                record.depends_on = last_write.get(key)
+
+
 # ----------------------------------------------------------------------
 # parsing
 # ----------------------------------------------------------------------
@@ -366,11 +404,6 @@ def parse_pim_program(
         arity, malformed PIM commands), with the 1-based line number.
     """
     records: _t.List[ProgramRecord] = []
-    last_config: _t.Optional[int] = None  # latest AB W / W CFR
-    last_gpr_any: _t.Optional[int] = None
-    last_gpr: _t.Dict[int, int] = {}
-    last_cfr: _t.Dict[int, int] = {}
-    last_mem: _t.Dict[_t.Tuple[int, int, int], int] = {}
     last_time = 0.0
 
     for lineno, raw in enumerate(_source_lines(source), start=1):
@@ -399,7 +432,6 @@ def parse_pim_program(
                 )
             last_time = when
         head = tokens[0].upper()
-        index = len(records)
         if head == "PIM":
             try:
                 command = parse_command(" ".join(tokens[1:]))
@@ -407,18 +439,13 @@ def parse_pim_program(
                 raise ProgramFormatError(
                     f"trace line {lineno}: {error}"
                 ) from None
-            record = ProgramRecord(
-                lineno, PIM, command=command, depends_on=last_config
-            )
+            record = ProgramRecord(lineno, PIM, command=command)
         elif head == "AB":
             if len(tokens) != 2 or tokens[1].upper() != "W":
                 raise ProgramFormatError(
                     f"trace line {lineno}: expected 'AB W', got {raw!r}"
                 )
-            record = ProgramRecord(
-                lineno, AB, write=True, depends_on=last_gpr_any
-            )
-            last_config = index
+            record = ProgramRecord(lineno, AB, write=True)
         elif head in ("R", "W", "SB"):
             if head == "SB":
                 if len(tokens) != 3 or tokens[1].upper() not in ("R", "W"):
@@ -443,13 +470,7 @@ def parse_pim_program(
                         f"'{head} GPR INDEX', got {raw!r}"
                     )
                 idx = _int_field(rest[1], lineno, "GPR index")
-                record = ProgramRecord(
-                    lineno, GPR, write=write, index=idx,
-                    depends_on=None if write else last_gpr.get(idx),
-                )
-                if write:
-                    last_gpr[idx] = index
-                    last_gpr_any = index
+                record = ProgramRecord(lineno, GPR, write=write, index=idx)
             elif target == "CFR":
                 if len(rest) not in (2, 3):
                     raise ProgramFormatError(
@@ -463,29 +484,20 @@ def parse_pim_program(
                     else None
                 )
                 record = ProgramRecord(
-                    lineno, CFR, write=write, index=idx, data=data,
-                    depends_on=None if write else last_cfr.get(idx),
+                    lineno, CFR, write=write, index=idx, data=data
                 )
-                if write:
-                    last_cfr[idx] = index
-                    last_config = index
             elif target == "MEM":
                 if len(rest) != 4:
                     raise ProgramFormatError(
                         f"trace line {lineno}: expected "
                         f"'{head} MEM CHANNEL BANK ROW', got {raw!r}"
                     )
-                ch = _int_field(rest[1], lineno, "channel")
-                bank = _int_field(rest[2], lineno, "bank")
-                row = _int_field(rest[3], lineno, "row")
-                key = (ch, bank, row)
                 record = ProgramRecord(
                     lineno, MEM, write=write,
-                    channel=ch, bank=bank, row=row,
-                    depends_on=None if write else last_mem.get(key),
+                    channel=_int_field(rest[1], lineno, "channel"),
+                    bank=_int_field(rest[2], lineno, "bank"),
+                    row=_int_field(rest[3], lineno, "row"),
                 )
-                if write:
-                    last_mem[key] = index
             elif len(rest) == 1:
                 addr = _int_field(rest[0], lineno, "address")
                 record = ProgramRecord(
@@ -522,4 +534,5 @@ def parse_pim_program(
             "timestamp carried by other records (timestamp every "
             "request-lowering record or none)"
         )
+    annotate_dependencies(records)
     return PimProgram(records)

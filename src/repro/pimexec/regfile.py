@@ -151,8 +151,13 @@ class BankExecUnit:
         values: _t.Sequence[float],
         port: int = 0,
     ) -> None:
-        """Store one page, rounding ``values`` to the unit's dtype."""
-        page = np.asarray(values, dtype=self.np_dtype)
+        """Store one page, rounding ``values`` to the unit's dtype.
+
+        Out-of-range values saturate to ``inf`` (IEEE rounding, as in
+        :meth:`execute`), without numpy's advisory overflow warning.
+        """
+        with np.errstate(over="ignore"):
+            page = np.asarray(values, dtype=self.np_dtype)
         if page.shape != (self.lanes,):
             raise PimExecError(
                 f"{self.name}: page must have {self.lanes} lanes, got "
@@ -262,6 +267,10 @@ class BankExecUnit:
 #: ``(channel, unit)``.
 UnitSel = _t.Tuple[int, ...]
 
+#: Compiled steps one :class:`VectorUnitArray` keeps per
+#: ``(command, sel)`` (a layer's kernels use a few hundred).
+COMPILED_STEPS_MAXSIZE = 4096
+
 
 class VectorUnitArray:
     """Every execution unit of one machine, as stacked NumPy arrays.
@@ -293,6 +302,7 @@ class VectorUnitArray:
         "n_channels", "units_per_channel", "lanes", "name",
         "dtype", "np_dtype", "ports",
         "grf_a", "grf_b", "srf", "memory", "commands_executed",
+        "_compiled",
     )
 
     def __init__(
@@ -339,6 +349,9 @@ class VectorUnitArray:
             _t.Tuple[int, int, int], np.ndarray
         ] = {}
         self.commands_executed = np.zeros(grid, dtype=np.int64)
+        self._compiled: _t.Dict[
+            _t.Tuple[PimCommand, UnitSel], _t.Callable[[int, int], None]
+        ] = {}
 
     # ------------------------------------------------------------------
     # bank data array
@@ -374,7 +387,11 @@ class VectorUnitArray:
         port: int = 0,
         sel: UnitSel = (),
     ) -> None:
-        """Store the selected units' slice of one page plane."""
+        """Store the selected units' slice of one page plane.
+
+        ``values`` round to the array's dtype; out-of-range values
+        saturate to ``inf`` without numpy's advisory overflow warning.
+        """
         key = (self._port(port), int(row), int(col))
         page = self.memory.get(key)
         if page is None:
@@ -383,61 +400,16 @@ class VectorUnitArray:
                 dtype=self.np_dtype,
             )
             self.memory[key] = page
-        page[sel] = values
+        with np.errstate(over="ignore"):
+            page[sel] = values
 
     # ------------------------------------------------------------------
     # operand access
     # ------------------------------------------------------------------
-    def _coords(
-        self, operand: Operand, row: int, col: int
-    ) -> _t.Tuple[int, int, int]:
-        port = (
-            operand.unit
-            if operand.unit is not None and self.ports > 1
-            else 0
-        )
-        if operand.row is not None:
-            return operand.row, _t.cast(int, operand.col), port
-        return row, col, port
-
     def _reg_index(
         self, index: int, sel: UnitSel
     ) -> _t.Tuple[_t.Any, ...]:
         return sel + (slice(None),) * (2 - len(sel)) + (index,)
-
-    def read_operand(
-        self, operand: Operand, row: int, col: int, sel: UnitSel = ()
-    ) -> np.ndarray:
-        if operand.space == BANK:
-            r, c, port = self._coords(operand, row, col)
-            return self.load_pages(r, c, port, sel)
-        if operand.space == GRF_A:
-            return self.grf_a[self._reg_index(operand.index, sel)]
-        if operand.space == GRF_B:
-            return self.grf_b[self._reg_index(operand.index, sel)]
-        assert operand.space == SRF
-        # one scalar per unit, broadcast over lanes (a trailing
-        # length-1 axis broadcasts exactly like the scalar unit's
-        # ``np.full(lanes, ...)`` page, element for element)
-        return self.srf[self._reg_index(operand.index, sel)][..., None]
-
-    def write_operand(
-        self,
-        operand: Operand,
-        value: np.ndarray,
-        row: int,
-        col: int,
-        sel: UnitSel = (),
-    ) -> None:
-        if operand.space == BANK:
-            r, c, port = self._coords(operand, row, col)
-            self.store_pages(r, c, value, port, sel)
-        elif operand.space == GRF_A:
-            self.grf_a[self._reg_index(operand.index, sel)] = value
-        elif operand.space == GRF_B:
-            self.grf_b[self._reg_index(operand.index, sel)] = value
-        else:  # pragma: no cover - guarded by PimCommand validation
-            raise PimExecError("SRF cannot be a command destination")
 
     # ------------------------------------------------------------------
     # execution
@@ -455,45 +427,13 @@ class VectorUnitArray:
 
         Semantically identical to running
         :meth:`BankExecUnit.execute` on every selected unit — same
-        expressions, same dtype, same rounding — in one vectorized op.
+        expressions, same dtype, same rounding — in one vectorized op:
+        the cached :meth:`compile_step` closure of ``(command, sel)``.
         """
-        opcode = command.opcode
-        if command.is_control:
-            raise PimExecError(
-                f"{opcode.value} is sequencer control, not a bank "
-                "operation"
-            )
+        step = self.compiled(command, sel)
         self.commands_executed[sel] += 1
-        if opcode is PimOpcode.NOP:
-            return
-        dst = _t.cast(Operand, command.dst)
-        src0 = self.read_operand(
-            _t.cast(Operand, command.src0), row, col, sel
-        )
-        if opcode in (PimOpcode.MOV, PimOpcode.FILL):
-            self.write_operand(dst, src0.copy(), row, col, sel)
-            return
-        src1 = self.read_operand(
-            _t.cast(Operand, command.src1), row, col, sel
-        )
         with np.errstate(over="ignore", invalid="ignore"):
-            if opcode is PimOpcode.ADD:
-                result = src0 + src1
-            elif opcode is PimOpcode.MUL:
-                result = src0 * src1
-            elif opcode is PimOpcode.MAC:
-                result = (
-                    self.read_operand(dst, row, col, sel) + src0 * src1
-                )
-            else:  # MAD
-                addend = self.read_operand(
-                    command.src2 or self._MAD_DEFAULT_ADDEND,
-                    row,
-                    col,
-                    sel,
-                )
-                result = src0 * src1 + addend
-        self.write_operand(dst, result, row, col, sel)
+            step(row, col)
 
     # ------------------------------------------------------------------
     # compiled steps (the lockstep hot path)
@@ -587,18 +527,36 @@ class VectorUnitArray:
 
         return write_reg
 
+    def compiled(
+        self, command: PimCommand, sel: UnitSel = ()
+    ) -> _t.Callable[[int, int], None]:
+        """The :meth:`compile_step` closure of ``(command, sel)``, cached.
+
+        The cache is bounded like :func:`~repro.pimexec.commands.
+        parse_command`'s: when full, the oldest entry goes.  Closures
+        bind this array's register and page stores, which are mutated
+        in place and never rebound, so a cached step stays valid.
+        """
+        key = (command, sel)
+        step = self._compiled.get(key)
+        if step is None:
+            step = self.compile_step(command, sel)
+            if len(self._compiled) >= COMPILED_STEPS_MAXSIZE:
+                del self._compiled[next(iter(self._compiled))]
+            self._compiled[key] = step
+        return step
+
     def compile_step(
         self, command: PimCommand, sel: UnitSel = ()
     ) -> _t.Callable[[int, int], None]:
         """A ``(row, col)`` closure executing ``command`` over ``sel``.
 
-        Semantically :meth:`execute` minus the per-call overheads the
-        lockstep driver hoists: operand dispatch happens once at
-        compile time, the caller provides one surrounding
-        ``np.errstate`` block, and ``commands_executed`` is batched by
-        the caller (one array add for the whole kernel).  The
-        arithmetic expressions — and therefore dtype, rounding order,
-        and IEEE special-case behavior — are identical.
+        The tier's only arithmetic implementation: operand dispatch
+        happens once here, the caller provides the surrounding
+        ``np.errstate`` block and counts ``commands_executed`` (one
+        array add per kernel on the lockstep paths).  The expressions
+        are :meth:`BankExecUnit.execute`'s — same dtype, rounding
+        order, and IEEE special-case behavior.
         """
         opcode = command.opcode
         if command.is_control:
@@ -785,7 +743,8 @@ class UnitView:
                 f"{self.name}: bank port {port} out of range "
                 f"[0, {self.ports})"
             )
-        page = np.asarray(values, dtype=self.np_dtype)
+        with np.errstate(over="ignore"):  # saturates to inf
+            page = np.asarray(values, dtype=self.np_dtype)
         if page.shape != (self.lanes,):
             raise PimExecError(
                 f"{self.name}: page must have {self.lanes} lanes, got "
@@ -797,15 +756,15 @@ class UnitView:
     def read_operand(
         self, operand: Operand, row: int, col: int
     ) -> np.ndarray:
-        value = self._array.read_operand(operand, row, col, self._sel)
-        if value.shape != (self.lanes,):  # SRF scalar: fill the lanes
-            value = np.broadcast_to(value, (self.lanes,)).copy()
-        return value
+        """A copy of the operand's page (an SRF scalar fills the lanes)."""
+        value = self._array._compile_reader(operand, self._sel)(row, col)
+        return np.broadcast_to(value, (self.lanes,)).copy()
 
     def write_operand(
         self, operand: Operand, value: np.ndarray, row: int, col: int
     ) -> None:
-        self._array.write_operand(operand, value, row, col, self._sel)
+        with np.errstate(over="ignore"):  # saturates to inf
+            self._array._compile_writer(operand, self._sel)(value, row, col)
 
     def execute(
         self, command: PimCommand, row: int = 0, col: int = 0

@@ -7,6 +7,8 @@ relies on (saturation threshold, subnormal range, NaN rules, and the
 non-associativity of rounded addition).
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,37 @@ def _add(dst, src0, src1):
 
 
 class TestOverflow:
+    def test_store_page_saturates_to_inf_without_warning(self):
+        unit = _unit()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            unit.store_page(0, 0, [1e6, -1e6, 1.0, F16_MAX])
+        assert unit.load_page(0, 0).tolist() == [
+            np.inf, -np.inf, 1.0, F16_MAX,
+        ]
+
+    @pytest.mark.parametrize("unit_mode", ["scalar", "vectorized"])
+    def test_machine_host_stores_saturate_without_warning(
+        self, unit_mode
+    ):
+        machine = PimExecMachine(dtype="fp16", unit_mode=unit_mode)
+        big = np.full(machine.lanes, 1e6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            machine.unit(0, 0).store_page(0, 0, big)
+            machine.write_bank(1, 2, 0, 1, big)
+            machine.write_unit_pages(
+                [(0, 2)], np.full((1, machine.total_units, machine.lanes), 1e6)
+            )
+            machine.broadcast_scalars([1e6, -1e6])
+        pages = [
+            machine.unit(0, 0).load_page(0, 0),
+            machine.unit(1, 2).load_page(0, 1),
+            machine.read_unit_pages([(0, 2)]),
+        ]
+        assert all(np.all(page == np.inf) for page in pages)
+        assert machine.unit(1, 3).srf[:2].tolist() == [np.inf, -np.inf]
+
     def test_add_overflows_to_inf(self):
         unit = _unit()
         unit.store_page(0, 0, [60000.0, -60000.0, 1.0, F16_MAX])

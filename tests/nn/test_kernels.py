@@ -1,5 +1,7 @@
 """Transformer kernel library: bit-exactness, modes, and twins."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -153,3 +155,73 @@ class TestTwinsAndValidation:
         )
         assert comparison.correct
         assert comparison.output.shape == (128, 4)  # seq x d_model
+
+
+#: Shapes for the golden request streams: two row tiles per kernel in
+#: per-bank mode (four in bank-group mode) and a GEMM output width
+#: that is not a multiple of ``GRF_REGS``.
+GOLDEN_SHAPES = {
+    "gemm": dict(m=200, k=4, n=12),
+    "softmax": dict(m=200, c=5),
+    "layernorm": dict(m=200, c=5),
+    "attention": dict(seq_len=40, d_head=2, n_heads=2),
+    "ffn": dict(seq_len=200, d_model=4, d_ff=10),
+}
+
+#: ``(kernel, dtype, bank_groups) -> (sha256 of the packed request
+#: columns, sha256 of the sequencer counters)`` after staging and
+#: execution.  Recorded from the per-instruction execution path, so a
+#: batched host operation that reorders a single request fails here
+#: even when the scalar and vectorized unit tiers agree with each other.
+GOLDEN_STREAMS = {
+    ("gemm", "fp16", False): ("49f03b4ae0fb44b0939cd53ee37731d750cf8661b5f62fbb980e0c4d67786907", "afd04e40551ed2bf59ddcb412a630421cf0540a2e8cc03146c09c9ed0120f583"),
+    ("gemm", "fp16", True): ("002df5ea31786f81e3bb48fa0aebd3f750eeb91eccd3c9134dc463a51707b65e", "afd04e40551ed2bf59ddcb412a630421cf0540a2e8cc03146c09c9ed0120f583"),
+    ("gemm", "fp64", False): ("49f03b4ae0fb44b0939cd53ee37731d750cf8661b5f62fbb980e0c4d67786907", "afd04e40551ed2bf59ddcb412a630421cf0540a2e8cc03146c09c9ed0120f583"),
+    ("gemm", "fp64", True): ("002df5ea31786f81e3bb48fa0aebd3f750eeb91eccd3c9134dc463a51707b65e", "afd04e40551ed2bf59ddcb412a630421cf0540a2e8cc03146c09c9ed0120f583"),
+    ("softmax", "fp16", False): ("a61de3c5f6f0a789d0f35b778e9545d00481cd6aae4f6894e1689cd46361dde1", "327d2d18ffbf4c24df49fcde92be250e9025626115d537f1a7a10b2549fc769e"),
+    ("softmax", "fp16", True): ("f83fed20cf2bb958bdf5763c3acdff640d6dfdf6914e82009051afd2b78b04a0", "ae3597e982736be73e515e4d14f091fddb7b15a92b0bd121be07654fa94b5efc"),
+    ("softmax", "fp64", False): ("a61de3c5f6f0a789d0f35b778e9545d00481cd6aae4f6894e1689cd46361dde1", "327d2d18ffbf4c24df49fcde92be250e9025626115d537f1a7a10b2549fc769e"),
+    ("softmax", "fp64", True): ("f83fed20cf2bb958bdf5763c3acdff640d6dfdf6914e82009051afd2b78b04a0", "ae3597e982736be73e515e4d14f091fddb7b15a92b0bd121be07654fa94b5efc"),
+    ("layernorm", "fp16", False): ("ea27926aeea9cefb1905b058bc310b699f30fe3fa5bfca0e9be9e1a2655d9fce", "c009da4295417edb10f3476e5fe991903fcff9eb1b3e59e079113f5a63060019"),
+    ("layernorm", "fp16", True): ("2b8cc43fea134b3468b40db6bcfe1f4a7fc0a4bcc8668d99f31b979736a1cd34", "62c9167a93de0fcd2f64ace85a7d13885afb533f3ff34c9cc4132f03933404ff"),
+    ("layernorm", "fp64", False): ("ea27926aeea9cefb1905b058bc310b699f30fe3fa5bfca0e9be9e1a2655d9fce", "c009da4295417edb10f3476e5fe991903fcff9eb1b3e59e079113f5a63060019"),
+    ("layernorm", "fp64", True): ("2b8cc43fea134b3468b40db6bcfe1f4a7fc0a4bcc8668d99f31b979736a1cd34", "62c9167a93de0fcd2f64ace85a7d13885afb533f3ff34c9cc4132f03933404ff"),
+    ("attention", "fp16", False): ("cb71df07b8770b375a59f41b32574a56554fbffdbd10aad8040b3d4f8cd5d778", "4c0d74fc11da375ab60f7cead693443c9529358d6a516c4d88cf4efcfb0565e4"),
+    ("attention", "fp16", True): ("e3ff5d99004a23ba050903c7957c34851657c40cf63e90f99f09b5f8c79181d2", "4c0d74fc11da375ab60f7cead693443c9529358d6a516c4d88cf4efcfb0565e4"),
+    ("attention", "fp64", False): ("cb71df07b8770b375a59f41b32574a56554fbffdbd10aad8040b3d4f8cd5d778", "4c0d74fc11da375ab60f7cead693443c9529358d6a516c4d88cf4efcfb0565e4"),
+    ("attention", "fp64", True): ("e3ff5d99004a23ba050903c7957c34851657c40cf63e90f99f09b5f8c79181d2", "4c0d74fc11da375ab60f7cead693443c9529358d6a516c4d88cf4efcfb0565e4"),
+    ("ffn", "fp16", False): ("4ba45d50bb10e196f396221cdb5847b85699cf87b82e5da5c4c6f39441b041fc", "afd04e40551ed2bf59ddcb412a630421cf0540a2e8cc03146c09c9ed0120f583"),
+    ("ffn", "fp16", True): ("bbd3337e000853456e2f518e0fa62bdaafd192fa5870390497c2c8dd27e4d149", "afd04e40551ed2bf59ddcb412a630421cf0540a2e8cc03146c09c9ed0120f583"),
+    ("ffn", "fp64", False): ("4ba45d50bb10e196f396221cdb5847b85699cf87b82e5da5c4c6f39441b041fc", "afd04e40551ed2bf59ddcb412a630421cf0540a2e8cc03146c09c9ed0120f583"),
+    ("ffn", "fp64", True): ("bbd3337e000853456e2f518e0fa62bdaafd192fa5870390497c2c8dd27e4d149", "afd04e40551ed2bf59ddcb412a630421cf0540a2e8cc03146c09c9ed0120f583"),
+}
+
+
+class TestGoldenStreams:
+    @pytest.mark.parametrize("unit_mode", ["vectorized", "scalar"])
+    @pytest.mark.parametrize("bank_groups", [False, True])
+    @pytest.mark.parametrize("dtype", ["fp16", "fp64"])
+    @pytest.mark.parametrize("name", NN_KERNEL_NAMES)
+    def test_request_stream_matches_golden(
+        self, name, dtype, bank_groups, unit_mode
+    ):
+        kernel = build_nn_kernel(
+            name,
+            dtype=dtype,
+            bank_groups=bank_groups,
+            seed=3,
+            **GOLDEN_SHAPES[name],
+        )
+        machine = kernel.machine(unit_mode=unit_mode)
+        kernel.setup(machine)
+        kernel.execute(machine)
+        assert kernel.check(machine)
+        columns = hashlib.sha256()
+        for column in machine._pack_columns():
+            columns.update(column.tobytes())
+        counters = hashlib.sha256(
+            repr(machine.sequencer_stats()).encode()
+        )
+        assert (columns.hexdigest(), counters.hexdigest()) == (
+            GOLDEN_STREAMS[name, dtype, bank_groups]
+        )

@@ -1,5 +1,7 @@
 """Transformer-layer workload generator: grammar, arrivals, replay."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,33 @@ from repro.nn import (
     transformer_layer_program,
     transformer_layer_trace,
 )
+from repro.pimexec import parse_pim_program
 
 SPEC = TransformerLayerSpec(d_model=8, n_heads=2, seq_len=8, d_ff=16)
+WIDE = TransformerLayerSpec(d_model=16, n_heads=4, seq_len=20, d_ff=24)
+
+#: ``name -> (spec, generator keywords)`` for the pinned layer traces.
+TRACE_CASES = {
+    "fixed": (SPEC, {}),
+    "poisson": (
+        SPEC,
+        dict(interarrival_ns=3.0, interarrival="poisson", seed=7),
+    ),
+    "untimed": (SPEC, dict(interarrival_ns=None)),
+    "wide-channel1": (
+        WIDE,
+        dict(channel=1, interarrival="poisson", seed=2, start_ns=10.0),
+    ),
+}
+
+#: sha256 of each case's trace text: the emitted dialect (comments,
+#: ``GRF,8``-style operands, ``@<ns>`` stamps) stays byte-identical.
+TRACE_SHA256 = {
+    "fixed": "f30015ac36e5074e2fd07771ae3fa89c2f4a29aa35d61115a2fce216466f1826",
+    "poisson": "11accaa45fc5f9f1eaa1a1d5e8a713ee994e925cf98a5f1a4b8d135ea5d2b5b8",
+    "untimed": "57b5b00b8a8ca3f25e561d88bbff4e93fb61e9758a98d35e26a93b693b4016d6",
+    "wide-channel1": "57914037241b49aaebf77f53d0a429681a728aab8d2c9c636edebf782cdd852d",
+}
 
 
 class TestSpec:
@@ -73,6 +100,23 @@ class TestGrammar:
     def test_bad_interarrival_mode_rejected(self):
         with pytest.raises(ValueError, match="interarrival"):
             transformer_layer_trace(SPEC, interarrival="burst")
+
+
+class TestRecordsMatchText:
+    @pytest.mark.parametrize("case", sorted(TRACE_CASES))
+    def test_trace_text_is_pinned(self, case):
+        spec, kwargs = TRACE_CASES[case]
+        text = transformer_layer_trace(spec, **kwargs)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            TRACE_SHA256[case]
+        )
+
+    @pytest.mark.parametrize("case", sorted(TRACE_CASES))
+    def test_program_records_equal_the_parsed_text(self, case):
+        spec, kwargs = TRACE_CASES[case]
+        built = transformer_layer_program(spec, **kwargs)
+        parsed = parse_pim_program(transformer_layer_trace(spec, **kwargs))
+        assert built.records == parsed.records
 
 
 class TestArrivals:

@@ -10,6 +10,7 @@ from repro.pimexec import (
     PimExecError,
     PimExecMachine,
     PimOpcode,
+    parse_command,
 )
 
 
@@ -80,6 +81,126 @@ class TestHostActions:
         out[0] = -1.0
         assert machine.unit(0, 0).grf_b[0][0] == 7.0
         assert machine.requests[-1].op is Op.AB
+
+
+def _host_sequence(machine, batched):
+    """Every whole-machine host action once, batched or per unit."""
+    rng = np.random.default_rng(7)
+    addrs = [(0, 1), (2, 3)]
+    pages = rng.standard_normal(
+        (len(addrs), machine.total_units, machine.lanes)
+    )
+    units = list(machine.iter_units())
+    mac = parse_command("MAC GRF,8 BANK SRF,1")
+    if batched:
+        machine.write_unit_pages(addrs, pages)
+        machine.broadcast_scalars([0.5, -2.0], 2, 3)
+        with machine.lockstep() as step:
+            step(mac, 0, 1)
+            step(mac, 2, 3)
+        machine.broadcast_scalars([3.0], 0, 1)
+        with machine.lockstep() as step:
+            step(mac, 0, 1)
+        grfs = machine.read_grfs("grf_b", 0)
+        read = machine.read_unit_pages(addrs)
+        return grfs, read
+    for (row, col), unit_pages in zip(addrs, pages):
+        for (ch, index, _), page in zip(units, unit_pages):
+            machine.write_bank(ch, index * machine.ports, row, col, page)
+    for index, value in enumerate([0.5, -2.0]):
+        for ch in range(machine.n_channels):
+            machine.broadcast_scalar(ch, index, value, 2, 3)
+    for row, col in addrs:
+        for ch in range(machine.n_channels):
+            machine.pim_step(ch, mac, row, col)
+    for ch in range(machine.n_channels):
+        machine.broadcast_scalar(ch, 0, 3.0, 0, 1)
+    for ch in range(machine.n_channels):
+        machine.pim_step(ch, mac, 0, 1)
+    grfs = np.stack(
+        [machine.read_grf(ch, index, "grf_b", 0) for ch, index, _ in units]
+    )
+    read = np.stack(
+        [
+            [
+                machine.read_bank(ch, index * machine.ports, row, col)
+                for ch, index, _ in units
+            ]
+            for row, col in addrs
+        ]
+    )
+    return grfs, read
+
+
+class TestWholeMachineHostActions:
+    """Batched host actions equal their per-unit loops, request for
+    request, on either unit tier and in either request-log mode."""
+
+    @pytest.mark.parametrize("object_log", [False, True])
+    @pytest.mark.parametrize("bank_groups", [False, True])
+    @pytest.mark.parametrize("unit_mode", ["vectorized", "scalar"])
+    def test_batched_equals_per_unit(
+        self, unit_mode, bank_groups, object_log
+    ):
+        machines = [
+            PimExecMachine(
+                dtype="fp16", bank_groups=bank_groups, unit_mode=unit_mode
+            )
+            for _ in range(2)
+        ]
+        results = []
+        for machine, batched in zip(machines, (True, False)):
+            if object_log:
+                machine.requests  # switch the log to request objects
+            results.append(_host_sequence(machine, batched))
+        for got, want in zip(*results):
+            assert got.tobytes() == want.tobytes()
+        streams = [
+            [(r.op, r.addr) for r in machine.requests]
+            for machine in machines
+        ]
+        assert streams[0] == streams[1]
+        for (_, _, a), (_, _, b) in zip(
+            machines[0].iter_units(), machines[1].iter_units()
+        ):
+            assert a.grf_b.tobytes() == b.grf_b.tobytes()
+            assert a.srf.tobytes() == b.srf.tobytes()
+            assert a.commands_executed == b.commands_executed
+
+    def test_mixed_lockstep_blocks_pack_in_stream_order(self):
+        """Blocks over different channel subsets, split by flat
+        requests, pack exactly as the object log expands them."""
+        add = parse_command("ADD GRF,8 BANK GRF,8")
+        kernel = [add, parse_command("JUMP 0 3"), parse_command("EXIT")]
+        machines = [
+            PimExecMachine(MemSysConfig(n_channels=4)) for _ in range(2)
+        ]
+        machines[1].requests  # object log
+        for machine in machines:
+            for row, channels in enumerate(([2, 0], [1, 3, 2], [3, 1])):
+                machine.load_kernel(kernel, channels=channels)
+                machine.run_kernel(
+                    [(row, col) for col in range(4)], channels=channels
+                )
+                with machine.lockstep() as step:
+                    step(add, row, 7)
+        op, ch, bank, row, col = machines[0]._pack_columns()
+        encode = machines[0].encode
+        assert [
+            (Op.PIM if o == Op.PIM.code else Op.AB, encode(*f))
+            for o, *f in zip(op, ch, bank, row, col)
+        ] == [(r.op, r.addr) for r in machines[1].requests]
+
+    def test_shape_and_range_checks(self, machine):
+        with pytest.raises(PimExecError, match="shape"):
+            machine.write_unit_pages([(0, 0)], np.zeros((1, 2, 16)))
+        with pytest.raises(PimExecError, match="SRF"):
+            machine.broadcast_scalars([0.0] * 9)
+        with pytest.raises(PimExecError, match="grf_a/grf_b"):
+            machine.read_grfs("srf", 0)
+        with pytest.raises(PimExecError, match="sequencer control"):
+            with machine.lockstep() as step:
+                step(parse_command("EXIT"), 0, 0)
 
 
 class TestKernelExecution:
