@@ -2,21 +2,18 @@
 
 Regimes timed:
 
-* the desim **event engine** on a 100k-request streaming replay — the
-  PR-1 baseline (~50k requests/s), kept as the reference point;
-* the event-free **fast path** on a 1M-request packed streaming replay,
-  which must sustain at least 1,000,000 requests/s and at least 20x the
-  event engine (the ISSUE-2 acceptance floor; in practice it clears
-  both by a wide margin);
+* the **vectorized tier** on a 1M-request packed streaming replay,
+  which must sustain at least 1,000,000 requests/s (in practice it
+  clears that by a wide margin);
 * the same 1M streaming replay with **per-rank refresh enabled**
   (HBM2-class tREFI=3900/tRFC=350): the epoch-chunked closed form must
-  hold the same >= 1M requests/s floor (the ISSUE-4 acceptance floor);
+  hold the same >= 1M requests/s floor;
 * **FR-FCFS random traffic** through the batched-heap exact tier, and
   **FCFS random traffic** through the arrival-fixed-point vectorized
-  tier (the ISSUE-4 certificate lever);
+  tier;
 * the 1M streaming replay with **telemetry enabled** (per-request
   latency recording + phase profiling via :mod:`repro.telemetry`): the
-  lazy zero-copy recorder must cost < 5% of the telemetry-off rate,
+  zero-copy recorder must cost < 5% of the telemetry-off rate,
   and the record carries the exact queue-wait/service percentiles.
 
 Each benchmark asserts the §2.1 analytic cross-check before timing, so
@@ -37,13 +34,11 @@ import pytest
 from repro.arch.dram import macro_bandwidth_bits_per_sec
 from repro.memsys import MemSysConfig, MemorySystem, synthesize_trace
 
-N_EVENT = 100_000
 N_FAST = 1_000_000
 N_RANDOM = 200_000
-#: Acceptance floors for the fast path (ISSUE 2).
+#: Acceptance floor for the vectorized tier.
 MIN_FAST_REQUESTS_PER_SEC = 1_000_000
-MIN_SPEEDUP_OVER_EVENT = 20.0
-#: Telemetry must stay within noise of the telemetry-off rate (ISSUE 6).
+#: Telemetry must stay within noise of the telemetry-off rate.
 MAX_TELEMETRY_OVERHEAD_PCT = 5.0
 
 
@@ -58,17 +53,6 @@ def check_streaming(config, stats, n):
     assert stats.sustained_bits_per_sec == pytest.approx(
         analytic, rel=0.05
     )
-
-
-def run_event(n=N_EVENT):
-    """Replay ``n`` streaming requests through the event engine."""
-    config = streaming_config()
-    trace = synthesize_trace("sequential", n, config)
-    started = time.perf_counter()
-    stats = MemorySystem(config).replay(trace, engine="event")
-    elapsed = time.perf_counter() - started
-    check_streaming(config, stats, n)
-    return n / elapsed
 
 
 def run_fast(n=N_FAST):
@@ -136,34 +120,18 @@ def run_fast_refresh(n=N_FAST):
     return n / elapsed
 
 
-def test_bench_100k_event_replay(benchmark):
-    def run():
-        config = streaming_config()
-        trace = synthesize_trace("sequential", N_EVENT, config)
-        return config, MemorySystem(config).replay(
-            trace, engine="event"
-        )
-
-    config, stats = benchmark.pedantic(run, rounds=1, iterations=1)
-    check_streaming(config, stats, N_EVENT)
-
-
 def test_bench_1m_fastpath_replay(benchmark):
-    """The ISSUE-2 acceptance benchmark: >= 1M requests/s sustained,
-    >= 20x the event engine, on a bit-equivalent 1M-request replay."""
-    event_rate = run_event(20_000)
+    """>= 1M requests/s sustained on a 1M-request streaming replay."""
     run_fast()  # steady state: pre-fault the allocator's large pools
     fast_rate = benchmark.pedantic(run_fast, rounds=1, iterations=1)
     assert fast_rate >= MIN_FAST_REQUESTS_PER_SEC
-    assert fast_rate >= MIN_SPEEDUP_OVER_EVENT * event_rate
 
 
 def run_random(n=N_RANDOM):
     """Replay ``n`` random-traffic requests through the exact tier.
 
     Random traffic fails the fast path's closed-form certificates, so
-    this times the batched-heap exact fallback — the satellite lever
-    the ISSUE-3 perf item targets.
+    this times the batched-heap exact tier.
     """
     config = MemSysConfig()
     trace = synthesize_trace("random", n, config, seed=0, packed=True)
@@ -207,15 +175,15 @@ def test_bench_random_replay_20k(benchmark):
 
 
 def test_bench_1m_refresh_replay(benchmark):
-    """The ISSUE-4 acceptance benchmark: the fast path holds >= 1M
-    requests/s with per-rank refresh enabled on a 1M-request replay."""
+    """The vectorized tier holds >= 1M requests/s with per-rank
+    refresh enabled on a 1M-request replay."""
     run_fast_refresh()  # steady state
     rate = benchmark.pedantic(run_fast_refresh, rounds=1, iterations=1)
     assert rate >= MIN_FAST_REQUESTS_PER_SEC
 
 
 def main(argv=None) -> int:
-    """Measure both engines and optionally write a JSON record."""
+    """Measure every regime and optionally write a JSON record."""
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--json",
@@ -262,7 +230,6 @@ def main(argv=None) -> int:
     telemetry_overhead_pct = 100 * (ratios[len(ratios) // 2] - 1)
     spread_pct = 100 * (ratios[-1] - ratios[0])
     refresh_rate = max(run_fast_refresh() for _ in range(3))
-    event_rate = run_event()
     random_rate = max(run_random() for _ in range(3))
     fcfs_random_rate = max(run_fcfs_random() for _ in range(3))
     record = {
@@ -281,17 +248,13 @@ def main(argv=None) -> int:
         ),
         "latency_percentiles": percentiles,
         "refresh_requests_per_sec": round(refresh_rate),
-        "event_requests": N_EVENT,
-        "event_requests_per_sec": round(event_rate),
         "random_requests": N_RANDOM,
         "random_requests_per_sec": round(random_rate),
         "fcfs_random_requests_per_sec": round(fcfs_random_rate),
-        "speedup": round(fast_rate / event_rate, 1),
         "floor_requests_per_sec": MIN_FAST_REQUESTS_PER_SEC,
         "floor_telemetry_overhead_pct": MAX_TELEMETRY_OVERHEAD_PCT,
         "passed": bool(
             fast_rate >= MIN_FAST_REQUESTS_PER_SEC
-            and fast_rate >= MIN_SPEEDUP_OVER_EVENT * event_rate
             and refresh_rate >= MIN_FAST_REQUESTS_PER_SEC
             # a median overhead inside the run's own noise spread is
             # not a verdict — compare_bench re-measures it instead

@@ -4,11 +4,11 @@ The paper's background argues PIM's win is as much about *energy* as
 performance.  This walkthrough makes that claim observable on two
 replays:
 
-1. a **host stream** (random READ/WRITE traffic) — replayed through
-   both the event engine and the fast path to show the
-   `repro.telemetry/energy-v1` documents are **bit-identical across
-   engines** (every number is a post-replay reduction of recorder
-   arrays the engines already keep bit-identical);
+1. a **host stream** (random READ/WRITE traffic) — whose recorder
+   arrays are first checked against the timing laws
+   (`repro.memsys.check_laws`), since every number of the
+   `repro.telemetry/energy-v1` document is a post-replay reduction of
+   those arrays;
 2. a **PIM kernel stream** (`vector-sum`, all-bank lockstep) — whose
    pJ/bit sits well below the host stream's, because each all-bank
    command moves `banks x` the bits at in-bank energy.
@@ -21,9 +21,12 @@ power profile, and the figures of merit (pJ/bit, perf-per-watt) that
 Run: ``PYTHONPATH=src python examples/energy_profile.py``
 """
 
-import json
-
-from repro.memsys import MemSysConfig, MemorySystem, synthesize_trace
+from repro.memsys import (
+    MemSysConfig,
+    MemorySystem,
+    check_laws,
+    synthesize_trace,
+)
 from repro.pimexec import PimExecMachine, build_kernel
 from repro.telemetry import (
     ENERGY_CLASSES,
@@ -61,7 +64,7 @@ def print_power_profile(document):
 
 def main() -> None:
     # ------------------------------------------------------------------
-    # 1. host stream: bit-identical energy across engines
+    # 1. host stream, checked against the timing laws
     # ------------------------------------------------------------------
     config = MemSysConfig(n_channels=2, scheme="channel-interleaved")
     trace = synthesize_trace(
@@ -69,22 +72,11 @@ def main() -> None:
         write_fraction=0.25,
         interarrival_ns=6.0, interarrival="poisson",
     )
-    documents = {}
-    for engine in ("event", "fast"):
-        telemetry = ReplayTelemetry()
-        MemorySystem(config).replay(
-            trace, engine=engine, telemetry=telemetry
-        )
-        documents[engine] = profile(telemetry)
-    a, b = (
-        {k: v for k, v in documents[e].items() if k != "engine"}
-        for e in ("event", "fast")
-    )
-    print(
-        "energy documents bit-identical across engines: "
-        f"{json.dumps(a) == json.dumps(b)}"
-    )
-    host = documents["fast"]
+    telemetry = ReplayTelemetry()
+    MemorySystem(config).replay(trace, telemetry=telemetry)
+    violations = check_laws(config, telemetry.recorder.arrays)
+    print(f"timing laws hold: {not violations}")
+    host = profile(telemetry)
     print(
         f"host stream: {host['n_requests']} requests, "
         f"{host['total_pj']:.0f} pJ over {host['makespan_ns']:.0f} ns"

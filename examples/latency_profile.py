@@ -1,11 +1,11 @@
 """Per-request latency profiling with ``repro.telemetry``.
 
-Replays one random trace through both replay engines with a
-:class:`~repro.telemetry.ReplayTelemetry` attached, proves the
-recorded per-request instants bit-identical between engines, prints
-the exact queue-wait/service percentile table and the engines'
-self-profiling phase timers, and writes a Chrome-trace command
-timeline that https://ui.perfetto.dev opens directly.  See
+Replays one random trace with a
+:class:`~repro.telemetry.ReplayTelemetry` attached, checks the recorded
+per-request arrays against the timing laws
+(:func:`repro.memsys.check_laws`), prints the exact queue-wait/service
+percentile table and the replay's self-profiling phase timers, and
+writes a Chrome-trace command timeline that https://ui.perfetto.dev opens directly.  See
 ``docs/observability.md`` for the schemas.
 
 Run: ``PYTHONPATH=src python examples/latency_profile.py``
@@ -15,9 +15,12 @@ import json
 import tempfile
 import pathlib
 
-import numpy as np
-
-from repro.memsys import MemSysConfig, MemorySystem, synthesize_trace
+from repro.memsys import (
+    MemSysConfig,
+    MemorySystem,
+    check_laws,
+    synthesize_trace,
+)
 from repro.telemetry import (
     MetricsRegistry,
     ReplayTelemetry,
@@ -28,35 +31,20 @@ from repro.telemetry import (
 N = 20_000
 
 
-def replay_with_telemetry(config, trace, engine):
-    telemetry = ReplayTelemetry()
-    stats = MemorySystem(config).replay(
-        trace, engine=engine, telemetry=telemetry
-    )
-    return stats, telemetry
-
-
 def main() -> None:
     config = MemSysConfig()
     trace = synthesize_trace("random", N, config, seed=0)
 
     # ------------------------------------------------------------------
-    # 1. the same trace through both engines, instrumented
+    # 1. one instrumented replay, checked against the timing laws
     # ------------------------------------------------------------------
-    stats, fast = replay_with_telemetry(config, trace, "fast")
-    _, event = replay_with_telemetry(config, trace, "event")
+    fast = ReplayTelemetry()
+    stats = MemorySystem(config).replay(trace, telemetry=fast)
     print(f"replayed {N} random requests")
-    print(f"  fast path served by: {fast.engine}")
-    print(f"  event engine served by: {event.engine}")
-
-    identical = all(
-        np.array_equal(
-            getattr(fast.recorder, field), getattr(event.recorder, field)
-        )
-        for field in ("arrival", "start_service", "finish")
-    )
-    print(f"per-request instants bit-identical across engines: {identical}")
-    assert identical, "the cross-engine guarantee must hold"
+    print(f"  served by: {fast.engine}")
+    violations = check_laws(config, fast.recorder.arrays)
+    print(f"timing laws hold: {not violations}")
+    assert not violations, violations[:5]
 
     # ------------------------------------------------------------------
     # 2. exact latency percentiles (nearest-rank order statistics)
@@ -74,7 +62,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 3. where the simulator itself spent wall-clock time
     # ------------------------------------------------------------------
-    print("\nreplay-engine phase profile (wall-clock):")
+    print("\nreplay phase profile (wall-clock):")
     for phase, seconds in fast.profiler.phases.items():
         print(f"  {phase:14s} {1e3 * seconds:8.3f} ms")
 

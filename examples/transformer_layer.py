@@ -12,21 +12,22 @@ This walkthrough exercises the :mod:`repro.nn` stack end to end:
    — the modeled timing cost of half-bank execution;
 4. generate a full transformer-layer workload trace (LayerNorm, QKV,
    attention, FFN) with bursty Poisson arrivals in the HBM-PIMulator
-   program dialect, and replay it through *both* memory-system
-   engines, which must agree bit-for-bit.
+   program dialect, replay it, and check the replay against the
+   memory system's timing laws.
 
 Run with ``PYTHONPATH=src python examples/transformer_layer.py``.
 """
 
 import numpy as np
 
-from repro.memsys import MemorySystem, MemSysConfig
+from repro.memsys import MemorySystem, MemSysConfig, check_laws
 from repro.nn import (
     TransformerLayerSpec,
     build_nn_kernel,
     run_nn_kernel,
     transformer_layer_program,
 )
+from repro.telemetry import ReplayTelemetry
 
 # ----------------------------------------------------------------------
 # 1. an attention layer in binary16, bit-exact
@@ -75,7 +76,7 @@ print(
 )
 
 # ----------------------------------------------------------------------
-# 4. a full-layer workload trace, replayed through both engines
+# 4. a full-layer workload trace, replayed and checked against the laws
 # ----------------------------------------------------------------------
 spec = TransformerLayerSpec(d_model=16, n_heads=2, seq_len=16, d_ff=32)
 config = MemSysConfig()
@@ -87,16 +88,14 @@ print(
     f"heads={spec.n_heads} seq={spec.seq_len} d_ff={spec.ff_width} "
     f"(poisson arrivals)"
 )
-event = MemorySystem(config).replay(
-    program.to_requests(config), engine="event"
+telemetry = ReplayTelemetry(profile=False)
+stats = MemorySystem(config).replay(
+    program.to_requests(config), telemetry=telemetry
 )
-fast = MemorySystem(config).replay(
-    program.to_requests(config), engine="fast"
-)
-assert event.makespan_ns == fast.makespan_ns
-assert event.summary() == fast.summary()
+violations = check_laws(config, telemetry.recorder.arrays)
+assert not violations, violations[:5]
 print(
-    f"replay:   event and fast engines agree bit-for-bit "
-    f"(makespan {event.makespan_ns:.1f} ns, "
-    f"row-hit rate {event.row_hit_rate:.3f})"
+    f"replay:   timing laws hold: {not violations} "
+    f"(makespan {stats.makespan_ns:.1f} ns, "
+    f"row-hit rate {stats.row_hit_rate:.3f})"
 )

@@ -10,9 +10,8 @@ Commands
     Run every experiment.
 ``repro-pim replay TRACE``
     Replay a text trace file through the banked memory system and print
-    its summary statistics (engine selectable: ``event``, ``fast``, or
-    ``auto``; optional timestamped arrivals from the trace's third
-    column, refresh modeling via ``--trefi``/``--trfc``/
+    its summary statistics (optional timestamped arrivals from the
+    trace's third column, refresh modeling via ``--trefi``/``--trfc``/
     ``--refresh-granularity``).
 ``repro-pim farm TRACE [--workers N] [--mode ...] [--report FILE]``
     Replay a timestamped trace on the fault-tolerant sharded farm
@@ -45,7 +44,7 @@ verbs (``replay``/``farm``/``pimexec``/``nn``) accept ``--metrics FILE``
 percentiles), ``--timeline FILE`` (a Chrome-trace-event command timeline
 viewable in Perfetto), ``--timeseries FILE`` (a
 ``repro.telemetry/timeseries-v2`` windowed-metrics document,
-bit-identical across engines), and ``--energy FILE`` (a
+bit-identical across replay tiers), and ``--energy FILE`` (a
 ``repro.telemetry/energy-v1`` command-level energy accounting with
 pJ/bit and perf-per-watt); see ``docs/observability.md``.
 
@@ -56,9 +55,9 @@ Examples
 ``repro-pim run memsys_bandwidth``
     Replay synthetic traces through the banked :mod:`repro.memsys`
     simulator and cross-validate against the analytic DRAM model.
-``repro-pim replay app.trace --engine fast --scheme channel-interleaved``
+``repro-pim replay app.trace --scheme channel-interleaved``
     Replay a million-request trace in well under a second through the
-    event-free fast path.
+    vectorized tier.
 ``repro-pim pimexec --kernel gemv --n 128``
     Run the GEMV microkernel on the per-bank execution units and report
     the host-vs-PIM execution times.
@@ -236,10 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
         "running built-in kernels",
     )
     pimexec_p.add_argument(
-        "--engine", choices=("event", "fast", "auto"), default="auto",
-        help="replay engine (default: auto)",
-    )
-    pimexec_p.add_argument(
         "--seed", type=int, default=0, help="kernel data RNG seed"
     )
     _add_telemetry_flags(pimexec_p)
@@ -265,10 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     nn_p.add_argument(
         "--bank-groups", action="store_true",
         help="half-bank execution: one unit per even/odd bank pair",
-    )
-    nn_p.add_argument(
-        "--engine", choices=("event", "fast", "auto"), default="auto",
-        help="replay engine (default: auto)",
     )
     nn_p.add_argument(
         "--seed", type=int, default=0, help="kernel data RNG seed"
@@ -314,11 +305,6 @@ def _add_memsys_flags(parser: argparse.ArgumentParser) -> None:
         "trace", type=pathlib.Path, metavar="TRACE",
         help="trace file (OP ADDRESS [TIMESTAMP_NS] per line; see "
         "docs/trace-formats.md)",
-    )
-    parser.add_argument(
-        "--engine", choices=("event", "fast", "auto"), default="auto",
-        help="replay engine (default: auto — the fast path unless "
-        "per-event observation is requested)",
     )
     parser.add_argument(
         "--scheme", default="row-major",
@@ -425,26 +411,39 @@ def _write_telemetry(
             f"timeline: wrote {args.timeline} "
             f"({len(document['traceEvents'])} events)"
         )
-    if getattr(args, "timeseries", None) is not None:
-        from .telemetry import build_timeseries
+    _write_documents(args, telemetry)
 
-        document = build_timeseries(telemetry)
+
+def _write_documents(
+    args: argparse.Namespace,
+    telemetry: _t.Any,
+    timeseries: _t.Optional[dict] = None,
+    energy: _t.Optional[dict] = None,
+) -> None:
+    """Write the ``--timeseries``/``--energy`` files, building each
+    document from ``telemetry`` unless the caller already has it."""
+    if getattr(args, "timeseries", None) is not None:
+        if timeseries is None:
+            from .telemetry import build_timeseries
+
+            timeseries = build_timeseries(telemetry)
         args.timeseries.parent.mkdir(parents=True, exist_ok=True)
-        args.timeseries.write_text(json.dumps(document) + "\n")
+        args.timeseries.write_text(json.dumps(timeseries) + "\n")
         print(
             f"timeseries: wrote {args.timeseries} "
-            f"({document['n_windows']} windows)"
+            f"({timeseries['n_windows']} windows)"
         )
     if getattr(args, "energy", None) is not None:
-        from .telemetry import build_energy
+        if energy is None:
+            from .telemetry import build_energy
 
-        document = build_energy(telemetry)
+            energy = build_energy(telemetry)
         args.energy.parent.mkdir(parents=True, exist_ok=True)
-        args.energy.write_text(json.dumps(document) + "\n")
+        args.energy.write_text(json.dumps(energy) + "\n")
         print(
             f"energy:   wrote {args.energy} "
-            f"({document['total_pj']:.6g} pJ, "
-            f"{document['pj_per_bit']:.6g} pJ/bit)"
+            f"({energy['total_pj']:.6g} pJ, "
+            f"{energy['pj_per_bit']:.6g} pJ/bit)"
         )
 
 
@@ -480,56 +479,119 @@ def _memsys_config_and_trace(
 _BAD_INPUT = (ValueError, RuntimeError, OSError, UnicodeDecodeError)
 
 
-def _replay_command(args: argparse.Namespace) -> int:
-    """Replay a trace file and print the summary statistics."""
+class _Replayed(_t.NamedTuple):
+    """One trace replay of the ``replay``/``farm``/``report`` verbs."""
+
+    config: _t.Any
+    stats: _t.Any
+    farm_report: _t.Optional[_t.Any]
+    tier: str
+    elapsed_s: float
+
+
+#: Each trace verb's bad-input message prefix.
+_FAILED = {"replay": "replay", "farm": "farm replay", "report": "report"}
+
+
+def _farm_config(args: argparse.Namespace) -> _t.Optional[_t.Any]:
+    """The farm a trace verb replays on: the ``farm`` verb's full
+    policy, the default policy for ``--workers N``, else ``None``."""
+    from .farm import FarmConfig
+
+    if args.command == "farm":
+        return FarmConfig(
+            workers=args.workers,
+            mode=args.mode,
+            max_shards=args.max_shards,
+            max_retries=args.max_retries,
+            deadline_s=args.deadline,
+            heartbeat_timeout_s=args.heartbeat_timeout,
+            seed=args.farm_seed,
+        )
+    if args.workers:
+        return FarmConfig(workers=args.workers)
+    return None
+
+
+def _replay_trace(
+    args: argparse.Namespace, telemetry: _t.Optional[_t.Any]
+) -> _t.Optional[_Replayed]:
+    """Load ``args.trace`` and replay it once: on the farm when the verb
+    asks for one (:func:`_farm_config`), in one process otherwise.
+    Returns ``None`` after printing why the input was bad."""
     import time
 
+    from .farm import replay_farm
     from .memsys import MemorySystem
 
     if not args.trace.exists():
         print(f"no such trace file: {args.trace}", file=sys.stderr)
-        return 2
+        return None
     try:
         config, trace = _memsys_config_and_trace(args)
         if len(trace) == 0:
             print(f"empty trace: {args.trace}", file=sys.stderr)
-            return 2
-        telemetry = _make_telemetry(args)
-        if args.workers:
-            from .farm import FarmConfig, replay_farm
-
-            farm = FarmConfig(workers=args.workers, engine=args.engine)
-            started = time.perf_counter()
-            result = replay_farm(
-                trace, config, farm, telemetry=telemetry
-            )
-            elapsed = time.perf_counter() - started
-            stats = result.stats
+            return None
+        farm = _farm_config(args)
+        started = time.perf_counter()
+        if farm is None:
             system = MemorySystem(config)
-            engine_label = (
-                "farm"
-                if not result.report.fell_back_to_single
-                else "farm (single-process fallback)"
-            )
+            stats = system.replay(trace, telemetry=telemetry)
+            farm_report, tier = None, str(system.last_replay_engine)
         else:
-            system = MemorySystem(config)
-            started = time.perf_counter()
-            stats = system.replay(
-                trace, engine=args.engine, telemetry=telemetry
+            result = replay_farm(trace, config, farm, telemetry=telemetry)
+            stats, farm_report = result.stats, result.report
+            tier = (
+                "farm (single-process fallback)"
+                if farm_report.fell_back_to_single
+                else "farm"
             )
-            elapsed = time.perf_counter() - started
-            engine_label = str(system.last_replay_engine)
+        elapsed = time.perf_counter() - started
     except _BAD_INPUT as error:
-        print(f"replay failed: {error}", file=sys.stderr)
-        return 2
-    print(f"trace:    {args.trace} ({stats.n_requests} requests)")
-    print(f"system:   {system!r}")
-    print(
-        f"engine:   {engine_label} "
-        f"({stats.n_requests / elapsed:,.0f} requests/s wall-clock)"
+        print(f"{_FAILED[args.command]} failed: {error}", file=sys.stderr)
+        return None
+    return _Replayed(config, stats, farm_report, tier, elapsed)
+
+
+def _replay_metrics(
+    args: argparse.Namespace, replayed: _Replayed, telemetry: _t.Any
+) -> _t.Any:
+    """The memsys (and farm) metrics registry of one trace replay."""
+    from .telemetry import MetricsRegistry, farm_metrics, memsys_metrics
+
+    registry = MetricsRegistry(
+        source=f"repro-pim {args.command} {args.trace}"
     )
-    if args.workers:
-        report = result.report
+    memsys_metrics(
+        registry=registry,
+        stats=replayed.stats,
+        telemetry=telemetry,
+        scheme=args.scheme,
+        policy=args.policy,
+    )
+    if replayed.farm_report is not None:
+        farm_metrics(replayed.farm_report, registry)
+    return registry
+
+
+def _replay_command(args: argparse.Namespace) -> int:
+    """Replay a trace file and print the summary statistics."""
+    from .memsys import MemorySystem
+
+    telemetry = _make_telemetry(args)
+    replayed = _replay_trace(args, telemetry)
+    if replayed is None:
+        return 2
+    stats = replayed.stats
+    print(f"trace:    {args.trace} ({stats.n_requests} requests)")
+    print(f"system:   {MemorySystem(replayed.config)!r}")
+    print(
+        f"engine:   {replayed.tier} "
+        f"({stats.n_requests / replayed.elapsed_s:,.0f} requests/s "
+        "wall-clock)"
+    )
+    report = replayed.farm_report
+    if report is not None:
         print(
             f"farm:     {report.n_shards} shard(s), "
             f"{report.workers} worker(s), {report.attempts} "
@@ -537,69 +599,30 @@ def _replay_command(args: argparse.Namespace) -> int:
         )
     for key, value in stats.summary().items():
         print(f"{key:22s} {value:.6g}")
-    if telemetry is not None:
-        registry = None
-        if args.metrics is not None:
-            from .telemetry import MetricsRegistry, memsys_metrics
-
-            registry = MetricsRegistry(
-                source=f"repro-pim replay {args.trace}"
-            )
-            memsys_metrics(
-                registry=registry,
-                stats=stats,
-                telemetry=telemetry,
-                scheme=args.scheme,
-                policy=args.policy,
-            )
-            if args.workers:
-                from .telemetry import farm_metrics
-
-                farm_metrics(result.report, registry)
-        _write_telemetry(
-            args, telemetry, registry,
-            scheme=args.scheme, policy=args.policy,
-        )
+    registry = (
+        _replay_metrics(args, replayed, telemetry) if args.metrics else None
+    )
+    _write_telemetry(
+        args, telemetry, registry, scheme=args.scheme, policy=args.policy
+    )
     return 0
 
 
 def _farm_command(args: argparse.Namespace) -> int:
     """Replay on the sharded farm; print the fault ledger."""
-    import time
+    from .telemetry import replay_tier
 
-    if not args.trace.exists():
-        print(f"no such trace file: {args.trace}", file=sys.stderr)
+    telemetry = _make_telemetry(args)
+    replayed = _replay_trace(args, telemetry)
+    if replayed is None:
         return 2
-    try:
-        from .farm import FarmConfig, replay_farm
-
-        config, trace = _memsys_config_and_trace(args)
-        if len(trace) == 0:
-            print(f"empty trace: {args.trace}", file=sys.stderr)
-            return 2
-        farm = FarmConfig(
-            workers=args.workers,
-            mode=args.mode,
-            engine=args.engine,
-            max_shards=args.max_shards,
-            max_retries=args.max_retries,
-            deadline_s=args.deadline,
-            heartbeat_timeout_s=args.heartbeat_timeout,
-            seed=args.farm_seed,
-        )
-        telemetry = _make_telemetry(args)
-        started = time.perf_counter()
-        result = replay_farm(trace, config, farm, telemetry=telemetry)
-        elapsed = time.perf_counter() - started
-    except _BAD_INPUT as error:
-        print(f"farm replay failed: {error}", file=sys.stderr)
-        return 2
-    stats, report = result.stats, result.report
+    stats, report = replayed.stats, replayed.farm_report
     print(f"trace:    {args.trace} ({stats.n_requests} requests)")
     print(
         f"farm:     mode={report.mode} workers={report.workers} "
         f"shards={report.n_shards} "
-        f"({stats.n_requests / elapsed:,.0f} requests/s wall-clock)"
+        f"({stats.n_requests / replayed.elapsed_s:,.0f} requests/s "
+        "wall-clock)"
     )
     print(
         f"ledger:   attempts={report.attempts} "
@@ -610,8 +633,6 @@ def _farm_command(args: argparse.Namespace) -> int:
     )
     if report.fell_back_to_single:
         print(f"fallback: {report.fallback_reason}")
-    from .telemetry import replay_tier
-
     tiers = sorted(
         {replay_tier(shard.engine) or "unknown" for shard in report.shards}
     )
@@ -633,79 +654,32 @@ def _farm_command(args: argparse.Namespace) -> int:
             json.dumps(report.to_dict(), indent=2) + "\n"
         )
         print(f"report:   wrote {args.report}")
-    if telemetry is not None:
-        registry = None
-        if args.metrics is not None:
-            from .telemetry import (
-                MetricsRegistry,
-                farm_metrics,
-                memsys_metrics,
-            )
-
-            registry = MetricsRegistry(
-                source=f"repro-pim farm {args.trace}"
-            )
-            memsys_metrics(
-                registry=registry,
-                stats=stats,
-                telemetry=telemetry,
-                scheme=args.scheme,
-                policy=args.policy,
-            )
-            farm_metrics(report, registry)
-        _write_telemetry(
-            args, telemetry, registry,
-            scheme=args.scheme, policy=args.policy,
-        )
+    registry = (
+        _replay_metrics(args, replayed, telemetry) if args.metrics else None
+    )
+    _write_telemetry(
+        args, telemetry, registry, scheme=args.scheme, policy=args.policy
+    )
     return 0
 
 
 def _report_command(args: argparse.Namespace) -> int:
     """Replay once; render the unified run report."""
-    from .memsys import MemorySystem
     from .telemetry import (
-        MetricsRegistry,
         ReplayTelemetry,
         build_energy,
         build_report,
         build_timeseries,
-        farm_metrics,
-        memsys_metrics,
         render_report,
         write_report,
     )
 
-    if not args.trace.exists():
-        print(f"no such trace file: {args.trace}", file=sys.stderr)
+    telemetry = ReplayTelemetry()
+    replayed = _replay_trace(args, telemetry)
+    if replayed is None:
         return 2
     try:
-        config, trace = _memsys_config_and_trace(args)
-        if len(trace) == 0:
-            print(f"empty trace: {args.trace}", file=sys.stderr)
-            return 2
-        telemetry = ReplayTelemetry()
-        farm_report = None
-        if args.workers:
-            from .farm import FarmConfig, replay_farm
-
-            farm = FarmConfig(workers=args.workers, engine=args.engine)
-            result = replay_farm(trace, config, farm, telemetry=telemetry)
-            stats, farm_report = result.stats, result.report
-        else:
-            stats = MemorySystem(config).replay(
-                trace, engine=args.engine, telemetry=telemetry
-            )
-        source = f"repro-pim report {args.trace}"
-        registry = MetricsRegistry(source=source)
-        memsys_metrics(
-            registry=registry,
-            stats=stats,
-            telemetry=telemetry,
-            scheme=args.scheme,
-            policy=args.policy,
-        )
-        if farm_report is not None:
-            farm_metrics(farm_report, registry)
+        registry = _replay_metrics(args, replayed, telemetry)
         telemetry.metrics_into(
             registry, scheme=args.scheme, policy=args.policy
         )
@@ -715,8 +689,8 @@ def _report_command(args: argparse.Namespace) -> int:
             telemetry,
             registry=registry,
             timeseries=timeseries,
-            farm_report=farm_report,
-            source=source,
+            farm_report=replayed.farm_report,
+            source=registry.source,
             energy=energy,
         )
     except _BAD_INPUT as error:
@@ -726,21 +700,7 @@ def _report_command(args: argparse.Namespace) -> int:
     if args.json is not None:
         write_report(document, args.json)
         print(f"report:   wrote {args.json}")
-    if args.timeseries is not None:
-        args.timeseries.parent.mkdir(parents=True, exist_ok=True)
-        args.timeseries.write_text(json.dumps(timeseries) + "\n")
-        print(
-            f"timeseries: wrote {args.timeseries} "
-            f"({timeseries['n_windows']} windows)"
-        )
-    if args.energy is not None:
-        args.energy.parent.mkdir(parents=True, exist_ok=True)
-        args.energy.write_text(json.dumps(energy) + "\n")
-        print(
-            f"energy:   wrote {args.energy} "
-            f"({energy['total_pj']:.6g} pJ, "
-            f"{energy['pj_per_bit']:.6g} pJ/bit)"
-        )
+    _write_documents(args, telemetry, timeseries, energy)
     return 0
 
 
@@ -763,9 +723,7 @@ def _pimexec_command(args: argparse.Namespace) -> int:
             machine = PimExecMachine()
             program.execute(machine)
             telemetry = _make_telemetry(args)
-            result = machine.replay(
-                engine=args.engine, telemetry=telemetry
-            )
+            result = machine.replay(telemetry=telemetry)
         except _BAD_INPUT as error:
             print(f"pimexec replay failed: {error}", file=sys.stderr)
             return 2
@@ -826,9 +784,7 @@ def _pimexec_command(args: argparse.Namespace) -> int:
         try:
             kernel = build_kernel(name, seed=args.seed, **kwargs)
             telemetry = _make_telemetry(args)
-            comparison = compare_host_pim(
-                kernel, engine=args.engine, telemetry=telemetry
-            )
+            comparison = compare_host_pim(kernel, telemetry=telemetry)
         except (ValueError, RuntimeError) as error:
             print(f"pimexec {name} failed: {error}", file=sys.stderr)
             return 2
@@ -963,9 +919,7 @@ def _nn_command(args: argparse.Namespace) -> int:
                 seed=args.seed,
             )
             telemetry = _make_telemetry(args)
-            comparison = run_nn_kernel(
-                kernel, engine=args.engine, telemetry=telemetry
-            )
+            comparison = run_nn_kernel(kernel, telemetry=telemetry)
         except (ValueError, RuntimeError) as error:
             print(f"nn {name} failed: {error}", file=sys.stderr)
             return 2

@@ -103,9 +103,9 @@ class Simulator:
 
         Unlike ``timeout(when - now)``, the event fires at exactly the
         float ``when`` — ``now + (when - now)`` can differ from ``when``
-        in the last ulps, which matters to models (like the memory
-        system's timestamped trace injector) that must reproduce trace
-        timestamps bit-for-bit across replay engines.
+        in the last ulps, which matters to models that must reproduce
+        trace timestamps bit-for-bit (like the tests' event-calendar
+        replay of the memory system).
 
         Raises
         ------

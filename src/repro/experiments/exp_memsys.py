@@ -22,19 +22,17 @@ closed forms of :mod:`repro.arch.dram`:
 * timestamped traces replay at their recorded arrival rate: a trace
   slower than the channel's service rate sustains exactly its offered
   load instead of the saturation bandwidth;
-* the event-free fast-path replay engine
-  (:mod:`repro.memsys.fastpath`) reproduces the event engine's
-  statistics on the same traces — including refresh-fenced and
-  timestamped replays — the cross-check that lets every other sweep
-  here run on the fast path;
+* every replay tier obeys the timing laws of :mod:`repro.memsys.laws`
+  — service times, row outcomes, refresh blackouts, and the scheduling
+  order, re-derived from the recorded arrays without the simulator
+  code — on streaming, random, refresh-fenced and timestamped traces;
 * per-request latency *distributions* (via :mod:`repro.telemetry`):
   exact queue-wait and service-time percentiles per scheme x policy on
   line-rate random traffic, showing that queueing — not service —
   dominates latency at saturation.
 
-The sweeps themselves replay through ``engine="auto"`` (the fast path),
-which is what makes the full-size grids cheap; the equivalence section
-replays a sample of traces through *both* engines and asserts agreement.
+The sweeps replay through the vectorized tier wherever its
+certificates hold, which is what makes the full-size grids cheap.
 """
 
 from __future__ import annotations
@@ -301,11 +299,13 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     paced_err = abs(paced.sustained_bits_per_sec - offered) / offered
 
     # ------------------------------------------------------------------
-    # 7. engine cross-validation: event vs. fast path on shared traces
+    # 7. timing laws, checked on the recorded arrays of each tier
     # ------------------------------------------------------------------
-    engine_rows = []
-    engines_agree = True
-    eq_n = min(n, 5_000)  # the event engine is the slow side here
+    from ..memsys import check_laws
+    from ..telemetry import ReplayTelemetry
+
+    law_rows = []
+    laws_hold = True
     eq_cases = [
         (pattern, MemSysConfig(scheme="channel-interleaved"), {})
         for pattern in ("sequential", "strided", "random")
@@ -343,57 +343,29 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     for pattern, eq_config, synth_kwargs in eq_cases:
         eq_trace = synthesize_trace(
             pattern.split("+", 1)[0],
-            eq_n,
+            n,
             eq_config,
             seed=config.seed,
             **synth_kwargs,
         )
-        event_stats = MemorySystem(eq_config).replay(
-            _fresh(eq_trace), engine="event"
-        )
-        fast_system = MemorySystem(eq_config)
-        fast_stats = fast_system.replay(
-            _fresh(eq_trace), engine="fast"
-        )
-        event_summary = event_stats.summary()
-        fast_summary = fast_stats.summary()
-        deviation = max(
-            (
-                abs(fast_summary[key] - value)
-                / (abs(value) if value else 1.0)
-                for key, value in event_summary.items()
-            ),
-            default=0.0,
-        )
-        counters_equal = (
-            fast_stats.n_requests == event_stats.n_requests
-            and fast_stats.total_bits == event_stats.total_bits
-            and fast_stats.row_hits == event_stats.row_hits
-            and fast_stats.row_misses == event_stats.row_misses
-            and fast_stats.row_conflicts == event_stats.row_conflicts
-        )
-        engines_agree = (
-            engines_agree and counters_equal and deviation < 1e-9
-        )
-        engine_rows.append(
+        telemetry = ReplayTelemetry(profile=False)
+        system = MemorySystem(eq_config)
+        stats = system.replay(eq_trace, telemetry=telemetry)
+        violations = check_laws(eq_config, telemetry.recorder.arrays)
+        laws_hold = laws_hold and not violations
+        law_rows.append(
             {
                 "pattern": pattern,
-                "fast_tier": fast_system.last_replay_engine,
-                "event_gbit_per_s": (
-                    event_stats.sustained_bits_per_sec / 1e9
-                ),
-                "fast_gbit_per_s": (
-                    fast_stats.sustained_bits_per_sec / 1e9
-                ),
-                "max_rel_deviation": deviation,
+                "tier": system.last_replay_engine,
+                "gbit_per_s": stats.sustained_bits_per_sec / 1e9,
+                "violations": len(violations),
+                "laws_hold": not violations,
             }
         )
 
     # ------------------------------------------------------------------
     # 8. per-request latency distributions (repro.telemetry)
     # ------------------------------------------------------------------
-    from ..telemetry import ReplayTelemetry
-
     latency_rows = []
     latency_ordered = True
     queue_dominates = True
@@ -533,7 +505,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         "timestamped trace sustains its offered load within 5%": (
             paced_err < 0.05
         ),
-        "fast-path engine matches event-engine stats": engines_agree,
+        "every replay obeys the timing laws": laws_hold,
         "latency percentiles are ordered (p50<=p95<=p99<=max)": (
             latency_ordered
         ),
@@ -555,7 +527,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
             "pim_mode": pim_rows,
             "refresh_overhead": refresh_rows,
             "timestamped_arrivals": paced_rows,
-            "engine_equivalence": engine_rows,
+            "timing_laws": law_rows,
             "latency_distributions": latency_rows,
             "farm_equivalence": farm_rows,
         },
@@ -579,9 +551,9 @@ def run(config: ExperimentConfig) -> ExperimentResult:
             f"timestamped trace at {interarrival:g} ns spacing "
             f"sustains {paced.sustained_bits_per_sec / 1e9:.1f} Gbit/s "
             f"(offered {offered / 1e9:.1f} Gbit/s)",
-            "fast-path replay engine "
-            + ("matches" if engines_agree else "DIVERGES from")
-            + " the event engine on every cross-checked trace",
+            "replays "
+            + ("obey" if laws_hold else "BREAK")
+            + " the timing laws on every checked trace",
             "sharded replay farm "
             + ("is" if farm_exact else "is NOT")
             + " bit-identical to single-process replay, with and "

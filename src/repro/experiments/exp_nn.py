@@ -16,8 +16,8 @@ machine and closes four loops:
   produce bit-identical results while costing measurably more all-bank
   column accesses (the modeled timing difference);
 * **workload traces** — a generated transformer-layer program trace
-  (fixed-cadence and Poisson arrivals) must replay with bit-identical
-  statistics through the event engine and the fast path;
+  (fixed-cadence and Poisson arrivals) must replay obeying the timing
+  laws of :mod:`repro.memsys.laws`;
 * **energy crossover** — command-level
   :mod:`repro.telemetry.energy` accounting of every kernel and its
   host-only twin must flip host-vs-PIM *energy* advantage exactly
@@ -32,7 +32,7 @@ import typing as _t
 
 import numpy as np
 
-from ..memsys import MemorySystem, MemSysConfig
+from ..memsys import MemorySystem, MemSysConfig, check_laws
 from ..nn import (
     NN_KERNEL_NAMES,
     NnKernel,
@@ -222,7 +222,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         )
 
     # ------------------------------------------------------------------
-    # 4. transformer-layer trace through both engines
+    # 4. transformer-layer trace, checked against the timing laws
     # ------------------------------------------------------------------
     spec = (
         TransformerLayerSpec(
@@ -234,7 +234,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         )
     )
     trace_rows = []
-    engines_identical = True
+    laws_hold = True
     for mode in ("fixed", "poisson"):
         program = transformer_layer_program(
             spec,
@@ -244,25 +244,20 @@ def run(config: ExperimentConfig) -> ExperimentResult:
             seed=config.seed,
         )
         requests = program.to_requests(sys_config)
-        event = MemorySystem(sys_config).replay(
-            program.to_requests(sys_config), engine="event"
+        telemetry = ReplayTelemetry(profile=False)
+        stats = MemorySystem(sys_config).replay(
+            requests, telemetry=telemetry
         )
-        fast = MemorySystem(sys_config).replay(
-            requests, engine="fast"
-        )
-        identical = (
-            event.makespan_ns == fast.makespan_ns
-            and event.summary() == fast.summary()
-        )
-        engines_identical = engines_identical and identical
+        violations = check_laws(sys_config, telemetry.recorder.arrays)
+        laws_hold = laws_hold and not violations
         trace_rows.append(
             {
                 "arrivals": mode,
                 "records": len(program),
                 "requests": len(requests),
-                "makespan_ns": event.makespan_ns,
-                "row_hit_rate": event.row_hit_rate,
-                "engines_bit_identical": identical,
+                "makespan_ns": stats.makespan_ns,
+                "row_hit_rate": stats.row_hit_rate,
+                "laws_hold": not violations,
             }
         )
 
@@ -307,8 +302,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
             any(s > 1.0 for s in speedups)
             and any(s < 1.0 for s in speedups)
         ),
-        "transformer trace replays identically through both "
-        "engines": engines_identical,
+        "transformer trace replays obey the timing laws": laws_hold,
         "the energy crossover flips with the time crossover on "
         "every kernel": energy_tracks_time,
     }
@@ -338,7 +332,8 @@ def run(config: ExperimentConfig) -> ExperimentResult:
             f"{group_rows[0]['slowdown']:.2f}x the GEMM makespan "
             "(half the units need twice the column accesses)",
             f"transformer trace ({trace_rows[0]['records']} records) "
-            "replays bit-identically through event and fast engines",
+            + ("obeys" if laws_hold else "BREAKS")
+            + " the timing laws",
             "energy crossover tracks the time crossover: "
             f"gemv-shaped GEMM saves "
             f"{energy_rows[-1]['energy_ratio']:.2f}x energy in-bank",

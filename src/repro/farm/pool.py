@@ -97,8 +97,10 @@ class FarmConfig:
         ``"auto"`` (processes when multiprocessing is usable and more
         than one shard/worker exists).
     engine:
-        Replay engine each worker uses (see
-        :data:`repro.memsys.ENGINES`).
+        Passed to each worker's :meth:`MemorySystem.replay
+        <repro.memsys.MemorySystem.replay>` (see
+        :data:`repro.memsys.ENGINES`; every value runs the one replay
+        path).
     max_shards:
         Optional cap on shard count (channels fold round-robin).
     max_retries:

@@ -18,15 +18,18 @@ buffer — at the request level:
 * :mod:`~repro.memsys.request` — host read/write, PIM all-bank, and AB
   register-broadcast request records;
 * :mod:`~repro.memsys.controller` — per-channel request queues with FCFS
-  and FR-FCFS scheduling, running as :mod:`repro.desim` processes;
+  and FR-FCFS scheduling;
 * :mod:`~repro.memsys.system` — the top-level :class:`MemorySystem`
-  replaying traces and reporting row-hit rate, sustained bandwidth, and
-  queue latency through :mod:`repro.desim.stats`;
+  replaying traces and reducing the per-request arrays to row-hit rate,
+  sustained bandwidth, and queue latency;
 * :mod:`~repro.memsys.trace` — a text trace format (lazy parser /
   streaming writer), array-backed :class:`PackedTrace` streams, and
   synthetic trace generation from :mod:`repro.workloads.access_patterns`;
-* :mod:`~repro.memsys.fastpath` — the event-free fast-path replay
-  engine.
+* :mod:`~repro.memsys.fastpath` — the replay path: a vectorized
+  closed form for certified traces over the exact incremental replay;
+* :mod:`~repro.memsys.laws` — :func:`check_laws`, the timing laws every
+  replay's per-request arrays must satisfy, checked without the
+  simulator code.
 
 The :mod:`repro.pimexec` layer builds on this package to make the
 memory system *executable*: per-bank PIM execution units (HBM-PIM-style
@@ -35,36 +38,30 @@ all-bank column access replayed here, with register and microcode
 writes travelling as :attr:`Op.AB <repro.memsys.request.Op>` broadcast
 requests that occupy a channel without touching row buffers.
 
-Replay engines
---------------
-:meth:`MemorySystem.replay` accepts ``engine="event" | "fast" | "auto"``:
+Replay tiers and their oracle
+-----------------------------
+:meth:`MemorySystem.replay` runs one replay path with two tiers:
 
-* ``"event"`` replays through the :mod:`repro.desim` kernel — every
-  request is a scheduled process step, per-event trace hooks fire, and
-  request objects carry their full runtime history (~50k requests/s);
-* ``"fast"`` replays through closed-form ready-time arithmetic — banks
-  are plain ``(open_row, ready_at_ns)`` records, open-row streaks are
-  charged as batched page-access spans, FCFS/FR-FCFS ordering is
-  reproduced with an incremental ready-time scan, trace timestamps
-  solve a segmented Lindley recurrence, and refresh blackouts become
-  epoch-chunked ready-time fences (millions of requests/s; ~5M/s
-  measured on a 1M-request streaming replay, ~3M/s with per-rank
-  refresh on).  Vectorized certificates decide per trace whether the
-  closed form is exact, with an exact bit-identical incremental
-  fallback for traces (e.g. random traffic under FR-FCFS, per-bank
-  refresh, refresh combined with timestamps) that fail one;
-* ``"auto"`` (default) picks the fast path whenever no per-event trace
-  hooks are installed (``sim.tracer is None``) and the simulator is
-  private to the system with an untouched clock, and the event engine
-  otherwise.
+* the **exact** tier defines a replay: a calendar of completions,
+  admissions, wakeups and refresh retries drives the controllers'
+  FCFS/FR-FCFS selection and the banks' row-buffer state machines one
+  request at a time (~125k requests/s on random traffic);
+* the **vectorized** tier replays through closed-form ready-time
+  arithmetic — open-row streaks are charged as batched page-access
+  spans, trace timestamps solve a segmented Lindley recurrence, and
+  refresh blackouts become epoch-chunked ready-time fences (millions of
+  requests/s).  Vectorized certificates decide per trace whether the
+  closed form is exact; traces that fail one (e.g. random traffic under
+  FR-FCFS, per-bank refresh, refresh combined with timestamps) take
+  the exact tier.
 
-Both engines produce bit-identical per-request times and bank counters,
-and every replay path reduces those with the one
-:func:`~repro.memsys.system.reduce_stats`, so both produce the same
-:class:`MemSysStats` to the last bit; ``tests/memsys/test_fastpath.py``
-and ``tests/memsys/test_refresh.py`` assert this across every scheme x
-policy x pattern x refresh granularity x arrival mode combination,
-including PIM all-bank traces.
+Both tiers record bit-identical per-request times and outcomes, which
+the one
+:func:`~repro.memsys.system.reduce_stats` turns into the same
+:class:`MemSysStats` to the last bit.  Because both tiers share the
+controller and bank code, :func:`~repro.memsys.laws.check_laws` is the
+independent oracle: it re-derives service times, row outcomes, refresh
+blackouts and the scheduling order from the arrays alone.
 
 Traces are uniformly *line-rate* (each request injected as soon as its
 channel queue has space) or uniformly *timestamped* (an optional third
@@ -91,6 +88,7 @@ from .bank import (
     RefreshSchedule,
 )
 from .controller import ChannelController, FCFS, FRFCFS, POLICIES
+from .laws import LAWS, LawViolation, check_laws
 from .request import MemRequest, Op
 from .system import ENGINES, MemSysConfig, MemSysStats, MemorySystem
 from .trace import (
@@ -119,6 +117,9 @@ __all__ = [
     "FRFCFS",
     "POLICIES",
     "ENGINES",
+    "LAWS",
+    "LawViolation",
+    "check_laws",
     "MemRequest",
     "Op",
     "MemSysConfig",

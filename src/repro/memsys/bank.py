@@ -15,9 +15,9 @@ DRAM cells leak: every ``tREFI`` ns (the refresh interval) a refresh
 command must be issued, and the refreshed resource is unavailable for
 ``tRFC`` ns (the refresh cycle time).  :class:`RefreshSchedule` models
 this as a *deterministic recurring fence* rather than an event source,
-so every replay engine — the desim event engine, the exact incremental
-fast path, and the vectorized closed-form fast path — derives identical
-blackout windows from pure arithmetic on the clock:
+so both replay tiers — the exact incremental replay and the vectorized
+closed form — derive identical blackout windows from pure arithmetic on
+the clock:
 
 * ``per-rank`` granularity (all-bank refresh, the HBM/Ramulator
   default): at every boundary ``k * tREFI`` (k >= 1) *all* banks of
@@ -61,7 +61,7 @@ HIT = "hit"
 MISS = "miss"
 CONFLICT = "conflict"
 
-#: Outcomes in the packed-code order used by the fast-path engine.
+#: Outcomes in the packed-code order of the recorder arrays.
 OUTCOMES = (HIT, MISS, CONFLICT)
 
 #: Row-buffer management policies.
@@ -79,7 +79,7 @@ REFRESH_GRANULARITIES = (PER_RANK, PER_BANK)
 class RefreshSchedule:
     """Deterministic tREFI/tRFC blackout windows for one channel.
 
-    All replay engines compute refresh from this one schedule, with the
+    Both replay tiers compute refresh from this one schedule, with the
     same float expressions, so blackout fences land bit-identically:
 
     * ``epoch(now)`` counts elapsed refresh boundaries (``k`` such that
@@ -208,9 +208,9 @@ def latency_table(
 ) -> _t.Dict[str, float]:
     """Outcome -> access latency (ns) for one bank.
 
-    The single source of the per-outcome service times: both the
-    event-driven :meth:`Bank.access` state machine and the closed-form
-    fast-path engine read from this table, so the two engines charge
+    The single source of the per-outcome service times: the
+    :meth:`Bank.access` state machine of the exact tier and the
+    vectorized closed form read from this table, so both tiers charge
     bit-identical latencies.
     """
     return {
@@ -276,7 +276,7 @@ class Bank:
         self.name = name
         self.row_policy = row_policy
         #: Outcome -> access latency, fixed by the timing parameters.
-        #: Shared with the fast-path engine so both engines charge
+        #: Shared with the vectorized tier so both tiers charge
         #: bit-identical service times.
         self._latency_ns = latency_table(self.timing, self.precharge_ns)
         #: One shared (frozen) result per outcome, so an access

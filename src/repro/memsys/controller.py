@@ -1,9 +1,11 @@
-"""Per-channel memory controllers as desim processes.
+"""Per-channel memory controllers: queue, scheduler, and banks.
 
-Each channel owns a request queue and a set of banks.  The controller
-process repeatedly picks a queued request under its scheduling policy,
-drives the target bank's row-buffer state machine, holds the channel for
-the access latency, and completes the request:
+Each channel owns a request queue and a set of banks.  The replay loop
+(:func:`repro.memsys.fastpath.replay_fast`'s exact tier) admits requests
+into the queue, and at each service start the controller picks a queued
+request under its scheduling policy and drives the target bank's
+row-buffer state machine; the loop holds the channel for the returned
+access latency and completes the request:
 
 * **FCFS** serves strictly in arrival order — the baseline that pays a
   row activation whenever consecutive requests touch different rows.
@@ -27,15 +29,16 @@ first: due refresh boundaries precharge their row buffers, and a
 selection that would start inside a blackout window stalls until the
 window ends (the whole channel under per-rank refresh; only requests
 touching the refreshing bank under per-bank refresh).  The gate is pure
-arithmetic on the clock, shared verbatim with the exact fast-path tier
-so both engines stall at bit-identical instants.
+arithmetic on the clock the replay loop passes in.
 
 The controller keeps no statistics of its own: it stamps each request's
 arrival, service start, finish, and outcome, plus the two facts the
 times cannot tell when an admission and a completion share an instant
 (the queue occupancy the admission left, and whether the service start
 found the channel idle), and :func:`~repro.memsys.system.reduce_stats`
-derives every summary from those per-request stamps after the replay.
+derives every summary from those per-request stamps after the replay;
+:func:`~repro.memsys.laws.check_laws` checks them against the timing
+laws without calling this code.
 """
 
 from __future__ import annotations
@@ -43,12 +46,8 @@ from __future__ import annotations
 import math
 import typing as _t
 
-from ..desim.events import Event
 from .bank import Bank, PER_RANK, RefreshSchedule
 from .request import MemRequest, Op
-
-if _t.TYPE_CHECKING:  # pragma: no cover
-    from ..desim.core import Simulator
 
 __all__ = ["FCFS", "FRFCFS", "POLICIES", "ChannelController"]
 
@@ -63,8 +62,6 @@ class ChannelController:
 
     Parameters
     ----------
-    sim:
-        The simulator whose clock (ns) the controller runs on.
     channel_id:
         Index of this channel in the system.
     banks:
@@ -72,11 +69,8 @@ class ChannelController:
     policy:
         ``"fcfs"`` or ``"frfcfs"``.
     queue_depth:
-        Maximum queued requests; injectors wait on
-        :meth:`space_event` when the queue is full (backpressure).
-    banks_per_group:
-        Banks per bankgroup, for flattening decoded coordinates into
-        the ``banks`` list; defaults to ``len(banks)`` (one group).
+        Maximum queued requests; the replay loop holds admissions back
+        while the queue is full (backpressure).
     refresh:
         Optional :class:`~repro.memsys.bank.RefreshSchedule`; ``None``
         disables refresh modeling.
@@ -84,12 +78,10 @@ class ChannelController:
 
     def __init__(
         self,
-        sim: "Simulator",
         channel_id: int,
         banks: _t.Sequence[Bank],
         policy: str = FRFCFS,
         queue_depth: int = 16,
-        banks_per_group: _t.Optional[int] = None,
         refresh: _t.Optional[RefreshSchedule] = None,
     ) -> None:
         if policy not in POLICIES:
@@ -100,20 +92,10 @@ class ChannelController:
             raise ValueError("queue_depth must be >= 1")
         if not banks:
             raise ValueError("a channel needs at least one bank")
-        self.sim = sim
         self.channel_id = channel_id
         self.banks = list(banks)
         self.policy = policy
         self.queue_depth = queue_depth
-        self.banks_per_group = (
-            len(self.banks) if banks_per_group is None else banks_per_group
-        )
-        if not 1 <= self.banks_per_group <= len(self.banks):
-            raise ValueError(
-                f"banks_per_group={self.banks_per_group} must be in "
-                f"[1, {len(self.banks)}]"
-            )
-
         if refresh is not None and refresh.n_banks != len(self.banks):
             raise ValueError(
                 f"refresh schedule sized for {refresh.n_banks} banks "
@@ -145,51 +127,19 @@ class ChannelController:
         #: one.  Cleared at a service start, set by a completion that
         #: leaves the queue empty.
         self._idle = True
-        self._wakeup: _t.Optional[Event] = None
-        self._space_waiters: _t.List[Event] = []
-
-        self.process = sim.process(
-            self._run(), name=f"memctrl.ch{channel_id}"
-        )
 
     # ------------------------------------------------------------------
     # queue admission
     # ------------------------------------------------------------------
-    @property
-    def has_space(self) -> bool:
-        return len(self.pending) < self.queue_depth
-
-    def space_event(self) -> Event:
-        """Event that succeeds the next time a queue slot frees up."""
-        event = self.sim.event()
-        self._space_waiters.append(event)
-        return event
-
-    def _route(self, request: MemRequest) -> None:
-        """Set the routing values the scheduler reads from ``coords``.
-
-        ``request.row`` and the flat bank index (``None`` for all-bank
-        PIM/AB requests), resolved once so the FR-FCFS selection scan
-        (the replay hot path) does not re-derive them per candidate per
-        selection.  The fast path's exact tier builds its records with
-        the same two values straight from the decoded address arrays.
-        """
-        coords = request.coords
-        request.row = coords.row
-        op = request.op
-        request.bank_index = (
-            None if op is Op.PIM or op is Op.AB else self._bank_index(coords)
-        )
-
     def _admit(self, request: MemRequest, now: float) -> None:
         """Timestamp and queue a routed ``request`` at ``now``.
 
-        The admission bookkeeping shared by the event engine (via
-        :meth:`enqueue`) and the fast-path replay engine (which drives
-        the controller with an incremental ready-time scan instead of a
-        simulator clock).  The request must carry its routing values
-        (``row``, ``bank_index``; see :meth:`_route`).  Stamps the
-        queue occupancy the admission leaves on ``request.occupancy``.
+        The request must carry its routing values: ``row`` and the flat
+        bank index ``bank_index`` (``None`` for all-bank PIM/AB
+        requests), resolved once from the decoded address arrays so the
+        FR-FCFS selection scan (the replay hot path) never re-derives
+        them.  Stamps the queue occupancy the admission leaves on
+        ``request.occupancy``.
         """
         request.arrival = now
         index = request.bank_index
@@ -202,52 +152,26 @@ class ChannelController:
         self.pending.append(request)
         request.occupancy = len(self.pending)
 
-    def enqueue(self, request: MemRequest) -> Event:
-        """Admit ``request``; returns its completion event.
-
-        Raises
-        ------
-        OverflowError
-            If the queue is full — callers must respect
-            :attr:`has_space` / :meth:`space_event`.
-        """
-        if not self.has_space:
-            raise OverflowError(
-                f"channel {self.channel_id} queue full "
-                f"(depth {self.queue_depth})"
-            )
-        request.done = self.sim.event()
-        self._route(request)
-        self._admit(request, self.sim.now)
-        self.sim.trace(
-            "memsys.enqueue", channel=self.channel_id, addr=request.addr,
-            op=request.op.value,
-        )
-        if self._wakeup is not None and not self._wakeup.triggered:
-            self._wakeup.succeed()
-        return request.done
-
     # ------------------------------------------------------------------
     # refresh gate
     # ------------------------------------------------------------------
     def _service_delay(self, now: float) -> float:
         """Refresh gate: apply due row closures, return the stall (ns).
 
-        Called before every scheduling decision, by the event engine and
-        the exact fast-path tier alike (same floats in, same floats
-        out).  Crossing a refresh boundary precharges the refreshed
-        banks' row buffers.  Under *per-rank* refresh a decision inside
-        the blackout window stalls the whole channel to the window's
-        end.  Under *per-bank* (staggered) refresh the gate is
-        refresh-aware the way real controllers are: FR-FCFS masks out
-        requests whose bank is mid-refresh and serves the oldest
-        serviceable row hit (else the oldest serviceable request), so
-        the channel keeps working around the refreshing bank; the
-        channel stalls only when nothing is serviceable — FCFS keeps
-        strict order and stalls on a blocked head, and the AB barrier
-        still lets nothing younger pass a register broadcast.  A
-        serviceable pick is staged for :meth:`_select` via
-        ``_refresh_candidate`` so the gate and the selection agree.
+        Called before every scheduling decision.  Crossing a refresh
+        boundary precharges the refreshed banks' row buffers.  Under
+        *per-rank* refresh a decision inside the blackout window stalls
+        the whole channel to the window's end.  Under *per-bank*
+        (staggered) refresh the gate is refresh-aware the way real
+        controllers are: FR-FCFS masks out requests whose bank is
+        mid-refresh and serves the oldest serviceable row hit (else the
+        oldest serviceable request), so the channel keeps working around
+        the refreshing bank; the channel stalls only when nothing is
+        serviceable — FCFS keeps strict order and stalls on a blocked
+        head, and the AB barrier still lets nothing younger pass a
+        register broadcast.  A serviceable pick is staged for
+        :meth:`_select` via ``_refresh_candidate`` so the gate and the
+        selection agree.
         """
         refresh = self.refresh
         if refresh is None:
@@ -355,9 +279,6 @@ class ChannelController:
                     return request
         return self.pending[0]
 
-    def _bank_index(self, coords) -> int:
-        return coords.flat_bank(self.banks_per_group) % len(self.banks)
-
     # ------------------------------------------------------------------
     # service
     # ------------------------------------------------------------------
@@ -393,12 +314,10 @@ class ChannelController:
     def _begin_service(self, now: float) -> _t.Tuple[MemRequest, float]:
         """Dequeue the next request at ``now`` and drive its banks.
 
-        The service-start sequence shared by both engines: policy
-        selection, dequeue, the busy-period mark
-        (``request.opens_busy``), and the bank state-machine access.
-        Returns ``(request, latency_ns)``; the caller owns the passage
-        of time (a desim timeout for the event engine, ready-time
-        arithmetic for the fast path).
+        The service-start sequence: policy selection, dequeue, the
+        busy-period mark (``request.opens_busy``), and the bank
+        state-machine access.  Returns ``(request, latency_ns)``; the
+        caller owns the passage of time.
         """
         request = self._select()
         self.pending.remove(request)
@@ -425,37 +344,6 @@ class ChannelController:
                 self._rescan_bank(bank)
         # AB broadcasts never touch row buffers: nothing to rescan
         return request, latency
-
-    def _run(self):
-        """Controller main loop (a desim process)."""
-        sim = self.sim
-        while True:
-            if not self.pending:
-                self._idle = True
-                self._wakeup = sim.event()
-                yield self._wakeup
-                self._wakeup = None
-            delay = self._service_delay(sim.now)
-            if delay > 0.0:
-                # refresh blackout: stall, then re-evaluate (the queue
-                # may have grown and row buffers were precharged)
-                yield sim.timeout(delay)
-                continue
-            request, latency = self._begin_service(sim.now)
-            waiters, self._space_waiters = self._space_waiters, []
-            for waiter in waiters:
-                if not waiter.triggered:
-                    waiter.succeed()
-            yield sim.timeout(latency)
-            request.finish = sim.now
-            sim.trace(
-                "memsys.complete", channel=self.channel_id,
-                addr=request.addr, outcome=request.outcome,
-                latency=request.latency,
-            )
-            done = request.done
-            assert done is not None
-            done.succeed(request)
 
     def __repr__(self) -> str:
         return (

@@ -1,20 +1,20 @@
-"""Event-free fast-path replay engine.
+"""The memory system's replay path.
 
-The desim event engine replays a trace by scheduling two events per
-request (a queue wakeup and a service timeout) through a generator-based
-process kernel — faithful, observable, and ~50k requests/s.  Every
-quantity it produces, however, is *determined* by the trace and the
-configuration: service durations follow from per-bank row sequences,
-service starts are back-to-back while a queue is busy, arrivals are
-pinned to queue-slot releases (or to explicit trace timestamps), and
-refresh blackouts are a pure function of the clock.  This module
-exploits that determinism to replay traces at millions of requests per
-second while producing the same per-request times — and therefore, by
-the shared :func:`~repro.memsys.system.reduce_stats`, the same
-:class:`MemSysStats`.
+A replay is *defined* by tier 2 below, the exact incremental replay: a
+calendar of completions, admissions, wakeups and refresh retries that
+drives the controllers' scheduling and bank state machines one request
+at a time.  Every quantity it produces is *determined* by the trace and
+the configuration, however: service durations follow from per-bank row
+sequences, service starts are back-to-back while a queue is busy,
+arrivals are pinned to queue-slot releases (or to explicit trace
+timestamps), and refresh blackouts are a pure function of the clock.
+Tier 1 exploits that determinism to replay certified traces at millions
+of requests per second with the same per-request times — and
+therefore, by the shared :func:`~repro.memsys.system.reduce_stats`, the
+same :class:`MemSysStats`.  The timing laws of :mod:`repro.memsys.laws`
+check either tier's output without calling this code.
 
-It is organized as two tiers behind one entry point,
-:func:`replay_fast`:
+The two tiers sit behind one entry point, :func:`replay_fast`:
 
 **Tier 1 — vectorized closed form.**  Banks are reduced to plain
 ``(open_row, ready_at_ns)`` records advanced by array arithmetic:
@@ -33,7 +33,7 @@ It is organized as two tiers behind one entry point,
 * *timestamped* arrivals are taken from the trace: ``A[m] = T[m]``, and
   service starts solve the Lindley recurrence ``S[j] = max(T[j],
   F[j-1])`` — located with one vectorized running-max scan, then
-  recomputed per busy segment with the event engine's exact
+  recomputed per busy segment with the exact tier's
   left-to-right float additions (:func:`_segmented_service`);
 * *refresh* (per-rank tREFI/tRFC) appears as deterministic ready-time
   fences: the service stream is chunked at refresh boundaries
@@ -41,15 +41,15 @@ It is organized as two tiers behind one entry point,
   back-to-back cumsums, each boundary precharges every row buffer (the
   next chunk's outcome scan restarts from all-banks-closed), and a
   start landing inside a blackout is pushed to its end with the same
-  float expression the event engine's stall timeout produces.
+  float expression the exact tier's refresh stall produces.
 
 Exact, conservative, and themselves vectorized *certificates* decide
-whether the closed form reproduces the event engine:
+whether the closed form reproduces the exact tier:
 
 1. *FIFO certificate* (FR-FCFS only): at every selection whose head is
    not a row hit, no request in the queue window (the next
    ``queue_depth - 1`` same-channel requests — a superset of the
-   engine's visible queue) hits its bank's open row.  When that holds,
+   visible queue) hits its bank's open row.  When that holds,
    FR-FCFS never reorders and the FIFO outcome arrays are exact.  FCFS
    and pure all-bank channels (PIM row ops and AB register broadcasts
    occupy every bank or act as scheduling barriers, so the controller
@@ -60,12 +60,12 @@ whether the closed form reproduces the event engine:
 2. *Line-rate certificate* (untimestamped traces): the arrival
    candidates ``A[m] = S[m - depth]`` must be non-decreasing in trace
    order.  Then the injector never stalls one channel on another's
-   full queue and the closed-form times solve the engine's recurrences
+   full queue and the closed-form times solve the exact recurrences
    exactly.  When it *fails* on a FIFO-certified trace (e.g. random
    traffic under FCFS — the channel imbalance starves queues), the
    arrivals are instead solved to a fixed point of the coupled
    injector/service recurrences (:func:`_arrival_fixed_point`), which
-   converges to the event engine's exact values or falls back.
+   converges to the exact tier's values or falls back.
 3. *Backpressure certificate* (timestamped traces): every arrival must
    find a free queue slot, ``T[j] >= S[j - depth]`` per channel; then
    arrivals equal the trace timestamps exactly.
@@ -79,33 +79,24 @@ host requests with all-bank commands always take tier 2.
 
 **Tier 2 — exact incremental replay.**  Traces that fail a certificate
 (e.g. random traffic under FR-FCFS, whose stray row hits let the
-scheduler reorder) fall back to a lean discrete replay that reproduces
-the event engine's ``(time, priority, insertion)`` scheduling order
-with plain tuples on a heap — no Event objects, no generators, no
-process bookkeeping — driving the *same* controller bookkeeping
+scheduler reorder) take the discrete replay: plain tuples on a heap in
+``(time, priority, insertion)`` order drive the controller bookkeeping
 (:meth:`ChannelController._admit` / ``_service_delay`` /
-``_begin_service``) and the same Bank state machines, so its
-per-request times are bit-identical to the event engine's by
-construction.  Requests travel as slotted records built in one pass
-from the decoded arrays (op, timestamp, row, flat bank index), never as
-:class:`MemRequest` / ``Coordinates`` objects.  Trace timestamps become
-absolute-time injector resumptions; refresh stalls become retry
-occurrences at the blackout end, gated by the same shared
-``_service_delay`` arithmetic.
+``_begin_service``) and the Bank state machines.  Requests travel as
+slotted records built in one pass from the decoded arrays (op,
+timestamp, row, flat bank index), never as :class:`MemRequest` /
+``Coordinates`` objects.  Trace timestamps become absolute-time
+injector resumptions; refresh stalls become retry occurrences at the
+blackout end, gated by the shared ``_service_delay`` arithmetic.
 
-Differences from the event engine (both tiers):
-
-* no per-event trace records are emitted (``engine="auto"`` therefore
-  only picks the fast path when no tracer is attached);
-* ``MemRequest.done`` completion events are not created;
-* the vectorized tier's admission occupancies (the
-  ``max_queue_length`` gauge) count a service starting at an admission's
-  instant as still queued, which can exceed the event calendar's by one
-  transient slot (see :func:`_plan_arrays`);
-* per-request runtime fields (coords, routing, timestamps, outcome,
-  bits) are written back once, after the replay, for object traces but
-  not for :class:`~repro.memsys.trace.PackedTrace` inputs, which never
-  materialize request objects at all.
+The tiers differ in one recorded stamp: the vectorized tier's admission
+occupancies (the ``max_queue_length`` gauge) count a service starting
+at an admission's instant as still queued, which can exceed the exact
+tier's by one transient slot (see :func:`_plan_arrays`).  Per-request
+runtime fields (coords, routing, timestamps, outcome, bits) are written
+back once, after the replay, for object traces but not for
+:class:`~repro.memsys.trace.PackedTrace` inputs, which never
+materialize request objects at all.
 """
 
 from __future__ import annotations
@@ -141,7 +132,7 @@ _HIT, _MISS, _CONFLICT, _BROADCAST = 0, 1, 2, 3
 _PIM_CODE = Op.PIM.code
 _AB_CODE = Op.AB.code
 
-#: Tier-2 scheduling vocabulary, mirroring the desim heap discipline.
+#: Tier-2 calendar vocabulary: priorities and occurrence kinds.
 _URGENT, _NORMAL = 0, 1
 _COMPLETE, _INJECT, _WAKEUP, _RETRY = 0, 1, 2, 3
 
@@ -159,15 +150,14 @@ def replay_fast(
     trace: _t.Union[_t.Sequence[MemRequest], PackedTrace],
     telemetry: _t.Optional["ReplayTelemetry"] = None,
 ) -> "MemSysStats":
-    """Replay ``trace`` through ``system`` without scheduling events.
+    """Replay ``trace`` through ``system``.
 
-    Called by :meth:`MemorySystem.replay` with ``engine="fast"`` (or
-    ``"auto"``); picks the vectorized closed form when its certificates
-    hold and the exact incremental replay otherwise.  Either tier ends
-    with the trace-ordered per-request arrays, which the shared
-    :func:`~repro.memsys.system.reduce_stats` turns into statistics;
-    the banks are left with the counters and open rows the event
-    engine would leave, and the simulator clock at the makespan.
+    Called by :meth:`MemorySystem.replay`; picks the vectorized closed
+    form when its certificates hold and the exact incremental replay
+    otherwise.  Either tier ends with the trace-ordered per-request
+    arrays, which the shared :func:`~repro.memsys.system.reduce_stats`
+    turns into statistics; the banks are left with the counters and
+    open rows the exact replay leaves.
 
     With ``telemetry`` attached, its profiler times the four phases
     (``decode`` / ``certificate`` / ``tier-execute`` /
@@ -184,11 +174,9 @@ def replay_fast(
     phase = profiler.phase if profiler is not None else null_phase
     engine, arrays = _run_tier(system, trace, phase)
     system.last_replay_engine = engine
-    stats = _finish_replay(
+    return _finish_replay(
         system.config, engine, arrays, system.row_counts(), telemetry
     )
-    system.sim._now = stats.makespan_ns
-    return stats
 
 
 def _run_tier(
@@ -560,7 +548,7 @@ def _chunked_refresh_channel(
     Each refresh boundary precharges every row buffer, so the outcome
     scan restarts from all-banks-closed at every chunk; a service start
     landing inside the blackout ``[k*tREFI, k*tREFI + tRFC)`` is pushed
-    to its end with the event engine's own stall arithmetic
+    to its end with the exact tier's own stall arithmetic
     (``now + (fence - now)``).  The FIFO certificate runs once over the
     whole channel on the refresh-aware outcomes, with chunk labels
     cancelling open rows across boundaries (queue windows still cross
@@ -589,7 +577,7 @@ def _chunked_refresh_channel(
             epoch_applied = epoch  # the boundary closes every bank
             fence = refresh.rank_fence(s)
             if fence > s:
-                s = s + (fence - s)  # the engine's stall timeout
+                s = s + (fence - s)  # the exact tier's stall
         # scan a window sized from the previous epoch; when no boundary
         # falls inside it, widen to the bound (outcomes are
         # prefix-stable, so the wider scan restarts from the same state)
@@ -658,8 +646,8 @@ def _seq_cumsum(s: float, durations: np.ndarray) -> np.ndarray:
     """Prefix sums of ``durations`` starting from ``s``.
 
     Computed as one ``cumsum`` over ``[s, d0, d1, ...]``, which
-    performs exactly the left-to-right float additions the event
-    engine's ``now + latency`` clock does — the core of the fast
+    performs exactly the left-to-right float additions the exact
+    tier's ``now + latency`` clock does — the core of the fast
     path's bit-exactness.
     """
     buffer = np.empty(durations.shape[0] + 1)
@@ -676,8 +664,8 @@ def _segmented_service(
     ``earliest`` is the per-request lower bound on service start (trace
     timestamps, or injector admission times).  Busy segments are
     located with one vectorized Lindley running-max scan (closed-form,
-    but float-associated differently than the engine), then finish
-    times are *recomputed* per segment with the engine's sequential
+    but float-associated differently than the exact tier), then finish
+    times are *recomputed* per segment with the exact tier's sequential
     additions (:func:`_seq_cumsum`) and the segmentation is verified
     against the exact values.  Returns ``(start, finish)``, or ``None``
     if an ulp-level misordering in the approximate scan produced an
@@ -699,7 +687,7 @@ def _segmented_service(
     finish = np.empty(n)
     if seg_idx.shape[0] == n:
         # every request finds the channel idle (sparse arrivals): one
-        # elementwise pass, the same single addition the engine does
+        # elementwise pass, the same single addition the exact tier does
         start[:] = earliest
         np.add(earliest, durations, out=finish)
     else:
@@ -739,9 +727,9 @@ def _arrival_fixed_point(
     Both maps are monotone, so Kleene iteration from ``A = 0`` —
     alternating exact per-channel service solves with the global
     running-max admission scan — converges to the least fixed point,
-    which is exactly the event engine's trajectory (the values
+    which is exactly the exact tier's trajectory (the values
     propagate through ``max`` unchanged and the busy-segment sums use
-    the engine's own addition order).  Returns ``(arrivals, [(start,
+    its own addition order).  Returns ``(arrivals, [(start,
     finish), ...])`` aligned with ``channels``, or ``None``
     after :data:`_MAX_ARRIVAL_ITERS` without convergence.
     """
@@ -835,7 +823,7 @@ def _fifo_certificate(
 def _commit_banks(
     system: "MemorySystem", plan: _t.List[_t.Optional[dict]]
 ) -> None:
-    """Leave every bank with the counters and open row the event engine
+    """Leave every bank with the counters and open row the exact tier
     would leave behind."""
     for controller, data in zip(system.controllers, plan):
         if data is None:
@@ -856,14 +844,14 @@ def _plan_arrays(
 
     The closed form serves each channel in FIFO order, so a service
     start finds the channel idle exactly when its request arrived after
-    the previous completion.  On a tie the event engine's choice
+    the previous completion.  On a tie the exact tier's choice
     depends on its calendar order, but that only matters when a refresh
     stall follows, and refresh reaches this tier only with line-rate
     arrivals, which never idle a channel: ``A[m] = S[m - depth]``
     precedes ``F[m - 1]``.  The admission occupancy counts services
     starting at the admission's instant as still queued (admission
     first), clipped at the queue depth a full queue cannot exceed; on
-    such ties it can exceed the event calendar's by one transient slot.
+    such ties it can exceed the exact tier's by one transient slot.
     Under line-rate arrivals that count is ``min(m + 1, depth)``.
     """
     arrays = {
@@ -908,7 +896,7 @@ def _routing_arrays(
     """The four routing arrays of a replay, from the decoded arrays.
 
     ``bank`` is the flat bank index, :data:`ALL_BANKS` for all-bank
-    PIM/AB operations — the value the event engine's requests carry.
+    PIM/AB operations.
     """
     all_bank = (op_codes == _PIM_CODE) | (op_codes == _AB_CODE)
     return {
@@ -925,7 +913,7 @@ def _bank_indices(
     op_codes: np.ndarray, flat_bank: np.ndarray
 ) -> _t.List[_t.Optional[int]]:
     """Per-request flat bank index, ``None`` for all-bank PIM/AB — the
-    value :meth:`ChannelController._route` gives an event request."""
+    ``bank_index`` the controllers read."""
     index = flat_bank.astype(object)
     index[(op_codes == _PIM_CODE) | (op_codes == _AB_CODE)] = None
     return index.tolist()
@@ -940,9 +928,8 @@ def _write_back(
 ) -> None:
     """Fill a caller's request objects from trace-ordered columns.
 
-    Shared by both tiers, once per replay: leaves every runtime field
-    the event engine sets (coords, routing, times, outcome, bits)
-    equal to the event engine's, completion events aside.
+    Shared by both tiers, once per replay: sets every runtime field
+    (coords, routing, times, outcome, bits).
     """
     columns = (
         fields["channel"], fields["bankgroup"], fields["bank"],
@@ -1009,19 +996,17 @@ def _replay_exact(
     records: _t.List[_Record],
     channel: np.ndarray,
 ) -> None:
-    """Replay with the event engine's exact scheduling order, eventless.
+    """Replay in exact scheduling order: the definition of a replay.
 
     A heap of plain ``(time, priority, seq, kind, channel, request)``
-    tuples reproduces the desim calendar's ``(time, priority,
-    insertion-order)`` discipline for the only occurrences that carry
-    state: request completions, injector resumptions (a freed queue
-    slot, or a trace timestamp coming due), controller wakeups (an
-    enqueue into an idle channel), and refresh retries (a selection
-    stalled to the end of a blackout window).  Every request passes
-    through the same controller and bank methods the event engine uses
-    — including the shared :meth:`ChannelController._service_delay`
-    refresh gate — in the same order, with the same timestamps, so the
-    recorded times are bit-identical.
+    tuples keeps a ``(time, priority, insertion-order)`` calendar of
+    the only occurrences that carry state: request completions,
+    injector resumptions (a freed queue slot, or a trace timestamp
+    coming due), controller wakeups (an enqueue into an idle channel),
+    and refresh retries (a selection stalled to the end of a blackout
+    window).  Every request passes through the controller and bank
+    methods — including the :meth:`ChannelController._service_delay`
+    refresh gate.
 
     Occurrences are drained in *rounds*: each outer iteration reads the
     heap's earliest timestamp once and pops every candidate ready at
@@ -1047,7 +1032,7 @@ def _replay_exact(
 
     def attempt_service(ch: int, at: float) -> None:
         """Start the next service on ``ch``, or schedule a refresh
-        retry — the mirrored body of the engine's gated service loop."""
+        retry — the controller's gated service loop."""
         nonlocal blocked_on
         controller = controllers[ch]
         delay = controller._service_delay(at)

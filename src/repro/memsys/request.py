@@ -8,8 +8,8 @@ reclaims the aggregate row-buffer bandwidth of all banks at once).
 
 Requests double as trace records: the trace layer serializes
 ``(op, addr)`` plus an optional arrival *timestamp* (ns); the runtime
-fields (coordinates, service times, completion event) are filled in
-during replay.  An untimestamped request is injected at line rate (as
+fields (coordinates, service times, outcome) are filled in during
+replay.  An untimestamped request is injected at line rate (as
 soon as its queue has space); a timestamped one is additionally held
 back until its timestamp — the trace-driven arrival mode that replays
 application traces under their recorded traffic intensity instead of
@@ -24,7 +24,6 @@ import math
 import typing as _t
 
 if _t.TYPE_CHECKING:  # pragma: no cover
-    from ..desim.events import Event
     from .addrmap import Coordinates
 
 __all__ = ["Op", "OPS_BY_CODE", "MemRequest"]
@@ -88,11 +87,9 @@ class MemRequest:
     row, bank_index:
         The two routing values the controller reads: the decoded row
         and the flat in-channel bank index (``None`` for all-bank
-        PIM/AB requests).  The controller derives both from
-        ``coords`` when the event engine enqueues the request; the
-        fast path's exact tier carries them on slotted records built
-        from the decoded arrays, and writes them back with the other
-        runtime fields.
+        PIM/AB requests).  The replay derives both from the decoded
+        address arrays and writes them back with the other runtime
+        fields.
     queued_hit:
         Whether this *queued* request currently hits its bank's open
         row — the controller's per-bank open-row table entry,
@@ -112,8 +109,6 @@ class MemRequest:
     bits:
         Data bits moved by the completed access (PIM all-bank requests
         move one page per bank).
-    done:
-        Completion event, created by the controller at enqueue.
     """
 
     op: Op
@@ -134,9 +129,6 @@ class MemRequest:
     finish: float = math.nan
     outcome: _t.Optional[str] = None
     bits: int = 0
-    done: _t.Optional["Event"] = dataclasses.field(
-        default=None, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if not isinstance(self.op, Op):

@@ -1,16 +1,16 @@
 """The top-level trace-driven memory system.
 
 :class:`MemorySystem` ties an :class:`~repro.memsys.addrmap.AddressMap`
-to a set of per-channel controllers (each with its banks) on one
-:class:`~repro.desim.Simulator` clock and replays request streams with
-bounded-queue backpressure.  Every replay path — the event engine, both
-fast-path tiers, and the replay farm's merge — ends in the same pure
-reduction, :func:`reduce_stats`, from the per-request arrival / start /
+to a set of per-channel controllers (each with its banks) and replays
+request streams with bounded-queue backpressure.  Every replay path —
+both fast-path tiers and the replay farm's merge — ends in the same
+pure reduction, :func:`reduce_stats`, from the per-request arrival / start /
 finish arrays and the banks' outcome counters to a :class:`MemSysStats`
 summary: sustained bandwidth, row-hit rate, and queue latency — the
 simulated counterparts of the §2.1 closed forms in
 :mod:`repro.arch.dram`.  Equal arrays give equal statistics, whichever
-engine or tier produced them.
+tier produced them, and :func:`~repro.memsys.laws.check_laws` checks
+the arrays themselves against the timing laws.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from operator import attrgetter
 import numpy as np
 
 from ..arch.dram import DramMacroTiming
-from ..desim import Simulator
-from ..telemetry.latency import ALL_BANKS, OUTCOME_NAMES
+from ..telemetry.latency import OUTCOME_NAMES
 from ..telemetry.profile import null_phase
 from .addrmap import AddressMap, SCHEMES
 from .bank import (
@@ -50,8 +49,9 @@ __all__ = [
     "reduce_stats",
 ]
 
-#: Replay engine names accepted by :meth:`MemorySystem.replay`.
-ENGINES = ("event", "fast", "auto")
+#: Replay engine names accepted by :meth:`MemorySystem.replay`; both
+#: select the one replay path.
+ENGINES = ("fast", "auto")
 
 
 def _log2(value: int, what: str) -> int:
@@ -237,34 +237,20 @@ class MemSysStats:
 
 
 class MemorySystem:
-    """Banked, multi-channel memory system on a desim clock.
+    """Banked, multi-channel memory system.
 
     Parameters
     ----------
     config:
         Geometry/timing/policy; defaults to :class:`MemSysConfig`.
-    sim:
-        An existing simulator to share a clock with other models; a
-        private one is created if omitted.
     """
 
-    def __init__(
-        self,
-        config: _t.Optional[MemSysConfig] = None,
-        sim: _t.Optional[Simulator] = None,
-    ) -> None:
+    def __init__(self, config: _t.Optional[MemSysConfig] = None) -> None:
         self.config = config or MemSysConfig()
-        # an idle Simulator is falsy (it has __len__), so test identity
-        self._private_sim = sim is None
-        self.sim = sim if sim is not None else Simulator()
         self.addr_map = self.config.address_map()
         self._replayed = False
-        #: Requests :meth:`submit`\ ted outside a replay; an event-engine
-        #: replay counts them ahead of its trace.
-        self._submitted: _t.List[MemRequest] = []
-        #: Which engine the last :meth:`replay` used: ``"event"``,
-        #: ``"fast-vectorized"``, or ``"fast-exact"`` (``None`` before
-        #: any replay).
+        #: Which tier the last :meth:`replay` ran: ``"fast-vectorized"``
+        #: or ``"fast-exact"`` (``None`` before any replay).
         self.last_replay_engine: _t.Optional[str] = None
         self.controllers: _t.List[ChannelController] = []
         for channel in range(self.config.n_channels):
@@ -279,64 +265,17 @@ class MemorySystem:
             ]
             self.controllers.append(
                 ChannelController(
-                    self.sim,
                     channel,
                     banks,
                     policy=self.config.policy,
                     queue_depth=self.config.queue_depth,
-                    banks_per_group=self.config.banks_per_group,
                     refresh=self.config.refresh_schedule(),
                 )
             )
 
     # ------------------------------------------------------------------
-    # request routing
-    # ------------------------------------------------------------------
-    def route(self, request: MemRequest) -> ChannelController:
-        """Decode the request's coordinates; return its controller."""
-        request.coords = self.addr_map.decode(request.addr)
-        return self.controllers[request.coords.channel]
-
-    def submit(self, request: MemRequest):
-        """Route and enqueue one request; returns its completion event.
-
-        The caller must respect queue backpressure (see
-        :meth:`ChannelController.has_space`); :meth:`replay` does.
-        """
-        self._submitted.append(request)
-        return self.route(request).enqueue(request)
-
-    def pim_broadcast(self, row: int) -> _t.List[MemRequest]:
-        """Issue one PIM all-bank request per channel for ``row``.
-
-        Convenience for chip-wide PIM kernels; returns the requests.
-        """
-        requests = []
-        for channel in range(self.config.n_channels):
-            coords = dataclasses.replace(
-                self.addr_map.decode(0), channel=channel, row=row
-            )
-            request = MemRequest(Op.PIM, self.addr_map.encode(coords))
-            self.submit(request)
-            requests.append(request)
-        return requests
-
-    # ------------------------------------------------------------------
     # trace replay
     # ------------------------------------------------------------------
-    def _injector(self, requests: _t.Sequence[MemRequest]):
-        for request in requests:
-            when = request.timestamp
-            if when is not None and when > self.sim.now:
-                # hold the stream until the trace arrival time; sim.at
-                # fires at exactly `when`, so arrival timestamps match
-                # the fast path bit-for-bit
-                yield self.sim.at(when)
-            controller = self.route(request)
-            while not controller.has_space:
-                yield controller.space_event()
-            controller.enqueue(request)
-
     def replay(
         self,
         requests: _t.Union[_t.Sequence[MemRequest], PackedTrace],
@@ -354,34 +293,27 @@ class MemorySystem:
         earlier than its predecessors), replaying the trace's actual
         traffic intensity.
 
+        The replay runs on :mod:`repro.memsys.fastpath`: the
+        vectorized closed form where its certificates hold, the exact
+        incremental replay otherwise.  Per-request runtime fields are
+        filled in for object traces, never for :class:`PackedTrace`
+        inputs.
+
         Parameters
         ----------
         requests:
             A sequence of :class:`MemRequest` objects or a
             :class:`~repro.memsys.trace.PackedTrace`.
         engine:
-            * ``"event"`` — the desim event engine: every request is a
-              scheduled process step; per-event trace hooks fire; every
-              per-request runtime field is filled in.
-            * ``"fast"`` — the event-free fast path
-              (:mod:`repro.memsys.fastpath`): closed-form ready-time
-              arithmetic, identical ``MemSysStats``, orders of magnitude
-              faster.  Per-request runtime fields are filled in only for
-              object traces (never for :class:`PackedTrace` inputs), and
-              no per-event trace records are emitted.
-            * ``"auto"`` (default) — the fast path whenever no per-event
-              trace hooks are installed (``sim.tracer is None``), the
-              simulator is private to this system, and its clock is
-              untouched (``sim.now == 0``); the event engine otherwise
-              (a shared or already-advanced clock, or an attached
-              tracer, implies the caller wants the event calendar).
+            ``"fast"`` or ``"auto"`` (default); both name the one
+            replay path.
         telemetry:
             Optional :class:`~repro.telemetry.ReplayTelemetry`.  When
             attached, its latency recorder adopts the per-request
-            arrival/start/finish times (bit-identical across engines)
-            and its profiler times the replay phases; afterwards the
-            telemetry holds the stats, engine, and config needed for
-            metrics/timeline export.  Off by default and free when off.
+            arrival/start/finish times and its profiler times the
+            replay phases; afterwards the telemetry holds the stats,
+            tier, and config needed for metrics/timeline export.  Off
+            by default and free when off.
         """
         if engine not in ENGINES:
             raise ValueError(
@@ -398,48 +330,10 @@ class MemorySystem:
                 "counters are cumulative — build a fresh MemorySystem "
                 "per trace"
             )
-        if engine == "auto":
-            engine = (
-                "fast"
-                if self._private_sim
-                and self.sim.tracer is None
-                and self.sim.now == 0.0
-                and not self._submitted
-                else "event"
-            )
-        if engine == "fast":
-            from .fastpath import replay_fast
+        from .fastpath import replay_fast
 
-            if self.sim.now != 0.0 or self._submitted:
-                raise RuntimeError(
-                    "the fast-path engine requires a fresh simulator "
-                    f"clock (sim.now={self.sim.now!r}) and no submitted "
-                    "requests; use engine='event' on an already-used "
-                    "system"
-                )
-            self._replayed = True
-            return replay_fast(self, requests, telemetry)
         self._replayed = True
-
-        profiler = telemetry.profiler if telemetry is not None else None
-        phase = profiler.phase if profiler is not None else null_phase
-        if isinstance(requests, PackedTrace):
-            with phase("decode"):
-                requests = requests.to_requests()
-        self.last_replay_engine = "event"
-        self.sim.process(self._injector(requests), name="memsys.injector")
-        with phase("tier-execute"):
-            self.sim.run()
-            requests = self._submitted + requests
-            unfinished = [r for r in requests if math.isnan(r.finish)]
-            if unfinished:  # pragma: no cover - defensive
-                raise RuntimeError(
-                    f"{len(unfinished)} request(s) never completed"
-                )
-            arrays = _request_arrays(requests)
-        return _finish_replay(
-            self.config, "event", arrays, self.row_counts(), telemetry
-        )
+        return replay_fast(self, requests, telemetry)
 
     @staticmethod
     def _validate_timestamps(requests: _t.Sequence[MemRequest]) -> None:
@@ -520,14 +414,14 @@ def busy_ns(
     """Busy time of one channel, from its requests in trace order.
 
     A busy period opens at a service start that finds the channel idle
-    (``opens_busy``, stamped by the engine that ran the replay) and
+    (``opens_busy``, stamped by the tier that ran the replay) and
     closes at the completion that leaves its queue empty — the last
     service before the next opening one.  A refresh stall with work
     queued stays inside the period; a stall right after an idle wakeup
     is idle time, because a period opens only when its first service
     starts.  Whether a completion coincident with an admission left the
     queue empty depends on which of the two the calendar ran first,
-    which the times alone cannot tell: hence the engine's mark.
+    which the times alone cannot tell: hence the tier's mark.
     """
     if start.shape[0] == 0:
         return 0.0
@@ -640,9 +534,8 @@ def reduce_stats(
 
 def _gather(records: _t.Sequence[_t.Any]) -> _t.Dict[str, np.ndarray]:
     """Trace-ordered stamps of finished requests: their times, outcome
-    codes, admission occupancy and busy-period marks.  Reads the
-    attributes :class:`MemRequest` and the fast path's exact-tier
-    records share."""
+    codes, admission occupancy and busy-period marks, read off the fast
+    path's exact-tier records."""
     n = len(records)
 
     def column(
@@ -661,28 +554,6 @@ def _gather(records: _t.Sequence[_t.Any]) -> _t.Dict[str, np.ndarray]:
         "occupancy": column("occupancy", np.int32),
         "opens_busy": column("opens_busy", np.bool_),
     }
-
-
-def _request_arrays(
-    requests: _t.Sequence[MemRequest],
-) -> _t.Dict[str, np.ndarray]:
-    """The trace-ordered arrays of an event-engine replay's requests."""
-    n = len(requests)
-
-    def column(values: _t.Iterable) -> np.ndarray:
-        return np.fromiter(values, dtype=np.int64, count=n)
-
-    arrays = _gather(requests)
-    arrays.update(
-        channel=column(r.coords.channel for r in requests),
-        bank=column(
-            ALL_BANKS if r.bank_index is None else r.bank_index
-            for r in requests
-        ),
-        row=column(r.row for r in requests),
-        op=column(r.op.code for r in requests),
-    )
-    return arrays
 
 
 def _finish_replay(

@@ -21,9 +21,8 @@ suite checks.
 
 Two in-memory representations exist:
 
-* a list of :class:`~repro.memsys.request.MemRequest` objects — the
-  natural carrier for the event engine, which mutates per-request
-  runtime fields during replay;
+* a list of :class:`~repro.memsys.request.MemRequest` objects, onto
+  which a replay writes the per-request runtime fields;
 * :class:`PackedTrace` — two numpy arrays (op codes + byte addresses),
   the zero-object-churn form the fast-path replay engine consumes
   directly.  A million-request packed trace costs ~9 MB instead of
@@ -145,9 +144,9 @@ class PackedTrace:
 
     Notes
     -----
-    The fast-path replay engine consumes packed traces without creating
-    any per-request objects; the event engine materializes
-    :class:`MemRequest` objects on demand via :meth:`to_requests`.
+    The replay consumes packed traces without creating any per-request
+    objects; :meth:`to_requests` materializes :class:`MemRequest`
+    objects on demand.
     Iterating a packed trace yields fresh ``MemRequest`` objects lazily.
     """
 
@@ -226,7 +225,7 @@ class PackedTrace:
         )
 
     def to_requests(self) -> _t.List[MemRequest]:
-        """Materialize plain :class:`MemRequest` objects (event engine)."""
+        """Materialize plain :class:`MemRequest` objects."""
         return list(self)
 
     # ------------------------------------------------------------------
@@ -530,7 +529,7 @@ def synthesize_trace(
         seeded exponential interarrival gaps of mean
         ``interarrival_ns`` (drawn from the same ``seed`` stream as
         the write selection, so traces stay fully deterministic).
-        Both engines honor the resulting timestamps identically.
+        Both replay tiers honor the resulting timestamps identically.
     start_ns:
         Arrival-time offset of a timestamped trace (default 0).
     """

@@ -223,7 +223,6 @@ class NnComparison:
 
 def run_nn_kernel(
     kernel: NnKernel,
-    engine: str = "auto",
     telemetry: _t.Optional[_t.Any] = None,
     host_telemetry: _t.Optional[_t.Any] = None,
 ) -> NnComparison:
@@ -244,9 +243,9 @@ def run_nn_kernel(
     kernel.setup(machine)
     machine.reset_requests()
     kernel.execute(machine)
-    pim = machine.replay(engine=engine, telemetry=telemetry)
+    pim = machine.replay(telemetry=telemetry)
     host = MemorySystem(kernel.config).replay(
-        kernel.host_trace(), engine=engine, telemetry=host_telemetry
+        kernel.host_trace(), telemetry=host_telemetry
     )
     return NnComparison(
         kernel=kernel.name,

@@ -73,9 +73,7 @@ class LoweredKernel:
     expected_sum: int
     kernel: PimKernel
 
-    def run(
-        self, engine: str = "auto"
-    ) -> _t.Tuple[float, bool, PimExecResult]:
+    def run(self) -> _t.Tuple[float, bool, PimExecResult]:
         """Execute on a fresh machine.
 
         Returns ``(result, exact, timing)``: the computed sum, whether
@@ -87,7 +85,7 @@ class LoweredKernel:
         self.kernel.setup(machine)
         machine.reset_requests()
         self.kernel.execute(machine)
-        timing = machine.replay(engine=engine)
+        timing = machine.replay()
         result = self.kernel.result(machine)
         exact = (
             self.kernel.check(machine)

@@ -545,7 +545,6 @@ def build_kernel(
 
 def compare_host_pim(
     kernel: PimKernel,
-    engine: str = "auto",
     telemetry: _t.Optional[_t.Any] = None,
     host_telemetry: _t.Optional[_t.Any] = None,
 ) -> KernelComparison:
@@ -564,9 +563,9 @@ def compare_host_pim(
     kernel.setup(machine)
     machine.reset_requests()
     kernel.execute(machine)
-    pim = machine.replay(engine=engine, telemetry=telemetry)
+    pim = machine.replay(telemetry=telemetry)
     host = MemorySystem(kernel.config).replay(
-        kernel.host_trace(), engine=engine, telemetry=host_telemetry
+        kernel.host_trace(), telemetry=host_telemetry
     )
     return KernelComparison(
         kernel=kernel.name,

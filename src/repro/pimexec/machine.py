@@ -926,9 +926,7 @@ class PimExecMachine:
         self._objects = None
 
     def replay(
-        self,
-        engine: str = "auto",
-        telemetry: _t.Optional["_te.ReplayTelemetry"] = None,
+        self, telemetry: _t.Optional["_te.ReplayTelemetry"] = None
     ) -> PimExecResult:
         """Replay the accumulated stream through a fresh MemorySystem.
 
@@ -967,7 +965,7 @@ class PimExecMachine:
             n_host = sum(op in (Op.READ, Op.WRITE) for op in ops)
             n_total = len(trace)
         system = MemorySystem(self.config)
-        stats = system.replay(trace, engine=engine, telemetry=telemetry)
+        stats = system.replay(trace, telemetry=telemetry)
         return PimExecResult(
             stats=stats,
             engine=system.last_replay_engine,

@@ -31,13 +31,13 @@ configuration, strictly post-replay:
 * ``background`` — standby power integrated over each channel's exact
   busy/idle split (service-span union vs. the rest of the makespan).
 
-Because the recorder arrays are bit-identical across the event engine,
-both fast-path tiers, and the farm's merged shards, and every
-derivation here is a deterministic numpy reduction over them, the
-totals, breakdowns, and power series are **bit-identical across
-engines by construction** (``tests/telemetry/test_energy.py`` pins
-``repr`` equality over the engine x unit-tier x farm x refresh x dtype
-matrix).  Nothing runs while the simulated clock advances, so the <5%
+Because the recorder arrays are bit-identical across both replay
+tiers, the farm's merged shards, and the tests' event-calendar oracle,
+and every derivation here is a deterministic numpy reduction over
+them, the totals, breakdowns, and power series are **bit-identical
+across replay paths by construction** (``tests/telemetry/test_energy.py``
+pins ``repr`` equality over the replay x unit-tier x farm x refresh x
+dtype matrix).  Nothing runs while the simulated clock advances, so the <5%
 telemetry-overhead floor of ``benchmarks/bench_*.py`` is untouched.
 
 The :class:`EnergyCoefficients` table is pluggable; the defaults are

@@ -1,23 +1,23 @@
-"""Per-request latency recording across both replay engines.
+"""Per-request latency recording across both replay tiers.
 
-Both engines already *know* every request's arrival, service start, and
-finish: the event engine stamps them onto :class:`MemRequest` objects as
-its calendar advances, the fast path's exact tier onto its slotted
-per-request records, and the vectorized tier solves them in closed form
-as per-channel arrays.  Every replay gathers those times into
+Both tiers already *know* every request's arrival, service start, and
+finish: the exact tier stamps them onto its slotted per-request records
+as its calendar advances, and the vectorized tier solves them in closed
+form as per-channel arrays.  Every replay gathers those times into
 trace-ordered numpy arrays once, after its clock stops, and reduces its
 :class:`~repro.memsys.MemSysStats` from them
 (:func:`~repro.memsys.system.reduce_stats`); :class:`LatencyRecorder`
 adopts the same arrays, so recording costs nothing measurable while the
 clock is hot (the <5% overhead floor of ``bench_memsys``).
 
-Because the fast path is certified bit-exact against the event engine,
-the recorded ``arrival`` / ``start_service`` / ``finish`` arrays are
-**bit-identical** between engines for the same trace and configuration —
-a certificate-strength guarantee the cross-engine equivalence suite
+Because the vectorized tier is certified bit-exact against the exact
+tier, the recorded ``arrival`` / ``start_service`` / ``finish`` arrays
+are **bit-identical** between tiers for the same trace and
+configuration — a guarantee the equivalence suite
 (``tests/telemetry/test_equivalence.py``) checks with
-``np.array_equal`` over the full refresh × arrival × scheme × policy
-matrix.
+``np.array_equal`` against a tests-only event-calendar oracle over the
+full refresh × arrival × scheme × policy matrix, while
+:func:`~repro.memsys.laws.check_laws` checks the arrays themselves.
 
 :class:`ReplayTelemetry` is the handle callers pass to
 :meth:`MemorySystem.replay(..., telemetry=...)
@@ -142,6 +142,12 @@ class LatencyRecorder:
     # ------------------------------------------------------------------
     # recorded arrays (trace order)
     # ------------------------------------------------------------------
+    @property
+    def arrays(self) -> _t.Mapping[str, np.ndarray]:
+        """The adopted arrays, keyed by :data:`KEYS` — the input of
+        :func:`~repro.memsys.laws.check_laws`."""
+        return self._assemble()
+
     @property
     def n(self) -> int:
         return int(self._assemble()["arrival"].shape[0])
@@ -360,8 +366,8 @@ class ReplayTelemetry:
     def __init__(self, latency: bool = True, profile: bool = True) -> None:
         self.recorder = LatencyRecorder() if latency else None
         self.profiler = PhaseProfiler() if profile else None
-        #: Engine that served the replay (``"event"`` /
-        #: ``"fast-vectorized"`` / ``"fast-exact"``).
+        #: Tier that served the replay (``"fast-vectorized"`` /
+        #: ``"fast-exact"``, or ``"farm"``).
         self.engine: _t.Optional[str] = None
         self.config: _t.Optional["MemSysConfig"] = None
         self.stats: _t.Optional["MemSysStats"] = None

@@ -10,7 +10,7 @@ one text table on stdout and one JSON document
 (``repro.telemetry/report-v2``) on disk.  The JSON is a pure
 composition of the existing schemas: every section is exactly what
 the dedicated exporter would have written, so a report is
-bit-identical across engines wherever its inputs are.
+bit-identical across replay paths wherever its inputs are.
 
 :func:`render_report` is a pure function of the JSON document, so a
 stored report re-renders identically anywhere.
@@ -44,13 +44,12 @@ REPORT_SCHEMA = "repro.telemetry/report-v2"
 def replay_tier(engine: _t.Optional[str]) -> _t.Optional[str]:
     """Map a replay-engine label onto the execution-tier taxonomy.
 
-    The memory system picks among three tiers per stream (see
+    The memory system picks between two tiers per stream (see
     ``docs/architecture.md``): the closed-form **fastpath** tier
-    (``fast-vectorized``, admitted by the certificate), the
-    vectorized-but-sequential **exact** tier (``fast-exact``), and the
-    discrete-**event** engine.  Farm runs and other composite labels
-    pass through unchanged; ``None`` (no replay recorded) stays
-    ``None``.
+    (``fast-vectorized``, admitted by the certificate) and the
+    sequential **exact** tier (``fast-exact``).  Farm runs and other
+    composite labels pass through unchanged; ``None`` (no replay
+    recorded) stays ``None``.
     """
     if engine is None:
         return None
@@ -59,8 +58,6 @@ def replay_tier(engine: _t.Optional[str]) -> _t.Optional[str]:
         return "fastpath"
     if label.startswith("fast"):
         return "exact"
-    if label.startswith("event"):
-        return "event"
     return label
 
 

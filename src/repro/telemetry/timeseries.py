@@ -10,10 +10,11 @@ series can.
 Every series is computed **purely from the
 :class:`~repro.telemetry.latency.LatencyRecorder` arrays**
 (arrival/start/finish/outcome/channel/bank/op) plus the replay's
-configuration.  Those arrays are bit-identical across the event
-engine, both fast-path tiers, and the farm's merged shards, and every
-derivation here is a deterministic numpy reduction over them — so the
-series are **bit-identical across engines by construction**
+configuration.  Those arrays are bit-identical across both replay
+tiers, the farm's merged shards, and the tests' event-calendar oracle,
+and every derivation here is a deterministic numpy reduction over them
+— so the series are **bit-identical across replay paths by
+construction**
 (``tests/telemetry/test_timeseries.py`` checks ``repr`` equality of
 whole documents over the scheme x policy x refresh x arrival matrix).
 
@@ -286,7 +287,7 @@ def build_timeseries(
     makespan is divided into ``n_windows`` (default
     :data:`DEFAULT_WINDOWS`) equal windows.  Both choices are
     deterministic functions of bit-identical inputs, so either way the
-    document is bit-identical across engines.
+    document is bit-identical across replay paths.
     """
     recorder, config = _recorded(telemetry, "time-series derivation")
     makespan = float(telemetry.makespan_ns)

@@ -5,8 +5,9 @@ The farm's headline guarantee: for every shardable trace,
 arrays **bit-identical** to ``MemorySystem(config).replay(trace)`` —
 every float compared by ``repr`` (no tolerances), across schemes,
 policies, refresh settings, arrival processes, worker modes, and shard
-foldings.  Unshardable traces degrade to a single-process replay that
-is exact by construction.
+foldings — and the merged arrays obey the timing laws.  Unshardable
+traces degrade to a single-process replay that is exact by
+construction.
 """
 
 import dataclasses
@@ -18,6 +19,9 @@ from repro.farm import FarmConfig, replay_farm
 from repro.memsys import MemSysConfig, MemorySystem
 from repro.memsys.trace import synthesize_trace
 from repro.telemetry import ReplayTelemetry
+
+from tests.memsys.event_oracle import replay_event
+from tests.memsys.test_fastpath import assert_laws_hold
 
 ARRAY_PROPS = (
     "arrival",
@@ -36,13 +40,13 @@ def bitwise_equal(a, b):
     return repr(dataclasses.asdict(a)) == repr(dataclasses.asdict(b))
 
 
-def assert_farm_exact(config, trace, farm, engine="fast"):
+def assert_farm_exact(config, trace, farm, replay=MemorySystem.replay):
+    """The farm against a single-process ``replay`` of ``trace``."""
     single_tel = ReplayTelemetry(profile=False)
-    single = MemorySystem(config).replay(
-        trace, engine=engine, telemetry=single_tel
-    )
+    single = replay(MemorySystem(config), trace, telemetry=single_tel)
     farm_tel = ReplayTelemetry(profile=False)
     result = replay_farm(trace, config, farm, telemetry=farm_tel)
+    assert_laws_hold(config, farm_tel)
     assert bitwise_equal(single, result.stats), (
         f"farm stats diverged: {single} != {result.stats}"
     )
@@ -111,7 +115,7 @@ class TestBitIdentity:
             config, trace, FarmConfig(mode="inprocess", engine="fast")
         )
 
-    def test_event_engine_workers(self):
+    def test_farm_matches_event_oracle(self):
         config = MemSysConfig(
             n_channels=4, scheme="channel-interleaved"
         )
@@ -119,10 +123,10 @@ class TestBitIdentity:
         result = assert_farm_exact(
             config,
             trace,
-            FarmConfig(mode="inprocess", engine="event"),
-            engine="event",
+            FarmConfig(mode="inprocess"),
+            replay=replay_event,
         )
-        assert {s.engine for s in result.report.shards} == {"event"}
+        assert not result.report.fell_back_to_single
 
     def test_real_worker_processes(self):
         config = MemSysConfig(

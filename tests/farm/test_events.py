@@ -77,7 +77,7 @@ def _exact(single, stats):
 
 def _run(fault_plan=None, telemetry=None, **farm_kwargs):
     config, trace, single = _setup()
-    kwargs = dict(CHAOS_FARM, mode="inprocess", engine="event")
+    kwargs = dict(CHAOS_FARM, mode="inprocess", engine="fast")
     kwargs.update(farm_kwargs)
     result = replay_farm(
         trace,
@@ -211,7 +211,7 @@ class TestSupervisorLifecycleEvents:
             e for e in result.events.events if e.kind == "shard-done"
         ]
         assert done
-        assert all(e.detail == "event" for e in done)
+        assert all(e.detail.startswith("fast-") for e in done)
 
     def test_fallback_event_on_unshardable_trace(self):
         config = MemSysConfig(n_channels=2)

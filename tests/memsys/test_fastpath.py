@@ -1,10 +1,14 @@
-"""Engine-equivalence suite: event engine vs. the event-free fast path.
+"""Tier-equivalence suite: the desim event oracle vs. the replay path.
 
 Every combination of interleaving scheme x scheduling policy x access
-pattern (plus PIM all-bank traces) is replayed through both engines and
-the resulting :class:`MemSysStats` must agree to the last bit: both
-engines record bit-identical per-request times and bank counters, and
-one reduction turns them into statistics.
+pattern (plus PIM all-bank traces) is replayed through the tests-only
+event calendar (:mod:`tests.memsys.event_oracle`) and through
+:meth:`MemorySystem.replay`, and the resulting :class:`MemSysStats` must
+agree to the last bit: both record bit-identical per-request times and
+bank counters, and one reduction turns them into statistics.  Because
+both drive the same controller code, each replay is also checked
+against the timing laws (:func:`repro.memsys.check_laws`), which share
+none of it.
 """
 
 import dataclasses
@@ -13,8 +17,6 @@ from unittest import mock
 
 import pytest
 
-from repro.desim import Simulator
-from repro.desim.trace import Tracer
 from repro.memsys import (
     Coordinates,
     MemRequest,
@@ -23,12 +25,15 @@ from repro.memsys import (
     Op,
     PackedTrace,
     SCHEMES,
+    check_laws,
     synthesize_trace,
 )
 from repro.memsys import fastpath
 from repro.nn import TransformerLayerSpec, transformer_layer_program
 from repro.telemetry import ReplayTelemetry
 from repro.telemetry.latency import channel_gauges
+
+from .event_oracle import replay_event
 
 SCHEME_NAMES = sorted(SCHEMES)
 POLICY_NAMES = ("fcfs", "frfcfs")
@@ -55,11 +60,22 @@ def pim_all_bank_trace(config, n):
     return requests
 
 
-def replay_both(config, trace):
-    """Replay one trace through both engines on fresh systems."""
-    event_stats = MemorySystem(config).replay(fresh(trace), engine="event")
+def assert_laws_hold(config, telemetry):
+    """The replay ``telemetry`` recorded obeys every timing law."""
+    violations = check_laws(config, telemetry.recorder.arrays)
+    assert not violations, violations[:5]
+
+
+def replay_both(config, trace, copy=fresh):
+    """Replay one trace through the event oracle and the replay path on
+    fresh systems, each checked against the timing laws."""
+    event_tel = ReplayTelemetry(profile=False)
+    event_stats = replay_event(MemorySystem(config), copy(trace), event_tel)
+    fast_tel = ReplayTelemetry(profile=False)
     fast_system = MemorySystem(config)
-    fast_stats = fast_system.replay(fresh(trace), engine="fast")
+    fast_stats = fast_system.replay(copy(trace), telemetry=fast_tel)
+    assert_laws_hold(config, event_tel)
+    assert_laws_hold(config, fast_tel)
     return event_stats, fast_stats, fast_system
 
 
@@ -223,59 +239,19 @@ class TestTierSelection:
 
 
 class TestEngineSelection:
-    def test_auto_picks_fast_on_private_sim(self):
+    def test_auto_replays_on_the_fast_path(self):
         config = MemSysConfig()
         system = MemorySystem(config)
         system.replay(synthesize_trace("sequential", 64, config))
         assert system.last_replay_engine.startswith("fast")
 
-    def test_auto_picks_event_on_advanced_private_clock(self):
-        """A private sim whose clock already moved (e.g. via submit +
-        run) must fall back to the event engine, not raise."""
-        config = MemSysConfig()
-        system = MemorySystem(config)
-        system.submit(MemRequest(Op.READ, 0))
-        system.sim.run()
-        assert system.sim.now > 0.0
-        stats = system.replay(synthesize_trace("sequential", 64, config))
-        assert system.last_replay_engine == "event"
-        assert stats.n_requests == 65  # the submitted request counts too
-
-    def test_auto_picks_event_on_shared_sim(self):
-        config = MemSysConfig()
-        system = MemorySystem(config, sim=Simulator())
-        system.replay(synthesize_trace("sequential", 64, config))
-        assert system.last_replay_engine == "event"
-
-    def test_auto_picks_event_with_tracer(self):
-        config = MemSysConfig()
-        system = MemorySystem(config)
-        system.sim.tracer = Tracer()
-        system.replay(synthesize_trace("sequential", 64, config))
-        assert system.last_replay_engine == "event"
-
-    def test_unknown_engine_rejected(self):
+    @pytest.mark.parametrize("engine", ("warp", "event"))
+    def test_unknown_engine_rejected(self, engine):
         config = MemSysConfig()
         with pytest.raises(ValueError, match="unknown engine"):
             MemorySystem(config).replay(
                 synthesize_trace("sequential", 16, config),
-                engine="warp",
-            )
-
-    def test_fast_engine_requires_fresh_clock(self):
-        sim = Simulator()
-
-        def ticker():
-            yield sim.timeout(5.0)
-
-        sim.process(ticker())
-        sim.run()
-        config = MemSysConfig()
-        system = MemorySystem(config, sim=sim)
-        with pytest.raises(RuntimeError, match="fresh simulator clock"):
-            system.replay(
-                synthesize_trace("sequential", 16, config),
-                engine="fast",
+                engine=engine,
             )
 
     def test_second_replay_rejected_on_fast_engine(self):
@@ -293,8 +269,8 @@ class TestEngineSelection:
 
 class TestFastPathSideEffects:
     def test_request_fields_written_back(self):
-        """Object traces get the same per-request runtime fields from
-        both engines, in both fast tiers."""
+        """Object traces get the event oracle's per-request runtime
+        fields from both fast tiers."""
         for pattern, expected_tier in (
             ("sequential", "fast-vectorized"),
             ("random", "fast-exact"),
@@ -304,7 +280,7 @@ class TestFastPathSideEffects:
             )
             trace = synthesize_trace(pattern, 2048, config, seed=8)
             event_trace = fresh(trace)
-            MemorySystem(config).replay(event_trace, engine="event")
+            replay_event(MemorySystem(config), event_trace)
             fast_trace = fresh(trace)
             fast_system = MemorySystem(config)
             fast_system.replay(fast_trace, engine="fast")
@@ -317,18 +293,16 @@ class TestFastPathSideEffects:
 
     def test_queue_length_extremes_match_event_engine(self):
         """The per-channel queue peak derived from the recorded arrays
-        is the same for the event engine and the vectorized tier, and
+        is the same for the event oracle and the vectorized tier, and
         is a line-rate stream's full queue."""
         config = MemSysConfig(n_channels=2, scheme="channel-interleaved")
         for n in (4, config.queue_depth, 2048):
             trace = synthesize_trace("sequential", n, config)
             peaks = {}
-            for engine in ("event", "fast"):
+            for replay in (replay_event, MemorySystem.replay):
                 telemetry = ReplayTelemetry()
                 system = MemorySystem(config)
-                system.replay(
-                    fresh(trace), engine=engine, telemetry=telemetry
-                )
+                replay(system, fresh(trace), telemetry=telemetry)
                 peaks[system.last_replay_engine] = [
                     gauges["max_queue_length"]
                     for gauges in channel_gauges(telemetry)
@@ -346,7 +320,7 @@ class TestFastPathSideEffects:
         config = MemSysConfig()
         trace = synthesize_trace("random", 500, config, seed=6)
         event_system = MemorySystem(config)
-        event_system.replay(fresh(trace), engine="event")
+        replay_event(event_system, fresh(trace))
         fast_system = MemorySystem(config)
         fast_system.replay(fresh(trace), engine="fast")
         for event_ctrl, fast_ctrl in zip(
@@ -380,7 +354,7 @@ class TestFastPathSideEffects:
             "sequential", 256, config, packed=True
         )
         system = MemorySystem(config)
-        stats = system.replay(packed, engine="event")
+        stats = replay_event(system, packed)
         assert system.last_replay_engine == "event"
         assert stats.n_requests == 256
 
@@ -407,21 +381,21 @@ def replay_exact_tier(config, trace, telemetry=None):
     the exact tier runs whatever the trace."""
     system = MemorySystem(config)
     with mock.patch.object(fastpath, "_vector_plan", return_value=None):
-        stats = system.replay(trace, engine="fast", telemetry=telemetry)
+        stats = system.replay(trace, telemetry=telemetry)
     assert system.last_replay_engine == "fast-exact"
+    if telemetry is not None and telemetry.recorder is not None:
+        assert_laws_hold(config, telemetry)
     return stats
 
 
 def replay_exact_three_ways(config, trace):
-    """The event engine on objects, then the exact tier on objects and
+    """The event oracle on objects, then the exact tier on objects and
     on the packed trace; returns ``(stats, telemetry, requests)`` each
     (``requests`` is ``None`` for the packed replay)."""
     runs = []
     event_requests = copy_trace(trace)
     telemetry = ReplayTelemetry()
-    stats = MemorySystem(config).replay(
-        event_requests, engine="event", telemetry=telemetry
-    )
+    stats = replay_event(MemorySystem(config), event_requests, telemetry)
     runs.append((stats, telemetry, event_requests))
     for requests in (copy_trace(trace), None):
         telemetry = ReplayTelemetry()
@@ -437,7 +411,7 @@ def replay_exact_three_ways(config, trace):
 
 def assert_exact_plumbing_identical(config, trace):
     """Packed and object input through the exact tier give the event
-    engine's stats, recorder arrays, and per-request fields."""
+    oracle's stats, recorder arrays, and per-request fields."""
     (event_stats, event_tel, event_requests), *fast_runs = (
         replay_exact_three_ways(config, trace)
     )
@@ -462,7 +436,7 @@ class TestExactTierRecords:
 
     The tier replays packed and object traces on the same records and
     writes the runtime fields back onto a caller's request objects once,
-    so both inputs must leave exactly what the event engine leaves.
+    so both inputs must leave exactly what the event oracle leaves.
     """
 
     @pytest.mark.parametrize("policy", POLICY_NAMES)
@@ -516,17 +490,7 @@ def ab_all_bank_trace(config, n):
 def replay_both_timed(config, trace):
     """Like :func:`replay_both` but keeping arrival timestamps —
     ``fresh`` strips them, which would hide the backpressure tier."""
-
-    def copy():
-        return [
-            MemRequest(r.op, r.addr, timestamp=r.timestamp)
-            for r in trace
-        ]
-
-    event_stats = MemorySystem(config).replay(copy(), engine="event")
-    fast_system = MemorySystem(config)
-    fast_stats = fast_system.replay(copy(), engine="fast")
-    return event_stats, fast_stats, fast_system
+    return replay_both(config, trace, copy=copy_trace)
 
 
 class TestAbCertificate:

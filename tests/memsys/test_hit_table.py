@@ -20,6 +20,11 @@ from repro.memsys import (
 )
 from repro.memsys.controller import ChannelController
 
+from .event_oracle import replay_event
+
+#: The two replays the open-row table serves.
+REPLAYS = {"event": replay_event, "fast": MemorySystem.replay}
+
 
 def _reference_select(self):
     """The pre-table FR-FCFS selection: always scan the queue."""
@@ -42,14 +47,11 @@ def _reference_select(self):
 
 
 def _stats_pair(trace_builder, config, engine, monkeypatch):
-    table = MemorySystem(config).replay(
-        trace_builder(), engine=engine
-    ).summary()
+    replay = REPLAYS[engine]
+    table = replay(MemorySystem(config), trace_builder()).summary()
     with monkeypatch.context() as patch:
         patch.setattr(ChannelController, "_select", _reference_select)
-        reference = MemorySystem(config).replay(
-            trace_builder(), engine=engine
-        ).summary()
+        reference = replay(MemorySystem(config), trace_builder()).summary()
     return table, reference
 
 
@@ -112,14 +114,9 @@ def test_selection_matches_reference_with_pim_and_ab(monkeypatch):
                 )
         return requests
 
-    config_stats = MemorySystem(config).replay(
-        build(), engine="event"
-    ).summary()
-    with monkeypatch.context() as patch:
-        patch.setattr(ChannelController, "_select", _reference_select)
-        reference = MemorySystem(config).replay(
-            build(), engine="event"
-        ).summary()
+    config_stats, reference = _stats_pair(
+        build, config, "event", monkeypatch
+    )
     assert config_stats == reference
 
 

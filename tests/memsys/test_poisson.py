@@ -11,6 +11,8 @@ from repro.memsys import (
     synthesize_trace,
 )
 
+from .event_oracle import replay_event
+
 
 class TestArrivalTimes:
     def test_fixed_cadence(self):
@@ -98,11 +100,11 @@ class TestReplay:
             write_fraction=0.2,
             interarrival_ns=6.0, interarrival="poisson",
         )
-        event = MemorySystem(config).replay(
+        event = replay_event(
+            MemorySystem(config),
             [type(r)(r.op, r.addr, r.timestamp) for r in trace],
-            engine="event",
         )
-        fast = MemorySystem(config).replay(trace, engine="fast")
+        fast = MemorySystem(config).replay(trace)
         # makespan and integer counters are bit-exact in every tier;
         # the vectorized tier's Tally means may differ by an ulp
         # (numpy pairwise sums vs sequential accumulation)

@@ -17,7 +17,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.desim import Simulator
 from repro.desim.trace import Tracer
 from repro.memsys import (
     MemRequest,
@@ -31,7 +30,8 @@ from repro.memsys.system import reduce_stats
 from repro.telemetry import ALL_BANKS, ReplayTelemetry
 from repro.telemetry.latency import channel_gauges
 
-from .test_fastpath import replay_exact_tier
+from .event_oracle import replay_event
+from .test_fastpath import assert_laws_hold, replay_exact_tier
 
 CONFIG = MemSysConfig(n_channels=2, bankgroups=2, banks_per_group=2)
 PAGE_BITS = CONFIG.timing.page_bits
@@ -298,7 +298,9 @@ def test_reordering_replay_matches_reference(engine):
     trace = synthesize_trace("random", 400, config, seed=3)
     telemetry = ReplayTelemetry(profile=False)
     system = MemorySystem(config)
-    stats = system.replay(trace, engine=engine, telemetry=telemetry)
+    replay = replay_event if engine == "event" else MemorySystem.replay
+    stats = replay(system, trace, telemetry=telemetry)
+    assert_laws_hold(config, telemetry)
     recorder = telemetry.recorder
     arrays = {key: value for key, value in recorder._assemble().items()}
     order_differs = any(
@@ -365,9 +367,10 @@ class TestCoincidentAdmissions:
         config = self.config()
         trace = self.trace(config)
         tracer = Tracer(kinds={"memsys.enqueue", "memsys.complete"})
-        system = MemorySystem(config, sim=Simulator(tracer=tracer))
+        system = MemorySystem(config)
         telemetry = ReplayTelemetry(profile=False)
-        stats = system.replay(trace, engine="event", telemetry=telemetry)
+        stats = replay_event(system, trace, telemetry, tracer=tracer)
+        assert_laws_hold(config, telemetry)
         coincident = {r.finish for r in trace} & {r.arrival for r in trace}
         stalled = [
             r
@@ -387,8 +390,8 @@ class TestCoincidentAdmissions:
         config = self.config()
         event = ReplayTelemetry(profile=False)
         exact = ReplayTelemetry(profile=False)
-        event_stats = MemorySystem(config).replay(
-            self.trace(config), engine="event", telemetry=event
+        event_stats = replay_event(
+            MemorySystem(config), self.trace(config), event
         )
         exact_stats = replay_exact_tier(config, self.trace(config), exact)
         assert repr(exact_stats) == repr(event_stats)
@@ -405,7 +408,7 @@ class TestCoincidentAdmissions:
         config = MemSysConfig(n_channels=1)
         base = synthesize_trace("sequential", 3, config)
         first = MemRequest(base[0].op, base[0].addr)
-        MemorySystem(config).replay([first], engine="event")
+        replay_event(MemorySystem(config), [first])
 
         def trace():
             return [
@@ -417,9 +420,7 @@ class TestCoincidentAdmissions:
         for name in ("event", "exact", "vectorized"):
             telemetry = ReplayTelemetry(profile=False)
             if name == "event":
-                MemorySystem(config).replay(
-                    trace(), engine="event", telemetry=telemetry
-                )
+                replay_event(MemorySystem(config), trace(), telemetry)
             elif name == "exact":
                 replay_exact_tier(config, trace(), telemetry)
             else:

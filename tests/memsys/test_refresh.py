@@ -2,15 +2,12 @@
 
 Covers the :class:`RefreshSchedule` fence arithmetic, the config
 surface, the physical effects (bandwidth overhead ~ tRFC/tREFI, row
-closures, per-bank masking), and — most importantly — the engine
+closures, per-bank masking), and — most importantly — the
 equivalence grid over (refresh on/off x granularity) x
 (timestamped/line-rate) x policy x pattern: every combination must
-produce identical statistics from the event engine and the fast path,
-whichever tier serves it.
+produce identical statistics from the event oracle and the replay path,
+whichever tier serves it, and obey the timing laws.
 """
-
-import dataclasses
-import math
 
 import pytest
 
@@ -24,6 +21,9 @@ from repro.memsys import (
     synthesize_trace,
 )
 
+from .event_oracle import replay_event
+from .test_fastpath import assert_stats_equivalent, replay_both as _both
+
 #: HBM2-class refresh timings (ns).
 TREFI, TRFC = 3900.0, 350.0
 
@@ -33,41 +33,7 @@ def fresh(trace):
 
 
 def replay_both(config, trace):
-    event_stats = MemorySystem(config).replay(fresh(trace), engine="event")
-    fast_system = MemorySystem(config)
-    fast_stats = fast_system.replay(fresh(trace), engine="fast")
-    return event_stats, fast_stats, fast_system
-
-
-def assert_stats_equivalent(event_stats, fast_stats, rel=None):
-    """Stat-for-stat comparison; ``rel=None`` demands bit-exactness."""
-
-    def check(actual, expected, key):
-        if isinstance(expected, int):
-            assert actual == expected, key
-        elif math.isnan(expected):
-            assert math.isnan(actual), key
-        elif rel is None:
-            assert actual == expected, key
-        else:
-            assert actual == pytest.approx(expected, rel=rel), key
-
-    event_dict = dataclasses.asdict(event_stats)
-    fast_dict = dataclasses.asdict(fast_stats)
-    event_channels = event_dict.pop("per_channel")
-    fast_channels = fast_dict.pop("per_channel")
-    for key, expected in event_dict.items():
-        check(fast_dict[key], expected, key)
-    # the core quantities are reproduced bit-for-bit, not just closely
-    assert fast_stats.makespan_ns == event_stats.makespan_ns
-    assert (
-        fast_stats.sustained_bits_per_sec
-        == event_stats.sustained_bits_per_sec
-    )
-    assert len(fast_channels) == len(event_channels)
-    for expected_row, actual_row in zip(event_channels, fast_channels):
-        for key, expected in expected_row.items():
-            check(actual_row[key], expected, key)
+    return _both(config, trace, copy=fresh)
 
 
 def pim_all_bank_trace(config, n):
@@ -184,7 +150,7 @@ class TestRefreshPhysics:
         addr = amap.encode(Coordinates(row=3, column=0))
         # same page over and over: without refresh one miss, then hits
         trace = [MemRequest(Op.READ, addr, 60.0 * i) for i in range(4)]
-        stats = MemorySystem(config).replay(trace, engine="event")
+        stats = replay_event(MemorySystem(config), trace)
         # arrivals at 0, 60, 120, 180: boundaries at 100 (before the
         # 120 access) and nothing else in range -> 2 misses total
         assert stats.row_misses == 2
@@ -344,10 +310,12 @@ class TestEngineEquivalenceGrid:
             "random", 600, config, seed=5
         ) + synthesize_trace("sequential", 2400, config)
         recorded = {}
-        for engine in ("event", "fast"):
+        for engine, replay in (
+            ("event", replay_event), ("fast", MemorySystem.replay)
+        ):
             telemetry = ReplayTelemetry()
             system = MemorySystem(config)
-            system.replay(fresh(trace), engine=engine, telemetry=telemetry)
+            replay(system, fresh(trace), telemetry=telemetry)
             recorded[engine] = telemetry.recorder
         assert system.last_replay_engine == "fast-vectorized"
         epochs = len(
@@ -471,17 +439,16 @@ class TestMixedTimestampValidation:
         with pytest.raises(ValueError, match="decreases"):
             MemorySystem(config).replay(trace)
 
-    @pytest.mark.parametrize("engine", ("event", "fast"))
-    def test_write_back_matches_between_engines(self, engine):
+    def test_write_back_matches_between_engines(self):
         """Per-request runtime fields agree for timestamped traces."""
         config = MemSysConfig()
         trace = synthesize_trace(
             "sequential", 512, config, interarrival_ns=6.0
         )
         event_trace = fresh(trace)
-        MemorySystem(config).replay(event_trace, engine="event")
+        replay_event(MemorySystem(config), event_trace)
         fast_trace = fresh(trace)
-        MemorySystem(config).replay(fast_trace, engine="fast")
+        MemorySystem(config).replay(fast_trace)
         for event_req, fast_req in zip(event_trace, fast_trace):
             assert fast_req.arrival == event_req.arrival
             assert fast_req.start_service == event_req.start_service

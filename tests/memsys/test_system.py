@@ -1,6 +1,5 @@
 """Integration tests: controllers, scheduling, and the analytic cross-check."""
 
-import math
 
 import pytest
 
@@ -64,31 +63,27 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="row_policy"):
             MemSysConfig(row_policy="adaptive")
 
-    def test_controller_rejects_bad_depth(self, sim):
+    def test_controller_rejects_bad_depth(self):
         from repro.memsys import Bank
 
         with pytest.raises(ValueError):
-            ChannelController(sim, 0, [Bank()], queue_depth=0)
+            ChannelController(0, [Bank()], queue_depth=0)
 
-    def test_controller_rejects_bad_banks_per_group(self, sim):
-        from repro.memsys import Bank
-
-        with pytest.raises(ValueError, match="banks_per_group"):
-            ChannelController(sim, 0, [Bank()], banks_per_group=2)
-
-    def test_standalone_controller_separates_bankgroups(self, sim):
-        """A directly-built controller must not alias bankgroups."""
-        from repro.memsys import Bank
-
-        banks = [Bank(name=f"b{i}") for i in range(4)]
-        controller = ChannelController(sim, 0, banks, banks_per_group=2)
-        first = MemRequest(Op.READ, 0)
-        first.coords = Coordinates(bankgroup=0, bank=0, row=1)
-        second = MemRequest(Op.READ, 0)
-        second.coords = Coordinates(bankgroup=1, bank=0, row=2)
-        controller.enqueue(first)
-        controller.enqueue(second)
-        sim.run()
+    def test_replay_separates_bankgroups(self):
+        """Flat bank indices must not alias bankgroups."""
+        config = MemSysConfig(n_channels=1, bankgroups=2, banks_per_group=2)
+        amap = config.address_map()
+        system = MemorySystem(config)
+        system.replay(
+            [
+                MemRequest(Op.READ, amap.encode(Coordinates(row=1))),
+                MemRequest(
+                    Op.READ,
+                    amap.encode(Coordinates(bankgroup=1, row=2)),
+                ),
+            ]
+        )
+        banks = system.controllers[0].banks
         assert banks[0].open_row == 1
         assert banks[2].open_row == 2  # group 1 starts at flat index 2
 
@@ -264,19 +259,10 @@ class TestSystemBehavior:
             MemRequest(Op.AB, 0),
             MemRequest(Op.READ, amap.encode(Coordinates(row=1))),
         ]
-        system.replay(trace, engine="event")
+        system.replay(trace)
         # service order is arrival order: the hit waits for the AB
         assert trace[1].finish <= trace[2].start_service
         assert trace[2].outcome == "hit"
-
-    def test_pim_broadcast_reaches_every_channel(self):
-        config = MemSysConfig(n_channels=2)
-        system = MemorySystem(config)
-        requests = system.pim_broadcast(row=5)
-        system.sim.run()
-        assert len(requests) == 2
-        assert {r.coords.channel for r in requests} == {0, 1}
-        assert all(not math.isnan(r.finish) for r in requests)
 
     def test_request_timestamps_and_outcomes(self):
         config = single_macro(queue_depth=4)
@@ -313,10 +299,7 @@ class TestSystemBehavior:
         assert len(stats.to_rows()) == config.n_channels
         assert stats.summary()["requests"] == 256
 
-    def test_shared_simulator_clock(self, sim):
+    def test_single_read_latency(self):
         config = single_macro()
-        system = MemorySystem(config, sim=sim)
-        assert system.sim is sim
-        system.submit(MemRequest(Op.READ, 0))
-        sim.run()
-        assert sim.now == pytest.approx(22.0)  # activate + one page
+        stats = MemorySystem(config).replay([MemRequest(Op.READ, 0)])
+        assert stats.makespan_ns == pytest.approx(22.0)  # activate + page

@@ -12,6 +12,10 @@ from repro.nn import (
     transformer_layer_trace,
 )
 from repro.pimexec import parse_pim_program
+from repro.telemetry import ReplayTelemetry
+
+from tests.memsys.event_oracle import replay_event
+from tests.memsys.test_fastpath import assert_laws_hold
 
 SPEC = TransformerLayerSpec(d_model=8, n_heads=2, seq_len=8, d_ff=16)
 WIDE = TransformerLayerSpec(d_model=16, n_heads=4, seq_len=20, d_ff=24)
@@ -154,12 +158,14 @@ class TestReplay:
         program = transformer_layer_program(
             SPEC, config, interarrival_ns=4.0, interarrival=mode
         )
-        event = MemorySystem(config).replay(
-            program.to_requests(config), engine="event"
+        event = replay_event(
+            MemorySystem(config), program.to_requests(config)
         )
+        telemetry = ReplayTelemetry(profile=False)
         fast = MemorySystem(config).replay(
-            program.to_requests(config), engine="fast"
+            program.to_requests(config), telemetry=telemetry
         )
+        assert_laws_hold(config, telemetry)
         assert event.makespan_ns == fast.makespan_ns
         assert event.summary() == fast.summary()
         assert event.row_hits == fast.row_hits

@@ -12,6 +12,8 @@ from repro.isa import (
 from repro.memsys import MemSysConfig
 from repro.pimexec import CompileError, lower_kernel_binary
 
+from tests.memsys.event_oracle import event_replays
+
 
 class TestLowering:
     @pytest.mark.parametrize(
@@ -39,8 +41,9 @@ class TestLowering:
 
     def test_both_engines_agree(self):
         lowered = lower_kernel_binary(vector_sum_program(count=32))
-        fast = lowered.run(engine="fast")
-        event = lowered.run(engine="event")
+        fast = lowered.run()
+        with event_replays():
+            event = lowered.run()
         assert fast[1] and event[1]
         assert (
             fast[2].stats.makespan_ns == event[2].stats.makespan_ns

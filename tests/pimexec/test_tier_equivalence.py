@@ -28,7 +28,11 @@ from repro.nn import NN_KERNEL_NAMES, build_nn_kernel
 from repro.pimexec import KERNEL_NAMES, PimExecMachine, build_kernel
 from repro.telemetry import ReplayTelemetry
 
-from tests.memsys.test_fastpath import assert_stats_equivalent
+from tests.memsys.event_oracle import event_replays
+from tests.memsys.test_fastpath import (
+    assert_laws_hold,
+    assert_stats_equivalent,
+)
 
 DTYPES = ("fp64", "fp16")
 
@@ -168,8 +172,11 @@ class TestReplayTierEquivalence:
     def test_fast_matches_event_under_refresh(self, name, refresh):
         config = MemSysConfig(n_channels=2, **REFRESH[refresh])
         kernel, machine = run_builtin(name, "vectorized", config=config)
-        fast = machine.replay(engine="fast")
-        event = machine.replay(engine="event")
+        telemetry = ReplayTelemetry(profile=False)
+        fast = machine.replay(telemetry=telemetry)
+        assert_laws_hold(config, telemetry)
+        with event_replays():
+            event = machine.replay()
         assert fast.engine.startswith("fast")
         assert event.engine == "event"
         assert_stats_equivalent(event.stats, fast.stats)
@@ -191,7 +198,7 @@ class TestReplayTierEquivalence:
         kernel.setup(machine)
         machine.reset_requests()  # drop the host staging writes
         kernel.execute(machine)
-        result = machine.replay(engine="fast")
+        result = machine.replay()
         assert result.engine == "fast-vectorized"
 
     @pytest.mark.parametrize("name", ("gemm", "attention"))
@@ -202,8 +209,11 @@ class TestReplayTierEquivalence:
         machine = kernel.machine()
         kernel.setup(machine)
         kernel.execute(machine)
-        fast = machine.replay(engine="fast")
-        event = machine.replay(engine="event")
+        telemetry = ReplayTelemetry(profile=False)
+        fast = machine.replay(telemetry=telemetry)
+        assert_laws_hold(machine.config, telemetry)
+        with event_replays():
+            event = machine.replay()
         assert fast.engine == "fast-exact"
         assert_stats_equivalent(event.stats, fast.stats, rel=None)
 
@@ -218,7 +228,12 @@ class TestReplayTierEquivalence:
         arrays = {}
         for engine in ("fast", "event"):
             telemetry = ReplayTelemetry()
-            machine.replay(engine=engine, telemetry=telemetry)
+            if engine == "fast":
+                machine.replay(telemetry=telemetry)
+            else:
+                with event_replays():
+                    machine.replay(telemetry=telemetry)
+            assert_laws_hold(config, telemetry)
             recorder = telemetry.recorder
             arrays[engine] = (
                 recorder.queue_wait.copy(),
@@ -246,10 +261,9 @@ class TestReplayTierEquivalence:
             kernel.setup(machine)
             kernel.execute(machine)
             state[unit_mode] = machine
-            for engine in ("fast", "event"):
-                results[(unit_mode, engine)] = machine.replay(
-                    engine=engine
-                )
+            results[(unit_mode, "fast")] = machine.replay()
+            with event_replays():
+                results[(unit_mode, "event")] = machine.replay()
         assert_unit_state_identical(
             state["scalar"], state["vectorized"]
         )

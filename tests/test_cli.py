@@ -32,7 +32,6 @@ class TestParser:
         args = build_parser().parse_args(
             [
                 "replay", str(tmp_path / "a.trace"),
-                "--engine", "fast",
                 "--scheme", "channel-interleaved",
                 "--policy", "fcfs",
                 "--channels", "4",
@@ -40,29 +39,27 @@ class TestParser:
             ]
         )
         assert args.command == "replay"
-        assert args.engine == "fast"
         assert args.scheme == "channel-interleaved"
         assert args.policy == "fcfs"
         assert args.channels == 4
         assert args.queue_depth == 8
 
-    def test_replay_rejects_unknown_engine(self):
+    def test_replay_has_no_engine_flag(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["replay", "a.trace", "--engine", "warp"]
+                ["replay", "a.trace", "--engine", "fast"]
             )
 
     def test_pimexec_command_args(self, tmp_path):
         args = build_parser().parse_args(
             [
                 "pimexec", "--kernel", "gemv", "--n", "256",
-                "--engine", "fast", "--seed", "7",
+                "--seed", "7",
             ]
         )
         assert args.command == "pimexec"
         assert args.kernel == "gemv"
         assert args.n == 256
-        assert args.engine == "fast"
         assert args.seed == 7
         assert args.trace is None
         trace_args = build_parser().parse_args(
@@ -104,7 +101,7 @@ class TestMain:
             tmp_path / "demo.trace",
             synthesize_trace("sequential", 128, config),
         )
-        assert main(["replay", str(path), "--engine", "fast"]) == 0
+        assert main(["replay", str(path)]) == 0
         out = capsys.readouterr().out
         assert "128 requests" in out
         assert "fast-" in out
@@ -623,14 +620,13 @@ class TestNnCommand:
         args = build_parser().parse_args(
             [
                 "nn", "--kernel", "gemm", "--dtype", "fp64",
-                "--bank-groups", "--engine", "fast", "--seed", "3",
+                "--bank-groups", "--seed", "3",
             ]
         )
         assert args.command == "nn"
         assert args.kernel == "gemm"
         assert args.dtype == "fp64"
         assert args.bank_groups is True
-        assert args.engine == "fast"
         assert args.emit_trace is None
         trace_args = build_parser().parse_args(
             [
@@ -698,7 +694,7 @@ class TestTierReporting:
         out = capsys.readouterr().out
         assert "tier: " in out
         document = json.loads(report.read_text())
-        assert document["replay_tier"] in {"fastpath", "exact", "event"}
+        assert document["replay_tier"] in {"fastpath", "exact"}
         from repro.telemetry import replay_tier
 
         assert document["replay_tier"] == replay_tier(
@@ -746,6 +742,6 @@ class TestTierReporting:
         assert replay_tier("fast-vectorized") == "fastpath"
         assert replay_tier("fast-exact") == "exact"
         assert replay_tier("fast") == "exact"
-        assert replay_tier("event") == "event"
+        assert replay_tier("mixed") == "mixed"
         assert replay_tier("farm") == "farm"
         assert replay_tier(None) is None

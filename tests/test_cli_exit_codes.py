@@ -99,7 +99,7 @@ class TestReplayBadInput:
             [
                 "replay", str(good_trace),
                 "--scheme", "channel-interleaved",
-                "--workers", "2", "--engine", "fast",
+                "--workers", "2",
             ],
             capsys,
         )
@@ -149,7 +149,7 @@ class TestFarmBadInput:
             [
                 "farm", str(good_trace),
                 "--scheme", "channel-interleaved",
-                "--mode", "inprocess", "--engine", "fast",
+                "--mode", "inprocess",
                 "--report", str(report),
             ],
             capsys,
@@ -293,5 +293,5 @@ class TestArgparseErrors:
 
     def test_bad_choice_flag(self, good_trace, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["replay", str(good_trace), "--engine", "warp"])
+            main(["replay", str(good_trace), "--policy", "warp"])
         assert excinfo.value.code == 2

@@ -34,7 +34,7 @@ EXPECTED_MARKERS = {
         "overhead",
     ],
     "latency_profile.py": [
-        "per-request instants bit-identical across engines: True",
+        "timing laws hold: True",
         "latency percentiles (ns, exact):",
         "phase profile",
         "schema valid: True",
@@ -42,10 +42,10 @@ EXPECTED_MARKERS = {
     "transformer_layer.py": [
         "fp16 bank state bit-exact vs NumPy binary16: True",
         "bank-group GEMM: bit-identical output",
-        "event and fast engines agree bit-for-bit",
+        "timing laws hold: True",
     ],
     "energy_profile.py": [
-        "energy documents bit-identical across engines: True",
+        "timing laws hold: True",
         "host energy breakdown:",
         "host power profile:",
         "pim moves bits cheaper than the host stream: True",

@@ -17,7 +17,7 @@ this tool, which fails when
 Floors are matched through the explicit :data:`FLOORS` table (metric
 name, floor key, direction, and an optional *gate key*) per benchmark;
 suffix-matching heuristics would false-fail on pairs like
-``event_requests_per_sec`` vs ``floor_requests_per_sec``.  A gated
+``random_requests_per_sec`` vs ``floor_requests_per_sec``.  A gated
 floor is only enforced when the record's gate field is true — e.g. the
 farm speedup floor is gated on ``floor_enforced`` (the benchmark sets
 it false on runners with too few cores to parallelize at all).
