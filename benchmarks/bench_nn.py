@@ -189,11 +189,10 @@ def kernel_speedups():
 
 
 def test_bench_gemm_pipeline(benchmark):
-    rate, result, machine, seconds = benchmark.pedantic(
+    rate, result, _, seconds = benchmark.pedantic(
         run_gemm_pipeline, rounds=1, iterations=1
     )
     assert result.n_pim > 0
-    assert machine.unit_mode == "vectorized"
     assert rate >= MIN_COMMANDS_PER_SEC
     assert set(seconds) == {"execute_s", "replay_s"}
 
@@ -233,7 +232,7 @@ def main(argv=None) -> int:
 
     run_gemm_pipeline(dict(m=128, k=8, n=8))  # warm-up
     gemm_runs = [run_gemm_pipeline() for _ in range(REPEATS)]
-    commands_rate, result, machine, _ = max(gemm_runs, key=lambda r: r[0])
+    commands_rate, result, _, _ = max(gemm_runs, key=lambda r: r[0])
     telemetry_rate, telemetry_overhead_pct, spread_pct, telemetry = (
         replay_overhead()
     )
@@ -273,7 +272,6 @@ def main(argv=None) -> int:
     record = {
         "benchmark": "nn_transformer_throughput",
         "gemm_shape": GEMM_SHAPE,
-        "unit_mode": machine.unit_mode,
         "replay_engine": result.engine,
         "fp16_commands_per_sec": round(commands_rate),
         "telemetry_commands_per_sec": round(telemetry_rate),

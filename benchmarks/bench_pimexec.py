@@ -29,9 +29,10 @@ N_VALUES = 1_048_576
 #: (the Aquabolt shape), which spreads the same command count over
 #: more banks so the vectorized tier is exercised at its widest.
 N_CHANNELS = 16
-#: Acceptance floors.  The commands/s floor pins the vectorized
-#: execution tier: the scalar per-bank unit grid sits two orders of
-#: magnitude below it, so a silent fallback fails the bench.
+#: Acceptance floors.  The commands/s floor pins the lockstep
+#: execution path: stepping the units one channel (or one unit) at a
+#: time sits far below it, so a kernel that silently leaves the
+#: lockstep path fails the bench.
 MIN_COMMANDS_PER_SEC = 1_000_000
 MIN_VECTOR_SUM_SPEEDUP = 1.5
 MAX_TELEMETRY_OVERHEAD_PCT = 5.0
@@ -179,7 +180,6 @@ def main(argv=None) -> int:
         "benchmark": "pimexec_pipeline_throughput",
         "vector_sum_values": N_VALUES,
         "n_channels": N_CHANNELS,
-        "unit_mode": PimExecMachine(bench_config()).unit_mode,
         "all_bank_commands_per_sec": round(commands_rate),
         "telemetry_commands_per_sec": round(telemetry_rate),
         "telemetry_overhead_pct": round(telemetry_overhead_pct, 2),

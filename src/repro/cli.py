@@ -735,7 +735,6 @@ def _pimexec_command(args: argparse.Namespace) -> int:
             f"host={result.n_host})"
         )
         print(f"engine:   {result.engine}")
-        print(f"units:    {machine.unit_mode}")
         print(f"makespan: {result.makespan_ns:.1f} ns")
         if telemetry is not None:
             registry = None

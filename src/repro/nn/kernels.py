@@ -172,18 +172,10 @@ class NnKernel:
     expected: np.ndarray
     host_trace: _t.Callable[[], _t.List[MemRequest]]
 
-    def machine(self, unit_mode: str = "vectorized") -> PimExecMachine:
-        """A fresh machine in this kernel's dtype and execution mode.
-
-        ``unit_mode`` selects the execution-unit tier (``"vectorized"``
-        or ``"scalar"``); both tiers are bit-identical, so the choice
-        only affects wall-clock speed.
-        """
+    def machine(self) -> PimExecMachine:
+        """A fresh machine in this kernel's dtype and execution mode."""
         return PimExecMachine(
-            self.config,
-            dtype=self.dtype,
-            bank_groups=self.bank_groups,
-            unit_mode=unit_mode,
+            self.config, dtype=self.dtype, bank_groups=self.bank_groups
         )
 
 
@@ -317,10 +309,9 @@ def _collect_pages(
     k_count: int,
 ) -> np.ndarray:
     """Functional (request-free) peek at ``(T, K, units, lanes)`` pages."""
-    units = [unit for _, _, unit in machine.iter_units()]
     return np.array(
         [
-            [unit.load_page(row, col) for unit in units]
+            machine.array.load_pages(row, col)
             for t in range(t_count)
             for row, col in _tile_addrs(layout, base, t, k_count)
         ],

@@ -9,8 +9,9 @@ running the kernel instead of evaluating a closed form:
 * :mod:`~repro.pimexec.commands` — the CRF command vocabulary
   (``ADD``/``MUL``/``MAC``/``MAD``/``MOV``/``FILL``/``NOP``/``JUMP``/
   ``EXIT``) over ``BANK``/``GRF_A``/``GRF_B``/``SRF`` operands;
-* :mod:`~repro.pimexec.regfile` — :class:`BankExecUnit`, the per-bank
-  register files plus functional bank data array;
+* :mod:`~repro.pimexec.regfile` — :class:`VectorUnitArray`, every
+  unit's register files plus functional bank data array as stacked
+  arrays, and :class:`UnitView`, a one-unit window onto it;
 * :mod:`~repro.pimexec.sequencer` — :class:`CommandSequencer`, the
   lockstep CRF program counter driven by the host's column walk;
 * :mod:`~repro.pimexec.machine` — :class:`PimExecMachine`, which pairs
@@ -59,9 +60,9 @@ from .kernels import (
     gemv_kernel,
     vector_sum_kernel,
 )
-from .machine import PimExecMachine, PimExecResult, UNIT_MODES
+from .machine import PimExecMachine, PimExecResult
 from .program import PimProgram, ProgramRecord, parse_pim_program
-from .regfile import BankExecUnit, DTYPES, UnitView, VectorUnitArray
+from .regfile import DTYPES, UnitView, VectorUnitArray
 from .sequencer import CommandSequencer
 
 __all__ = [
@@ -88,10 +89,8 @@ __all__ = [
     "vector_sum_kernel",
     "PimExecMachine",
     "PimExecResult",
-    "BankExecUnit",
     "UnitView",
     "VectorUnitArray",
-    "UNIT_MODES",
     "DTYPES",
     "CommandSequencer",
     "PimProgram",

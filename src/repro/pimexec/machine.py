@@ -1,7 +1,7 @@
 """The executable PIM machine: execution units over the memory system.
 
-:class:`PimExecMachine` instantiates execution units
-(:class:`~repro.pimexec.regfile.BankExecUnit`) over a
+:class:`PimExecMachine` backs every execution unit with one
+:class:`~repro.pimexec.regfile.VectorUnitArray` over a
 :class:`~repro.memsys.MemSysConfig` geometry and one
 :class:`~repro.pimexec.sequencer.CommandSequencer` per channel, and
 plays host: every host-side action (bank writes, register broadcasts,
@@ -64,7 +64,7 @@ from ..memsys import (
 )
 from ..memsys.request import OPS_BY_CODE
 from .commands import GRF_REGS, PimCommand, PimExecError, SRF_REGS
-from .regfile import BankExecUnit, DTYPES, UnitView, VectorUnitArray
+from .regfile import DTYPES, UnitView, VectorUnitArray
 from .sequencer import CommandSequencer
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -73,20 +73,8 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "PimExecMachine",
     "PimExecResult",
-    "UNIT_MODES",
     "page_encoder",
 ]
-
-#: Execution-unit backends: ``"vectorized"`` (default, one
-#: :class:`~repro.pimexec.regfile.VectorUnitArray` executing each
-#: lockstep command across every unit in one NumPy op) or ``"scalar"``
-#: (one :class:`~repro.pimexec.regfile.BankExecUnit` per unit, the
-#: reference implementation).  Both are bit-identical by construction;
-#: the equivalence suite pins it.
-UNIT_MODES = ("vectorized", "scalar")
-
-#: Either unit backend presents the same per-unit surface.
-ExecUnit = _t.Union[BankExecUnit, UnitView]
 
 #: Packed request-log columns: op code, channel, flat bank, row, col.
 LogColumns = _t.Tuple[
@@ -165,15 +153,12 @@ class PimExecMachine:
         half-bank lockstep groups — one unit per even/odd bank pair
         (requires an even ``banks_per_channel``), with ``Operand.unit``
         selecting the pair's even or odd bank.
-    unit_mode:
-        One of :data:`UNIT_MODES`: ``"vectorized"`` (default) backs
-        every unit with one shared
-        :class:`~repro.pimexec.regfile.VectorUnitArray` and executes
-        lockstep commands across all units in single NumPy ops;
-        ``"scalar"`` keeps one
-        :class:`~repro.pimexec.regfile.BankExecUnit` per unit (the
-        reference implementation the equivalence suite compares
-        against).  Functional state is bit-identical either way.
+
+    Every unit lives in one :attr:`array`
+    (:class:`~repro.pimexec.regfile.VectorUnitArray`), which executes a
+    lockstep command across all selected units in single NumPy ops;
+    :attr:`units` are per-unit :class:`~repro.pimexec.regfile.UnitView`
+    windows onto it.
     """
 
     def __init__(
@@ -181,15 +166,8 @@ class PimExecMachine:
         config: _t.Optional[MemSysConfig] = None,
         dtype: str = "fp64",
         bank_groups: bool = False,
-        unit_mode: str = "vectorized",
     ) -> None:
         self.config = config or MemSysConfig()
-        if unit_mode not in UNIT_MODES:
-            raise PimExecError(
-                f"unknown unit_mode {unit_mode!r}; available: "
-                f"{UNIT_MODES}"
-            )
-        self.unit_mode = unit_mode
         if dtype not in DTYPES:
             raise PimExecError(
                 f"unknown dtype {dtype!r}; available: {tuple(DTYPES)}"
@@ -211,35 +189,20 @@ class PimExecMachine:
                 f"for {LANE_BITS}-bit lanes"
             )
         self.addr_map = self.config.address_map()
-        self._vector: _t.Optional[VectorUnitArray] = None
-        if unit_mode == "vectorized":
-            self._vector = VectorUnitArray(
-                self.config.n_channels,
-                self.units_per_channel,
-                self.lanes,
-                dtype=self.dtype,
-                ports=self.ports,
-            )
-            self.units: _t.List[_t.List[ExecUnit]] = [
-                [
-                    UnitView(self._vector, ch, index)
-                    for index in range(self.units_per_channel)
-                ]
-                for ch in range(self.config.n_channels)
+        self.array = VectorUnitArray(
+            self.config.n_channels,
+            self.units_per_channel,
+            self.lanes,
+            dtype=self.dtype,
+            ports=self.ports,
+        )
+        self.units: _t.List[_t.List[UnitView]] = [
+            [
+                UnitView(self.array, ch, index)
+                for index in range(self.units_per_channel)
             ]
-        else:
-            self.units = [
-                [
-                    BankExecUnit(
-                        self.lanes,
-                        name=f"ch{ch}.u{index}",
-                        dtype=self.dtype,
-                        ports=self.ports,
-                    )
-                    for index in range(self.units_per_channel)
-                ]
-                for ch in range(self.config.n_channels)
-            ]
+            for ch in range(self.config.n_channels)
+        ]
         self.sequencers = [
             CommandSequencer()
             for _ in range(self.config.n_channels)
@@ -279,7 +242,7 @@ class PimExecMachine:
     def total_units(self) -> int:
         return self.n_channels * self.units_per_channel
 
-    def unit(self, channel: int, index: int) -> ExecUnit:
+    def unit(self, channel: int, index: int) -> UnitView:
         """The ``index``-th execution unit of ``channel``.
 
         With ``bank_groups=False`` unit indices coincide with flat bank
@@ -290,7 +253,7 @@ class PimExecMachine:
 
     def unit_for_bank(
         self, channel: int, flat_bank: int
-    ) -> _t.Tuple[ExecUnit, int]:
+    ) -> _t.Tuple[UnitView, int]:
         """``(unit, port)`` serving ``flat_bank`` of ``channel``."""
         return (
             self.units[channel][flat_bank // self.ports],
@@ -299,7 +262,7 @@ class PimExecMachine:
 
     def iter_units(
         self,
-    ) -> _t.Iterator[_t.Tuple[int, int, ExecUnit]]:
+    ) -> _t.Iterator[_t.Tuple[int, int, UnitView]]:
         """Yield ``(channel, unit_index, unit)`` in address order."""
         for ch, row in enumerate(self.units):
             for index, unit in enumerate(row):
@@ -465,17 +428,14 @@ class PimExecMachine:
         ``row``/``col`` only shape the broadcast's address (useful to
         keep it adjacent to the kernel's next data access); AB requests
         never touch row buffers.  The value rounds to the machine's
-        dtype on assignment.
+        dtype on assignment (saturating to ``inf``).
         """
         if not 0 <= index < SRF_REGS:
             raise PimExecError(
                 f"SRF index {index} out of range [0, {SRF_REGS})"
             )
-        if self._vector is not None:
-            self._vector.srf[channel, :, index] = float(value)
-        else:
-            for unit in self.units[channel]:
-                unit.srf[index] = float(value)
+        with np.errstate(over="ignore"):  # saturates to inf
+            self.array.srf[channel, :, index] = float(value)
         self._emit(Op.AB, channel, 0, row, col)
 
     def broadcast_page(
@@ -492,7 +452,8 @@ class PimExecMachine:
             raise PimExecError(
                 f"GRF index {index} out of range [0, {GRF_REGS})"
             )
-        page = np.asarray(values, dtype=self.np_dtype)
+        with np.errstate(over="ignore"):  # saturates to inf
+            page = np.asarray(values, dtype=self.np_dtype)
         if page.shape != (self.lanes,):
             raise PimExecError(
                 f"broadcast page must have {self.lanes} lanes, got "
@@ -502,19 +463,7 @@ class PimExecMachine:
             raise PimExecError(
                 f"broadcast space must be grf_a/grf_b, got {space!r}"
             )
-        if self._vector is not None:
-            grf = (
-                self._vector.grf_a
-                if space == "grf_a"
-                else self._vector.grf_b
-            )
-            grf[channel, :, index] = page
-        else:
-            for unit in self.units[channel]:
-                if space == "grf_a":
-                    unit.grf_a[index] = page
-                else:
-                    unit.grf_b[index] = page
+        getattr(self.array, space)[channel, :, index] = page
         self._emit(Op.AB, channel, 0, row, col)
 
     def read_grf(
@@ -560,17 +509,13 @@ class PimExecMachine:
                 f"unit pages must have shape {shape}, got {pages.shape}"
             )
         for (row, col), unit_pages in zip(addrs, pages):
-            if self._vector is not None:
-                self._vector.store_pages(
-                    row,
-                    col,
-                    unit_pages.reshape(
-                        self.n_channels, self.units_per_channel, self.lanes
-                    ),
-                )
-            else:
-                for (_, _, unit), page in zip(self.iter_units(), unit_pages):
-                    unit.store_page(row, col, page)
+            self.array.store_pages(
+                row,
+                col,
+                unit_pages.reshape(
+                    self.n_channels, self.units_per_channel, self.lanes
+                ),
+            )
         self._emit_many(
             Op.WRITE, self._unit_channels, self._unit_banks, addrs
         )
@@ -586,13 +531,7 @@ class PimExecMachine:
         self._emit_many(
             Op.READ, self._unit_channels, self._unit_banks, addrs
         )
-        units = [unit for _, _, unit in self.iter_units()]
-        pages = [
-            self._vector.load_pages(row, col)
-            if self._vector is not None
-            else [unit.load_page(row, col) for unit in units]
-            for row, col in addrs
-        ]
+        pages = [self.array.load_pages(row, col) for row, col in addrs]
         return np.array(pages, dtype=self.np_dtype).reshape(
             len(addrs), self.total_units, self.lanes
         )
@@ -610,8 +549,8 @@ class PimExecMachine:
         self._emit_many(
             Op.AB, self._unit_channels, self._unit_banks, [(0, 0)]
         )
-        return np.array(
-            [getattr(unit, space)[index] for _, _, unit in self.iter_units()]
+        return np.array(getattr(self.array, space)[:, :, index]).reshape(
+            self.total_units, self.lanes
         )
 
     def broadcast_scalars(
@@ -631,11 +570,7 @@ class PimExecMachine:
         if values.dtype != self.np_dtype:
             with np.errstate(over="ignore"):  # saturates to inf
                 values = values.astype(self.np_dtype)
-        if self._vector is not None:
-            self._vector.srf[:, :, :n] = values
-        else:
-            for _, _, unit in self.iter_units():
-                unit.srf[:n] = values
+        self.array.srf[:, :, :n] = values
         self._emit_many(
             Op.AB,
             list(range(self.n_channels)) * n,
@@ -652,26 +587,17 @@ class PimExecMachine:
         Yields ``step(command, row, col)``: execute ``command`` in every
         unit of each channel (default: all, each listed once) at
         ``(row, col)`` and append one PIM request per channel, in
-        channel order — what :meth:`pim_step` per channel does.  On
-        the vectorized grid a step is one cached
-        :meth:`VectorUnitArray.compiled` closure per selection (one for
-        the whole machine), the block runs under one ``np.errstate``,
-        ``commands_executed`` is added once on exit, and the requests
-        go to a lockstep block chunk.
+        channel order — what :meth:`pim_step` per channel does.  A step
+        is one cached :meth:`VectorUnitArray.compiled` closure per
+        selection (one for the whole machine), the block runs under one
+        ``np.errstate``, ``commands_executed`` is added once on exit,
+        and the requests go to a lockstep block chunk.
         """
         targets = tuple(self._channels(channels))
-        vector = self._vector
-        if vector is None:
-
-            def step_units(command: PimCommand, row: int, col: int) -> None:
-                for channel in targets:
-                    self.pim_step(channel, command, row, col)
-
-            yield step_units
-            return
+        array = self.array
         whole = sorted(targets) == list(range(self.n_channels))
         sels = ((),) if whole else tuple((ch,) for ch in targets)
-        compiled = vector.compiled
+        compiled = array.compiled
         push = self._push_step
         n_steps = 0
 
@@ -687,7 +613,7 @@ class PimExecMachine:
                 yield step
         finally:
             for sel in sels:
-                vector.commands_executed[sel] += n_steps
+                array.commands_executed[sel] += n_steps
 
     def load_kernel(
         self,
@@ -711,11 +637,7 @@ class PimExecMachine:
     def _step(
         self, channel: int, command: PimCommand, row: int, col: int
     ) -> None:
-        if self._vector is not None:
-            self._vector.execute(command, row, col, (channel,))
-        else:
-            for unit in self.units[channel]:
-                unit.execute(command, row, col)
+        self.array.execute(command, row, col, (channel,))
         self._emit(Op.PIM, channel, 0, row, col)
 
     def pim_step(
@@ -753,15 +675,14 @@ class PimExecMachine:
 
         When every target channel holds the same CRF program and walks
         the same column schedule (the lockstep case every built-in
-        looped kernel hits), the vectorized machine drives *one*
+        looped kernel hits), the machine drives *one*
         sequencer and executes each dynamic instruction across all
         target channels in a single array op — the round-robin request
         interleaving and all sequencer counters are reproduced exactly.
         """
         targets = self._channels(channels)
         if (
-            self._vector is not None
-            and len(targets) > 1
+            len(targets) > 1
             and len(set(targets)) == len(targets)
             and not isinstance(walk, _t.Mapping)
             and self._lockstep_programs(targets)
@@ -984,7 +905,6 @@ class PimExecMachine:
         mode = "bank-group" if self.bank_groups else "per-bank"
         return (
             f"<PimExecMachine {self.n_channels}ch x "
-            f"{self.units_per_channel}units ({mode}, {self.dtype}, "
-            f"{self.unit_mode}) "
+            f"{self.units_per_channel}units ({mode}, {self.dtype}) "
             f"lanes={self.lanes} requests={self.n_requests}>"
         )

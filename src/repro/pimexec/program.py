@@ -50,10 +50,11 @@ Each record may name the index of the latest earlier record it must
 follow: PIM instructions depend on the most recent kernel/config write
 (``AB W`` or ``W CFR``), ``AB W`` depends on the ``W GPR`` that staged
 its payload, and reads depend on the matching earlier write (same MEM
-location / GPR index / CFR index).  Replay injects requests in program
-order, so the annotated dependencies are satisfied by construction —
-they exist so schedulers that *do* reorder (or future out-of-order
-frontends) know what must not move.
+location / GPR index / CFR index).  Replay *injects* requests in
+program order, but that does not enforce the annotations: under
+FR-FCFS the channel controller may serve a host row hit before an older
+queued all-bank PIM command (see the ROADMAP "Order hazards" item).
+The annotations record what must not move past what.
 """
 
 from __future__ import annotations

@@ -1,16 +1,20 @@
-"""Per-bank PIM execution unit: register files + bank data array.
+"""The PIM execution units: register files + bank data arrays.
 
-Each :class:`BankExecUnit` is the compute logic HBM-PIM places beside
-one DRAM bank (or, in bank-group mode, beside one even/odd *pair* of
+Each execution unit is the compute logic HBM-PIM places beside one
+DRAM bank (or, in bank-group mode, beside one even/odd *pair* of
 banks): two vector register files (GRF_A/GRF_B, 8 registers of one page
 each), a scalar register file (SRF, 8 entries, broadcast over lanes
 when read), and functional access to the attached bank data array(s).
 A page is ``lanes`` values — the 256-bit row-buffer page of the §2.1
 macro carries 16 16-bit words in hardware.
 
+:class:`VectorUnitArray` holds every unit of a machine as stacked NumPy
+arrays and executes a lockstep command across the selected units in
+one vectorized op; :class:`UnitView` is a one-unit window onto it.
+
 Arithmetic dtype
 ----------------
-The unit computes in one of two selectable dtypes (:data:`DTYPES`):
+The units compute in one of two selectable dtypes (:data:`DTYPES`):
 
 * ``"fp64"`` (default) — the idealized model of PRs 1-4: values are
   ``float64``, so results compare bit-exactly against a float64 NumPy
@@ -24,7 +28,7 @@ The unit computes in one of two selectable dtypes (:data:`DTYPES`):
   ``tests/nn/test_fp16.py`` pins.
 
 Both dtypes keep the bit-exactness contract: a NumPy reference using
-the same dtype and the same operation order reproduces the unit's
+the same dtype and the same operation order reproduces the units'
 state bit for bit.
 
 Bank ports
@@ -32,12 +36,12 @@ Bank ports
 In HBM-PIM's bank-group (half-bank) mode one execution unit is shared
 by an even/odd pair of banks; the ``BANK,u`` operand selector picks
 which of the pair a command touches.  ``ports=2`` models that sharing:
-the data array is keyed by ``(port, row, col)`` and ``Operand.unit``
+the data store is keyed by ``(port, row, col)`` and ``Operand.unit``
 selects the port.  With the default ``ports=1`` (one unit per bank)
 the selector is recorded but ignored, as in PR 3.
 
-The unit is purely *functional*: it executes commands and mutates
-state, but knows nothing about time.  Timing comes from the
+The units are purely *functional*: they execute commands and mutate
+state, but know nothing about time.  Timing comes from the
 :class:`~repro.pimexec.machine.PimExecMachine`, which emits one
 :class:`~repro.memsys.request.MemRequest` per executed command through
 the banked memory system.
@@ -62,204 +66,13 @@ from .commands import (
     SRF_REGS,
 )
 
-__all__ = ["DTYPES", "BankExecUnit", "VectorUnitArray", "UnitView"]
+__all__ = ["DTYPES", "VectorUnitArray", "UnitView"]
 
 #: Selectable arithmetic dtypes: name -> NumPy dtype.
 DTYPES: _t.Dict[str, np.dtype] = {
     "fp64": np.dtype(np.float64),
     "fp16": np.dtype(np.float16),
 }
-
-
-class BankExecUnit:
-    """Execution unit and functional data store of one or two banks.
-
-    Parameters
-    ----------
-    lanes:
-        Values per page (page width over the 16-bit hardware word).
-    name:
-        Label for error messages and repr.
-    dtype:
-        Arithmetic dtype name (see :data:`DTYPES`): ``"fp64"``
-        (default) or ``"fp16"`` for IEEE binary16 rounding per
-        operation.
-    ports:
-        Attached bank data arrays: 1 (per-bank unit, default) or 2
-        (bank-group mode — the unit is shared by an even/odd bank pair
-        and ``Operand.unit`` selects the port).
-    """
-
-    __slots__ = (
-        "lanes", "name", "dtype", "np_dtype", "ports",
-        "grf_a", "grf_b", "srf", "memory", "commands_executed",
-    )
-
-    def __init__(
-        self,
-        lanes: int,
-        name: str = "unit",
-        dtype: str = "fp64",
-        ports: int = 1,
-    ) -> None:
-        if lanes < 1:
-            raise ValueError(f"lanes must be >= 1, got {lanes}")
-        if dtype not in DTYPES:
-            raise PimExecError(
-                f"unknown dtype {dtype!r}; available: "
-                f"{tuple(DTYPES)}"
-            )
-        if ports not in (1, 2):
-            raise ValueError(f"ports must be 1 or 2, got {ports}")
-        self.lanes = int(lanes)
-        self.name = name
-        self.dtype = dtype
-        self.np_dtype = DTYPES[dtype]
-        self.ports = int(ports)
-        self.grf_a = np.zeros((GRF_REGS, self.lanes), dtype=self.np_dtype)
-        self.grf_b = np.zeros((GRF_REGS, self.lanes), dtype=self.np_dtype)
-        self.srf = np.zeros(SRF_REGS, dtype=self.np_dtype)
-        #: Functional bank contents: ``(port, row, col) -> page``
-        #: (sparse; unwritten pages read as zeros).
-        self.memory: _t.Dict[
-            _t.Tuple[int, int, int], np.ndarray
-        ] = {}
-        self.commands_executed = 0
-
-    # ------------------------------------------------------------------
-    # bank data array
-    # ------------------------------------------------------------------
-    def _port(self, port: int) -> int:
-        if not 0 <= port < self.ports:
-            raise PimExecError(
-                f"{self.name}: bank port {port} out of range "
-                f"[0, {self.ports})"
-            )
-        return int(port)
-
-    def load_page(self, row: int, col: int, port: int = 0) -> np.ndarray:
-        """One page of a bank array (zeros if never written)."""
-        page = self.memory.get((self._port(port), int(row), int(col)))
-        if page is None:
-            return np.zeros(self.lanes, dtype=self.np_dtype)
-        return page.copy()
-
-    def store_page(
-        self,
-        row: int,
-        col: int,
-        values: _t.Sequence[float],
-        port: int = 0,
-    ) -> None:
-        """Store one page, rounding ``values`` to the unit's dtype.
-
-        Out-of-range values saturate to ``inf`` (IEEE rounding, as in
-        :meth:`execute`), without numpy's advisory overflow warning.
-        """
-        with np.errstate(over="ignore"):
-            page = np.asarray(values, dtype=self.np_dtype)
-        if page.shape != (self.lanes,):
-            raise PimExecError(
-                f"{self.name}: page must have {self.lanes} lanes, got "
-                f"shape {page.shape}"
-            )
-        self.memory[(self._port(port), int(row), int(col))] = page.copy()
-
-    # ------------------------------------------------------------------
-    # operand access
-    # ------------------------------------------------------------------
-    def _coords(
-        self, operand: Operand, row: int, col: int
-    ) -> _t.Tuple[int, int, int]:
-        port = (
-            operand.unit
-            if operand.unit is not None and self.ports > 1
-            else 0
-        )
-        if operand.row is not None:
-            return operand.row, _t.cast(int, operand.col), port
-        return row, col, port
-
-    def read_operand(
-        self, operand: Operand, row: int, col: int
-    ) -> np.ndarray:
-        if operand.space == BANK:
-            r, c, port = self._coords(operand, row, col)
-            return self.load_page(r, c, port)
-        if operand.space == GRF_A:
-            return self.grf_a[operand.index]
-        if operand.space == GRF_B:
-            return self.grf_b[operand.index]
-        assert operand.space == SRF
-        return np.full(
-            self.lanes, self.srf[operand.index], dtype=self.np_dtype
-        )
-
-    def write_operand(
-        self, operand: Operand, value: np.ndarray, row: int, col: int
-    ) -> None:
-        if operand.space == BANK:
-            r, c, port = self._coords(operand, row, col)
-            self.store_page(r, c, value, port)
-        elif operand.space == GRF_A:
-            self.grf_a[operand.index] = value
-        elif operand.space == GRF_B:
-            self.grf_b[operand.index] = value
-        else:  # pragma: no cover - guarded by PimCommand validation
-            raise PimExecError("SRF cannot be a command destination")
-
-    # ------------------------------------------------------------------
-    # execution
-    # ------------------------------------------------------------------
-    _MAD_DEFAULT_ADDEND = Operand(SRF, 1)  # HBM-PIM's SRF_M
-
-    def execute(self, command: PimCommand, row: int = 0, col: int = 0) -> None:
-        """Execute one non-control command at column access (row, col).
-
-        Every arithmetic step evaluates in the unit's dtype: with
-        ``"fp16"``, each product and each sum rounds to binary16
-        (``MAC``/``MAD`` round the product first, then the addition —
-        no fused multiply-add), matching a NumPy float16 reference
-        performing the same expressions.
-        """
-        opcode = command.opcode
-        if command.is_control:
-            raise PimExecError(
-                f"{opcode.value} is sequencer control, not a bank "
-                "operation"
-            )
-        self.commands_executed += 1
-        if opcode is PimOpcode.NOP:
-            return
-        dst = _t.cast(Operand, command.dst)
-        src0 = self.read_operand(_t.cast(Operand, command.src0), row, col)
-        if opcode in (PimOpcode.MOV, PimOpcode.FILL):
-            self.write_operand(dst, src0.copy(), row, col)
-            return
-        src1 = self.read_operand(_t.cast(Operand, command.src1), row, col)
-        # IEEE semantics by design: overflow saturates to inf and
-        # 0 * inf produces NaN — silence numpy's advisory warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            if opcode is PimOpcode.ADD:
-                result = src0 + src1
-            elif opcode is PimOpcode.MUL:
-                result = src0 * src1
-            elif opcode is PimOpcode.MAC:
-                result = self.read_operand(dst, row, col) + src0 * src1
-            else:  # MAD
-                addend = self.read_operand(
-                    command.src2 or self._MAD_DEFAULT_ADDEND, row, col
-                )
-                result = src0 * src1 + addend
-        self.write_operand(dst, result, row, col)
-
-    def __repr__(self) -> str:
-        return (
-            f"<BankExecUnit {self.name!r} lanes={self.lanes} "
-            f"dtype={self.dtype} ports={self.ports} "
-            f"pages={len(self.memory)} "
-            f"executed={self.commands_executed}>"
-        )
 
 
 #: Unit-selection tuple into a :class:`VectorUnitArray`: ``()`` (every
@@ -275,27 +88,25 @@ COMPILED_STEPS_MAXSIZE = 4096
 class VectorUnitArray:
     """Every execution unit of one machine, as stacked NumPy arrays.
 
-    The array-backed twin of a grid of :class:`BankExecUnit` instances:
-    register files are ``(n_channels, units_per_channel, ...)`` arrays
+    Register files are ``(n_channels, units_per_channel, ...)`` arrays
     and the sparse bank store keys ``(port, row, col)`` to one
     ``(n_channels, units_per_channel, lanes)`` page plane, so one
     lockstep command executes across every unit of a channel (or the
     whole machine) in a handful of vectorized NumPy operations instead
     of a Python loop over units.
 
-    Bit-exactness is preserved by construction: every arithmetic step
-    is the *same* NumPy elementwise expression in the *same* dtype as
-    :meth:`BankExecUnit.execute` — with ``"fp16"``, each product and
-    each sum still rounds to binary16 per operation (``MAC``/``MAD``
-    round the product first; no fused multiply-add), and IEEE
-    semantics (inf saturation, NaN propagation, gradual underflow) are
-    unchanged because NumPy applies them lane by lane regardless of
-    array shape.
+    Every arithmetic step is one NumPy elementwise expression in the
+    array's dtype: with ``"fp16"``, each product and each sum rounds to
+    binary16 per operation (``MAC``/``MAD`` round the product first; no
+    fused multiply-add), and IEEE semantics (inf saturation, NaN
+    propagation, gradual underflow) hold lane by lane regardless of
+    array shape.  The tests check every command against an independent
+    one-unit-at-a-time reference.
 
     Every method takes a selection tuple ``sel`` — ``()`` for all
     units, ``(channel,)`` for one channel's units in lockstep,
-    ``(channel, unit)`` for a single unit (the granularity
-    :class:`UnitView` adapts to the scalar-unit API).
+    ``(channel, unit)`` for a single unit (the granularity of
+    :class:`UnitView`).
     """
 
     __slots__ = (
@@ -414,7 +225,7 @@ class VectorUnitArray:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    _MAD_DEFAULT_ADDEND = BankExecUnit._MAD_DEFAULT_ADDEND
+    _MAD_DEFAULT_ADDEND = Operand(SRF, 1)  # HBM-PIM's SRF_M
 
     def execute(
         self,
@@ -425,10 +236,10 @@ class VectorUnitArray:
     ) -> None:
         """Execute one non-control command across the selected units.
 
-        Semantically identical to running
-        :meth:`BankExecUnit.execute` on every selected unit — same
-        expressions, same dtype, same rounding — in one vectorized op:
-        the cached :meth:`compile_step` closure of ``(command, sel)``.
+        One vectorized op — the cached :meth:`compile_step` closure of
+        ``(command, sel)`` — under IEEE semantics: overflow saturates
+        to ``inf`` and ``0 * inf`` gives NaN, without numpy's advisory
+        warnings.
         """
         step = self.compiled(command, sel)
         self.commands_executed[sel] += 1
@@ -551,12 +362,12 @@ class VectorUnitArray:
     ) -> _t.Callable[[int, int], None]:
         """A ``(row, col)`` closure executing ``command`` over ``sel``.
 
-        The tier's only arithmetic implementation: operand dispatch
+        The units' only arithmetic implementation: operand dispatch
         happens once here, the caller provides the surrounding
         ``np.errstate`` block and counts ``commands_executed`` (one
-        array add per kernel on the lockstep paths).  The expressions
-        are :meth:`BankExecUnit.execute`'s — same dtype, rounding
-        order, and IEEE special-case behavior.
+        array add per kernel on the lockstep paths).  Each opcode
+        evaluates in the array's dtype, rounding after every product
+        and every sum.
         """
         opcode = command.opcode
         if command.is_control:
@@ -643,11 +454,10 @@ class VectorUnitArray:
 class UnitView:
     """One ``(channel, unit)`` window onto a :class:`VectorUnitArray`.
 
-    Presents the :class:`BankExecUnit` surface — ``grf_a``/``grf_b``/
-    ``srf`` as mutable array views, ``load_page``/``store_page``,
-    ``read_operand``/``write_operand``/``execute``,
-    ``commands_executed`` — so kernels, programs, and tests written
-    against scalar units run unchanged on the vectorized machine.
+    ``grf_a``/``grf_b``/``srf`` are mutable array views,
+    ``load_page``/``store_page`` move one page of the unit's bank
+    array, and ``commands_executed`` counts the unit's executed
+    commands.
     """
 
     __slots__ = ("_array", "_channel", "_index", "name")
@@ -704,22 +514,6 @@ class UnitView:
     def _sel(self) -> UnitSel:
         return (self._channel, self._index)
 
-    @property
-    def memory(self) -> _t.Dict[_t.Tuple[int, int, int], np.ndarray]:
-        """This unit's page contents (copies), keyed ``(port, row, col)``.
-
-        Read-only mirror of :attr:`BankExecUnit.memory`: the vectorized
-        array stores whole-grid page planes, so a key appears here once
-        *any* unit wrote it (this unit's slice reads zeros until its own
-        write, exactly like :meth:`load_page`).  Mutation goes through
-        :meth:`store_page`.
-        """
-        sel = self._sel
-        return {
-            key: plane[sel].copy()
-            for key, plane in self._array.memory.items()
-        }
-
     # -- bank data array -----------------------------------------------
     def load_page(self, row: int, col: int, port: int = 0) -> np.ndarray:
         """One page of the unit's bank array (zeros if never written)."""
@@ -751,25 +545,6 @@ class UnitView:
                 f"shape {page.shape}"
             )
         self._array.store_pages(row, col, page, port, self._sel)
-
-    # -- operand access / execution ------------------------------------
-    def read_operand(
-        self, operand: Operand, row: int, col: int
-    ) -> np.ndarray:
-        """A copy of the operand's page (an SRF scalar fills the lanes)."""
-        value = self._array._compile_reader(operand, self._sel)(row, col)
-        return np.broadcast_to(value, (self.lanes,)).copy()
-
-    def write_operand(
-        self, operand: Operand, value: np.ndarray, row: int, col: int
-    ) -> None:
-        with np.errstate(over="ignore"):  # saturates to inf
-            self._array._compile_writer(operand, self._sel)(value, row, col)
-
-    def execute(
-        self, command: PimCommand, row: int = 0, col: int = 0
-    ) -> None:
-        self._array.execute(command, row, col, self._sel)
 
     def __repr__(self) -> str:
         return (

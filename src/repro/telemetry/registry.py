@@ -291,9 +291,7 @@ def pimexec_metrics(
     ``machine`` (the generating :class:`~repro.pimexec.PimExecMachine`)
     adds its per-channel sequencer statistics — dynamic instructions,
     control steps, kernels loaded — plus the ``pimexec.unit_commands``
-    counter tagged with the execution-unit tier (``unit_mode``) that
-    actually ran the kernel, so dashboards can tell a vectorized run
-    from a scalar one.
+    counter, the commands executed summed over every unit.
     """
     # explicit None test: an empty registry is falsy (it has __len__)
     if registry is None:
@@ -309,11 +307,7 @@ def pimexec_metrics(
     if machine is not None:
         registry.counter(
             "pimexec.unit_commands",
-            sum(
-                unit.commands_executed
-                for _ch, _index, unit in machine.iter_units()
-            ),
-            unit_mode=machine.unit_mode,
+            int(machine.array.commands_executed.sum()),
             **tags,
         )
         for channel, stats in enumerate(machine.sequencer_stats()):

@@ -479,8 +479,8 @@ class TestExactTierRecords:
 
 def ab_all_bank_trace(config, n):
     """All-bank broadcast commands with the same geometry as
-    :func:`pim_all_bank_trace` — the lockstep ``unit_mode="vectorized"``
-    machines emit exactly this shape when staging register files."""
+    :func:`pim_all_bank_trace` — the lockstep PIM machine emits exactly
+    this shape when staging register files."""
     return [
         MemRequest(Op.AB, request.addr)
         for request in pim_all_bank_trace(config, n)

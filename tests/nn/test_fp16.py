@@ -4,7 +4,9 @@ These tests *pin* the fp16 semantics ``docs/nn.md`` documents: numpy
 ``float16`` is the reference implementation, so every claim here is
 checked both against the machine and against the binary16 facts it
 relies on (saturation threshold, subnormal range, NaN rules, and the
-non-associativity of rounded addition).
+non-associativity of rounded addition).  Unit-level cases run on the
+tests-only oracle unit and on the production grid's one-unit case (the
+``make_unit`` fixture).
 """
 
 import warnings
@@ -13,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.pimexec import Operand, PimCommand, PimExecMachine, PimOpcode
-from repro.pimexec.regfile import BankExecUnit
 
 F16 = np.float16
 #: Largest finite binary16 value.
@@ -24,8 +25,10 @@ F16_TINY = 2.0 ** -14
 F16_DENORM_MIN = 2.0 ** -24
 
 
-def _unit(lanes=4):
-    return BankExecUnit(lanes, dtype="fp16")
+@pytest.fixture
+def fp16_unit(make_unit):
+    """``fp16_unit(lanes=4)``: an fp16 unit of either implementation."""
+    return lambda lanes=4: make_unit(lanes, dtype="fp16")
 
 
 def _add(dst, src0, src1):
@@ -33,8 +36,8 @@ def _add(dst, src0, src1):
 
 
 class TestOverflow:
-    def test_store_page_saturates_to_inf_without_warning(self):
-        unit = _unit()
+    def test_store_page_saturates_to_inf_without_warning(self, fp16_unit):
+        unit = fp16_unit()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             unit.store_page(0, 0, [1e6, -1e6, 1.0, F16_MAX])
@@ -42,11 +45,8 @@ class TestOverflow:
             np.inf, -np.inf, 1.0, F16_MAX,
         ]
 
-    @pytest.mark.parametrize("unit_mode", ["scalar", "vectorized"])
-    def test_machine_host_stores_saturate_without_warning(
-        self, unit_mode
-    ):
-        machine = PimExecMachine(dtype="fp16", unit_mode=unit_mode)
+    def test_machine_host_stores_saturate_without_warning(self):
+        machine = PimExecMachine(dtype="fp16")
         big = np.full(machine.lanes, 1e6)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -56,16 +56,20 @@ class TestOverflow:
                 [(0, 2)], np.full((1, machine.total_units, machine.lanes), 1e6)
             )
             machine.broadcast_scalars([1e6, -1e6])
+            machine.broadcast_scalar(0, 2, 1e6)
+            machine.broadcast_page(0, "grf_a", 0, [1e6] * machine.lanes)
         pages = [
             machine.unit(0, 0).load_page(0, 0),
             machine.unit(1, 2).load_page(0, 1),
             machine.read_unit_pages([(0, 2)]),
+            machine.unit(0, 1).grf_a[0],
         ]
         assert all(np.all(page == np.inf) for page in pages)
         assert machine.unit(1, 3).srf[:2].tolist() == [np.inf, -np.inf]
+        assert machine.unit(0, 3).srf[2] == np.inf
 
-    def test_add_overflows_to_inf(self):
-        unit = _unit()
+    def test_add_overflows_to_inf(self, fp16_unit):
+        unit = fp16_unit()
         unit.store_page(0, 0, [60000.0, -60000.0, 1.0, F16_MAX])
         unit.store_page(0, 1, [60000.0, -60000.0, 1.0, F16_MAX / 2])
         unit.grf_a[0] = unit.load_page(0, 0)
@@ -82,9 +86,9 @@ class TestOverflow:
         assert unit.grf_b[0][1] == -np.inf
         assert np.isfinite(unit.grf_b[0][2])
 
-    def test_mac_chain_saturates_and_stays_inf(self):
+    def test_mac_chain_saturates_and_stays_inf(self, fp16_unit):
         """Once an accumulator overflows, further MACs keep it inf."""
-        unit = _unit(lanes=2)
+        unit = fp16_unit(lanes=2)
         unit.store_page(0, 0, [30000.0, 1.0])
         unit.srf[0] = 4.0
         mac = PimCommand(
@@ -105,11 +109,11 @@ class TestOverflow:
 
 
 class TestSubnormals:
-    def test_gradual_underflow_preserves_subnormals(self):
+    def test_gradual_underflow_preserves_subnormals(self, fp16_unit):
         """numpy float16 does NOT flush subnormals to zero — a MUL
         whose exact result is below the smallest normal (2^-14) keeps
         its subnormal value, down to 2^-24."""
-        unit = _unit()
+        unit = fp16_unit()
         unit.store_page(0, 0, [F16_TINY, F16_DENORM_MIN * 2, 1.0, 0.0])
         unit.grf_a[0] = unit.load_page(0, 0)
         unit.srf[0] = 0.5
@@ -127,8 +131,8 @@ class TestSubnormals:
         assert result[1] == F16(F16_DENORM_MIN)  # smallest subnormal
         assert result[2] == F16(0.5)
 
-    def test_underflow_below_denorm_min_rounds_to_zero(self):
-        unit = _unit(lanes=1)
+    def test_underflow_below_denorm_min_rounds_to_zero(self, fp16_unit):
+        unit = fp16_unit(lanes=1)
         unit.grf_a[0] = np.array([F16_DENORM_MIN], dtype=F16)
         unit.srf[0] = 0.25
         unit.execute(
@@ -141,8 +145,8 @@ class TestSubnormals:
         )
         assert unit.grf_b[0][0] == F16(0.0)
 
-    def test_store_page_rounds_float64_to_binary16(self):
-        unit = _unit(lanes=2)
+    def test_store_page_rounds_float64_to_binary16(self, fp16_unit):
+        unit = fp16_unit(lanes=2)
         unit.store_page(0, 0, [1.0 + 2.0 ** -12, 1e-9])
         page = unit.load_page(0, 0)
         # 1 + 2^-12 is below half an ulp at 1.0 (2^-11): rounds to 1
@@ -150,8 +154,8 @@ class TestSubnormals:
         assert page[1] == F16(0.0) or 0 < page[1] < F16_TINY
 
 class TestNanPropagation:
-    def test_nan_propagates_through_a_mac_chain(self):
-        unit = _unit(lanes=3)
+    def test_nan_propagates_through_a_mac_chain(self, fp16_unit):
+        unit = fp16_unit(lanes=3)
         unit.store_page(0, 0, [1.0, np.nan, 2.0])
         unit.srf[0] = 3.0
         mac = PimCommand(
@@ -166,8 +170,8 @@ class TestNanPropagation:
         assert not np.isnan(result[0]) and not np.isnan(result[2])
         assert np.isnan(result[1])  # poisoned lane stays poisoned
 
-    def test_inf_minus_inf_is_nan(self):
-        unit = _unit(lanes=1)
+    def test_inf_minus_inf_is_nan(self, fp16_unit):
+        unit = fp16_unit(lanes=1)
         unit.grf_a[0] = np.array([np.inf], dtype=F16)
         unit.grf_a[1] = np.array([-np.inf], dtype=F16)
         unit.execute(
@@ -175,8 +179,8 @@ class TestNanPropagation:
         )
         assert np.isnan(unit.grf_b[0][0])
 
-    def test_zero_times_inf_is_nan_under_mad(self):
-        unit = _unit(lanes=1)
+    def test_zero_times_inf_is_nan_under_mad(self, fp16_unit):
+        unit = fp16_unit(lanes=1)
         unit.grf_a[0] = np.array([0.0], dtype=F16)
         unit.grf_a[1] = np.array([np.inf], dtype=F16)
         unit.srf[1] = 1.0  # MAD's implicit addend (SRF_M)
@@ -189,6 +193,43 @@ class TestNanPropagation:
             )
         )
         assert np.isnan(unit.grf_b[0][0])
+
+
+    @pytest.mark.parametrize(
+        "opcode,reference",
+        [
+            (PimOpcode.ADD, lambda dst, a, b, m: a + b),
+            (PimOpcode.MUL, lambda dst, a, b, m: a * b),
+            (PimOpcode.MAC, lambda dst, a, b, m: dst + a * b),
+            (PimOpcode.MAD, lambda dst, a, b, m: a * b + m),
+        ],
+    )
+    def test_nan_payloads_follow_the_operand_order(
+        self, fp16_unit, opcode, reference
+    ):
+        """Two NaN operands with different payloads: which one survives
+        depends on the order of each rounded step, so raw bytes pin the
+        documented expression order (``MAC`` is ``dst + a*b``, ``MAD``
+        is ``a*b + SRF_M``)."""
+        lanes = 4
+        nan = lambda bits: np.full(lanes, bits, np.uint16).view(F16)
+        unit = fp16_unit(lanes)
+        unit.grf_b[0] = nan(0x7E01)  # MAC's accumulator
+        unit.grf_a[0] = nan(0xFE02)
+        unit.grf_a[1] = np.full(lanes, 3.0, dtype=F16)
+        unit.srf[1] = np.nan  # MAD's implicit addend (SRF_M)
+        dst, a, b = unit.grf_b[0].copy(), unit.grf_a[0], unit.grf_a[1]
+        unit.execute(
+            PimCommand(
+                opcode,
+                dst=Operand.grf_b(0),
+                src0=Operand.grf_a(0),
+                src1=Operand.grf_a(1),
+            )
+        )
+        with np.errstate(invalid="ignore"):
+            want = reference(dst, a, b, np.full(lanes, unit.srf[1]))
+        assert unit.grf_b[0].tobytes() == want.tobytes()
 
 
 class TestAccumulationOrder:

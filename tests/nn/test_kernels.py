@@ -1,7 +1,5 @@
 """Transformer kernel library: bit-exactness, modes, and twins."""
 
-import hashlib
-
 import numpy as np
 import pytest
 
@@ -13,6 +11,11 @@ from repro.nn import (
     gemm_kernel,
     run_nn_kernel,
     softmax_kernel,
+)
+
+from tests.pimexec.test_tier_equivalence import (
+    stream_digests,
+    unit_state_digest,
 )
 
 #: Small shapes so the whole matrix runs in seconds.
@@ -169,41 +172,43 @@ GOLDEN_SHAPES = {
 }
 
 #: ``(kernel, dtype, bank_groups) -> (sha256 of the packed request
-#: columns, sha256 of the sequencer counters)`` after staging and
-#: execution.  Recorded from the per-instruction execution path, so a
-#: batched host operation that reorders a single request fails here
-#: even when the scalar and vectorized unit tiers agree with each other.
+#: columns, sha256 of the sequencer counters, sha256 of the full unit
+#: state)`` after staging and execution.  The streams were recorded
+#: from the per-instruction execution path, so a batched host operation
+#: that reorders a single request fails here; the unit-state digests
+#: (``tests.pimexec.test_tier_equivalence.unit_state_digest``) were
+#: recorded on the per-unit reference grid of
+#: ``tests/pimexec/unit_oracle.py``.
 GOLDEN_STREAMS = {
-    ("gemm", "fp16", False): ("49f03b4ae0fb44b0939cd53ee37731d750cf8661b5f62fbb980e0c4d67786907", "afd04e40551ed2bf59ddcb412a630421cf0540a2e8cc03146c09c9ed0120f583"),
-    ("gemm", "fp16", True): ("002df5ea31786f81e3bb48fa0aebd3f750eeb91eccd3c9134dc463a51707b65e", "afd04e40551ed2bf59ddcb412a630421cf0540a2e8cc03146c09c9ed0120f583"),
-    ("gemm", "fp64", False): ("49f03b4ae0fb44b0939cd53ee37731d750cf8661b5f62fbb980e0c4d67786907", "afd04e40551ed2bf59ddcb412a630421cf0540a2e8cc03146c09c9ed0120f583"),
-    ("gemm", "fp64", True): ("002df5ea31786f81e3bb48fa0aebd3f750eeb91eccd3c9134dc463a51707b65e", "afd04e40551ed2bf59ddcb412a630421cf0540a2e8cc03146c09c9ed0120f583"),
-    ("softmax", "fp16", False): ("a61de3c5f6f0a789d0f35b778e9545d00481cd6aae4f6894e1689cd46361dde1", "327d2d18ffbf4c24df49fcde92be250e9025626115d537f1a7a10b2549fc769e"),
-    ("softmax", "fp16", True): ("f83fed20cf2bb958bdf5763c3acdff640d6dfdf6914e82009051afd2b78b04a0", "ae3597e982736be73e515e4d14f091fddb7b15a92b0bd121be07654fa94b5efc"),
-    ("softmax", "fp64", False): ("a61de3c5f6f0a789d0f35b778e9545d00481cd6aae4f6894e1689cd46361dde1", "327d2d18ffbf4c24df49fcde92be250e9025626115d537f1a7a10b2549fc769e"),
-    ("softmax", "fp64", True): ("f83fed20cf2bb958bdf5763c3acdff640d6dfdf6914e82009051afd2b78b04a0", "ae3597e982736be73e515e4d14f091fddb7b15a92b0bd121be07654fa94b5efc"),
-    ("layernorm", "fp16", False): ("ea27926aeea9cefb1905b058bc310b699f30fe3fa5bfca0e9be9e1a2655d9fce", "c009da4295417edb10f3476e5fe991903fcff9eb1b3e59e079113f5a63060019"),
-    ("layernorm", "fp16", True): ("2b8cc43fea134b3468b40db6bcfe1f4a7fc0a4bcc8668d99f31b979736a1cd34", "62c9167a93de0fcd2f64ace85a7d13885afb533f3ff34c9cc4132f03933404ff"),
-    ("layernorm", "fp64", False): ("ea27926aeea9cefb1905b058bc310b699f30fe3fa5bfca0e9be9e1a2655d9fce", "c009da4295417edb10f3476e5fe991903fcff9eb1b3e59e079113f5a63060019"),
-    ("layernorm", "fp64", True): ("2b8cc43fea134b3468b40db6bcfe1f4a7fc0a4bcc8668d99f31b979736a1cd34", "62c9167a93de0fcd2f64ace85a7d13885afb533f3ff34c9cc4132f03933404ff"),
-    ("attention", "fp16", False): ("cb71df07b8770b375a59f41b32574a56554fbffdbd10aad8040b3d4f8cd5d778", "4c0d74fc11da375ab60f7cead693443c9529358d6a516c4d88cf4efcfb0565e4"),
-    ("attention", "fp16", True): ("e3ff5d99004a23ba050903c7957c34851657c40cf63e90f99f09b5f8c79181d2", "4c0d74fc11da375ab60f7cead693443c9529358d6a516c4d88cf4efcfb0565e4"),
-    ("attention", "fp64", False): ("cb71df07b8770b375a59f41b32574a56554fbffdbd10aad8040b3d4f8cd5d778", "4c0d74fc11da375ab60f7cead693443c9529358d6a516c4d88cf4efcfb0565e4"),
-    ("attention", "fp64", True): ("e3ff5d99004a23ba050903c7957c34851657c40cf63e90f99f09b5f8c79181d2", "4c0d74fc11da375ab60f7cead693443c9529358d6a516c4d88cf4efcfb0565e4"),
-    ("ffn", "fp16", False): ("4ba45d50bb10e196f396221cdb5847b85699cf87b82e5da5c4c6f39441b041fc", "afd04e40551ed2bf59ddcb412a630421cf0540a2e8cc03146c09c9ed0120f583"),
-    ("ffn", "fp16", True): ("bbd3337e000853456e2f518e0fa62bdaafd192fa5870390497c2c8dd27e4d149", "afd04e40551ed2bf59ddcb412a630421cf0540a2e8cc03146c09c9ed0120f583"),
-    ("ffn", "fp64", False): ("4ba45d50bb10e196f396221cdb5847b85699cf87b82e5da5c4c6f39441b041fc", "afd04e40551ed2bf59ddcb412a630421cf0540a2e8cc03146c09c9ed0120f583"),
-    ("ffn", "fp64", True): ("bbd3337e000853456e2f518e0fa62bdaafd192fa5870390497c2c8dd27e4d149", "afd04e40551ed2bf59ddcb412a630421cf0540a2e8cc03146c09c9ed0120f583"),
+    ("gemm", "fp16", False): ("49f03b4ae0fb44b0939cd53ee37731d750cf8661b5f62fbb980e0c4d67786907", "afd04e40551ed2bf59ddcb412a630421cf0540a2e8cc03146c09c9ed0120f583", "ab9eddd27618d83ea022d8447d69b0e3339ad61da55eb110d98ab50e78183702"),
+    ("gemm", "fp16", True): ("002df5ea31786f81e3bb48fa0aebd3f750eeb91eccd3c9134dc463a51707b65e", "afd04e40551ed2bf59ddcb412a630421cf0540a2e8cc03146c09c9ed0120f583", "a4b1111a6d9c7f2f9b9c00bb4b398bcedf76262ff1f1c542a19181efc9271bf0"),
+    ("gemm", "fp64", False): ("49f03b4ae0fb44b0939cd53ee37731d750cf8661b5f62fbb980e0c4d67786907", "afd04e40551ed2bf59ddcb412a630421cf0540a2e8cc03146c09c9ed0120f583", "a6fbc9daa4da3702fa433d9de3edc3f517fcdf8530a87e434ee54cdf0038e8cb"),
+    ("gemm", "fp64", True): ("002df5ea31786f81e3bb48fa0aebd3f750eeb91eccd3c9134dc463a51707b65e", "afd04e40551ed2bf59ddcb412a630421cf0540a2e8cc03146c09c9ed0120f583", "57aceef7385230ad9a8179851046e1574a3d95db623f2f39ec9e0ce37e2fb716"),
+    ("softmax", "fp16", False): ("a61de3c5f6f0a789d0f35b778e9545d00481cd6aae4f6894e1689cd46361dde1", "327d2d18ffbf4c24df49fcde92be250e9025626115d537f1a7a10b2549fc769e", "edb6c4005c5001249b857b29c0f37222b5f9ea93e32bc360e9e3c011058caee4"),
+    ("softmax", "fp16", True): ("f83fed20cf2bb958bdf5763c3acdff640d6dfdf6914e82009051afd2b78b04a0", "ae3597e982736be73e515e4d14f091fddb7b15a92b0bd121be07654fa94b5efc", "f6ee2c93826e90ffb405bbc2965f612eaeb952fa01a4b53ba586718bf619fbf5"),
+    ("softmax", "fp64", False): ("a61de3c5f6f0a789d0f35b778e9545d00481cd6aae4f6894e1689cd46361dde1", "327d2d18ffbf4c24df49fcde92be250e9025626115d537f1a7a10b2549fc769e", "8b583853c490dcc379568dcef20e7d6d55f143fdd0b842c39dfe1c11ea1f0889"),
+    ("softmax", "fp64", True): ("f83fed20cf2bb958bdf5763c3acdff640d6dfdf6914e82009051afd2b78b04a0", "ae3597e982736be73e515e4d14f091fddb7b15a92b0bd121be07654fa94b5efc", "98117cff16ae13bb1530c8d2eef032e2df13c07bb1cd97f7f395334c852f916b"),
+    ("layernorm", "fp16", False): ("ea27926aeea9cefb1905b058bc310b699f30fe3fa5bfca0e9be9e1a2655d9fce", "c009da4295417edb10f3476e5fe991903fcff9eb1b3e59e079113f5a63060019", "a7ec9add7ab8a9422179dc660b67552492ce7b4b5c61de96394450e0aeec22c4"),
+    ("layernorm", "fp16", True): ("2b8cc43fea134b3468b40db6bcfe1f4a7fc0a4bcc8668d99f31b979736a1cd34", "62c9167a93de0fcd2f64ace85a7d13885afb533f3ff34c9cc4132f03933404ff", "cdbbc640f15ea569ac340355ad478f4f537ea1e1adcfce3a17b4606c1f714eda"),
+    ("layernorm", "fp64", False): ("ea27926aeea9cefb1905b058bc310b699f30fe3fa5bfca0e9be9e1a2655d9fce", "c009da4295417edb10f3476e5fe991903fcff9eb1b3e59e079113f5a63060019", "6d7cf7234046d14c03f188b5f6cf6c3cff13d0b7992b2bf69036ba04afcb3562"),
+    ("layernorm", "fp64", True): ("2b8cc43fea134b3468b40db6bcfe1f4a7fc0a4bcc8668d99f31b979736a1cd34", "62c9167a93de0fcd2f64ace85a7d13885afb533f3ff34c9cc4132f03933404ff", "584e9a9fadbee78d4f9cb2d9c5e1fba952fb8214c39246a6117c43e21fc99eb9"),
+    ("attention", "fp16", False): ("cb71df07b8770b375a59f41b32574a56554fbffdbd10aad8040b3d4f8cd5d778", "4c0d74fc11da375ab60f7cead693443c9529358d6a516c4d88cf4efcfb0565e4", "49501d2e8c27434178f88bfc6cbaebd333501251f2cfcb027848de93ebf4b486"),
+    ("attention", "fp16", True): ("e3ff5d99004a23ba050903c7957c34851657c40cf63e90f99f09b5f8c79181d2", "4c0d74fc11da375ab60f7cead693443c9529358d6a516c4d88cf4efcfb0565e4", "736c57c023c5f33c28f0906a3175ebc0370247a60d6d5d87d36ef1908ffe9f3b"),
+    ("attention", "fp64", False): ("cb71df07b8770b375a59f41b32574a56554fbffdbd10aad8040b3d4f8cd5d778", "4c0d74fc11da375ab60f7cead693443c9529358d6a516c4d88cf4efcfb0565e4", "67d55f8f85b48b5ab9f8c5806aa0804012959b2752a04a0e88c7ef3dea43fd2c"),
+    ("attention", "fp64", True): ("e3ff5d99004a23ba050903c7957c34851657c40cf63e90f99f09b5f8c79181d2", "4c0d74fc11da375ab60f7cead693443c9529358d6a516c4d88cf4efcfb0565e4", "e8fa997f166ef30e1efa84a24b31f1ade51de4568067cd7c7b9342204ed343aa"),
+    ("ffn", "fp16", False): ("4ba45d50bb10e196f396221cdb5847b85699cf87b82e5da5c4c6f39441b041fc", "afd04e40551ed2bf59ddcb412a630421cf0540a2e8cc03146c09c9ed0120f583", "9d237b928ca02ba09d9b6c0b102e1e21a546a5a9e3f076f76ccadc830d767bc4"),
+    ("ffn", "fp16", True): ("bbd3337e000853456e2f518e0fa62bdaafd192fa5870390497c2c8dd27e4d149", "afd04e40551ed2bf59ddcb412a630421cf0540a2e8cc03146c09c9ed0120f583", "3ba08dcdb92c76867c22b560e84fa53097ba8fc9fbd1e6a461b1ee04fb794c61"),
+    ("ffn", "fp64", False): ("4ba45d50bb10e196f396221cdb5847b85699cf87b82e5da5c4c6f39441b041fc", "afd04e40551ed2bf59ddcb412a630421cf0540a2e8cc03146c09c9ed0120f583", "f097b2ce33a1ef676fb9580236449139d25d19a2a45e8c7d4489d66a33f5fa95"),
+    ("ffn", "fp64", True): ("bbd3337e000853456e2f518e0fa62bdaafd192fa5870390497c2c8dd27e4d149", "afd04e40551ed2bf59ddcb412a630421cf0540a2e8cc03146c09c9ed0120f583", "d2513592ffd5a971e0cd7ce78a8307f78415b983177050a9e2d378e6d8d564fb"),
 }
 
 
 class TestGoldenStreams:
-    @pytest.mark.parametrize("unit_mode", ["vectorized", "scalar"])
     @pytest.mark.parametrize("bank_groups", [False, True])
     @pytest.mark.parametrize("dtype", ["fp16", "fp64"])
     @pytest.mark.parametrize("name", NN_KERNEL_NAMES)
     def test_request_stream_matches_golden(
-        self, name, dtype, bank_groups, unit_mode
+        self, name, dtype, bank_groups
     ):
         kernel = build_nn_kernel(
             name,
@@ -212,16 +217,10 @@ class TestGoldenStreams:
             seed=3,
             **GOLDEN_SHAPES[name],
         )
-        machine = kernel.machine(unit_mode=unit_mode)
+        machine = kernel.machine()
         kernel.setup(machine)
         kernel.execute(machine)
         assert kernel.check(machine)
-        columns = hashlib.sha256()
-        for column in machine._pack_columns():
-            columns.update(column.tobytes())
-        counters = hashlib.sha256(
-            repr(machine.sequencer_stats()).encode()
-        )
-        assert (columns.hexdigest(), counters.hexdigest()) == (
-            GOLDEN_STREAMS[name, dtype, bank_groups]
-        )
+        assert stream_digests(machine) + (
+            unit_state_digest(machine),
+        ) == GOLDEN_STREAMS[name, dtype, bank_groups]

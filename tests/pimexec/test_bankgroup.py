@@ -1,4 +1,8 @@
-"""Bank-group (half-bank) execution mode and dtype plumbing."""
+"""Bank-group (half-bank) execution mode and dtype plumbing.
+
+Unit-level cases run on the tests-only oracle unit and on the
+production grid's one-unit case (the ``make_unit`` fixture).
+"""
 
 import numpy as np
 import pytest
@@ -12,7 +16,6 @@ from repro.pimexec import (
     PimExecMachine,
     PimOpcode,
 )
-from repro.pimexec.regfile import BankExecUnit
 
 
 class TestOperandUnitSelector:
@@ -31,20 +34,20 @@ class TestOperandUnitSelector:
 
 
 class TestUnitPorts:
-    def test_ports_partition_the_data_array(self):
-        unit = BankExecUnit(4, ports=2)
+    def test_ports_partition_the_data_array(self, make_unit):
+        unit = make_unit(4, ports=2)
         unit.store_page(0, 0, [1.0] * 4, port=0)
         unit.store_page(0, 0, [2.0] * 4, port=1)
         assert np.all(unit.load_page(0, 0, 0) == 1.0)
         assert np.all(unit.load_page(0, 0, 1) == 2.0)
 
-    def test_port_out_of_range(self):
-        unit = BankExecUnit(4)
+    def test_port_out_of_range(self, make_unit):
+        unit = make_unit(4)
         with pytest.raises(PimExecError, match="port"):
             unit.load_page(0, 0, port=1)
 
-    def test_operand_unit_selects_the_port(self):
-        unit = BankExecUnit(4, ports=2)
+    def test_operand_unit_selects_the_port(self, make_unit):
+        unit = make_unit(4, ports=2)
         unit.store_page(0, 0, [3.0] * 4, port=0)
         unit.store_page(0, 0, [5.0] * 4, port=1)
         unit.execute(
@@ -59,12 +62,17 @@ class TestUnitPorts:
         )
         assert np.all(unit.grf_b[0] == 8.0)
 
-    def test_single_port_units_ignore_the_selector(self):
+    def test_single_port_units_ignore_the_selector(self, make_unit):
         """Per-bank machines keep the PR-3 behavior: recorded, ignored."""
-        unit = BankExecUnit(4)
+        unit = make_unit(4)
         unit.store_page(0, 0, [7.0] * 4)
-        page = unit.read_operand(Operand.bank(unit=1), 0, 0)
-        assert np.all(page == 7.0)
+        unit.execute(
+            PimCommand(
+                PimOpcode.FILL, dst=Operand.grf_a(0),
+                src0=Operand.bank(unit=1),
+            )
+        )
+        assert np.all(unit.grf_a[0] == 7.0)
 
 
 class TestMachineMode:
@@ -133,11 +141,11 @@ class TestDtype:
         assert DTYPES["fp16"] == np.dtype(np.float16)
         assert DTYPES["fp64"] == np.dtype(np.float64)
 
-    def test_unknown_dtype_rejected(self):
+    def test_unknown_dtype_rejected(self, make_unit):
         with pytest.raises(PimExecError, match="dtype"):
             PimExecMachine(dtype="fp32")
         with pytest.raises(PimExecError, match="dtype"):
-            BankExecUnit(4, dtype="int8")
+            make_unit(4, dtype="int8")
 
     def test_fp16_machine_rounds_everywhere(self):
         machine = PimExecMachine(dtype="fp16")
@@ -154,9 +162,14 @@ class TestDtype:
         assert machine.dtype == "fp64"
         assert machine.unit(0, 0).grf_a.dtype == np.float64
 
-    def test_srf_broadcast_reads_in_dtype(self):
-        unit = BankExecUnit(4, dtype="fp16")
+    def test_srf_broadcast_reads_in_dtype(self, make_unit):
+        unit = make_unit(4, dtype="fp16")
         unit.srf[0] = 0.1  # rounds to binary16 0.1
-        page = unit.read_operand(Operand.srf(0), 0, 0)
+        unit.execute(
+            PimCommand(
+                PimOpcode.MOV, dst=Operand.grf_a(0), src0=Operand.srf(0)
+            )
+        )
+        page = unit.grf_a[0]
         assert page.dtype == np.float16
         assert np.all(page == np.float16(0.1))

@@ -136,18 +136,13 @@ def _host_sequence(machine, batched):
 
 class TestWholeMachineHostActions:
     """Batched host actions equal their per-unit loops, request for
-    request, on either unit tier and in either request-log mode."""
+    request, in either request-log mode."""
 
     @pytest.mark.parametrize("object_log", [False, True])
     @pytest.mark.parametrize("bank_groups", [False, True])
-    @pytest.mark.parametrize("unit_mode", ["vectorized", "scalar"])
-    def test_batched_equals_per_unit(
-        self, unit_mode, bank_groups, object_log
-    ):
+    def test_batched_equals_per_unit(self, bank_groups, object_log):
         machines = [
-            PimExecMachine(
-                dtype="fp16", bank_groups=bank_groups, unit_mode=unit_mode
-            )
+            PimExecMachine(dtype="fp16", bank_groups=bank_groups)
             for _ in range(2)
         ]
         results = []

@@ -6,14 +6,30 @@ mutated — either parses or raises
 :class:`~repro.errors.ProgramFormatError` (a ``ValueError``) with the
 1-based line number, never an accidental ``IndexError`` /
 ``UnboundLocalError`` / ``KeyError`` from the parser's internals.
+
+The instruction-level fuzz at the end runs seeded random CRF programs
+on the machine and on the tests-only per-unit oracle grid
+(``tests/pimexec/unit_oracle.py``).
 """
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.errors import ProgramFormatError
-from repro.pimexec import parse_pim_program
+from repro.pimexec import (
+    PimExecError,
+    PimExecMachine,
+    parse_command,
+    parse_pim_program,
+)
+
+from tests.pimexec.test_tier_equivalence import (
+    assert_matches_oracle,
+    assert_streams_identical,
+)
+from tests.pimexec.unit_oracle import OracleGrid
 
 #: A small valid program trace to mutate (one of each record form).
 VALID = (
@@ -135,18 +151,22 @@ class TestCleanInputStaysClean:
 
 
 # ----------------------------------------------------------------------
-# instruction-level fuzz: scalar vs vectorized execution units
+# instruction-level fuzz: the machine against the per-unit oracle grid
 # ----------------------------------------------------------------------
 class TestInstructionLevelFuzz:
-    """Seeded random CRF programs run on both execution-unit tiers.
+    """Seeded random CRF programs on the machine and the oracle grid.
 
-    Every generated program either executes bit-identically in the
-    scalar :class:`~repro.pimexec.BankExecUnit` grid and the
-    vectorized :class:`~repro.pimexec.VectorUnitArray` — register
-    files, bank pages, and emitted request streams compared raw-byte —
-    or raises the *same* typed error (:class:`PimExecError` /
-    :class:`~repro.errors.ProgramFormatError`) from both machines:
-    never silent divergence, never a tier-specific crash.
+    Every generated program either executes bit-identically on the
+    machine's :class:`~repro.pimexec.VectorUnitArray` and on the
+    tests-only :class:`~tests.pimexec.unit_oracle.OracleGrid` of
+    per-unit reference objects — register files and bank pages compared
+    raw-byte — or raises the *same* typed error
+    (:class:`PimExecError` / :class:`~repro.errors.ProgramFormatError`)
+    on both: never silent divergence, never an implementation-specific
+    crash.  The machine runs each program twice, through
+    ``run_kernel(walk)`` (the lockstep path) and
+    ``run_kernel({ch: walk})`` (the generic round-robin loop), which
+    must emit the same request stream and sequencer counters.
     """
 
     ARITH = ("ADD", "MUL", "MAC", "MAD", "MOV", "FILL")
@@ -178,52 +198,57 @@ class TestInstructionLevelFuzz:
         return lines
 
     @staticmethod
-    def _stage(rng, machine):
-        """Random bank pages, SRF scalars, and GRF broadcasts."""
-        import numpy as np
+    def _stage(rng, grid, raw_bits=False):
+        """Random bank pages, SRF scalars, and GRF broadcasts.
 
-        for channel in range(machine.n_channels):
-            for unit_index in range(machine.units_per_channel):
-                flat = unit_index * machine.ports
+        ``raw_bits`` draws pages as random binary16 bit patterns
+        instead, half of them with the exponent forced to all ones —
+        NaNs with distinct payloads and signs, infs, subnormals — and
+        stages every SRF and GRF register, so operand order shows in
+        the raw bytes.
+        """
+
+        def lane_bits():
+            bits = rng.randrange(1 << 16)
+            return bits | 0x7C00 if rng.random() < 0.5 else bits
+
+        def page(bound):
+            if raw_bits:
+                bits = [lane_bits() for _ in range(grid.lanes)]
+                return np.array(bits, dtype=np.uint16).view(np.float16)
+            return np.array(
+                [rng.uniform(-bound, bound) for _ in range(grid.lanes)]
+            )
+
+        for channel in range(grid.n_channels):
+            for unit_index in range(grid.units_per_channel):
+                flat = unit_index * grid.ports
                 for _ in range(rng.randrange(1, 4)):
                     row, col = rng.randrange(4), rng.randrange(8)
-                    page = np.array(
-                        [
-                            rng.uniform(-70000.0, 70000.0)
-                            for _ in range(machine.lanes)
-                        ]
-                    )
-                    machine.write_bank(channel, flat, row, col, page)
-            machine.broadcast_scalar(
-                channel, rng.randrange(8), rng.uniform(-10.0, 10.0)
+                    grid.write_bank(channel, flat, row, col, page(70000.0))
+            if raw_bits:
+                for index, value in enumerate(page(0.0)[:8]):
+                    grid.broadcast_scalar(channel, index, value)
+            else:
+                grid.broadcast_scalar(
+                    channel, rng.randrange(8), rng.uniform(-10.0, 10.0)
+                )
+            registers = (
+                [(space, i) for space in ("grf_a", "grf_b") for i in range(8)]
+                if raw_bits
+                else [(rng.choice(("grf_a", "grf_b")), rng.randrange(8))]
             )
-            machine.broadcast_page(
-                channel,
-                rng.choice(("grf_a", "grf_b")),
-                rng.randrange(8),
-                np.array(
-                    [
-                        rng.uniform(-5.0, 5.0)
-                        for _ in range(machine.lanes)
-                    ]
-                ),
-            )
+            for space, index in registers:
+                grid.broadcast_page(channel, space, index, page(5.0))
 
-    def _run(self, seed, dtype, unit_mode, channels=None):
-        """One fuzz run; returns the machine or the typed error."""
-        import random as _random
-
-        from repro.errors import ProgramFormatError
-        from repro.pimexec import (
-            PimExecError,
-            PimExecMachine,
-            parse_command,
-        )
-
-        rng = _random.Random(seed)
-        machine = PimExecMachine(dtype=dtype, unit_mode=unit_mode)
+    def _run(
+        self, seed, grid, channels=None, per_channel=False, raw_bits=False
+    ):
+        """Stage, draw and run one program on ``grid`` (the machine or
+        the oracle); returns the grid or the typed error."""
+        rng = random.Random(seed)
         try:
-            self._stage(rng, machine)
+            self._stage(rng, grid, raw_bits)
             program = [
                 parse_command(line)
                 for line in self._random_program(rng)
@@ -232,76 +257,99 @@ class TestInstructionLevelFuzz:
                 (rng.randrange(4), rng.randrange(8))
                 for _ in range(rng.randrange(4, 12))
             ]
-            machine.load_kernel(program)
-            machine.run_kernel(walk, channels=channels)
+            if isinstance(grid, OracleGrid):
+                grid.run(program, walk, channels=channels)
+                return grid
+            grid.load_kernel(program, channels=channels)
+            if per_channel:
+                targets = channels or range(grid.n_channels)
+                walk = {channel: walk for channel in targets}
+            grid.run_kernel(walk, channels=channels)
         except (PimExecError, ProgramFormatError) as error:
             return (type(error), str(error))
-        return machine
+        return grid
 
-    @staticmethod
-    def _assert_same_outcome(scalar, vectorized):
-        from tests.pimexec.test_tier_equivalence import (
-            assert_streams_identical,
-            assert_unit_state_identical,
+    def _assert_same_outcome(
+        self, seed, dtype, channels=None, raw_bits=False
+    ):
+        lockstep, generic = (
+            self._run(
+                seed,
+                PimExecMachine(dtype=dtype),
+                channels,
+                per_channel=per_channel,
+                raw_bits=raw_bits,
+            )
+            for per_channel in (False, True)
         )
-
-        if isinstance(scalar, tuple) or isinstance(vectorized, tuple):
-            # a typed error: both tiers must raise the same one
-            assert scalar == vectorized
+        oracle = self._run(
+            seed,
+            OracleGrid.like(PimExecMachine(dtype=dtype)),
+            channels,
+            raw_bits=raw_bits,
+        )
+        outcomes = (lockstep, generic, oracle)
+        if any(isinstance(outcome, tuple) for outcome in outcomes):
+            # a typed error: every run must raise the same one
+            assert lockstep == generic == oracle
             return
-        assert_unit_state_identical(scalar, vectorized)
-        assert_streams_identical(scalar, vectorized)
+        assert_matches_oracle(lockstep, oracle)
+        assert_matches_oracle(generic, oracle)
+        assert_streams_identical(lockstep, generic)
         assert (
-            scalar.sequencer_stats() == vectorized.sequencer_stats()
+            lockstep.sequencer_stats()
+            == generic.sequencer_stats()
+            == oracle.sequencer_stats()
         )
 
     @pytest.mark.parametrize("dtype", ("fp64", "fp16"))
     @pytest.mark.parametrize("seed", range(25))
     def test_lockstep_programs_bit_identical(self, seed, dtype):
-        """All-channel runs: the vectorized machine's lockstep fast
-        path against the scalar grid, same seed, same program."""
-        self._assert_same_outcome(
-            self._run(seed, dtype, "scalar"),
-            self._run(seed, dtype, "vectorized"),
-        )
+        """All-channel runs: the machine's lockstep path and its
+        round-robin loop against the oracle grid, same seed."""
+        self._assert_same_outcome(seed, dtype)
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_raw_fp16_bit_patterns_bit_identical(self, seed):
+        """Bank pages of random binary16 bit patterns: NaN payloads and
+        signs survive or not by the order of each rounded step, so any
+        reordered expression diverges in the raw bytes."""
+        self._assert_same_outcome(5000 + seed, "fp16", raw_bits=True)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_single_channel_programs_bit_identical(self, seed):
-        """Single-channel runs skip the lockstep fast path and fuzz
-        the per-channel vectorized execute instead."""
-        self._assert_same_outcome(
-            self._run(3000 + seed, "fp16", "scalar", channels=[0]),
-            self._run(3000 + seed, "fp16", "vectorized", channels=[0]),
-        )
+        """Single-channel runs skip the lockstep path and fuzz the
+        per-channel execute instead."""
+        self._assert_same_outcome(3000 + seed, "fp16", channels=[0])
 
     @pytest.mark.parametrize("seed", range(10))
     def test_invalid_programs_raise_the_same_typed_error(self, seed):
-        """Mutated command text parses to the same PimExecError on
-        both machines (parsing is tier-independent, and a parse
-        failure must never leave the two tiers in different states)."""
-        import random as _random
-
-        rng = _random.Random(7000 + seed)
+        """Mutated command text fails with the same PimExecError on
+        the machine and on the oracle grid (or, when the mutation
+        still parses, runs to the same state)."""
+        rng = random.Random(7000 + seed)
         lines = self._random_program(rng)
         pos = rng.randrange(len(lines))
         text = list(lines[pos])
         text[rng.randrange(len(text))] = chr(rng.randrange(33, 127))
         lines[pos] = "".join(text)
+        walk = [(rng.randrange(4), rng.randrange(8)) for _ in range(8)]
 
-        def attempt(unit_mode):
-            from repro.pimexec import (
-                PimExecError,
-                PimExecMachine,
-                parse_command,
-            )
-
-            machine = PimExecMachine(unit_mode=unit_mode)
+        def attempt(grid):
             try:
-                machine.load_kernel(
-                    [parse_command(line) for line in lines]
-                )
+                program = [parse_command(line) for line in lines]
+                if isinstance(grid, OracleGrid):
+                    grid.run(program, walk)
+                else:
+                    grid.load_kernel(program)
+                    grid.run_kernel(walk)
             except PimExecError as error:
                 return (type(error), str(error))
-            return None
+            return grid
 
-        assert attempt("scalar") == attempt("vectorized")
+        machine = attempt(PimExecMachine())
+        oracle = attempt(OracleGrid.like(PimExecMachine()))
+        if isinstance(machine, tuple) or isinstance(oracle, tuple):
+            assert machine == oracle
+        else:
+            assert_matches_oracle(machine, oracle)

@@ -1,10 +1,15 @@
-"""Tests for the per-bank execution unit and the command sequencer."""
+"""Tests for the execution unit and the command sequencer.
+
+Every unit case runs twice (the ``make_unit`` fixture): on the
+tests-only oracle :class:`BankExecUnit` and on the production grid's
+one-unit case, ``VectorUnitArray(1, 1, lanes).execute(cmd, row, col,
+(0, 0))``.
+"""
 
 import numpy as np
 import pytest
 
 from repro.pimexec import (
-    BankExecUnit,
     CommandSequencer,
     Operand,
     PimCommand,
@@ -17,15 +22,15 @@ LANES = 16
 
 
 @pytest.fixture
-def unit():
-    return BankExecUnit(LANES)
+def unit(make_unit):
+    return make_unit(LANES)
 
 
 def cmd(text):
     return parse_command(text)
 
 
-class TestBankExecUnit:
+class TestExecUnit:
     def test_unwritten_pages_read_as_zero(self, unit):
         assert np.array_equal(unit.load_page(3, 1), np.zeros(LANES))
 

@@ -130,37 +130,32 @@ class TestCrossEngineEquivalence:
     )
     @pytest.mark.parametrize("dtype", ("fp16", "fp64"))
     def test_pim_stream_matrix(self, refresh_name, refresh, dtype):
-        """Unit tier x replay engine x dtype on an all-bank stream."""
+        """Replay engine x dtype on an all-bank stream."""
         kernel = build_kernel(
             "vector-sum", n=1024, config=MemSysConfig(**refresh)
         )
         documents = {}
-        for unit_mode in ("scalar", "vectorized"):
-            for engine in ("event", "fast"):
-                machine = PimExecMachine(
-                    kernel.config, dtype=dtype, unit_mode=unit_mode
-                )
-                kernel.setup(machine)
-                machine.reset_requests()
-                kernel.execute(machine)
-                telemetry = ReplayTelemetry()
-                if engine == "event":
-                    with event_replays():
-                        machine.replay(telemetry=telemetry)
-                else:
+        for engine in ("event", "fast"):
+            machine = PimExecMachine(kernel.config, dtype=dtype)
+            kernel.setup(machine)
+            machine.reset_requests()
+            kernel.execute(machine)
+            telemetry = ReplayTelemetry()
+            if engine == "event":
+                with event_replays():
                     machine.replay(telemetry=telemetry)
-                assert_laws_hold(kernel.config, telemetry)
-                documents[f"{unit_mode}/{engine}"] = build_energy(
-                    telemetry
-                )
-        reference = repr(strip_engine(documents["scalar/event"]))
-        for tier, document in documents.items():
-            assert validate_energy(document) == [], tier
+            else:
+                machine.replay(telemetry=telemetry)
+            assert_laws_hold(kernel.config, telemetry)
+            documents[engine] = build_energy(telemetry)
+        reference = repr(strip_engine(documents["event"]))
+        for engine, document in documents.items():
+            assert validate_energy(document) == [], engine
             assert repr(strip_engine(document)) == reference, (
-                f"energy accounting diverges on the {tier} tier "
+                f"energy accounting diverges on the {engine} engine "
                 f"({refresh_name}/{dtype})"
             )
-        breakdown = documents["scalar/event"]["breakdown_pj"]
+        breakdown = documents["event"]["breakdown_pj"]
         assert breakdown["pim_compute"] > 0
         assert breakdown["broadcast"] > 0
 

@@ -712,16 +712,20 @@ class TestTierReporting:
         assert "tiers:    " in out
         assert "tier=" in out
 
-    def test_pimexec_trace_prints_unit_tier(self, tmp_path, capsys):
+    def test_pimexec_trace_prints_the_replay_summary(
+        self, tmp_path, capsys
+    ):
         program = tmp_path / "program.trace"
         program.write_text(
             "W MEM 0 0 3\nAB W\n"
             "PIM MAC GRF,8 BANK,0,3,0 SRF,0\nPIM EXIT\n"
         )
         assert main(["pimexec", "--trace", str(program)]) == 0
-        assert "units:    vectorized" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "engine:   " in out and "makespan: " in out
+        assert "units:" not in out
 
-    def test_pimexec_metrics_tag_the_unit_tier(self, tmp_path, capsys):
+    def test_pimexec_metrics_count_unit_commands(self, tmp_path, capsys):
         metrics = tmp_path / "m.json"
         assert main([
             "pimexec", "--kernel", "vector-sum", "--n", "512",
@@ -733,7 +737,7 @@ class TestTierReporting:
             if e["name"] == "pimexec.unit_commands"
         ]
         assert unit
-        assert unit[0]["tags"]["unit_mode"] == "vectorized"
+        assert "unit_mode" not in unit[0]["tags"]
         assert unit[0]["value"] > 0
 
     def test_replay_tier_taxonomy(self):

@@ -117,12 +117,11 @@ SPREAD_KEYS: _t.Dict[str, str] = {
 }
 
 #: Non-numeric provenance fields carried into the JSONL history next to
-#: the floored metrics: which execution-unit tier and replay engine
-#: produced each run's numbers.  A throughput trajectory is only
-#: comparable across PRs when the tier that produced it is on record —
-#: the vectorized unit tier and the AB-lockstep fast replay engine are
-#: each worth orders of magnitude on the pimexec pipeline.
-TIER_KEYS: _t.Tuple[str, ...] = ("unit_mode", "replay_engine")
+#: the floored metrics: which replay engine produced each run's
+#: numbers.  A throughput trajectory is only comparable across PRs when
+#: the engine that produced it is on record — the AB-lockstep fast
+#: replay engine is worth orders of magnitude on the pimexec pipeline.
+TIER_KEYS: _t.Tuple[str, ...] = ("replay_engine",)
 
 #: Energy-efficiency fields carried into the JSONL history next to the
 #: floored metrics, so pJ/bit and perf-per-watt regressions show up as
