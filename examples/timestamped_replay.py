@@ -57,9 +57,7 @@ def main() -> None:
     for line in text.splitlines():
         print(f"  {line}")
     reparsed = parse_trace(text)
-    assert all(
-        a.same_payload(b) for a, b in zip(tiny, reparsed)
-    ), "round trip must be lossless"
+    assert reparsed == tiny, "round trip must be lossless"
 
     # ------------------------------------------------------------------
     # 2. refresh overhead: per-rank blackout vs per-bank stagger

@@ -60,11 +60,6 @@ def _replay(config: MemSysConfig, requests: _t.Sequence[MemRequest]):
     return MemorySystem(config).replay(requests)
 
 
-def _fresh(requests: _t.Sequence[MemRequest]) -> _t.List[MemRequest]:
-    """Copy a trace so each replay starts from clean runtime state."""
-    return [MemRequest(r.op, r.addr) for r in requests]
-
-
 def _row_interleaved_trace(
     config: MemSysConfig, n: int
 ) -> _t.List[MemRequest]:
@@ -189,7 +184,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         sys_config = MemSysConfig(
             n_channels=1, bankgroups=1, banks_per_group=1, policy=policy
         )
-        stats = _replay(sys_config, _fresh(conflict_trace))
+        stats = _replay(sys_config, conflict_trace)
         policy_hits[policy] = stats.row_hit_rate
         policy_rows.append(
             {

@@ -10,9 +10,16 @@ graceful degradation when sharding cannot be exact.  See
 table, and :mod:`repro.farm.chaos` for deterministic fault injection.
 
 >>> from repro.farm import FarmConfig, replay_farm
->>> result = replay_farm(trace, config, FarmConfig(workers=4))
->>> result.stats            # bit-identical to single-process replay
+>>> from repro.memsys import MemSysConfig, MemorySystem, synthesize_trace
+>>> config = MemSysConfig(n_channels=2, scheme="channel-interleaved")
+>>> trace = synthesize_trace(
+...     "random", 400, config, seed=1, interarrival_ns=20.0, packed=True
+... )
+>>> result = replay_farm(trace, config, FarmConfig(workers=2))
+>>> result.stats == MemorySystem(config).replay(trace)  # bit-identical
+True
 >>> result.report.retries   # the fault ledger
+0
 """
 
 from .chaos import (

@@ -47,7 +47,7 @@ import math
 import typing as _t
 
 from .bank import Bank, PER_RANK, RefreshSchedule
-from .request import MemRequest, Op
+from .request import Op, ReplayRecord
 
 __all__ = ["FCFS", "FRFCFS", "POLICIES", "ChannelController"]
 
@@ -107,7 +107,7 @@ class ChannelController:
         self._refresh_applied = [0] * len(self.banks)
         #: Serviceable request staged by the per-bank refresh gate for
         #: the selection that immediately follows it.
-        self._refresh_candidate: _t.Optional[MemRequest] = None
+        self._refresh_candidate: _t.Optional[ReplayRecord] = None
 
         #: Per-bank open-row table bookkeeping (FR-FCFS only): queued
         #: single-bank requests per bank, plus the count of queued
@@ -116,12 +116,12 @@ class ChannelController:
         #: — the dominant case on random traffic, where the scan was
         #: the exact replay tier's hot path.
         self._track_hits = policy == FRFCFS
-        self._bank_queue: _t.List[_t.List[MemRequest]] = [
+        self._bank_queue: _t.List[_t.List[ReplayRecord]] = [
             [] for _ in self.banks
         ]
         self._queued_hits = 0
 
-        self.pending: _t.List[MemRequest] = []
+        self.pending: _t.List[ReplayRecord] = []
         #: No busy period is open: the channel idled since its last
         #: service (or never served), so the next service start opens
         #: one.  Cleared at a service start, set by a completion that
@@ -131,7 +131,7 @@ class ChannelController:
     # ------------------------------------------------------------------
     # queue admission
     # ------------------------------------------------------------------
-    def _admit(self, request: MemRequest, now: float) -> None:
+    def _admit(self, request: ReplayRecord, now: float) -> None:
         """Timestamp and queue a routed ``request`` at ``now``.
 
         The request must carry its routing values: ``row`` and the flat
@@ -195,7 +195,7 @@ class ChannelController:
                 self._rescan_bank(index)
         frfcfs = self.policy == FRFCFS
         banks = self.banks
-        fallback: _t.Optional[MemRequest] = None
+        fallback: _t.Optional[ReplayRecord] = None
         earliest = math.inf
         head = self.pending[0]
         for request in self.pending:
@@ -253,7 +253,7 @@ class ChannelController:
                 delta += 1 if hit else -1
         self._queued_hits += delta
 
-    def _select(self) -> MemRequest:
+    def _select(self) -> ReplayRecord:
         """Pick the next request under the configured policy."""
         candidate = self._refresh_candidate
         if candidate is not None:
@@ -282,7 +282,7 @@ class ChannelController:
     # ------------------------------------------------------------------
     # service
     # ------------------------------------------------------------------
-    def _serve(self, request: MemRequest) -> float:
+    def _serve(self, request: ReplayRecord) -> float:
         """Drive the bank state machine(s); returns the access latency."""
         page_bits = self.banks[0].timing.page_bits
         op = request.op
@@ -311,7 +311,7 @@ class ChannelController:
         request.bits = page_bits
         return access.latency_ns
 
-    def _begin_service(self, now: float) -> _t.Tuple[MemRequest, float]:
+    def _begin_service(self, now: float) -> _t.Tuple[ReplayRecord, float]:
         """Dequeue the next request at ``now`` and drive its banks.
 
         The service-start sequence: policy selection, dequeue, the
@@ -328,11 +328,7 @@ class ChannelController:
             return request, self._serve(request)
         index = request.bank_index
         if index is not None:
-            queue = self._bank_queue[index]
-            for position, queued in enumerate(queue):
-                if queued is request:  # identity: eq is field-wise
-                    del queue[position]
-                    break
+            self._bank_queue[index].remove(request)
             if request.queued_hit:
                 self._queued_hits -= 1
         latency = self._serve(request)

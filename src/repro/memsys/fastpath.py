@@ -14,7 +14,8 @@ therefore, by the shared :func:`~repro.memsys.system.reduce_stats`, the
 same :class:`MemSysStats`.  The timing laws of :mod:`repro.memsys.laws`
 check either tier's output without calling this code.
 
-The two tiers sit behind one entry point, :func:`replay_fast`:
+The two tiers sit behind one entry point, :func:`replay_fast`, which
+takes a :class:`~repro.memsys.trace.PackedTrace`:
 
 **Tier 1 — vectorized closed form.**  Banks are reduced to plain
 ``(open_row, ready_at_ns)`` records advanced by array arithmetic:
@@ -83,20 +84,18 @@ scheduler reorder) take the discrete replay: plain tuples on a heap in
 ``(time, priority, insertion)`` order drive the controller bookkeeping
 (:meth:`ChannelController._admit` / ``_service_delay`` /
 ``_begin_service``) and the Bank state machines.  Requests travel as
-slotted records built in one pass from the decoded arrays (op,
-timestamp, row, flat bank index), never as :class:`MemRequest` /
-``Coordinates`` objects.  Trace timestamps become absolute-time
-injector resumptions; refresh stalls become retry occurrences at the
-blackout end, gated by the shared ``_service_delay`` arithmetic.
+:class:`~repro.memsys.request.ReplayRecord` objects built in one pass
+from the decoded arrays (op, timestamp, row, flat bank index).  Trace
+timestamps become absolute-time injector resumptions; refresh stalls
+become retry occurrences at the blackout end, gated by the shared
+``_service_delay`` arithmetic.
 
 The tiers differ in one recorded stamp: the vectorized tier's admission
 occupancies (the ``max_queue_length`` gauge) count a service starting
 at an admission's instant as still queued, which can exceed the exact
-tier's by one transient slot (see :func:`_plan_arrays`).  Per-request
-runtime fields (coords, routing, timestamps, outcome, bits) are written
-back once, after the replay, for object traces but not for
-:class:`~repro.memsys.trace.PackedTrace` inputs, which never
-materialize request objects at all.
+tier's by one transient slot (see :func:`_plan_arrays`).  Both tiers
+take a :class:`~repro.memsys.trace.PackedTrace` and return arrays only:
+a replay writes nothing back onto request objects.
 """
 
 from __future__ import annotations
@@ -108,13 +107,12 @@ import typing as _t
 
 import numpy as np
 
-from ..telemetry.latency import ALL_BANKS, OUTCOME_NAMES
+from ..telemetry.latency import ALL_BANKS
 from ..telemetry.profile import null_phase
-from .addrmap import Coordinates
 from .bank import CLOSED, OUTCOMES, PER_RANK, latency_table
 from .controller import FRFCFS
-from .request import MemRequest, OPS_BY_CODE, Op
-from .system import _finish_replay, _gather, request_bits
+from .request import OPS_BY_CODE, Op, ReplayRecord
+from .system import _finish_replay, _gather
 from .trace import PackedTrace
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -136,9 +134,6 @@ _AB_CODE = Op.AB.code
 _URGENT, _NORMAL = 0, 1
 _COMPLETE, _INJECT, _WAKEUP, _RETRY = 0, 1, 2, 3
 
-#: Requests per block of the object write-back.
-_WRITE_BACK_CHUNK = 4096
-
 #: Iteration cap for the arrival fixed point (each iteration is one
 #: vectorized pass; stalled-arrival chains longer than this are rare
 #: enough to leave to the exact tier).
@@ -147,28 +142,23 @@ _MAX_ARRIVAL_ITERS = 64
 
 def replay_fast(
     system: "MemorySystem",
-    trace: _t.Union[_t.Sequence[MemRequest], PackedTrace],
+    trace: PackedTrace,
     telemetry: _t.Optional["ReplayTelemetry"] = None,
 ) -> "MemSysStats":
-    """Replay ``trace`` through ``system``.
+    """Replay the packed ``trace`` through ``system``.
 
-    Called by :meth:`MemorySystem.replay`; picks the vectorized closed
-    form when its certificates hold and the exact incremental replay
-    otherwise.  Either tier ends with the trace-ordered per-request
-    arrays, which the shared :func:`~repro.memsys.system.reduce_stats`
-    turns into statistics; the banks are left with the counters and
-    open rows the exact replay leaves.
+    Called by :meth:`MemorySystem.replay`, which packs object traces
+    first; picks the vectorized closed form when its certificates hold
+    and the exact incremental replay otherwise.  Either tier ends with
+    the trace-ordered per-request arrays, which the shared
+    :func:`~repro.memsys.system.reduce_stats` turns into statistics;
+    the banks are left with the counters and open rows the exact replay
+    leaves.
 
     With ``telemetry`` attached, its profiler times the four phases
     (``decode`` / ``certificate`` / ``tier-execute`` /
     ``stats-gather``) and its latency recorder adopts the arrays.
     Capture never perturbs the replay arithmetic.
-
-    The exact tier replays slotted per-request records built from the
-    decoded arrays for packed and object traces alike.  For an object
-    trace, both tiers then write the runtime fields (``coords``,
-    ``row``, ``bank_index``, times, ``outcome``, ``bits``) back onto
-    the caller's :class:`MemRequest` objects in one pass.
     """
     profiler = telemetry.profiler if telemetry is not None else None
     phase = profiler.phase if profiler is not None else null_phase
@@ -181,37 +171,16 @@ def replay_fast(
 
 def _run_tier(
     system: "MemorySystem",
-    trace: _t.Union[_t.Sequence[MemRequest], PackedTrace],
+    trace: PackedTrace,
     phase: _t.Callable[[str], _t.ContextManager[None]],
 ) -> _t.Tuple[str, _t.Dict[str, np.ndarray]]:
     """Decode, certify, and replay on one tier; returns ``(engine,
     trace-ordered arrays)``.  The decode temporaries die with this
     frame, before the reduction allocates its own."""
     with phase("decode"):
-        if isinstance(trace, PackedTrace):
-            requests: _t.Optional[_t.List[MemRequest]] = None
-            op_codes = trace.op_codes.astype(np.int64)
-            addrs = trace.addrs
-            times = trace.times
-        else:
-            requests = list(trace)
-            n = len(requests)
-            op_codes = np.fromiter(
-                (r.op.code for r in requests), dtype=np.int64, count=n
-            )
-            addrs = np.fromiter(
-                (r.addr for r in requests), dtype=np.int64, count=n
-            )
-            # uniform presence was validated by MemorySystem.replay
-            if requests and requests[0].timestamp is not None:
-                times = np.fromiter(
-                    (r.timestamp for r in requests),
-                    dtype=np.float64,
-                    count=n,
-                )
-            else:
-                times = None
-        fields = system.addr_map.decode_fields(addrs)
+        op_codes = trace.op_codes.astype(np.int64)
+        times = trace.times
+        fields = system.addr_map.decode_fields(trace.addrs)
         config = system.config
         n_banks = config.banks_per_channel
         flat_bank = (
@@ -228,11 +197,6 @@ def _run_tier(
             times,
         )
     with phase("tier-execute"):
-        bank_index = (
-            _bank_indices(op_codes, flat_bank)
-            if plan is None or requests is not None
-            else None
-        )
         if plan is not None:
             engine = "fast-vectorized"
             _commit_banks(system, plan)
@@ -244,7 +208,7 @@ def _run_tier(
             engine = "fast-exact"
             records = list(
                 map(
-                    _Record,
+                    ReplayRecord,
                     map(OPS_BY_CODE.__getitem__, op_codes.tolist()),
                     (
                         itertools.repeat(None)
@@ -252,18 +216,12 @@ def _run_tier(
                         else times.tolist()
                     ),
                     fields["row"].tolist(),
-                    bank_index,
+                    _bank_indices(op_codes, flat_bank),
                 )
             )
             _replay_exact(system, records, fields["channel"])
             arrays = _gather(records)
-            # free the records before a write-back allocates coords
             del records
-        if requests is not None:
-            _write_back(
-                requests, fields, bank_index, arrays,
-                request_bits(config, op_codes),
-            )
         arrays.update(
             _routing_arrays(
                 op_codes, fields["channel"], fields["row"], flat_bank
@@ -919,81 +877,12 @@ def _bank_indices(
     return index.tolist()
 
 
-def _write_back(
-    requests: _t.List[MemRequest],
-    fields: _t.Dict[str, np.ndarray],
-    bank_index: _t.List[_t.Optional[int]],
-    arrays: _t.Dict[str, np.ndarray],
-    bits: np.ndarray,
-) -> None:
-    """Fill a caller's request objects from trace-ordered columns.
-
-    Shared by both tiers, once per replay: sets every runtime field
-    (coords, routing, times, outcome, bits).
-    """
-    columns = (
-        fields["channel"], fields["bankgroup"], fields["bank"],
-        fields["row"], fields["column"], arrays["arrival"],
-        arrays["start_service"], arrays["finish"], arrays["outcome"], bits,
-    )
-    # chunked, so the Python-object columns never all exist at once
-    for lo in range(0, len(requests), _WRITE_BACK_CHUNK):
-        hi = lo + _WRITE_BACK_CHUNK
-        for (
-            request, index, ch, bg, bk, ro, col, arr, st, fin, out, nbits
-        ) in zip(
-            requests[lo:hi],
-            bank_index[lo:hi],
-            *(column[lo:hi].tolist() for column in columns),
-        ):
-            request.coords = Coordinates(ch, bg, bk, ro, col)
-            request.row = ro
-            request.bank_index = index
-            request.arrival = arr
-            request.start_service = st
-            request.finish = fin
-            request.outcome = OUTCOME_NAMES[out]
-            request.bits = nbits
-
-
 # ----------------------------------------------------------------------
 # Tier 2: exact incremental replay
 # ----------------------------------------------------------------------
-class _Record:
-    """One request as the exact tier's controllers see it.
-
-    A flat slotted record built from the decoded arrays: the fields the
-    shared controller code reads (``op``, ``timestamp``, and the
-    routing values ``row`` / ``bank_index``) and the runtime fields it
-    writes (``queued_hit``, ``occupancy``, ``arrival``,
-    ``start_service``, ``opens_busy``, ``finish``, ``outcome``,
-    ``bits``; unset until the replay reaches them).  Unlike
-    a :class:`MemRequest` it needs no address validation, decoded
-    :class:`Coordinates`, or field-wise equality.
-    """
-
-    __slots__ = (
-        "op", "timestamp", "row", "bank_index", "queued_hit",
-        "occupancy", "arrival", "start_service", "opens_busy", "finish",
-        "outcome", "bits",
-    )
-
-    def __init__(
-        self,
-        op: Op,
-        timestamp: _t.Optional[float],
-        row: int,
-        bank_index: _t.Optional[int],
-    ) -> None:
-        self.op = op
-        self.timestamp = timestamp
-        self.row = row
-        self.bank_index = bank_index
-
-
 def _replay_exact(
     system: "MemorySystem",
-    records: _t.List[_Record],
+    records: _t.List[ReplayRecord],
     channel: np.ndarray,
 ) -> None:
     """Replay in exact scheduling order: the definition of a replay.

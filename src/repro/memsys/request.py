@@ -6,14 +6,19 @@ operation that commands every bank of the target channel in lockstep
 (the HBM-PIM "AB mode" — the mechanism by which processing-in-memory
 reclaims the aggregate row-buffer bandwidth of all banks at once).
 
-Requests double as trace records: the trace layer serializes
-``(op, addr)`` plus an optional arrival *timestamp* (ns); the runtime
-fields (coordinates, service times, outcome) are filled in during
-replay.  An untimestamped request is injected at line rate (as
-soon as its queue has space); a timestamped one is additionally held
-back until its timestamp — the trace-driven arrival mode that replays
-application traces under their recorded traffic intensity instead of
-the saturation regime.
+A request is trace payload only: ``(op, addr)`` plus an optional
+arrival *timestamp* (ns), exactly what the trace layer serializes.  A
+replay packs request objects into a
+:class:`~repro.memsys.trace.PackedTrace` and never writes to them; its
+results are the per-request arrays a
+:class:`~repro.telemetry.ReplayTelemetry` recorder adopts.  Inside the
+exact replay, each request travels as a :class:`ReplayRecord`.
+
+An untimestamped request is injected at line rate (as soon as its
+queue has space); a timestamped one is additionally held back until
+its timestamp — the trace-driven arrival mode that replays application
+traces under their recorded traffic intensity instead of the
+saturation regime.
 """
 
 from __future__ import annotations
@@ -23,10 +28,7 @@ import enum
 import math
 import typing as _t
 
-if _t.TYPE_CHECKING:  # pragma: no cover
-    from .addrmap import Coordinates
-
-__all__ = ["Op", "OPS_BY_CODE", "MemRequest"]
+__all__ = ["Op", "OPS_BY_CODE", "MemRequest", "ReplayRecord"]
 
 
 class Op(enum.Enum):
@@ -70,65 +72,25 @@ _OP_CODES = {op: code for code, op in enumerate(OPS_BY_CODE)}
 
 @dataclasses.dataclass
 class MemRequest:
-    """One transaction, from trace record to completed access.
+    """One trace record: a transaction presented to the memory system.
+
+    Equality is payload equality: two requests are ``==`` when their
+    op, address and timestamp agree.
 
     Attributes
     ----------
     op, addr:
-        The trace-visible payload: request kind and byte address.
+        Request kind and byte address.
     timestamp:
         Optional trace arrival time in ns: the earliest instant the
         injector may present this request to its channel queue.
-        ``None`` (the default) means line-rate injection.  Part of the
-        trace payload, serialized by the trace layer; a replayed stream
-        must be uniformly timestamped or uniformly line-rate.
-    coords:
-        Decoded coordinates, set when the system routes the request.
-    row, bank_index:
-        The two routing values the controller reads: the decoded row
-        and the flat in-channel bank index (``None`` for all-bank
-        PIM/AB requests).  The replay derives both from the decoded
-        address arrays and writes them back with the other runtime
-        fields.
-    queued_hit:
-        Whether this *queued* request currently hits its bank's open
-        row — the controller's per-bank open-row table entry,
-        maintained at admission and on every open-row change so the
-        FR-FCFS selection can skip the queue scan when no queued
-        request hits (see ``ChannelController._rescan_bank``).
-    occupancy, opens_busy:
-        Controller bookkeeping the statistics read: the channel's queue
-        occupancy right after this request's admission, and whether
-        its service start found the channel idle (opening a busy
-        period).  Like ``queued_hit``, not written back by the fast
-        path, which records both in its arrays instead.
-    arrival, start_service, finish:
-        Simulation timestamps (ns), ``nan`` until reached.
-    outcome:
-        Row-buffer outcome ("hit" / "miss" / "conflict"), set at service.
-    bits:
-        Data bits moved by the completed access (PIM all-bank requests
-        move one page per bank).
+        ``None`` (the default) means line-rate injection.  A replayed
+        stream must be uniformly timestamped or uniformly line-rate.
     """
 
     op: Op
     addr: int
     timestamp: _t.Optional[float] = None
-    coords: _t.Optional["Coordinates"] = None
-    row: _t.Optional[int] = None
-    bank_index: _t.Optional[int] = None
-    queued_hit: bool = dataclasses.field(
-        default=False, repr=False, compare=False
-    )
-    occupancy: int = dataclasses.field(default=0, repr=False, compare=False)
-    opens_busy: bool = dataclasses.field(
-        default=False, repr=False, compare=False
-    )
-    arrival: float = math.nan
-    start_service: float = math.nan
-    finish: float = math.nan
-    outcome: _t.Optional[str] = None
-    bits: int = 0
 
     def __post_init__(self) -> None:
         if not isinstance(self.op, Op):
@@ -147,18 +109,38 @@ class MemRequest:
                     f"got {self.timestamp}"
                 )
 
-    @property
-    def latency(self) -> float:
-        """Arrival-to-finish latency in ns (``nan`` until completed)."""
-        return self.finish - self.arrival
-
-    def same_payload(self, other: "MemRequest") -> bool:
-        """Trace-level equality: op, address, and timestamp only."""
-        return (
-            self.op is other.op
-            and self.addr == other.addr
-            and self.timestamp == other.timestamp
-        )
-
     def __repr__(self) -> str:
         return f"<MemRequest {self.op.value} {self.addr:#x}>"
+
+
+class ReplayRecord:
+    """One request as the exact replay's controllers see it.
+
+    A flat slotted record built from the decoded trace arrays: the
+    fields the controller code reads (``op``, ``timestamp``, and the
+    routing values ``row`` / ``bank_index``, the flat in-channel bank
+    index or ``None`` for all-bank PIM/AB requests) and the stamps it
+    writes (``queued_hit``, ``occupancy``, ``arrival``,
+    ``start_service``, ``opens_busy``, ``finish``, ``outcome``,
+    ``bits``; unset until the replay reaches them).  The replay reads
+    the stamps back into its per-request arrays; records never leave
+    it.
+    """
+
+    __slots__ = (
+        "op", "timestamp", "row", "bank_index", "queued_hit",
+        "occupancy", "arrival", "start_service", "opens_busy", "finish",
+        "outcome", "bits",
+    )
+
+    def __init__(
+        self,
+        op: Op,
+        timestamp: _t.Optional[float],
+        row: int,
+        bank_index: _t.Optional[int],
+    ) -> None:
+        self.op = op
+        self.timestamp = timestamp
+        self.row = row
+        self.bank_index = bank_index

@@ -278,7 +278,7 @@ class MemorySystem:
     # ------------------------------------------------------------------
     def replay(
         self,
-        requests: _t.Union[_t.Sequence[MemRequest], PackedTrace],
+        requests: _t.Union[_t.Iterable[MemRequest], PackedTrace],
         engine: str = "auto",
         telemetry: _t.Optional["ReplayTelemetry"] = None,
     ) -> MemSysStats:
@@ -295,15 +295,17 @@ class MemorySystem:
 
         The replay runs on :mod:`repro.memsys.fastpath`: the
         vectorized closed form where its certificates hold, the exact
-        incremental replay otherwise.  Per-request runtime fields are
-        filled in for object traces, never for :class:`PackedTrace`
-        inputs.
+        incremental replay otherwise.  It reads ``requests`` and never
+        writes to them: per-request results are the arrays a
+        ``telemetry`` recorder adopts.
 
         Parameters
         ----------
         requests:
-            A sequence of :class:`MemRequest` objects or a
-            :class:`~repro.memsys.trace.PackedTrace`.
+            A :class:`~repro.memsys.trace.PackedTrace`, or any iterable
+            of :class:`MemRequest` objects, which is packed with
+            :meth:`PackedTrace.from_requests` first (rejecting mixed or
+            decreasing timestamps).
         engine:
             ``"fast"`` or ``"auto"`` (default); both name the one
             replay path.
@@ -320,8 +322,7 @@ class MemorySystem:
                 f"unknown engine {engine!r}; available: {ENGINES}"
             )
         if not isinstance(requests, PackedTrace):
-            requests = list(requests)
-            self._validate_timestamps(requests)
+            requests = PackedTrace.from_requests(requests)
         if len(requests) == 0:
             raise ValueError("cannot replay an empty request stream")
         if self._replayed:
@@ -334,30 +335,6 @@ class MemorySystem:
 
         self._replayed = True
         return replay_fast(self, requests, telemetry)
-
-    @staticmethod
-    def _validate_timestamps(requests: _t.Sequence[MemRequest]) -> None:
-        """Reject mixed or decreasing timestamps before any replay.
-
-        (:class:`PackedTrace` inputs validate at construction; this is
-        the object-trace counterpart.)
-        """
-        timed = sum(1 for r in requests if r.timestamp is not None)
-        if timed and timed != len(requests):
-            raise ValueError(
-                "trace mixes timestamped and untimestamped requests; "
-                "timestamp every request or none"
-            )
-        if timed:
-            last = 0.0
-            for index, request in enumerate(requests):
-                when = _t.cast(float, request.timestamp)
-                if when < last:
-                    raise ValueError(
-                        f"request {index}: timestamp {when!r} decreases "
-                        f"(previous was {last!r})"
-                    )
-                last = when
 
     # ------------------------------------------------------------------
     # statistics

@@ -21,12 +21,12 @@ suite checks.
 
 Two in-memory representations exist:
 
-* a list of :class:`~repro.memsys.request.MemRequest` objects, onto
-  which a replay writes the per-request runtime fields;
-* :class:`PackedTrace` — two numpy arrays (op codes + byte addresses),
-  the zero-object-churn form the fast-path replay engine consumes
-  directly.  A million-request packed trace costs ~9 MB instead of
-  hundreds of MB of Python objects.
+* a list of :class:`~repro.memsys.request.MemRequest` objects (trace
+  payload only: a replay packs them first and never writes to them);
+* :class:`PackedTrace` — numpy arrays (op codes, byte addresses,
+  optional timestamps), the zero-object-churn form the replay consumes.
+  A million-request packed trace costs ~9 MB instead of hundreds of MB
+  of Python objects.
 
 Streaming is lazy end to end: :func:`iter_trace` parses line by line
 without materializing the request list, and :func:`write_trace` accepts
@@ -145,9 +145,9 @@ class PackedTrace:
     Notes
     -----
     The replay consumes packed traces without creating any per-request
-    objects; :meth:`to_requests` materializes :class:`MemRequest`
-    objects on demand.
-    Iterating a packed trace yields fresh ``MemRequest`` objects lazily.
+    objects (object traces are packed with :meth:`from_requests`
+    first); :meth:`to_requests` materializes :class:`MemRequest`
+    objects on demand, and iterating a packed trace yields them lazily.
     """
 
     __slots__ = ("op_codes", "addrs", "times")
@@ -184,9 +184,13 @@ class PackedTrace:
                 raise TraceFormatError(
                     "timestamps must be non-negative finite values"
                 )
-            if times.size > 1 and bool(np.any(np.diff(times) < 0)):
+            decreasing = np.flatnonzero(np.diff(times) < 0)
+            if decreasing.size:
+                index = int(decreasing[0]) + 1
                 raise TraceFormatError(
-                    "timestamps must be non-decreasing in trace order"
+                    "timestamps must be non-decreasing in trace order: "
+                    f"request {index}: timestamp {float(times[index])!r} "
+                    f"decreases (previous was {float(times[index - 1])!r})"
                 )
         self.op_codes = op_codes
         self.addrs = addrs

@@ -6,8 +6,8 @@
 :class:`~repro.pimexec.sequencer.CommandSequencer` per channel, and
 plays host: every host-side action (bank writes, register broadcasts,
 CRF loads, kernel column walks) both mutates the functional state and
-appends the memory request the action costs.  :meth:`replay` then runs
-the accumulated request stream through a fresh
+appends the memory request the action costs to one packed log.
+:meth:`replay` then runs the accumulated request stream through a fresh
 :class:`~repro.memsys.MemorySystem`, so kernel time is measured by the
 same banked controllers, address map, and row-buffer state machines as
 any other trace — PIM kernel cycles pay real activation, page-access,
@@ -54,8 +54,8 @@ import typing as _t
 
 import numpy as np
 
+from ..errors import TraceFormatError
 from ..memsys import (
-    MemRequest,
     MemSysConfig,
     MemorySystem,
     MemSysStats,
@@ -84,6 +84,10 @@ LogColumns = _t.Tuple[
 
 def _empty_log() -> LogColumns:
     return ([], [], [], [], [])
+
+
+#: Chunk kinds of the request log, by their code in the packing mask.
+_CHUNK_KINDS = ("flat", "block", "trace")
 
 #: Hardware lane width in bits: HBM-PIM computes on 16-bit words.
 LANE_BITS = 16
@@ -159,6 +163,13 @@ class PimExecMachine:
     lockstep command across all selected units in single NumPy ops;
     :attr:`units` are per-unit :class:`~repro.pimexec.regfile.UnitView`
     windows onto it.
+
+    Every host action appends its requests to one packed log, never to
+    request objects: flat columns for host actions, lockstep blocks
+    for PIM steps, and already-encoded streams from
+    :meth:`append_trace`.  :meth:`trace` returns the log as one
+    :class:`~repro.memsys.PackedTrace`; :meth:`replay` times it;
+    :meth:`reset_requests` clears it.
     """
 
     def __init__(
@@ -212,15 +223,14 @@ class PimExecMachine:
         self._unit_channels = [ch for ch, _, _ in self.iter_units()]
         self._unit_banks = [i * self.ports for _, i, _ in self.iter_units()]
         self._encode = page_encoder(self.config)
-        # The accumulated request stream lives packed until someone
-        # asks for request *objects* (see :attr:`requests`): closed
-        # chunks — ("flat", op, ch, bank, row, col columns) or
-        # ("block", targets, rows, cols) lockstep blocks, one entry
-        # per dynamic instruction — plus the open flat tail ``_log``.
+        # The accumulated request stream (see :meth:`trace`): closed
+        # chunks — ("flat", op, ch, bank, row, col columns),
+        # ("block", targets, rows, cols) lockstep blocks with one entry
+        # per dynamic instruction, or ("trace", PackedTrace) streams
+        # appended already encoded — plus the open flat tail ``_log``.
         self._chunks: _t.List[tuple] = []
         self._log = _empty_log()
         self._count = 0
-        self._objects: _t.Optional[_t.List[MemRequest]] = None
 
     # ------------------------------------------------------------------
     # geometry helpers
@@ -278,35 +288,8 @@ class PimExecMachine:
     # the request log
     # ------------------------------------------------------------------
     @property
-    def requests(self) -> _t.List[MemRequest]:
-        """The accumulated request stream, as mutable objects.
-
-        Requests accumulate internally as five packed integer columns
-        (op, channel, bank, row, col) — the zero-object form
-        :meth:`replay` turns straight into a
-        :class:`~repro.memsys.PackedTrace`.  First access of this
-        property materializes the columns into
-        :class:`~repro.memsys.MemRequest` objects and keeps the machine
-        in object mode (appends and per-request mutation, e.g. the
-        timestamps :class:`~repro.pimexec.program.PimProgram` stamps,
-        behave exactly as before) until :meth:`reset_requests`.
-        """
-        if self._objects is None:
-            self.requests = self._packed_trace().to_requests()
-        return _t.cast(_t.List[MemRequest], self._objects)
-
-    @requests.setter
-    def requests(self, value: _t.List[MemRequest]) -> None:
-        self._chunks = []
-        self._log = _empty_log()
-        self._count = 0
-        self._objects = list(value)
-
-    @property
     def n_requests(self) -> int:
-        """Accumulated request count (cheap in either log mode)."""
-        if self._objects is not None:
-            return len(self._objects)
+        """Accumulated request count."""
         return self._count
 
     def _iter_chunks(self) -> _t.Iterator[tuple]:
@@ -315,21 +298,32 @@ class PimExecMachine:
         if self._log[0]:
             yield ("flat",) + self._log
 
+    def _close_log(self) -> None:
+        """Close the open flat tail into a chunk, if it holds any."""
+        if self._log[0]:
+            self._chunks.append(("flat",) + self._log)
+            self._log = _empty_log()
+
+    def append_trace(self, trace: PackedTrace) -> None:
+        """Append an already-encoded request stream to the log.
+
+        The requests keep ``trace``'s addresses and, if it has them,
+        its timestamps.  A log whose requests all come from timed
+        traces replays timestamped; see :meth:`trace`.
+        """
+        self._close_log()
+        self._chunks.append(("trace", trace))
+        self._count += len(trace)
+
     def _push_step(
         self, targets: _t.Tuple[int, ...], row: int, col: int
     ) -> None:
         """Append one lockstep step: a PIM request per target channel.
 
         Extends the last chunk when it is a block over the same
-        targets with no flat request after it; otherwise opens one.
+        targets with no other request after it; otherwise opens one.
         """
-        if self._objects is not None:
-            for channel in targets:
-                self._emit(Op.PIM, channel, 0, row, col)
-            return
-        if self._log[0]:
-            self._chunks.append(("flat",) + self._log)
-            self._log = _empty_log()
+        self._close_log()
         chunks = self._chunks
         if not (
             chunks and chunks[-1][0] == "block" and chunks[-1][1] == targets
@@ -351,11 +345,6 @@ class PimExecMachine:
         Address-major, pair-minor: the order of a per-address loop over
         the pairs.
         """
-        if self._objects is not None:
-            for row, col in addrs:
-                for channel, bank in zip(channels, banks):
-                    self._emit(op, channel, bank, row, col)
-            return
         n = len(channels)
         ops_l, ch_l, bank_l, row_l, col_l = self._log
         ops_l.extend([op.code] * (n * len(addrs)))
@@ -369,11 +358,6 @@ class PimExecMachine:
     def _emit(
         self, op: Op, channel: int, flat_bank: int, row: int, col: int
     ) -> None:
-        if self._objects is not None:
-            self._objects.append(
-                MemRequest(op, self.encode(channel, flat_bank, row, col))
-            )
-            return
         ops_l, ch_l, bank_l, row_l, col_l = self._log
         ops_l.append(op.code)
         ch_l.append(channel)
@@ -755,38 +739,100 @@ class PimExecMachine:
     # ------------------------------------------------------------------
     # timing
     # ------------------------------------------------------------------
+    def _encode_columns(
+        self,
+        channels: np.ndarray,
+        banks: np.ndarray,
+        rows: np.ndarray,
+        cols: np.ndarray,
+    ) -> np.ndarray:
+        """Byte addresses of (channel, flat bank, row, col) columns, in
+        one vectorized pass."""
+        per_group = self.config.banks_per_group
+        return self.addr_map.encode_fields(
+            {
+                "channel": channels,
+                "bankgroup": banks // per_group,
+                "bank": banks % per_group,
+                "row": rows,
+                "column": cols,
+            }
+        )
+
     def _pack_columns(
         self,
-    ) -> _t.Tuple[
-        np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray
-    ]:
-        """The packed log as (op, channel, bank, row, col) arrays.
+    ) -> _t.Tuple[np.ndarray, np.ndarray, _t.Optional[np.ndarray]]:
+        """The log as (op code, address, timestamp) arrays.
 
-        Lockstep blocks expand vectorized: each recorded step fans out
-        to one PIM request per target channel, channel-major within
-        the step — exactly the round-robin order the generic execution
-        loop appends.  Flat and block chunks each pack in one pass and
-        interleave back into stream order through one mask, so the
-        cost does not grow with the number of chunks.
+        Each chunk kind packs in one pass: flat chunks concatenate and
+        encode their columns; lockstep blocks expand vectorized, each
+        recorded step fanning out to one PIM request per target
+        channel, channel-major within the step (exactly the round-robin
+        order the generic execution loop appends); appended traces are
+        already encoded.  One kind mask per request then interleaves
+        the three back into stream order, so the cost does not grow
+        with the number of chunks.  Timestamps exist only when every
+        request comes from a timed trace.
         """
         flat: _t.Tuple[list, list, list, list, list] = ([], [], [], [], [])
-        blocks = []
-        is_block, sizes = [], []
+        blocks, traces = [], []
+        kinds, sizes = [], []
         for chunk in self._iter_chunks():
-            if chunk[0] == "flat":
+            kind = chunk[0]
+            if kind == "flat":
                 for column, values in zip(flat, chunk[1:]):
                     column.extend(values)
                 sizes.append(len(chunk[1]))
-            else:
+            elif kind == "block":
                 blocks.append(chunk)
                 sizes.append(len(chunk[1]) * len(chunk[2]))
-            is_block.append(chunk[0] == "block")
-        columns = (
-            np.array(flat[0], dtype=np.uint8),
-            *(np.array(column, dtype=np.int64) for column in flat[1:]),
-        )
-        if not blocks:
-            return columns
+            else:
+                traces.append(chunk[1])
+                sizes.append(len(chunk[1]))
+            kinds.append(_CHUNK_KINDS.index(kind))
+        parts = {}
+        if flat[0]:
+            parts[0] = (
+                np.array(flat[0], dtype=np.uint8),
+                self._encode_columns(
+                    *(np.array(column, dtype=np.int64) for column in flat[1:])
+                ),
+            )
+        if blocks:
+            addrs = self._block_addrs(blocks)
+            parts[1] = (np.full(addrs.shape, Op.PIM.code, np.uint8), addrs)
+        times = None
+        if traces:
+            parts[2] = (
+                np.concatenate([t.op_codes for t in traces]),
+                np.concatenate([t.addrs for t in traces]),
+            )
+            timed = [t.times for t in traces if t.times is not None]
+            n_timed = sum(len(t) for t in timed)
+            if n_timed and n_timed != self._count:
+                raise TraceFormatError(
+                    f"the request log mixes {self._count - n_timed} "
+                    f"untimestamped requests with {n_timed} timestamped "
+                    "ones; call reset_requests() after untimed staging "
+                    "and before appending a timestamped stream"
+                )
+            if n_timed:
+                times = np.concatenate(timed)
+        if len(parts) == 1:
+            op_codes, addrs = next(iter(parts.values()))
+            return op_codes, addrs, times
+        request_kind = np.repeat(np.array(kinds, dtype=np.int8), sizes)
+        op_codes = np.empty(request_kind.shape[0], dtype=np.uint8)
+        addrs = np.empty(request_kind.shape[0], dtype=np.int64)
+        for code, (part_ops, part_addrs) in parts.items():
+            mask = request_kind == code
+            op_codes[mask] = part_ops
+            addrs[mask] = part_addrs
+        return op_codes, addrs, times
+
+    def _block_addrs(self, blocks: _t.List[tuple]) -> np.ndarray:
+        """Addresses of the PIM requests of lockstep ``blocks``, in
+        stream order."""
         # per step: its target count and the offset of its block's
         # targets in one concatenated table; per request: its lane
         # (position among the step's targets)
@@ -801,8 +847,7 @@ class PimExecMachine:
             list(itertools.chain.from_iterable(c[1] for c in blocks)),
             dtype=np.int64,
         )
-        block_ch = table[np.repeat(step_first, step_nt) + lane]
-        block_rows, block_cols = (
+        rows, cols = (
             np.repeat(
                 np.array(
                     list(itertools.chain.from_iterable(c[i] for c in blocks)),
@@ -812,88 +857,58 @@ class PimExecMachine:
             )
             for i in (2, 3)
         )
-        mask = np.repeat(np.array(is_block), sizes)
-        block_values = (
-            Op.PIM.code, block_ch, 0, block_rows, block_cols,
+        channels = table[np.repeat(step_first, step_nt) + lane]
+        return self._encode_columns(
+            channels, np.zeros_like(channels), rows, cols
         )
-        packed = []
-        for column, values in zip(columns, block_values):
-            out = np.empty(len(mask), dtype=column.dtype)
-            out[~mask] = column
-            out[mask] = values
-            packed.append(out)
-        return tuple(packed)  # type: ignore[return-value]
 
-    def _packed_trace(self) -> PackedTrace:
-        """The packed log with addresses encoded in one vectorized pass."""
-        op_codes, channels, banks, rows, cols = self._pack_columns()
-        per_group = self.config.banks_per_group
-        addrs = self.addr_map.encode_fields(
-            {
-                "channel": channels,
-                "bankgroup": banks // per_group,
-                "bank": banks % per_group,
-                "row": rows,
-                "column": cols,
-            }
-        )
-        return PackedTrace(op_codes, addrs)
+    def trace(self) -> PackedTrace:
+        """The accumulated request stream as one
+        :class:`~repro.memsys.PackedTrace`.
+
+        Timestamped only when every request came from a timed
+        :meth:`append_trace` stream (e.g. a timestamped
+        :class:`~repro.pimexec.program.PimProgram`).
+
+        Raises
+        ------
+        TraceFormatError
+            If timed and untimed requests mix in the log, naming the
+            untimed count: clear untimed staging requests with
+            :meth:`reset_requests` first.
+        """
+        return PackedTrace(*self._pack_columns())
 
     def reset_requests(self) -> None:
         """Drop the accumulated request stream (e.g. after data load)."""
         self._chunks = []
         self._log = _empty_log()
         self._count = 0
-        self._objects = None
 
     def replay(
         self, telemetry: _t.Optional["_te.ReplayTelemetry"] = None
     ) -> PimExecResult:
         """Replay the accumulated stream through a fresh MemorySystem.
 
-        ``telemetry`` is threaded through to
-        :meth:`~repro.memsys.MemorySystem.replay`, so per-request
-        latency recording and phase profiling cover the AB-barrier
-        stream exactly as they cover plain traces.
-
-        While the machine is still in packed-log mode the stream goes
-        out as a :class:`~repro.memsys.PackedTrace` (addresses encoded
-        in one vectorized pass, no request objects); once
-        :attr:`requests` has been materialized, the object stream is
-        copied and replayed exactly as before.  Both forms replay
-        bit-identically.
+        The stream goes out as one :meth:`trace` (addresses encoded in
+        one vectorized pass, no request objects).  ``telemetry`` is
+        threaded through to :meth:`~repro.memsys.MemorySystem.replay`,
+        so per-request latency recording and phase profiling cover the
+        AB-barrier stream exactly as they cover plain traces.
         """
-        if self.n_requests == 0:
+        if self._count == 0:
             raise PimExecError("no requests accumulated to replay")
-        trace: _t.Union[PackedTrace, _t.List[MemRequest]]
-        if self._objects is None:
-            trace = self._packed_trace()
-            counts = np.bincount(
-                trace.op_codes, minlength=len(OPS_BY_CODE)
-            )
-            n_pim = int(counts[Op.PIM.code])
-            n_broadcast = int(counts[Op.AB.code])
-            n_host = int(counts[Op.READ.code] + counts[Op.WRITE.code])
-            n_total = len(trace)
-        else:
-            trace = [
-                MemRequest(r.op, r.addr, r.timestamp)
-                for r in self._objects
-            ]
-            ops = [r.op for r in trace]
-            n_pim = sum(op is Op.PIM for op in ops)
-            n_broadcast = sum(op is Op.AB for op in ops)
-            n_host = sum(op in (Op.READ, Op.WRITE) for op in ops)
-            n_total = len(trace)
+        trace = self.trace()
+        counts = np.bincount(trace.op_codes, minlength=len(OPS_BY_CODE))
         system = MemorySystem(self.config)
         stats = system.replay(trace, telemetry=telemetry)
         return PimExecResult(
             stats=stats,
             engine=system.last_replay_engine,
-            n_requests=n_total,
-            n_pim=n_pim,
-            n_broadcast=n_broadcast,
-            n_host=n_host,
+            n_requests=len(trace),
+            n_pim=int(counts[Op.PIM.code]),
+            n_broadcast=int(counts[Op.AB.code]),
+            n_host=int(counts[Op.READ.code] + counts[Op.WRITE.code]),
         )
 
     def sequencer_stats(self) -> _t.List[_t.Dict[str, int]]:

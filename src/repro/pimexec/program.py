@@ -66,7 +66,7 @@ import pathlib
 import typing as _t
 
 from ..errors import ConfigError, ProgramFormatError
-from ..memsys import MemRequest, MemSysConfig, Op
+from ..memsys import MemRequest, MemSysConfig, Op, PackedTrace
 from .commands import PimCommand, PimExecError, PimOpcode, parse_command
 from .machine import PimExecMachine
 
@@ -288,35 +288,40 @@ class PimProgram:
     ) -> _t.Dict[int, int]:
         """Run the program on ``machine`` (functional + request stream).
 
-        PIM instructions execute on every bank of ``channel`` in
-        lockstep (mutating GRF/SRF/bank state); host records append
-        their requests without functional effect (the text format
-        carries no data payloads — stage bank contents through
-        :meth:`PimExecMachine.write_bank` first, untimed, via
-        :meth:`PimExecMachine.reset_requests`).  Returns the
-        ``{cfr_index: data}`` writes seen, for config-register checks.
+        The whole program is lowered first, so a lowering error leaves
+        the machine's units and request log untouched.  PIM
+        instructions then execute on every bank of ``channel`` in
+        lockstep (mutating GRF/SRF/bank state); host records have no
+        functional effect (the text format carries no data payloads —
+        stage bank contents through :meth:`PimExecMachine.write_bank`
+        first).  Finally the lowered stream, with any record ``@<ns>``
+        timestamps, joins the machine's log as one
+        :meth:`PimExecMachine.append_trace`.  A timestamped program
+        replays timestamped only on its own: clear untimed staging
+        requests with :meth:`PimExecMachine.reset_requests` first.
+        Returns the ``{cfr_index: data}`` writes seen, for
+        config-register checks.
         """
+        lowered = [
+            item
+            for item in self._lowered(machine.config, channel)
+            if item[1] is not None
+        ]
+        trace = PackedTrace.from_requests(
+            MemRequest(op, addr, record.timestamp)
+            for record, op, addr, _row, _col in lowered
+        )
         cfr: _t.Dict[int, int] = {}
-        for record, op, addr, row, col in self._lowered(
-            machine.config, channel
-        ):
-            if record.kind == PIM:
-                command = _t.cast(PimCommand, record.command)
-                if command.is_control:
-                    continue
-                machine.pim_step(channel, command, row, col)
-                if record.timestamp is not None:
-                    # pim_step emitted exactly one all-bank request;
-                    # stamp it with the record's issue time
-                    machine.requests[-1].timestamp = record.timestamp
-            elif op is not None:
-                machine.requests.append(
-                    MemRequest(op, addr, record.timestamp)
+        for record, op, _addr, row, col in lowered:
+            if op is Op.PIM:
+                machine.array.execute(
+                    _t.cast(PimCommand, record.command), row, col, (channel,)
                 )
-                if record.kind == CFR and record.write:
-                    cfr[record.index] = (
-                        record.data if record.data is not None else 0
-                    )
+            elif record.kind == CFR and record.write:
+                cfr[record.index] = (
+                    record.data if record.data is not None else 0
+                )
+        machine.append_trace(trace)
         return cfr
 
     def __repr__(self) -> str:

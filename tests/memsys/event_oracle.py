@@ -23,11 +23,19 @@ import numpy as np
 
 from repro.desim import Simulator
 from repro.memsys import MemorySystem, MemRequest, Op, PackedTrace
+from repro.memsys.request import ReplayRecord
 from repro.memsys.system import _finish_replay, _gather
 from repro.telemetry import ALL_BANKS
 from repro.telemetry.profile import null_phase
 
 __all__ = ["event_replays", "replay_event"]
+
+
+class _Record(ReplayRecord):
+    """A controller record that also knows its trace address and
+    channel (the calendar's routing and trace records need both)."""
+
+    __slots__ = ("addr", "channel")
 
 
 class _Channel:
@@ -46,12 +54,12 @@ class _Channel:
         self.space_waiters.append(event)
         return event
 
-    def enqueue(self, request: MemRequest) -> None:
+    def enqueue(self, record: _Record) -> None:
         controller = self.controller
-        controller._admit(request, self.sim.now)
+        controller._admit(record, self.sim.now)
         self.sim.trace(
             "memsys.enqueue", channel=controller.channel_id,
-            addr=request.addr, op=request.op.value,
+            addr=record.addr, op=record.op.value,
         )
         if self.wakeup is not None and not self.wakeup.triggered:
             self.wakeup.succeed()
@@ -69,74 +77,79 @@ class _Channel:
                 # refresh blackout: stall, then re-evaluate
                 yield sim.timeout(delay)
                 continue
-            request, latency = controller._begin_service(sim.now)
+            record, latency = controller._begin_service(sim.now)
             waiters, self.space_waiters = self.space_waiters, []
             for waiter in waiters:
                 if not waiter.triggered:
                     waiter.succeed()
             yield sim.timeout(latency)
-            request.finish = sim.now
+            record.finish = sim.now
             sim.trace(
                 "memsys.complete", channel=controller.channel_id,
-                addr=request.addr, outcome=request.outcome,
-                latency=request.latency,
+                addr=record.addr, outcome=record.outcome,
+                latency=record.finish - record.arrival,
             )
 
 
-def _route(system: MemorySystem, request: MemRequest) -> int:
-    """Decode ``request``; set the routing values the controller reads
-    (``row``, and the flat bank index, ``None`` for all-bank PIM/AB);
-    return its channel."""
-    coords = request.coords = system.addr_map.decode(request.addr)
-    request.row = coords.row
+def _route(system: MemorySystem, request: MemRequest) -> _Record:
+    """Decode ``request`` one address at a time into the record the
+    controllers read: its row, and the flat bank index (``None`` for
+    all-bank PIM/AB)."""
+    coords = system.addr_map.decode(request.addr)
     config = system.config
-    request.bank_index = (
+    all_bank = request.op is Op.PIM or request.op is Op.AB
+    record = _Record(
+        request.op,
+        request.timestamp,
+        coords.row,
         None
-        if request.op is Op.PIM or request.op is Op.AB
+        if all_bank
         else coords.flat_bank(config.banks_per_group)
-        % config.banks_per_channel
+        % config.banks_per_channel,
     )
-    return coords.channel
+    record.addr = request.addr
+    record.channel = coords.channel
+    return record
 
 
-def _injector(sim, system, channels, requests):
-    for request in requests:
-        when = request.timestamp
+def _injector(sim, system, channels, records):
+    for record in records:
+        when = record.timestamp
         if when is not None and when > sim.now:
             # sim.at fires at exactly `when`: arrivals keep the trace's
             # timestamps bit for bit
             yield sim.at(when)
-        channel = channels[_route(system, request)]
+        channel = channels[record.channel]
         while len(channel.controller.pending) >= system.config.queue_depth:
             yield channel.space_event()
-        channel.enqueue(request)
+        channel.enqueue(record)
 
 
-def _request_arrays(
-    requests: _t.Sequence[MemRequest],
+def _record_arrays(
+    records: _t.Sequence[_Record],
 ) -> _t.Dict[str, np.ndarray]:
-    """The trace-ordered recorder arrays of replayed request objects."""
-    n = len(requests)
+    """The trace-ordered recorder arrays of replayed records."""
+    n = len(records)
 
     def column(values: _t.Iterable) -> np.ndarray:
         return np.fromiter(values, dtype=np.int64, count=n)
 
-    arrays = _gather(requests)
+    arrays = _gather(records)
     arrays.update(
-        channel=column(r.coords.channel for r in requests),
+        channel=column(r.channel for r in records),
         bank=column(
             ALL_BANKS if r.bank_index is None else r.bank_index
-            for r in requests
+            for r in records
         ),
-        row=column(r.row for r in requests),
-        op=column(r.op.code for r in requests),
+        row=column(r.row for r in records),
+        op=column(r.op.code for r in records),
     )
     return arrays
 
 
 def replay_event(
     system: MemorySystem,
-    trace: _t.Union[_t.Sequence[MemRequest], PackedTrace],
+    trace: _t.Union[_t.Iterable[MemRequest], PackedTrace],
     telemetry=None,
     tracer=None,
 ):
@@ -146,33 +159,32 @@ def replay_event(
     (if given) holding the recorder arrays under engine ``"event"``,
     like :meth:`MemorySystem.replay` does for its own tiers.  A
     ``tracer`` receives one ``memsys.enqueue`` and one
-    ``memsys.complete`` record per request, in calendar order.
+    ``memsys.complete`` record per request, in calendar order.  Like
+    the replay path, the oracle never writes to ``trace``.
     """
     profiler = telemetry.profiler if telemetry is not None else None
     phase = profiler.phase if profiler is not None else null_phase
-    if isinstance(trace, PackedTrace):
-        with phase("decode"):
-            requests = trace.to_requests()
-    else:
-        requests = list(trace)
-        system._validate_timestamps(requests)
-    if not requests:
+    if not isinstance(trace, PackedTrace):
+        trace = PackedTrace.from_requests(trace)
+    if len(trace) == 0:
         raise ValueError("cannot replay an empty request stream")
     if system._replayed:
         raise RuntimeError("build a fresh MemorySystem per trace")
     system._replayed = True
+    with phase("decode"):
+        records = [_route(system, request) for request in trace]
     sim = Simulator(tracer=tracer)
     channels = [_Channel(sim, c) for c in system.controllers]
     for channel in channels:
         name = f"memctrl.ch{channel.controller.channel_id}"
         sim.process(channel.run(), name=name)
     sim.process(
-        _injector(sim, system, channels, requests), name="memsys.injector"
+        _injector(sim, system, channels, records), name="memsys.injector"
     )
     with phase("tier-execute"):
         sim.run()
-        assert not any(math.isnan(r.finish) for r in requests)
-        arrays = _request_arrays(requests)
+        assert not any(math.isnan(r.finish) for r in records)
+        arrays = _record_arrays(records)
     system.last_replay_engine = "event"
     return _finish_replay(
         system.config, "event", arrays, system.row_counts(), telemetry

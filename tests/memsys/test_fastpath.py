@@ -15,6 +15,7 @@ import dataclasses
 import math
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from repro.memsys import (
@@ -40,10 +41,6 @@ POLICY_NAMES = ("fcfs", "frfcfs")
 PATTERN_NAMES = ("sequential", "strided", "random")
 
 
-def fresh(trace):
-    return [MemRequest(r.op, r.addr) for r in trace]
-
-
 def pim_all_bank_trace(config, n):
     """All-bank PIM commands round-robining channels, sweeping rows."""
     amap = config.address_map()
@@ -66,14 +63,14 @@ def assert_laws_hold(config, telemetry):
     assert not violations, violations[:5]
 
 
-def replay_both(config, trace, copy=fresh):
+def replay_both(config, trace):
     """Replay one trace through the event oracle and the replay path on
     fresh systems, each checked against the timing laws."""
     event_tel = ReplayTelemetry(profile=False)
-    event_stats = replay_event(MemorySystem(config), copy(trace), event_tel)
+    event_stats = replay_event(MemorySystem(config), trace, event_tel)
     fast_tel = ReplayTelemetry(profile=False)
     fast_system = MemorySystem(config)
-    fast_stats = fast_system.replay(copy(trace), telemetry=fast_tel)
+    fast_stats = fast_system.replay(trace, telemetry=fast_tel)
     assert_laws_hold(config, event_tel)
     assert_laws_hold(config, fast_tel)
     return event_stats, fast_stats, fast_system
@@ -268,9 +265,9 @@ class TestEngineSelection:
 
 
 class TestFastPathSideEffects:
-    def test_request_fields_written_back(self):
-        """Object traces get the event oracle's per-request runtime
-        fields from both fast tiers."""
+    def test_recorded_request_fields_match_event_oracle(self):
+        """Both fast tiers record the event oracle's per-request times,
+        outcomes and routing."""
         for pattern, expected_tier in (
             ("sequential", "fast-vectorized"),
             ("random", "fast-exact"),
@@ -279,17 +276,17 @@ class TestFastPathSideEffects:
                 scheme="channel-interleaved", policy="frfcfs"
             )
             trace = synthesize_trace(pattern, 2048, config, seed=8)
-            event_trace = fresh(trace)
-            replay_event(MemorySystem(config), event_trace)
-            fast_trace = fresh(trace)
+            event_tel = ReplayTelemetry(profile=False)
+            replay_event(MemorySystem(config), trace, event_tel)
+            fast_tel = ReplayTelemetry(profile=False)
             fast_system = MemorySystem(config)
-            fast_system.replay(fast_trace, engine="fast")
+            fast_system.replay(trace, engine="fast", telemetry=fast_tel)
             assert fast_system.last_replay_engine == expected_tier
-            for event_req, fast_req in zip(event_trace, fast_trace):
-                for name in RUNTIME_FIELDS:
-                    assert getattr(fast_req, name) == getattr(
-                        event_req, name
-                    ), name
+            for name in REQUEST_FIELD_ARRAYS:
+                assert np.array_equal(
+                    getattr(fast_tel.recorder, name),
+                    getattr(event_tel.recorder, name),
+                ), name
 
     def test_queue_length_extremes_match_event_engine(self):
         """The per-channel queue peak derived from the recorded arrays
@@ -302,7 +299,7 @@ class TestFastPathSideEffects:
             for replay in (replay_event, MemorySystem.replay):
                 telemetry = ReplayTelemetry()
                 system = MemorySystem(config)
-                replay(system, fresh(trace), telemetry=telemetry)
+                replay(system, trace, telemetry=telemetry)
                 peaks[system.last_replay_engine] = [
                     gauges["max_queue_length"]
                     for gauges in channel_gauges(telemetry)
@@ -320,9 +317,9 @@ class TestFastPathSideEffects:
         config = MemSysConfig()
         trace = synthesize_trace("random", 500, config, seed=6)
         event_system = MemorySystem(config)
-        replay_event(event_system, fresh(trace))
+        replay_event(event_system, trace)
         fast_system = MemorySystem(config)
-        fast_system.replay(fresh(trace), engine="fast")
+        fast_system.replay(trace, engine="fast")
         for event_ctrl, fast_ctrl in zip(
             event_system.controllers, fast_system.controllers
         ):
@@ -340,9 +337,7 @@ class TestFastPathSideEffects:
             "sequential", 1024, config, write_fraction=0.5, seed=3
         )
         packed = PackedTrace.from_requests(objects)
-        object_stats = MemorySystem(config).replay(
-            fresh(objects), engine="fast"
-        )
+        object_stats = MemorySystem(config).replay(objects, engine="fast")
         packed_stats = MemorySystem(config).replay(packed, engine="fast")
         assert dataclasses.asdict(packed_stats) == dataclasses.asdict(
             object_stats
@@ -359,21 +354,16 @@ class TestFastPathSideEffects:
         assert stats.n_requests == 256
 
 
-#: Every per-request field a replay fills in (completion events aside).
-RUNTIME_FIELDS = (
-    "coords", "row", "bank_index", "arrival", "start_service",
-    "finish", "outcome", "bits",
+#: The recorded arrays of the per-request times, outcome and routing.
+REQUEST_FIELD_ARRAYS = (
+    "arrival", "start_service", "finish", "outcome_code", "channel",
+    "bank", "row",
 )
 #: The recorder's trace-ordered arrays.
 RECORDED_ARRAYS = (
     "arrival", "start_service", "finish", "outcome_code",
     "occupancy", "opens_busy", "channel", "bank", "row", "op_code",
 )
-
-
-def copy_trace(trace):
-    """Payload-only copies, timestamps kept."""
-    return [MemRequest(r.op, r.addr, r.timestamp) for r in trace]
 
 
 def replay_exact_tier(config, trace, telemetry=None):
@@ -390,53 +380,38 @@ def replay_exact_tier(config, trace, telemetry=None):
 
 def replay_exact_three_ways(config, trace):
     """The event oracle on objects, then the exact tier on objects and
-    on the packed trace; returns ``(stats, telemetry, requests)`` each
-    (``requests`` is ``None`` for the packed replay)."""
+    on the packed trace; returns ``(stats, telemetry)`` each."""
     runs = []
-    event_requests = copy_trace(trace)
     telemetry = ReplayTelemetry()
-    stats = replay_event(MemorySystem(config), event_requests, telemetry)
-    runs.append((stats, telemetry, event_requests))
-    for requests in (copy_trace(trace), None):
+    stats = replay_event(MemorySystem(config), trace, telemetry)
+    runs.append((stats, telemetry))
+    for requests in (trace, PackedTrace.from_requests(trace)):
         telemetry = ReplayTelemetry()
-        stats = replay_exact_tier(
-            config,
-            requests if requests is not None
-            else PackedTrace.from_requests(trace),
-            telemetry,
-        )
-        runs.append((stats, telemetry, requests))
+        stats = replay_exact_tier(config, requests, telemetry)
+        runs.append((stats, telemetry))
     return runs
 
 
 def assert_exact_plumbing_identical(config, trace):
     """Packed and object input through the exact tier give the event
-    oracle's stats, recorder arrays, and per-request fields."""
-    (event_stats, event_tel, event_requests), *fast_runs = (
-        replay_exact_three_ways(config, trace)
+    oracle's stats and recorder arrays."""
+    (event_stats, event_tel), *fast_runs = replay_exact_three_ways(
+        config, trace
     )
-    for stats, telemetry, requests in fast_runs:
+    for stats, telemetry in fast_runs:
         assert repr(stats) == repr(event_stats)
         for name in RECORDED_ARRAYS:
             expected = getattr(event_tel.recorder, name)
             actual = getattr(telemetry.recorder, name)
             assert actual.dtype == expected.dtype, name
             assert actual.tobytes() == expected.tobytes(), name
-        if requests is None:
-            continue
-        for event_req, fast_req in zip(event_requests, requests):
-            for name in RUNTIME_FIELDS:
-                assert getattr(fast_req, name) == getattr(
-                    event_req, name
-                ), name
 
 
 class TestExactTierRecords:
-    """The exact tier's slotted records, array capture, and write-back.
+    """The exact tier's slotted records and array capture.
 
-    The tier replays packed and object traces on the same records and
-    writes the runtime fields back onto a caller's request objects once,
-    so both inputs must leave exactly what the event oracle leaves.
+    The tier replays packed and object traces on the same records, so
+    both inputs must record exactly what the event oracle records.
     """
 
     @pytest.mark.parametrize("policy", POLICY_NAMES)
@@ -473,7 +448,7 @@ class TestExactTierRecords:
         trace = transformer_layer_program(spec, config).to_requests(config)
         assert {r.op for r in trace} == set(Op)
         if not timestamped:
-            trace = fresh(trace)
+            trace = [MemRequest(r.op, r.addr) for r in trace]
         assert_exact_plumbing_identical(config, trace)
 
 
@@ -485,12 +460,6 @@ def ab_all_bank_trace(config, n):
         MemRequest(Op.AB, request.addr)
         for request in pim_all_bank_trace(config, n)
     ]
-
-
-def replay_both_timed(config, trace):
-    """Like :func:`replay_both` but keeping arrival timestamps —
-    ``fresh`` strips them, which would hide the backpressure tier."""
-    return replay_both(config, trace, copy=copy_trace)
 
 
 class TestAbCertificate:
@@ -537,9 +506,7 @@ class TestAbCertificate:
             MemRequest(r.op, r.addr, timestamp=i * 1000.0)
             for i, r in enumerate(ab_all_bank_trace(config, 256))
         ]
-        event_stats, fast_stats, fast_system = replay_both_timed(
-            config, trace
-        )
+        event_stats, fast_stats, fast_system = replay_both(config, trace)
         assert fast_system.last_replay_engine == "fast-vectorized"
         assert_stats_equivalent(event_stats, fast_stats)
 
@@ -552,9 +519,7 @@ class TestAbCertificate:
             MemRequest(r.op, r.addr, timestamp=0.0)
             for r in ab_all_bank_trace(config, 256)
         ]
-        event_stats, fast_stats, fast_system = replay_both_timed(
-            config, trace
-        )
+        event_stats, fast_stats, fast_system = replay_both(config, trace)
         assert fast_system.last_replay_engine == "fast-exact"
         assert_stats_equivalent(event_stats, fast_stats, rel=None)
 

@@ -312,12 +312,13 @@ def test_reordering_replay_matches_reference(engine):
     assert repr(again) == repr(stats)
 
 
-def calendar_busy_ns(records, requests):
+def calendar_busy_ns(records, requests, recorder):
     """Busy time per channel from the event calendar's own record order:
     a completion that leaves nothing admitted and unfinished idles its
     channel, and the next completion on that channel belongs to the
-    service that reopened it."""
-    by_addr = {request.addr: request for request in requests}
+    service that reopened it.  Each request's times are read off the
+    ``recorder`` arrays, by its (unique) address."""
+    position = {request.addr: i for i, request in enumerate(requests)}
     outstanding = {}
     opened = {}
     busy = {}
@@ -326,11 +327,13 @@ def calendar_busy_ns(records, requests):
         if record.kind == "memsys.enqueue":
             outstanding[ch] = outstanding.get(ch, 0) + 1
             continue
-        request = by_addr[record.fields["addr"]]
-        opened.setdefault(ch, request.start_service)
+        i = position[record.fields["addr"]]
+        opened.setdefault(ch, recorder.start_service[i])
         outstanding[ch] -= 1
         if outstanding[ch] == 0:
-            busy[ch] = busy.get(ch, 0.0) + request.finish - opened.pop(ch)
+            busy[ch] = (
+                busy.get(ch, 0.0) + recorder.finish[i] - opened.pop(ch)
+            )
     return busy
 
 
@@ -371,18 +374,14 @@ class TestCoincidentAdmissions:
         telemetry = ReplayTelemetry(profile=False)
         stats = replay_event(system, trace, telemetry, tracer=tracer)
         assert_laws_hold(config, telemetry)
-        coincident = {r.finish for r in trace} & {r.arrival for r in trace}
-        stalled = [
-            r
-            for r in trace
-            if r.arrival in coincident and r.start_service > r.arrival
-        ]
+        recorder = telemetry.recorder
+        coincident = np.isin(recorder.arrival, recorder.finish)
+        stalled = coincident & (recorder.start_service > recorder.arrival)
         # the case this pins: a coincident admission that the calendar
         # ran before the completion, then a refresh stall
-        assert any(not r.opens_busy for r in stalled)
-        busy = calendar_busy_ns(tracer, trace)[0]
+        assert np.any(stalled & ~recorder.opens_busy)
+        busy = calendar_busy_ns(tracer, trace, recorder)[0]
         assert stats.channel_utilization == busy / stats.makespan_ns
-        recorder = telemetry.recorder
         arrays = dict(recorder._assemble())
         assert_matches_reference(arrays, system.row_counts(), config)
 
@@ -407,13 +406,14 @@ class TestCoincidentAdmissions:
         and the queue never holds two."""
         config = MemSysConfig(n_channels=1)
         base = synthesize_trace("sequential", 3, config)
-        first = MemRequest(base[0].op, base[0].addr)
-        replay_event(MemorySystem(config), [first])
+        first = ReplayTelemetry(profile=False)
+        replay_event(MemorySystem(config), base[:1], first)
+        finish = float(first.recorder.finish[0])
 
         def trace():
             return [
                 MemRequest(request.op, request.addr, timestamp=when)
-                for request, when in zip(base, (0.0, 1.0, first.finish))
+                for request, when in zip(base, (0.0, 1.0, finish))
             ]
 
         peaks = {}

@@ -20,20 +20,13 @@ from repro.memsys import (
     RefreshSchedule,
     synthesize_trace,
 )
+from repro.telemetry import ReplayTelemetry
 
 from .event_oracle import replay_event
-from .test_fastpath import assert_stats_equivalent, replay_both as _both
+from .test_fastpath import assert_stats_equivalent, replay_both
 
 #: HBM2-class refresh timings (ns).
 TREFI, TRFC = 3900.0, 350.0
-
-
-def fresh(trace):
-    return [MemRequest(r.op, r.addr, r.timestamp) for r in trace]
-
-
-def replay_both(config, trace):
-    return _both(config, trace, copy=fresh)
 
 
 def pim_all_bank_trace(config, n):
@@ -295,7 +288,6 @@ class TestEngineEquivalenceGrid:
         epoch's scan window (sized from the previous epoch) holds no
         boundary, so the scan widens — and stays bit-exact."""
         from repro.memsys import fastpath
-        from repro.telemetry import ReplayTelemetry
 
         scans = []
         scan = fastpath._chunk_outcomes
@@ -315,7 +307,7 @@ class TestEngineEquivalenceGrid:
         ):
             telemetry = ReplayTelemetry()
             system = MemorySystem(config)
-            replay(system, fresh(trace), telemetry=telemetry)
+            replay(system, trace, telemetry=telemetry)
             recorded[engine] = telemetry.recorder
         assert system.last_replay_engine == "fast-vectorized"
         epochs = len(
@@ -440,17 +432,18 @@ class TestMixedTimestampValidation:
             MemorySystem(config).replay(trace)
 
     def test_write_back_matches_between_engines(self):
-        """Per-request runtime fields agree for timestamped traces."""
+        """Recorded per-request times and outcomes agree for
+        timestamped traces."""
         config = MemSysConfig()
         trace = synthesize_trace(
             "sequential", 512, config, interarrival_ns=6.0
         )
-        event_trace = fresh(trace)
-        replay_event(MemorySystem(config), event_trace)
-        fast_trace = fresh(trace)
-        MemorySystem(config).replay(fast_trace)
-        for event_req, fast_req in zip(event_trace, fast_trace):
-            assert fast_req.arrival == event_req.arrival
-            assert fast_req.start_service == event_req.start_service
-            assert fast_req.finish == event_req.finish
-            assert fast_req.outcome == event_req.outcome
+        event = ReplayTelemetry(profile=False)
+        replay_event(MemorySystem(config), trace, event)
+        fast = ReplayTelemetry(profile=False)
+        MemorySystem(config).replay(trace, telemetry=fast)
+        for name in ("arrival", "start_service", "finish", "outcome_code"):
+            assert (
+                getattr(fast.recorder, name).tolist()
+                == getattr(event.recorder, name).tolist()
+            ), name

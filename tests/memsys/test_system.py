@@ -1,6 +1,8 @@
 """Integration tests: controllers, scheduling, and the analytic cross-check."""
 
+import copy
 
+import numpy as np
 import pytest
 
 from repro.arch.dram import (
@@ -17,6 +19,7 @@ from repro.memsys import (
     Op,
     synthesize_trace,
 )
+from repro.telemetry import OUTCOME_NAMES, ReplayTelemetry
 
 
 def single_macro(**kw) -> MemSysConfig:
@@ -34,6 +37,18 @@ def interleaved_two_row_trace(config: MemSysConfig, n: int):
         for row in (1, 2)
     ]
     return [MemRequest(Op.READ, pages[i % len(pages)]) for i in range(n)]
+
+
+def recorded(config, trace):
+    """The latency recorder of one replay of ``trace``."""
+    telemetry = ReplayTelemetry(profile=False)
+    MemorySystem(config).replay(trace, telemetry=telemetry)
+    return telemetry.recorder
+
+
+def outcomes(recorder):
+    """Recorded row-buffer outcomes, by name, in trace order."""
+    return [OUTCOME_NAMES[code] for code in recorder.outcome_code]
 
 
 class TestConfigValidation:
@@ -149,9 +164,7 @@ class TestScheduling:
         rates = {}
         for policy in ("fcfs", "frfcfs"):
             config = single_macro(policy=policy)
-            stats = MemorySystem(config).replay(
-                [MemRequest(r.op, r.addr) for r in trace]
-            )
+            stats = MemorySystem(config).replay(trace)
             rates[policy] = stats.row_hit_rate
         assert rates["fcfs"] == pytest.approx(0.0)
         assert rates["frfcfs"] > 0.8
@@ -160,9 +173,7 @@ class TestScheduling:
     def test_fcfs_preserves_arrival_order(self):
         config = single_macro(policy="fcfs", queue_depth=8)
         trace = interleaved_two_row_trace(config, 64)
-        tagged = [MemRequest(r.op, r.addr) for r in trace]
-        MemorySystem(config).replay(tagged)
-        finishes = [r.finish for r in tagged]
+        finishes = recorded(config, trace).finish.tolist()
         assert finishes == sorted(finishes)
 
 
@@ -220,12 +231,8 @@ class TestSystemBehavior:
             MemRequest(Op.READ, amap.encode(Coordinates(row=i)))
             for i in range(64)
         ]
-        open_stats = MemorySystem(config_open).replay(
-            [MemRequest(r.op, r.addr) for r in trace]
-        )
-        closed_stats = MemorySystem(config_closed).replay(
-            [MemRequest(r.op, r.addr) for r in trace]
-        )
+        open_stats = MemorySystem(config_open).replay(trace)
+        closed_stats = MemorySystem(config_closed).replay(trace)
         assert (
             closed_stats.makespan_ns == open_stats.makespan_ns
         )
@@ -238,13 +245,14 @@ class TestSystemBehavior:
             MemRequest(Op.AB, 0),
             MemRequest(Op.AB, 0),
         ]
-        stats = system.replay(requests)
+        telemetry = ReplayTelemetry(profile=False)
+        stats = system.replay(requests, telemetry=telemetry)
         # one column access each, no activations anywhere
         assert stats.makespan_ns == pytest.approx(
             3 * config.timing.page_access_ns
         )
         assert stats.row_hits + stats.row_misses == 0
-        assert all(r.outcome == "broadcast" for r in requests)
+        assert outcomes(telemetry.recorder) == ["broadcast"] * 3
         assert stats.total_bits == 3 * config.timing.page_bits
         bank = system.controllers[0].banks[0]
         assert bank.open_row is None and bank.accesses == 0
@@ -253,25 +261,39 @@ class TestSystemBehavior:
         """A younger row hit must not overtake a register broadcast."""
         config = single_macro(queue_depth=8)
         amap = config.address_map()
-        system = MemorySystem(config)
         trace = [
             MemRequest(Op.READ, amap.encode(Coordinates(row=1))),
             MemRequest(Op.AB, 0),
             MemRequest(Op.READ, amap.encode(Coordinates(row=1))),
         ]
-        system.replay(trace)
+        recorder = recorded(config, trace)
         # service order is arrival order: the hit waits for the AB
-        assert trace[1].finish <= trace[2].start_service
-        assert trace[2].outcome == "hit"
+        assert recorder.finish[1] <= recorder.start_service[2]
+        assert outcomes(recorder)[2] == "hit"
 
     def test_request_timestamps_and_outcomes(self):
         config = single_macro(queue_depth=4)
         trace = synthesize_trace("sequential", 32, config)
-        MemorySystem(config).replay(trace)
-        for req in trace:
-            assert req.arrival <= req.start_service <= req.finish
-            assert req.outcome in {"hit", "miss", "conflict"}
-            assert req.bits == config.timing.page_bits
+        telemetry = ReplayTelemetry(profile=False)
+        stats = MemorySystem(config).replay(trace, telemetry=telemetry)
+        recorder = telemetry.recorder
+        assert np.all(recorder.arrival <= recorder.start_service)
+        assert np.all(recorder.start_service <= recorder.finish)
+        assert set(outcomes(recorder)) <= {"hit", "miss", "conflict"}
+        assert stats.total_bits == 32 * config.timing.page_bits
+
+    def test_replay_leaves_its_input_untouched(self):
+        """A replay reads its request objects and never writes them:
+        the same list replays twice to identical statistics."""
+        config = MemSysConfig()
+        trace = synthesize_trace(
+            "random", 512, config, seed=4, interarrival_ns=3.0
+        )
+        before = copy.deepcopy(trace)
+        first = MemorySystem(config).replay(trace)
+        second = MemorySystem(config).replay(trace)
+        assert repr(second) == repr(first)
+        assert trace == before
 
     def test_replay_accepts_iterators(self):
         config = single_macro()

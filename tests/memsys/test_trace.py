@@ -78,9 +78,7 @@ class TestRoundTrip:
         assert path.exists()
         reparsed = parse_trace(path)
         assert len(reparsed) == len(original)
-        assert all(
-            a.same_payload(b) for a, b in zip(original, reparsed)
-        )
+        assert original == reparsed
         # and a second lap through text stays fixed
         assert format_trace(reparsed) == format_trace(original)
 
@@ -121,7 +119,7 @@ class TestSynthesize:
     def test_deterministic_for_seed(self):
         a = synthesize_trace("random", 100, seed=3)
         b = synthesize_trace("random", 100, seed=3)
-        assert all(x.same_payload(y) for x, y in zip(a, b))
+        assert a == b
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -138,9 +136,7 @@ class TestSynthesize:
         )
         assert isinstance(packed, PackedTrace)
         assert len(packed) == len(objects)
-        assert all(
-            a.same_payload(b) for a, b in zip(packed, objects)
-        )
+        assert list(packed) == objects
 
 
 class TestPackedTrace:
@@ -153,9 +149,7 @@ class TestPackedTrace:
         packed = PackedTrace.from_requests(original)
         assert len(packed) == 3
         rebuilt = packed.to_requests()
-        assert all(
-            a.same_payload(b) for a, b in zip(original, rebuilt)
-        )
+        assert original == rebuilt
         assert packed == PackedTrace.from_requests(rebuilt)
 
     def test_validation(self):
@@ -234,9 +228,7 @@ class TestTimestamps:
         ]
         path = write_trace(tmp_path / "timed.trace", original)
         reparsed = parse_trace(path)
-        assert all(
-            a.same_payload(b) for a, b in zip(original, reparsed)
-        )
+        assert original == reparsed
         assert [r.timestamp for r in reparsed] == [
             r.timestamp for r in original
         ]
@@ -292,6 +284,16 @@ class TestTimestamps:
         addrs = np.array([0, 32], dtype=np.int64)
         with pytest.raises(ValueError, match="non-decreasing"):
             PackedTrace(ops, addrs, np.array([2.0, 1.0]))
+        with pytest.raises(
+            ValueError,
+            match=r"request 2: timestamp 3\.0 decreases "
+            r"\(previous was 4\.0\)",
+        ):
+            PackedTrace(
+                np.zeros(3, dtype=np.uint8),
+                np.array([0, 32, 64]),
+                np.array([1.0, 4.0, 3.0]),
+            )
         with pytest.raises(ValueError, match="non-negative"):
             PackedTrace(ops, addrs, np.array([-1.0, 1.0]))
         with pytest.raises(ValueError, match="matching"):

@@ -111,7 +111,7 @@ class TestMachineMode:
                 0,
                 0,
             )
-            assert [r.op for r in machine.requests] == [Op.PIM]
+            assert [r.op for r in machine.trace()] == [Op.PIM]
 
     def test_even_odd_dataflow_through_a_shared_unit(self):
         """x in even banks, y in odd banks: one ADD combines them

@@ -43,8 +43,7 @@ class TestHostActions:
         page = np.arange(16, dtype=float)
         machine.write_bank(0, 2, 5, 1, page)
         assert np.array_equal(machine.unit(0, 2).load_page(5, 1), page)
-        assert len(machine.requests) == 1
-        request = machine.requests[0]
+        (request,) = machine.trace()
         assert request.op is Op.WRITE
         coords = machine.addr_map.decode(request.addr)
         assert (coords.channel, coords.row, coords.column) == (0, 5, 1)
@@ -56,7 +55,7 @@ class TestHostActions:
             unit.srf[3] == 2.5 for unit in machine.units[1]
         )
         assert all(unit.srf[3] == 0.0 for unit in machine.units[0])
-        assert machine.requests[-1].op is Op.AB
+        assert list(machine.trace())[-1].op is Op.AB
 
     def test_broadcast_page_validates_width(self, machine):
         with pytest.raises(PimExecError, match="lanes"):
@@ -74,15 +73,16 @@ class TestHostActions:
 
     def test_load_kernel_costs_one_ab_per_slot_per_channel(self, machine):
         machine.load_kernel(sum_kernel(4))
-        assert len(machine.requests) == 3 * machine.n_channels
-        assert all(r.op is Op.AB for r in machine.requests)
+        requests = list(machine.trace())
+        assert len(requests) == 3 * machine.n_channels
+        assert all(r.op is Op.AB for r in requests)
 
     def test_read_grf_returns_copy(self, machine):
         machine.units[0][0].grf_b[0] = np.full(16, 7.0)
         out = machine.read_grf(0, 0, "grf_b", 0)
         out[0] = -1.0
         assert machine.unit(0, 0).grf_b[0][0] == 7.0
-        assert machine.requests[-1].op is Op.AB
+        assert list(machine.trace())[-1].op is Op.AB
 
 
 def _host_sequence(machine, batched):
@@ -136,27 +136,21 @@ def _host_sequence(machine, batched):
 
 class TestWholeMachineHostActions:
     """Batched host actions equal their per-unit loops, request for
-    request, in either request-log mode."""
+    request."""
 
-    @pytest.mark.parametrize("object_log", [False, True])
     @pytest.mark.parametrize("bank_groups", [False, True])
-    def test_batched_equals_per_unit(self, bank_groups, object_log):
+    def test_batched_equals_per_unit(self, bank_groups):
         machines = [
             PimExecMachine(dtype="fp16", bank_groups=bank_groups)
             for _ in range(2)
         ]
-        results = []
-        for machine, batched in zip(machines, (True, False)):
-            if object_log:
-                machine.requests  # switch the log to request objects
-            results.append(_host_sequence(machine, batched))
+        results = [
+            _host_sequence(machine, batched)
+            for machine, batched in zip(machines, (True, False))
+        ]
         for got, want in zip(*results):
             assert got.tobytes() == want.tobytes()
-        streams = [
-            [(r.op, r.addr) for r in machine.requests]
-            for machine in machines
-        ]
-        assert streams[0] == streams[1]
+        assert list(machines[0].trace()) == list(machines[1].trace())
         for (_, _, a), (_, _, b) in zip(
             machines[0].iter_units(), machines[1].iter_units()
         ):
@@ -166,27 +160,33 @@ class TestWholeMachineHostActions:
 
     def test_mixed_lockstep_blocks_pack_in_stream_order(self):
         """Blocks over different channel subsets, split by flat
-        requests, pack exactly as the object log expands them."""
+        requests, pack exactly as the same steps issued one channel at
+        a time through ``pim_step`` (flat requests only)."""
         add = parse_command("ADD GRF,8 BANK GRF,8")
         kernel = [add, parse_command("JUMP 0 3"), parse_command("EXIT")]
         machines = [
             PimExecMachine(MemSysConfig(n_channels=4)) for _ in range(2)
         ]
-        machines[1].requests  # object log
-        for machine in machines:
-            for row, channels in enumerate(([2, 0], [1, 3, 2], [3, 1])):
+        blocked, flat = machines
+        for row, channels in enumerate(([2, 0], [1, 3, 2], [3, 1])):
+            for machine in machines:
                 machine.load_kernel(kernel, channels=channels)
-                machine.run_kernel(
-                    [(row, col) for col in range(4)], channels=channels
-                )
-                with machine.lockstep() as step:
-                    step(add, row, 7)
-        op, ch, bank, row, col = machines[0]._pack_columns()
-        encode = machines[0].encode
-        assert [
-            (Op.PIM if o == Op.PIM.code else Op.AB, encode(*f))
-            for o, *f in zip(op, ch, bank, row, col)
-        ] == [(r.op, r.addr) for r in machines[1].requests]
+            blocked.run_kernel(
+                [(row, col) for col in range(4)], channels=channels
+            )
+            with blocked.lockstep() as step:
+                step(add, row, 7)
+            for col in range(4):
+                for ch in channels:
+                    flat.pim_step(ch, add, row, col)
+            for ch in range(flat.n_channels):
+                flat.pim_step(ch, add, row, 7)
+        kinds = [
+            {chunk[0] for chunk in machine._iter_chunks()}
+            for machine in machines
+        ]
+        assert kinds == [{"flat", "block"}, {"flat"}]
+        assert list(blocked.trace()) == list(flat.trace())
 
     def test_shape_and_range_checks(self, machine):
         with pytest.raises(PimExecError, match="shape"):
@@ -221,7 +221,7 @@ class TestKernelExecution:
         machine.run_kernel([(0, 0), (0, 1)])
         channels = [
             machine.addr_map.decode(r.addr).channel
-            for r in machine.requests
+            for r in machine.trace()
         ]
         # round-robin: ch0, ch1, ch0, ch1 — not ch0, ch0, ch1, ch1
         assert channels == [0, 1, 0, 1]
@@ -239,7 +239,7 @@ class TestKernelExecution:
         machine.run_kernel({0: [(0, 0)], 1: [(0, 0), (0, 1)]})
         channels = [
             machine.addr_map.decode(r.addr).channel
-            for r in machine.requests
+            for r in machine.trace()
         ]
         assert channels == [0, 1, 1]
 
@@ -251,7 +251,7 @@ class TestReplay:
         machine.load_kernel(sum_kernel(1), channels=[0])
         machine.run_kernel([(0, 0)], channels=[0])
         result = machine.replay()
-        assert result.n_requests == len(machine.requests)
+        assert result.n_requests == len(machine.trace())
         assert result.n_host == 1
         assert result.n_broadcast == 1 + 3
         assert result.n_pim == 1

@@ -189,6 +189,21 @@ class TestExecution:
             assert np.array_equal(unit.grf_b[0], grf_b0)
             assert np.array_equal(unit.grf_b[1], grf_b1)
 
+    def test_lowering_error_leaves_machine_untouched(self):
+        """The program lowers whole before anything runs: a bad record
+        after a PIM instruction changes neither the units nor the log."""
+        machine = PimExecMachine(MemSysConfig())
+        machine.write_bank(0, 0, 3, 0, np.arange(machine.lanes, dtype=float))
+        program = parse_pim_program(
+            "PIM ADD GRF,8 BANK,0,3,0 GRF,8\nR MEM 9 0 0\n"
+        )
+        before = (machine.array.grf_b.tobytes(), machine.trace())
+        executed = machine.array.commands_executed.copy()
+        with pytest.raises(ValueError, match="line 2: channel 9"):
+            program.execute(machine)
+        assert (machine.array.grf_b.tobytes(), machine.trace()) == before
+        assert np.array_equal(machine.array.commands_executed, executed)
+
 
 class TestTimestamps:
     """The trailing ``@<ns>`` issue-timestamp column."""
@@ -223,12 +238,27 @@ class TestTimestamps:
         program = parse_pim_program(self.PROGRAM)
         machine = PimExecMachine()
         program.execute(machine)
-        assert [r.timestamp for r in machine.requests] == [
+        assert [r.timestamp for r in machine.trace()] == [
             0.0, 8.0, 16.0, 24.0, 40.0,
         ]
         result = machine.replay()
         assert result.n_requests == 5
         assert result.makespan_ns >= 40.0
+
+    def test_untimed_staging_left_in_the_log_is_named(self):
+        """Staging writes left in the log cannot replay beside a
+        timestamped program: the error counts them and names the fix."""
+        machine = PimExecMachine()
+        machine.write_bank(0, 0, 3, 1, np.zeros(machine.lanes))
+        machine.write_bank(0, 1, 3, 1, np.zeros(machine.lanes))
+        parse_pim_program(self.PROGRAM).execute(machine)
+        with pytest.raises(
+            ValueError, match=r"2 untimestamped.*reset_requests\(\)"
+        ):
+            machine.replay()
+        machine.reset_requests()
+        parse_pim_program(self.PROGRAM).execute(machine)
+        assert machine.replay().n_requests == 5
 
     def test_mixed_timestamps_rejected_with_line_number(self):
         with pytest.raises(ValueError, match="line 2.*timestamp"):

@@ -64,10 +64,18 @@ def run_builtin(name, dtype="fp64", config=None):
 
 
 def stream_digests(machine):
-    """sha256 of the packed request columns and of the sequencer
-    counters."""
-    columns = hashlib.sha256()
-    for column in machine._pack_columns():
+    """sha256 of the request stream's (op, channel, flat bank, row,
+    column) columns and of the sequencer counters."""
+    trace = machine.trace()
+    fields = machine.addr_map.decode_fields(trace.addrs)
+    flat_bank = (
+        fields["bankgroup"] * machine.config.banks_per_group
+        + fields["bank"]
+    )
+    columns = hashlib.sha256(trace.op_codes.tobytes())
+    for column in (
+        fields["channel"], flat_bank, fields["row"], fields["column"]
+    ):
         columns.update(column.tobytes())
     counters = hashlib.sha256(repr(machine.sequencer_stats()).encode())
     return columns.hexdigest(), counters.hexdigest()
@@ -120,9 +128,7 @@ def assert_matches_oracle(machine, oracle):
 def assert_streams_identical(a, b):
     """The emitted request streams agree op-for-op, address-for-address."""
     assert a.n_requests == b.n_requests
-    assert [
-        (r.op, r.addr, r.timestamp) for r in a.requests
-    ] == [(r.op, r.addr, r.timestamp) for r in b.requests]
+    assert a.trace() == b.trace()
 
 
 #: ``(kernel, dtype) -> (packed request columns, sequencer counters,

@@ -57,17 +57,13 @@ RECORDED_FIELDS = (
 )
 
 
-def fresh(trace):
-    return [MemRequest(r.op, r.addr, r.timestamp) for r in trace]
-
-
 def record_both(config, trace):
     """Replay through the event oracle and the replay path; return the
     two telemetries, each checked against the timing laws."""
     event = ReplayTelemetry()
-    replay_event(MemorySystem(config), fresh(trace), event)
+    replay_event(MemorySystem(config), trace, event)
     fast = ReplayTelemetry()
-    MemorySystem(config).replay(fresh(trace), telemetry=fast)
+    MemorySystem(config).replay(trace, telemetry=fast)
     assert event.engine == "event"
     assert fast.engine.startswith("fast-")
     assert_laws_hold(config, event)

@@ -1,17 +1,43 @@
-"""The documentation tree stays link-consistent.
+"""The documentation tree stays link-consistent and runnable.
 
 Runs the same checker CI's docs job runs (``tools/check_docs.py``), so
 a broken relative link or heading anchor in README/docs fails the
-tier-1 suite before it reaches CI.
+tier-1 suite before it reaches CI, and runs every ``>>>`` example in
+the ``repro`` package's docstrings.
 """
 
+import doctest
+import importlib
 import pathlib
 import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = REPO_ROOT / "src"
 sys.path.insert(0, str(REPO_ROOT / "tools"))
 
 import check_docs  # noqa: E402
+
+
+def doctest_modules():
+    """Dotted names of the ``repro`` modules whose source holds ``>>>``."""
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        if ">>>" not in path.read_text():
+            continue
+        parts = path.relative_to(SRC).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        yield ".".join(parts)
+
+
+def test_module_doctests():
+    names = list(doctest_modules())
+    assert "repro.memsys" in names and "repro.farm" in names
+    failed = {}
+    for name in names:
+        result = doctest.testmod(importlib.import_module(name))
+        if result.failed:
+            failed[name] = result.failed
+    assert failed == {}
 
 
 def test_docs_tree_exists():
