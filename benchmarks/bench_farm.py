@@ -10,12 +10,15 @@ The workload is built to hit the farm's profitable regime:
 
 * timestamped Poisson arrivals over 4 channels (``channel-interleaved``
   so the footprint actually spans channels, and shardable at all);
-* HBM2-class refresh enabled, which pins every channel — and therefore
-  every shard — to the incremental **exact tier** (~100k requests/s),
-  where parallelism pays.  The closed-form vectorized tier is so fast
-  that process spawn overhead would dominate, so a vectorized workload
-  is the wrong thing to farm (and the benchmark asserts no shard took
-  it).
+* HBM2-class refresh at *per-bank* granularity, which pins every
+  channel — and therefore every shard — to the incremental **exact
+  tier** (~100k requests/s), where parallelism pays: per-bank
+  blackouts depend on the request the scheduler picks, so the closed
+  form never takes them.  (Per-rank refresh would not do: timestamped
+  channels that serve FIFO without backpressure take the closed form
+  under it.)  The closed-form vectorized tier is so fast that process
+  spawn overhead would dominate, so a vectorized workload is the wrong
+  thing to farm (and the benchmark asserts no shard took it).
 
 The speedup floor is only *enforced* when the runner has >= 4 CPU
 cores (``floor_enforced`` in the record): on a 1-2 core machine the
@@ -47,9 +50,9 @@ FLOOR_MIN_CORES = 4
 
 
 def farm_config() -> MemSysConfig:
-    """4 channels, channel-interleaved, HBM2-class refresh.
+    """4 channels, channel-interleaved, HBM2-class per-bank refresh.
 
-    Refresh + timestamps pin the fast path to the exact tier on every
+    Per-bank refresh pins the fast path to the exact tier on every
     channel, so shards and the single-process baseline all run the
     same incremental engine — the regime where farming pays.
     """
@@ -58,6 +61,7 @@ def farm_config() -> MemSysConfig:
         scheme="channel-interleaved",
         trefi_ns=3900.0,
         trfc_ns=350.0,
+        refresh_granularity="per-bank",
     )
 
 

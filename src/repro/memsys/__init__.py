@@ -48,12 +48,12 @@ Replay tiers and their oracle
   request at a time (~125k requests/s on random traffic);
 * the **vectorized** tier replays through closed-form ready-time
   arithmetic — open-row streaks are charged as batched page-access
-  spans, trace timestamps solve a segmented Lindley recurrence, and
-  refresh blackouts become epoch-chunked ready-time fences (millions of
+  spans, trace timestamps solve a fenced, segmented Lindley
+  recurrence, and refresh blackouts become ready-time fences (millions of
   requests/s).  Vectorized certificates decide per trace whether the
-  closed form is exact; traces that fail one (e.g. random traffic under
-  FR-FCFS, per-bank refresh, refresh combined with timestamps) take
-  the exact tier.
+  closed form is exact; traces that fail one (e.g. random traffic whose
+  row hits FR-FCFS hoists, per-bank refresh, queues that overflow)
+  take the exact tier.
 
 Both tiers record bit-identical per-request times and outcomes, which
 the one

@@ -32,32 +32,34 @@ takes a :class:`~repro.memsys.trace.PackedTrace`:
   service *starts* (that dequeue frees its slot), so ``A[m] =
   S[m - depth]``;
 * *timestamped* arrivals are taken from the trace: ``A[m] = T[m]``, and
-  service starts solve the Lindley recurrence ``S[j] = max(T[j],
-  F[j-1])`` — located with one vectorized running-max scan, then
-  recomputed per busy segment with the exact tier's
-  left-to-right float additions (:func:`_segmented_service`);
+  service starts solve the fenced Lindley recurrence ``S[j] =
+  g(max(T[j], F[j-1]))`` column by column with the exact tier's
+  left-to-right float additions (:func:`_segmented_service`), under
+  per-request refresh epoch labels (:func:`_timestamped_channel`);
 * *refresh* (per-rank tREFI/tRFC) appears as deterministic ready-time
-  fences: the service stream is chunked at refresh boundaries
-  (:func:`_chunked_refresh_channel`) — within an epoch starts are
-  back-to-back cumsums, each boundary precharges every row buffer (the
-  next chunk's outcome scan restarts from all-banks-closed), and a
-  start landing inside a blackout is pushed to its end with the same
-  float expression the exact tier's refresh stall produces.
+  fences: the gate ``g`` pushes a start landing inside a blackout to
+  its end with the exact tier's own stall expression, and each
+  boundary precharges every row buffer.  Line-rate streams are chunked
+  at the boundaries (:func:`_chunked_refresh_channel`): within an
+  epoch starts are back-to-back cumsums.
 
 Exact, conservative, and themselves vectorized *certificates* decide
 whether the closed form reproduces the exact tier:
 
 1. *FIFO certificate* (FR-FCFS only): at every selection whose head is
-   not a row hit, no request in the queue window (the next
-   ``queue_depth - 1`` same-channel requests — a superset of the
-   visible queue) hits its bank's open row.  When that holds,
-   FR-FCFS never reorders and the FIFO outcome arrays are exact.  FCFS
-   and pure all-bank channels (PIM row ops and AB register broadcasts
-   occupy every bank or act as scheduling barriers, so the controller
-   serves them strictly in order) are FIFO by construction.  With
-   refresh, the certificate runs per epoch
-   chunk (row buffers restart closed) with a ``depth - 1`` lookahead
-   into the next chunk.
+   not a row hit, no request in the visible queue hits its bank's open
+   row.  Under line-rate arrivals that queue is the next ``queue_depth
+   - 1`` same-channel requests; on a timestamped channel it is the
+   requests that arrived by the selection, ``T[j] <= S[k]`` (an
+   arrival at the selection's very instant counts as queued, which is
+   conservative on a calendar tie).  When that holds, FR-FCFS never
+   reorders and the FIFO outcome arrays are exact.  FCFS and pure
+   all-bank channels (PIM row ops and AB register broadcasts occupy
+   every bank or act as scheduling barriers, so the controller serves
+   them strictly in order) are FIFO by construction.  With refresh, a
+   head sees an open row only from an access of its own epoch (row
+   buffers restart closed at each boundary), while the queue window
+   still reaches into the next epoch.
 2. *Line-rate certificate* (untimestamped traces): the arrival
    candidates ``A[m] = S[m - depth]`` must be non-decreasing in trace
    order.  Then the injector never stalls one channel on another's
@@ -72,11 +74,13 @@ whether the closed form reproduces the exact tier:
    arrivals equal the trace timestamps exactly.
 
 Streaming, strided, and all-bank (PIM and AB) traces pass the
-certificates with or without refresh; timestamped traces pass whenever
-their arrival rate keeps queues from overflowing; FCFS random traffic
-is certified through the arrival fixed point.  Refresh at per-bank
-granularity, refresh combined with timestamps, and channels that mix
-host requests with all-bank commands always take tier 2.
+certificates with or without refresh; timestamped host traffic passes,
+with or without per-rank refresh, whenever its arrival rate keeps
+queues from overflowing and FR-FCFS finds nothing to hoist; FCFS
+random traffic is certified through the arrival fixed point.  Refresh
+at per-bank granularity, timestamped all-bank streams under refresh,
+and channels that mix host requests with all-bank commands always take
+tier 2.
 
 **Tier 2 — exact incremental replay.**  Traces that fail a certificate
 (e.g. random traffic under FR-FCFS, whose stray row hits let the
@@ -134,10 +138,14 @@ _AB_CODE = Op.AB.code
 _URGENT, _NORMAL = 0, 1
 _COMPLETE, _INJECT, _WAKEUP, _RETRY = 0, 1, 2, 3
 
-#: Iteration cap for the arrival fixed point (each iteration is one
-#: vectorized pass; stalled-arrival chains longer than this are rare
-#: enough to leave to the exact tier).
+#: Iteration cap for the arrival fixed point, the busy segmentation and
+#: the epoch labels (each iteration is one vectorized pass; chains
+#: longer than this are rare enough to leave to the exact tier).
 _MAX_ARRIVAL_ITERS = 64
+
+#: Busy segments up to this long are solved column by column, longer
+#: ones by per-segment prefix sums (:func:`_busy_segments`).
+_COLUMN_LIMIT = 64
 
 
 def replay_fast(
@@ -250,12 +258,8 @@ def _vector_plan(
     config = system.config
     depth = config.queue_depth
     refresh = config.refresh_schedule()
-    if refresh is not None and (
-        refresh.granularity != PER_RANK or times is not None
-    ):
-        # per-bank blackouts depend on the selected request, and fences
-        # interleaved with trace arrivals break the segmented solvers:
-        # both are served exactly by tier 2
+    if refresh is not None and refresh.granularity != PER_RANK:
+        # per-bank blackouts depend on the selected request: tier 2
         return None
     n = op_codes.shape[0]
     table = latency_table(config.timing, config.precharge_ns)
@@ -294,7 +298,18 @@ def _vector_plan(
             frfcfs and depth > 1 and ab_c is None and not closed
         )
         data: dict = {"idx": idx}
-        if refresh is not None:
+        if times is not None:
+            if refresh is not None and ab_c is not None:
+                # lockstep row scans carry no epoch labels: tier 2
+                return None
+            solved = _timestamped_channel(
+                refresh, times[idx], bank_c, row_c, ab_c, closed,
+                latencies, depth, n_banks, check_fifo,
+            )
+            if solved is None:
+                return None
+            data.update(solved)
+        elif refresh is not None:
             chunked = _chunked_refresh_channel(
                 refresh,
                 bank_c,
@@ -319,31 +334,18 @@ def _vector_plan(
             ):
                 return None
             durations = latencies[outcome]
+            finish = _seq_cumsum(0.0, durations)
+            start = np.empty(n_c)
+            start[0] = 0.0
+            start[1:] = finish[:-1]
             data.update(
                 outcome=outcome,
                 bank_counts=bank_counts,
                 open_final=open_final,
                 durations=durations,
+                start=start,
+                finish=finish,
             )
-            if times is not None:
-                t_c = times[idx]
-                solved = _segmented_service(t_c, durations)
-                if solved is None:
-                    return None
-                start, finish = solved
-                if n_c > depth and bool(
-                    np.any(t_c[depth:] < start[: n_c - depth])
-                ):
-                    # backpressure certificate: an arrival would find
-                    # its queue full — the injector would stall
-                    return None
-                data.update(arrival=t_c, start=start, finish=finish)
-            else:
-                finish = _seq_cumsum(0.0, durations)
-                start = np.empty(n_c)
-                start[0] = 0.0
-                start[1:] = finish[:-1]
-                data.update(start=start, finish=finish)
         plan.append(data)
 
     if times is not None:
@@ -614,21 +616,85 @@ def _seq_cumsum(s: float, durations: np.ndarray) -> np.ndarray:
     return np.cumsum(buffer)[1:]
 
 
+def _timestamped_channel(
+    refresh: _t.Optional["RefreshSchedule"], t_c: np.ndarray,
+    bank_c: np.ndarray, row_c: np.ndarray, ab_c: _t.Optional[np.ndarray],
+    closed: bool, latencies: np.ndarray, depth: int, n_banks: int,
+    check_fifo: bool,
+) -> _t.Optional[dict]:
+    """FIFO service of one timestamped channel, or ``None`` to decline.
+
+    Under per-rank refresh each request carries a *label*
+    ``floor(S/tREFI)``: the epoch whose lazy precharge the controller
+    applies at its decision (a stall never leaves the epoch, as tRFC <
+    tREFI), so a row stays open only for later requests with the same
+    label.  Labels start from the arrivals' epochs; outcomes and times
+    are re-solved until the labels reproduce.  Then the certificates
+    run, cheapest first: backpressure (``T[j] >= S[j - depth]``, every
+    arrival finds a free slot) and FIFO over the queue actually visible
+    at each selection, ``{j > k : T[j] <= S[k]}``.  Precharge is lazy,
+    so the banks end with the open rows of the last label's requests.
+    """
+    n_c = t_c.shape[0]
+    label = np.zeros(n_c, dtype=np.int64)
+    if refresh is not None:
+        label = np.floor(t_c / refresh.trefi_ns).astype(np.int64)
+    for _ in range(_MAX_ARRIVAL_ITERS):
+        outcome = _chunk_outcomes(
+            bank_c + n_banks * label, row_c, ab_c, closed
+        )
+        solved = _segmented_service(t_c, latencies[outcome], refresh)
+        if solved is None:
+            return None
+        start, finish = solved
+        if refresh is None:
+            break
+        settled = np.floor(start / refresh.trefi_ns).astype(np.int64)
+        if np.array_equal(settled, label):
+            break
+        label = settled
+    else:
+        return None
+    if n_c > depth and bool(np.any(t_c[depth:] < start[: n_c - depth])):
+        return None
+    if check_fifo and not _fifo_certificate(
+        bank_c, row_c, outcome, depth, n_banks,
+        chunk_id=None if refresh is None else label,
+        visible=np.searchsorted(t_c, start, side="right"),
+    ):
+        return None
+    bank_counts, _ = _bank_state(bank_c, row_c, ab_c, closed, outcome, n_banks)
+    tail = slice(int(np.searchsorted(label, label[-1])), n_c)
+    _, open_final = _bank_state(
+        bank_c[tail], row_c[tail], None if ab_c is None else ab_c[tail],
+        closed, outcome[tail], n_banks,
+    )
+    return dict(
+        outcome=outcome, arrival=t_c, start=start, finish=finish,
+        bank_counts=bank_counts, open_final=open_final,
+    )
+
+
 def _segmented_service(
-    earliest: np.ndarray, durations: np.ndarray
+    earliest: np.ndarray, durations: np.ndarray,
+    refresh: _t.Optional["RefreshSchedule"] = None,
 ) -> _t.Optional[_t.Tuple[np.ndarray, np.ndarray]]:
-    """Solve ``S[j] = max(E[j], F[j-1])``, ``F = S + d`` exactly.
+    """Solve ``S[j] = g(max(E[j], F[j-1]))``, ``F = S + d`` exactly.
 
     ``earliest`` is the per-request lower bound on service start (trace
-    timestamps, or injector admission times).  Busy segments are
-    located with one vectorized Lindley running-max scan (closed-form,
-    but float-associated differently than the exact tier), then finish
-    times are *recomputed* per segment with the exact tier's sequential
-    additions (:func:`_seq_cumsum`) and the segmentation is verified
-    against the exact values.  Returns ``(start, finish)``, or ``None``
-    if an ulp-level misordering in the approximate scan produced an
-    inconsistent segmentation (the caller falls back to the exact
-    tier).
+    timestamps, or injector admission times); ``g`` is the per-rank
+    refresh gate (the identity without ``refresh``).  Busy segments are
+    first located with one fence-free Lindley running-max scan
+    (float-associated differently than the exact tier), then solved
+    with the exact tier's additions (:func:`_busy_segments`) and
+    re-segmented from the exact finishes until stable — hence
+    consistent: a segment start finds the channel idle (``E >
+    F[j-1]``), a continuation does not.  Returns ``(start, finish)``,
+    or ``None`` to fall back when the segmentation does not settle, a
+    start still lies inside a blackout (the exact tier would stall
+    twice), or an arrival ties the previous finish right before a
+    stall (whether the stall is busy time then hangs on the calendar
+    order of the two).
     """
     n = durations.shape[0]
     prefix = np.empty(n)
@@ -636,37 +702,106 @@ def _segmented_service(
     if n > 1:
         np.cumsum(durations[:-1], out=prefix[1:])
     approx_start = prefix + np.maximum.accumulate(earliest - prefix)
-    seg_mask = np.empty(n, dtype=bool)
-    seg_mask[0] = True
-    if n > 1:
-        seg_mask[1:] = earliest[1:] > approx_start[:-1] + durations[:-1]
-    seg_idx = np.nonzero(seg_mask)[0]
-    start = np.empty(n)
-    finish = np.empty(n)
-    if seg_idx.shape[0] == n:
-        # every request finds the channel idle (sparse arrivals): one
-        # elementwise pass, the same single addition the exact tier does
-        start[:] = earliest
-        np.add(earliest, durations, out=finish)
-    else:
-        bounds = np.r_[seg_idx, n].tolist()
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            f = _seq_cumsum(float(earliest[a]), durations[a:b])
-            finish[a:b] = f
-            start[a] = earliest[a]
-            start[a + 1 : b] = f[:-1]
-    if n > 1:
-        # a segment start must find the channel idle (E >= previous
-        # exact finish); a continuation must not (E <= it) — ties are
-        # value-identical either way, so only real misorderings fail
-        consistent = np.where(
-            seg_mask[1:],
-            earliest[1:] >= finish[:-1],
-            earliest[1:] <= finish[:-1],
+    opens = np.empty(n, dtype=bool)
+    opens[0] = True
+    opens[1:] = earliest[1:] > approx_start[:-1] + durations[:-1]
+    start, finish = _busy_segments(earliest, durations, opens, refresh)
+    for _ in range(_MAX_ARRIVAL_ITERS):
+        moved = np.flatnonzero((earliest[1:] > finish[:-1]) != opens[1:]) + 1
+        if moved.size == 0:
+            break
+        # only the segments holding a moved boundary change
+        opens[moved] = ~opens[moved]
+        segment = np.cumsum(opens)
+        redo = np.isin(segment, segment[moved])
+        start[redo], finish[redo] = _busy_segments(
+            earliest[redo], durations[redo], opens[redo], refresh
         )
-        if not bool(consistent.all()):
+    else:
+        return None
+    if refresh is not None:
+        tie = earliest[1:] == finish[:-1]
+        if not np.array_equal(_rank_fence(refresh, start), start) or bool(
+            np.any(tie & (start[1:] > finish[:-1]))
+        ):
             return None
     return start, finish
+
+
+def _busy_segments(
+    earliest: np.ndarray, durations: np.ndarray, opens: np.ndarray,
+    refresh: _t.Optional["RefreshSchedule"],
+) -> _t.Tuple[np.ndarray, np.ndarray]:
+    """Service times for a given segmentation (``opens`` marks the
+    requests that find the channel idle).
+
+    A segment opens at ``g(E)``; each later request starts at
+    ``g(F[j-1])`` and finishes at ``S + d``, the exact tier's own
+    expressions.  Segments up to :data:`_COLUMN_LIMIT` long are solved
+    column by column — one array operation per position across every
+    segment still running — and longer ones by prefix sums that restart
+    at each refresh stall, so a line-rate fixed point (few, very long
+    segments) stays linear.
+    """
+    n = durations.shape[0]
+    first = np.flatnonzero(opens)
+    length = np.diff(np.r_[first, n])
+    start = np.empty(n)
+    finish = np.empty(n)
+    # column 0 of every segment, then the short segments longest first,
+    # so the ones still running at column c are a prefix
+    start[first] = _rank_gate(refresh, earliest[first])
+    finish[first] = start[first] + durations[first]
+    short = length <= _COLUMN_LIMIT
+    order = np.argsort(-length[short])
+    heads = first[short][order]
+    # negated descending lengths: the first searchsorted(negated, -c)
+    # segments are the ones longer than c
+    negated = -length[short][order]
+    for c in range(1, -int(negated[0]) if negated.size else 0):
+        at = heads[: np.searchsorted(negated, -c)] + c
+        s = _rank_gate(refresh, finish[at - 1])
+        start[at] = s
+        finish[at] = s + durations[at]
+    for a, m in zip(first[~short].tolist(), length[~short].tolist()):
+        i, end = a + 1, a + m
+        while i < end:
+            # windows keep each stall's restart short under refresh
+            stop = end if refresh is None else min(end, i + _COLUMN_LIMIT)
+            f = _seq_cumsum(float(finish[i - 1]), durations[i:stop])
+            s = np.empty(stop - i)
+            s[0] = finish[i - 1]
+            s[1:] = f[:-1]
+            gated = _rank_gate(refresh, s)
+            stalls = np.flatnonzero(gated != s)
+            k = int(stalls[0]) if stalls.size else stop - i
+            start[i : i + k] = s[:k]
+            finish[i : i + k] = f[:k]
+            if k < stop - i:  # a start inside a blackout: restart there
+                start[i + k] = gated[k]
+                finish[i + k] = gated[k] + durations[i + k]
+                k += 1
+            i += k
+    return start, finish
+
+
+def _rank_fence(refresh: "RefreshSchedule", t: np.ndarray) -> np.ndarray:
+    """:meth:`RefreshSchedule.rank_fence` over an array of times, with
+    its float expressions."""
+    epoch = np.floor(t / refresh.trefi_ns)
+    end = epoch * refresh.trefi_ns + refresh.trfc_ns
+    return np.where((epoch >= 1) & (t < end), end, t)
+
+
+def _rank_gate(
+    refresh: _t.Optional["RefreshSchedule"], t: np.ndarray
+) -> np.ndarray:
+    """Service starts for decisions at ``t``: the exact tier's per-rank
+    stall ``t + (fence - t)`` inside a blackout, ``t`` elsewhere."""
+    if refresh is None:
+        return t
+    fence = _rank_fence(refresh, t)
+    return np.where(fence > t, t + (fence - t), t)
 
 
 def _arrival_fixed_point(
@@ -717,6 +852,7 @@ def _fifo_certificate(
     depth: int,
     n_banks: int,
     chunk_id: _t.Optional[np.ndarray] = None,
+    visible: _t.Optional[np.ndarray] = None,
 ) -> bool:
     """Would FR-FCFS ever reorder this channel's FIFO stream?
 
@@ -724,14 +860,15 @@ def _fifo_certificate(
     oldest hit — the head itself.  So reordering can only start at a
     selection with a non-hit head and some younger queued request
     hitting its bank's open row.  The queue visible at the selection of
-    request ``k`` is at most requests ``k+1 .. k+depth-1`` of the same
-    channel (exactly those under line-rate injection — the
-    ``k+depth``-th slot is released by this very dequeue and its
-    admission is processed after the selection; a subset under
-    timestamped or stalled arrivals, so the check stays conservative),
-    making the check below exact-or-conservative while states still
-    follow FIFO — and the first would-be deviation is necessarily
-    detected.
+    request ``k`` is requests ``k+1 .. visible[k]-1`` of the same
+    channel.  Under line-rate injection (``visible=None``) those are
+    ``k+1 .. k+depth-1`` — the ``k+depth``-th slot is released by this
+    very dequeue and its admission is processed after the selection.  A
+    timestamped channel passes ``visible[k]`` = the count of arrivals
+    ``T[j] <= S[k]``, counting an arrival at the selection's instant as
+    queued (conservative on a calendar tie).  The check is thus
+    exact-or-conservative while states still follow FIFO, and the first
+    would-be deviation is necessarily detected.
 
     With refresh enabled, ``chunk_id`` labels each request's epoch
     chunk and ``outcome`` holds the refresh-aware (per-chunk) codes: a
@@ -764,11 +901,12 @@ def _fifo_certificate(
                 -1,
             )
         open_at_head[has_prior, b] = rows
-    for offset in range(1, depth):
+    end = (
+        np.minimum(heads + depth, n_c) if visible is None else visible[heads]
+    )
+    for offset in range(1, int((end - heads).max(initial=0))):
         queued = heads + offset
-        in_range = queued < n_c
-        if not bool(in_range.any()):
-            break
+        in_range = queued < end
         at = np.nonzero(in_range)[0]
         queued = queued[in_range]
         if bool(
@@ -804,9 +942,9 @@ def _plan_arrays(
     start finds the channel idle exactly when its request arrived after
     the previous completion.  On a tie the exact tier's choice
     depends on its calendar order, but that only matters when a refresh
-    stall follows, and refresh reaches this tier only with line-rate
-    arrivals, which never idle a channel: ``A[m] = S[m - depth]``
-    precedes ``F[m - 1]``.  The admission occupancy counts services
+    stall follows: :func:`_segmented_service` declines that case, and
+    line-rate arrivals never idle a channel (``A[m] = S[m - depth]``
+    precedes ``F[m - 1]``).  The admission occupancy counts services
     starting at the admission's instant as still queued (admission
     first), clipped at the queue depth a full queue cannot exceed; on
     such ties it can exceed the exact tier's by one transient slot.

@@ -177,11 +177,11 @@ class TestBitIdentity:
 
 class TestMixedTiers:
     def test_mixed_tiers_merge_without_redispatch(self):
-        # 50 ns Poisson over 4 channels: some channels pass the
-        # vectorized certificates and some do not, so the shards come
-        # back on both tiers while the single-process replay runs the
-        # exact tier everywhere; the merge is still bit-identical, and
-        # no shard is replayed twice
+        # 15 ns Poisson over 4 channels: FR-FCFS hoists a row hit on
+        # channel 1 only, so its shard comes back on the exact tier and
+        # the other three on the closed form, while the single-process
+        # replay runs the exact tier everywhere; the merge is still
+        # bit-identical, and no shard is replayed twice
         config = MemSysConfig(
             n_channels=4, scheme="channel-interleaved", queue_depth=8
         )
@@ -189,14 +189,22 @@ class TestMixedTiers:
             "random",
             2000,
             config,
-            seed=7,
+            seed=1,
             packed=True,
-            interarrival_ns=50.0,
+            interarrival_ns=15.0,
             interarrival="poisson",
         )
         single_system = MemorySystem(config)
-        single_system.replay(trace, engine="fast")
+        single_tel = ReplayTelemetry(profile=False)
+        single_system.replay(trace, engine="fast", telemetry=single_tel)
         assert single_system.last_replay_engine == "fast-exact"
+        start = single_tel.recorder.start_service
+        channel = single_tel.recorder.channel
+        hoisted = [
+            bool(np.any(np.diff(start[channel == c]) < 0))
+            for c in range(config.n_channels)
+        ]
+        assert hoisted == [False, True, False, False]
         result = assert_farm_exact(
             config, trace, FarmConfig(mode="inprocess", engine="fast")
         )

@@ -23,8 +23,10 @@ def memsys_record(**overrides):
         "benchmark": "memsys_replay_throughput",
         "fast_requests_per_sec": 5_000_000,
         "refresh_requests_per_sec": 3_000_000,
+        "timestamped_refresh_requests_per_sec": 800_000,
         "telemetry_overhead_pct": 1.0,
         "floor_requests_per_sec": 1_000_000,
+        "floor_timestamped_refresh_requests_per_sec": 420_000,
         "floor_telemetry_overhead_pct": 5.0,
         "passed": True,
     }
@@ -51,7 +53,7 @@ class TestCompareRecord:
         )
         assert problems == []
         # one report line per floored metric, with baseline deltas
-        assert len(report) == 3
+        assert len(report) == 4
         assert all("ok" in line for line in report)
         assert all("baseline" in line for line in report)
 
@@ -395,9 +397,11 @@ class TestHistory:
         assert set(kept) == {
             "fast_requests_per_sec",
             "refresh_requests_per_sec",
+            "timestamped_refresh_requests_per_sec",
             "telemetry_overhead_pct",
             "telemetry_overhead_spread_pct",
             "floor_requests_per_sec",
+            "floor_timestamped_refresh_requests_per_sec",
             "floor_telemetry_overhead_pct",
             "passed",
         }

@@ -73,6 +73,11 @@ FLOORS: _t.Dict[str, _t.List[_t.Tuple[str, ...]]] = {
         ("fast_requests_per_sec", "floor_requests_per_sec", "min"),
         ("refresh_requests_per_sec", "floor_requests_per_sec", "min"),
         (
+            "timestamped_refresh_requests_per_sec",
+            "floor_timestamped_refresh_requests_per_sec",
+            "min",
+        ),
+        (
             "telemetry_overhead_pct",
             "floor_telemetry_overhead_pct",
             "max",
