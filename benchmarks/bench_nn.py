@@ -34,9 +34,9 @@ from repro.nn import (
     NN_KERNEL_NAMES,
     TransformerLayerSpec,
     build_nn_kernel,
-    run_nn_kernel,
     transformer_layer_program,
 )
+from repro.pimexec import compare_host_pim
 
 #: GEMM shape for the timed pipeline run.
 GEMM_SHAPE = dict(m=256, k=32, n=32)
@@ -163,7 +163,7 @@ def kernel_speedups():
     """Simulated host-vs-PIM speedup of every nn kernel."""
     rows = []
     for name in NN_KERNEL_NAMES:
-        comparison = run_nn_kernel(build_nn_kernel(name, dtype="fp16"))
+        comparison = compare_host_pim(build_nn_kernel(name, dtype="fp16"))
         assert comparison.correct, name
         rows.append(
             {
@@ -173,7 +173,7 @@ def kernel_speedups():
                 "speedup": round(comparison.speedup, 3),
             }
         )
-    gemv = run_nn_kernel(
+    gemv = compare_host_pim(
         build_nn_kernel("gemm", dtype="fp16", m=128, k=32, n=1)
     )
     assert gemv.correct

@@ -24,9 +24,9 @@ from repro.memsys import MemorySystem, MemSysConfig, check_laws
 from repro.nn import (
     TransformerLayerSpec,
     build_nn_kernel,
-    run_nn_kernel,
     transformer_layer_program,
 )
+from repro.pimexec import compare_host_pim
 from repro.telemetry import ReplayTelemetry
 
 # ----------------------------------------------------------------------
@@ -35,7 +35,7 @@ from repro.telemetry import ReplayTelemetry
 kernel = build_nn_kernel(
     "attention", dtype="fp16", d_head=4, n_heads=2, seed=7
 )
-comparison = run_nn_kernel(kernel)
+comparison = compare_host_pim(kernel)
 print(f"kernel:   {kernel.description}")
 print(
     f"output:   {comparison.output.shape} in "
@@ -47,7 +47,7 @@ assert comparison.correct
 # ----------------------------------------------------------------------
 # 2. what did binary16 cost? compare against the fp64 model
 # ----------------------------------------------------------------------
-ideal = run_nn_kernel(
+ideal = compare_host_pim(
     build_nn_kernel("attention", dtype="fp64", d_head=4, n_heads=2, seed=7)
 )
 error = np.abs(
@@ -59,10 +59,10 @@ assert 0.0 < error < 0.05
 # ----------------------------------------------------------------------
 # 3. bank-group (half-bank) execution: same answer, more accesses
 # ----------------------------------------------------------------------
-per_bank = run_nn_kernel(
+per_bank = compare_host_pim(
     build_nn_kernel("gemm", dtype="fp16", m=128, k=8, n=8, seed=7)
 )
-grouped = run_nn_kernel(
+grouped = compare_host_pim(
     build_nn_kernel(
         "gemm", dtype="fp16", m=128, k=8, n=8, seed=7, bank_groups=True
     )

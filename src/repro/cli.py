@@ -710,7 +710,6 @@ def _pimexec_command(args: argparse.Namespace) -> int:
         KERNEL_NAMES,
         PimExecMachine,
         build_kernel,
-        compare_host_pim,
         parse_pim_program,
     )
 
@@ -748,76 +747,15 @@ def _pimexec_command(args: argparse.Namespace) -> int:
             _write_telemetry(args, telemetry, registry)
         return 0
 
-    names = (
-        list(KERNEL_NAMES) if args.kernel == "all" else [args.kernel]
-    )
-    unknown = [n for n in names if n not in KERNEL_NAMES]
-    if unknown:
-        print(
-            f"unknown kernel(s): {', '.join(unknown)}\n"
-            f"available: {', '.join(KERNEL_NAMES)}",
-            file=sys.stderr,
-        )
-        return 2
-    if (
-        args.metrics or args.timeline or args.timeseries or args.energy
-    ) and len(names) != 1:
-        print(
-            "--metrics/--timeline/--timeseries/--energy instrument one "
-            "replay: pick a single kernel with --kernel NAME",
-            file=sys.stderr,
-        )
-        return 2
-    failures = []
-    header = (
-        f"{'kernel':12s} {'host_ns':>10s} {'pim_ns':>10s} "
-        f"{'speedup':>8s} {'correct':>8s}"
-    )
-    print(header)
-    for name in names:
+    def build(name: str) -> _t.Any:
         kwargs = (
             {"n_cols": max(1, args.n // 32)}
             if name == "gemv"
             else {"n": args.n}
         )
-        try:
-            kernel = build_kernel(name, seed=args.seed, **kwargs)
-            telemetry = _make_telemetry(args)
-            comparison = compare_host_pim(kernel, telemetry=telemetry)
-        except (ValueError, RuntimeError) as error:
-            print(f"pimexec {name} failed: {error}", file=sys.stderr)
-            return 2
-        print(
-            f"{name:12s} {comparison.host.makespan_ns:10.0f} "
-            f"{comparison.pim.makespan_ns:10.0f} "
-            f"{comparison.speedup:8.2f} "
-            f"{'yes' if comparison.correct else 'NO':>8s}"
-        )
-        if telemetry is not None:
-            registry = None
-            if args.metrics is not None:
-                from .telemetry import MetricsRegistry, pimexec_metrics
+        return build_kernel(name, seed=args.seed, **kwargs)
 
-                registry = MetricsRegistry(
-                    source=f"repro-pim pimexec --kernel {name}"
-                )
-                pimexec_metrics(
-                    comparison.pim,
-                    registry,
-                    machine=comparison.machine,
-                    kernel=name,
-                )
-            _write_telemetry(args, telemetry, registry, kernel=name)
-        if not comparison.correct:
-            failures.append(name)
-    if failures:
-        print(
-            f"bank state diverged from NumPy for: "
-            f"{', '.join(failures)}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return _kernel_loop(args, "pimexec", KERNEL_NAMES, build)
 
 
 def _nn_command(args: argparse.Namespace) -> int:
@@ -826,7 +764,6 @@ def _nn_command(args: argparse.Namespace) -> int:
         NN_KERNEL_NAMES,
         TransformerLayerSpec,
         build_nn_kernel,
-        run_nn_kernel,
         transformer_layer_trace,
     )
 
@@ -882,14 +819,45 @@ def _nn_command(args: argparse.Namespace) -> int:
         )
         return 0
 
-    names = (
-        list(NN_KERNEL_NAMES) if args.kernel == "all" else [args.kernel]
+    def build(name: str) -> _t.Any:
+        return build_nn_kernel(
+            name,
+            dtype=args.dtype,
+            bank_groups=args.bank_groups,
+            seed=args.seed,
+        )
+
+    return _kernel_loop(
+        args, "nn", NN_KERNEL_NAMES, build,
+        dtype=args.dtype,
+        mode="bank-group" if args.bank_groups else "per-bank",
     )
-    unknown = [n for n in names if n not in NN_KERNEL_NAMES]
+
+
+def _kernel_loop(
+    args: argparse.Namespace,
+    verb: str,
+    available: _t.Sequence[str],
+    build: _t.Callable[[str], _t.Any],
+    **tags: str,
+) -> int:
+    """Run ``--kernel`` (one name or ``all``) host-vs-PIM; print a table.
+
+    ``build`` maps a kernel name to a
+    :class:`~repro.pimexec.kernels.PimKernel`; ``tags`` (the ``nn``
+    verb's dtype and mode) head the table and label the metrics.
+    Exit 2 on an unknown name, an instrumented multi-kernel run, or a
+    kernel that fails to build or run; exit 1 naming every kernel
+    whose bank state diverged from its reference.
+    """
+    from .pimexec import compare_host_pim
+
+    names = list(available) if args.kernel == "all" else [args.kernel]
+    unknown = [n for n in names if n not in available]
     if unknown:
         print(
             f"unknown kernel(s): {', '.join(unknown)}\n"
-            f"available: {', '.join(NN_KERNEL_NAMES)}",
+            f"available: {', '.join(available)}",
             file=sys.stderr,
         )
         return 2
@@ -902,31 +870,26 @@ def _nn_command(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    mode = "bank-group" if args.bank_groups else "per-bank"
-    print(f"dtype={args.dtype} mode={mode}")
+    if tags:
+        print(" ".join(f"{key}={value}" for key, value in tags.items()))
     print(
         f"{'kernel':12s} {'host_ns':>10s} {'pim_ns':>10s} "
-        f"{'speedup':>8s} {'bit_exact':>10s}"
+        f"{'speedup':>8s} {'correct':>8s}"
     )
     failures = []
     for name in names:
         try:
-            kernel = build_nn_kernel(
-                name,
-                dtype=args.dtype,
-                bank_groups=args.bank_groups,
-                seed=args.seed,
-            )
+            kernel = build(name)
             telemetry = _make_telemetry(args)
-            comparison = run_nn_kernel(kernel, telemetry=telemetry)
+            comparison = compare_host_pim(kernel, telemetry=telemetry)
         except (ValueError, RuntimeError) as error:
-            print(f"nn {name} failed: {error}", file=sys.stderr)
+            print(f"{verb} {name} failed: {error}", file=sys.stderr)
             return 2
         print(
             f"{name:12s} {comparison.host.makespan_ns:10.0f} "
             f"{comparison.pim.makespan_ns:10.0f} "
             f"{comparison.speedup:8.2f} "
-            f"{'yes' if comparison.correct else 'NO':>10s}"
+            f"{'yes' if comparison.correct else 'NO':>8s}"
         )
         if telemetry is not None:
             registry = None
@@ -934,26 +897,24 @@ def _nn_command(args: argparse.Namespace) -> int:
                 from .telemetry import MetricsRegistry, pimexec_metrics
 
                 registry = MetricsRegistry(
-                    source=f"repro-pim nn --kernel {name}"
+                    source=f"repro-pim {verb} --kernel {name}"
                 )
                 pimexec_metrics(
                     comparison.pim,
                     registry,
                     machine=comparison.machine,
                     kernel=name,
-                    dtype=args.dtype,
-                    mode=mode,
+                    **tags,
                 )
             _write_telemetry(
-                args, telemetry, registry,
-                kernel=name, dtype=args.dtype, mode=mode,
+                args, telemetry, registry, kernel=name, **tags
             )
         if not comparison.correct:
-            failures.append(name)
+            failures.append(comparison)
     if failures:
         print(
-            f"bank state diverged from the {args.dtype} reference "
-            f"for: {', '.join(failures)}",
+            f"bank state diverged from the {failures[0].dtype} "
+            f"reference for: {', '.join(c.kernel for c in failures)}",
             file=sys.stderr,
         )
         return 1

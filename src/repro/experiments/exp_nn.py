@@ -35,12 +35,11 @@ import numpy as np
 from ..memsys import MemorySystem, MemSysConfig, check_laws
 from ..nn import (
     NN_KERNEL_NAMES,
-    NnKernel,
     TransformerLayerSpec,
     build_nn_kernel,
-    run_nn_kernel,
     transformer_layer_program,
 )
+from ..pimexec import PimKernel, compare_host_pim
 from ..telemetry import ReplayTelemetry, build_energy
 from .registry import ExperimentConfig, ExperimentResult, register
 
@@ -65,7 +64,7 @@ def _shape(name: str, quick: bool) -> dict:
     return dict(quick_shape if quick else full_shape)
 
 
-def _functional_output(kernel: NnKernel) -> np.ndarray:
+def _functional_output(kernel: PimKernel) -> np.ndarray:
     """Run a kernel functionally (no replay) and return its output."""
     machine = kernel.machine()
     kernel.setup(machine)
@@ -99,7 +98,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         for name in NN_KERNEL_NAMES
     }
     comparisons = {
-        name: run_nn_kernel(
+        name: compare_host_pim(
             build_nn_kernel(
                 name,
                 config=sys_config,
@@ -117,7 +116,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     # kernel family that favors PIM, per the large-scale benchmarking
     # papers whose crossover conclusions flip between families
     gemv_telemetry = (ReplayTelemetry(), ReplayTelemetry())
-    gemv_shaped = run_nn_kernel(
+    gemv_shaped = compare_host_pim(
         build_nn_kernel(
             "gemm",
             config=sys_config,
@@ -181,7 +180,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     for name in ("gemm", "ffn"):
         shape = _shape(name, config.quick)
         per_bank = comparisons[name]
-        grouped = run_nn_kernel(
+        grouped = compare_host_pim(
             build_nn_kernel(
                 name,
                 config=sys_config,

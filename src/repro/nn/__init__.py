@@ -9,9 +9,11 @@ run model layers.  The package supplies the three pieces the paper's
   LayerNorm (reductions and elementwise passes split between PIM and
   host, as HBM-PIMulator's transformer traces do), and composed
   ``attention``/``ffn`` layers that chain through bank state.  Every
-  kernel carries a *dtype-exact* NumPy reference — ``"fp16"`` kernels
-  are checked bit-for-bit against an IEEE binary16 reference — and a
-  host-only twin trace for the host-vs-PIM timing comparison;
+  kernel is a :class:`~repro.pimexec.kernels.PimKernel` carrying a
+  *dtype-exact* NumPy reference — ``"fp16"`` kernels are checked
+  bit-for-bit against an IEEE binary16 reference — and a host-only
+  twin trace, so :func:`~repro.pimexec.kernels.compare_host_pim` runs
+  the host-vs-PIM comparison for both kernel families;
 * :mod:`~repro.nn.models` — a workload generator emitting timestamped
   host+PIM traces for a parameterized transformer layer (``d_model``,
   ``n_heads``, ``seq_len``, ``d_ff``) in the HBM-PIMulator program
@@ -21,23 +23,21 @@ run model layers.  The package supplies the three pieces the paper's
 
 Example
 -------
->>> from repro.nn import build_nn_kernel, run_nn_kernel
->>> comparison = run_nn_kernel(build_nn_kernel("gemm", k=4, n=4))
->>> comparison.correct
-True
+>>> from repro.nn import build_nn_kernel
+>>> from repro.pimexec import compare_host_pim
+>>> comparison = compare_host_pim(build_nn_kernel("gemm", k=4, n=4))
+>>> comparison.correct, comparison.dtype, comparison.output.dtype
+(True, 'fp16', dtype('float16'))
 """
 
 from .kernels import (
     NN_KERNEL_NAMES,
     Layout,
-    NnComparison,
-    NnKernel,
     attention_kernel,
     build_nn_kernel,
     ffn_kernel,
     gemm_kernel,
     layernorm_kernel,
-    run_nn_kernel,
     softmax_kernel,
 )
 from .models import (
@@ -49,14 +49,11 @@ from .models import (
 __all__ = [
     "NN_KERNEL_NAMES",
     "Layout",
-    "NnComparison",
-    "NnKernel",
     "attention_kernel",
     "build_nn_kernel",
     "ffn_kernel",
     "gemm_kernel",
     "layernorm_kernel",
-    "run_nn_kernel",
     "softmax_kernel",
     "TransformerLayerSpec",
     "transformer_layer_program",

@@ -1,13 +1,15 @@
 """Transformer-layer kernel library over the PIM machine.
 
-Every builder returns an :class:`NnKernel`: closures that stage input
-data into the banks, execute the kernel on a
+Every builder returns a :class:`~repro.pimexec.kernels.PimKernel` in
+its own dtype and execution mode: closures that stage input data into
+the banks, execute the kernel on a
 :class:`~repro.pimexec.machine.PimExecMachine`, verify the machine's
 bank/register state **bit-exactly** against a NumPy reference that
 performs the same operations in the same order *and the same dtype*
 (``"fp16"`` = IEEE binary16 per-operation rounding, ``"fp64"`` = the
-idealized model), and produce the host-only twin request stream for
-the host-vs-PIM timing comparison of ``exp_nn``.
+idealized model), and produce the host-only twin request stream that
+:func:`~repro.pimexec.kernels.compare_host_pim` times against the PIM
+stream in ``exp_nn``.
 
 Kernels
 -------
@@ -60,29 +62,32 @@ over all banks.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import typing as _t
 
 import numpy as np
 
-from ..memsys import MemRequest, MemSysConfig, MemorySystem, MemSysStats, Op
-from ..pimexec import DTYPES, Operand, PimCommand, PimOpcode, parse_command
+from ..memsys import MemRequest, MemSysConfig, Op
+from ..pimexec import (
+    DTYPES,
+    Operand,
+    PimCommand,
+    PimKernel,
+    PimOpcode,
+    parse_command,
+)
 from ..pimexec.commands import GRF_REGS
 from ..pimexec.machine import LANE_BITS, PimExecMachine, page_encoder
 
 __all__ = [
     "NN_KERNEL_NAMES",
     "Layout",
-    "NnKernel",
-    "NnComparison",
     "build_nn_kernel",
     "gemm_kernel",
     "softmax_kernel",
     "layernorm_kernel",
     "attention_kernel",
     "ffn_kernel",
-    "run_nn_kernel",
 ]
 
 
@@ -148,108 +153,6 @@ class Layout:
                 f"kernel needs {slots} slots per bank; geometry holds "
                 f"{self.capacity_slots}"
             )
-
-
-# ----------------------------------------------------------------------
-# kernel containers
-# ----------------------------------------------------------------------
-@dataclasses.dataclass
-class NnKernel:
-    """A runnable transformer kernel with reference and host twin."""
-
-    name: str
-    description: str
-    config: MemSysConfig
-    dtype: str
-    bank_groups: bool
-    n_values: int
-    flops: int
-    setup: _t.Callable[[PimExecMachine], None]
-    execute: _t.Callable[[PimExecMachine], None]
-    check: _t.Callable[[PimExecMachine], bool]
-    output: _t.Callable[[PimExecMachine], np.ndarray]
-    #: The dtype-exact NumPy reference of :attr:`output`.
-    expected: np.ndarray
-    host_trace: _t.Callable[[], _t.List[MemRequest]]
-
-    def machine(self) -> PimExecMachine:
-        """A fresh machine in this kernel's dtype and execution mode."""
-        return PimExecMachine(
-            self.config, dtype=self.dtype, bank_groups=self.bank_groups
-        )
-
-
-@dataclasses.dataclass
-class NnComparison:
-    """Host-only vs PIM-mode execution of one transformer kernel."""
-
-    kernel: str
-    dtype: str
-    bank_groups: bool
-    correct: bool
-    output: np.ndarray
-    expected: np.ndarray
-    pim: _t.Any
-    host: MemSysStats
-    #: The executed machine (sequencer counters for telemetry).
-    machine: _t.Optional[PimExecMachine] = None
-
-    @property
-    def speedup(self) -> float:
-        """Host-only over PIM-mode execution time."""
-        return self.host.makespan_ns / self.pim.makespan_ns
-
-    def row(self) -> dict:
-        return {
-            "kernel": self.kernel,
-            "dtype": self.dtype,
-            "bank_groups": self.bank_groups,
-            "host_ns": self.host.makespan_ns,
-            "pim_ns": self.pim.makespan_ns,
-            "speedup": self.speedup,
-            "pim_requests": self.pim.n_requests,
-            "host_requests": self.host.n_requests,
-            "bit_exact": self.correct,
-        }
-
-
-def run_nn_kernel(
-    kernel: NnKernel,
-    telemetry: _t.Optional[_t.Any] = None,
-    host_telemetry: _t.Optional[_t.Any] = None,
-) -> NnComparison:
-    """Execute ``kernel`` in PIM mode and replay its host-only twin.
-
-    Data staging is untimed (both systems start with operands
-    resident); the timed PIM stream covers microcode downloads,
-    broadcasts, all-bank steps, host passes over intermediates, and
-    result readback.
-
-    ``telemetry`` (a :class:`~repro.telemetry.ReplayTelemetry`)
-    instruments the *PIM-mode* replay — the host-only twin runs
-    uninstrumented unless ``host_telemetry`` asks for its own
-    recording (for side-by-side energy accounting) — so the recorded
-    latencies describe each kernel's actual command stream.
-    """
-    machine = kernel.machine()
-    kernel.setup(machine)
-    machine.reset_requests()
-    kernel.execute(machine)
-    pim = machine.replay(telemetry=telemetry)
-    host = MemorySystem(kernel.config).replay(
-        kernel.host_trace(), telemetry=host_telemetry
-    )
-    return NnComparison(
-        kernel=kernel.name,
-        dtype=kernel.dtype,
-        bank_groups=kernel.bank_groups,
-        correct=kernel.check(machine),
-        output=kernel.output(machine),
-        expected=kernel.expected,
-        pim=pim,
-        host=host,
-        machine=machine,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -731,7 +634,7 @@ def gemm_kernel(
     seed: int = 0,
     a: _t.Optional[np.ndarray] = None,
     b: _t.Optional[np.ndarray] = None,
-) -> NnKernel:
+) -> PimKernel:
     """``C = A @ B`` for ``A (m, k)``, ``B (k, n)``, tiled from GEMV."""
     config, np_dtype, layout = _resolve(config, dtype, bank_groups)
     if m is None:
@@ -773,7 +676,7 @@ def gemm_kernel(
             _collect_pages(machine, layout, result_base, t_count, n), m
         )
 
-    return NnKernel(
+    return PimKernel(
         name="gemm",
         description=f"C = A @ B for ({m}x{k}) @ ({k}x{n}), {dtype}",
         config=config,
@@ -800,7 +703,7 @@ def softmax_kernel(
     bank_groups: bool = False,
     seed: int = 0,
     x: _t.Optional[np.ndarray] = None,
-) -> NnKernel:
+) -> PimKernel:
     """Row-wise softmax of ``X (m, c)`` (host max/exp, PIM sum/scale)."""
     config, np_dtype, layout = _resolve(config, dtype, bank_groups)
     if m is None:
@@ -840,7 +743,7 @@ def softmax_kernel(
             _collect_pages(machine, layout, x_base, t_count, c), m
         )
 
-    return NnKernel(
+    return PimKernel(
         name="softmax",
         description=f"row-wise softmax of ({m}x{c}), {dtype}",
         config=config,
@@ -866,7 +769,7 @@ def layernorm_kernel(
     seed: int = 0,
     x: _t.Optional[np.ndarray] = None,
     eps: float = 1e-3,
-) -> NnKernel:
+) -> PimKernel:
     """Row-wise LayerNorm of ``X (m, c)`` with learned gamma/beta."""
     config, np_dtype, layout = _resolve(config, dtype, bank_groups)
     if m is None:
@@ -909,7 +812,7 @@ def layernorm_kernel(
             _collect_pages(machine, layout, x_base, t_count, c), m
         )
 
-    return NnKernel(
+    return PimKernel(
         name="layernorm",
         description=f"row-wise LayerNorm of ({m}x{c}), {dtype}",
         config=config,
@@ -936,7 +839,7 @@ def attention_kernel(
     dtype: str = "fp16",
     bank_groups: bool = False,
     seed: int = 0,
-) -> NnKernel:
+) -> PimKernel:
     """One attention layer: per head ``softmax(QK^T / sqrt(d)) @ V``.
 
     The three stages chain through bank state: the score pages the
@@ -1032,7 +935,7 @@ def attention_kernel(
         )
 
     d_model = n_heads * d_head
-    return NnKernel(
+    return PimKernel(
         name="attention",
         description=(
             f"attention layer: seq={seq_len} heads={n_heads} "
@@ -1065,7 +968,7 @@ def ffn_kernel(
     dtype: str = "fp16",
     bank_groups: bool = False,
     seed: int = 0,
-) -> NnKernel:
+) -> PimKernel:
     """Feed-forward block ``relu(X @ W1) @ W2`` with a host ReLU pass."""
     config, np_dtype, layout = _resolve(config, dtype, bank_groups)
     if seq_len is None:
@@ -1117,7 +1020,7 @@ def ffn_kernel(
             seq_len,
         )
 
-    return NnKernel(
+    return PimKernel(
         name="ffn",
         description=(
             f"FFN relu(X @ W1) @ W2: seq={seq_len} d={d_model} "
@@ -1144,7 +1047,7 @@ def ffn_kernel(
 #: Kernel registry for the CLI / experiment / benchmark.
 NN_KERNEL_NAMES = ("gemm", "softmax", "layernorm", "attention", "ffn")
 
-_BUILDERS: _t.Dict[str, _t.Callable[..., NnKernel]] = {
+_BUILDERS: _t.Dict[str, _t.Callable[..., PimKernel]] = {
     "gemm": gemm_kernel,
     "softmax": softmax_kernel,
     "layernorm": layernorm_kernel,
@@ -1153,7 +1056,7 @@ _BUILDERS: _t.Dict[str, _t.Callable[..., NnKernel]] = {
 }
 
 
-def build_nn_kernel(name: str, **kwargs: _t.Any) -> NnKernel:
+def build_nn_kernel(name: str, **kwargs: _t.Any) -> PimKernel:
     """Build a named transformer kernel (see :data:`NN_KERNEL_NAMES`)."""
     try:
         builder = _BUILDERS[name]

@@ -20,9 +20,12 @@ running the kernel instead of evaluating a closed form:
   broadcasts, CRF downloads, kernel steps) as a memory request, so
   kernel time is measured by the real controllers and row-buffer state
   machines of :mod:`repro.memsys`;
-* :mod:`~repro.pimexec.kernels` — built-in kernels (``vector-sum``,
-  ``axpy``, ``gemv``) with bit-exact NumPy references and host-only
-  twin traces for the host-vs-PIM comparison;
+* :mod:`~repro.pimexec.kernels` — :class:`PimKernel`, the one kernel
+  container (the :mod:`repro.nn` builders return it too), the
+  built-in kernels (``vector-sum``, ``axpy``, ``gemv``) with
+  bit-exact NumPy references and host-only twin traces, and
+  :func:`compare_host_pim`, the one host-vs-PIM runner returning a
+  :class:`KernelComparison`;
 * :mod:`~repro.pimexec.program` — the HBM-PIMulator program-trace
   frontend (``R/W GPR|CFR|MEM``, ``AB W``, ``PIM …`` records with
   per-record dependencies);
@@ -35,6 +38,8 @@ Example
 >>> comparison = compare_host_pim(build_kernel("vector-sum", n=512))
 >>> comparison.correct and comparison.speedup > 1.0
 True
+>>> comparison.dtype, sorted(comparison.row())[:3]
+('fp64', ['bank_groups', 'correct', 'dtype'])
 """
 
 from .commands import (

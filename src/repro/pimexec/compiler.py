@@ -33,8 +33,8 @@ import numpy as np
 from ..isa.programs import KernelBinary
 from ..memsys import MemSysConfig
 from .commands import PimExecError
-from .kernels import PimKernel, vector_sum_kernel
-from .machine import PimExecMachine, PimExecResult
+from .kernels import PimKernel, compare_host_pim, vector_sum_kernel
+from .machine import PimExecResult
 
 __all__ = ["CompileError", "LoweredKernel", "lower_kernel_binary"]
 
@@ -76,22 +76,16 @@ class LoweredKernel:
     def run(self) -> _t.Tuple[float, bool, PimExecResult]:
         """Execute on a fresh machine.
 
-        Returns ``(result, exact, timing)``: the computed sum, whether
+        Returns ``(output, exact, timing)``: the computed sum, whether
         every bank's register state matched the NumPy reference
         bit-exactly *and* the sum equals the ISA kernel's expected
-        result, and the replay timing.
+        result, and the PIM replay timing.
         """
-        machine = PimExecMachine(self.kernel.config)
-        self.kernel.setup(machine)
-        machine.reset_requests()
-        self.kernel.execute(machine)
-        timing = machine.replay()
-        result = self.kernel.result(machine)
-        exact = (
-            self.kernel.check(machine)
-            and result == float(self.expected_sum)
+        comparison = compare_host_pim(self.kernel)
+        exact = comparison.correct and comparison.output == float(
+            self.expected_sum
         )
-        return result, exact, timing
+        return comparison.output, exact, comparison.pim
 
 
 def _loop_mnemonics(binary: KernelBinary) -> _t.Set[str]:

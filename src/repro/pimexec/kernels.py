@@ -61,7 +61,12 @@ __all__ = [
 
 @dataclasses.dataclass
 class PimKernel:
-    """A runnable PIM kernel with references and a host-only twin."""
+    """A runnable PIM kernel with references and a host-only twin.
+
+    One container for both kernel families: the builders here output
+    a float64 scalar, the :mod:`repro.nn` builders a matrix in the
+    kernel's own dtype and execution mode.
+    """
 
     name: str
     description: str
@@ -71,9 +76,18 @@ class PimKernel:
     setup: _t.Callable[[PimExecMachine], None]
     execute: _t.Callable[[PimExecMachine], None]
     check: _t.Callable[[PimExecMachine], bool]
-    result: _t.Callable[[PimExecMachine], float]
-    expected: float
+    output: _t.Callable[[PimExecMachine], _t.Any]
+    #: The dtype-exact NumPy reference of :attr:`output`.
+    expected: _t.Any
     host_trace: _t.Callable[[], _t.List[MemRequest]]
+    dtype: str = "fp64"
+    bank_groups: bool = False
+
+    def machine(self) -> PimExecMachine:
+        """A fresh machine in this kernel's dtype and execution mode."""
+        return PimExecMachine(
+            self.config, dtype=self.dtype, bank_groups=self.bank_groups
+        )
 
 
 @dataclasses.dataclass
@@ -81,9 +95,11 @@ class KernelComparison:
     """Host-only vs PIM-mode execution of one kernel."""
 
     kernel: str
+    dtype: str
+    bank_groups: bool
     correct: bool
-    result: float
-    expected: float
+    output: _t.Any
+    expected: _t.Any
     pim: PimExecResult
     host: MemSysStats
     #: The machine that executed the PIM stream (sequencer counters
@@ -99,6 +115,8 @@ class KernelComparison:
         """Flat table row for reports."""
         return {
             "kernel": self.kernel,
+            "dtype": self.dtype,
+            "bank_groups": self.bank_groups,
             "host_ns": self.host.makespan_ns,
             "pim_ns": self.pim.makespan_ns,
             "speedup": self.speedup,
@@ -219,7 +237,7 @@ def vector_sum_kernel(
             for u in range(units)
         )
 
-    def result(machine: PimExecMachine) -> float:
+    def output(machine: PimExecMachine) -> float:
         partials = np.stack(
             [
                 machine.unit(*_unit_coords(u, config)).grf_b[0]
@@ -249,7 +267,7 @@ def vector_sum_kernel(
         setup=setup,
         execute=execute,
         check=check,
-        result=result,
+        output=output,
         expected=expected,
         host_trace=host_trace,
     )
@@ -343,7 +361,7 @@ def axpy_kernel(
             for u in range(units)
         )
 
-    def result(machine: PimExecMachine) -> float:
+    def output(machine: PimExecMachine) -> float:
         total = 0.0
         for s in range(slots):
             for u in range(units):
@@ -383,7 +401,7 @@ def axpy_kernel(
         setup=setup,
         execute=execute,
         check=check,
-        result=result,
+        output=output,
         expected=float(reference.sum()),
         host_trace=host_trace,
     )
@@ -462,7 +480,7 @@ def gemv_kernel(
             for u in range(units)
         )
 
-    def result(machine: PimExecMachine) -> float:
+    def output(machine: PimExecMachine) -> float:
         return float(
             np.stack(
                 [
@@ -511,7 +529,7 @@ def gemv_kernel(
         setup=setup,
         execute=execute,
         check=check,
-        result=result,
+        output=output,
         expected=expected,
         host_trace=host_trace,
     )
@@ -552,14 +570,15 @@ def compare_host_pim(
 
     The data-staging phase is untimed (both systems start with data
     resident); the timed PIM stream covers kernel download, broadcasts,
-    all-bank execution, and result readback.  ``telemetry`` (a
+    all-bank execution, host passes over intermediates, and result
+    readback.  ``telemetry`` (a
     :class:`~repro.telemetry.ReplayTelemetry`) instruments the **PIM**
     replay — the stream whose AB barriers and queueing the timeline
     renders; ``host_telemetry`` instruments the host-only twin (for
     side-by-side energy accounting), which otherwise replays
     uninstrumented.
     """
-    machine = PimExecMachine(kernel.config)
+    machine = kernel.machine()
     kernel.setup(machine)
     machine.reset_requests()
     kernel.execute(machine)
@@ -569,8 +588,10 @@ def compare_host_pim(
     )
     return KernelComparison(
         kernel=kernel.name,
+        dtype=kernel.dtype,
+        bank_groups=kernel.bank_groups,
         correct=kernel.check(machine),
-        result=kernel.result(machine),
+        output=kernel.output(machine),
         expected=kernel.expected,
         pim=pim,
         host=host,

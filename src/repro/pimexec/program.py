@@ -333,16 +333,39 @@ def annotate_dependencies(records: _t.Sequence[ProgramRecord]) -> None:
 
     PIM instructions follow the latest ``AB W`` / ``W CFR``; ``AB W``
     follows the latest ``W GPR``; a read follows the latest write of
-    the same GPR index, CFR index, or MEM location.  Writes and raw
-    single-bank (``SB``) records are unconstrained.
+    the same GPR index, CFR index, or MEM location.  Host ``MEM``
+    records also order against PIM instructions touching their row
+    (the row :meth:`PimProgram._lowered` gives a ``BANK`` operand: its
+    explicit ``row``, else the last explicit one; keyed on the row
+    alone, since all-bank PIM spans every channel and bank): a write
+    follows the latest PIM instruction reading or writing that row, a
+    read the later of its matching ``MEM`` write and the latest PIM
+    instruction writing that row.  Other writes and raw single-bank
+    (``SB``) records are unconstrained.
     """
     last_config: _t.Optional[int] = None  # latest AB W / W CFR
     last_gpr_any: _t.Optional[int] = None
     last_write: _t.Dict[tuple, int] = {}
+    pim_row = 0  # row of the latest explicit PIM BANK operand
+    pim_touch: _t.Dict[int, int] = {}  # row -> latest PIM access
+    pim_write: _t.Dict[int, int] = {}  # row -> latest PIM bank write
+    # only MEM records read the PIM row state; the generated layer
+    # traces carry none (their host traffic is SB), so skip it there
+    track_rows = any(record.kind == MEM for record in records)
     for index, record in enumerate(records):
         kind = record.kind
         if kind == PIM:
             record.depends_on = last_config
+            if not track_rows:
+                continue
+            command = _t.cast(PimCommand, record.command)
+            explicit = command.explicit_bank
+            if explicit is not None:
+                pim_row = _t.cast(int, explicit.row)
+            if any(operand.is_bank for operand in command.operands()):
+                pim_touch[pim_row] = index
+            if command.dst is not None and command.dst.is_bank:
+                pim_write[pim_row] = index
         elif kind == AB:
             record.depends_on = last_gpr_any
             last_config = index
@@ -355,14 +378,19 @@ def annotate_dependencies(records: _t.Sequence[ProgramRecord]) -> None:
                 else (kind, record.index)
             )
             if record.write:
-                record.depends_on = None
+                record.depends_on = (
+                    pim_touch.get(record.row) if kind == MEM else None
+                )
                 last_write[key] = index
                 if kind == GPR:
                     last_gpr_any = index
                 elif kind == CFR:
                     last_config = index
             else:
-                record.depends_on = last_write.get(key)
+                depends = last_write.get(key, -1)
+                if kind == MEM:
+                    depends = max(depends, pim_write.get(record.row, -1))
+                record.depends_on = depends if depends >= 0 else None
 
 
 # ----------------------------------------------------------------------

@@ -350,8 +350,8 @@ class ReplayTelemetry:
 
     Pass an instance to :meth:`MemorySystem.replay(..., telemetry=...)
     <repro.memsys.MemorySystem.replay>` (or through
-    ``PimExecMachine.replay`` / ``compare_host_pim`` /
-    ``run_nn_kernel``); afterwards it holds the per-request latency
+    ``PimExecMachine.replay`` / ``compare_host_pim``, which runs both
+    kernel families); afterwards it holds the per-request latency
     arrays, the per-phase wall-clock profile, and enough context
     (engine, config, makespan) to export the command timeline.
 

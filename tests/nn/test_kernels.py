@@ -9,9 +9,9 @@ from repro.nn import (
     Layout,
     build_nn_kernel,
     gemm_kernel,
-    run_nn_kernel,
     softmax_kernel,
 )
+from repro.pimexec import compare_host_pim
 
 from tests.pimexec.test_tier_equivalence import (
     stream_digests,
@@ -32,7 +32,7 @@ class TestBitExactness:
     @pytest.mark.parametrize("name", NN_KERNEL_NAMES)
     @pytest.mark.parametrize("dtype", ["fp16", "fp64"])
     def test_kernel_matches_reference(self, name, dtype):
-        comparison = run_nn_kernel(
+        comparison = compare_host_pim(
             build_nn_kernel(name, dtype=dtype, **SMALL[name])
         )
         assert comparison.correct
@@ -50,20 +50,20 @@ class TestBitExactness:
         a = rng.standard_normal((128, 6))
         b = rng.standard_normal((6, 3))
         kernel = gemm_kernel(m=128, k=6, n=3, dtype="fp64", a=a, b=b)
-        comparison = run_nn_kernel(kernel)
+        comparison = compare_host_pim(kernel)
         assert comparison.correct
         np.testing.assert_allclose(
             comparison.output, a @ b, rtol=1e-12, atol=1e-12
         )
 
     def test_softmax_rows_sum_to_about_one(self):
-        comparison = run_nn_kernel(softmax_kernel(c=7, dtype="fp16"))
+        comparison = compare_host_pim(softmax_kernel(c=7, dtype="fp16"))
         sums = comparison.output.astype(np.float64).sum(axis=1)
         np.testing.assert_allclose(sums, 1.0, atol=2e-2)
 
     def test_fp16_and_fp64_outputs_differ(self):
         outputs = {
-            dtype: run_nn_kernel(
+            dtype: compare_host_pim(
                 build_nn_kernel("gemm", dtype=dtype, k=8, n=4)
             ).output.astype(np.float64)
             for dtype in ("fp16", "fp64")
@@ -78,10 +78,10 @@ class TestBankGroups:
         shape = dict(SMALL[name])
         # pin the row count so both modes solve the same problem
         shape["m" if name in ("gemm", "softmax") else "seq_len"] = 128
-        per_bank = run_nn_kernel(
+        per_bank = compare_host_pim(
             build_nn_kernel(name, dtype="fp16", **shape)
         )
-        grouped = run_nn_kernel(
+        grouped = compare_host_pim(
             build_nn_kernel(
                 name, dtype="fp16", bank_groups=True, **shape
             )
@@ -153,7 +153,7 @@ class TestTwinsAndValidation:
         pages, not stale ones: corrupting a score page after softmax
         would break bit-exactness, so exactness here proves the
         chain."""
-        comparison = run_nn_kernel(
+        comparison = compare_host_pim(
             build_nn_kernel("attention", dtype="fp16", **SMALL["attention"])
         )
         assert comparison.correct

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.memsys import MemSysConfig
+from repro.nn import NN_KERNEL_NAMES, build_nn_kernel
 from repro.pimexec import (
     KERNEL_NAMES,
     PimExecMachine,
@@ -14,6 +15,23 @@ from repro.pimexec import (
     vector_sum_kernel,
 )
 
+from tests.nn.test_kernels import SMALL
+
+#: The one key set of :meth:`KernelComparison.row`, for both families.
+ROW_KEYS = {
+    "kernel", "dtype", "bank_groups", "host_ns", "pim_ns", "speedup",
+    "pim_requests", "host_requests", "correct",
+}
+
+
+def small_kernel(name, **kwargs):
+    """A small kernel of either family, by registry name."""
+    if name in NN_KERNEL_NAMES:
+        return build_nn_kernel(name, **SMALL[name], **kwargs)
+    return build_kernel(
+        name, **({"n_cols": 16} if name == "gemv" else {"n": 1024})
+    )
+
 
 class TestVectorSum:
     def test_bank_state_bit_exact_and_sum_correct(self):
@@ -23,7 +41,7 @@ class TestVectorSum:
         kernel.execute(machine)
         assert kernel.check(machine)
         x = np.random.default_rng(3).standard_normal(512)
-        assert kernel.result(machine) == pytest.approx(float(x.sum()))
+        assert kernel.output(machine) == pytest.approx(float(x.sum()))
 
     def test_explicit_values_accepted(self):
         values = np.arange(100, dtype=float)
@@ -32,7 +50,7 @@ class TestVectorSum:
         kernel.setup(machine)
         kernel.execute(machine)
         assert kernel.check(machine)
-        assert kernel.result(machine) == float(values.sum())
+        assert kernel.output(machine) == float(values.sum())
 
     def test_non_granule_sizes_are_padded(self):
         kernel = vector_sum_kernel(n=131, seed=1)  # not a page multiple
@@ -83,16 +101,38 @@ class TestGemv:
 
 
 class TestComparison:
-    @pytest.mark.parametrize("name", KERNEL_NAMES)
-    def test_every_kernel_correct_with_pim_winning_mostly(self, name):
-        kwargs = {"n_cols": 16} if name == "gemv" else {"n": 1024}
-        comparison = compare_host_pim(build_kernel(name, **kwargs))
+    @pytest.mark.parametrize("name", KERNEL_NAMES + NN_KERNEL_NAMES)
+    def test_every_kernel_correct_through_one_runner(self, name):
+        comparison = compare_host_pim(small_kernel(name))
         assert comparison.correct
         assert comparison.pim.makespan_ns > 0
         assert comparison.host.makespan_ns > 0
         row = comparison.row()
+        assert set(row) == ROW_KEYS
         assert row["kernel"] == name
         assert row["speedup"] == comparison.speedup
+        assert row["correct"] is True
+        if name in KERNEL_NAMES:
+            assert (row["dtype"], row["bank_groups"]) == ("fp64", False)
+            assert isinstance(comparison.output, float)
+            assert comparison.output == pytest.approx(comparison.expected)
+        else:
+            assert np.array_equal(
+                comparison.output, comparison.expected, equal_nan=True
+            )
+
+    @pytest.mark.parametrize("name", KERNEL_NAMES)
+    def test_pimexec_kernels_default_to_fp64_per_bank(self, name):
+        kernel = small_kernel(name)
+        assert (kernel.dtype, kernel.bank_groups) == ("fp64", False)
+        machine = kernel.machine()
+        assert (machine.dtype, machine.bank_groups) == ("fp64", False)
+
+    @pytest.mark.parametrize("name", NN_KERNEL_NAMES)
+    def test_nn_kernel_machine_keeps_dtype_and_mode(self, name):
+        kernel = small_kernel(name, dtype="fp16", bank_groups=True)
+        machine = kernel.machine()
+        assert (machine.dtype, machine.bank_groups) == ("fp16", True)
 
     def test_vector_sum_pim_beats_host(self):
         comparison = compare_host_pim(build_kernel("vector-sum", n=4096))

@@ -94,6 +94,46 @@ class TestDependencies:
         program = parse_pim_program("R MEM 0 0 5\n")
         assert program.records[0].depends_on is None
 
+    #: Host MEM records around PIM instructions; each line's comment
+    #: names the record index it must depend on.
+    HOST_PIM = """\
+W MEM 0 0 3
+AB W
+PIM FILL GRF,8 BANK,0,3,0
+PIM MOV BANK,0,5,0 GRF,8
+PIM MAC GRF,8 BANK SRF,0
+W MEM 1 2 3
+W MEM 0 0 5
+R MEM 0 0 3
+R MEM 1 1 5
+R MEM 0 0 5
+PIM MOV BANK,0,3,1 GRF,8
+R MEM 0 0 3
+W MEM 2 3 7
+PIM NOP
+W MEM 0 1 5
+"""
+
+    def test_host_mem_orders_against_same_row_pim(self):
+        records = parse_pim_program(self.HOST_PIM).records
+        assert [r.depends_on for r in records] == [
+            None,  # W MEM row 3: no PIM yet
+            None,  # AB W: no GPR write
+            1, 1, 1,  # PIM follow the AB
+            2,  # W MEM row 3 after a PIM read of row 3 (WAR), any bank
+            4,  # W MEM row 5: the implicit BANK walks the last explicit
+            #     row (5), so the MAC read is the latest touch
+            0,  # R MEM row 3: no PIM wrote row 3 yet -> its MEM write
+            3,  # R MEM row 5 on an unwritten bank: the PIM MOV (RAW)
+            6,  # R MEM row 5: its MEM write is later than the PIM MOV
+            1,  # PIM MOV row 3
+            10,  # R MEM row 3: the PIM write is later than the MEM one
+            None,  # W MEM row 7: no PIM touched it
+            1,  # PIM NOP
+            4,  # W MEM row 5: the NOP touches no bank, and the MOV
+            #     at 10 moved the last explicit row to 3
+        ]
+
 
 class TestErrors:
     def test_unknown_record_with_line_number(self):

@@ -10,6 +10,8 @@ failures, exit 0 for success.)
 
 import pytest
 
+import repro.nn
+import repro.pimexec
 from repro.cli import main
 from repro.memsys import MemSysConfig
 from repro.memsys.trace import format_trace, synthesize_trace
@@ -274,6 +276,45 @@ class TestNnBadInput:
         )
         assert code == 2
         assert "single kernel" in err
+
+
+class TestKernelDivergence:
+    """Exit 1 is the kernel verbs' check failure: every kernel still
+    runs, and the divergent one is named on stderr."""
+
+    @pytest.mark.parametrize(
+        "verb, module, builder, names, broken, dtype",
+        [
+            (
+                "pimexec", repro.pimexec, "build_kernel",
+                repro.pimexec.KERNEL_NAMES, "axpy", "fp64",
+            ),
+            (
+                "nn", repro.nn, "build_nn_kernel",
+                repro.nn.NN_KERNEL_NAMES, "softmax", "fp16",
+            ),
+        ],
+    )
+    def test_all_kernels_exit_1_naming_the_divergent_one(
+        self, monkeypatch, capsys, verb, module, builder, names, broken,
+        dtype,
+    ):
+        original = getattr(module, builder)
+
+        def build(name, **kwargs):
+            kernel = original(name, **kwargs)
+            if name == broken:
+                kernel.check = lambda machine: False
+            return kernel
+
+        monkeypatch.setattr(module, builder, build)
+        code, out, err = run_cli([verb, "--kernel", "all"], capsys)
+        assert code == 1
+        assert err.strip().endswith(f"{dtype} reference for: {broken}")
+        rows = [line.split() for line in out.splitlines()[-len(names):]]
+        assert {row[0]: row[-1] for row in rows} == {
+            name: "NO" if name == broken else "yes" for name in names
+        }
 
 
 class TestExperimentVerbs:
