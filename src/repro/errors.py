@@ -36,6 +36,7 @@ __all__ = [
     "TraceFormatError",
     "ProgramFormatError",
     "ReplayStateError",
+    "ServiceOverlapError",
     "FarmError",
     "ShardTimeout",
     "WorkerCrash",
@@ -96,6 +97,35 @@ class ReplayStateError(ReproError, RuntimeError):
     """A replay was driven from an invalid state (still RuntimeError)."""
 
     code = "REPLAY_STATE"
+
+
+class ServiceOverlapError(ReproError, ValueError):
+    """Recorded service spans break the ``channel_overlap`` law: a
+    service starts before the previous one on its channel finishes.
+
+    Attributes
+    ----------
+    channel:
+        The channel both services ran on.
+    index, previous:
+        Trace indices of the service that starts too early and of the
+        one still in service when it starts.
+    """
+
+    code = "SERVICE_OVERLAP"
+
+    def __init__(
+        self,
+        *args: _t.Any,
+        channel: int,
+        index: int,
+        previous: int,
+        code: _t.Optional[str] = None,
+    ):
+        super().__init__(*args, code=code)
+        self.channel = channel
+        self.index = index
+        self.previous = previous
 
 
 class FarmError(ReproError, RuntimeError):

@@ -64,9 +64,9 @@ from ..errors import ConfigError
 from .latency import ALL_BANKS, OUTCOME_NAMES
 from .registry import MetricsRegistry
 from .timeseries import (
+    _busy_per_window,
     _channel_busy,
-    _finish_window,
-    _mean_per_window,
+    _finish_windows,
     _recorded,
     _window_grid,
     _window_index,
@@ -197,13 +197,11 @@ def _event_energy(
     recorder: _t.Any,
     config: _t.Any,
     coefficients: EnergyCoefficients,
-) -> _t.Tuple[np.ndarray, _t.Dict[str, float]]:
-    """Per-request event energy (pJ, trace order) and the run's total
-    per event class.
+) -> np.ndarray:
+    """Per-request event energy (pJ, trace order).
 
-    Cached on the recorder per coefficient table, so totals,
-    per-channel/bank rollups, and every windowed series share one
-    derivation.
+    Cached on the recorder per coefficient table, so per-channel/bank
+    rollups and every windowed series share one derivation.
     """
     key = (
         "event-energy",
@@ -212,15 +210,36 @@ def _event_energy(
         config.timing.page_bits,
     )
     return recorder._memo(
-        key, lambda: _price_events(recorder, config, coefficients)
+        key,
+        lambda: _price_pairs(config, coefficients)[0][_pair_codes(recorder)],
     )
 
 
-def _price_events(
+def _class_totals(
     recorder: _t.Any,
     config: _t.Any,
     coefficients: EnergyCoefficients,
-) -> _t.Tuple[np.ndarray, _t.Dict[str, float]]:
+) -> _t.Dict[str, float]:
+    """The run's total energy per event class; only the energy
+    document reads them, so the series and the timeline skip them."""
+    pair = _pair_codes(recorder)
+    _, classes = _price_pairs(config, coefficients)
+    return {
+        name: float(np.sum(priced[pair]))
+        for name, priced in zip(ENERGY_CLASSES, classes)
+    }
+
+
+def _pair_codes(recorder: _t.Any) -> np.ndarray:
+    """Each request's ``(op, outcome)`` pair as one code."""
+    return recorder.op_code * len(OUTCOME_NAMES) + recorder.outcome_code
+
+
+def _price_pairs(
+    config: _t.Any,
+    coefficients: EnergyCoefficients,
+) -> _t.Tuple[np.ndarray, _t.Tuple[np.ndarray, ...]]:
+    """Event energy, and energy per class, of every pair code."""
     from ..memsys.request import OPS_BY_CODE, Op
 
     # every class's energy is a function of (op, outcome) alone: price
@@ -264,13 +283,8 @@ def _price_events(
     event = (
         activate + precharge + read + write + broadcast + pim_compute
     )
-    pair = recorder.op_code * n_outcomes + recorder.outcome_code
     classes = (activate, precharge, read, write, broadcast, pim_compute)
-    totals = {
-        name: float(np.sum(priced[pair]))
-        for name, priced in zip(ENERGY_CLASSES, classes)
-    }
-    return event[pair], totals
+    return event, classes
 
 
 def _refresh_events(
@@ -326,8 +340,8 @@ def window_energy_pj(
     makespan = float(telemetry.makespan_ns)
     count = edges.shape[0] - 1
 
-    event, _ = _event_energy(recorder, config, coefficients)
-    finish_idx = _finish_window(recorder, window_ns, count)
+    event = _event_energy(recorder, config, coefficients)
+    finish_idx = _finish_windows(recorder, window_ns, count).index
     per_window = np.bincount(finish_idx, weights=event, minlength=count)
 
     begins, refresh_pj = _refresh_events(
@@ -347,7 +361,7 @@ def window_energy_pj(
     )
     for ch in range(config.n_channels):
         busy = (
-            _mean_per_window(_channel_busy(recorder, ch), edges, window_ns)
+            _busy_per_window(_channel_busy(recorder, ch), edges, window_ns)
             * window_ns
         )
         idle = np.maximum(covered - busy, 0.0)
@@ -383,7 +397,8 @@ def build_energy(
     from ..memsys.system import request_bits
 
     n = recorder.n
-    event, breakdown = _event_energy(recorder, config, coefficients)
+    event = _event_energy(recorder, config, coefficients)
+    breakdown = _class_totals(recorder, config, coefficients)
     begins, refresh_pj = _refresh_events(
         config, makespan, coefficients
     )
@@ -395,7 +410,7 @@ def build_energy(
     whole = np.array([0.0, makespan])
     for ch in range(config.n_channels):
         busy = float(
-            _mean_per_window(_channel_busy(recorder, ch), whole, makespan)[0]
+            _busy_per_window(_channel_busy(recorder, ch), whole, makespan)[0]
             * makespan
         )
         busy_by_channel.append(busy)
@@ -404,7 +419,6 @@ def build_energy(
             + (makespan - busy) * coefficients.background_idle_mw
         )
 
-    breakdown = dict(breakdown)
     breakdown["refresh"] = float(np.sum(refresh_pj))
     breakdown["background"] = background_total
     total_pj = float(

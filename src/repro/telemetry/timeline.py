@@ -30,7 +30,7 @@ import numpy as np
 from .latency import ALL_BANKS, OUTCOME_NAMES
 from .timeseries import (
     DEFAULT_WINDOWS,
-    _finish_window,
+    _finish_windows,
     _recorded,
     _window_index,
 )
@@ -271,8 +271,8 @@ def build_timeline(
         coefficients = EnergyCoefficients()
         count = DEFAULT_WINDOWS
         window_ns = makespan / count
-        event, _ = _event_energy(recorder, config, coefficients)
-        finish_idx = _finish_window(recorder, window_ns, count)
+        event = _event_energy(recorder, config, coefficients)
+        finish_idx = _finish_windows(recorder, window_ns, count).index
         begins, refresh_pj = _refresh_events(
             config, makespan, coefficients
         )

@@ -35,9 +35,24 @@ Per window the document carries:
   cumulative energy of the run, from the command-level accounting of
   :mod:`repro.telemetry.energy` on this document's own window grid
   (schema ``v2`` adds these two series);
-* per-channel and per-bank ``busy_fraction`` — service-span union
+* per-channel and per-bank ``busy_fraction`` — service-span
   occupancy (all-bank PIM operations occupy every bank of their
   channel).
+
+No series sorts the trace or unions intervals.  Under the
+``channel_overlap`` law of :mod:`repro.memsys.laws` a channel's service
+spans, and so any subset of them (one bank plus the all-bank rows, the
+AB broadcasts), are already disjoint: ordered by start, a busy time up
+to an instant is the running sum of the span lengths before it plus
+the elapsed part of the span in progress.  A span that starts before
+the previous one on its channel finishes raises
+:class:`~repro.errors.ServiceOverlapError` naming the channel and both
+trace indices.  Window indices of sorted instants come from one
+``searchsorted`` cut per edge, checked against the floor division that
+bins unsorted instants.  These forms add the same terms in the same
+order as the sort-based derivation they replaced
+(``tests/telemetry/step_oracle.py``), so the documents are unchanged to
+the last bit.
 
 Derivation happens **post-replay, off the hot path**: nothing here
 runs while the simulated clock advances, so the <5% telemetry-overhead
@@ -58,6 +73,7 @@ import typing as _t
 
 import numpy as np
 
+from ..errors import ServiceOverlapError
 from .latency import ALL_BANKS, OUTCOME_NAMES
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -99,7 +115,130 @@ _HIT = OUTCOME_NAMES.index("hit")
 
 
 # ----------------------------------------------------------------------
-# exact step-function machinery
+# busy unions: the channels' disjoint service spans
+# ----------------------------------------------------------------------
+class _Spans(_t.NamedTuple):
+    """Disjoint service spans ordered by start.
+
+    ``busy[k]`` is the busy time of the spans before span ``k`` (one
+    more entry than spans: ``busy[-1]`` is the total).
+    """
+
+    start: np.ndarray
+    finish: np.ndarray
+    busy: np.ndarray
+
+
+def _spans(recorder: _t.Any, rows: np.ndarray, channel: int) -> _Spans:
+    """The service spans of ``rows`` (trace-ordered requests of one
+    channel) as a busy union.
+
+    Under ``channel_overlap`` a channel's services never overlap, so
+    any subset of them already is its own union: ordered by start (the
+    trace order on FIFO channels; one stable argsort after FR-FCFS
+    hoists or a merge with the all-bank rows), the integral up to
+    span ``k`` is the exclusive cumulative sum of the span lengths.
+    A span starting before the previous one finishes raises
+    :class:`~repro.errors.ServiceOverlapError`.
+    """
+    start = recorder.start_service[rows]
+    finish = recorder.finish[rows]
+    # no service ends before it starts (the service_time law), so
+    # spans disjoint in trace order are also in start order
+    if not (start[1:] >= finish[:-1]).all():
+        order = np.argsort(start, kind="stable")
+        rows, start, finish = rows[order], start[order], finish[order]
+        overlap = np.flatnonzero(start[1:] < finish[:-1])
+        if overlap.shape[0]:
+            k = int(overlap[0])
+            raise ServiceOverlapError(
+                f"channel {channel}: request {int(rows[k + 1])} starts "
+                f"service at {start[k + 1]!r} ns, before request "
+                f"{int(rows[k])} finishes at {finish[k]!r} ns "
+                "(channel_overlap)",
+                channel=channel,
+                index=int(rows[k + 1]),
+                previous=int(rows[k]),
+            )
+    busy = np.zeros(start.shape[0] + 1)
+    np.cumsum(finish - start, out=busy[1:])
+    return _Spans(start, finish, busy)
+
+
+def _busy_at(t: np.ndarray, spans: _Spans) -> np.ndarray:
+    """Busy time on ``[0, t]``: the spans started by ``t`` minus what
+    is left of the last one."""
+    if spans.start.shape[0] == 0:
+        return np.zeros(t.shape[0])
+    started = np.searchsorted(spans.start, t, side="right")
+    last = np.maximum(started - 1, 0)
+    inside = spans.busy[last] + (t - spans.start[last])
+    out = np.where(t < spans.finish[last], inside, spans.busy[started])
+    return np.where(started > 0, out, 0.0)
+
+
+def _busy_per_window(
+    spans: _Spans, edges: np.ndarray, window_ns: float
+) -> np.ndarray:
+    return np.diff(_busy_at(edges, spans)) / window_ns
+
+
+# ----------------------------------------------------------------------
+# window indices from sorted cuts
+# ----------------------------------------------------------------------
+def _window_bounds(
+    t: np.ndarray, window_ns: float, n_windows: int
+) -> _t.Optional[np.ndarray]:
+    """``bounds`` with window ``w`` owning ``t[bounds[w]:bounds[w+1]]``,
+    for nondecreasing instants; ``None`` when ``t`` is unsorted.
+
+    Each cut is found with ``searchsorted`` on the edges and checked
+    with the floor division :func:`_window_index` bins by, at the
+    instants on both sides of it; a cut that disagrees (an instant
+    within rounding of an edge) also gives ``None``.
+    """
+    if t.shape[0] > 1 and not (t[1:] >= t[:-1]).all():
+        return None
+    window = np.arange(1, n_windows)
+    cuts = np.searchsorted(t, window * window_ns, side="left")
+    first = cuts < t.shape[0]
+    after = cuts > 0
+    if not (
+        (np.floor_divide(t[cuts[first]], window_ns) >= window[first]).all()
+        and (
+            np.floor_divide(t[cuts[after] - 1], window_ns) < window[after]
+        ).all()
+    ):
+        return None
+    return np.r_[0, cuts, t.shape[0]]
+
+
+def _window_index(
+    t: np.ndarray, window_ns: float, n_windows: int
+) -> np.ndarray:
+    """Window owning each instant (the final edge folds into the last
+    window so ``finish == makespan`` is never dropped)."""
+    bounds = _window_bounds(t, window_ns, n_windows)
+    if bounds is not None:
+        return np.repeat(np.arange(n_windows), np.diff(bounds))
+    idx = np.floor_divide(t, window_ns).astype(np.int64)
+    return np.clip(idx, 0, n_windows - 1)
+
+
+def _window_counts(
+    t: np.ndarray, window_ns: float, n_windows: int
+) -> np.ndarray:
+    """Instants per window, as ``bincount`` of :func:`_window_index`."""
+    bounds = _window_bounds(t, window_ns, n_windows)
+    if bounds is not None:
+        return np.diff(bounds)
+    return np.bincount(
+        _window_index(t, window_ns, n_windows), minlength=n_windows
+    )
+
+
+# ----------------------------------------------------------------------
+# exact queue depth
 # ----------------------------------------------------------------------
 class _Step(_t.NamedTuple):
     """A step function ``(times, values)`` with its running integral.
@@ -113,41 +252,31 @@ class _Step(_t.NamedTuple):
     integral: np.ndarray
 
 
-def _step_function(
-    plus: np.ndarray, minus: np.ndarray
-) -> _t.Tuple[np.ndarray, np.ndarray]:
-    """Collapse +1/-1 events into ``(times, values)``.
+def _depth_step(arrival: np.ndarray, start: np.ndarray) -> _Step:
+    """Queue depth: +1 at each arrival, -1 at each service start.
 
-    ``values[k]`` is the step function's value on
-    ``[times[k], times[k+1])`` after *all* events at ``times[k]`` have
-    been applied — coincident events collapse through
-    ``np.add.reduceat``, so the result is independent of any sort
-    tie-breaking (the property the bit-identity guarantee needs).
+    ``values[k]`` is the depth after *all* events at ``times[k]``: the
+    running sum of the merged ±1.0 events (whole numbers, so exact) at
+    the last event of each run of equal instants, independent of how
+    the merge orders ties.
     """
-    times = np.concatenate([plus, minus])
-    if times.shape[0] == 0:
-        return times, np.empty(0)
-    order = np.argsort(times, kind="stable")
-    times = times[order]
-    deltas = np.where(order < plus.shape[0], 1, -1)
-    # each run of equal sorted times is one step
-    starts = np.flatnonzero(np.r_[True, times[1:] != times[:-1]])
-    sums = np.add.reduceat(deltas, starts)
-    return times[starts], np.cumsum(sums).astype(np.float64)
-
-
-def _step(times: np.ndarray, values: np.ndarray) -> _Step:
+    merged = np.concatenate([arrival, start])
+    if merged.shape[0] == 0:
+        return _Step(merged, merged, merged)
+    order = np.argsort(merged, kind="stable")
+    times = merged[order]
+    # the merge buffer takes the ±1.0 steps, then their running sum
+    depth = merged
+    np.multiply(order < arrival.shape[0], 2.0, out=depth)
+    depth -= 1.0
+    np.cumsum(depth, out=depth)
+    last = np.flatnonzero(np.r_[times[1:] != times[:-1], True])
+    times, values = times[last], depth[last]
     integral = np.zeros(times.shape[0])
-    if times.shape[0] > 1:
-        integral[1:] = np.cumsum(values[:-1] * np.diff(times))
+    widths = np.diff(times)
+    widths *= values[:-1]
+    np.cumsum(widths, out=integral[1:])
     return _Step(times, values, integral)
-
-
-def _occupancy_step(starts: np.ndarray, finishes: np.ndarray) -> _Step:
-    """1 while the union of ``[start, finish)`` intervals covers the
-    instant (overlaps counted once), else 0."""
-    times, values = _step_function(starts, finishes)
-    return _step(times, (values > 0).astype(np.float64))
 
 
 def _integral_at(t: np.ndarray, step: _Step) -> np.ndarray:
@@ -161,21 +290,6 @@ def _integral_at(t: np.ndarray, step: _Step) -> np.ndarray:
     return np.where(pos >= 0, out, 0.0)
 
 
-def _window_index(
-    t: np.ndarray, window_ns: float, n_windows: int
-) -> np.ndarray:
-    """Window owning each instant (the final edge folds into the last
-    window so ``finish == makespan`` is never dropped)."""
-    idx = np.floor_divide(t, window_ns).astype(np.int64)
-    return np.clip(idx, 0, n_windows - 1)
-
-
-def _mean_per_window(
-    step: _Step, edges: np.ndarray, window_ns: float
-) -> np.ndarray:
-    return np.diff(_integral_at(edges, step)) / window_ns
-
-
 def _max_per_window(
     step: _Step, edges: np.ndarray, window_ns: float, n_windows: int
 ) -> np.ndarray:
@@ -187,9 +301,24 @@ def _max_per_window(
         return np.zeros(n_windows)
     pos = np.searchsorted(times, edges[:-1], side="right") - 1
     maxes = np.where(pos >= 0, values[np.maximum(pos, 0)], 0.0)
-    widx = _window_index(times, window_ns, n_windows)
-    np.maximum.at(maxes, widx, values)
+    bounds = _window_bounds(times, window_ns, n_windows)
+    if bounds is None:
+        np.maximum.at(
+            maxes, _window_index(times, window_ns, n_windows), values
+        )
+        return maxes
+    # reduceat over the first event of each non-empty window: each
+    # slice runs to the next non-empty window's first event
+    occupied = np.flatnonzero(bounds[1:] > bounds[:-1])
+    maxes[occupied] = np.maximum(
+        maxes[occupied], np.maximum.reduceat(values, bounds[occupied])
+    )
     return maxes
+
+
+#: Matrix entries per block of the refresh-coverage integral: bounds
+#: its temporaries whatever the window count.
+_COVERAGE_BLOCK = 1 << 16
 
 
 def _coverage_per_window(
@@ -199,39 +328,82 @@ def _coverage_per_window(
     edges: np.ndarray,
     window_ns: float,
 ) -> np.ndarray:
-    """Per-window weighted coverage of non-overlapping intervals."""
+    """Per-window weighted coverage of non-overlapping intervals.
+
+    The ``(edges, intervals)`` matrix is summed a block of edge rows
+    at a time; each row's sum is the same whatever the block.
+    """
     if begins.shape[0] == 0:
         return np.zeros(edges.shape[0] - 1)
-    clipped = np.clip(
-        edges[:, None] - begins[None, :], 0.0, (ends - begins)[None, :]
-    )
-    integral = (clipped * weights[None, :]).sum(axis=1)
+    lengths = ends - begins
+    rows = max(1, _COVERAGE_BLOCK // begins.shape[0])
+    integral = np.empty(edges.shape[0])
+    for first in range(0, edges.shape[0], rows):
+        block = edges[first : first + rows, None]
+        clipped = np.clip(block - begins, 0.0, lengths)
+        integral[first : first + rows] = (clipped * weights).sum(axis=1)
     return np.diff(integral) / window_ns
 
 
 # ----------------------------------------------------------------------
 # reductions shared across documents (cached on the recorder)
 # ----------------------------------------------------------------------
-def _channel_busy(recorder: _t.Any, channel: int) -> _Step:
+def _channel_busy(recorder: _t.Any, channel: int) -> _Spans:
     """Busy union of one channel's service spans."""
-
-    def build() -> _Step:
-        rows = recorder.rows(channel)
-        return _occupancy_step(
-            recorder.start_service[rows], recorder.finish[rows]
-        )
-
-    return recorder._memo(("busy", channel), build)
+    return recorder._memo(
+        ("busy", channel),
+        lambda: _spans(recorder, recorder.rows(channel), channel),
+    )
 
 
-def _finish_window(
+class _Finishes(_t.NamedTuple):
+    """Every request's finish binned on one grid: ``index`` is each
+    one's window (trace order), ``bounds`` the cuts of
+    :func:`_window_bounds` when the finishes are sorted, else
+    ``None``."""
+
+    index: np.ndarray
+    bounds: _t.Optional[np.ndarray]
+
+
+def _finish_windows(
     recorder: _t.Any, window_ns: float, n_windows: int
-) -> np.ndarray:
-    """Window index of every request's finish on one grid."""
+) -> _Finishes:
+    """Every request's finish binned on one grid, cached per grid."""
+    finish = recorder.finish
     return recorder._memo(
         ("finish-window", window_ns, n_windows),
-        lambda: _window_index(recorder.finish, window_ns, n_windows),
+        lambda: _Finishes(
+            _window_index(finish, window_ns, n_windows),
+            _window_bounds(finish, window_ns, n_windows),
+        ),
     )
+
+
+def _finish_sums(
+    finishes: _Finishes,
+    n_windows: int,
+    values: _t.Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Per-window request counts (``values`` None, int64), or sums of
+    integer or boolean per-request ``values`` (float64), binned by
+    finish.
+
+    Integers add exactly in any order, so sorted finishes sum each
+    window's slice instead of scattering every request.
+    """
+    if finishes.bounds is None:
+        return np.bincount(
+            finishes.index, weights=values, minlength=n_windows
+        )
+    if values is None:
+        return np.diff(finishes.bounds)
+    occupied = np.flatnonzero(np.diff(finishes.bounds))
+    sums = np.zeros(n_windows)
+    sums[occupied] = np.add.reduceat(
+        values, finishes.bounds[occupied], dtype=np.int64
+    )
+    return sums
 
 
 def _recorded(
@@ -303,24 +475,18 @@ def build_timeseries(
     n = arrival.shape[0]
     window_s = window_ns * 1e-9
 
-    arrive_idx = _window_index(arrival, window_ns, count)
-    finish_idx = _finish_window(recorder, window_ns, count)
-    offered = np.bincount(arrive_idx, minlength=count) / window_s
-    served = np.bincount(finish_idx, minlength=count) / window_s
-
+    finishes = _finish_windows(recorder, window_ns, count)
+    offered = _window_counts(arrival, window_ns, count) / window_s
+    served = _finish_sums(finishes, count) / window_s
+    # bits per request are integers
     gbit = (
-        np.bincount(
-            finish_idx, weights=request_bits(config, op), minlength=count
-        )
+        _finish_sums(finishes, count, request_bits(config, op))
         / window_s
         / 1e9
     )
 
-    touches = outcome != _BROADCAST
-    touched = np.bincount(finish_idx[touches], minlength=count)
-    hits = np.bincount(
-        finish_idx[touches & (outcome == _HIT)], minlength=count
-    )
+    touched = _finish_sums(finishes, count, outcome != _BROADCAST)
+    hits = _finish_sums(finishes, count, outcome == _HIT)
     hit_rate = np.divide(
         hits,
         touched,
@@ -329,8 +495,8 @@ def build_timeseries(
     )
 
     # exact queue depth: +1 at each arrival, -1 at each service start
-    depth = _step(*_step_function(arrival, start))
-    depth_mean = _mean_per_window(depth, edges, window_ns)
+    depth = _depth_step(arrival, start)
+    depth_mean = np.diff(_integral_at(edges, depth)) / window_ns
     depth_max = _max_per_window(depth, edges, window_ns, count)
 
     # refresh blackout coverage (per-bank slices refresh one bank, so
@@ -362,31 +528,32 @@ def build_timeseries(
         all_bank = recorder.rows(ch, ALL_BANKS)
         ab = all_bank[op[all_bank] == Op.AB.code]
         pim = all_bank[op[all_bank] == Op.PIM.code]
-        ab_stall += _mean_per_window(
-            _occupancy_step(start[ab], finish[ab]), edges, window_ns
+        ab_stall += _busy_per_window(
+            _spans(recorder, ab, ch), edges, window_ns
         )
         banks = []
         for b in range(config.banks_per_channel):
-            mine = np.concatenate([recorder.rows(ch, b), pim])
-            busy = _occupancy_step(start[mine], finish[mine])
+            mine = recorder.rows(ch, b)
+            if pim.shape[0]:
+                mine = np.sort(np.concatenate([mine, pim]))
             banks.append(
                 {
                     "bank": b,
-                    "busy_fraction": _mean_per_window(
-                        busy, edges, window_ns
+                    "busy_fraction": _busy_per_window(
+                        _spans(recorder, mine, ch), edges, window_ns
                     ).tolist(),
                 }
             )
+        # disjoint spans in start order finish in order too
+        busy = _channel_busy(recorder, ch)
         channels.append(
             {
                 "channel": ch,
-                "busy_fraction": _mean_per_window(
-                    _channel_busy(recorder, ch), edges, window_ns
+                "busy_fraction": _busy_per_window(
+                    busy, edges, window_ns
                 ).tolist(),
                 "served_per_s": (
-                    np.bincount(
-                        finish_idx[recorder.rows(ch)], minlength=count
-                    )
+                    _window_counts(busy.finish, window_ns, count)
                     / window_s
                 ).tolist(),
                 "banks": banks,

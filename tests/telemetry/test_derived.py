@@ -2,10 +2,11 @@
 
 The time-series, energy, and timeline builders read one set of derived
 reductions per recorder (busy unions, the channel/bank grouping, window
-indices, per-event energies).  These tests pin the step-function
-machinery against naive references, and check that the cache can never
-leak between coefficient tables or make a document depend on which
-builder ran first.
+indices, per-event energies).  These tests pin the queue-depth step
+function — the production form and the sort-based oracle of
+``step_oracle.py`` — against naive references, and check that the cache
+can never leak between coefficient tables or make a document depend on
+which builder ran first.
 """
 
 import numpy as np
@@ -21,11 +22,8 @@ from repro.telemetry import (
     build_timeline,
     build_timeseries,
 )
-from repro.telemetry.timeseries import (
-    _max_per_window,
-    _step,
-    _step_function,
-)
+from repro.telemetry.timeseries import _depth_step, _max_per_window
+from tests.telemetry.step_oracle import step_function
 
 REFRESH = dict(trefi_ns=3900.0, trfc_ns=350.0)
 
@@ -41,19 +39,28 @@ def naive_step(plus, minus):
     return np.array(times, dtype=np.float64), np.array(values, dtype=float)
 
 
+def both_steps(plus, minus):
+    """``(times, values)`` of the production depth step and of the
+    oracle, for the same events."""
+    step = _depth_step(plus, minus)
+    return [(step.times, step.values), step_function(plus, minus)]
+
+
 class TestStepFunction:
     def test_empty_input(self):
-        times, values = _step_function(np.empty(0), np.empty(0))
-        assert times.shape == (0,) and values.shape == (0,)
-        assert values.dtype == np.float64
+        for times, values in both_steps(np.empty(0), np.empty(0)):
+            assert times.shape == (0,) and values.shape == (0,)
+            assert values.dtype == np.float64
 
     def test_coincident_plus_and_minus_cancel(self):
         plus = np.array([1.0, 2.0, 2.0, 5.0])
         minus = np.array([2.0, 2.0, 5.0, 7.0])
-        times, values = _step_function(plus, minus)
         ref_times, ref_values = naive_step(plus, minus)
-        assert times.tolist() == ref_times.tolist() == [1.0, 2.0, 5.0, 7.0]
-        assert values.tolist() == ref_values.tolist() == [1.0, 1.0, 1.0, 0.0]
+        assert ref_times.tolist() == [1.0, 2.0, 5.0, 7.0]
+        assert ref_values.tolist() == [1.0, 1.0, 1.0, 0.0]
+        for times, values in both_steps(plus, minus):
+            assert times.tolist() == ref_times.tolist()
+            assert values.tolist() == ref_values.tolist()
 
     @pytest.mark.parametrize("seed", range(5))
     def test_unsorted_input_with_ties_matches_naive(self, seed):
@@ -61,17 +68,19 @@ class TestStepFunction:
         plus = rng.integers(0, 40, size=120).astype(np.float64)
         minus = plus + rng.integers(0, 6, size=120)
         order = rng.permutation(120)
-        times, values = _step_function(plus[order], minus[rng.permutation(120)])
         ref_times, ref_values = naive_step(plus, minus)
-        assert times.tolist() == ref_times.tolist()
-        assert values.tolist() == ref_values.tolist()
+        for times, values in both_steps(
+            plus[order], minus[rng.permutation(120)]
+        ):
+            assert times.tolist() == ref_times.tolist()
+            assert values.tolist() == ref_values.tolist()
 
     @pytest.mark.parametrize("seed", range(3))
     def test_max_per_window_matches_naive(self, seed):
         rng = np.random.default_rng(seed)
         plus = rng.uniform(0.0, 90.0, size=80)
         minus = plus + rng.uniform(0.0, 12.0, size=80)
-        step = _step(*_step_function(plus, minus))
+        step = _depth_step(plus, minus)
         count, window_ns = 7, 100.0 / 7
         edges = np.arange(count + 1) * window_ns
         maxes = _max_per_window(step, edges, window_ns, count)
