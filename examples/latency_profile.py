@@ -26,6 +26,7 @@ from repro.telemetry import (
     ReplayTelemetry,
     memsys_metrics,
     validate_timeline,
+    write_timeline,
 )
 
 N = 20_000
@@ -85,7 +86,7 @@ def main() -> None:
     # 5. the command timeline (open in Perfetto / chrome://tracing)
     # ------------------------------------------------------------------
     with tempfile.TemporaryDirectory() as tmp:
-        path = fast.write_timeline(pathlib.Path(tmp) / "timeline.json")
+        path = write_timeline(fast, pathlib.Path(tmp) / "timeline.json")
         document = json.loads(path.read_text())
         problems = validate_timeline(document)
         spans = sum(

@@ -21,6 +21,13 @@ certificate failed — falls back to a full single-process replay.
 Every path ends in a bit-exact result or a typed
 :class:`~repro.errors.FarmError`; the farm never returns an
 approximate answer.
+
+One supervisor loop serves both worker kinds — a worker process, or
+an attempt run synchronously in the supervisor — and settles every
+attempt through the same verify / ledger / retry / degrade path.  The
+kinds differ in one respect: nothing can interrupt an in-process
+attempt, so no deadline or heartbeat watches it, and an injected hang
+becomes an immediate :class:`~repro.errors.ShardTimeout`.
 """
 
 from __future__ import annotations
@@ -91,11 +98,16 @@ class FarmConfig:
         Worker-process cap; ``0`` (default) means
         ``min(n_shards, os.cpu_count())``.
     mode:
-        ``"process"`` (real worker processes), ``"inprocess"`` (shards
-        replayed sequentially in the supervisor — the degraded path,
-        also the deterministic substrate for chaos tests), or
-        ``"auto"`` (processes when multiprocessing is usable and more
-        than one shard/worker exists).
+        The worker kind the one supervisor loop launches:
+        ``"process"`` (real worker processes under deadline and
+        heartbeat watch), ``"inprocess"`` (each attempt runs
+        synchronously in the supervisor, so no deadline or heartbeat
+        can interrupt it and an injected hang is an immediate
+        timeout — the degraded path, also the deterministic substrate
+        for chaos tests), or ``"auto"`` (processes when
+        multiprocessing is usable and more than one shard/worker
+        exists).  Retries, backoff, verification, the ledger and the
+        event log are the same for both kinds.
     engine:
         Passed to each worker's :meth:`MemorySystem.replay
         <repro.memsys.MemorySystem.replay>` (see
@@ -403,6 +415,14 @@ class _Active:
         self.last_seen = self.started
 
 
+def _reap(state: _Active) -> None:
+    """Close a process attempt's pipe and make sure it is gone."""
+    state.conn.close()
+    if state.proc.is_alive():
+        state.proc.kill()
+    state.proc.join(timeout=5.0)
+
+
 class WorkerPool:
     """Supervise shard replays: launch, watch, retry, degrade.
 
@@ -464,14 +484,10 @@ class WorkerPool:
             )
             for shard in plan.shards
         ]
-        if mode == "process":
-            results = self._run_processes(plan, fault_plan, report, workers)
-        else:
-            results = self._run_inprocess(plan, fault_plan, report)
-        return results, report
+        return self._supervise(plan, fault_plan, report, workers), report
 
     # ------------------------------------------------------------------
-    # shared failure accounting
+    # backoff, verification, degradation
     # ------------------------------------------------------------------
     def _backoff_delay(self, shard_id: int, attempt: int) -> float:
         farm = self.farm
@@ -482,28 +498,6 @@ class WorkerPool:
         lo = 1.0 - farm.jitter
         span = 2.0 * farm.jitter
         return base * (lo + span * rng.random())
-
-    def _note_failure(
-        self,
-        report: FarmReport,
-        shard: Shard,
-        attempt: int,
-        error: FarmError,
-    ) -> _t.Tuple[str, float]:
-        """Record one failed attempt; decide ``retry`` or ``degrade``."""
-        outcome = report.shards[shard.shard_id]
-        outcome.errors.append(f"{type(error).__name__}: {error}")
-        report.errors.append(f"{type(error).__name__}: {error}")
-        if isinstance(error, ShardTimeout):
-            report.timeouts += 1
-        elif isinstance(error, ResultIntegrityError):
-            report.integrity_failures += 1
-        else:
-            report.crashes += 1
-        if attempt < self.farm.max_retries:
-            report.retries += 1
-            return "retry", self._backoff_delay(shard.shard_id, attempt)
-        return "degrade", 0.0
 
     def _verify_result(
         self, shard: Shard, attempt: int, result: _t.Any
@@ -554,14 +548,7 @@ class WorkerPool:
             detail="retry budget exhausted: fault-free in-process replay",
         ):
             result = _run_shard(
-                plan.config,
-                shard.trace.op_codes,
-                shard.trace.addrs,
-                shard.trace.times,
-                shard.channels,
-                self.farm.engine,
-                fault=None,
-                inprocess=True,
+                *self._shard_args(plan, shard), fault=None, inprocess=True
             )
         report.degraded_shards += 1
         report.attempts += 1
@@ -572,131 +559,71 @@ class WorkerPool:
         return result
 
     # ------------------------------------------------------------------
-    # in-process execution (degraded mode; chaos substrate)
+    # the supervisor loop (one loop, two worker kinds)
     # ------------------------------------------------------------------
-    def _run_inprocess(
+    def _shard_args(self, plan: ShardPlan, shard: Shard) -> tuple:
+        """The leading positional arguments of :func:`_run_shard`."""
+        trace = shard.trace
+        return (
+            plan.config, trace.op_codes, trace.addrs, trace.times,
+            shard.channels, self.farm.engine,
+        )
+
+    def _run_here(
         self,
         plan: ShardPlan,
-        fault_plan: _t.Optional[_chaos.FaultPlan],
-        report: FarmReport,
-    ) -> _t.Dict[int, _t.Dict[str, _t.Any]]:
-        results: _t.Dict[int, _t.Dict[str, _t.Any]] = {}
-        for shard in plan.shards:
-            attempt = 0
-            while True:
-                report.attempts += 1
-                report.shards[shard.shard_id].attempts += 1
-                fault = (
-                    fault_plan.fault_for(shard.shard_id, attempt)
-                    if fault_plan is not None
-                    else None
-                )
-                if fault is not None:
-                    self.events.point(
-                        f"chaos-{fault.kind}",
-                        shard_id=shard.shard_id,
-                        attempt=attempt,
-                        detail="injected fault",
-                    )
-                dispatch_start = self.events.now()
-                error: FarmError
-                try:
-                    try:
-                        result = _run_shard(
-                            plan.config,
-                            shard.trace.op_codes,
-                            shard.trace.addrs,
-                            shard.trace.times,
-                            shard.channels,
-                            self.farm.engine,
-                            fault=fault,
-                            inprocess=True,
-                        )
-                    finally:
-                        self.events.record(
-                            "dispatch",
-                            dispatch_start,
-                            self.events.now(),
-                            shard_id=shard.shard_id,
-                            attempt=attempt,
-                        )
-                    with self.events.span(
-                        "verify", shard_id=shard.shard_id, attempt=attempt
-                    ):
-                        self._verify_result(shard, attempt, result)
-                except _chaos.ChaosKill:
-                    error = WorkerCrash(
-                        f"shard {shard.shard_id} worker died "
-                        f"(attempt {attempt})",
-                        shard_id=shard.shard_id,
-                        attempt=attempt,
-                    )
-                except _chaos.ChaosHang:
-                    error = ShardTimeout(
-                        f"shard {shard.shard_id} went silent past "
-                        f"{self.farm.heartbeat_timeout_s}s "
-                        f"(attempt {attempt})",
-                        shard_id=shard.shard_id,
-                        attempt=attempt,
-                    )
-                except ResultIntegrityError as integrity:
-                    error = integrity
-                except Exception as other:  # genuine replay failure
-                    error = WorkerCrash(
-                        f"shard {shard.shard_id} worker raised "
-                        f"{type(other).__name__}: {other}",
-                        shard_id=shard.shard_id,
-                        attempt=attempt,
-                    )
-                else:
-                    outcome = report.shards[shard.shard_id]
-                    outcome.engine = result["engine"]
-                    results[shard.shard_id] = result
-                    self.events.point(
-                        "shard-done",
-                        shard_id=shard.shard_id,
-                        attempt=attempt,
-                        detail=str(result["engine"]),
-                    )
-                    break
-                action, delay = self._note_failure(
-                    report, shard, attempt, error
-                )
-                self.events.point(
-                    "attempt-failed",
-                    shard_id=shard.shard_id,
-                    attempt=attempt,
-                    detail=type(error).__name__,
-                )
-                if action == "retry":
-                    if delay > 0:
-                        with self.events.span(
-                            "retry-backoff",
-                            shard_id=shard.shard_id,
-                            attempt=attempt,
-                        ):
-                            time.sleep(delay)
-                    attempt += 1
-                    continue
-                results[shard.shard_id] = self._degrade(plan, shard, report)
-                break
-        return results
+        shard: Shard,
+        attempt: int,
+        fault: _t.Optional[_chaos.Fault],
+    ) -> _t.Union[_t.Dict[str, _t.Any], FarmError]:
+        """One in-process attempt, run synchronously: the payload, or
+        the typed error a worker process would have earned."""
+        sid = shard.shard_id
+        try:
+            return _run_shard(
+                *self._shard_args(plan, shard), fault=fault, inprocess=True
+            )
+        except _chaos.ChaosKill:
+            return WorkerCrash(
+                f"shard {sid} worker died (attempt {attempt})",
+                shard_id=sid,
+                attempt=attempt,
+            )
+        except _chaos.ChaosHang:
+            return ShardTimeout(
+                f"shard {sid} went silent past "
+                f"{self.farm.heartbeat_timeout_s}s (attempt {attempt})",
+                shard_id=sid,
+                attempt=attempt,
+            )
+        except Exception as other:  # genuine replay failure
+            return WorkerCrash(
+                f"shard {sid} worker raised "
+                f"{type(other).__name__}: {other}",
+                shard_id=sid,
+                attempt=attempt,
+            )
 
-    # ------------------------------------------------------------------
-    # process execution
-    # ------------------------------------------------------------------
-    def _run_processes(
+    def _supervise(
         self,
         plan: ShardPlan,
         fault_plan: _t.Optional[_chaos.FaultPlan],
         report: FarmReport,
         workers: int,
     ) -> _t.Dict[int, _t.Dict[str, _t.Any]]:
-        """Supervise worker processes, at most ``workers`` at a time
-        (the count :meth:`resolve_mode` computed, never the raw
-        ``0 = auto`` config value)."""
+        """Run every shard, at most ``workers`` attempts at a time (the
+        count :meth:`resolve_mode` computed, never the raw ``0 = auto``
+        config value), on the worker kind ``report.mode`` names.
+
+        A process attempt is watched through its pipe, heartbeat and
+        deadline; an in-process attempt runs to completion when it is
+        launched.  Both end in ``settle``, which keeps the ledger
+        and the event log and queues the retry or the degradation.
+        """
         farm = self.farm
-        ctx = _mp_context()
+        events = self.events
+        inprocess = report.mode == "inprocess"
+        ctx = None if inprocess else _mp_context()
         results: _t.Dict[int, _t.Dict[str, _t.Any]] = {}
         degraded: _t.List[Shard] = []
         # (ready_at, shard, attempt) — retries wait out their backoff
@@ -710,106 +637,128 @@ class WorkerPool:
             0.005, min(0.1, farm.heartbeat_interval_s / 2.0)
         )
 
-        def _launch(shard: Shard, attempt: int) -> None:
+        def settle(
+            shard: Shard,
+            attempt: int,
+            started: float,
+            outcome: _t.Union[_t.Dict[str, _t.Any], FarmError],
+        ) -> None:
+            nonlocal outstanding
+            sid = shard.shard_id
+            if not isinstance(outcome, FarmError):
+                try:
+                    with events.span(
+                        "verify", shard_id=sid, attempt=attempt
+                    ):
+                        self._verify_result(shard, attempt, outcome)
+                except ResultIntegrityError as integrity:
+                    outcome = integrity
+            events.record(
+                "dispatch",
+                events.since(started),
+                events.now(),
+                shard_id=sid,
+                attempt=attempt,
+            )
+            if not isinstance(outcome, FarmError):
+                events.point(
+                    "shard-done",
+                    shard_id=sid,
+                    attempt=attempt,
+                    detail=str(outcome["engine"]),
+                )
+                results[sid] = outcome
+                report.shards[sid].engine = outcome["engine"]
+                outstanding -= 1
+                return
+            events.point(
+                "attempt-failed",
+                shard_id=sid,
+                attempt=attempt,
+                detail=type(outcome).__name__,
+            )
+            message = f"{type(outcome).__name__}: {outcome}"
+            report.shards[sid].errors.append(message)
+            report.errors.append(message)
+            if isinstance(outcome, ShardTimeout):
+                report.timeouts += 1
+            elif isinstance(outcome, ResultIntegrityError):
+                report.integrity_failures += 1
+            else:
+                report.crashes += 1
+            if attempt < farm.max_retries:
+                report.retries += 1
+                delay = self._backoff_delay(sid, attempt)
+                now_s = events.now()
+                events.record(
+                    "retry-backoff", now_s, now_s + delay,
+                    shard_id=sid, attempt=attempt,
+                )
+                queue.append(
+                    (time.monotonic() + delay, shard, attempt + 1)
+                )
+            else:
+                degraded.append(shard)
+                outstanding -= 1
+
+        def launch(shard: Shard, attempt: int) -> None:
+            sid = shard.shard_id
             fault = (
-                fault_plan.fault_for(shard.shard_id, attempt)
+                fault_plan.fault_for(sid, attempt)
                 if fault_plan is not None
                 else None
             )
             if fault is not None:
-                self.events.point(
+                events.point(
                     f"chaos-{fault.kind}",
-                    shard_id=shard.shard_id,
+                    shard_id=sid,
                     attempt=attempt,
                     detail="injected fault",
                 )
+            report.attempts += 1
+            report.shards[sid].attempts += 1
+            if inprocess:
+                started = time.monotonic()
+                outcome = self._run_here(plan, shard, attempt, fault)
+                return settle(shard, attempt, started, outcome)
             parent_conn, child_conn = ctx.Pipe(duplex=False)
             proc = ctx.Process(
                 target=_worker_main,
                 args=(
-                    child_conn,
-                    shard.shard_id,
-                    plan.config,
-                    shard.trace.op_codes,
-                    shard.trace.addrs,
-                    shard.trace.times,
-                    shard.channels,
-                    farm.engine,
-                    fault,
-                    farm.heartbeat_interval_s,
+                    child_conn, sid, *self._shard_args(plan, shard),
+                    fault, farm.heartbeat_interval_s,
                 ),
-                name=f"farm-shard{shard.shard_id}-a{attempt}",
+                name=f"farm-shard{sid}-a{attempt}",
                 daemon=True,
             )
             proc.start()
             child_conn.close()
-            report.attempts += 1
-            report.shards[shard.shard_id].attempts += 1
-            active[shard.shard_id] = _Active(
-                shard, attempt, proc, parent_conn
-            )
+            active[sid] = _Active(shard, attempt, proc, parent_conn)
 
-        def _reap(state: _Active) -> None:
-            state.conn.close()
-            if state.proc.is_alive():
-                state.proc.kill()
-            state.proc.join(timeout=5.0)
-            active.pop(state.shard.shard_id, None)
-
-        def _fail(state: _Active, error: FarmError) -> None:
-            nonlocal outstanding
+        def finish(state: _Active, outcome) -> None:
+            """Settle a process attempt, then reap it (a worker that
+            sent its result exits while the result is verified)."""
+            active.pop(state.shard.shard_id)
+            settle(state.shard, state.attempt, state.started, outcome)
             _reap(state)
-            self.events.record(
-                "dispatch",
-                self.events.since(state.started),
-                self.events.now(),
-                shard_id=state.shard.shard_id,
-                attempt=state.attempt,
-            )
-            self.events.point(
-                "attempt-failed",
-                shard_id=state.shard.shard_id,
-                attempt=state.attempt,
-                detail=type(error).__name__,
-            )
-            action, delay = self._note_failure(
-                report, state.shard, state.attempt, error
-            )
-            if action == "retry":
-                now_s = self.events.now()
-                self.events.record(
-                    "retry-backoff",
-                    now_s,
-                    now_s + delay,
-                    shard_id=state.shard.shard_id,
-                    attempt=state.attempt,
-                )
-                queue.append(
-                    (
-                        time.monotonic() + delay,
-                        state.shard,
-                        state.attempt + 1,
-                    )
-                )
-            else:
-                degraded.append(state.shard)
-                outstanding -= 1
 
         try:
             # ``outstanding`` counts shards neither merged nor degraded
             while outstanding:
-                now = time.monotonic()
-                if queue and len(active) < workers:
-                    queue.sort(key=lambda item: item[0])
-                    while queue and len(active) < workers:
-                        if queue[0][0] > now:
-                            break
-                        _, shard, attempt = queue.pop(0)
-                        _launch(shard, attempt)
-                conns = {
-                    state.conn: state for state in active.values()
-                }
-                if not conns:
+                # launch the lowest due shard id first
+                while queue and len(active) < workers:
+                    now = time.monotonic()
+                    due = [
+                        i for i, item in enumerate(queue) if item[0] <= now
+                    ]
+                    if not due:
+                        break
+                    index = min(due, key=lambda i: queue[i][1].shard_id)
+                    _, shard, attempt = queue.pop(index)
+                    launch(shard, attempt)
+                if not outstanding:
+                    break
+                if not active:
                     if not queue or workers < 1:
                         # liveness: nothing runs and nothing can launch,
                         # yet shards are outstanding — fail loudly
@@ -819,108 +768,66 @@ class WorkerPool:
                             f"shard(s) outstanding, none active, none "
                             f"launchable (workers={workers})"
                         )
-                    time.sleep(poll_s)
+                    # only backoffs remain: wait for the earliest
+                    ready_at = min(item[0] for item in queue)
+                    time.sleep(max(0.0, ready_at - time.monotonic()))
                     continue
+                conns = {state.conn: state for state in active.values()}
                 for conn in _mp_connection.wait(
                     list(conns), timeout=poll_s
                 ):
                     state = conns[conn]
+                    sid, attempt = state.shard.shard_id, state.attempt
                     try:
                         message = conn.recv()
                     except (EOFError, OSError):
-                        _fail(
+                        finish(
                             state,
                             WorkerCrash(
-                                f"shard {state.shard.shard_id} worker "
-                                f"died (exitcode "
+                                f"shard {sid} worker died (exitcode "
                                 f"{state.proc.exitcode}, attempt "
-                                f"{state.attempt})",
-                                shard_id=state.shard.shard_id,
-                                attempt=state.attempt,
+                                f"{attempt})",
+                                shard_id=sid,
+                                attempt=attempt,
                             ),
                         )
                         continue
                     state.last_seen = time.monotonic()
-                    kind = message[0]
-                    if kind == "heartbeat":
-                        self.events.point(
-                            "heartbeat",
-                            shard_id=state.shard.shard_id,
-                            attempt=state.attempt,
+                    if message[0] == "heartbeat":
+                        events.point(
+                            "heartbeat", shard_id=sid, attempt=attempt
                         )
-                        continue
-                    if kind == "error":
-                        _fail(
+                    elif message[0] == "error":
+                        finish(
                             state,
                             WorkerCrash(
-                                f"shard {state.shard.shard_id} worker "
-                                f"raised {message[2]} (attempt "
-                                f"{state.attempt})",
-                                shard_id=state.shard.shard_id,
-                                attempt=state.attempt,
+                                f"shard {sid} worker raised "
+                                f"{message[2]} (attempt {attempt})",
+                                shard_id=sid,
+                                attempt=attempt,
                             ),
                         )
-                        continue
-                    # a result: verify the seal before accepting
-                    result = message[2]
-                    try:
-                        with self.events.span(
-                            "verify",
-                            shard_id=state.shard.shard_id,
-                            attempt=state.attempt,
-                        ):
-                            self._verify_result(
-                                state.shard, state.attempt, result
-                            )
-                    except ResultIntegrityError as integrity:
-                        _fail(state, integrity)
-                        continue
-                    self.events.record(
-                        "dispatch",
-                        self.events.since(state.started),
-                        self.events.now(),
-                        shard_id=state.shard.shard_id,
-                        attempt=state.attempt,
-                    )
-                    self.events.point(
-                        "shard-done",
-                        shard_id=state.shard.shard_id,
-                        attempt=state.attempt,
-                        detail=str(result["engine"]),
-                    )
-                    _reap(state)
-                    results[state.shard.shard_id] = result
-                    report.shards[
-                        state.shard.shard_id
-                    ].engine = result["engine"]
-                    outstanding -= 1
+                    else:
+                        finish(state, message[2])
                 # deadline + heartbeat-silence sweep
                 now = time.monotonic()
                 for state in list(active.values()):
+                    sid, attempt = state.shard.shard_id, state.attempt
                     silent = now - state.last_seen
-                    alive_for = now - state.started
                     if silent > farm.heartbeat_timeout_s:
-                        _fail(
-                            state,
-                            ShardTimeout(
-                                f"shard {state.shard.shard_id} went "
-                                f"silent for {silent:.1f}s (attempt "
-                                f"{state.attempt})",
-                                shard_id=state.shard.shard_id,
-                                attempt=state.attempt,
-                            ),
-                        )
-                    elif alive_for > farm.deadline_s:
-                        _fail(
-                            state,
-                            ShardTimeout(
-                                f"shard {state.shard.shard_id} "
-                                f"exceeded its {farm.deadline_s}s "
-                                f"deadline (attempt {state.attempt})",
-                                shard_id=state.shard.shard_id,
-                                attempt=state.attempt,
-                            ),
-                        )
+                        why = f"went silent for {silent:.1f}s"
+                    elif now - state.started > farm.deadline_s:
+                        why = f"exceeded its {farm.deadline_s}s deadline"
+                    else:
+                        continue
+                    finish(
+                        state,
+                        ShardTimeout(
+                            f"shard {sid} {why} (attempt {attempt})",
+                            shard_id=sid,
+                            attempt=attempt,
+                        ),
+                    )
         finally:
             for state in list(active.values()):
                 _reap(state)
@@ -1074,13 +981,11 @@ def _single_process_fallback(
     telemetry: _t.Optional["ReplayTelemetry"],
     report: FarmReport,
     reason: str,
-    events: _t.Optional[FarmEventLog] = None,
+    events: FarmEventLog,
 ) -> FarmResult:
     """Graceful degradation: one exact single-process replay."""
     report.fell_back_to_single = True
     report.fallback_reason = reason
-    if events is None:
-        events = FarmEventLog()
     system = MemorySystem(config)
     engine = farm.engine
     with events.span("fallback", detail=reason):

@@ -426,88 +426,6 @@ class ReplayTelemetry:
             self.profiler.metrics_into(registry, **tags)
         return registry
 
-    # ------------------------------------------------------------------
-    def timeline(
-        self, max_events: _t.Optional[int] = None
-    ) -> dict:
-        """The Chrome-trace-event document for this replay."""
-        from .timeline import build_timeline
-
-        if max_events is None:
-            return build_timeline(self)
-        return build_timeline(self, max_events=max_events)
-
-    def write_timeline(
-        self,
-        path: _t.Any,
-        max_events: _t.Optional[int] = None,
-    ):
-        """Write the timeline JSON; returns the path."""
-        from .timeline import write_timeline
-
-        return write_timeline(self, path, max_events=max_events)
-
-    # ------------------------------------------------------------------
-    def timeseries(
-        self,
-        window_ns: _t.Optional[float] = None,
-        n_windows: _t.Optional[int] = None,
-    ) -> dict:
-        """The ``timeseries-v2`` windowed-metrics document."""
-        from .timeseries import build_timeseries
-
-        return build_timeseries(
-            self, window_ns=window_ns, n_windows=n_windows
-        )
-
-    def write_timeseries(
-        self,
-        path: _t.Any,
-        window_ns: _t.Optional[float] = None,
-        n_windows: _t.Optional[int] = None,
-    ):
-        """Write the time-series JSON; returns the path."""
-        from .timeseries import write_timeseries
-
-        return write_timeseries(
-            self, path, window_ns=window_ns, n_windows=n_windows
-        )
-
-    # ------------------------------------------------------------------
-    def energy(
-        self,
-        coefficients: _t.Optional[_t.Any] = None,
-        window_ns: _t.Optional[float] = None,
-        n_windows: _t.Optional[int] = None,
-    ) -> dict:
-        """The ``energy-v1`` command-level energy document."""
-        from .energy import build_energy
-
-        return build_energy(
-            self,
-            coefficients=coefficients,
-            window_ns=window_ns,
-            n_windows=n_windows,
-        )
-
-    def write_energy(
-        self,
-        path: _t.Any,
-        coefficients: _t.Optional[_t.Any] = None,
-        window_ns: _t.Optional[float] = None,
-        n_windows: _t.Optional[int] = None,
-    ):
-        """Write the energy JSON; returns the path."""
-        from .energy import write_energy
-
-        return write_energy(
-            self,
-            path,
-            coefficients=coefficients,
-            window_ns=window_ns,
-            n_windows=n_windows,
-        )
-
     def __repr__(self) -> str:
         return (
             f"<ReplayTelemetry engine={self.engine!r} "

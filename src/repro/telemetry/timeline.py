@@ -133,7 +133,15 @@ def _span(
 def build_timeline(
     telemetry: "ReplayTelemetry", max_events: int = MAX_EVENTS
 ) -> dict:
-    """Build the Chrome-trace document from one recorded replay."""
+    """Build the Chrome-trace document from one recorded replay.
+
+    Each family of spans (service, queue-wait, row, refresh, energy,
+    farm) contributes columns first: the sort key ``ts``, the thread
+    id, and a builder that turns positions in the family into event
+    dicts.  One stable sort orders every span by ``(ts, tid)``, and
+    only the first ``max_events`` become dicts, so a replay far past
+    the cap costs a few arrays per span, not an object per span.
+    """
     recorder, config = _recorded(telemetry, "timeline export")
     from ..memsys.request import OPS_BY_CODE, Op
 
@@ -153,41 +161,54 @@ def build_timeline(
 
     ab_code = Op.AB.code
     pim_code = Op.PIM.code
-    spans: _t.List[dict] = []
+    # (ts, tid, build) per span family; ``build(positions)`` yields the
+    # event dicts of the family's spans at those positions
+    families: _t.List[_t.Tuple[np.ndarray, np.ndarray, _t.Callable]] = []
 
     # --- service spans (one per request, on its bank track) -----------
-    for i in range(n):
-        ch = int(channel[i])
-        b = int(bank[i])
-        code = int(op[i])
-        out = int(outcome[i])
-        if code == ab_code:
-            name, cat, tid = "AB barrier", "barrier", layout["all_banks"]
-        elif code == pim_code:
-            name = f"PIM {OUTCOME_NAMES[out]}"
-            cat, tid = "service", layout["all_banks"]
-        else:
-            name, cat, tid = OUTCOME_NAMES[out], "service", b
-        spans.append(
-            _span(
-                name, cat, ch, tid, float(start[i]), float(finish[i]),
-                args={"row": int(row[i]), "op": OPS_BY_CODE[code].value},
+    def service(index: np.ndarray) -> _t.Iterator[dict]:
+        for ch, b, code, out, begin, end, r in zip(
+            channel[index].tolist(), bank[index].tolist(),
+            op[index].tolist(), outcome[index].tolist(),
+            start[index].tolist(), finish[index].tolist(),
+            row[index].tolist(),
+        ):
+            if code == ab_code:
+                name, cat, tid = "AB barrier", "barrier", layout["all_banks"]
+            elif code == pim_code:
+                name = f"PIM {OUTCOME_NAMES[out]}"
+                cat, tid = "service", layout["all_banks"]
+            else:
+                name, cat, tid = OUTCOME_NAMES[out], "service", b
+            yield _span(
+                name, cat, ch, tid, begin, end,
+                args={"row": r, "op": OPS_BY_CODE[code].value},
             )
-        )
-        # --- queue-wait spans (admission -> service start) ------------
-        wait = float(start[i]) - float(arrival[i])
-        if wait > 0.0:
-            spans.append(
-                _span(
-                    "queue-wait",
-                    "queue",
-                    ch,
-                    layout["queue"],
-                    float(arrival[i]),
-                    float(start[i]),
-                    args={"op": OPS_BY_CODE[code].value},
-                )
+
+    lockstep = (op == ab_code) | (op == pim_code)
+    families.append(
+        (start / 1000.0, np.where(lockstep, layout["all_banks"], bank),
+         service)
+    )
+
+    # --- queue-wait spans (admission -> service start) ----------------
+    waited = np.nonzero(start - arrival > 0.0)[0]
+
+    def queue(index: np.ndarray) -> _t.Iterator[dict]:
+        index = waited[index]
+        for ch, code, begin, end in zip(
+            channel[index].tolist(), op[index].tolist(),
+            arrival[index].tolist(), start[index].tolist(),
+        ):
+            yield _span(
+                "queue-wait", "queue", ch, layout["queue"], begin, end,
+                args={"op": OPS_BY_CODE[code].value},
             )
+
+    families.append(
+        (arrival[waited] / 1000.0,
+         np.full(waited.shape[0], layout["queue"]), queue)
+    )
 
     # --- row open/close spans (derived from outcome boundaries) -------
     # A row opens at the start of each miss/conflict and stays latched
@@ -196,67 +217,59 @@ def build_timeline(
     # PIM ops get their own track.  Refresh precharges are already
     # reflected in the recorded outcomes (the next access is a miss),
     # so span boundaries line up with the blackout track.
-    touches = op != ab_code
-    order = np.lexsort(
-        (start[touches], bank[touches], channel[touches])
+    touches = np.nonzero(op != ab_code)[0]
+    t_idx = touches[
+        np.lexsort((start[touches], bank[touches], channel[touches]))
+    ]
+    t_ch, t_bank = channel[t_idx], bank[t_idx]
+    new_track = np.ones(t_idx.shape[0], dtype=bool)
+    new_track[1:] = (t_ch[1:] != t_ch[:-1]) | (t_bank[1:] != t_bank[:-1])
+    track = np.cumsum(new_track) - 1
+    track_last = np.append(
+        np.nonzero(new_track)[0][1:] - 1, t_idx.shape[0] - 1
     )
-    t_idx = np.nonzero(touches)[0][order]
-    span_open: _t.Optional[_t.Tuple[int, int, int, float]] = None
-    last_finish = 0.0
-    hit_code = OUTCOME_NAMES.index("hit")
-    for i in t_idx.tolist():
-        ch, b = int(channel[i]), int(bank[i])
-        tid = (
-            layout["rows_all_banks"]
-            if b == ALL_BANKS
-            else layout["rows"][b]
-        )
-        if span_open is not None and span_open[:2] != (ch, tid):
-            o_ch, o_tid, o_row, o_start = (
-                span_open[0], span_open[1], span_open[2], span_open[3],
-            )
-            spans.append(
-                _span(
-                    f"row {o_row}", "row", o_ch, o_tid, o_start,
-                    last_finish,
-                )
-            )
-            span_open = None
-        if int(outcome[i]) != hit_code:  # miss/conflict: row turnover
-            if span_open is not None:
-                spans.append(
-                    _span(
-                        f"row {span_open[2]}", "row", span_open[0],
-                        span_open[1], span_open[3], float(start[i]),
-                    )
-                )
-            span_open = (ch, tid, int(row[i]), float(start[i]))
-        last_finish = float(finish[i])
-    if span_open is not None:
-        spans.append(
-            _span(
-                f"row {span_open[2]}", "row", span_open[0],
-                span_open[1], span_open[3], last_finish,
-            )
-        )
+    opens = np.nonzero(outcome[t_idx] != OUTCOME_NAMES.index("hit"))[0]
+    row_end = finish[t_idx[track_last[track[opens]]]]
+    closed = track[opens[1:]] == track[opens[:-1]]
+    row_end[:-1][closed] = start[t_idx[opens[1:][closed]]]
+    opens = t_idx[opens]
+    row_tid = np.where(
+        bank[opens] == ALL_BANKS,
+        layout["rows_all_banks"],
+        layout["rows"][0] + bank[opens],
+    )
+
+    def rows(index: np.ndarray) -> _t.Iterator[dict]:
+        for ch, tid, r, begin, end in zip(
+            channel[opens[index]].tolist(), row_tid[index].tolist(),
+            row[opens[index]].tolist(), start[opens[index]].tolist(),
+            row_end[index].tolist(),
+        ):
+            yield _span(f"row {r}", "row", ch, tid, begin, end)
+
+    families.append((start[opens] / 1000.0, row_tid, rows))
 
     # --- refresh blackout spans ---------------------------------------
     schedule = config.refresh_schedule()
     if schedule is not None and makespan == makespan:
         blackouts = list(schedule.blackouts(makespan))
-        for ch in range(config.n_channels):
-            for begin, end, which in blackouts:
-                name = (
-                    "refresh"
-                    if which is None
-                    else f"refresh b{which}"
+
+        def refresh(index: np.ndarray) -> _t.Iterator[dict]:
+            for k in index.tolist():
+                ch, j = divmod(k, len(blackouts))
+                begin, end, which = blackouts[j]
+                name = "refresh" if which is None else f"refresh b{which}"
+                yield _span(
+                    name, "refresh", ch, layout["refresh"], begin, end
                 )
-                spans.append(
-                    _span(
-                        name, "refresh", ch, layout["refresh"],
-                        begin, end,
-                    )
-                )
+
+        begins = np.array([b for b, _, _ in blackouts], dtype=np.float64)
+        families.append(
+            (np.tile(begins / 1000.0, config.n_channels),
+             np.full(begins.shape[0] * config.n_channels,
+                     layout["refresh"]),
+             refresh)
+        )
 
     # --- energy breakdown track (one per channel) ---------------------
     # Windowed power spans from the command-level energy accounting:
@@ -283,32 +296,37 @@ def build_timeline(
                 weights=refresh_pj,
                 minlength=count,
             ) / config.n_channels
-        for ch in range(config.n_channels):
-            mine = recorder.rows(ch)
-            event_per_window = np.bincount(
-                finish_idx[mine],
-                weights=event[mine],
-                minlength=count,
+        event_per_window = [
+            np.bincount(
+                finish_idx[mine], weights=event[mine], minlength=count
             )
-            total = event_per_window + refresh_per_window
-            for w in range(count):
+            for mine in map(recorder.rows, range(config.n_channels))
+        ]
+        total = [e + refresh_per_window for e in event_per_window]
+
+        def energy(index: np.ndarray) -> _t.Iterator[dict]:
+            for k in index.tolist():
+                ch, w = divmod(k, count)
                 begin_ns = w * window_ns
-                spans.append(
-                    _span(
-                        f"{total[w] / window_ns:.3g} mW",
-                        "energy",
-                        ch,
-                        layout["energy"],
-                        begin_ns,
-                        begin_ns + window_ns,
-                        args={
-                            "event_pj": float(event_per_window[w]),
-                            "refresh_pj": float(
-                                refresh_per_window[w]
-                            ),
-                        },
-                    )
+                yield _span(
+                    f"{total[ch][w] / window_ns:.3g} mW",
+                    "energy",
+                    ch,
+                    layout["energy"],
+                    begin_ns,
+                    begin_ns + window_ns,
+                    args={
+                        "event_pj": float(event_per_window[ch][w]),
+                        "refresh_pj": float(refresh_per_window[w]),
+                    },
                 )
+
+        families.append(
+            (np.tile(np.arange(count) * window_ns / 1000.0,
+                     config.n_channels),
+             np.full(count * config.n_channels, layout["energy"]),
+             energy)
+        )
 
     # --- farm worker/shard tracks (distributed replays only) ----------
     # The supervisor's span log renders as one extra process past the
@@ -320,13 +338,36 @@ def build_timeline(
     if farm_log is not None and len(farm_log) > 0:
         rendered = farm_log.timeline_events(config.n_channels)
         farm_metadata = [e for e in rendered if e["ph"] == "M"]
-        spans.extend(e for e in rendered if e["ph"] == "X")
+        farm = [e for e in rendered if e["ph"] == "X"]
+        families.append(
+            (np.array([e["ts"] for e in farm], dtype=np.float64),
+             np.array([e["tid"] for e in farm], dtype=np.int64),
+             lambda index: [farm[k] for k in index.tolist()])
+        )
 
+    # One stable sort by (ts, tid) over the families laid end to end.
+    # Spans that tie on both keys share a thread id, so they belong to
+    # one family — or one is a farm span, which comes last either way —
+    # and keep the order their family produced them in.
+    offsets = np.cumsum([0] + [f[0].shape[0] for f in families])
+    order = np.lexsort(
+        (
+            np.concatenate([f[1] for f in families]),
+            np.concatenate([f[0] for f in families]),
+        )
+    )
     truncated = 0
-    spans.sort(key=lambda event: (event["ts"], event["tid"]))
-    if len(spans) > max_events:
-        truncated = len(spans) - max_events
-        spans = spans[:max_events]
+    if order.shape[0] > max_events:
+        truncated = order.shape[0] - max_events
+        order = order[:max_events]
+    family_of = np.searchsorted(offsets, order, side="right") - 1
+    spans: _t.List[_t.Any] = [None] * order.shape[0]
+    for f, (_, _, build) in enumerate(families):
+        where = np.nonzero(family_of == f)[0]
+        for position, span in zip(
+            where.tolist(), build(order[where] - offsets[f])
+        ):
+            spans[position] = span
 
     events = _metadata_events(range(config.n_channels), n_banks)
     events.extend(farm_metadata)

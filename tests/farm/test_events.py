@@ -313,23 +313,46 @@ class TestChaosInjectionSpans:
         assert degrade.shard_id == 1
         assert "retry budget exhausted" in degrade.detail
 
-    def test_process_mode_kill_is_logged_identically(self):
-        _, result = _run(
-            FaultPlan.always(KILL, [0], attempts=1),
-            mode="process",
-            workers=2,
-        )
+    @pytest.mark.parametrize("kind", (KILL, CORRUPT))
+    def test_process_mode_kill_is_logged_identically(self, kind):
+        fault_plan = FaultPlan.always(kind, [0], attempts=1)
+        _, result = _run(fault_plan, mode="process", workers=2)
         events = result.events
         chaos = [
             (e.shard_id, e.attempt)
             for e in events.events
-            if e.kind == "chaos-kill"
+            if e.kind == f"chaos-{kind}"
         ]
         assert chaos == [(0, 0)]
         counts = events.counts()
         assert counts["attempt-failed"] == 1
         assert counts["shard-done"] == result.report.n_shards
         assert counts["merge"] == 1
+        # one supervisor loop drives both worker kinds: the same fault
+        # plan in-process leaves the same ledger, the same per-shard
+        # story and the same events (heartbeats are process-only)
+        _, inprocess = _run(fault_plan)
+        assert result.report.mode == "process"
+        assert inprocess.report.mode == "inprocess"
+
+        def ledger(report):
+            return (
+                report.attempts, report.retries, report.timeouts,
+                report.crashes, report.integrity_failures,
+                report.degraded_shards,
+                [
+                    (shard.attempts, shard.degraded, shard.engine)
+                    for shard in report.shards
+                ],
+            )
+
+        def kinds(log):
+            counts = log.counts()
+            counts.pop("heartbeat", None)
+            return counts
+
+        assert ledger(result.report) == ledger(inprocess.report)
+        assert kinds(result.events) == kinds(inprocess.events)
 
 
 class TestChaosTimelineIntegration:

@@ -212,7 +212,7 @@ class TestProcessSupervision:
         pool = WorkerPool(FarmConfig(mode="process"))
         report = FarmReport(mode="process", workers=0, n_shards=plan.n_shards)
         with pytest.raises(FarmError, match="stalled"):
-            pool._run_processes(plan, None, report, workers=0)
+            pool._supervise(plan, None, report, workers=0)
 
 
 class TestBackoff:

@@ -353,12 +353,7 @@ class TestBuildEnergy:
         document = json.loads(path.read_text())
         assert validate_energy(document) == []
         assert document["n_windows"] == 4
-        # the method forms build/write the identical document
-        assert telemetry.energy(n_windows=4) == document
-        path2 = telemetry.write_energy(
-            tmp_path / "again.json", n_windows=4
-        )
-        assert json.loads(path2.read_text()) == document
+        assert build_energy(telemetry, n_windows=4) == document
 
 
 class TestEnergyMetrics:

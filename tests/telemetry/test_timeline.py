@@ -20,6 +20,7 @@ from repro.telemetry import (
     validate_timeline,
     write_timeline,
 )
+from tests.telemetry.derivation_replays import REPLAYS
 
 
 def recorded_replay(config, trace):
@@ -135,6 +136,22 @@ class TestBuildTimeline:
         # earliest prefix of the full rendering
         assert kept == spans(full)[:100]
 
+    @pytest.mark.parametrize("name", sorted(REPLAYS))
+    def test_every_cap_keeps_a_prefix_of_the_full_document(self, name):
+        # the cap applies before any span dict exists: cuts inside and
+        # between the service, queue, row, refresh and energy families
+        # must still equal the full document's sorted prefix
+        telemetry = REPLAYS[name]()
+        full = build_timeline(telemetry, max_events=10**9)
+        total = len(spans(full))
+        assert full["otherData"]["truncated_events"] == 0
+        for cap in (0, 1, 7, total // 3, total - 1, total):
+            document = build_timeline(telemetry, max_events=cap)
+            assert spans(document) == spans(full)[:cap]
+            assert document["otherData"]["truncated_events"] == (
+                total - cap
+            )
+
     def test_requires_a_captured_latency_recorder(self):
         with pytest.raises(RuntimeError, match="captured replay"):
             build_timeline(ReplayTelemetry())
@@ -158,9 +175,7 @@ class TestBuildTimeline:
         assert path.exists()
         document = json.loads(path.read_text())
         assert validate_timeline(document) == []
-        # the method form writes the identical document
-        path2 = telemetry.write_timeline(tmp_path / "again.json")
-        assert json.loads(path2.read_text()) == document
+        assert build_timeline(telemetry) == document
 
 
 class TestValidateTimeline:

@@ -286,12 +286,7 @@ class TestBuildTimeseries:
         document = json.loads(path.read_text())
         assert validate_timeseries(document) == []
         assert document["n_windows"] == 4
-        # the method forms build/write the identical document
-        assert telemetry.timeseries(n_windows=4) == document
-        path2 = telemetry.write_timeseries(
-            tmp_path / "again.json", n_windows=4
-        )
-        assert json.loads(path2.read_text()) == document
+        assert build_timeseries(telemetry, n_windows=4) == document
 
 
 class TestValidateTimeseries:
