@@ -34,6 +34,9 @@ N_CHANNELS = 16
 #: time sits far below it, so a kernel that silently leaves the
 #: lockstep path fails the bench.
 MIN_COMMANDS_PER_SEC = 1_000_000
+#: Timed runs behind the commands/s gate: a single ~20 ms run cannot
+#: resolve its floor from scheduler noise, the median of five can.
+PIPELINE_RUNS = 5
 MIN_VECTOR_SUM_SPEEDUP = 1.5
 MAX_TELEMETRY_OVERHEAD_PCT = 5.0
 
@@ -59,6 +62,22 @@ def run_pipeline(n=N_VALUES, telemetry=None):
     elapsed = time.perf_counter() - started
     assert kernel.check(machine), "bank state diverged from NumPy"
     return result.n_pim / elapsed, n / elapsed, result
+
+
+def pipeline_median(runs=PIPELINE_RUNS):
+    """Median commands/s of ``runs`` timed pipeline runs.
+
+    Returns ``(median, spread_pct, result)``: the spread (max - min
+    over the median) is the runs' own noise estimate, and ``result`` is
+    the last run's replay result.
+    """
+    rates = []
+    for _ in range(runs):
+        rate, _values, result = run_pipeline()
+        rates.append(rate)
+    rates.sort()
+    median = rates[len(rates) // 2]
+    return median, 100 * (rates[-1] - rates[0]) / median, result
 
 
 def replay_overhead(n=N_VALUES, pairs=5):
@@ -123,8 +142,12 @@ def kernel_speedups(n=8_192):
 
 
 def test_bench_pipeline(benchmark):
-    commands_rate, _values_rate, result = benchmark.pedantic(
-        run_pipeline, rounds=1, iterations=1
+    commands_rate, spread_pct, result = benchmark.pedantic(
+        pipeline_median, rounds=1, iterations=1
+    )
+    print(
+        f"pipeline: median {commands_rate:,.0f} commands/s over "
+        f"{PIPELINE_RUNS} runs, spread {spread_pct:.1f}%"
     )
     # one all-bank command per slot per channel: each of the
     # 16 lanes * 4 units * N_CHANNELS banks holds N/(16*4*N_CHANNELS)

@@ -2,8 +2,8 @@
 
 A replay is *defined* by tier 2 below, the exact incremental replay: a
 calendar of completions, admissions, wakeups and refresh retries that
-drives the controllers' scheduling and bank state machines one request
-at a time.  Every quantity it produces is *determined* by the trace and
+drives each channel's scheduler and row buffers one request at a
+time.  Every quantity it produces is *determined* by the trace and
 the configuration, however: service durations follow from per-bank row
 sequences, service starts are back-to-back while a queue is busy,
 arrivals are pinned to queue-slot releases (or to explicit trace
@@ -84,15 +84,19 @@ tier 2.
 
 **Tier 2 — exact incremental replay.**  Traces that fail a certificate
 (e.g. random traffic under FR-FCFS, whose stray row hits let the
-scheduler reorder) take the discrete replay: plain tuples on a heap in
-``(time, priority, insertion)`` order drive the controller bookkeeping
-(:meth:`ChannelController._admit` / ``_service_delay`` /
-``_begin_service``) and the Bank state machines.  Requests travel as
-:class:`~repro.memsys.request.ReplayRecord` objects built in one pass
-from the decoded arrays (op, timestamp, row, flat bank index).  Trace
-timestamps become absolute-time injector resumptions; refresh stalls
-become retry occurrences at the blackout end, gated by the shared
-``_service_delay`` arithmetic.
+scheduler reorder) take the discrete replay, :func:`_replay_exact`: one
+loop over flat state.  Requests are indices into per-request lists
+built once from the decoded arrays (op code, row, flat bank, channel,
+timestamp); a channel is its pending-index list, its banks' open rows
+and outcome counters, a per-bank ``{row: queued count}`` FR-FCFS
+open-row table, and its idle and refresh-epoch flags.  Plain tuples on
+a heap in ``(time, priority, insertion)`` order drive FCFS/FR-FCFS
+selection, the AB barrier, bank accesses charged from
+:func:`~repro.memsys.bank.latency_table`, and the refresh gate, all
+inline.  Trace timestamps become absolute-time injector resumptions;
+refresh stalls become retry occurrences at the blackout end.  The
+stamp arrays come straight from the lists, and the banks of the
+:class:`MemorySystem` receive the final counters and open rows.
 
 The tiers differ in one recorded stamp: the vectorized tier's admission
 occupancies (the ``max_queue_length`` gauge) count a service starting
@@ -105,7 +109,6 @@ a replay writes nothing back onto request objects.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import typing as _t
 
@@ -114,9 +117,8 @@ import numpy as np
 from ..telemetry.latency import ALL_BANKS
 from ..telemetry.profile import null_phase
 from .bank import CLOSED, OUTCOMES, PER_RANK, latency_table
-from .controller import FRFCFS
-from .request import OPS_BY_CODE, Op, ReplayRecord
-from .system import _finish_replay, _gather
+from .request import Op
+from .system import FRFCFS, _finish_replay
 from .trace import PackedTrace
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -205,36 +207,31 @@ def _run_tier(
             times,
         )
     with phase("tier-execute"):
-        if plan is not None:
+        if plan is None:
+            engine = "fast-exact"
+            routing = _routing_arrays(
+                op_codes, fields["channel"], fields["row"], flat_bank
+            )
+            arrays = _replay_exact(system, routing, times)
+        else:
             engine = "fast-vectorized"
-            _commit_banks(system, plan)
+            _commit_banks(
+                system,
+                [
+                    None
+                    if data is None
+                    else (data["bank_counts"], data["open_final"])
+                    for data in plan
+                ],
+            )
             arrays = _plan_arrays(
                 plan, op_codes.shape[0], config.queue_depth
             )
-            del plan
-        else:
-            engine = "fast-exact"
-            records = list(
-                map(
-                    ReplayRecord,
-                    map(OPS_BY_CODE.__getitem__, op_codes.tolist()),
-                    (
-                        itertools.repeat(None)
-                        if times is None
-                        else times.tolist()
-                    ),
-                    fields["row"].tolist(),
-                    _bank_indices(op_codes, flat_bank),
-                )
-            )
-            _replay_exact(system, records, fields["channel"])
-            arrays = _gather(records)
-            del records
-        arrays.update(
-            _routing_arrays(
+            del plan  # before the routing arrays allocate
+            routing = _routing_arrays(
                 op_codes, fields["channel"], fields["row"], flat_bank
             )
-        )
+        arrays.update(routing)
     return engine, arrays
 
 
@@ -265,7 +262,7 @@ def _vector_plan(
     table = latency_table(config.timing, config.precharge_ns)
     # index _BROADCAST charges the AB register broadcast: one column
     # access on the command/data bus — the same page_access_ns the
-    # controller's _serve returns (== the row-hit latency)
+    # exact tier charges (== the row-hit latency)
     latencies = np.array(
         [table[name] for name in OUTCOMES] + [table[OUTCOMES[_HIT]]]
     )
@@ -917,19 +914,26 @@ def _fifo_certificate(
 
 
 def _commit_banks(
-    system: "MemorySystem", plan: _t.List[_t.Optional[dict]]
+    system: "MemorySystem",
+    states: _t.Sequence[_t.Optional[_t.Tuple[_t.Any, _t.Sequence]]],
 ) -> None:
     """Leave every bank with the counters and open row the exact tier
-    would leave behind."""
-    for controller, data in zip(system.controllers, plan):
-        if data is None:
+    would leave behind.
+
+    ``states`` holds one ``(per-bank (hits, misses, conflicts), open
+    rows)`` pair per channel, ``None`` for a channel that served
+    nothing.
+    """
+    for banks, state in zip(system.banks, states):
+        if state is None:
             continue
-        for bank, counts, open_row in zip(
-            controller.banks, data["bank_counts"], data["open_final"]
+        counts, open_rows = state
+        for bank, (hits, misses, conflicts), open_row in zip(
+            banks, counts, open_rows
         ):
-            bank.hits = int(counts[_HIT])
-            bank.misses = int(counts[_MISS])
-            bank.conflicts = int(counts[_CONFLICT])
+            bank.hits = int(hits)
+            bank.misses = int(misses)
+            bank.conflicts = int(conflicts)
             bank.open_row = open_row
 
 
@@ -1005,121 +1009,312 @@ def _routing_arrays(
     }
 
 
-def _bank_indices(
-    op_codes: np.ndarray, flat_bank: np.ndarray
-) -> _t.List[_t.Optional[int]]:
-    """Per-request flat bank index, ``None`` for all-bank PIM/AB — the
-    ``bank_index`` the controllers read."""
-    index = flat_bank.astype(object)
-    index[(op_codes == _PIM_CODE) | (op_codes == _AB_CODE)] = None
-    return index.tolist()
-
-
 # ----------------------------------------------------------------------
 # Tier 2: exact incremental replay
 # ----------------------------------------------------------------------
 def _replay_exact(
     system: "MemorySystem",
-    records: _t.List[ReplayRecord],
-    channel: np.ndarray,
-) -> None:
+    routing: _t.Mapping[str, np.ndarray],
+    times: _t.Optional[np.ndarray],
+) -> _t.Dict[str, np.ndarray]:
     """Replay in exact scheduling order: the definition of a replay.
 
-    A heap of plain ``(time, priority, seq, kind, channel, request)``
+    One loop over flat state.  Requests are indices into per-request
+    lists built once from the decoded ``routing`` arrays (op code, row,
+    flat bank — :data:`ALL_BANKS` for all-bank PIM/AB — and channel)
+    and the trace ``times``.  Each channel is a handful of list
+    entries: its pending indices in admission order, its banks' open
+    rows and ``(hit, miss, conflict)`` counters, its idle/woken flags
+    and its refresh-applied epochs.
+
+    A heap of plain ``(time, priority, seq, kind, channel, index)``
     tuples keeps a ``(time, priority, insertion-order)`` calendar of
     the only occurrences that carry state: request completions,
     injector resumptions (a freed queue slot, or a trace timestamp
-    coming due), controller wakeups (an enqueue into an idle channel),
-    and refresh retries (a selection stalled to the end of a blackout
-    window).  Every request passes through the controller and bank
-    methods — including the :meth:`ChannelController._service_delay`
-    refresh gate.
+    coming due), channel wakeups (an enqueue into an idle channel), and
+    refresh retries (a selection stalled to the end of a blackout
+    window).  Occurrences are drained in *rounds*: each outer iteration
+    reads the heap's earliest timestamp once and pops every occurrence
+    at that instant, so the common completion→inject→wakeup cascade
+    costs one round; pops stay globally ordered by ``(time, priority,
+    seq)``.
 
-    Occurrences are drained in *rounds*: each outer iteration reads the
-    heap's earliest timestamp once and pops every candidate ready at
-    that instant (completions, the injector resumption they release,
-    and the wakeups those admissions trigger all coincide in this
-    workload), so the common completion→inject→wakeup cascade costs one
-    round instead of three top-of-loop passes.  Pops stay globally
-    ordered by ``(time, priority, seq)`` — a round is just the
-    same-time prefix of the calendar — so the recorded times are
-    unchanged.
+    A completion with work queued, a wakeup and a retry all end in one
+    service attempt on their channel, inline:
+
+    * the *refresh gate* — a crossed boundary precharges the refreshed
+      banks; per-rank refresh stalls the channel to the blackout's end;
+      per-bank refresh serves the oldest serviceable row hit (FR-FCFS),
+      else the oldest serviceable request, stalling only when nothing
+      is serviceable — FCFS never looks past its head, and nothing
+      passes an AB register broadcast;
+    * *selection* — FCFS serves the head; FR-FCFS the oldest request
+      ahead of the first AB broadcast that hits its bank's open row,
+      else the head.  The scan runs only while the channel's open-row
+      table counts a queued hit: each bank keeps ``{row: queued host
+      requests}``, so an open-row change ``r0 -> r1`` moves the
+      channel's hit count by ``count[r1] - count[r0]``;
+    * *bank access* from :func:`~repro.memsys.bank.latency_table`: an
+      AB broadcast holds the channel for one page access and touches no
+      row buffer, a PIM operation accesses every bank in lockstep and
+      holds the channel for the slowest.
+
+    Returns the trace-ordered stamp arrays; the banks of ``system`` are
+    left with the counters and open rows of the replay.
     """
-    controllers = system.controllers
-    depth = system.config.queue_depth
-    idle = [True] * len(controllers)
-    woken = [False] * len(controllers)
+    config = system.config
+    depth = config.queue_depth
+    n_channels = config.n_channels
+    n_banks = config.banks_per_channel
+    closed = config.row_policy == CLOSED
+    frfcfs = config.policy == FRFCFS
+    # the open-row table (closed rows never hit: nothing to count)
+    track = frfcfs and not closed
+    refresh = config.refresh_schedule()
+    per_rank = refresh is not None and refresh.granularity == PER_RANK
+    if refresh is not None:
+        trefi, trfc = refresh.trefi_ns, refresh.trfc_ns
+    table = latency_table(config.timing, config.precharge_ns)
+    # outcome code -> service time; an AB broadcast is one page access
+    latency = [table[name] for name in OUTCOMES] + [table[OUTCOMES[_HIT]]]
+
+    op_of = routing["op"].tolist()
+    bank_of = routing["bank"].tolist()
+    row_of = routing["row"].tolist()
+    channel_of = routing["channel"].tolist()
+    time_of = None if times is None else times.tolist()
+    n = len(op_of)
+    arrival = [0.0] * n
+    start = [0.0] * n
+    finish = [0.0] * n
+    outcome = [0] * n
+    occupancy = [0] * n
+    opens_busy = [False] * n
+
+    pending: _t.List[_t.List[int]] = [[] for _ in range(n_channels)]
+    open_rows: _t.List[_t.List[_t.Optional[int]]] = [
+        [None] * n_banks for _ in range(n_channels)
+    ]
+    tally = [[0] * (3 * n_banks) for _ in range(n_channels)]
+    queued: _t.List[_t.List[_t.Dict[int, int]]] = [
+        [{} for _ in range(n_banks)] for _ in range(n_channels)
+    ]
+    queued_hits = [0] * n_channels
+    # refresh boundaries applied per bank (per-rank refresh: slot 0)
+    applied = [[0] * n_banks for _ in range(n_channels)]
+    # idle: no completion or retry outstanding; woken: a wakeup is
+    # scheduled; fresh: no busy period open, so the next service
+    # start opens one
+    idle = [True] * n_channels
+    woken = [False] * n_channels
+    fresh = [True] * n_channels
+
+    def precharge(ch: int, bank: int) -> None:
+        """A refresh boundary closes ``bank``'s row buffer."""
+        opens = open_rows[ch]
+        row = opens[bank]
+        if row is not None:
+            opens[bank] = None
+            if track:
+                queued_hits[ch] -= queued[ch][bank].get(row, 0)
+
     heap: _t.List[tuple] = []
     push = heapq.heappush
-    seq = itertools.count()
-    channel_of = channel.tolist()
-    n = len(records)
+    pop = heapq.heappop
+    seq = 0  # insertion order: ties at equal (time, priority)
     cursor = 0  # next request the injector will admit
     blocked_on = -1  # channel whose full queue blocks the injector
-
-    def attempt_service(ch: int, at: float) -> None:
-        """Start the next service on ``ch``, or schedule a refresh
-        retry — the controller's gated service loop."""
-        nonlocal blocked_on
-        controller = controllers[ch]
-        delay = controller._service_delay(at)
-        if delay > 0.0:
-            push(heap, (at + delay, _NORMAL, next(seq), _RETRY, ch, None))
-            return
-        served, latency = controller._begin_service(at)
-        if blocked_on == ch:
-            blocked_on = -1
-            push(heap, (at, _NORMAL, next(seq), _INJECT, -1, None))
-        push(
-            heap,
-            (at + latency, _NORMAL, next(seq), _COMPLETE, ch, served),
-        )
-
-    push(heap, (0.0, _URGENT, next(seq), _INJECT, -1, None))
-    pop = heapq.heappop
+    push(heap, (0.0, _URGENT, seq, _INJECT, -1, -1))
     while heap:
         round_time = heap[0][0]
         while heap and heap[0][0] == round_time:
-            now, _prio, _seq, kind, ch, request = pop(heap)
-            if kind == _COMPLETE:
-                request.finish = now
-                if controllers[ch].pending:
-                    attempt_service(ch, now)
-                else:
-                    controllers[ch]._idle = True
-                    idle[ch] = True
-                    woken[ch] = False
-            elif kind == _INJECT:
+            now, _prio, _seq, kind, ch, j = pop(heap)
+            if kind == _INJECT:
                 blocked_on = -1
                 while cursor < n:
-                    pending_request = records[cursor]
-                    when = pending_request.timestamp
-                    if when is not None and when > now:
-                        # mirror the injector's absolute-time wait
+                    if time_of is not None and time_of[cursor] > now:
+                        # the injector's absolute-time wait
+                        seq += 1
                         push(
                             heap,
-                            (when, _NORMAL, next(seq), _INJECT, -1, None),
+                            (time_of[cursor], _NORMAL, seq, _INJECT, -1, -1),
                         )
                         break
                     target = channel_of[cursor]
-                    controller = controllers[target]
-                    if len(controller.pending) >= depth:
+                    queue = pending[target]
+                    if len(queue) >= depth:
                         blocked_on = target
                         break
-                    controller._admit(pending_request, now)
+                    arrival[cursor] = now
+                    if track:
+                        bank = bank_of[cursor]
+                        if bank >= 0:
+                            row = row_of[cursor]
+                            count = queued[target][bank]
+                            count[row] = count.get(row, 0) + 1
+                            if open_rows[target][bank] == row:
+                                queued_hits[target] += 1
+                    queue.append(cursor)
+                    occupancy[cursor] = len(queue)
                     if idle[target] and not woken[target]:
                         woken[target] = True
-                        push(
-                            heap,
-                            (
-                                now, _NORMAL, next(seq), _WAKEUP,
-                                target, None,
-                            ),
-                        )
+                        seq += 1
+                        push(heap, (now, _NORMAL, seq, _WAKEUP, target, -1))
                     cursor += 1
+                continue
+            queue = pending[ch]
+            if kind == _COMPLETE:
+                finish[j] = now
+                if not queue:
+                    fresh[ch] = idle[ch] = True
+                    woken[ch] = False
+                    continue
             elif kind == _WAKEUP:
-                idle[ch] = False
-                woken[ch] = False
-                attempt_service(ch, now)
-            else:  # _RETRY: a refresh stall expired; re-evaluate
-                attempt_service(ch, now)
+                idle[ch] = woken[ch] = False
+
+            # one service attempt on ``ch`` at ``now``
+            opens = open_rows[ch]
+            pick = -1  # queue position of the request to serve
+            if refresh is not None:
+                applied_ch = applied[ch]
+                stall = now  # earliest start the gate allows
+                if per_rank:
+                    epoch = int(math.floor(now / trefi))
+                    if epoch > applied_ch[0]:
+                        applied_ch[0] = epoch
+                        for bank in range(n_banks):
+                            precharge(ch, bank)
+                    if epoch >= 1:
+                        end = epoch * trefi + trfc
+                        if now < end:  # blackout: the channel stalls
+                            stall = end
+                else:
+                    for bank in range(n_banks):
+                        epoch = refresh.bank_epoch(now, bank)
+                        if epoch >= 1 and epoch > applied_ch[bank]:
+                            applied_ch[bank] = epoch
+                            precharge(ch, bank)
+                    fallback = -1
+                    earliest = math.inf
+                    for position, i in enumerate(queue):
+                        op = op_of[i]
+                        if op == _AB_CODE and position:
+                            # nothing younger passes a register
+                            # broadcast, and it passes nothing older
+                            break
+                        bank = bank_of[i]
+                        fence = (
+                            refresh.all_bank_fence(now)
+                            if bank < 0
+                            else refresh.bank_fence(now, bank)
+                        )
+                        if fence <= now:  # serviceable now
+                            if fallback < 0:
+                                fallback = position
+                            if (
+                                frfcfs
+                                and bank >= 0
+                                and opens[bank] == row_of[i]
+                            ):
+                                pick = position  # oldest serviceable hit
+                                break
+                        elif fence < earliest:
+                            earliest = fence
+                        if op == _AB_CODE or not frfcfs:
+                            break
+                    if pick < 0:
+                        if fallback < 0:  # nothing serviceable: stall
+                            stall = earliest
+                        pick = fallback
+                if stall > now:  # retry at the end of the stall
+                    seq += 1
+                    push(
+                        heap,
+                        (now + (stall - now), _NORMAL, seq, _RETRY, ch, -1),
+                    )
+                    continue
+            if pick < 0:
+                pick = 0
+                if track and queued_hits[ch]:
+                    for position, i in enumerate(queue):
+                        if op_of[i] == _AB_CODE:
+                            break  # never hoist a row hit across one
+                        bank = bank_of[i]
+                        if bank >= 0 and opens[bank] == row_of[i]:
+                            pick = position
+                            break
+            j = queue.pop(pick)
+            start[j] = now
+            opens_busy[j] = fresh[ch]
+            fresh[ch] = False
+            op = op_of[j]
+            if op == _AB_CODE:
+                code = _BROADCAST
+            else:
+                row = row_of[j]
+                counts = tally[ch]
+                bank = bank_of[j]
+                if bank >= 0:  # host access
+                    was = opens[bank]
+                    if closed:
+                        code = _MISS
+                    elif was == row:
+                        code = _HIT
+                    else:
+                        code = _MISS if was is None else _CONFLICT
+                        opens[bank] = row
+                    counts[3 * bank + code] += 1
+                    if track:
+                        count = queued[ch][bank]
+                        left = count[row] - 1
+                        if left:
+                            count[row] = left
+                        else:
+                            del count[row]
+                        if was == row:  # a queued hit left the queue
+                            queued_hits[ch] -= 1
+                        else:  # the open row moved: was -> row
+                            queued_hits[ch] += left - count.get(was, 0)
+                else:  # all-bank PIM: held for the slowest bank
+                    code = _HIT
+                    slowest = 0.0
+                    for bank in range(n_banks):
+                        was = opens[bank]
+                        if closed:
+                            access = _MISS
+                        elif was == row:
+                            access = _HIT
+                        else:
+                            access = _MISS if was is None else _CONFLICT
+                            opens[bank] = row
+                            if track:
+                                count = queued[ch][bank]
+                                gained = count.get(row, 0)
+                                queued_hits[ch] += gained - count.get(was, 0)
+                        counts[3 * bank + access] += 1
+                        if latency[access] > slowest:
+                            slowest = latency[access]
+                            code = access
+            outcome[j] = code
+            if blocked_on == ch:
+                blocked_on = -1
+                seq += 1
+                push(heap, (now, _NORMAL, seq, _INJECT, -1, -1))
+            seq += 1
+            push(heap, (now + latency[code], _NORMAL, seq, _COMPLETE, ch, j))
+
+    _commit_banks(
+        system,
+        [
+            ([counts[3 * b : 3 * b + 3] for b in range(n_banks)], opens)
+            for counts, opens in zip(tally, open_rows)
+        ],
+    )
+    return {
+        "arrival": np.array(arrival, dtype=np.float64),
+        "start_service": np.array(start, dtype=np.float64),
+        "finish": np.array(finish, dtype=np.float64),
+        "outcome": np.array(outcome, dtype=np.int64),
+        "occupancy": np.array(occupancy, dtype=np.int32),
+        "opens_busy": np.array(opens_busy, dtype=np.bool_),
+    }

@@ -42,8 +42,8 @@ import typing as _t
 import numpy as np
 
 from .bank import CLOSED, PER_RANK, latency_table
-from .controller import FCFS
 from .request import Op
+from .system import FCFS
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from .system import MemSysConfig

@@ -11,8 +11,7 @@ arrival *timestamp* (ns), exactly what the trace layer serializes.  A
 replay packs request objects into a
 :class:`~repro.memsys.trace.PackedTrace` and never writes to them; its
 results are the per-request arrays a
-:class:`~repro.telemetry.ReplayTelemetry` recorder adopts.  Inside the
-exact replay, each request travels as a :class:`ReplayRecord`.
+:class:`~repro.telemetry.ReplayTelemetry` recorder adopts.
 
 An untimestamped request is injected at line rate (as soon as its
 queue has space); a timestamped one is additionally held back until
@@ -28,7 +27,7 @@ import enum
 import math
 import typing as _t
 
-__all__ = ["Op", "OPS_BY_CODE", "MemRequest", "ReplayRecord"]
+__all__ = ["Op", "OPS_BY_CODE", "MemRequest"]
 
 
 class Op(enum.Enum):
@@ -111,36 +110,3 @@ class MemRequest:
 
     def __repr__(self) -> str:
         return f"<MemRequest {self.op.value} {self.addr:#x}>"
-
-
-class ReplayRecord:
-    """One request as the exact replay's controllers see it.
-
-    A flat slotted record built from the decoded trace arrays: the
-    fields the controller code reads (``op``, ``timestamp``, and the
-    routing values ``row`` / ``bank_index``, the flat in-channel bank
-    index or ``None`` for all-bank PIM/AB requests) and the stamps it
-    writes (``queued_hit``, ``occupancy``, ``arrival``,
-    ``start_service``, ``opens_busy``, ``finish``, ``outcome``,
-    ``bits``; unset until the replay reaches them).  The replay reads
-    the stamps back into its per-request arrays; records never leave
-    it.
-    """
-
-    __slots__ = (
-        "op", "timestamp", "row", "bank_index", "queued_hit",
-        "occupancy", "arrival", "start_service", "opens_busy", "finish",
-        "outcome", "bits",
-    )
-
-    def __init__(
-        self,
-        op: Op,
-        timestamp: _t.Optional[float],
-        row: int,
-        bank_index: _t.Optional[int],
-    ) -> None:
-        self.op = op
-        self.timestamp = timestamp
-        self.row = row
-        self.bank_index = bank_index

@@ -1,13 +1,13 @@
 """The top-level trace-driven memory system.
 
 :class:`MemorySystem` ties an :class:`~repro.memsys.addrmap.AddressMap`
-to a set of per-channel controllers (each with its banks) and replays
-request streams with bounded-queue backpressure.  Every replay path —
-both fast-path tiers and the replay farm's merge — ends in the same
-pure reduction, :func:`reduce_stats`, from the per-request arrival / start /
-finish arrays and the banks' outcome counters to a :class:`MemSysStats`
-summary: sustained bandwidth, row-hit rate, and queue latency — the
-simulated counterparts of the §2.1 closed forms in
+to per-channel banks and replays request streams through FCFS or
+FR-FCFS channel schedulers with bounded-queue backpressure.  Every
+replay path — both fast-path tiers and the replay farm's merge — ends
+in the same pure reduction, :func:`reduce_stats`, from the per-request
+arrival / start / finish arrays and the banks' outcome counters to a
+:class:`MemSysStats` summary: sustained bandwidth, row-hit rate, and
+queue latency — the simulated counterparts of the §2.1 closed forms in
 :mod:`repro.arch.dram`.  Equal arrays give equal statistics, whichever
 tier produced them, and :func:`~repro.memsys.laws.check_laws` checks
 the arrays themselves against the timing laws.
@@ -18,12 +18,10 @@ from __future__ import annotations
 import dataclasses
 import math
 import typing as _t
-from operator import attrgetter
 
 import numpy as np
 
 from ..arch.dram import DramMacroTiming
-from ..telemetry.latency import OUTCOME_NAMES
 from ..telemetry.profile import null_phase
 from .addrmap import AddressMap, SCHEMES
 from .bank import (
@@ -34,7 +32,6 @@ from .bank import (
     ROW_POLICIES,
     RefreshSchedule,
 )
-from .controller import FRFCFS, POLICIES, ChannelController
 from .request import MemRequest, Op
 from .trace import PackedTrace
 
@@ -43,6 +40,9 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "ENGINES",
+    "FCFS",
+    "FRFCFS",
+    "POLICIES",
     "MemSysConfig",
     "MemSysStats",
     "MemorySystem",
@@ -52,6 +52,12 @@ __all__ = [
 #: Replay engine names accepted by :meth:`MemorySystem.replay`; both
 #: select the one replay path.
 ENGINES = ("fast", "auto")
+
+#: Scheduling policy names: strict arrival order, or first-ready
+#: (oldest open-row hit first, else oldest) first-come-first-served.
+FCFS = "fcfs"
+FRFCFS = "frfcfs"
+POLICIES = (FCFS, FRFCFS)
 
 
 def _log2(value: int, what: str) -> int:
@@ -252,9 +258,10 @@ class MemorySystem:
         #: Which tier the last :meth:`replay` ran: ``"fast-vectorized"``
         #: or ``"fast-exact"`` (``None`` before any replay).
         self.last_replay_engine: _t.Optional[str] = None
-        self.controllers: _t.List[ChannelController] = []
-        for channel in range(self.config.n_channels):
-            banks = [
+        #: ``banks[channel][bank]``: every bank's open row and outcome
+        #: counters, as the replay left them.
+        self.banks: _t.List[_t.List[Bank]] = [
+            [
                 Bank(
                     self.config.timing,
                     self.config.precharge_ns,
@@ -263,15 +270,8 @@ class MemorySystem:
                 )
                 for index in range(self.config.banks_per_channel)
             ]
-            self.controllers.append(
-                ChannelController(
-                    channel,
-                    banks,
-                    policy=self.config.policy,
-                    queue_depth=self.config.queue_depth,
-                    refresh=self.config.refresh_schedule(),
-                )
-            )
+            for channel in range(self.config.n_channels)
+        ]
 
     # ------------------------------------------------------------------
     # trace replay
@@ -349,8 +349,8 @@ class MemorySystem:
         """
         return np.array(
             [
-                [(b.hits, b.misses, b.conflicts) for b in c.banks]
-                for c in self.controllers
+                [(b.hits, b.misses, b.conflicts) for b in banks]
+                for banks in self.banks
             ],
             dtype=np.int64,
         )
@@ -366,9 +366,6 @@ class MemorySystem:
 # ----------------------------------------------------------------------
 # statistics: one reduction over the per-request arrays
 # ----------------------------------------------------------------------
-_OUTCOME_CODE = {name: code for code, name in enumerate(OUTCOME_NAMES)}
-
-
 def group_channels(
     channel: np.ndarray, n_channels: int
 ) -> _t.List[np.ndarray]:
@@ -507,30 +504,6 @@ def reduce_stats(
         ),
         per_channel=per_channel,
     )
-
-
-def _gather(records: _t.Sequence[_t.Any]) -> _t.Dict[str, np.ndarray]:
-    """Trace-ordered stamps of finished requests: their times, outcome
-    codes, admission occupancy and busy-period marks, read off the fast
-    path's exact-tier records."""
-    n = len(records)
-
-    def column(
-        name: str, dtype: type, code: _t.Optional[_t.Callable] = None
-    ) -> np.ndarray:
-        values = map(attrgetter(name), records)
-        if code is not None:
-            values = map(code, values)
-        return np.fromiter(values, dtype=dtype, count=n)
-
-    return {
-        "arrival": column("arrival", np.float64),
-        "start_service": column("start_service", np.float64),
-        "finish": column("finish", np.float64),
-        "outcome": column("outcome", np.int64, _OUTCOME_CODE.__getitem__),
-        "occupancy": column("occupancy", np.int32),
-        "opens_busy": column("opens_busy", np.bool_),
-    }
 
 
 def _finish_replay(

@@ -1,44 +1,43 @@
-"""Per-channel memory controllers: queue, scheduler, and banks.
+"""The event oracle's channel controller: queue, scheduler, and banks.
 
-Each channel owns a request queue and a set of banks.  The replay loop
-(:func:`repro.memsys.fastpath.replay_fast`'s exact tier) admits requests
-into the queue, and at each service start the controller picks a queued
-request under its scheduling policy and drives the target bank's
-row-buffer state machine; the loop holds the channel for the returned
-access latency and completes the request:
+:func:`tests.memsys.event_oracle.replay_event` runs one controller per
+channel on the desim calendar.  The replay path's exact tier
+(:func:`repro.memsys.fastpath._replay_exact`) implements the same
+scheduling as one flat loop and shares none of this code: the two
+share only the :class:`~repro.memsys.bank.Bank` state machine (this
+controller drives the system's banks directly), the
+:func:`~repro.memsys.bank.latency_table` and the
+:class:`~repro.memsys.bank.RefreshSchedule` arithmetic.  Agreement bit
+for bit is therefore evidence, not a tautology.
+
+The controller admits requests into its queue, and at each service
+start picks a queued request under its scheduling policy and drives
+the target bank's row-buffer state machine; the calendar holds the
+channel for the returned access latency and completes the request:
 
 * **FCFS** serves strictly in arrival order — the baseline that pays a
   row activation whenever consecutive requests touch different rows.
 * **FR-FCFS** (first-ready, first-come-first-served) serves the oldest
   request that *hits* an open row buffer, falling back to the oldest
-  request overall — the standard policy that harvests row locality from
-  an interleaved stream (Rixner et al.), and the one real PIM memory
-  controllers such as HBM-PIM's use.
+  request overall (Rixner et al.).
 
 PIM requests are all-bank operations: every bank of the channel executes
 the access in lockstep (latency is the slowest bank's), so one command
-moves ``n_banks`` pages — the bandwidth-reclaiming broadcast mode.
-AB requests are all-bank *register* broadcasts (CRF microcode, SRF/GRF
-register writes for the per-bank PIM execution units of
-:mod:`repro.pimexec`): they hold the channel for one column access and
-move one page of command payload, but never touch the row buffers.
+moves ``n_banks`` pages.  AB requests are all-bank *register*
+broadcasts: they hold the channel for one column access and move one
+page of command payload, but never touch the row buffers.
 
 With a :class:`~repro.memsys.bank.RefreshSchedule` attached, every
 scheduling decision is gated by :meth:`ChannelController._service_delay`
 first: due refresh boundaries precharge their row buffers, and a
 selection that would start inside a blackout window stalls until the
 window ends (the whole channel under per-rank refresh; only requests
-touching the refreshing bank under per-bank refresh).  The gate is pure
-arithmetic on the clock the replay loop passes in.
+touching the refreshing bank under per-bank refresh).
 
-The controller keeps no statistics of its own: it stamps each request's
-arrival, service start, finish, and outcome, plus the two facts the
-times cannot tell when an admission and a completion share an instant
-(the queue occupancy the admission left, and whether the service start
-found the channel idle), and :func:`~repro.memsys.system.reduce_stats`
-derives every summary from those per-request stamps after the replay;
-:func:`~repro.memsys.laws.check_laws` checks them against the timing
-laws without calling this code.
+The controller stamps each request's arrival, service start, finish,
+and outcome, plus the queue occupancy an admission left and whether a
+service start found the channel idle; the oracle gathers those stamps
+into the recorder arrays.
 """
 
 from __future__ import annotations
@@ -46,15 +45,40 @@ from __future__ import annotations
 import math
 import typing as _t
 
-from .bank import Bank, PER_RANK, RefreshSchedule
-from .request import Op, ReplayRecord
+from repro.memsys import FRFCFS, POLICIES, Bank, Op, RefreshSchedule
+from repro.memsys.bank import PER_RANK
 
-__all__ = ["FCFS", "FRFCFS", "POLICIES", "ChannelController"]
+__all__ = ["ChannelController", "ReplayRecord"]
 
-#: Scheduling policy names.
-FCFS = "fcfs"
-FRFCFS = "frfcfs"
-POLICIES = (FCFS, FRFCFS)
+
+class ReplayRecord:
+    """One request as the controller sees it.
+
+    A flat slotted record: the fields the controller reads (``op``,
+    ``timestamp``, and the routing values ``row`` / ``bank_index``, the
+    flat in-channel bank index or ``None`` for all-bank PIM/AB
+    requests) and the stamps it writes (``queued_hit``, ``occupancy``,
+    ``arrival``, ``start_service``, ``opens_busy``, ``finish``,
+    ``outcome``, ``bits``; unset until the replay reaches them).
+    """
+
+    __slots__ = (
+        "op", "timestamp", "row", "bank_index", "queued_hit",
+        "occupancy", "arrival", "start_service", "opens_busy", "finish",
+        "outcome", "bits",
+    )
+
+    def __init__(
+        self,
+        op: Op,
+        timestamp: _t.Optional[float],
+        row: int,
+        bank_index: _t.Optional[int],
+    ) -> None:
+        self.op = op
+        self.timestamp = timestamp
+        self.row = row
+        self.bank_index = bank_index
 
 
 class ChannelController:
@@ -69,7 +93,7 @@ class ChannelController:
     policy:
         ``"fcfs"`` or ``"frfcfs"``.
     queue_depth:
-        Maximum queued requests; the replay loop holds admissions back
+        Maximum queued requests; the injector holds admissions back
         while the queue is full (backpressure).
     refresh:
         Optional :class:`~repro.memsys.bank.RefreshSchedule`; ``None``
@@ -112,9 +136,7 @@ class ChannelController:
         #: Per-bank open-row table bookkeeping (FR-FCFS only): queued
         #: single-bank requests per bank, plus the count of queued
         #: requests currently hitting their bank's open row.  When the
-        #: count is zero, :meth:`_select` skips the queue scan entirely
-        #: — the dominant case on random traffic, where the scan was
-        #: the exact replay tier's hot path.
+        #: count is zero, :meth:`_select` skips the queue scan entirely.
         self._track_hits = policy == FRFCFS
         self._bank_queue: _t.List[_t.List[ReplayRecord]] = [
             [] for _ in self.banks
@@ -136,10 +158,9 @@ class ChannelController:
 
         The request must carry its routing values: ``row`` and the flat
         bank index ``bank_index`` (``None`` for all-bank PIM/AB
-        requests), resolved once from the decoded address arrays so the
-        FR-FCFS selection scan (the replay hot path) never re-derives
-        them.  Stamps the queue occupancy the admission leaves on
-        ``request.occupancy``.
+        requests), resolved once from the decoded address, so the
+        FR-FCFS selection scan never re-derives them.  Stamps the queue
+        occupancy the admission leaves on ``request.occupancy``.
         """
         request.arrival = now
         index = request.bank_index
@@ -274,7 +295,6 @@ class ChannelController:
                 index = request.bank_index
                 if index is None:  # all-bank PIM
                     continue
-                # inlined Bank.is_hit: this scan is the replay hot path
                 if banks[index].open_row == request.row:
                     return request
         return self.pending[0]

@@ -1,13 +1,16 @@
 """The desim event calendar as a tests-only replay reference.
 
-:func:`replay_event` replays a trace through a :class:`MemorySystem`'s
-controllers on a :class:`~repro.desim.Simulator`: one injector process
-admits requests in trace order (held to their timestamps, blocked on
-full queues), and one process per channel runs the gated service loop.
-Both drive the same controller methods the fast path's exact tier
-drives (``_admit``, ``_service_delay``, ``_begin_service``), so the two
-replays must agree bit for bit; the timing laws of
-:mod:`repro.memsys.laws` check both independently of that shared code.
+:func:`replay_event` replays a trace on a :class:`~repro.desim.Simulator`
+through the oracle's own per-channel controllers
+(:class:`tests.memsys.controller.ChannelController`, one per channel,
+driving the system's banks): one injector process admits requests in
+trace order (held to their timestamps, blocked on full queues), and
+one process per channel runs the gated service loop.  The replay
+path's exact tier is a separate flat loop that shares no scheduling
+code with these controllers — only the bank state machine, the latency
+table and the refresh-schedule arithmetic — so the two replays
+agreeing bit for bit checks one implementation against another; the
+timing laws of :mod:`repro.memsys.laws` check both without either.
 :func:`event_replays` routes callers that build their own traces
 (``PimExecMachine.replay``, ``LoweredKernel.run``) through the oracle.
 """
@@ -23,12 +26,15 @@ import numpy as np
 
 from repro.desim import Simulator
 from repro.memsys import MemorySystem, MemRequest, Op, PackedTrace
-from repro.memsys.request import ReplayRecord
-from repro.memsys.system import _finish_replay, _gather
-from repro.telemetry import ALL_BANKS
+from repro.memsys.system import _finish_replay
+from repro.telemetry import ALL_BANKS, OUTCOME_NAMES
 from repro.telemetry.profile import null_phase
 
-__all__ = ["event_replays", "replay_event"]
+from .controller import ChannelController, ReplayRecord
+
+__all__ = ["event_replays", "oracle_controllers", "replay_event"]
+
+_OUTCOME_CODE = {name: code for code, name in enumerate(OUTCOME_NAMES)}
 
 
 class _Record(ReplayRecord):
@@ -131,11 +137,16 @@ def _record_arrays(
     """The trace-ordered recorder arrays of replayed records."""
     n = len(records)
 
-    def column(values: _t.Iterable) -> np.ndarray:
-        return np.fromiter(values, dtype=np.int64, count=n)
+    def column(values: _t.Iterable, dtype: type = np.int64) -> np.ndarray:
+        return np.fromiter(values, dtype=dtype, count=n)
 
-    arrays = _gather(records)
-    arrays.update(
+    arrays = dict(
+        arrival=column((r.arrival for r in records), np.float64),
+        start_service=column((r.start_service for r in records), np.float64),
+        finish=column((r.finish for r in records), np.float64),
+        outcome=column(_OUTCOME_CODE[r.outcome] for r in records),
+        occupancy=column((r.occupancy for r in records), np.int32),
+        opens_busy=column((r.opens_busy for r in records), np.bool_),
         channel=column(r.channel for r in records),
         bank=column(
             ALL_BANKS if r.bank_index is None else r.bank_index
@@ -147,11 +158,27 @@ def _record_arrays(
     return arrays
 
 
+def oracle_controllers(system: MemorySystem) -> _t.List[ChannelController]:
+    """One oracle controller per channel of ``system``, over its banks."""
+    config = system.config
+    return [
+        ChannelController(
+            channel,
+            banks,
+            policy=config.policy,
+            queue_depth=config.queue_depth,
+            refresh=config.refresh_schedule(),
+        )
+        for channel, banks in enumerate(system.banks)
+    ]
+
+
 def replay_event(
     system: MemorySystem,
     trace: _t.Union[_t.Iterable[MemRequest], PackedTrace],
     telemetry=None,
     tracer=None,
+    controllers: _t.Optional[_t.List[ChannelController]] = None,
 ):
     """Replay ``trace`` on the desim calendar through ``system``.
 
@@ -160,7 +187,9 @@ def replay_event(
     like :meth:`MemorySystem.replay` does for its own tiers.  A
     ``tracer`` receives one ``memsys.enqueue`` and one
     ``memsys.complete`` record per request, in calendar order.  Like
-    the replay path, the oracle never writes to ``trace``.
+    the replay path, the oracle never writes to ``trace``.  Pass
+    ``controllers`` (:func:`oracle_controllers` of ``system``) to
+    inspect their state after the replay.
     """
     profiler = telemetry.profiler if telemetry is not None else None
     phase = profiler.phase if profiler is not None else null_phase
@@ -174,7 +203,9 @@ def replay_event(
     with phase("decode"):
         records = [_route(system, request) for request in trace]
     sim = Simulator(tracer=tracer)
-    channels = [_Channel(sim, c) for c in system.controllers]
+    if controllers is None:
+        controllers = oracle_controllers(system)
+    channels = [_Channel(sim, c) for c in controllers]
     for channel in channels:
         name = f"memctrl.ch{channel.controller.channel_id}"
         sim.process(channel.run(), name=name)

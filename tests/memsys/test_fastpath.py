@@ -12,6 +12,7 @@ none of it.
 """
 
 import dataclasses
+import itertools
 import math
 from unittest import mock
 
@@ -320,12 +321,10 @@ class TestFastPathSideEffects:
         replay_event(event_system, trace)
         fast_system = MemorySystem(config)
         fast_system.replay(trace, engine="fast")
-        for event_ctrl, fast_ctrl in zip(
-            event_system.controllers, fast_system.controllers
+        for event_banks, fast_banks in zip(
+            event_system.banks, fast_system.banks
         ):
-            for event_bank, fast_bank in zip(
-                event_ctrl.banks, fast_ctrl.banks
-            ):
+            for event_bank, fast_bank in zip(event_banks, fast_banks):
                 assert fast_bank.open_row == event_bank.open_row
                 assert fast_bank.hits == event_bank.hits
                 assert fast_bank.misses == event_bank.misses
@@ -547,3 +546,101 @@ class TestAbCertificate:
         event_stats, fast_stats, fast_system = replay_both(config, trace)
         assert fast_system.last_replay_engine == "fast-exact"
         assert_stats_equivalent(event_stats, fast_stats, rel=None)
+
+
+def mixed_nn_stream(config, n, seed, timestamped):
+    """Host reads/writes interleaved with PIM row ops and AB register
+    broadcasts on every channel — the nn traffic shape — over few rows,
+    so FR-FCFS finds row hits to hoist and the AB barrier binds."""
+    amap = config.address_map()
+    rng = np.random.default_rng(seed)
+    arrivals = (
+        dict(interarrival_ns=3.0, interarrival="poisson")
+        if timestamped
+        else {}
+    )
+    host = synthesize_trace(
+        "random", n, config, seed=seed, write_fraction=0.3, **arrivals
+    )
+    trace = []
+    for i, request in enumerate(host):
+        trace.append(request)
+        if i % 5 == 0:
+            coords = amap.decode(request.addr)
+            addr = amap.encode(
+                Coordinates(
+                    channel=coords.channel,
+                    row=int(rng.integers(0, config.rows_per_bank)),
+                )
+            )
+            op = Op.AB if i % 10 == 0 else Op.PIM
+            trace.append(MemRequest(op, addr, request.timestamp))
+    return trace
+
+
+#: ``(timestamped, refresh, policy, row_policy, depth)`` cells of the
+#: mixed-stream matrix; the timestamped, refresh-free, open-row,
+#: depth-16 cells are :meth:`TestExactTierRecords.test_mixed_pimexec_stream`'s.
+MIXED_NN_CELLS = [
+    cell
+    for cell in itertools.product(
+        (False, True),
+        (None, "per-rank", "per-bank"),
+        POLICY_NAMES,
+        ("open", "closed"),
+        (1, 16),
+    )
+    if cell[:2] != (True, None) or cell[3:] != ("open", 16)
+]
+
+
+class TestMixedNnTrafficMatrix:
+    """Mixed host + PIM + AB streams against the event oracle: line-rate
+    on two channels and timestamped on one, under every refresh mode,
+    policy, row policy and queue depth."""
+
+    @pytest.mark.parametrize(
+        "timestamped, refresh, policy, row_policy, depth", MIXED_NN_CELLS
+    )
+    def test_cell(self, timestamped, refresh, policy, row_policy, depth):
+        knobs = (
+            {}
+            if refresh is None
+            else dict(
+                trefi_ns=500.0, trfc_ns=60.0, refresh_granularity=refresh
+            )
+        )
+        config = MemSysConfig(
+            n_channels=1 if timestamped else 2,
+            scheme="channel-interleaved",
+            policy=policy,
+            row_policy=row_policy,
+            queue_depth=depth,
+            rows_per_bank=64,
+            **knobs,
+        )
+        trace = mixed_nn_stream(config, 600, 7, timestamped)
+        event_tel = ReplayTelemetry(profile=False)
+        event_system = MemorySystem(config)
+        event_stats = replay_event(event_system, trace, event_tel)
+        fast_tel = ReplayTelemetry(profile=False)
+        fast_system = MemorySystem(config)
+        fast_stats = fast_system.replay(trace, telemetry=fast_tel)
+        assert fast_system.last_replay_engine == "fast-exact"
+        assert repr(fast_stats) == repr(event_stats)
+        for name in RECORDED_ARRAYS:
+            expected = getattr(event_tel.recorder, name)
+            actual = getattr(fast_tel.recorder, name)
+            assert actual.dtype == expected.dtype, name
+            assert actual.tobytes() == expected.tobytes(), name
+        assert (
+            fast_system.row_counts().tobytes()
+            == event_system.row_counts().tobytes()
+        )
+        assert [
+            [bank.open_row for bank in banks] for banks in fast_system.banks
+        ] == [
+            [bank.open_row for bank in banks] for banks in event_system.banks
+        ]
+        assert_laws_hold(config, event_tel)
+        assert_laws_hold(config, fast_tel)

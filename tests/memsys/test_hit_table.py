@@ -1,12 +1,17 @@
-"""The FR-FCFS per-bank open-row table must never change selections.
+"""The FR-FCFS open-row tables must never change selections.
 
-``ChannelController._select`` skips the queue scan when the open-row
-table says no queued request hits.  These tests replay traces against
-a *reference* controller whose ``_select`` always runs the full scan
-(the pre-table implementation) and require bit-identical statistics,
-so an open-row table that ever under-counts hits — skipping a scan
+Both replays skip the FR-FCFS queue scan when their open-row table
+says no queued request hits: the event oracle's
+:class:`~tests.memsys.controller.ChannelController` keeps per-bank
+queues rescanned on every open-row change, the exact tier's flat loop
+keeps per-bank ``{row: queued count}`` tables moved by count
+differences.  These tests replay traces through a *reference* oracle
+whose ``_select`` always runs the full scan and require bit-identical
+statistics, so a table that ever under-counts hits — skipping a scan
 that would have hoisted one — cannot land silently.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,16 +23,28 @@ from repro.memsys import (
     Op,
     synthesize_trace,
 )
-from repro.memsys.controller import ChannelController
+from repro.memsys import fastpath
 
-from .event_oracle import replay_event
+from .controller import ChannelController
+from .event_oracle import oracle_controllers, replay_event
 
-#: The two replays the open-row table serves.
-REPLAYS = {"event": replay_event, "fast": MemorySystem.replay}
+
+def replay_exact(system, trace):
+    """:meth:`MemorySystem.replay` on its exact tier, whatever the
+    trace (the vectorized certificates all decline)."""
+    with mock.patch.object(fastpath, "_vector_plan", return_value=None):
+        stats = system.replay(trace)
+    assert system.last_replay_engine == "fast-exact"
+    return stats
+
+
+#: The two replays with an open-row table: the oracle's controller and
+#: the exact tier's flat loop.
+REPLAYS = {"event": replay_event, "fast": replay_exact}
 
 
 def _reference_select(self):
-    """The pre-table FR-FCFS selection: always scan the queue."""
+    """The table-free FR-FCFS selection: always scan the queue."""
     candidate = self._refresh_candidate
     if candidate is not None:
         self._refresh_candidate = None
@@ -47,12 +64,11 @@ def _reference_select(self):
 
 
 def _stats_pair(trace_builder, config, engine, monkeypatch):
-    replay = REPLAYS[engine]
-    table = replay(MemorySystem(config), trace_builder()).summary()
+    table = REPLAYS[engine](MemorySystem(config), trace_builder())
     with monkeypatch.context() as patch:
         patch.setattr(ChannelController, "_select", _reference_select)
-        reference = replay(MemorySystem(config), trace_builder()).summary()
-    return table, reference
+        reference = replay_event(MemorySystem(config), trace_builder())
+    return repr(table), repr(reference)
 
 
 @pytest.mark.parametrize("engine", ["event", "fast"])
@@ -72,9 +88,10 @@ def test_selection_matches_reference_scan(
     assert table == reference
 
 
+@pytest.mark.parametrize("engine", ["event", "fast"])
 @pytest.mark.parametrize("granularity", ["per-rank", "per-bank"])
 def test_selection_matches_reference_under_refresh(
-    granularity, monkeypatch
+    granularity, engine, monkeypatch
 ):
     config = MemSysConfig(
         trefi_ns=500.0, trfc_ns=60.0, refresh_granularity=granularity
@@ -84,14 +101,15 @@ def test_selection_matches_reference_under_refresh(
             "random", 2_000, config, seed=11, write_fraction=0.3
         ),
         config,
-        "event",
+        engine,
         monkeypatch,
     )
     assert table == reference
 
 
-def test_selection_matches_reference_with_pim_and_ab(monkeypatch):
-    """Mixed host/PIM/AB streams exercise the all-bank rescans."""
+@pytest.mark.parametrize("engine", ["event", "fast"])
+def test_selection_matches_reference_with_pim_and_ab(engine, monkeypatch):
+    """Mixed host/PIM/AB streams exercise the all-bank row changes."""
     config = MemSysConfig()
     amap = config.address_map()
 
@@ -114,16 +132,19 @@ def test_selection_matches_reference_with_pim_and_ab(monkeypatch):
                 )
         return requests
 
-    config_stats, reference = _stats_pair(
-        build, config, "event", monkeypatch
-    )
-    assert config_stats == reference
+    table, reference = _stats_pair(build, config, engine, monkeypatch)
+    assert table == reference
 
 
 def test_hit_count_reaches_zero_after_replay():
     config = MemSysConfig()
     system = MemorySystem(config)
-    system.replay(synthesize_trace("random", 1_000, config, seed=1))
-    for controller in system.controllers:
+    controllers = oracle_controllers(system)
+    replay_event(
+        system,
+        synthesize_trace("random", 1_000, config, seed=1),
+        controllers=controllers,
+    )
+    for controller in controllers:
         assert controller._queued_hits == 0
         assert all(not queue for queue in controller._bank_queue)

@@ -11,7 +11,6 @@ from repro.arch.dram import (
     macro_bandwidth_bits_per_sec,
 )
 from repro.memsys import (
-    ChannelController,
     Coordinates,
     MemRequest,
     MemSysConfig,
@@ -20,6 +19,8 @@ from repro.memsys import (
     synthesize_trace,
 )
 from repro.telemetry import OUTCOME_NAMES, ReplayTelemetry
+
+from .controller import ChannelController
 
 
 def single_macro(**kw) -> MemSysConfig:
@@ -98,7 +99,7 @@ class TestConfigValidation:
                 ),
             ]
         )
-        banks = system.controllers[0].banks
+        banks = system.banks[0]
         assert banks[0].open_row == 1
         assert banks[2].open_row == 2  # group 1 starts at flat index 2
 
@@ -254,7 +255,7 @@ class TestSystemBehavior:
         assert stats.row_hits + stats.row_misses == 0
         assert outcomes(telemetry.recorder) == ["broadcast"] * 3
         assert stats.total_bits == 3 * config.timing.page_bits
-        bank = system.controllers[0].banks[0]
+        bank = system.banks[0][0]
         assert bank.open_row is None and bank.accesses == 0
 
     def test_frfcfs_does_not_reorder_across_ab_broadcast(self):

@@ -92,7 +92,7 @@ def replay_against_oracle(config, trace):
 
 
 def open_rows(system):
-    return [[bank.open_row for bank in c.banks] for c in system.controllers]
+    return [[bank.open_row for bank in banks] for banks in system.banks]
 
 
 def fifo_unstalled(recorder, times):
