@@ -6,8 +6,11 @@ Regimes timed:
   which must sustain at least 1,000,000 requests/s (in practice it
   clears that by a wide margin);
 * the same 1M streaming replay with **per-rank refresh enabled**
-  (HBM2-class tREFI=3900/tRFC=350): the epoch-chunked closed form must
-  hold the same >= 1M requests/s floor;
+  (HBM2-class tREFI=3900/tRFC=350): the epoch-batched closed form must
+  hold the same >= 1M requests/s floor (median and spread of
+  :data:`N_REFRESH_RUNS` runs), and the record carries the replay's
+  ``certificate`` phase (the epoch solve plus the FIFO certificate) as
+  a per-layer median and spread with no floor;
 * **FR-FCFS random traffic** through the batched-heap exact tier, and
   **FCFS random traffic** through the arrival-fixed-point vectorized
   tier;
@@ -52,6 +55,8 @@ MAX_TELEMETRY_OVERHEAD_PCT = 5.0
 #: Timed post-replay derivations, each on a fresh recorder (a recorder
 #: caches what it derives).
 N_DERIVATIONS = 5
+#: Timed replays of the 1M refresh stream.
+N_REFRESH_RUNS = 5
 #: Timestamped traffic under per-rank refresh on the closed form: twice
 #: the exact tier's recorded random-traffic rate (207k requests/s), so
 #: a silent decline to the exact tier misses it.
@@ -125,10 +130,14 @@ TREFI_NS, TRFC_NS = 3900.0, 350.0
 def run_fast_refresh(n=N_FAST):
     """Replay ``n`` streaming requests with per-rank refresh enabled.
 
-    The epoch-chunked vectorized tier must absorb the tREFI/tRFC
+    The epoch-batched vectorized tier must absorb the tREFI/tRFC
     fences without dropping below the 1M requests/s floor, and the
     sustained bandwidth must show the ~tRFC/tREFI refresh overhead.
+    Returns ``(requests_per_sec, certificate_s)``, the latter the
+    replay profiler's ``certificate`` phase (latency recording off).
     """
+    from repro.telemetry import ReplayTelemetry
+
     config = MemSysConfig(
         n_channels=2,
         scheme="channel-interleaved",
@@ -137,8 +146,9 @@ def run_fast_refresh(n=N_FAST):
     )
     trace = synthesize_trace("sequential", n, config, packed=True)
     system = MemorySystem(config)
+    telemetry = ReplayTelemetry(latency=False)
     started = time.perf_counter()
-    stats = system.replay(trace, engine="fast")
+    stats = system.replay(trace, engine="fast", telemetry=telemetry)
     elapsed = time.perf_counter() - started
     assert system.last_replay_engine == "fast-vectorized"
     # ideal streaming minus roughly the blackout fraction
@@ -146,7 +156,7 @@ def run_fast_refresh(n=N_FAST):
     overhead = 1 - stats.sustained_bits_per_sec / analytic
     blackout = TRFC_NS / TREFI_NS
     assert 0.5 * blackout < overhead < 2.0 * blackout
-    return n / elapsed
+    return n / elapsed, telemetry.profiler.phases["certificate"]
 
 
 def test_bench_1m_fastpath_replay(benchmark):
@@ -238,8 +248,15 @@ def test_bench_1m_refresh_replay(benchmark):
     """The vectorized tier holds >= 1M requests/s with per-rank
     refresh enabled on a 1M-request replay."""
     run_fast_refresh()  # steady state
-    rate = benchmark.pedantic(run_fast_refresh, rounds=1, iterations=1)
+    rate, _ = benchmark.pedantic(run_fast_refresh, rounds=1, iterations=1)
     assert rate >= MIN_FAST_REQUESTS_PER_SEC
+
+
+def median_spread(samples):
+    """``(median, (max - min) / median in percent)`` of ``samples``."""
+    samples = sorted(samples)
+    median = samples[len(samples) // 2]
+    return median, 100 * (samples[-1] - samples[0]) / median
 
 
 def main(argv=None) -> int:
@@ -278,11 +295,7 @@ def main(argv=None) -> int:
         derivation_times.append(elapsed)
     assert validate_timeseries(timeseries) == []
     assert validate_energy(energy) == []
-    derivation_times.sort()
-    derivation_s = derivation_times[len(derivation_times) // 2]
-    derivation_spread_pct = 100 * (
-        (derivation_times[-1] - derivation_times[0]) / derivation_s
-    )
+    derivation_s, derivation_spread_pct = median_spread(derivation_times)
     # median of the per-pair ratios: each pair shares its moment's
     # machine conditions, and the median rejects GC/scheduler outliers;
     # the spread (max - min ratio) is the run's own noise estimate
@@ -291,13 +304,17 @@ def main(argv=None) -> int:
     )
     telemetry_overhead_pct = 100 * (ratios[len(ratios) // 2] - 1)
     spread_pct = 100 * (ratios[-1] - ratios[0])
-    refresh_rate = max(run_fast_refresh() for _ in range(3))
+    refresh_runs = [run_fast_refresh() for _ in range(N_REFRESH_RUNS)]
+    refresh_rate, refresh_spread_pct = median_spread(
+        [rate for rate, _ in refresh_runs]
+    )
+    certificate_s, certificate_spread_pct = median_spread(
+        [seconds for _, seconds in refresh_runs]
+    )
     random_rate = max(run_random() for _ in range(3))
     fcfs_random_rate = max(run_fcfs_random() for _ in range(3))
-    timestamped_rates = sorted(run_timestamped_refresh() for _ in range(3))
-    timestamped_rate = timestamped_rates[1]
-    timestamped_spread_pct = 100 * (
-        (timestamped_rates[-1] - timestamped_rates[0]) / timestamped_rate
+    timestamped_rate, timestamped_spread_pct = median_spread(
+        [run_timestamped_refresh() for _ in range(3)]
     )
     record = {
         "benchmark": "memsys_replay_throughput",
@@ -317,6 +334,9 @@ def main(argv=None) -> int:
         "derivation_s": round(derivation_s, 4),
         "derivation_spread_pct": round(derivation_spread_pct, 2),
         "refresh_requests_per_sec": round(refresh_rate),
+        "refresh_spread_pct": round(refresh_spread_pct, 2),
+        "refresh_certificate_s": round(certificate_s, 4),
+        "refresh_certificate_spread_pct": round(certificate_spread_pct, 2),
         "random_requests": N_RANDOM,
         "random_requests_per_sec": round(random_rate),
         "fcfs_random_requests_per_sec": round(fcfs_random_rate),

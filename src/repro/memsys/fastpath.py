@@ -20,13 +20,16 @@ takes a :class:`~repro.memsys.trace.PackedTrace`:
 **Tier 1 — vectorized closed form.**  Banks are reduced to plain
 ``(open_row, ready_at_ns)`` records advanced by array arithmetic:
 
-* per-channel FIFO service order is assumed, row-buffer outcomes are
-  computed in one vectorized pass (previous-same-bank row comparison —
-  an open-row streak of ``L`` requests costs one activation plus ``L``
-  batched page spans, charged by a single ``cumsum``; AB register
-  broadcasts never touch a row buffer, so they are charged one page
-  access and skipped by the outcome scan), and service finishes follow
-  as sequential prefix sums of the durations;
+* per-channel FIFO service order is assumed, and row-buffer outcomes
+  follow from one previous-access index per channel
+  (:func:`_previous_access`: the previous same-bank request, the
+  previous PIM command of an all-bank stream, none for AB register
+  broadcasts, which never touch a row buffer and are charged one page
+  access): a request hits or conflicts when its previous access lies
+  in its chunk (refresh epoch, epoch label), so any chunking costs one
+  comparison.  An open-row streak of ``L`` requests costs one
+  activation plus ``L`` batched page spans, and service finishes
+  follow as sequential prefix sums of the durations;
 * *line-rate* arrivals follow from the bounded queue: the ``m``-th
   request of a channel is admitted exactly when the ``(m - depth)``-th
   service *starts* (that dequeue frees its slot), so ``A[m] =
@@ -41,7 +44,11 @@ takes a :class:`~repro.memsys.trace.PackedTrace`:
   its end with the exact tier's own stall expression, and each
   boundary precharges every row buffer.  Line-rate streams are chunked
   at the boundaries (:func:`_chunked_refresh_channel`): within an
-  epoch starts are back-to-back cumsums.
+  epoch starts are back-to-back cumsums, and epochs that start at
+  their fence with a learned request count are solved as the rows of
+  one matrix (one ``cumsum(axis=1)`` from the fences), each row
+  verified from its last two columns; the first failed row's epoch is
+  solved alone and the batch resumes after it.
 
 Exact, conservative, and themselves vectorized *certificates* decide
 whether the closed form reproduces the exact tier:
@@ -295,12 +302,13 @@ def _vector_plan(
             frfcfs and depth > 1 and ab_c is None and not closed
         )
         data: dict = {"idx": idx}
+        if times is not None and refresh is not None and ab_c is not None:
+            # lockstep row scans carry no epoch labels: tier 2
+            return None
+        access = _previous_access(bank_c, row_c, ab_c, closed)
         if times is not None:
-            if refresh is not None and ab_c is not None:
-                # lockstep row scans carry no epoch labels: tier 2
-                return None
             solved = _timestamped_channel(
-                refresh, times[idx], bank_c, row_c, ab_c, closed,
+                refresh, times[idx], access, bank_c, row_c, ab_c, closed,
                 latencies, depth, n_banks, check_fifo,
             )
             if solved is None:
@@ -308,21 +316,15 @@ def _vector_plan(
             data.update(solved)
         elif refresh is not None:
             chunked = _chunked_refresh_channel(
-                refresh,
-                bank_c,
-                row_c,
-                ab_c,
-                closed,
-                latencies,
-                depth,
-                n_banks,
-                check_fifo,
+                refresh, access, bank_c, row_c, ab_c, closed,
+                latencies, depth, n_banks, check_fifo,
             )
             if chunked is None:
                 return None
             data.update(chunked)
         else:
-            outcome = _chunk_outcomes(bank_c, row_c, ab_c, closed)
+            _, miss, step = access
+            outcome = miss + step  # one chunk: every prev[j] is in it
             bank_counts, open_final = _bank_state(
                 bank_c, row_c, ab_c, closed, outcome, n_banks
             )
@@ -395,66 +397,42 @@ def _vector_plan(
     return plan
 
 
-def _chunk_outcomes(
+def _previous_access(
     bank_c: np.ndarray,
     row_c: np.ndarray,
     ab_c: _t.Optional[np.ndarray],
     closed: bool,
-) -> np.ndarray:
-    """FIFO row-buffer outcome codes for one all-banks-closed stream.
+) -> _t.Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One channel's previous-access index, as ``(prev, miss, step)``.
 
-    The request slice is served in order starting from closed row
-    buffers — a whole channel without refresh, or one refresh epoch
-    chunk (each boundary precharges every bank, so every chunk restarts
-    from the same state).  ``ab_c`` is ``None`` for a host-only stream;
-    for an all-bank stream it marks the AB register broadcasts, which
-    are charged code :data:`_BROADCAST`, never touch a row buffer, and
-    therefore pass through the PIM row scan without disturbing it.
-    Outcomes are prefix-stable: request ``j``'s code only looks at
-    earlier requests of the slice.
+    ``prev[j]`` is the access whose row request ``j`` finds open when no
+    chunk boundary (refresh epoch, label) falls between them: the
+    previous same-bank request for a host access (one stable radix sort
+    of the bank), the previous PIM command for a PIM command (all-bank
+    lockstep), and none (``-1``) for an AB broadcast, which never
+    touches a row buffer, or under the closed row policy.  The FIFO
+    codes of any chunking whose labels are non-decreasing in trace
+    order are then ``miss + same * step``, where ``same[j]`` says
+    ``prev[j]`` lies in ``j``'s chunk, ``miss`` is :data:`_MISS`
+    (:data:`_BROADCAST` for an AB broadcast) and ``step`` is ``-1`` for
+    a row match, ``+1`` for a conflict and ``0`` without ``prev[j]``.
     """
     n_c = bank_c.shape[0]
-    if closed:
-        # Auto-precharge: every row access activates a fresh row — all
-        # misses, never a hit or conflict, so FR-FCFS has nothing to
-        # hoist (FIFO by construction) and all banks end closed.  AB
-        # broadcasts bypass the row buffers under any policy.
-        outcome = np.full(n_c, _MISS, dtype=np.int64)
-        if ab_c is not None:
-            outcome[ab_c] = _BROADCAST
-        return outcome
+    prev = np.full(n_c, -1, dtype=np.int64)
+    miss = np.full(n_c, _MISS, dtype=np.int8)
     if ab_c is not None:
-        # All-bank lockstep: every bank holds the previous PIM row, so
-        # outcomes are uniform across banks and follow from the PIM row
-        # subsequence alone; AB broadcasts never open or close a row.
-        outcome = np.full(n_c, _BROADCAST, dtype=np.int64)
-        pim_rows = row_c[~ab_c]
-        m = pim_rows.shape[0]
-        pim_out = np.empty(m, dtype=np.int64)
-        if m:
-            pim_out[0] = _MISS
-            pim_out[1:] = np.where(
-                pim_rows[1:] == pim_rows[:-1], _HIT, _CONFLICT
-            )
-        outcome[~ab_c] = pim_out
-        return outcome
-    # FIFO row-buffer outcomes: compare each request's row with the
-    # previous request on the same bank (stable sort groups banks while
-    # preserving service order within each).
-    order = np.argsort(bank_c, kind="stable")
-    sorted_bank = bank_c[order]
-    sorted_row = row_c[order]
-    prev_sorted = np.full(n_c, -1, dtype=np.int64)
-    if n_c > 1:
-        same = sorted_bank[1:] == sorted_bank[:-1]
-        prev_sorted[1:][same] = sorted_row[:-1][same]
-    prev_row = np.empty(n_c, dtype=np.int64)
-    prev_row[order] = prev_sorted
-    return np.where(
-        row_c == prev_row,
-        _HIT,
-        np.where(prev_row < 0, _MISS, _CONFLICT),
-    )
+        miss[ab_c] = _BROADCAST
+    if not closed:
+        if ab_c is not None:
+            pim = np.flatnonzero(~ab_c)
+            prev[pim[1:]] = pim[:-1]
+        else:
+            order = np.argsort(bank_c.astype(np.int16), kind="stable")
+            same = bank_c[order[1:]] == bank_c[order[:-1]]
+            prev[order[1:][same]] = order[:-1][same]
+    step = np.where(row_c[prev] == row_c, -1, 1).astype(np.int8)
+    step[prev < 0] = 0
+    return prev, miss, step
 
 
 def _bank_state(
@@ -464,14 +442,16 @@ def _bank_state(
     closed: bool,
     outcome: np.ndarray,
     n_banks: int,
+    tail: int = 0,
 ) -> _t.Tuple[np.ndarray, _t.List[_t.Optional[int]]]:
     """``(per-bank outcome counts, final open rows)`` after serving a
-    slice whose :func:`_chunk_outcomes` codes are ``outcome``."""
+    channel with FIFO codes ``outcome``; rows are left open only by the
+    requests from ``tail`` on (the last refresh chunk or label)."""
     if ab_c is not None:
         # lockstep: every bank sees the PIM subsequence
         pim = ~ab_c
         counts = np.tile(np.bincount(outcome[pim], minlength=3), (n_banks, 1))
-        pim_rows = row_c[pim]
+        pim_rows = row_c[tail:][pim[tail:]]
         last: _t.Optional[int] = (
             int(pim_rows[-1]) if pim_rows.shape[0] and not closed else None
         )
@@ -483,7 +463,7 @@ def _bank_state(
         return counts, [None] * n_banks
     # each bank holds the row of its latest request
     latest = np.full(n_banks, -1, dtype=np.int64)
-    np.maximum.at(latest, bank_c, np.arange(bank_c.shape[0]))
+    np.maximum.at(latest, bank_c[tail:], np.arange(tail, bank_c.shape[0]))
     return counts, [
         None if j < 0 else int(row_c[j]) for j in latest.tolist()
     ]
@@ -491,112 +471,123 @@ def _bank_state(
 
 def _chunked_refresh_channel(
     refresh: "RefreshSchedule",
-    bank_c: np.ndarray,
-    row_c: np.ndarray,
-    ab_c: _t.Optional[np.ndarray],
-    closed: bool,
-    latencies: np.ndarray,
-    depth: int,
-    n_banks: int,
+    access: _t.Tuple[np.ndarray, np.ndarray, np.ndarray],
+    bank_c: np.ndarray, row_c: np.ndarray, ab_c: _t.Optional[np.ndarray],
+    closed: bool, latencies: np.ndarray, depth: int, n_banks: int,
     check_fifo: bool,
 ) -> _t.Optional[dict]:
-    """Line-rate service times under per-rank refresh, epoch by epoch.
+    """Line-rate service times under per-rank refresh, in epoch chunks.
 
-    Each refresh boundary precharges every row buffer, so the outcome
-    scan restarts from all-banks-closed at every chunk; a service start
-    landing inside the blackout ``[k*tREFI, k*tREFI + tRFC)`` is pushed
-    to its end with the exact tier's own stall arithmetic
-    (``now + (fence - now)``).  The FIFO certificate runs once over the
-    whole channel on the refresh-aware outcomes, with chunk labels
-    cancelling open rows across boundaries (queue windows still cross
-    them).  Returns ``None`` when the FIFO certificate fails.
+    Each refresh boundary precharges every row buffer, so within a
+    chunk request ``j`` finds ``prev[j]``'s row open (the
+    :func:`_previous_access` index) only when ``prev[j]`` lies in the
+    same chunk.  A chunk ends before the first service start past its
+    epoch; that start, landing inside the blackout ``[k*tREFI, k*tREFI
+    + tRFC)``, is pushed to its end with the exact tier's own stall
+    ``F + (fence - F)``, which is exactly ``fence`` (``F`` lies within a
+    factor of two of the fence, so the difference is exact).
+
+    Epochs that start at their fence are solved in batches.  Once two
+    epochs in a row held the same request count (the *stride*) and the
+    next one starts at its fence, ``rows`` epochs are laid out as the
+    rows of one ``(rows, stride)`` view of the channel's arrays: column
+    0 holds each epoch's fence ``e*tREFI + tRFC`` and one
+    ``cumsum(axis=1)`` does the exact tier's left-to-right additions.
+    Each row is verified from its last two columns: its last start lies
+    in epoch ``e`` and its last finish ``F`` in ``e + 1`` (the next
+    start crosses the boundary), and the next row may follow only if
+    ``F <= fence`` (the stall lands on the next row's fence, which lies
+    in its own epoch as ``tRFC < tREFI``).  Rows up
+    to the first failed one are kept, and the failed epoch is solved
+    alone.  Batches double while every row holds and restart at one
+    row after a failure, so wasted rows stay within a constant factor
+    of the kept ones and a trace whose epoch counts vary keeps linear
+    cost.
+
+    An epoch solved alone scans ``trefi / min(latency) + 2`` requests
+    from its start, more than can start within one epoch (back-to-back
+    starts are at least one service apart), so its boundary is always
+    inside the scan.  The FIFO certificate runs once over the whole
+    channel on the refresh-aware outcomes, with epoch labels cancelling
+    open rows across boundaries (queue windows still cross them).
+    Returns ``None`` when the FIFO certificate fails.
     """
-    n_c = bank_c.shape[0]
-    trefi = refresh.trefi_ns
-    # at most trefi/min-duration services can *start* within one epoch
-    # (back-to-back starts are at least one service apart), bounding
-    # the outcome-scan window so the chunk loop stays O(n) overall
+    prev, miss, step = access
+    n_c = prev.shape[0]
+    trefi, trfc = refresh.trefi_ns, refresh.trfc_ns
     limit = int(trefi / float(latencies.min())) + 2
-    outcome = np.empty(n_c, dtype=np.int64)
+    outcome = np.empty(n_c, dtype=np.int8)
     start = np.empty(n_c)
     finish = np.empty(n_c)
-    chunk_id = np.empty(n_c, dtype=np.int64)
-    i = 0
-    tail_start = 0
-    chunk = 0
-    epoch_applied = 0
-    window = limit
-    t = 0.0  # finish time of the previous service
+    i = tail = stride = count = 0
+    rows = 1
+    s = 0.0  # the gated start of request i
     while i < n_c:
-        s = t if i else 0.0
         epoch = int(math.floor(s / trefi))
-        if epoch > epoch_applied:
-            epoch_applied = epoch  # the boundary closes every bank
+        fenced = s == epoch * trefi + trfc
+        if stride and fenced and i + stride <= n_c:
+            m = min(rows, (n_c - i) // stride)
+            end = i + m * stride
+            shape = (m, stride)
+            epochs = np.arange(epoch, epoch + m + 1, dtype=float)
+            fences = epochs * trefi + trfc
+            heads = np.arange(i, end, stride)[:, None]
+            out = outcome[i:end].reshape(shape)
+            out[...] = miss[i:end].reshape(shape) + (
+                prev[i:end].reshape(shape) >= heads
+            ) * step[i:end].reshape(shape)
+            # rows solved in place; a failed row's slots are solved again
+            f = np.take(latencies, out, out=finish[i:end].reshape(shape))
+            f[:, 0] += fences[:-1]  # fence + d0, the first addition
+            np.cumsum(f, axis=1, out=f)
+            starts = start[i:end].reshape(shape)
+            starts[:, 0] = fences[:-1]
+            starts[:, 1:] = f[:, :-1]
+            good = (np.floor(starts[:, -1] / trefi) == epochs[:-1]) & (
+                np.floor(f[:, -1] / trefi) == epochs[1:]
+            )
+            good[1:] &= f[:-1, -1] <= fences[1:-1]
+            kept = m if bool(good.all()) else int(good.argmin())
+            if kept:
+                tail = i + (kept - 1) * stride
+                i += kept * stride
+            if kept == m:
+                rows *= 2
+            else:  # solve the failed epoch alone
+                rows, stride = 1, 0
+        else:
+            w = min(n_c - i, limit)
+            out = miss[i : i + w] + (prev[i : i + w] >= i) * step[i : i + w]
+            f = _seq_cumsum(s, latencies[out])
+            # request j + 1 starts at f[j]
+            crossed = np.floor(f / trefi) > epoch
+            k = int(crossed.argmax()) + 1 if bool(crossed.any()) else w
+            outcome[i : i + k] = out[:k]
+            start[i] = s
+            start[i + 1 : i + k] = f[: k - 1]
+            finish[i : i + k] = f[:k]
+            stride = k if fenced and k == count else 0
+            count = k
+            tail, i = i, i + k
+        if i < n_c:
+            s = float(finish[i - 1])
             fence = refresh.rank_fence(s)
             if fence > s:
-                s = s + (fence - s)  # the exact tier's stall
-        # scan a window sized from the previous epoch; when no boundary
-        # falls inside it, widen to the bound (outcomes are
-        # prefix-stable, so the wider scan restarts from the same state)
-        window = min(n_c - i, window)
-        while True:
-            out_w = _chunk_outcomes(
-                bank_c[i : i + window],
-                row_c[i : i + window],
-                None if ab_c is None else ab_c[i : i + window],
-                closed,
-            )
-            f_w = _seq_cumsum(s, latencies[out_w])
-            s_w = np.empty(window)
-            s_w[0] = s
-            s_w[1:] = f_w[:-1]
-            crossed = np.floor(s_w / trefi) > epoch_applied
-            if bool(crossed.any()) or window == n_c - i:
-                break
-            if window >= limit:  # pragma: no cover - defensive
-                # the window bound guarantees a boundary crossing before
-                # it runs out; bail to the exact tier rather than
-                # continue a chunk on stale bank state if float edges
-                # ever break that
-                return None
-            window = min(n_c - i, limit)
-        k = int(np.argmax(crossed)) if bool(crossed.any()) else window
-        if k == 0:  # pragma: no cover - defensive (float edge)
-            return None
-        outcome[i : i + k] = out_w[:k]
-        start[i : i + k] = s_w[:k]
-        finish[i : i + k] = f_w[:k]
-        chunk_id[i : i + k] = chunk
-        chunk += 1
-        t = float(f_w[k - 1])
-        tail_start = i
-        i += k
-        window = 2 * k
+                s = s + (fence - s)
     if check_fifo and not _fifo_certificate(
-        bank_c, row_c, outcome, depth, n_banks, chunk_id=chunk_id
+        bank_c, row_c, outcome, depth, n_banks,
+        chunk_id=np.floor(start / trefi),
     ):
         return None
     # counts add up over the chunks' disjoint slices; every boundary
     # precharges every bank, so the open rows are the last chunk's
-    bank_counts, _ = _bank_state(
-        bank_c, row_c, ab_c, closed, outcome, n_banks
+    bank_counts, open_final = _bank_state(
+        bank_c, row_c, ab_c, closed, outcome, n_banks, tail
     )
-    tail = slice(tail_start, n_c)
-    _, open_final = _bank_state(
-        bank_c[tail],
-        row_c[tail],
-        None if ab_c is None else ab_c[tail],
-        closed,
-        outcome[tail],
-        n_banks,
+    return dict(
+        outcome=outcome, start=start, finish=finish,
+        bank_counts=bank_counts, open_final=open_final,
     )
-    return {
-        "outcome": outcome,
-        "start": start,
-        "finish": finish,
-        "bank_counts": bank_counts,
-        "open_final": open_final,
-    }
 
 
 def _seq_cumsum(s: float, durations: np.ndarray) -> np.ndarray:
@@ -615,6 +606,7 @@ def _seq_cumsum(s: float, durations: np.ndarray) -> np.ndarray:
 
 def _timestamped_channel(
     refresh: _t.Optional["RefreshSchedule"], t_c: np.ndarray,
+    access: _t.Tuple[np.ndarray, np.ndarray, np.ndarray],
     bank_c: np.ndarray, row_c: np.ndarray, ab_c: _t.Optional[np.ndarray],
     closed: bool, latencies: np.ndarray, depth: int, n_banks: int,
     check_fifo: bool,
@@ -633,13 +625,12 @@ def _timestamped_channel(
     so the banks end with the open rows of the last label's requests.
     """
     n_c = t_c.shape[0]
+    prev, miss, step = access
     label = np.zeros(n_c, dtype=np.int64)
     if refresh is not None:
         label = np.floor(t_c / refresh.trefi_ns).astype(np.int64)
     for _ in range(_MAX_ARRIVAL_ITERS):
-        outcome = _chunk_outcomes(
-            bank_c + n_banks * label, row_c, ab_c, closed
-        )
+        outcome = miss + (label[prev] == label) * step
         solved = _segmented_service(t_c, latencies[outcome], refresh)
         if solved is None:
             return None
@@ -660,11 +651,9 @@ def _timestamped_channel(
         visible=np.searchsorted(t_c, start, side="right"),
     ):
         return None
-    bank_counts, _ = _bank_state(bank_c, row_c, ab_c, closed, outcome, n_banks)
-    tail = slice(int(np.searchsorted(label, label[-1])), n_c)
-    _, open_final = _bank_state(
-        bank_c[tail], row_c[tail], None if ab_c is None else ab_c[tail],
-        closed, outcome[tail], n_banks,
+    bank_counts, open_final = _bank_state(
+        bank_c, row_c, ab_c, closed, outcome, n_banks,
+        int(np.searchsorted(label, label[-1])),
     )
     return dict(
         outcome=outcome, arrival=t_c, start=start, finish=finish,

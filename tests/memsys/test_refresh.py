@@ -11,6 +11,8 @@ whichever tier serves it, and obey the timing laws.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.memsys import (
     Coordinates,
@@ -25,7 +27,7 @@ from repro.telemetry import ReplayTelemetry
 
 from .event_oracle import replay_event
 from .test_fastpath import assert_stats_equivalent, replay_both
-from .test_timestamped_closed_form import fifo_unstalled
+from .test_timestamped_closed_form import fifo_unstalled, replay_against_oracle
 
 #: HBM2-class refresh timings (ns).
 TREFI, TRFC = 3900.0, 350.0
@@ -301,43 +303,6 @@ class TestEngineEquivalenceGrid:
         event_stats, fast_stats, _ = replay_both(config, trace)
         assert_stats_equivalent(event_stats, fast_stats)
 
-    def test_faster_epoch_widens_the_scan_window(self, monkeypatch):
-        """A conflict-bound epoch followed by row-hit epochs: the next
-        epoch's scan window (sized from the previous epoch) holds no
-        boundary, so the scan widens — and stays bit-exact."""
-        from repro.memsys import fastpath
-
-        scans = []
-        scan = fastpath._chunk_outcomes
-
-        def counted(*args):
-            scans.append(args[0].shape[0])
-            return scan(*args)
-
-        monkeypatch.setattr(fastpath, "_chunk_outcomes", counted)
-        config = MemSysConfig(n_channels=1, trefi_ns=TREFI, trfc_ns=TRFC)
-        trace = synthesize_trace(
-            "random", 600, config, seed=5
-        ) + synthesize_trace("sequential", 2400, config)
-        recorded = {}
-        for engine, replay in (
-            ("event", replay_event), ("fast", MemorySystem.replay)
-        ):
-            telemetry = ReplayTelemetry()
-            system = MemorySystem(config)
-            replay(system, trace, telemetry=telemetry)
-            recorded[engine] = telemetry.recorder
-        assert system.last_replay_engine == "fast-vectorized"
-        epochs = len(
-            set((recorded["fast"].start_service // TREFI).tolist())
-        )
-        assert len(scans) > epochs  # at least one widened re-scan
-        for name in ("arrival", "start_service", "finish", "outcome_code"):
-            assert (
-                getattr(recorded["event"], name).tolist()
-                == getattr(recorded["fast"], name).tolist()
-            ), name
-
     def test_refresh_ab_broadcast_stream(self):
         config = MemSysConfig(
             n_channels=2,
@@ -369,6 +334,185 @@ class TestEngineEquivalenceGrid:
             request.timestamp = 3.0 * index
         event_stats, fast_stats, _ = replay_both(config, trace)
         assert_stats_equivalent(event_stats, fast_stats)
+
+
+def epoch_edges(recorder, refresh):
+    """Per-epoch request counts of a one-channel line-rate replay, and
+    at each boundary the previous finish ``F``, the blackout end and
+    the first start of the new epoch."""
+    start, finish = recorder.start_service, recorder.finish
+    epoch = np.floor(start / refresh.trefi_ns)
+    first = np.flatnonzero(epoch[1:] > epoch[:-1]) + 1
+    fence = epoch[first] * refresh.trefi_ns + refresh.trfc_ns
+    counts = np.diff(np.r_[0, first, start.shape[0]])
+    return counts, finish[first - 1], fence, start[first]
+
+
+def lockstep_trace(config, n, ab_every, run=8):
+    """All-bank PIM commands on channel 0, ``run`` per row, with an AB
+    register broadcast after every ``ab_every``-th one (0: none)."""
+    amap = config.address_map()
+    trace = []
+    for i in range(n):
+        addr = amap.encode(
+            Coordinates(row=(i // run) % config.rows_per_bank, column=i % 8)
+        )
+        trace.append(MemRequest(Op.PIM, addr))
+        if ab_every and i % ab_every == ab_every - 1:
+            trace.append(MemRequest(Op.AB, addr))
+    return trace
+
+
+class TestEpochResolve:
+    """Line-rate streams under per-rank refresh whose epochs the closed
+    form cannot all solve as one batch: each is byte-identical to the
+    event oracle (stats, every recorded array, row counts, open rows)
+    and obeys the timing laws."""
+
+    def resolve(self, config, trace):
+        engine, recorder, _ = replay_against_oracle(config, trace)
+        assert engine == "fast-vectorized"
+        return epoch_edges(recorder, config.refresh_schedule())
+
+    def test_epoch_count_changes(self):
+        """A conflict-bound block, then row-hit epochs."""
+        config = MemSysConfig(n_channels=1, trefi_ns=TREFI, trfc_ns=TRFC)
+        trace = synthesize_trace(
+            "random", 600, config, seed=5
+        ) + synthesize_trace("sequential", 2400, config)
+        counts, *_ = self.resolve(config, trace)
+        assert len(set(counts[1:-1].tolist())) > 1
+
+    def test_finish_after_the_fence(self):
+        """tRFC shorter than a row conflict: one conflict ends an epoch
+        of the usual count after the next blackout ended, so the next
+        epoch starts at that finish, not at its fence."""
+        config = MemSysConfig(
+            n_channels=1, policy="fcfs", trefi_ns=100.0, trfc_ns=5.0
+        )
+        amap = config.address_map()
+        # 38 requests per epoch after the first 40; the last request of
+        # epoch 7 (index 40 + 7 * 38 - 1) conflicts
+        trace = [
+            MemRequest(
+                Op.READ,
+                amap.encode(Coordinates(row=int(j == 305), column=j % 8)),
+            )
+            for j in range(600)
+        ]
+        counts, finish, fence, first = self.resolve(config, trace)
+        late = np.flatnonzero(finish > fence)
+        assert late.tolist() == [7]  # the boundary into epoch 8
+        assert counts[1:8].tolist() == [38] * 7
+        assert first[7] == finish[7]
+
+    def test_fractional_fences(self):
+        """Fences and services off the integer grid: the stall
+        ``F + (fence - F)`` still lands exactly on every fence (``F`` is
+        within a factor of two of it, so the difference is exact)."""
+        config = MemSysConfig(
+            n_channels=1, trefi_ns=97.7, trfc_ns=12.3, precharge_ns=0.3
+        )
+        trace = synthesize_trace("sequential", 3000, config)
+        counts, finish, fence, first = self.resolve(config, trace)
+        stalled = finish < fence
+        assert stalled.all()
+        assert np.array_equal(first, fence)
+        assert np.any(fence % 1.0 != 0.0)
+
+    def test_one_request_per_epoch(self):
+        config = MemSysConfig(
+            n_channels=1,
+            scheme="bank-interleaved",
+            policy="fcfs",
+            trefi_ns=25.0,
+            trfc_ns=10.0,
+        )
+        # one bank per epoch: only the last one ends open
+        trace = synthesize_trace("sequential", 400, config)
+        counts, *_ = self.resolve(config, trace)
+        assert np.all(counts[1:] == 1)
+
+    @pytest.mark.parametrize("ab_every", (0, 3))
+    def test_pim_lockstep(self, ab_every):
+        config = MemSysConfig(n_channels=1, trefi_ns=500.0, trfc_ns=60.0)
+        self.resolve(config, lockstep_trace(config, 2000, ab_every))
+
+    def test_closed_row_policy(self):
+        config = MemSysConfig(
+            n_channels=1, row_policy="closed", trefi_ns=500.0, trfc_ns=60.0
+        )
+        trace = synthesize_trace("sequential", 2000, config)
+        counts, *_ = self.resolve(config, trace)
+        assert len(counts) > 50
+
+
+#: (tREFI, tRFC) pairs spanning one to ~100 requests per epoch, with
+#: blackouts longer and shorter than a row conflict (22 ns) and fences
+#: off the integer grid.
+REFRESH_PAIRS = (
+    (25.0, 10.0),
+    (40.0, 3.5),
+    (97.7, 12.3),
+    (150.0, 30.0),
+    (300.0, 10.0),
+    (500.0, 60.0),
+    (611.1, 7.7),
+)
+
+
+@st.composite
+def line_rate_refresh_cells(draw):
+    """One channel of line-rate traffic under per-rank refresh: host
+    blocks under the open or closed row policy, or a PIM+AB lockstep
+    stream; FCFS or FR-FCFS; queue depth 1, 2 or 16."""
+    kind = draw(st.sampled_from(("open", "closed", "lockstep")))
+    trefi, trfc = draw(st.sampled_from(REFRESH_PAIRS))
+    config = MemSysConfig(
+        n_channels=1,
+        rows_per_bank=64,
+        policy=draw(st.sampled_from(("fcfs", "frfcfs"))),
+        queue_depth=draw(st.sampled_from((1, 2, 16))),
+        row_policy="closed" if kind == "closed" else "open",
+        trefi_ns=trefi,
+        trfc_ns=trfc,
+    )
+    if kind == "lockstep":
+        trace = lockstep_trace(
+            config,
+            draw(st.integers(1, 400)),
+            draw(st.sampled_from((0, 2, 5))),
+            run=draw(st.integers(1, 12)),
+        )
+    else:
+        blocks = draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(("sequential", "strided", "random")),
+                    st.integers(1, 200),
+                    st.integers(0, 9),
+                ),
+                min_size=1,
+                max_size=4,
+            )
+        )
+        trace = [
+            request
+            for pattern, n, seed in blocks
+            for request in synthesize_trace(
+                pattern, n, config, seed=seed, write_fraction=0.25
+            )
+        ]
+    return config, trace
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(line_rate_refresh_cells())
+def test_line_rate_refresh_matches_oracle(cell):
+    """Whichever tier serves it, a one-channel line-rate stream under
+    per-rank refresh is byte-identical to the event oracle and obeys
+    the timing laws."""
+    replay_against_oracle(*cell)
 
 
 class TestTierSelection:

@@ -294,6 +294,26 @@ class TestSpreadAwareNoise:
         assert any("FLOOR MISS" in line for line in report)
         assert not any("within spread" in p for p in problems)
 
+    def test_rate_spread_is_relative(self):
+        # 950k misses the 1M floor by 5%: inside a 10% spread, outside 2%
+        for spread_pct, verdict in (
+            (10.0, "NOISY MISS"),
+            (2.0, "FLOOR MISS"),
+        ):
+            _, report = compare_bench.compare_record(
+                memsys_record(
+                    refresh_requests_per_sec=950_000,
+                    refresh_spread_pct=spread_pct,
+                ),
+                None,
+            )
+            line = next(
+                line
+                for line in report
+                if ": refresh_requests_per_sec = " in line
+            )
+            assert verdict in line
+
     def test_spread_without_a_miss_changes_nothing(self):
         problems, report = compare_bench.compare_record(
             memsys_record(telemetry_overhead_spread_pct=90.0),

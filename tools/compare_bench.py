@@ -116,9 +116,12 @@ FLOORS: _t.Dict[str, _t.List[_t.Tuple[str, ...]]] = {
 #: margin, so the verdict is "re-measure", and a noisy miss that
 #: persists after the bounded ``--remeasure`` retry is downgraded to a
 #: warning instead of failing the run.  A miss beyond the spread is a
-#: real regression and fails as before.
+#: real regression and fails as before.  A percentage metric's spread
+#: is in percentage points; any other metric's (``*_spread_pct``) is a
+#: percentage of the metric's own value.
 SPREAD_KEYS: _t.Dict[str, str] = {
     "telemetry_overhead_pct": "telemetry_overhead_spread_pct",
+    "refresh_requests_per_sec": "refresh_spread_pct",
 }
 
 #: Non-numeric provenance fields carried into the JSONL history next to
@@ -186,6 +189,8 @@ def compare_record(
         spread_key = SPREAD_KEYS.get(metric)
         if spread_key is not None and spread_key in fresh:
             spread = abs(float(fresh[spread_key]))
+            if not metric.endswith("_pct"):
+                spread *= abs(value) / 100
         noisy = not ok and spread > 0 and (
             value - spread < floor
             if direction == "max"
