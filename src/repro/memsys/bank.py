@@ -131,6 +131,19 @@ class RefreshSchedule:
                 f"(the rolling sweep must fit one interval), got "
                 f"{self.n_banks} * {self.trfc_ns} vs {self.trefi_ns}"
             )
+        span = self.trfc_ns
+        if self.granularity == PER_BANK:
+            span *= self.n_banks  # the all-bank sweep
+        if not span <= self.trefi_ns * (1 - 2.0**-18):
+            # A fence k*tREFI + span rounds by less than 2**-20 * tREFI
+            # over the first 2**32 intervals; a blackout ending closer
+            # to the next boundary could round onto it and black it out
+            # again, a gate that never opens.
+            raise ValueError(
+                f"a {self.granularity} blackout of {span!r} ns leaves no "
+                f"float-safe gap before the next boundary at trefi_ns="
+                f"{self.trefi_ns!r} (needs <= trefi_ns * (1 - 2**-18))"
+            )
 
     # ------------------------------------------------------------------
     def epoch(self, now: float) -> int:

@@ -102,15 +102,15 @@ selection, the AB barrier, bank accesses charged from
 :func:`~repro.memsys.bank.latency_table`, and the refresh gate, all
 inline.  Trace timestamps become absolute-time injector resumptions;
 refresh stalls become retry occurrences at the blackout end.  The
-stamp arrays come straight from the lists, and the banks of the
-:class:`MemorySystem` receive the final counters and open rows.
+time and outcome arrays come straight from the lists, and the banks of
+the :class:`MemorySystem` receive the final counters and open rows.
 
-The tiers differ in one recorded stamp: the vectorized tier's admission
-occupancies (the ``max_queue_length`` gauge) count a service starting
-at an admission's instant as still queued, which can exceed the exact
-tier's by one transient slot (see :func:`_plan_arrays`).  Both tiers
-take a :class:`~repro.memsys.trace.PackedTrace` and return arrays only:
-a replay writes nothing back onto request objects.
+Both tiers take a :class:`~repro.memsys.trace.PackedTrace` and return
+the same arrays only — per-request times, outcomes and routing — and a
+replay writes nothing back onto request objects.  Queue depths and
+busy periods are functions of those times
+(:func:`~repro.telemetry.latency.channel_gauges`,
+:func:`~repro.memsys.system.busy_ns`), so no tier records them.
 """
 
 from __future__ import annotations
@@ -231,9 +231,7 @@ def _run_tier(
                     for data in plan
                 ],
             )
-            arrays = _plan_arrays(
-                plan, op_codes.shape[0], config.queue_depth
-            )
+            arrays = _plan_arrays(plan, op_codes.shape[0])
             del plan  # before the routing arrays allocate
             routing = _routing_arrays(
                 op_codes, fields["channel"], fields["row"], flat_bank
@@ -363,7 +361,7 @@ def _vector_plan(
         arrival = np.zeros(n_c)
         if n_c > depth:
             arrival[depth:] = start[: n_c - depth]
-        data.update(arrival=arrival, line_rate=True)
+        data["arrival"] = arrival
         arrivals_global[idx] = arrival
     if n <= 1 or not bool(np.any(np.diff(arrivals_global) < 0)):
         return plan
@@ -389,10 +387,7 @@ def _vector_plan(
         start, finish = solved[cursor]
         cursor += 1
         data.update(
-            arrival=arrivals[data["idx"]],
-            start=start,
-            finish=finish,
-            line_rate=False,
+            arrival=arrivals[data["idx"]], start=start, finish=finish
         )
     return plan
 
@@ -676,11 +671,10 @@ def _segmented_service(
     re-segmented from the exact finishes until stable — hence
     consistent: a segment start finds the channel idle (``E >
     F[j-1]``), a continuation does not.  Returns ``(start, finish)``,
-    or ``None`` to fall back when the segmentation does not settle, a
-    start still lies inside a blackout (the exact tier would stall
-    twice), or an arrival ties the previous finish right before a
-    stall (whether the stall is busy time then hangs on the calendar
-    order of the two).
+    or ``None`` to fall back when the segmentation does not settle or
+    a start still lies inside a blackout (the exact tier would stall
+    twice).  An arrival tying the previous finish is a continuation:
+    either calendar order of the two starts it at ``g(F[j-1])``.
     """
     n = durations.shape[0]
     prefix = np.empty(n)
@@ -705,12 +699,10 @@ def _segmented_service(
         )
     else:
         return None
-    if refresh is not None:
-        tie = earliest[1:] == finish[:-1]
-        if not np.array_equal(_rank_fence(refresh, start), start) or bool(
-            np.any(tie & (start[1:] > finish[:-1]))
-        ):
-            return None
+    if refresh is not None and not np.array_equal(
+        _rank_fence(refresh, start), start
+    ):
+        return None
     return start, finish
 
 
@@ -927,52 +919,23 @@ def _commit_banks(
 
 
 def _plan_arrays(
-    plan: _t.List[_t.Optional[dict]], n: int, depth: int
+    plan: _t.List[_t.Optional[dict]], n: int
 ) -> _t.Dict[str, np.ndarray]:
-    """Trace-ordered stamps of the plan's channels.
-
-    The closed form serves each channel in FIFO order, so a service
-    start finds the channel idle exactly when its request arrived after
-    the previous completion.  On a tie the exact tier's choice
-    depends on its calendar order, but that only matters when a refresh
-    stall follows: :func:`_segmented_service` declines that case, and
-    line-rate arrivals never idle a channel (``A[m] = S[m - depth]``
-    precedes ``F[m - 1]``).  The admission occupancy counts services
-    starting at the admission's instant as still queued (admission
-    first), clipped at the queue depth a full queue cannot exceed; on
-    such ties it can exceed the exact tier's by one transient slot.
-    Under line-rate arrivals that count is ``min(m + 1, depth)``.
-    """
+    """Trace-ordered time and outcome arrays of the plan's channels."""
     arrays = {
         "arrival": np.empty(n),
         "start_service": np.empty(n),
         "finish": np.empty(n),
         "outcome": np.empty(n, dtype=np.int64),
-        "occupancy": np.full(n, depth, dtype=np.int32),
-        "opens_busy": np.zeros(n, dtype=np.bool_),
     }
     for data in plan:
         if data is None:
             continue
         idx = data["idx"]
-        arrival = data["arrival"]
-        start = data["start"]
-        finish = data["finish"]
-        arrays["arrival"][idx] = arrival
-        arrays["start_service"][idx] = start
-        arrays["finish"][idx] = finish
+        arrays["arrival"][idx] = data["arrival"]
+        arrays["start_service"][idx] = data["start"]
+        arrays["finish"][idx] = data["finish"]
         arrays["outcome"][idx] = data["outcome"]
-        arrays["opens_busy"][idx[0]] = True
-        if data.get("line_rate"):
-            arrays["occupancy"][idx[:depth]] = np.arange(
-                1, min(idx.shape[0], depth) + 1
-            )
-            continue
-        queued = np.arange(1, idx.shape[0] + 1) - np.searchsorted(
-            start, arrival, side="left"
-        )
-        arrays["occupancy"][idx] = np.minimum(queued, depth)
-        arrays["opens_busy"][idx[1:]] = arrival[1:] > finish[:-1]
     return arrays
 
 
@@ -1048,8 +1011,8 @@ def _replay_exact(
       row buffer, a PIM operation accesses every bank in lockstep and
       holds the channel for the slowest.
 
-    Returns the trace-ordered stamp arrays; the banks of ``system`` are
-    left with the counters and open rows of the replay.
+    Returns the trace-ordered time and outcome arrays; the banks of
+    ``system`` are left with the counters and open rows of the replay.
     """
     config = system.config
     depth = config.queue_depth
@@ -1077,8 +1040,6 @@ def _replay_exact(
     start = [0.0] * n
     finish = [0.0] * n
     outcome = [0] * n
-    occupancy = [0] * n
-    opens_busy = [False] * n
 
     pending: _t.List[_t.List[int]] = [[] for _ in range(n_channels)]
     open_rows: _t.List[_t.List[_t.Optional[int]]] = [
@@ -1092,11 +1053,9 @@ def _replay_exact(
     # refresh boundaries applied per bank (per-rank refresh: slot 0)
     applied = [[0] * n_banks for _ in range(n_channels)]
     # idle: no completion or retry outstanding; woken: a wakeup is
-    # scheduled; fresh: no busy period open, so the next service
-    # start opens one
+    # scheduled
     idle = [True] * n_channels
     woken = [False] * n_channels
-    fresh = [True] * n_channels
 
     def precharge(ch: int, bank: int) -> None:
         """A refresh boundary closes ``bank``'s row buffer."""
@@ -1144,7 +1103,6 @@ def _replay_exact(
                             if open_rows[target][bank] == row:
                                 queued_hits[target] += 1
                     queue.append(cursor)
-                    occupancy[cursor] = len(queue)
                     if idle[target] and not woken[target]:
                         woken[target] = True
                         seq += 1
@@ -1155,7 +1113,7 @@ def _replay_exact(
             if kind == _COMPLETE:
                 finish[j] = now
                 if not queue:
-                    fresh[ch] = idle[ch] = True
+                    idle[ch] = True
                     woken[ch] = False
                     continue
             elif kind == _WAKEUP:
@@ -1234,8 +1192,6 @@ def _replay_exact(
                             break
             j = queue.pop(pick)
             start[j] = now
-            opens_busy[j] = fresh[ch]
-            fresh[ch] = False
             op = op_of[j]
             if op == _AB_CODE:
                 code = _BROADCAST
@@ -1304,6 +1260,4 @@ def _replay_exact(
         "start_service": np.array(start, dtype=np.float64),
         "finish": np.array(finish, dtype=np.float64),
         "outcome": np.array(outcome, dtype=np.int64),
-        "occupancy": np.array(occupancy, dtype=np.int32),
-        "opens_busy": np.array(opens_busy, dtype=np.bool_),
     }

@@ -15,7 +15,9 @@ tiers agree on still shows here.  The laws, each a vectorized pass:
   access for an AB broadcast);
 * ``channel_overlap`` — in start order, no service on a channel starts
   before the previous one finishes;
-* ``occupancy`` — an admission leaves ``1 <= occupancy <= queue_depth``;
+* ``queue_depth`` — a channel's settled queue depth (admissions minus
+  service starts, after every event at an instant) stays within
+  ``[0, queue_depth]``;
 * ``refresh_blackout`` — no service starts inside its blackout: the
   channel's (per-rank), its bank's or, for an all-bank command, the
   whole sweep's (per-bank);
@@ -41,6 +43,7 @@ import typing as _t
 
 import numpy as np
 
+from ..telemetry.latency import _depth_step
 from .bank import CLOSED, PER_RANK, latency_table
 from .request import Op
 from .system import FCFS
@@ -55,7 +58,7 @@ LAWS = (
     "early_start",
     "service_time",
     "channel_overlap",
-    "occupancy",
+    "queue_depth",
     "refresh_blackout",
     "row_outcome",
     "fcfs_order",
@@ -98,7 +101,6 @@ class _Checker:
         self.start = arrays["start_service"]
         self.finish = arrays["finish"]
         self.outcome = arrays["outcome"]
-        self.occupancy = arrays["occupancy"]
         self.channel = arrays["channel"]
         self.bank = arrays["bank"]
         self.row = arrays["row"]
@@ -151,12 +153,6 @@ class _Checker:
             "service_time",
             ~known | (self.finish != expected),
             lambda i: f"{self.ns('finish', i)} for outcome {outcome[i]}",
-        )
-        depth = self.config.queue_depth
-        self.flag(
-            "occupancy",
-            (self.occupancy < 1) | (self.occupancy > depth),
-            lambda i: f"{self.occupancy[i]} queued, depth {depth}",
         )
         if self.refresh is not None:
             self.flag(
@@ -241,8 +237,26 @@ class _Checker:
 
     # ------------------------------------------------------------------
     def per_channel(self, rows: np.ndarray) -> None:
-        """The overlap and ordering laws of one channel's requests."""
+        """The overlap, queue and ordering laws of one channel's
+        requests."""
         start = self.start[rows]
+        arrival = self.arrival[rows]
+        step = _depth_step(arrival, start)
+        depth = self.config.queue_depth
+        bad = (step.values < 0) | (step.values > depth)
+        # charged to the latest admission by the offending instant
+        latest = np.searchsorted(arrival, step.times[bad], side="right") - 1
+        for at, i, queued in zip(
+            step.times[bad].tolist(),
+            rows[np.maximum(latest, 0)].tolist(),
+            step.values[bad].tolist(),
+        ):
+            self.violations.append(
+                LawViolation(
+                    "queue_depth", int(self.channel[i]), i,
+                    f"{queued:g} queued at {at!r}, depth {depth}",
+                )
+            )
         by_start = rows[np.argsort(start, kind="stable")]
         self.flag(
             "channel_overlap",
@@ -263,7 +277,7 @@ class _Checker:
         # older requests queued at each start: arrival strictly before
         # it (arrivals follow trace order, so a prefix of the channel)
         queued = np.minimum(
-            np.searchsorted(self.arrival[rows], start, side="left"),
+            np.searchsorted(arrival, start, side="left"),
             np.arange(rows.shape[0]),
         )
         ab_start = np.where(self.op[rows] == Op.AB.code, start, -math.inf)

@@ -383,30 +383,32 @@ def request_bits(config: MemSysConfig, op: np.ndarray) -> np.ndarray:
 
 
 def busy_ns(
-    start: np.ndarray, finish: np.ndarray, opens_busy: np.ndarray
+    arrival: np.ndarray, start: np.ndarray, finish: np.ndarray
 ) -> float:
     """Busy time of one channel, from its requests in trace order.
 
-    A busy period opens at a service start that finds the channel idle
-    (``opens_busy``, stamped by the tier that ran the replay) and
-    closes at the completion that leaves its queue empty — the last
-    service before the next opening one.  A refresh stall with work
-    queued stays inside the period; a stall right after an idle wakeup
-    is idle time, because a period opens only when its first service
-    starts.  Whether a completion coincident with an admission left the
-    queue empty depends on which of the two the calendar ran first,
-    which the times alone cannot tell: hence the tier's mark.
+    In start order, a busy period opens at the first service and closes
+    after service ``k`` when every request that arrived by ``F[k]`` has
+    started by then; an arrival at ``F[k]`` joins the period.  So a
+    refresh stall with work queued (or arriving at the completion)
+    stays inside the period, and a stall after an idle wakeup is idle
+    time.  Served in trace order, service ``k`` closes its period iff
+    ``arrival[k + 1] > F[k]``; reordered, iff exactly ``k + 1`` requests
+    arrived by ``F[k]`` (arrivals never decrease in trace order).
     """
-    if start.shape[0] == 0:
+    n = start.shape[0]
+    if n == 0:
         return 0.0
     if bool(np.any(start[1:] < start[:-1])):
         # the scheduler reordered: walk the services in start order
         order = np.argsort(start, kind="stable")
-        start, finish, opens_busy = (
-            start[order], finish[order], opens_busy[order]
-        )
-    first = np.flatnonzero(opens_busy)
-    last = np.r_[first[1:] - 1, start.shape[0] - 1]
+        start, finish = start[order], finish[order]
+        arrived = np.searchsorted(arrival, finish[:-1], side="right")
+        closes = arrived == np.arange(1, n)
+    else:
+        closes = arrival[1:] > finish[:-1]
+    last = np.r_[np.flatnonzero(closes), n - 1]
+    first = np.r_[0, last[:-1] + 1]
     return float((finish[last] - start[first]).sum())
 
 
@@ -425,8 +427,8 @@ def reduce_stats(
     arrays:
         The trace-ordered per-request arrays a
         :class:`~repro.telemetry.LatencyRecorder` adopts; this reads
-        ``arrival``, ``start_service``, ``finish``, ``opens_busy``,
-        ``channel`` and ``op``.
+        ``arrival``, ``start_service``, ``finish``, ``channel`` and
+        ``op``.
     row_counts:
         Every bank's hit/miss/conflict counters
         (:meth:`MemorySystem.row_counts`).
@@ -447,7 +449,6 @@ def reduce_stats(
     arrival = arrays["arrival"]
     start = arrays["start_service"]
     finish = arrays["finish"]
-    opens_busy = arrays["opens_busy"]
     op = arrays["op"]
     if channel_rows is None:
         channel_rows = group_channels(arrays["channel"], config.n_channels)
@@ -465,7 +466,7 @@ def reduce_stats(
         total_bits += bits
         if makespan > 0:
             queue_sum += float((s - a).sum()) / makespan
-            busy_sum += busy_ns(s, f, opens_busy[rows]) / makespan
+            busy_sum += busy_ns(a, s, f) / makespan
         hits = int(row_counts[ch, :, 0].sum())
         accesses = int(row_counts[ch].sum())
         per_channel.append(

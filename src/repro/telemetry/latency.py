@@ -1,9 +1,9 @@
 """Per-request latency recording across both replay tiers.
 
 Both tiers already *know* every request's arrival, service start, and
-finish: the exact tier stamps them onto its slotted per-request records
-as its calendar advances, and the vectorized tier solves them in closed
-form as per-channel arrays.  Every replay gathers those times into
+finish: the exact tier writes them into its per-request lists as its
+calendar advances, and the vectorized tier solves them in closed form
+as per-channel arrays.  Every replay gathers those times into
 trace-ordered numpy arrays once, after its clock stops, and reduces its
 :class:`~repro.memsys.MemSysStats` from them
 (:func:`~repro.memsys.system.reduce_stats`); :class:`LatencyRecorder`
@@ -70,10 +70,11 @@ class LatencyRecorder:
       the derived durations;
     * :attr:`channel`, :attr:`bank`, :attr:`row`, :attr:`op_code`,
       :attr:`outcome_code` — routing and outcome context
-      (``bank == ALL_BANKS`` for all-bank PIM/AB operations);
-    * :attr:`occupancy`, :attr:`opens_busy` — the controller's queue
-      occupancy right after each admission, and whether each service
-      start found its channel idle.
+      (``bank == ALL_BANKS`` for all-bank PIM/AB operations).
+
+    Queue depths and busy periods are functions of the times
+    (:func:`_depth_step`, :func:`~repro.memsys.system.busy_ns`), so
+    they are derived, not recorded.
 
     The time-series, energy, and timeline builders share the
     reductions they derive from these arrays (per-channel busy unions,
@@ -89,8 +90,6 @@ class LatencyRecorder:
         "start_service": np.float64,
         "finish": np.float64,
         "outcome": np.int64,
-        "occupancy": np.int32,
-        "opens_busy": np.bool_,
         "channel": np.int64,
         "bank": np.int64,
         "row": np.int64,
@@ -185,18 +184,6 @@ class LatencyRecorder:
     def op_code(self) -> np.ndarray:
         return self._assemble()["op"]
 
-    @property
-    def occupancy(self) -> np.ndarray:
-        """Queue occupancy of the request's channel right after its
-        admission, the request included."""
-        return self._assemble()["occupancy"]
-
-    @property
-    def opens_busy(self) -> np.ndarray:
-        """Whether the request's service start found its channel idle,
-        opening a busy period."""
-        return self._assemble()["opens_busy"]
-
     # ------------------------------------------------------------------
     # derived durations
     # ------------------------------------------------------------------
@@ -208,7 +195,7 @@ class LatencyRecorder:
 
     @property
     def service_time(self) -> np.ndarray:
-        """Service occupancy per request (ns)."""
+        """Service duration per request (ns)."""
         arrays = self._assemble()
         return arrays["finish"] - arrays["start_service"]
 
@@ -286,6 +273,48 @@ def _split_by(
         yield int(keys[group[0]]), items[group]
 
 
+# ----------------------------------------------------------------------
+# derived per-channel quantities
+# ----------------------------------------------------------------------
+class _Step(_t.NamedTuple):
+    """A step function ``(times, values)`` with its running integral.
+
+    ``values[k]`` holds on ``[times[k], times[k+1])``; ``integral[k]``
+    is the integral from the first event up to ``times[k]``.
+    """
+
+    times: np.ndarray
+    values: np.ndarray
+    integral: np.ndarray
+
+
+def _depth_step(arrival: np.ndarray, start: np.ndarray) -> _Step:
+    """Queue depth: +1 at each arrival, -1 at each service start.
+
+    ``values[k]`` is the depth after *all* events at ``times[k]``: the
+    running sum of the merged ±1.0 events (whole numbers, so exact) at
+    the last event of each run of equal instants, independent of how
+    the merge orders ties.
+    """
+    merged = np.concatenate([arrival, start])
+    if merged.shape[0] == 0:
+        return _Step(merged, merged, merged)
+    order = np.argsort(merged, kind="stable")
+    times = merged[order]
+    # the merge buffer takes the ±1.0 steps, then their running sum
+    depth = merged
+    np.multiply(order < arrival.shape[0], 2.0, out=depth)
+    depth -= 1.0
+    np.cumsum(depth, out=depth)
+    last = np.flatnonzero(np.r_[times[1:] != times[:-1], True])
+    times, values = times[last], depth[last]
+    integral = np.zeros(times.shape[0])
+    widths = np.diff(times)
+    widths *= values[:-1]
+    np.cumsum(widths, out=integral[1:])
+    return _Step(times, values, integral)
+
+
 def channel_gauges(
     telemetry: "ReplayTelemetry",
 ) -> _t.List[_t.Dict[str, float]]:
@@ -295,12 +324,10 @@ def channel_gauges(
     configured channel, so a farm run and a single-process run of the
     same trace on the same tier give the same values:
 
-    * ``max_queue_length`` — peak queued (admitted, not yet served)
-      requests, read from the admission occupancies (see
-      :attr:`LatencyRecorder.occupancy`; the vectorized fast-path tier
-      counts a service starting at an admission's instant as still
-      queued, so on such ties its peak can exceed the event calendar's
-      by one transient slot);
+    * ``max_queue_length`` — peak queued (admitted, not yet started)
+      requests: the maximum of the channel's settled queue depth
+      (:func:`_depth_step`), the quantity the time series' per-window
+      ``queue_depth_max`` takes over all channels;
     * ``min_latency_ns`` / ``max_latency_ns`` — arrival-to-finish
       extremes (NaN on an idle channel);
     * ``busy_fraction`` — the channel's
@@ -320,13 +347,14 @@ def channel_gauges(
     gauges = []
     for ch in range(config.n_channels):
         rows = recorder.rows(ch)
+        arrival = recorder.arrival[rows]
         start = recorder.start_service[rows]
         finish = recorder.finish[rows]
-        latency = finish - recorder.arrival[rows]
+        latency = finish - arrival
         gauges.append(
             {
                 "max_queue_length": float(
-                    recorder.occupancy[rows].max(initial=0)
+                    _depth_step(arrival, start).values.max(initial=0.0)
                 ),
                 "min_latency_ns": (
                     float(latency.min()) if rows.shape[0] else math.nan
@@ -335,8 +363,7 @@ def channel_gauges(
                     float(latency.max()) if rows.shape[0] else math.nan
                 ),
                 "busy_fraction": (
-                    busy_ns(start, finish, recorder.opens_busy[rows])
-                    / makespan
+                    busy_ns(arrival, start, finish) / makespan
                     if makespan > 0
                     else math.nan
                 ),

@@ -225,7 +225,7 @@ def memsys_metrics(
     ``telemetry`` (the replay's recorded
     :class:`~repro.telemetry.ReplayTelemetry`) adds the per-channel
     gauges of :func:`~repro.telemetry.latency.channel_gauges` —
-    latency extremes, queue-occupancy peaks and busy fractions that the
+    latency extremes, queue-depth peaks and busy fractions that the
     flat summary reduces away — for single-process and farm replays
     alike.
     """

@@ -74,7 +74,7 @@ import typing as _t
 import numpy as np
 
 from ..errors import ServiceOverlapError
-from .latency import ALL_BANKS, OUTCOME_NAMES
+from .latency import ALL_BANKS, OUTCOME_NAMES, _depth_step, _Step
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from .latency import ReplayTelemetry
@@ -238,47 +238,8 @@ def _window_counts(
 
 
 # ----------------------------------------------------------------------
-# exact queue depth
+# exact queue depth (the step function is latency._depth_step)
 # ----------------------------------------------------------------------
-class _Step(_t.NamedTuple):
-    """A step function ``(times, values)`` with its running integral.
-
-    ``values[k]`` holds on ``[times[k], times[k+1])``; ``integral[k]``
-    is the integral from the first event up to ``times[k]``.
-    """
-
-    times: np.ndarray
-    values: np.ndarray
-    integral: np.ndarray
-
-
-def _depth_step(arrival: np.ndarray, start: np.ndarray) -> _Step:
-    """Queue depth: +1 at each arrival, -1 at each service start.
-
-    ``values[k]`` is the depth after *all* events at ``times[k]``: the
-    running sum of the merged ±1.0 events (whole numbers, so exact) at
-    the last event of each run of equal instants, independent of how
-    the merge orders ties.
-    """
-    merged = np.concatenate([arrival, start])
-    if merged.shape[0] == 0:
-        return _Step(merged, merged, merged)
-    order = np.argsort(merged, kind="stable")
-    times = merged[order]
-    # the merge buffer takes the ±1.0 steps, then their running sum
-    depth = merged
-    np.multiply(order < arrival.shape[0], 2.0, out=depth)
-    depth -= 1.0
-    np.cumsum(depth, out=depth)
-    last = np.flatnonzero(np.r_[times[1:] != times[:-1], True])
-    times, values = times[last], depth[last]
-    integral = np.zeros(times.shape[0])
-    widths = np.diff(times)
-    widths *= values[:-1]
-    np.cumsum(widths, out=integral[1:])
-    return _Step(times, values, integral)
-
-
 def _integral_at(t: np.ndarray, step: _Step) -> np.ndarray:
     """``I(t) = integral_0^t f`` (``f == 0`` before the first event)."""
     times = step.times

@@ -2,11 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.desim import Simulator
 from repro.pimexec import UnitView, VectorUnitArray
 
 from tests.pimexec.unit_oracle import BankExecUnit
+
+#: The generated differential properties' larger budget: CI's property
+#: step runs them with ``--hypothesis-profile=properties``; tier-1 runs
+#: each with the budget it states.
+settings.register_profile(
+    "properties", max_examples=1500, deadline=None, derandomize=True
+)
 
 
 @pytest.fixture

@@ -35,9 +35,7 @@ window ends (the whole channel under per-rank refresh; only requests
 touching the refreshing bank under per-bank refresh).
 
 The controller stamps each request's arrival, service start, finish,
-and outcome, plus the queue occupancy an admission left and whether a
-service start found the channel idle; the oracle gathers those stamps
-into the recorder arrays.
+and outcome; the oracle gathers those stamps into the recorder arrays.
 """
 
 from __future__ import annotations
@@ -57,15 +55,14 @@ class ReplayRecord:
     A flat slotted record: the fields the controller reads (``op``,
     ``timestamp``, and the routing values ``row`` / ``bank_index``, the
     flat in-channel bank index or ``None`` for all-bank PIM/AB
-    requests) and the stamps it writes (``queued_hit``, ``occupancy``,
-    ``arrival``, ``start_service``, ``opens_busy``, ``finish``,
-    ``outcome``, ``bits``; unset until the replay reaches them).
+    requests) and the stamps it writes (``queued_hit``, ``arrival``,
+    ``start_service``, ``finish``, ``outcome``, ``bits``; unset until
+    the replay reaches them).
     """
 
     __slots__ = (
-        "op", "timestamp", "row", "bank_index", "queued_hit",
-        "occupancy", "arrival", "start_service", "opens_busy", "finish",
-        "outcome", "bits",
+        "op", "timestamp", "row", "bank_index", "queued_hit", "arrival",
+        "start_service", "finish", "outcome", "bits",
     )
 
     def __init__(
@@ -144,11 +141,6 @@ class ChannelController:
         self._queued_hits = 0
 
         self.pending: _t.List[ReplayRecord] = []
-        #: No busy period is open: the channel idled since its last
-        #: service (or never served), so the next service start opens
-        #: one.  Cleared at a service start, set by a completion that
-        #: leaves the queue empty.
-        self._idle = True
 
     # ------------------------------------------------------------------
     # queue admission
@@ -159,8 +151,7 @@ class ChannelController:
         The request must carry its routing values: ``row`` and the flat
         bank index ``bank_index`` (``None`` for all-bank PIM/AB
         requests), resolved once from the decoded address, so the
-        FR-FCFS selection scan never re-derives them.  Stamps the queue
-        occupancy the admission leaves on ``request.occupancy``.
+        FR-FCFS selection scan never re-derives them.
         """
         request.arrival = now
         index = request.bank_index
@@ -171,7 +162,6 @@ class ChannelController:
             if hit:
                 self._queued_hits += 1
         self.pending.append(request)
-        request.occupancy = len(self.pending)
 
     # ------------------------------------------------------------------
     # refresh gate
@@ -334,16 +324,13 @@ class ChannelController:
     def _begin_service(self, now: float) -> _t.Tuple[ReplayRecord, float]:
         """Dequeue the next request at ``now`` and drive its banks.
 
-        The service-start sequence: policy selection, dequeue, the
-        busy-period mark (``request.opens_busy``), and the bank
-        state-machine access.  Returns ``(request, latency_ns)``; the
+        The service-start sequence: policy selection, dequeue, and the
+        bank state-machine access.  Returns ``(request, latency_ns)``; the
         caller owns the passage of time.
         """
         request = self._select()
         self.pending.remove(request)
         request.start_service = now
-        request.opens_busy = self._idle
-        self._idle = False
         if not self._track_hits:
             return request, self._serve(request)
         index = request.bank_index

@@ -74,7 +74,6 @@ class _Channel:
         sim, controller = self.sim, self.controller
         while True:
             if not controller.pending:
-                controller._idle = True
                 self.wakeup = sim.event()
                 yield self.wakeup
                 self.wakeup = None
@@ -145,8 +144,6 @@ def _record_arrays(
         start_service=column((r.start_service for r in records), np.float64),
         finish=column((r.finish for r in records), np.float64),
         outcome=column(_OUTCOME_CODE[r.outcome] for r in records),
-        occupancy=column((r.occupancy for r in records), np.int32),
-        opens_busy=column((r.opens_busy for r in records), np.bool_),
         channel=column(r.channel for r in records),
         bank=column(
             ALL_BANKS if r.bank_index is None else r.bank_index

@@ -32,7 +32,7 @@ from repro.memsys import (
 )
 from repro.memsys import fastpath
 from repro.nn import TransformerLayerSpec, transformer_layer_program
-from repro.telemetry import ReplayTelemetry
+from repro.telemetry import LatencyRecorder, ReplayTelemetry
 from repro.telemetry.latency import channel_gauges
 
 from .event_oracle import replay_event
@@ -283,16 +283,12 @@ class TestFastPathSideEffects:
             fast_system = MemorySystem(config)
             fast_system.replay(trace, engine="fast", telemetry=fast_tel)
             assert fast_system.last_replay_engine == expected_tier
-            for name in REQUEST_FIELD_ARRAYS:
-                assert np.array_equal(
-                    getattr(fast_tel.recorder, name),
-                    getattr(event_tel.recorder, name),
-                ), name
+            assert_arrays_identical(event_tel.recorder, fast_tel.recorder)
 
     def test_queue_length_extremes_match_event_engine(self):
         """The per-channel queue peak derived from the recorded arrays
         is the same for the event oracle and the vectorized tier, and
-        is a line-rate stream's full queue."""
+        is a line-rate stream's settled full queue."""
         config = MemSysConfig(n_channels=2, scheme="channel-interleaved")
         for n in (4, config.queue_depth, 2048):
             trace = synthesize_trace("sequential", n, config)
@@ -306,11 +302,12 @@ class TestFastPathSideEffects:
                     for gauges in channel_gauges(telemetry)
                 ]
             assert set(peaks) == {"event", "fast-vectorized"}
-            # line-rate: a channel's queue fills at once, up to its
-            # depth, and every freed slot is refilled the instant it
-            # frees
+            # line-rate: at 0 a channel's queue fills up to its depth
+            # and its first service starts, freeing a slot the injector
+            # refills at once; the depth settled at 0 is one less than
+            # the admissions
             n_c = n // config.n_channels
-            expected = float(min(n_c, config.queue_depth))
+            expected = float(min(n_c - 1, config.queue_depth))
             assert peaks["event"] == [expected] * config.n_channels
             assert peaks["fast-vectorized"] == peaks["event"]
 
@@ -353,16 +350,43 @@ class TestFastPathSideEffects:
         assert stats.n_requests == 256
 
 
-#: The recorded arrays of the per-request times, outcome and routing.
-REQUEST_FIELD_ARRAYS = (
-    "arrival", "start_service", "finish", "outcome_code", "channel",
-    "bank", "row",
-)
 #: The recorder's trace-ordered arrays.
-RECORDED_ARRAYS = (
-    "arrival", "start_service", "finish", "outcome_code",
-    "occupancy", "opens_busy", "channel", "bank", "row", "op_code",
-)
+RECORDED_ARRAYS = LatencyRecorder.KEYS
+
+
+def assert_arrays_identical(expected, actual):
+    """Every recorded array of two recorders, to the byte."""
+    for name in RECORDED_ARRAYS:
+        want, got = expected.arrays[name], actual.arrays[name]
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+def open_rows(system):
+    return [[bank.open_row for bank in banks] for banks in system.banks]
+
+
+def replay_against_oracle(config, trace):
+    """Replay ``trace`` on the oracle and on the replay path, assert
+    they agree to the byte — stats, every recorded array, row counts
+    and open rows — with the timing laws holding on both, and return
+    ``(engine, oracle recorder, system)``."""
+    oracle_system = MemorySystem(config)
+    oracle_tel = ReplayTelemetry(profile=False)
+    oracle_stats = replay_event(oracle_system, trace, oracle_tel)
+    system = MemorySystem(config)
+    telemetry = ReplayTelemetry(profile=False)
+    stats = system.replay(trace, telemetry=telemetry)
+    assert_laws_hold(config, oracle_tel)
+    assert_laws_hold(config, telemetry)
+    assert repr(stats) == repr(oracle_stats)
+    assert_arrays_identical(oracle_tel.recorder, telemetry.recorder)
+    assert (
+        system.row_counts().tobytes()
+        == oracle_system.row_counts().tobytes()
+    )
+    assert open_rows(system) == open_rows(oracle_system)
+    return system.last_replay_engine, oracle_tel.recorder, system
 
 
 def replay_exact_tier(config, trace, telemetry=None):
@@ -399,11 +423,7 @@ def assert_exact_plumbing_identical(config, trace):
     )
     for stats, telemetry in fast_runs:
         assert repr(stats) == repr(event_stats)
-        for name in RECORDED_ARRAYS:
-            expected = getattr(event_tel.recorder, name)
-            actual = getattr(telemetry.recorder, name)
-            assert actual.dtype == expected.dtype, name
-            assert actual.tobytes() == expected.tobytes(), name
+        assert_arrays_identical(event_tel.recorder, telemetry.recorder)
 
 
 class TestExactTierRecords:
@@ -620,27 +640,55 @@ class TestMixedNnTrafficMatrix:
             **knobs,
         )
         trace = mixed_nn_stream(config, 600, 7, timestamped)
-        event_tel = ReplayTelemetry(profile=False)
-        event_system = MemorySystem(config)
-        event_stats = replay_event(event_system, trace, event_tel)
-        fast_tel = ReplayTelemetry(profile=False)
-        fast_system = MemorySystem(config)
-        fast_stats = fast_system.replay(trace, telemetry=fast_tel)
-        assert fast_system.last_replay_engine == "fast-exact"
-        assert repr(fast_stats) == repr(event_stats)
-        for name in RECORDED_ARRAYS:
-            expected = getattr(event_tel.recorder, name)
-            actual = getattr(fast_tel.recorder, name)
-            assert actual.dtype == expected.dtype, name
-            assert actual.tobytes() == expected.tobytes(), name
-        assert (
-            fast_system.row_counts().tobytes()
-            == event_system.row_counts().tobytes()
+        engine, _, _ = replay_against_oracle(config, trace)
+        assert engine == "fast-exact"
+
+
+class TestCoincidentAdmissionCells:
+    """Traces whose admissions coincide with dequeues.  Several channels
+    sharing the line-rate injector: a channel drains while the injector
+    blocks on another's full queue, and its admissions then land on its
+    own dequeues.  Fixed-interval arrivals: an arrival ties a finish.
+    Every recorded array, stat, row count and open row equals the
+    oracle's."""
+
+    def test_four_channel_random_stream(self):
+        config = MemSysConfig(
+            n_channels=4,
+            scheme="channel-interleaved",
+            policy="fcfs",
+            queue_depth=16,
         )
-        assert [
-            [bank.open_row for bank in banks] for banks in fast_system.banks
-        ] == [
-            [bank.open_row for bank in banks] for banks in event_system.banks
-        ]
-        assert_laws_hold(config, event_tel)
-        assert_laws_hold(config, fast_tel)
+        trace = synthesize_trace("random", 20_000, config, packed=True)
+        engine, _, _ = replay_against_oracle(config, trace)
+        assert engine == "fast-vectorized"
+
+    @pytest.mark.parametrize("row_policy", ("open", "closed"))
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    @pytest.mark.parametrize("precharge_ns", (0.0, 3.0))
+    @pytest.mark.parametrize("depth", (1, 2, 4, 16))
+    @pytest.mark.parametrize("n_channels", (1, 2, 4))
+    def test_line_rate_grid(
+        self, n_channels, depth, precharge_ns, policy, row_policy
+    ):
+        config = MemSysConfig(
+            n_channels=n_channels,
+            scheme="channel-interleaved",
+            policy=policy,
+            row_policy=row_policy,
+            queue_depth=depth,
+            precharge_ns=precharge_ns,
+        )
+        trace = synthesize_trace("random", 400, config, packed=True)
+        replay_against_oracle(config, trace)
+
+    def test_fixed_interval_arrival_ties_a_finish(self):
+        config = MemSysConfig(
+            n_channels=1, policy="fcfs", queue_depth=4, rows_per_bank=4
+        )
+        trace = synthesize_trace(
+            "random", 50, config, seed=146,
+            interarrival_ns=8.0, interarrival="fixed",
+        )
+        _, recorder, _ = replay_against_oracle(config, trace)
+        assert np.any(np.isin(recorder.arrival, recorder.finish))

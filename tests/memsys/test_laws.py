@@ -145,10 +145,17 @@ def corrupt_channel_overlap():
     return config, arrays, 300
 
 
-def corrupt_occupancy():
-    config, arrays = poisson_replay()
-    arrays["occupancy"][300] = config.queue_depth + 1
-    return config, arrays, 300
+def corrupt_queue_depth():
+    config, arrays = line_rate_replay()
+    # saturated line rate: a dequeue admits the request ``depth`` behind
+    # it at the same instant, so delaying one start leaves ``depth + 1``
+    # requests waiting at that admission
+    on_channel = np.flatnonzero(arrays["channel"] == 0)
+    late, admitted = on_channel[100], on_channel[100 + config.queue_depth]
+    start = arrays["start_service"]
+    assert arrays["arrival"][admitted] == start[late]
+    start[late] += 0.5
+    return config, arrays, int(admitted)
 
 
 def corrupt_refresh_blackout():
@@ -194,7 +201,7 @@ MUTATIONS = {
     "early_start": corrupt_early_start,
     "service_time": corrupt_service_time,
     "channel_overlap": corrupt_channel_overlap,
-    "occupancy": corrupt_occupancy,
+    "queue_depth": corrupt_queue_depth,
     "refresh_blackout": corrupt_refresh_blackout,
     "row_outcome": corrupt_row_outcome,
     "fcfs_order": corrupt_fcfs_order,

@@ -1,15 +1,13 @@
 """``reduce_stats`` against naive references.
 
 The per-channel reference walks each channel's services one by one and
-applies the definitions directly — a busy period opens at a service
-start the engine marked as finding the channel idle and runs to the
-completion just before the next such start — so it shares no code with
-the vectorized reduction.  It also checks each mark against the times
-wherever they decide it (a later-served request admitted strictly before
-a completion keeps the period open; none admitted by then closes it).
-Hand-built arrays pin the corner cases; real replays check the marks
-where the scheduler reorders and stalls, and where admissions coincide
-with completions, against the calendar's own record order.
+applies the definitions directly — a busy period opens at the first
+service and closes after a service by whose completion every request
+that had arrived has started; an arrival at the completion's very
+instant joins the period — so it shares no code with the vectorized
+reduction.  Hand-built arrays pin the corner cases; real replays check
+the rule where the scheduler reorders and stalls, and where admissions
+coincide with completions, against the calendar's own records.
 """
 
 import math
@@ -31,7 +29,11 @@ from repro.telemetry import ALL_BANKS, ReplayTelemetry
 from repro.telemetry.latency import channel_gauges
 
 from .event_oracle import replay_event
-from .test_fastpath import assert_laws_hold, replay_exact_tier
+from .test_fastpath import (
+    assert_arrays_identical,
+    assert_laws_hold,
+    replay_exact_tier,
+)
 
 CONFIG = MemSysConfig(n_channels=2, bankgroups=2, banks_per_group=2)
 PAGE_BITS = CONFIG.timing.page_bits
@@ -51,16 +53,17 @@ def reference(config, arrays, row_counts):
         busy = 0.0
         opened = None
         for k, i in enumerate(by_start):
-            if arrays["opens_busy"][i]:
-                if opened is not None:
-                    busy += arrays["finish"][by_start[k - 1]] - opened
+            if opened is None:
                 opened = arrays["start_service"][i]
-            if k:
-                check_mark(arrays, by_start[k - 1], by_start[k:])
-            else:
-                assert arrays["opens_busy"][i]
-        if opened is not None:
-            busy += arrays["finish"][by_start[-1]] - opened
+            started = set(by_start[: k + 1])
+            finish = arrays["finish"][i]
+            if not any(
+                arrays["arrival"][j] <= finish
+                for j in mine
+                if j not in started
+            ):
+                busy += finish - opened
+                opened = None
         latency = sum(
             arrays["finish"][i] - arrays["arrival"][i] for i in mine
         )
@@ -100,31 +103,15 @@ def reference(config, arrays, row_counts):
     }
 
 
-def check_mark(arrays, previous, rest):
-    """The idle mark of ``rest[0]``'s service start agrees with the
-    times wherever they decide it: the completion of ``previous`` left
-    work queued if a later-served request arrived strictly before it,
-    and left the queue empty if none arrived by then.  A tie is the
-    calendar's call."""
-    finish = arrays["finish"][previous]
-    arrivals = [arrays["arrival"][j] for j in rest]
-    if any(a < finish for a in arrivals):
-        assert not arrays["opens_busy"][rest[0]]
-    elif all(a > finish for a in arrivals):
-        assert arrays["opens_busy"][rest[0]]
-
-
 def build(requests, row_counts=None):
-    """Arrays from ``(channel, op, arrival, start, finish, opens_busy)``
-    rows."""
+    """Arrays from ``(channel, op, arrival, start, finish)`` rows."""
     columns = list(zip(*requests))
-    channel, op, arrival, start, finish, opens_busy = columns
+    channel, op, arrival, start, finish = columns
     n = len(requests)
     arrays = {
         "arrival": np.array(arrival, dtype=np.float64),
         "start_service": np.array(start, dtype=np.float64),
         "finish": np.array(finish, dtype=np.float64),
-        "opens_busy": np.array(opens_busy, dtype=np.bool_),
         "outcome": np.full(n, MISS, dtype=np.int64),
         "channel": np.array(channel, dtype=np.int64),
         "bank": np.array(
@@ -175,9 +162,9 @@ class TestBusyPeriods:
         # a refresh blackout holds its service until 20
         arrays, counts = build(
             [
-                (0, READ, 0, 0, 10, True),
-                (0, READ, 5, 20, 30, False),
-                (1, READ, 0, 0, 30, True),
+                (0, READ, 0, 0, 10),
+                (0, READ, 5, 20, 30),
+                (1, READ, 0, 0, 30),
             ]
         )
         stats, ref = assert_matches_reference(arrays, counts)
@@ -189,9 +176,9 @@ class TestBusyPeriods:
         # out a blackout until 25 — idle time, not busy time
         arrays, counts = build(
             [
-                (0, READ, 0, 0, 10, True),
-                (0, READ, 15, 25, 35, True),
-                (1, READ, 0, 0, 35, True),
+                (0, READ, 0, 0, 10),
+                (0, READ, 15, 25, 35),
+                (1, READ, 0, 0, 35),
             ]
         )
         stats, ref = assert_matches_reference(arrays, counts)
@@ -199,47 +186,46 @@ class TestBusyPeriods:
         assert stats.channel_utilization == (20 / 35 + 1.0) / 2
 
     @pytest.mark.parametrize(
-        "admitted_first, busy", ((True, 25.0), (False, 20.0))
+        "arrival, busy", ((9.0, 25.0), (10.0, 25.0), (11.0, 20.0))
     )
-    def test_completion_coincident_with_admission(self, admitted_first, busy):
-        # the second request arrives exactly when the first completes,
-        # then waits out a blackout until 15: an admission the calendar
-        # ran first keeps the period open through the stall, one it
-        # ran after the completion finds the channel idle
+    def test_completion_coincident_with_admission(self, arrival, busy):
+        # the second request waits out a blackout until 15: arriving by
+        # the first completion at 10 — at its very instant included —
+        # it joins the busy period and the stall is busy time; arriving
+        # after it, it wakes an idle channel
         arrays, counts = build(
             [
-                (0, READ, 0, 0, 10, True),
-                (0, READ, 10, 15, 25, not admitted_first),
-                (1, READ, 0, 0, 25, True),
+                (0, READ, 0, 0, 10),
+                (0, READ, arrival, 15, 25),
+                (1, READ, 0, 0, 25),
             ]
         )
         stats, ref = assert_matches_reference(arrays, counts)
         assert ref["per_channel"][0]["busy_ns"] == busy
         assert stats.channel_utilization == (busy / 25 + 1.0) / 2
-        assert stats.mean_queue_length == 5 / 25 / 2
+        assert stats.mean_queue_length == (15 - arrival) / 25 / 2
 
-    def test_coincidence_without_stall_is_order_free(self):
-        for opens in (True, False):
-            arrays, counts = build(
-                [
-                    (0, READ, 0, 0, 10, True),
-                    (0, READ, 10, 10, 20, opens),
-                    (1, READ, 0, 0, 20, True),
-                ]
-            )
-            stats, ref = assert_matches_reference(arrays, counts)
-            assert ref["per_channel"][0]["busy_ns"] == 20.0
-            assert stats.channel_utilization == 1.0
-            assert stats.mean_queue_length == 0.0
+    def test_coincidence_without_stall_is_busy(self):
+        arrays, counts = build(
+            [
+                (0, READ, 0, 0, 10),
+                (0, READ, 10, 10, 20),
+                (1, READ, 0, 0, 20),
+            ]
+        )
+        stats, ref = assert_matches_reference(arrays, counts)
+        assert ref["per_channel"][0]["busy_ns"] == 20.0
+        assert stats.channel_utilization == 1.0
+        assert stats.mean_queue_length == 0.0
 
     def test_reordered_service_keeps_the_period_open(self):
         # FR-FCFS hoists the third request (a row hit) over the second;
         # the second still waits, so the channel never idles
         arrays, counts = build(
             [
-                (0, READ, 0, 0, 10, True),
-                (0, READ, 1, 20, 30, False),
-                (0, READ, 2, 10, 20, False),
+                (0, READ, 0, 0, 10),
+                (0, READ, 1, 20, 30),
+                (0, READ, 2, 10, 20),
             ]
         )
         stats, ref = assert_matches_reference(arrays, counts)
@@ -250,7 +236,7 @@ class TestBusyPeriods:
 class TestChannelsAndCounters:
     def test_empty_channel(self):
         arrays, counts = build(
-            [(0, READ, 0, 0, 10, True), (0, READ, 0, 10, 20, False)]
+            [(0, READ, 0, 0, 10), (0, READ, 0, 10, 20)]
         )
         stats, _ = assert_matches_reference(arrays, counts)
         idle = stats.per_channel[1]
@@ -269,8 +255,8 @@ class TestChannelsAndCounters:
         # one hit and four misses
         arrays, _ = build(
             [
-                (0, READ, 0, 0, 10, True),
-                (0, Op.PIM.code, 0, 10, 20, False),
+                (0, READ, 0, 0, 10),
+                (0, Op.PIM.code, 0, 10, 20),
             ]
         )
         counts = np.zeros((2, CONFIG.banks_per_channel, 3), dtype=np.int64)
@@ -312,13 +298,21 @@ def test_reordering_replay_matches_reference(engine):
     assert repr(again) == repr(stats)
 
 
-def calendar_busy_ns(records, requests, recorder):
-    """Busy time per channel from the event calendar's own record order:
-    a completion that leaves nothing admitted and unfinished idles its
+def calendar_busy_ns(records, requests, recorder, admissions_first):
+    """Busy time per channel from the event calendar's records: a
+    completion that leaves nothing admitted and unfinished idles its
     channel, and the next completion on that channel belongs to the
-    service that reopened it.  Each request's times are read off the
-    ``recorder`` arrays, by its (unique) address."""
+    service that reopened it.  With ``admissions_first`` the records of
+    one instant are taken admissions first (the rule: an arrival at a
+    completion joins its period), else in the calendar's own order.
+    Each request's times are read off the ``recorder`` arrays, by its
+    (unique) address."""
     position = {request.addr: i for i, request in enumerate(requests)}
+    if admissions_first:
+        records = sorted(
+            records,
+            key=lambda r: (r.time, r.kind != "memsys.enqueue"),
+        )
     outstanding = {}
     opened = {}
     busy = {}
@@ -339,7 +333,8 @@ def calendar_busy_ns(records, requests, recorder):
 
 class TestCoincidentAdmissions:
     """Admissions that land on a completion's instant, on real replays:
-    the calendar decides whether the completion idled the channel."""
+    whichever order the calendar runs the two, the arrival joins the
+    completion's busy period."""
 
     def config(self):
         # closed-page rows give every access the same latency, so a
@@ -377,33 +372,43 @@ class TestCoincidentAdmissions:
         recorder = telemetry.recorder
         coincident = np.isin(recorder.arrival, recorder.finish)
         stalled = coincident & (recorder.start_service > recorder.arrival)
-        # the case this pins: a coincident admission that the calendar
-        # ran before the completion, then a refresh stall
-        assert np.any(stalled & ~recorder.opens_busy)
-        busy = calendar_busy_ns(tracer, trace, recorder)[0]
+        # the case this pins: a coincident admission, then a refresh
+        # stall, which the rule counts busy
+        assert np.any(stalled)
+        busy = calendar_busy_ns(tracer, trace, recorder, True)[0]
         assert stats.channel_utilization == busy / stats.makespan_ns
+        # here the calendar itself runs those admissions first
+        assert calendar_busy_ns(tracer, trace, recorder, False)[0] == busy
         arrays = dict(recorder._assemble())
         assert_matches_reference(arrays, system.row_counts(), config)
 
     def test_exact_tier_matches_event_engine(self):
         config = self.config()
         event = ReplayTelemetry(profile=False)
-        exact = ReplayTelemetry(profile=False)
         event_stats = replay_event(
             MemorySystem(config), self.trace(config), event
         )
+        exact = ReplayTelemetry(profile=False)
         exact_stats = replay_exact_tier(config, self.trace(config), exact)
-        assert repr(exact_stats) == repr(event_stats)
-        for key in ("occupancy", "opens_busy"):
-            assert np.array_equal(
-                getattr(exact.recorder, key), getattr(event.recorder, key)
-            ), key
+        closed_form = ReplayTelemetry(profile=False)
+        system = MemorySystem(config)
+        closed_form_stats = system.replay(
+            self.trace(config), telemetry=closed_form
+        )
+        assert system.last_replay_engine == "fast-vectorized"
+        for stats, telemetry in (
+            (exact_stats, exact),
+            (closed_form_stats, closed_form),
+        ):
+            assert repr(stats) == repr(event_stats)
+            assert_arrays_identical(event.recorder, telemetry.recorder)
+            assert channel_gauges(telemetry) == channel_gauges(event)
 
-    def test_queue_peak_follows_the_calendar(self):
-        """Timestamps 0, 1 and T, the first request's finish: the
-        completion at T was scheduled before the injector's wait for T,
-        so the second request is dequeued before the third is admitted
-        and the queue never holds two."""
+    def test_queue_peak_is_the_settled_depth(self):
+        """Timestamps 0, 1 and T, the first request's finish: at T the
+        second request starts and the third is admitted, so the depth
+        settled after every event at T is one — whichever order the
+        calendar ran them — and no tier records a transient two."""
         config = MemSysConfig(n_channels=1)
         base = synthesize_trace("sequential", 3, config)
         first = ReplayTelemetry(profile=False)
@@ -428,7 +433,4 @@ class TestCoincidentAdmissions:
                 system.replay(trace(), engine="fast", telemetry=telemetry)
                 assert system.last_replay_engine == "fast-vectorized"
             peaks[name] = channel_gauges(telemetry)[0]["max_queue_length"]
-        assert peaks["event"] == peaks["exact"] == 1.0
-        # the closed form counts the dequeue at T as still queued: one
-        # transient slot over the calendar, as documented
-        assert peaks["vectorized"] == 2.0
+        assert peaks == {"event": 1.0, "exact": 1.0, "vectorized": 1.0}

@@ -9,6 +9,8 @@ produce identical statistics from the event oracle and the replay path,
 whichever tier serves it, and obey the timing laws.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,8 +28,12 @@ from repro.memsys import (
 from repro.telemetry import ReplayTelemetry
 
 from .event_oracle import replay_event
-from .test_fastpath import assert_stats_equivalent, replay_both
-from .test_timestamped_closed_form import fifo_unstalled, replay_against_oracle
+from .test_fastpath import (
+    assert_stats_equivalent,
+    replay_against_oracle,
+    replay_both,
+)
+from .test_timestamped_closed_form import fifo_unstalled
 
 #: HBM2-class refresh timings (ns).
 TREFI, TRFC = 3900.0, 350.0
@@ -86,6 +92,30 @@ class TestRefreshSchedule:
             RefreshSchedule(100.0, 10.0, "per-chip", 4)
         with pytest.raises(ValueError, match="rolling sweep"):
             RefreshSchedule(100.0, 30.0, "per-bank", 4)
+
+    @pytest.mark.parametrize(
+        "granularity, trfc",
+        (
+            # 3.0 + trfc rounds to 6.0: the first blackout would end
+            # on the second boundary, and every later one on the next
+            ("per-rank", math.nextafter(3.0, 0.0)),
+            ("per-rank", 3.0 - 1e-9),
+            ("per-bank", 0.75 - 1e-9),
+        ),
+    )
+    def test_blackout_ending_on_the_next_boundary_rejected(
+        self, granularity, trfc
+    ):
+        with pytest.raises(ValueError, match="float-safe gap"):
+            RefreshSchedule(3.0, trfc, granularity, 4)
+        with pytest.raises(ValueError, match="float-safe gap"):
+            MemSysConfig(
+                n_channels=1, bankgroups=2, banks_per_group=2,
+                trefi_ns=3.0, trfc_ns=trfc,
+                refresh_granularity=granularity,
+            )
+        # a gap of a few parts per million still refreshes
+        RefreshSchedule(3.0, 3.0 * (1 - 2.0**-18), "per-rank", 4)
 
 
 class TestConfigSurface:
@@ -461,21 +491,31 @@ REFRESH_PAIRS = (
 )
 
 
+#: Mean gaps of timestamped arrivals: above and below a row hit
+#: (4 ns) and a conflict (22 ns), so queues both drain and fill; whole
+#: numbers, so fixed arrivals tie finishes.
+ARRIVAL_GAPS = (2.0, 4.0, 8.0, 22.0)
+
+
 @st.composite
-def line_rate_refresh_cells(draw):
-    """One channel of line-rate traffic under per-rank refresh: host
-    blocks under the open or closed row policy, or a PIM+AB lockstep
-    stream; FCFS or FR-FCFS; queue depth 1, 2 or 16."""
+def replay_cells(draw):
+    """A configuration and trace: 1, 2 or 4 channels; host blocks under
+    the open or closed row policy, or a PIM+AB lockstep stream on
+    channel 0; FCFS or FR-FCFS; queue depth 1, 2 or 16; refresh off or
+    per-rank; line-rate, fixed-interval or Poisson arrivals."""
     kind = draw(st.sampled_from(("open", "closed", "lockstep")))
-    trefi, trfc = draw(st.sampled_from(REFRESH_PAIRS))
+    refresh = draw(st.sampled_from((None,) + REFRESH_PAIRS))
+    knobs = {} if refresh is None else dict(
+        trefi_ns=refresh[0], trfc_ns=refresh[1]
+    )
     config = MemSysConfig(
-        n_channels=1,
+        n_channels=draw(st.sampled_from((1, 2, 4))),
+        scheme="channel-interleaved",
         rows_per_bank=64,
         policy=draw(st.sampled_from(("fcfs", "frfcfs"))),
         queue_depth=draw(st.sampled_from((1, 2, 16))),
         row_policy="closed" if kind == "closed" else "open",
-        trefi_ns=trefi,
-        trfc_ns=trfc,
+        **knobs,
     )
     if kind == "lockstep":
         trace = lockstep_trace(
@@ -503,15 +543,38 @@ def line_rate_refresh_cells(draw):
                 pattern, n, config, seed=seed, write_fraction=0.25
             )
         ]
+    arrivals = draw(st.sampled_from(("line-rate", "fixed", "poisson")))
+    if arrivals != "line-rate":
+        gap = draw(st.sampled_from(ARRIVAL_GAPS))
+        if arrivals == "fixed":
+            times = gap * np.arange(len(trace))
+        else:
+            rng = np.random.default_rng(draw(st.integers(0, 9)))
+            times = np.cumsum(rng.exponential(gap, len(trace)))
+        trace = [
+            MemRequest(request.op, request.addr, float(when))
+            for request, when in zip(trace, times)
+        ]
     return config, trace
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(line_rate_refresh_cells())
-def test_line_rate_refresh_matches_oracle(cell):
-    """Whichever tier serves it, a one-channel line-rate stream under
-    per-rank refresh is byte-identical to the event oracle and obeys
-    the timing laws."""
+def property_settings(max_examples):
+    """Derandomized settings for a generated property: ``max_examples``
+    examples in tier-1, the ``properties`` profile's budget when pytest
+    runs with ``--hypothesis-profile=properties`` (tests/conftest.py)."""
+    if settings.get_current_profile_name() == "properties":
+        return settings(deadline=None, derandomize=True)
+    return settings(
+        max_examples=max_examples, deadline=None, derandomize=True
+    )
+
+
+@property_settings(300)
+@given(replay_cells())
+def test_generated_replays_match_oracle(cell):
+    """Whichever tier serves it, a generated replay is byte-identical to
+    the event oracle — stats, every recorded array, row counts and open
+    rows — and both obey the timing laws."""
     replay_against_oracle(*cell)
 
 

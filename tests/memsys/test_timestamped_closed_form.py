@@ -22,14 +22,12 @@ from repro.memsys import (
     Coordinates,
     MemRequest,
     MemSysConfig,
-    MemorySystem,
     Op,
     synthesize_trace,
 )
-from repro.telemetry import ReplayTelemetry
+from repro.memsys.system import busy_ns
 
-from .event_oracle import replay_event
-from .test_fastpath import RECORDED_ARRAYS, assert_laws_hold
+from .test_fastpath import open_rows, replay_against_oracle
 
 VECTORIZED, EXACT = "fast-vectorized", "fast-exact"
 #: Short refresh epochs, so a few hundred requests cross many of them.
@@ -63,36 +61,6 @@ HOISTING_CELLS = {
     ("frfcfs", "per-rank", 30.0, 16, 1),
     ("frfcfs", None, 30.0, 16, 2),
 }
-
-
-def replay_against_oracle(config, trace):
-    """Replay ``trace`` on the oracle and on the replay path, assert
-    they agree to the byte, and return ``(engine, oracle recorder,
-    system)``."""
-    oracle_system = MemorySystem(config)
-    oracle_tel = ReplayTelemetry(profile=False)
-    oracle_stats = replay_event(oracle_system, trace, oracle_tel)
-    system = MemorySystem(config)
-    telemetry = ReplayTelemetry(profile=False)
-    stats = system.replay(trace, telemetry=telemetry)
-    assert_laws_hold(config, oracle_tel)
-    assert_laws_hold(config, telemetry)
-    assert repr(stats) == repr(oracle_stats)
-    for name in RECORDED_ARRAYS:
-        expected = getattr(oracle_tel.recorder, name)
-        actual = getattr(telemetry.recorder, name)
-        assert actual.dtype == expected.dtype, name
-        assert actual.tobytes() == expected.tobytes(), name
-    assert (
-        system.row_counts().tobytes()
-        == oracle_system.row_counts().tobytes()
-    )
-    assert open_rows(system) == open_rows(oracle_system)
-    return system.last_replay_engine, oracle_tel.recorder, system
-
-
-def open_rows(system):
-    return [[bank.open_row for bank in banks] for banks in system.banks]
 
 
 def fifo_unstalled(recorder, times):
@@ -189,30 +157,27 @@ def test_tie_arrival_at_frfcfs_selection(refresh, arrival, engine):
 
 
 @pytest.mark.parametrize(
-    "arrival, engine, opens_busy",
-    (
-        (101.0, VECTORIZED, False),
-        (102.0, EXACT, False),
-        (103.0, VECTORIZED, True),
-    ),
+    "arrival, busy", ((101.0, 72.0), (102.0, 72.0), (103.0, 44.0))
 )
-def test_tie_arrival_at_finish_inside_blackout(arrival, engine, opens_busy):
+def test_tie_arrival_at_finish_inside_blackout(arrival, busy):
     """An arrival at the previous finish, inside a refresh blackout.
 
     Request 0 is served over [80, 102); the blackout of the first
     boundary is [100, 130), so request 1 stalls to 130 however it
-    arrives.  Arriving before 102 it queues behind request 0 and the
-    stall is busy time; arriving after, it wakes an idle channel and
-    the stall is idle time.  At 102 exactly that hangs on the calendar
-    order of the completion and the admission, so the closed form
-    declines."""
+    arrives.  Arriving by 102 — at 102 exactly included — it joins
+    request 0's busy period and the stall is busy time; arriving after,
+    it wakes an idle channel and the stall is idle time.  Either
+    calendar order of the completion and an admission at 102 starts
+    request 1 at 130, so the closed form runs every case."""
     config = MemSysConfig(n_channels=1, trefi_ns=100.0, trfc_ns=30.0)
     trace = timed_reads(config, [(80.0, 0, 0, 1), (arrival, 0, 1, 2)])
     got, recorder, _ = replay_against_oracle(config, trace)
     assert recorder.finish[0] == 102.0
     assert recorder.start_service[1] == 130.0
-    assert bool(recorder.opens_busy[1]) == opens_busy
-    assert got == engine
+    assert busy_ns(
+        recorder.arrival, recorder.start_service, recorder.finish
+    ) == busy
+    assert got == VECTORIZED
 
 
 def test_channel_idles_across_boundary_keeps_open_rows():

@@ -20,7 +20,7 @@ from repro.memsys import (
     Op,
     synthesize_trace,
 )
-from repro.telemetry import ReplayTelemetry
+from repro.telemetry import LatencyRecorder, ReplayTelemetry
 
 from tests.memsys.event_oracle import event_replays, replay_event
 from tests.memsys.test_fastpath import assert_laws_hold
@@ -41,20 +41,7 @@ REFRESH = (
     ),
 )
 
-RECORDED_FIELDS = (
-    "arrival",
-    "start_service",
-    "finish",
-    "channel",
-    "bank",
-    "row",
-    "op_code",
-    "outcome_code",
-    # the vectorized tier's admission occupancies may count a dequeue at
-    # the admission's instant as still queued; their peaks are compared
-    # in tests/memsys/test_fastpath.py
-    "opens_busy",
-)
+RECORDED_FIELDS = LatencyRecorder.KEYS
 
 
 def record_both(config, trace):
@@ -73,8 +60,8 @@ def record_both(config, trace):
 
 def assert_bit_identical(event, fast):
     for field in RECORDED_FIELDS:
-        a = getattr(event.recorder, field)
-        b = getattr(fast.recorder, field)
+        a = event.recorder.arrays[field]
+        b = fast.recorder.arrays[field]
         assert np.array_equal(a, b), (
             f"{field} diverges from the event oracle "
             f"(event vs {fast.engine})"
