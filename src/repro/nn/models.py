@@ -28,9 +28,10 @@ The schedule mirrors the :mod:`repro.nn.kernels` library exactly:
 
 The trace is *unrolled* (one line per dynamic PIM instruction, no
 ``JUMP``), matching the HBM-PIMulator convention, and purely
-timing-level: it carries no data payloads, so it replays through
-:meth:`PimProgram.to_requests` / :meth:`MemorySystem.replay` without a
-functional machine.  :func:`transformer_layer_program` builds the same
+timing-level: it carries no data payloads, so
+:meth:`PimProgram.to_requests` lowers it straight to the
+:class:`~repro.memsys.PackedTrace` that :meth:`MemorySystem.replay`
+takes, without a functional machine.  :func:`transformer_layer_program` builds the same
 layer directly as program records, without the text round trip.
 """
 

@@ -3,7 +3,9 @@
 Parses the program-trace dialect of HBM-PIMulator (see
 ``example.trace`` / ``all_inst.trace`` in that project) into structured
 records, annotates per-record dependencies, and lowers the program to
-the mixed host+PIM request stream the banked memory system replays::
+the mixed host+PIM request stream the banked memory system replays — a
+:class:`~repro.memsys.PackedTrace` built in one pass over whole
+columns, no request objects in between::
 
     # comments and blank lines are ignored
     W MEM 0 2 8          # host write: channel 0, bank 2, row 8
@@ -60,14 +62,16 @@ The annotations record what must not move past what.
 from __future__ import annotations
 
 import dataclasses
-import io
 import math
 import pathlib
 import typing as _t
 
-from ..errors import ConfigError, ProgramFormatError
-from ..memsys import MemRequest, MemSysConfig, Op, PackedTrace
-from .commands import PimCommand, PimExecError, PimOpcode, parse_command
+import numpy as np
+
+from ..errors import ConfigError, ProgramFormatError, TraceFormatError
+from ..memsys import Coordinates, MemSysConfig, Op, PackedTrace
+from ..memsys.trace import _source_lines
+from .commands import PimCommand, PimExecError, parse_command
 from .machine import PimExecMachine
 
 __all__ = [
@@ -84,6 +88,29 @@ CFR = "cfr"
 AB = "ab"
 SB = "sb"
 PIM = "pim"
+
+#: Column codes of the record kinds.  The order matters: GPR and up
+#: are addressed through the lowering's ``channel``, AB and PIM access
+#: the last explicit ``BANK`` operand's row/col.
+_KIND_CODES = {k: c for c, k in enumerate((MEM, SB, GPR, CFR, AB, PIM))}
+
+
+def _ints(values: _t.Sequence[_t.Any]) -> np.ndarray:
+    """``values`` as ``int64``, or as objects if one overflows ``int64``
+    (the range checks then reject it with its exact value)."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _pim_facts(command: PimCommand) -> _t.Tuple[bool, bool, int, int]:
+    """``(live, explicit, row, col)``: control markers are not live;
+    ``row``/``col`` are the explicit ``BANK`` operand's, else 0."""
+    bank = None if command.is_control else command.explicit_bank
+    if bank is None:
+        return not command.is_control, False, 0, 0
+    return True, True, _t.cast(int, bank.row), _t.cast(int, bank.col)
 
 
 @dataclasses.dataclass(slots=True)
@@ -108,6 +135,12 @@ class ProgramRecord:
     timestamp: _t.Optional[float] = None
 
 
+def _lowers(record: ProgramRecord) -> bool:
+    """Whether ``record`` lowers to a request (control markers do not)."""
+    command = _t.cast(PimCommand, record.command)
+    return record.kind != PIM or not command.is_control
+
+
 class PimProgram:
     """A parsed HBM-PIMulator program trace."""
 
@@ -127,104 +160,109 @@ class PimProgram:
     # ------------------------------------------------------------------
     # lowering
     # ------------------------------------------------------------------
-    def _apertures(self, config: MemSysConfig) -> _t.Tuple[int, int]:
-        """(gpr_row, cfr_row): reserved register-aperture rows."""
-        return config.rows_per_bank - 1, config.rows_per_bank - 2
-
-    def _lowered(
-        self, config: MemSysConfig, channel: int = 0
-    ) -> _t.Iterator[
-        _t.Tuple[ProgramRecord, _t.Optional[Op], int, int, int]
-    ]:
-        """Yield ``(record, op, addr, row, col)`` per record.
-
-        ``op`` is ``None`` for control markers that cost no request
-        (``PIM JUMP`` / ``PIM EXIT``).
-
-        Raises
-        ------
-        ValueError
-            On out-of-range coordinates/addresses, with the trace line
-            number in the message.
+    def _columns(
+        self, config: MemSysConfig, channel: int
+    ) -> _t.Tuple[_t.Any, ...]:
+        """Lower every record at once: ``(op_codes, addrs, times, keep,
+        rows, cols)``, one entry per request-lowering record (``keep``
+        indexes them); ``times`` are the records' stamps (``None``
+        without), ``rows``/``cols`` the column access each executes at.
         """
-        amap = config.address_map()
-        encode = amap.scalar_encoder()
+        records = self.records
+        n, n_rows = len(records), config.rows_per_bank
         ppr = config.timing.pages_per_row
-        gpr_row, cfr_row = self._apertures(config)
+        amap = config.address_map()
+        kinds = np.array([_KIND_CODES[r.kind] for r in records], np.int8)
+        mem, sb, gpr, cfr, ab, pim = (
+            np.flatnonzero(kinds == code) for code in range(6)
+        )
+        mem_channels, mem_banks, mem_rows = _ints(
+            [(records[i].channel, records[i].bank, records[i].row)
+             for i in mem.tolist()]
+        ).reshape(-1, 3).T
+        sb_addrs = _ints([records[i].addr for i in sb.tolist()])
+        # (live, explicit, row, col), once per distinct PIM command
+        distinct: _t.Dict[PimCommand, int] = {}
+        ids = [distinct.setdefault(records[i].command, len(distinct))
+               for i in pim.tolist()]
+        facts = _ints([_pim_facts(c) for c in distinct]).reshape(-1, 4)[ids]
+        live = np.ones(n, dtype=bool)
+        live[pim] = facts[:, 0] != 0
+        explicit_rows, explicit_cols = facts[facts[:, 1] != 0, 2:].T
+        explicit = pim[facts[:, 1] != 0]
+        # records addressed through ``channel``: GPR, CFR, AB, live PIM
+        routed = np.flatnonzero(live & (kinds >= _KIND_CODES[GPR]))
+
+        # the first offending record in program order wins; one record
+        # fails the first of its checks, the lowering channel's last
+        failures: _t.List[_t.Tuple[int, int, _t.Optional[str]]] = []
+        for rank, (at, values, bound, what) in enumerate((
+            (mem, mem_channels, config.n_channels, "channel"),
+            (mem, mem_banks, config.banks_per_channel, "bank"),
+            (mem, mem_rows, n_rows, "row"),
+            (explicit, explicit_rows, n_rows, "PIM row"),
+            (explicit, explicit_cols, ppr, "PIM column"),
+        )):
+            bad = (values < 0) | (values >= bound)
+            if bad.any():
+                k = int(np.argmax(bad))
+                failures.append((int(at[k]), rank, (
+                    f"{what} {values[k]} out of range [0, {bound})"
+                )))
+        beyond = sb_addrs >= amap.capacity_bytes
+        if beyond.any():
+            k = int(np.argmax(beyond))
+            failures.append((int(sb[k]), 0, (
+                f"address {sb_addrs[k]:#x} beyond the "
+                f"{amap.capacity_bytes:#x}-byte address map"
+            )))
+        if routed.size and not 0 <= channel < config.n_channels:
+            failures.append((int(routed[0]), 5, None))
+        if failures:
+            index, _, message = min(failures)
+            if message is None:  # the encoder's error for the channel
+                amap.encode(Coordinates(channel=channel))
+            raise _line_error(records[index].lineno, _t.cast(str, message))
+
+        channels, banks, rows, cols = np.zeros((4, n), dtype=np.int64)
+        channels[mem], banks[mem] = mem_channels, mem_banks
+        rows[mem] = mem_rows
+        channels[routed] = channel
+        # one-row register apertures: the index wraps onto the row's
+        # columns (address/timing only — dependency tracking keys on
+        # the raw index, never the wrapped address)
+        rows[gpr], rows[cfr] = n_rows - 1, n_rows - 2
+        regs = np.union1d(gpr, cfr)
+        cols[regs] = _ints([records[i].index for i in regs.tolist()]) % ppr
+        # AB and PIM records access the last explicit BANK operand's
+        # row/col, (0, 0) before the first one: a forward fill
+        slot = np.zeros(n, dtype=np.int64)
+        slot[explicit] = np.arange(1, explicit.size + 1)
+        slot = np.maximum.accumulate(slot)[kinds >= _KIND_CODES[AB]]
+        rows[kinds >= _KIND_CODES[AB]] = np.append(0, explicit_rows)[slot]
+        cols[kinds >= _KIND_CODES[AB]] = np.append(0, explicit_cols)[slot]
         per_group = config.banks_per_group
-        row, col = 0, 0  # last PIM column access
-        for record in self.records:
-            lineno = record.lineno
-            if record.kind == MEM:
-                if not 0 <= record.channel < config.n_channels:
-                    raise ProgramFormatError(
-                        f"trace line {lineno}: channel {record.channel} "
-                        f"out of range [0, {config.n_channels})"
-                    )
-                if not 0 <= record.bank < config.banks_per_channel:
-                    raise ProgramFormatError(
-                        f"trace line {lineno}: bank {record.bank} out "
-                        f"of range [0, {config.banks_per_channel})"
-                    )
-                if not 0 <= record.row < config.rows_per_bank:
-                    raise ProgramFormatError(
-                        f"trace line {lineno}: row {record.row} out of "
-                        f"range [0, {config.rows_per_bank})"
-                    )
-                addr = encode(
-                    record.channel,
-                    record.bank // per_group,
-                    record.bank % per_group,
-                    record.row,
-                    0,
+        addrs = amap.encode_fields(dict(
+            channel=channels, bankgroup=banks // per_group,
+            bank=banks % per_group, row=rows, column=cols,
+        ))
+        addrs[sb] = sb_addrs
+
+        writes = np.array([r.write for r in records], dtype=bool)
+        op_codes = np.where(writes, Op.WRITE.code, Op.READ.code)
+        op_codes[ab], op_codes[pim] = Op.AB.code, Op.PIM.code
+        keep = np.flatnonzero(live)
+        stamps = np.array([r.timestamp for r in records], dtype=object)
+        untimed = np.equal(stamps[keep], None)
+        times = None
+        if not untimed.all():
+            if untimed.any():
+                raise TraceFormatError(
+                    "trace mixes timestamped and untimestamped requests; "
+                    "timestamp every request or none"
                 )
-                yield record, (
-                    Op.WRITE if record.write else Op.READ
-                ), addr, record.row, 0
-            elif record.kind in (GPR, CFR):
-                # one-row apertures: the index wraps onto the row's
-                # columns (address/timing only — dependency tracking
-                # keys on the raw index, never the wrapped address)
-                aperture = gpr_row if record.kind == GPR else cfr_row
-                addr = encode(channel, 0, 0, aperture, record.index % ppr)
-                yield record, (
-                    Op.WRITE if record.write else Op.READ
-                ), addr, aperture, record.index % ppr
-            elif record.kind == SB:
-                assert record.addr is not None
-                if record.addr >= amap.capacity_bytes:
-                    raise ProgramFormatError(
-                        f"trace line {lineno}: address "
-                        f"{record.addr:#x} beyond the "
-                        f"{amap.capacity_bytes:#x}-byte address map"
-                    )
-                yield record, (
-                    Op.WRITE if record.write else Op.READ
-                ), record.addr, 0, 0
-            elif record.kind == AB:
-                addr = encode(channel, 0, 0, row, col)
-                yield record, Op.AB, addr, row, col
-            else:  # PIM
-                command = _t.cast(PimCommand, record.command)
-                if command.is_control:
-                    yield record, None, 0, row, col
-                    continue
-                explicit = command.explicit_bank
-                if explicit is not None:
-                    row = explicit.row  # type: ignore[assignment]
-                    col = explicit.col  # type: ignore[assignment]
-                if not 0 <= row < config.rows_per_bank:
-                    raise ProgramFormatError(
-                        f"trace line {lineno}: PIM row {row} out of "
-                        f"range [0, {config.rows_per_bank})"
-                    )
-                if not 0 <= col < ppr:
-                    raise ProgramFormatError(
-                        f"trace line {lineno}: PIM column {col} out of "
-                        f"range [0, {ppr})"
-                    )
-                addr = encode(channel, 0, 0, row, col)
-                yield record, Op.PIM, addr, row, col
+            times = stamps[keep].astype(np.float64)
+        return op_codes[keep], addrs[keep], times, keep, rows[keep], cols[keep]
 
     @property
     def timestamped(self) -> bool:
@@ -234,12 +272,7 @@ class PimProgram:
         — exactly like the parser's uniformity rule — a stamp on one of
         them alone does not make the request stream timestamped.
         """
-        return any(
-            record.timestamp is not None
-            for record in self.records
-            if record.kind != PIM
-            or not _t.cast(PimCommand, record.command).is_control
-        )
+        return any(r.timestamp is not None for r in self.records if _lowers(r))
 
     def to_requests(
         self,
@@ -248,15 +281,20 @@ class PimProgram:
         *,
         interarrival_ns: _t.Optional[float] = None,
         start_ns: float = 0.0,
-    ) -> _t.List[MemRequest]:
-        """Lower the program to its memory-request stream.
+    ) -> PackedTrace:
+        """Lower the program to its packed memory-request stream.
 
-        PIM/AB records target ``channel`` (HBM-PIMulator traces record
-        the lockstep command stream of one representative channel).
-        Record ``@<ns>`` timestamps travel onto the lowered requests;
-        for untimestamped programs, ``interarrival_ns`` stamps the
-        ``i``-th emitted request at ``start_ns + i * interarrival_ns``
-        (a fixed issue cadence) instead.
+        One request per record, control markers excepted, in program
+        order; :meth:`MemorySystem.replay` takes the trace as it is,
+        and iterating it yields :class:`~repro.memsys.MemRequest`
+        objects.  PIM/AB records target ``channel`` (HBM-PIMulator
+        traces record the lockstep command stream of one
+        representative channel).  Record ``@<ns>`` timestamps travel
+        onto the requests; for untimestamped programs,
+        ``interarrival_ns`` stamps the ``i``-th request at ``start_ns +
+        i * interarrival_ns`` (a fixed issue cadence) instead.  The first
+        out-of-range record in program order raises a
+        :class:`~repro.errors.ProgramFormatError` naming its trace line.
         """
         config = config or MemSysConfig()
         if interarrival_ns is not None:
@@ -271,30 +309,24 @@ class PimProgram:
                     f"interarrival_ns must be >= 0, got "
                     f"{interarrival_ns}"
                 )
-        requests = []
-        for record, op, addr, _row, _col in self._lowered(
-            config, channel
-        ):
-            if op is None:
-                continue
-            when = record.timestamp
-            if interarrival_ns is not None:
-                when = start_ns + len(requests) * interarrival_ns
-            requests.append(MemRequest(op, addr, when))
-        return requests
+        op_codes, addrs, times = self._columns(config, channel)[:3]
+        if interarrival_ns is not None and op_codes.size:
+            times = start_ns + np.arange(op_codes.size) * interarrival_ns
+        return PackedTrace(op_codes, addrs, times)
 
     def execute(
         self, machine: PimExecMachine, channel: int = 0
     ) -> _t.Dict[int, int]:
         """Run the program on ``machine`` (functional + request stream).
 
-        The whole program is lowered first, so a lowering error leaves
-        the machine's units and request log untouched.  PIM
-        instructions then execute on every bank of ``channel`` in
-        lockstep (mutating GRF/SRF/bank state); host records have no
-        functional effect (the text format carries no data payloads —
-        stage bank contents through :meth:`PimExecMachine.write_bank`
-        first).  Finally the lowered stream, with any record ``@<ns>``
+        The whole program is lowered first, into the same columns
+        :meth:`to_requests` packs, so a lowering error leaves the
+        machine's units and request log untouched.  PIM instructions
+        then execute on every bank of ``channel`` in lockstep
+        (mutating GRF/SRF/bank state); host records have no functional
+        effect (the text format carries no data payloads — stage bank
+        contents through :meth:`PimExecMachine.write_bank` first).
+        Finally the lowered stream, with any record ``@<ns>``
         timestamps, joins the machine's log as one
         :meth:`PimExecMachine.append_trace`.  A timestamped program
         replays timestamped only on its own: clear untimed staging
@@ -302,27 +334,21 @@ class PimProgram:
         Returns the ``{cfr_index: data}`` writes seen, for
         config-register checks.
         """
-        lowered = [
-            item
-            for item in self._lowered(machine.config, channel)
-            if item[1] is not None
-        ]
-        trace = PackedTrace.from_requests(
-            MemRequest(op, addr, record.timestamp)
-            for record, op, addr, _row, _col in lowered
+        op_codes, addrs, times, keep, rows, cols = self._columns(
+            machine.config, channel
         )
-        cfr: _t.Dict[int, int] = {}
-        for record, op, _addr, row, col in lowered:
-            if op is Op.PIM:
-                machine.array.execute(
-                    _t.cast(PimCommand, record.command), row, col, (channel,)
-                )
-            elif record.kind == CFR and record.write:
-                cfr[record.index] = (
-                    record.data if record.data is not None else 0
-                )
+        trace = PackedTrace(op_codes, addrs, times)
+        pim = op_codes == Op.PIM.code
+        for index, row, col in zip(
+            keep[pim].tolist(), rows[pim].tolist(), cols[pim].tolist()
+        ):
+            command = _t.cast(PimCommand, self.records[index].command)
+            machine.array.execute(command, row, col, (channel,))
         machine.append_trace(trace)
-        return cfr
+        return {
+            r.index: r.data if r.data is not None else 0
+            for r in self.records if r.kind == CFR and r.write
+        }
 
     def __repr__(self) -> str:
         return f"<PimProgram records={len(self.records)} {self.counts()}>"
@@ -335,8 +361,8 @@ def annotate_dependencies(records: _t.Sequence[ProgramRecord]) -> None:
     follows the latest ``W GPR``; a read follows the latest write of
     the same GPR index, CFR index, or MEM location.  Host ``MEM``
     records also order against PIM instructions touching their row
-    (the row :meth:`PimProgram._lowered` gives a ``BANK`` operand: its
-    explicit ``row``, else the last explicit one; keyed on the row
+    (the row the lowering gives a ``BANK`` operand: its explicit
+    ``row``, else the last explicit one; keyed on the row
     alone, since all-bank PIM spans every channel and bank): a write
     follows the latest PIM instruction reading or writing that row, a
     read the later of its matching ``MEM`` write and the latest PIM
@@ -396,29 +422,17 @@ def annotate_dependencies(records: _t.Sequence[ProgramRecord]) -> None:
 # ----------------------------------------------------------------------
 # parsing
 # ----------------------------------------------------------------------
-def _source_lines(
-    source: _t.Union[str, pathlib.Path, _t.Iterable[str]]
-) -> _t.Iterator[str]:
-    if isinstance(source, pathlib.Path):
-        with source.open("r") as handle:
-            yield from handle
-    elif isinstance(source, str):
-        yield from io.StringIO(source)
-    else:
-        yield from source
+def _line_error(lineno: int, message: str) -> ProgramFormatError:
+    return ProgramFormatError(f"trace line {lineno}: {message}", lineno=lineno)
 
 
 def _int_field(token: str, lineno: int, what: str) -> int:
     try:
         value = int(token.strip('"'), 0)
     except ValueError:
-        raise ProgramFormatError(
-            f"trace line {lineno}: bad {what} {token!r}"
-        ) from None
+        raise _line_error(lineno, f"bad {what} {token!r}") from None
     if value < 0:
-        raise ProgramFormatError(
-            f"trace line {lineno}: negative {what} {token!r}"
-        )
+        raise _line_error(lineno, f"negative {what} {token!r}")
     return value
 
 
@@ -451,18 +465,20 @@ def parse_pim_program(
             try:
                 when = float(stamp[1:])
             except ValueError:
-                raise ProgramFormatError(
-                    f"trace line {lineno}: bad timestamp {stamp!r}"
+                raise _line_error(
+                    lineno, f"bad timestamp {stamp!r}"
                 ) from None
             if not (when >= 0.0 and math.isfinite(when)):
-                raise ProgramFormatError(
-                    f"trace line {lineno}: timestamp {stamp!r} must "
-                    "be a non-negative finite value"
+                raise _line_error(
+                    lineno,
+                    f"timestamp {stamp!r} must be a non-negative finite "
+                    "value",
                 )
             if when < last_time:
-                raise ProgramFormatError(
-                    f"trace line {lineno}: timestamp {stamp!r} "
-                    f"decreases (previous was {last_time!r})"
+                raise _line_error(
+                    lineno,
+                    f"timestamp {stamp!r} decreases (previous was "
+                    f"{last_time!r})",
                 )
             last_time = when
         head = tokens[0].upper()
@@ -470,22 +486,17 @@ def parse_pim_program(
             try:
                 command = parse_command(" ".join(tokens[1:]))
             except PimExecError as error:
-                raise ProgramFormatError(
-                    f"trace line {lineno}: {error}"
-                ) from None
+                raise _line_error(lineno, str(error)) from None
             record = ProgramRecord(lineno, PIM, command=command)
         elif head == "AB":
             if len(tokens) != 2 or tokens[1].upper() != "W":
-                raise ProgramFormatError(
-                    f"trace line {lineno}: expected 'AB W', got {raw!r}"
-                )
+                raise _line_error(lineno, f"expected 'AB W', got {raw!r}")
             record = ProgramRecord(lineno, AB, write=True)
         elif head in ("R", "W", "SB"):
             if head == "SB":
                 if len(tokens) != 3 or tokens[1].upper() not in ("R", "W"):
-                    raise ProgramFormatError(
-                        f"trace line {lineno}: expected "
-                        f"'SB R|W ADDRESS', got {raw!r}"
+                    raise _line_error(
+                        lineno, f"expected 'SB R|W ADDRESS', got {raw!r}"
                     )
                 write = tokens[1].upper() == "W"
                 rest = tokens[2:]
@@ -493,23 +504,20 @@ def parse_pim_program(
                 write = head == "W"
                 rest = tokens[1:]
             if not rest:
-                raise ProgramFormatError(
-                    f"trace line {lineno}: truncated record {raw!r}"
-                )
+                raise _line_error(lineno, f"truncated record {raw!r}")
             target = rest[0].upper()
             if target == "GPR":
                 if len(rest) != 2:
-                    raise ProgramFormatError(
-                        f"trace line {lineno}: expected "
-                        f"'{head} GPR INDEX', got {raw!r}"
+                    raise _line_error(
+                        lineno, f"expected '{head} GPR INDEX', got {raw!r}"
                     )
                 idx = _int_field(rest[1], lineno, "GPR index")
                 record = ProgramRecord(lineno, GPR, write=write, index=idx)
             elif target == "CFR":
                 if len(rest) not in (2, 3):
-                    raise ProgramFormatError(
-                        f"trace line {lineno}: expected "
-                        f"'{head} CFR INDEX [DATA]', got {raw!r}"
+                    raise _line_error(
+                        lineno,
+                        f"expected '{head} CFR INDEX [DATA]', got {raw!r}",
                     )
                 idx = _int_field(rest[1], lineno, "CFR index")
                 data = (
@@ -522,9 +530,10 @@ def parse_pim_program(
                 )
             elif target == "MEM":
                 if len(rest) != 4:
-                    raise ProgramFormatError(
-                        f"trace line {lineno}: expected "
-                        f"'{head} MEM CHANNEL BANK ROW', got {raw!r}"
+                    raise _line_error(
+                        lineno,
+                        f"expected '{head} MEM CHANNEL BANK ROW', got "
+                        f"{raw!r}",
                     )
                 record = ProgramRecord(
                     lineno, MEM, write=write,
@@ -534,17 +543,13 @@ def parse_pim_program(
                 )
             elif len(rest) == 1:
                 addr = _int_field(rest[0], lineno, "address")
-                record = ProgramRecord(
-                    lineno, SB, write=write, addr=addr
-                )
+                record = ProgramRecord(lineno, SB, write=write, addr=addr)
             else:
-                raise ProgramFormatError(
-                    f"trace line {lineno}: unknown record form {raw!r}"
-                )
+                raise _line_error(lineno, f"unknown record form {raw!r}")
         else:
-            raise ProgramFormatError(
-                f"trace line {lineno}: unknown record {tokens[0]!r} "
-                "(expected R/W/SB/AB/PIM)"
+            raise _line_error(
+                lineno,
+                f"unknown record {tokens[0]!r} (expected R/W/SB/AB/PIM)",
             )
         record.timestamp = when
         records.append(record)
@@ -552,21 +557,13 @@ def parse_pim_program(
     # a lowered request stream must be uniformly timestamped or
     # uniformly line-rate; control markers lower to no request, so
     # their (missing) timestamps don't count
-    lowered = [
-        record
-        for record in records
-        if record.kind != PIM
-        or not _t.cast(PimCommand, record.command).is_control
-    ]
-    timed = sum(1 for record in lowered if record.timestamp is not None)
-    if timed and timed != len(lowered):
-        offender = next(
-            record for record in lowered if record.timestamp is None
-        )
-        raise ProgramFormatError(
-            f"trace line {offender.lineno}: record lacks the '@<ns>' "
-            "timestamp carried by other records (timestamp every "
-            "request-lowering record or none)"
+    lowered = [record for record in records if _lowers(record)]
+    untimed = [record for record in lowered if record.timestamp is None]
+    if untimed and len(untimed) != len(lowered):
+        raise _line_error(
+            untimed[0].lineno,
+            "record lacks the '@<ns>' timestamp carried by other records "
+            "(timestamp every request-lowering record or none)",
         )
     annotate_dependencies(records)
     return PimProgram(records)

@@ -497,12 +497,27 @@ REFRESH_PAIRS = (
 ARRIVAL_GAPS = (2.0, 4.0, 8.0, 22.0)
 
 
+#: One host block: access pattern, request count, synthesis seed.
+HOST_BLOCK = st.tuples(
+    st.sampled_from(("sequential", "strided", "random")),
+    st.integers(1, 200),
+    st.integers(0, 9),
+)
+
+
 @st.composite
 def replay_cells(draw):
     """A configuration and trace: 1, 2 or 4 channels; host blocks under
     the open or closed row policy, or a PIM+AB lockstep stream on
     channel 0; FCFS or FR-FCFS; queue depth 1, 2 or 16; refresh off or
-    per-rank; line-rate, fixed-interval or Poisson arrivals."""
+    per-rank; line-rate, fixed-interval or Poisson arrivals.
+
+    Every cell draws the same choices in the same order, whichever
+    branch uses them.  Hypothesis mutates an example by copying one
+    span's choices over another of the same strategy; when the draws
+    depended on ``kind`` or ``arrivals``, a copy that flipped the
+    branch left the rest of the sequence too short, and the example
+    was discarded as an overrun."""
     kind = draw(st.sampled_from(("open", "closed", "lockstep")))
     refresh = draw(st.sampled_from((None,) + REFRESH_PAIRS))
     knobs = {} if refresh is None else dict(
@@ -517,39 +532,29 @@ def replay_cells(draw):
         row_policy="closed" if kind == "closed" else "open",
         **knobs,
     )
+    steps = draw(st.integers(1, 400))
+    ab_every = draw(st.sampled_from((0, 2, 5)))
+    run = draw(st.integers(1, 12))
+    blocks = draw(st.tuples(HOST_BLOCK, HOST_BLOCK, HOST_BLOCK, HOST_BLOCK))
+    n_blocks = draw(st.integers(1, 4))
+    arrivals = draw(st.sampled_from(("line-rate", "fixed", "poisson")))
+    gap = draw(st.sampled_from(ARRIVAL_GAPS))
+    poisson_seed = draw(st.integers(0, 9))
     if kind == "lockstep":
-        trace = lockstep_trace(
-            config,
-            draw(st.integers(1, 400)),
-            draw(st.sampled_from((0, 2, 5))),
-            run=draw(st.integers(1, 12)),
-        )
+        trace = lockstep_trace(config, steps, ab_every, run=run)
     else:
-        blocks = draw(
-            st.lists(
-                st.tuples(
-                    st.sampled_from(("sequential", "strided", "random")),
-                    st.integers(1, 200),
-                    st.integers(0, 9),
-                ),
-                min_size=1,
-                max_size=4,
-            )
-        )
         trace = [
             request
-            for pattern, n, seed in blocks
+            for pattern, n, seed in blocks[:n_blocks]
             for request in synthesize_trace(
                 pattern, n, config, seed=seed, write_fraction=0.25
             )
         ]
-    arrivals = draw(st.sampled_from(("line-rate", "fixed", "poisson")))
     if arrivals != "line-rate":
-        gap = draw(st.sampled_from(ARRIVAL_GAPS))
         if arrivals == "fixed":
             times = gap * np.arange(len(trace))
         else:
-            rng = np.random.default_rng(draw(st.integers(0, 9)))
+            rng = np.random.default_rng(poisson_seed)
             times = np.cumsum(rng.exponential(gap, len(trace)))
         trace = [
             MemRequest(request.op, request.addr, float(when))
