@@ -13,7 +13,9 @@ Times the two :mod:`repro.nn` pipelines, layer by layer:
 
 Each layer (``gemm.execute_s``, ``gemm.replay_s``, ``trace.build_s``,
 ``trace.lower_s``, ``trace.replay_s``) is reported under ``"layers"``
-as the median and interquartile range of :data:`REPEATS` runs.
+as the median and interquartile range of :data:`REPEATS` runs; the two
+pipeline rates are the median of the same runs, with their
+interquartile range as ``*_spread_pct`` of the median.
 
 It also records the simulated host-vs-PIM speedup of every nn kernel
 (plus the GEMV-shaped GEMM, the PIM-favored family).
@@ -116,6 +118,13 @@ def layer_spread(samples):
         "iqr": round(q3 - q1, 6),
         "repeats": len(samples),
     }
+
+
+def rate_spread(rates):
+    """Median of ``rates`` and their interquartile range as a
+    percentage of it: the run's own noise estimate."""
+    spread = layer_spread(rates)
+    return spread["median"], 100 * spread["iqr"] / spread["median"]
 
 
 def replay_overhead(shape=None, pairs=5):
@@ -232,7 +241,10 @@ def main(argv=None) -> int:
 
     run_gemm_pipeline(dict(m=128, k=8, n=8))  # warm-up
     gemm_runs = [run_gemm_pipeline() for _ in range(REPEATS)]
-    commands_rate, result, _, _ = max(gemm_runs, key=lambda r: r[0])
+    commands_rate, commands_spread_pct = rate_spread(
+        [run[0] for run in gemm_runs]
+    )
+    result = gemm_runs[-1][1]
     telemetry_rate, telemetry_overhead_pct, spread_pct, telemetry = (
         replay_overhead()
     )
@@ -259,7 +271,8 @@ def main(argv=None) -> int:
         / energy["mean_power_w"]
     )
     trace_runs = [run_trace_pipeline() for _ in range(REPEATS)]
-    trace_rate, trace_records, _ = max(trace_runs, key=lambda r: r[0])
+    trace_rate, trace_spread_pct = rate_spread([run[0] for run in trace_runs])
+    trace_records = trace_runs[-1][1]
     layers = {
         f"{pipeline}.{layer}": layer_spread(
             [run[-1][layer] for run in runs]
@@ -274,6 +287,7 @@ def main(argv=None) -> int:
         "gemm_shape": GEMM_SHAPE,
         "replay_engine": result.engine,
         "fp16_commands_per_sec": round(commands_rate),
+        "fp16_commands_spread_pct": round(commands_spread_pct, 2),
         "telemetry_commands_per_sec": round(telemetry_rate),
         "telemetry_overhead_pct": round(telemetry_overhead_pct, 2),
         "telemetry_overhead_spread_pct": round(spread_pct, 2),
@@ -286,6 +300,7 @@ def main(argv=None) -> int:
         "gemm_requests": result.n_requests,
         "trace_records": trace_records,
         "trace_records_per_sec": round(trace_rate),
+        "trace_records_spread_pct": round(trace_spread_pct, 2),
         "layers": layers,
         "kernel_speedups": speedups,
         "floor_commands_per_sec": MIN_COMMANDS_PER_SEC,

@@ -6,7 +6,7 @@
 :class:`~repro.pimexec.sequencer.CommandSequencer` per channel, and
 plays host: every host-side action (bank writes, register broadcasts,
 CRF loads, kernel column walks) both mutates the functional state and
-appends the memory request the action costs to one packed log.
+appends the memory requests the action costs to one request log.
 :meth:`replay` then runs the accumulated request stream through a fresh
 :class:`~repro.memsys.MemorySystem`, so kernel time is measured by the
 same banked controllers, address map, and row-buffer state machines as
@@ -43,13 +43,26 @@ Request vocabulary (see :class:`repro.memsys.request.Op`):
   no row-buffer interaction;
 * ``PIM`` — one all-bank column access per dynamic kernel instruction,
   executing one CRF slot in every unit of the channel in lockstep.
+
+Request log
+-----------
+The log is one list of *fan-out steps* ``(op code, fan-out, row,
+col)``.  A fan-out is an interned tuple of ``(channel, flat bank)``
+targets, and a step stands for one request per target, in target
+order, all at ``(row, col)``: a single-bank host action is a
+one-target step, a whole-machine host action one step per address over
+every unit, and a lockstep PIM step one step over ``(channel, 0)`` per
+target channel.  A step costs four list appends whatever its width.
+:meth:`~PimExecMachine.append_trace` and :meth:`~PimExecMachine.trace`
+encode the open steps in one vectorized pass (expand each step by its
+width, gather its targets, encode the addresses), so closed chunks are
+always encoded ``(op codes, addresses, timestamps)`` triples.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
-import itertools
 import typing as _t
 
 import numpy as np
@@ -76,18 +89,8 @@ __all__ = [
     "page_encoder",
 ]
 
-#: Packed request-log columns: op code, channel, flat bank, row, col.
-LogColumns = _t.Tuple[
-    _t.List[int], _t.List[int], _t.List[int], _t.List[int], _t.List[int]
-]
-
-
-def _empty_log() -> LogColumns:
-    return ([], [], [], [], [])
-
-
-#: Chunk kinds of the request log, by their code in the packing mask.
-_CHUNK_KINDS = ("flat", "block", "trace")
+#: A fan-out: the ``(channel, flat bank)`` targets of one log step.
+FanOut = _t.Tuple[_t.Tuple[int, int], ...]
 
 #: Hardware lane width in bits: HBM-PIM computes on 16-bit words.
 LANE_BITS = 16
@@ -164,12 +167,11 @@ class PimExecMachine:
     :attr:`units` are per-unit :class:`~repro.pimexec.regfile.UnitView`
     windows onto it.
 
-    Every host action appends its requests to one packed log, never to
-    request objects: flat columns for host actions, lockstep blocks
-    for PIM steps, and already-encoded streams from
-    :meth:`append_trace`.  :meth:`trace` returns the log as one
-    :class:`~repro.memsys.PackedTrace`; :meth:`replay` times it;
-    :meth:`reset_requests` clears it.
+    Every host action and every PIM step appends fan-out steps to one
+    request log, never request objects (see the module docstring);
+    :meth:`append_trace` adds already-encoded streams.  :meth:`trace`
+    returns the log as one :class:`~repro.memsys.PackedTrace`;
+    :meth:`replay` times it; :meth:`reset_requests` clears it.
     """
 
     def __init__(
@@ -219,17 +221,28 @@ class PimExecMachine:
             for _ in range(self.config.n_channels)
         ]
         #: (channel, flat bank) of each unit's port-0 bank, unit order:
-        #: the request targets of whole-machine host actions.
-        self._unit_channels = [ch for ch, _, _ in self.iter_units()]
-        self._unit_banks = [i * self.ports for _, i, _ in self.iter_units()]
+        #: the fan-out of whole-machine host actions.
+        self._unit_targets: FanOut = tuple(
+            (ch, index * self.ports) for ch, index, _ in self.iter_units()
+        )
+        #: The fan-out of one request per channel, in channel order.
+        self._channel_targets: FanOut = tuple(
+            (ch, 0) for ch in range(self.n_channels)
+        )
         self._encode = page_encoder(self.config)
-        # The accumulated request stream (see :meth:`trace`): closed
-        # chunks — ("flat", op, ch, bank, row, col columns),
-        # ("block", targets, rows, cols) lockstep blocks with one entry
-        # per dynamic instruction, or ("trace", PackedTrace) streams
-        # appended already encoded — plus the open flat tail ``_log``.
-        self._chunks: _t.List[tuple] = []
-        self._log = _empty_log()
+        # The request log (see the module docstring): interned fan-outs
+        # by id, with their widths and their concatenated targets as a
+        # channel row over a bank row; the open steps as op code /
+        # fan-out id / row / col columns (cleared in place, never
+        # rebound, so a running lockstep block keeps appending to
+        # them); and the closed (op codes, addrs, times) chunks.
+        self._fanouts: _t.Dict[FanOut, int] = {}
+        self._fan_widths: _t.List[int] = []
+        self._fan_table: _t.Tuple[_t.List[int], _t.List[int]] = ([], [])
+        self._steps: _t.Tuple[_t.List[int], ...] = ([], [], [], [])
+        self._chunks: _t.List[
+            _t.Tuple[np.ndarray, np.ndarray, _t.Optional[np.ndarray]]
+        ] = []
         self._count = 0
 
     # ------------------------------------------------------------------
@@ -292,17 +305,75 @@ class PimExecMachine:
         """Accumulated request count."""
         return self._count
 
-    def _iter_chunks(self) -> _t.Iterator[tuple]:
-        """Closed chunks plus the open flat tail, in stream order."""
-        yield from self._chunks
-        if self._log[0]:
-            yield ("flat",) + self._log
+    def _fanout(self, targets: FanOut) -> int:
+        """The id of fan-out ``targets``, interning it on first use."""
+        fan = self._fanouts.get(targets)
+        if fan is None:
+            fan = self._fanouts[targets] = len(self._fanouts)
+            self._fan_widths.append(len(targets))
+            for column, values in zip(self._fan_table, zip(*targets)):
+                column.extend(values)
+        return fan
 
-    def _close_log(self) -> None:
-        """Close the open flat tail into a chunk, if it holds any."""
-        if self._log[0]:
-            self._chunks.append(("flat",) + self._log)
-            self._log = _empty_log()
+    def _emit(
+        self, op: Op, channel: int, flat_bank: int, row: int, col: int
+    ) -> None:
+        """One ``op`` request: a one-target step."""
+        ops, fans, rows, cols = self._steps
+        ops.append(op.code)
+        fans.append(self._fanout(((channel, flat_bank),)))
+        rows.append(row)
+        cols.append(col)
+        self._count += 1
+
+    def _emit_many(
+        self,
+        op: Op,
+        targets: FanOut,
+        addrs: _t.Sequence[_t.Tuple[int, int]],
+    ) -> None:
+        """One step over ``targets`` per address: one ``op`` request
+        per target per address, address-major."""
+        fan = self._fanout(targets)
+        ops, fans, rows, cols = self._steps
+        for row, col in addrs:
+            ops.append(op.code)
+            fans.append(fan)
+            rows.append(row)
+            cols.append(col)
+        self._count += len(targets) * len(addrs)
+
+    def _close_steps(self) -> None:
+        """Encode the open steps into one closed chunk, in one
+        vectorized pass: each step repeats by its fan-out's width and
+        gathers its targets from the concatenated fan-out table."""
+        ops, fans, rows, cols = self._steps
+        if not ops:
+            return
+        widths = np.array(self._fan_widths)
+        table = np.array(self._fan_table)
+        fan = np.array(fans)
+        width = widths[fan]
+        # each request's column in the table: its fan-out's first
+        # target plus its position within its step
+        first = (np.cumsum(widths) - widths)[fan] - (np.cumsum(width) - width)
+        channels, banks = np.take(
+            table, np.repeat(first, width) + np.arange(width.sum()), axis=1
+        )
+        per_group = self.config.banks_per_group
+        addrs = self.addr_map.encode_fields(
+            {
+                "channel": channels,
+                "bankgroup": banks // per_group,
+                "bank": banks % per_group,
+                "row": np.repeat(rows, width),
+                "column": np.repeat(cols, width),
+            }
+        )
+        op_codes = np.repeat(np.array(ops, dtype=np.uint8), width)
+        self._chunks.append((op_codes, addrs, None))
+        for column in self._steps:
+            column.clear()
 
     def append_trace(self, trace: PackedTrace) -> None:
         """Append an already-encoded request stream to the log.
@@ -311,69 +382,32 @@ class PimExecMachine:
         its timestamps.  A log whose requests all come from timed
         traces replays timestamped; see :meth:`trace`.
         """
-        self._close_log()
-        self._chunks.append(("trace", trace))
+        self._close_steps()
+        self._chunks.append((trace.op_codes, trace.addrs, trace.times))
         self._count += len(trace)
-
-    def _push_step(
-        self, targets: _t.Tuple[int, ...], row: int, col: int
-    ) -> None:
-        """Append one lockstep step: a PIM request per target channel.
-
-        Extends the last chunk when it is a block over the same
-        targets with no other request after it; otherwise opens one.
-        """
-        self._close_log()
-        chunks = self._chunks
-        if not (
-            chunks and chunks[-1][0] == "block" and chunks[-1][1] == targets
-        ):
-            chunks.append(("block", targets, [], []))
-        chunks[-1][2].append(row)
-        chunks[-1][3].append(col)
-        self._count += len(targets)
-
-    def _emit_many(
-        self,
-        op: Op,
-        channels: _t.Sequence[int],
-        banks: _t.Sequence[int],
-        addrs: _t.Sequence[_t.Tuple[int, int]],
-    ) -> None:
-        """One ``op`` request per ``(channel, bank)`` pair, per address.
-
-        Address-major, pair-minor: the order of a per-address loop over
-        the pairs.
-        """
-        n = len(channels)
-        ops_l, ch_l, bank_l, row_l, col_l = self._log
-        ops_l.extend([op.code] * (n * len(addrs)))
-        for row, col in addrs:
-            ch_l.extend(channels)
-            bank_l.extend(banks)
-            row_l.extend([row] * n)
-            col_l.extend([col] * n)
-        self._count += n * len(addrs)
-
-    def _emit(
-        self, op: Op, channel: int, flat_bank: int, row: int, col: int
-    ) -> None:
-        ops_l, ch_l, bank_l, row_l, col_l = self._log
-        ops_l.append(op.code)
-        ch_l.append(channel)
-        bank_l.append(flat_bank)
-        row_l.append(row)
-        col_l.append(col)
-        self._count += 1
 
     def _channels(
         self, channels: _t.Optional[_t.Sequence[int]]
-    ) -> _t.List[int]:
-        return (
-            list(range(self.n_channels))
-            if channels is None
-            else list(channels)
-        )
+    ) -> _t.Tuple[int, ...]:
+        """The selected channels (default: all), each checked once."""
+        if channels is None:
+            return tuple(range(self.n_channels))
+        targets = tuple(channels)
+        if not targets:
+            raise PimExecError("no channels selected")
+        for channel in targets:
+            if not 0 <= channel < self.n_channels:
+                raise PimExecError(
+                    f"channel {channel} out of range "
+                    f"[0, {self.n_channels})"
+                )
+        if len(set(targets)) != len(targets):
+            twice = next(ch for ch in targets if targets.count(ch) > 1)
+            raise PimExecError(
+                f"channel {twice} selected more than once in "
+                f"{list(targets)}"
+            )
+        return targets
 
     # ------------------------------------------------------------------
     # host-side actions (functional effect + request cost)
@@ -500,9 +534,7 @@ class PimExecMachine:
                     self.n_channels, self.units_per_channel, self.lanes
                 ),
             )
-        self._emit_many(
-            Op.WRITE, self._unit_channels, self._unit_banks, addrs
-        )
+        self._emit_many(Op.WRITE, self._unit_targets, addrs)
 
     def read_unit_pages(
         self, addrs: _t.Sequence[_t.Tuple[int, int]]
@@ -512,9 +544,7 @@ class PimExecMachine:
         Returns ``(len(addrs), total_units, lanes)``; the batched
         :meth:`read_bank` of :meth:`write_unit_pages`.
         """
-        self._emit_many(
-            Op.READ, self._unit_channels, self._unit_banks, addrs
-        )
+        self._emit_many(Op.READ, self._unit_targets, addrs)
         pages = [self.array.load_pages(row, col) for row, col in addrs]
         return np.array(pages, dtype=self.np_dtype).reshape(
             len(addrs), self.total_units, self.lanes
@@ -530,9 +560,7 @@ class PimExecMachine:
                 f"read_grfs needs grf_a/grf_b and an index in "
                 f"[0, {GRF_REGS}), got {space!r}, {index}"
             )
-        self._emit_many(
-            Op.AB, self._unit_channels, self._unit_banks, [(0, 0)]
-        )
+        self._emit_many(Op.AB, self._unit_targets, [(0, 0)])
         return np.array(getattr(self.array, space)[:, :, index]).reshape(
             self.total_units, self.lanes
         )
@@ -555,12 +583,7 @@ class PimExecMachine:
             with np.errstate(over="ignore"):  # saturates to inf
                 values = values.astype(self.np_dtype)
         self.array.srf[:, :, :n] = values
-        self._emit_many(
-            Op.AB,
-            list(range(self.n_channels)) * n,
-            [0] * (self.n_channels * n),
-            [(row, col)],
-        )
+        self._emit_many(Op.AB, self._channel_targets, [(row, col)] * n)
 
     @contextlib.contextmanager
     def lockstep(
@@ -569,28 +592,37 @@ class PimExecMachine:
         """Host-sequenced PIM steps across channels in lockstep.
 
         Yields ``step(command, row, col)``: execute ``command`` in every
-        unit of each channel (default: all, each listed once) at
-        ``(row, col)`` and append one PIM request per channel, in
-        channel order — what :meth:`pim_step` per channel does.  A step
-        is one cached :meth:`VectorUnitArray.compiled` closure per
-        selection (one for the whole machine), the block runs under one
-        ``np.errstate``, ``commands_executed`` is added once on exit,
-        and the requests go to a lockstep block chunk.
+        unit of each selected channel (default: all; each at most once,
+        and in range) at ``(row, col)`` and append one log step over
+        ``(channel, 0)`` per selected channel — one PIM request per
+        channel, in selection order.  A step is one cached
+        :meth:`VectorUnitArray.compiled` closure per selection (one for
+        the whole machine), the block runs under one ``np.errstate``,
+        and ``commands_executed`` is added once on exit.
         """
-        targets = tuple(self._channels(channels))
+        targets = self._channels(channels)
         array = self.array
-        whole = sorted(targets) == list(range(self.n_channels))
-        sels = ((),) if whole else tuple((ch,) for ch in targets)
+        sels = (
+            ((),)
+            if len(targets) == self.n_channels
+            else tuple((ch,) for ch in targets)
+        )
         compiled = array.compiled
-        push = self._push_step
+        fan = self._fanout(tuple((ch, 0) for ch in targets))
+        ops, fans, rows, cols = (column.append for column in self._steps)
+        pim, width = Op.PIM.code, len(targets)
         n_steps = 0
 
         def step(command: PimCommand, row: int, col: int) -> None:
             nonlocal n_steps
             for sel in sels:
                 compiled(command, sel)(row, col)
-            push(targets, row, col)
+            ops(pim)
+            fans(fan)
+            rows(row)
+            cols(col)
             n_steps += 1
+            self._count += width
 
         try:
             with np.errstate(over="ignore", invalid="ignore"):
@@ -612,263 +644,89 @@ class PimExecMachine:
         commands = list(commands)
         for channel in self._channels(channels):
             self.sequencers[channel].load(commands)
-            for _ in commands:
-                self._emit(Op.AB, channel, 0, 0, 0)
+            self._emit_many(
+                Op.AB, ((channel, 0),), [(0, 0)] * len(commands)
+            )
 
     # ------------------------------------------------------------------
     # kernel execution
     # ------------------------------------------------------------------
-    def _step(
-        self, channel: int, command: PimCommand, row: int, col: int
-    ) -> None:
-        self.array.execute(command, row, col, (channel,))
-        self._emit(Op.PIM, channel, 0, row, col)
-
     def pim_step(
         self, channel: int, command: PimCommand, row: int, col: int
     ) -> None:
         """Execute one command in every unit of ``channel`` at (row, col).
 
-        The single-step escape hatch for host-sequenced kernels (e.g.
-        GEMV, which re-broadcasts an SRF scalar between steps); looped
-        kernels go through :meth:`load_kernel` + :meth:`run_kernel`.
+        One :meth:`lockstep` step on ``channel``: the single-step escape
+        hatch for host-sequenced kernels (e.g. GEMV, which
+        re-broadcasts an SRF scalar between steps); looped kernels go
+        through :meth:`load_kernel` + :meth:`run_kernel`.
         """
-        if command.is_control:
-            raise PimExecError(
-                f"{command.opcode.value} is sequencer control, not a "
-                "bank operation"
-            )
-        self._step(channel, command, row, col)
+        with self.lockstep((channel,)) as step:
+            step(command, row, col)
 
     def run_kernel(
         self,
-        walk: _t.Union[
-            _t.Sequence[_t.Tuple[int, int]],
-            _t.Mapping[int, _t.Sequence[_t.Tuple[int, int]]],
-        ],
+        walk: _t.Iterable[_t.Tuple[int, int]],
         channels: _t.Optional[_t.Sequence[int]] = None,
     ) -> int:
-        """Run the loaded CRF kernel to ``EXIT`` on each channel.
+        """Run the loaded CRF kernel to ``EXIT`` on each channel, in
+        lockstep.
 
-        ``walk`` is the column-access schedule: one ``(row, col)``
-        sequence shared by every channel, or a per-channel mapping.
-        Channels advance round-robin, one dynamic instruction each, so
-        their all-bank request streams interleave and the memory system
-        serves them concurrently.  Returns the total number of dynamic
+        ``walk`` is the column-access schedule, one ``(row, col)``
+        sequence every target channel walks.  The first target's
+        sequencer drives the kernel and each dynamic instruction runs
+        as one :meth:`lockstep` step across all targets, so the
+        channels' all-bank requests interleave round-robin, one per
+        channel per instruction, and the memory system serves them
+        concurrently.  The other targets' sequencer counters mirror the
+        driver's, even on error.  Returns the total number of dynamic
         instructions executed (all channels).
 
-        When every target channel holds the same CRF program and walks
-        the same column schedule (the lockstep case every built-in
-        looped kernel hits), the machine drives *one*
-        sequencer and executes each dynamic instruction across all
-        target channels in a single array op — the round-robin request
-        interleaving and all sequencer counters are reproduced exactly.
+        Raises
+        ------
+        PimExecError
+            If the target channels hold different CRF programs (naming
+            them), or from the driving sequencer (no kernel loaded, the
+            walk exhausted, ...).
         """
         targets = self._channels(channels)
-        if (
-            len(targets) > 1
-            and len(set(targets)) == len(targets)
-            and not isinstance(walk, _t.Mapping)
-            and self._lockstep_programs(targets)
-        ):
-            return self._run_kernel_lockstep(walk, targets)
-        if isinstance(walk, _t.Mapping):
-            walks = {ch: walk[ch] for ch in targets}
-        else:
-            walks = {ch: walk for ch in targets}
-        steppers = {
-            ch: self.sequencers[ch].run(walks[ch]) for ch in targets
-        }
-        executed = 0
-        active = list(targets)
-        while active:
-            still_running = []
-            for channel in active:
-                step = next(steppers[channel], None)
-                if step is None:
-                    continue
-                command, row, col = step
-                self._step(channel, command, row, col)
-                executed += 1
-                still_running.append(channel)
-            active = still_running
-        return executed
-
-    def _lockstep_programs(self, targets: _t.Sequence[int]) -> bool:
-        """Do all target channels hold the same loaded CRF program?"""
-        first = self.sequencers[targets[0]].crf
-        if not first:
-            return False
-        return all(
-            self.sequencers[ch].crf == first for ch in targets[1:]
-        )
-
-    def _run_kernel_lockstep(
-        self,
-        walk: _t.Sequence[_t.Tuple[int, int]],
-        targets: _t.List[int],
-    ) -> int:
-        """Drive one sequencer; execute each step across all targets.
-
-        Every channel would yield the identical dynamic-instruction
-        sequence (same CRF, same walk), so one generator stands in for
-        all of them, feeding :meth:`lockstep`, which appends the same
-        round-robin request pattern (channel-major within each step)
-        the generic loop produces.  Sequencer counters of the
-        non-driven channels are mirrored from the driver's, even on
-        error.
-        """
         driver = self.sequencers[targets[0]]
-        before_instr = driver.instructions
-        before_ctl = driver.control_steps
-        executed = 0
+        differ = [
+            ch for ch in targets[1:] if self.sequencers[ch].crf != driver.crf
+        ]
+        if differ:
+            raise PimExecError(
+                f"run_kernel runs one CRF program in lockstep; channels "
+                f"{differ} hold a different one than channel {targets[0]}"
+            )
+        instructions = driver.instructions
+        control_steps = driver.control_steps
+        n_steps = 0
         try:
             with self.lockstep(targets) as step:
                 for command, row, col in driver.run(walk):
                     step(command, row, col)
-                    executed += len(targets)
+                    n_steps += 1
         finally:
             for channel in targets[1:]:
                 sequencer = self.sequencers[channel]
-                sequencer.instructions += driver.instructions - before_instr
+                sequencer.instructions += driver.instructions - instructions
                 sequencer.control_steps += (
-                    driver.control_steps - before_ctl
+                    driver.control_steps - control_steps
                 )
-        return executed
+        return n_steps * len(targets)
 
     # ------------------------------------------------------------------
     # timing
     # ------------------------------------------------------------------
-    def _encode_columns(
-        self,
-        channels: np.ndarray,
-        banks: np.ndarray,
-        rows: np.ndarray,
-        cols: np.ndarray,
-    ) -> np.ndarray:
-        """Byte addresses of (channel, flat bank, row, col) columns, in
-        one vectorized pass."""
-        per_group = self.config.banks_per_group
-        return self.addr_map.encode_fields(
-            {
-                "channel": channels,
-                "bankgroup": banks // per_group,
-                "bank": banks % per_group,
-                "row": rows,
-                "column": cols,
-            }
-        )
-
-    def _pack_columns(
-        self,
-    ) -> _t.Tuple[np.ndarray, np.ndarray, _t.Optional[np.ndarray]]:
-        """The log as (op code, address, timestamp) arrays.
-
-        Each chunk kind packs in one pass: flat chunks concatenate and
-        encode their columns; lockstep blocks expand vectorized, each
-        recorded step fanning out to one PIM request per target
-        channel, channel-major within the step (exactly the round-robin
-        order the generic execution loop appends); appended traces are
-        already encoded.  One kind mask per request then interleaves
-        the three back into stream order, so the cost does not grow
-        with the number of chunks.  Timestamps exist only when every
-        request comes from a timed trace.
-        """
-        flat: _t.Tuple[list, list, list, list, list] = ([], [], [], [], [])
-        blocks, traces = [], []
-        kinds, sizes = [], []
-        for chunk in self._iter_chunks():
-            kind = chunk[0]
-            if kind == "flat":
-                for column, values in zip(flat, chunk[1:]):
-                    column.extend(values)
-                sizes.append(len(chunk[1]))
-            elif kind == "block":
-                blocks.append(chunk)
-                sizes.append(len(chunk[1]) * len(chunk[2]))
-            else:
-                traces.append(chunk[1])
-                sizes.append(len(chunk[1]))
-            kinds.append(_CHUNK_KINDS.index(kind))
-        parts = {}
-        if flat[0]:
-            parts[0] = (
-                np.array(flat[0], dtype=np.uint8),
-                self._encode_columns(
-                    *(np.array(column, dtype=np.int64) for column in flat[1:])
-                ),
-            )
-        if blocks:
-            addrs = self._block_addrs(blocks)
-            parts[1] = (np.full(addrs.shape, Op.PIM.code, np.uint8), addrs)
-        times = None
-        if traces:
-            parts[2] = (
-                np.concatenate([t.op_codes for t in traces]),
-                np.concatenate([t.addrs for t in traces]),
-            )
-            timed = [t.times for t in traces if t.times is not None]
-            n_timed = sum(len(t) for t in timed)
-            if n_timed and n_timed != self._count:
-                raise TraceFormatError(
-                    f"the request log mixes {self._count - n_timed} "
-                    f"untimestamped requests with {n_timed} timestamped "
-                    "ones; call reset_requests() after untimed staging "
-                    "and before appending a timestamped stream"
-                )
-            if n_timed:
-                times = np.concatenate(timed)
-        if len(parts) == 1:
-            op_codes, addrs = next(iter(parts.values()))
-            return op_codes, addrs, times
-        request_kind = np.repeat(np.array(kinds, dtype=np.int8), sizes)
-        op_codes = np.empty(request_kind.shape[0], dtype=np.uint8)
-        addrs = np.empty(request_kind.shape[0], dtype=np.int64)
-        for code, (part_ops, part_addrs) in parts.items():
-            mask = request_kind == code
-            op_codes[mask] = part_ops
-            addrs[mask] = part_addrs
-        return op_codes, addrs, times
-
-    def _block_addrs(self, blocks: _t.List[tuple]) -> np.ndarray:
-        """Addresses of the PIM requests of lockstep ``blocks``, in
-        stream order."""
-        # per step: its target count and the offset of its block's
-        # targets in one concatenated table; per request: its lane
-        # (position among the step's targets)
-        n_targets = [len(chunk[1]) for chunk in blocks]
-        n_steps = [len(chunk[2]) for chunk in blocks]
-        step_nt = np.repeat(n_targets, n_steps)
-        step_first = np.repeat(np.cumsum(n_targets) - n_targets, n_steps)
-        lane = np.arange(step_nt.sum()) - np.repeat(
-            np.cumsum(step_nt) - step_nt, step_nt
-        )
-        table = np.array(
-            list(itertools.chain.from_iterable(c[1] for c in blocks)),
-            dtype=np.int64,
-        )
-        rows, cols = (
-            np.repeat(
-                np.array(
-                    list(itertools.chain.from_iterable(c[i] for c in blocks)),
-                    dtype=np.int64,
-                ),
-                step_nt,
-            )
-            for i in (2, 3)
-        )
-        channels = table[np.repeat(step_first, step_nt) + lane]
-        return self._encode_columns(
-            channels, np.zeros_like(channels), rows, cols
-        )
-
     def trace(self) -> PackedTrace:
         """The accumulated request stream as one
         :class:`~repro.memsys.PackedTrace`.
 
-        Timestamped only when every request came from a timed
-        :meth:`append_trace` stream (e.g. a timestamped
-        :class:`~repro.pimexec.program.PimProgram`).
+        Encodes the open steps (see the module docstring) and
+        concatenates the chunks.  Timestamped only when every request
+        came from a timed :meth:`append_trace` stream (e.g. a
+        timestamped :class:`~repro.pimexec.program.PimProgram`).
 
         Raises
         ------
@@ -877,12 +735,30 @@ class PimExecMachine:
             untimed count: clear untimed staging requests with
             :meth:`reset_requests` first.
         """
-        return PackedTrace(*self._pack_columns())
+        self._close_steps()
+        chunks = self._chunks or [
+            (np.empty(0, np.uint8), np.empty(0, np.int64), None)
+        ]
+        timed = [times for _, _, times in chunks if times is not None]
+        n_timed = sum(len(times) for times in timed)
+        if n_timed and n_timed != self._count:
+            raise TraceFormatError(
+                f"the request log mixes {self._count - n_timed} "
+                f"untimestamped requests with {n_timed} timestamped "
+                "ones; call reset_requests() after untimed staging "
+                "and before appending a timestamped stream"
+            )
+        return PackedTrace(
+            np.concatenate([op_codes for op_codes, _, _ in chunks]),
+            np.concatenate([addrs for _, addrs, _ in chunks]),
+            np.concatenate(timed) if n_timed else None,
+        )
 
     def reset_requests(self) -> None:
         """Drop the accumulated request stream (e.g. after data load)."""
+        for column in self._steps:
+            column.clear()
         self._chunks = []
-        self._log = _empty_log()
         self._count = 0
 
     def replay(

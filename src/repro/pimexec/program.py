@@ -70,7 +70,7 @@ import numpy as np
 
 from ..errors import ConfigError, ProgramFormatError, TraceFormatError
 from ..memsys import Coordinates, MemSysConfig, Op, PackedTrace
-from ..memsys.trace import _source_lines
+from ..memsys.trace import _source_lines, arrival_times
 from .commands import PimCommand, PimExecError, parse_command
 from .machine import PimExecMachine
 
@@ -292,26 +292,24 @@ class PimProgram:
         representative channel).  Record ``@<ns>`` timestamps travel
         onto the requests; for untimestamped programs,
         ``interarrival_ns`` stamps the ``i``-th request at ``start_ns +
-        i * interarrival_ns`` (a fixed issue cadence) instead.  The first
+        i * interarrival_ns`` (a fixed issue cadence, see
+        :func:`~repro.memsys.trace.arrival_times`; a negative or
+        non-finite ``interarrival_ns`` or ``start_ns`` raises a
+        :class:`~repro.errors.ConfigError` naming it) instead.  The first
         out-of-range record in program order raises a
         :class:`~repro.errors.ProgramFormatError` naming its trace line.
         """
         config = config or MemSysConfig()
-        if interarrival_ns is not None:
-            if self.timestamped:
-                raise ConfigError(
-                    "program records carry '@<ns>' timestamps; "
-                    "interarrival_ns only applies to untimestamped "
-                    "programs"
-                )
-            if not interarrival_ns >= 0.0:
-                raise ConfigError(
-                    f"interarrival_ns must be >= 0, got "
-                    f"{interarrival_ns}"
-                )
+        if interarrival_ns is not None and self.timestamped:
+            raise ConfigError(
+                "program records carry '@<ns>' timestamps; "
+                "interarrival_ns only applies to untimestamped programs"
+            )
         op_codes, addrs, times = self._columns(config, channel)[:3]
         if interarrival_ns is not None and op_codes.size:
-            times = start_ns + np.arange(op_codes.size) * interarrival_ns
+            times = arrival_times(
+                op_codes.size, interarrival_ns, start_ns=start_ns
+            )
         return PackedTrace(op_codes, addrs, times)
 
     def execute(

@@ -42,9 +42,9 @@ the selector is recorded but ignored, as in PR 3.
 
 The units are purely *functional*: they execute commands and mutate
 state, but know nothing about time.  Timing comes from the
-:class:`~repro.pimexec.machine.PimExecMachine`, which emits one
-:class:`~repro.memsys.request.MemRequest` per executed command through
-the banked memory system.
+:class:`~repro.pimexec.machine.PimExecMachine`, which logs the memory
+request every executed command costs and replays the log through the
+banked memory system.
 """
 
 from __future__ import annotations

@@ -159,9 +159,9 @@ class TestWholeMachineHostActions:
             assert a.commands_executed == b.commands_executed
 
     def test_mixed_lockstep_blocks_pack_in_stream_order(self):
-        """Blocks over different channel subsets, split by flat
-        requests, pack exactly as the same steps issued one channel at
-        a time through ``pim_step`` (flat requests only)."""
+        """Lockstep steps over different channel subsets, split by
+        host requests, pack exactly as the same steps issued one
+        channel at a time through ``pim_step``."""
         add = parse_command("ADD GRF,8 BANK GRF,8")
         kernel = [add, parse_command("JUMP 0 3"), parse_command("EXIT")]
         machines = [
@@ -181,11 +181,6 @@ class TestWholeMachineHostActions:
                     flat.pim_step(ch, add, row, col)
             for ch in range(flat.n_channels):
                 flat.pim_step(ch, add, row, 7)
-        kinds = [
-            {chunk[0] for chunk in machine._iter_chunks()}
-            for machine in machines
-        ]
-        assert kinds == [{"flat", "block"}, {"flat"}]
         assert list(blocked.trace()) == list(flat.trace())
 
     def test_shape_and_range_checks(self, machine):
@@ -198,6 +193,82 @@ class TestWholeMachineHostActions:
         with pytest.raises(PimExecError, match="sequencer control"):
             with machine.lockstep() as step:
                 step(parse_command("EXIT"), 0, 0)
+
+
+def _select(machine, entry, channels):
+    """Drive one channel-selecting entry point on ``channels``."""
+    add = parse_command("ADD GRF,8 BANK GRF,8")
+    if entry == "lockstep":
+        with machine.lockstep(channels) as step:
+            step(add, 0, 0)
+    elif entry == "run_kernel":
+        machine.run_kernel([(0, 0)], channels=channels)
+    elif entry == "load_kernel":
+        machine.load_kernel(sum_kernel(1), channels=channels)
+    else:
+        (channel,) = channels
+        machine.pim_step(channel, add, 0, 0)
+
+
+ENTRIES = ("lockstep", "run_kernel", "load_kernel", "pim_step")
+
+
+class TestChannelSelection:
+    """Every channel-selecting entry point checks its selection before
+    it executes or logs anything."""
+
+    @pytest.mark.parametrize(
+        "entry, channels, message",
+        [
+            (entry, [5], r"channel 5 out of range \[0, 2\)")
+            for entry in ENTRIES
+        ]
+        + [
+            (entry, channels, message)
+            for entry in ENTRIES[:3]  # pim_step takes one channel
+            for channels, message in (
+                ([0, 0], "channel 0 selected more than once"),
+                ([], "no channels selected"),
+            )
+        ],
+    )
+    def test_bad_selection_raises(self, machine, entry, channels, message):
+        machine.load_kernel(sum_kernel(1))
+        machine.reset_requests()
+        machine.write_unit_pages(
+            [(0, 0)], np.ones((1, machine.total_units, machine.lanes))
+        )
+        with pytest.raises(PimExecError, match=message):
+            _select(machine, entry, channels)
+        assert machine.n_requests == len(machine.trace())
+        assert machine.n_requests == machine.total_units
+        assert not machine.array.grf_b.any()
+        assert not machine.array.commands_executed.any()
+        assert all(
+            stats == {
+                "kernels_loaded": 1, "instructions": 0, "control_steps": 0
+            }
+            for stats in machine.sequencer_stats()
+        )
+
+    def test_log_is_exact_inside_a_lockstep_block(self, machine):
+        """Steps taken in a block count at once and survive a trace()
+        or append_trace made inside it."""
+        add = parse_command("ADD GRF,8 BANK GRF,8")
+        reference = PimExecMachine(MemSysConfig())
+        with machine.lockstep() as step:
+            step(add, 0, 1)
+            assert machine.n_requests == machine.n_channels
+            machine.append_trace(machine.trace())
+            step(add, 0, 2)
+            assert machine.n_requests == 3 * machine.n_channels
+        for ch in range(reference.n_channels):
+            reference.pim_step(ch, add, 0, 1)
+        reference.append_trace(reference.trace())
+        for ch in range(reference.n_channels):
+            reference.pim_step(ch, add, 0, 2)
+        assert machine.trace() == reference.trace()
+        assert len(machine.trace()) == machine.n_requests
 
 
 class TestKernelExecution:
@@ -232,16 +303,17 @@ class TestKernelExecution:
                 0, PimCommand(PimOpcode.EXIT), 0, 0
             )
 
-    def test_per_channel_walks(self, machine):
+    def test_mismatched_crf_programs_raise(self, machine):
         machine.load_kernel(sum_kernel(1), channels=[0])
         machine.load_kernel(sum_kernel(2), channels=[1])
         machine.reset_requests()
-        machine.run_kernel({0: [(0, 0)], 1: [(0, 0), (0, 1)]})
-        channels = [
-            machine.addr_map.decode(r.addr).channel
-            for r in machine.trace()
-        ]
-        assert channels == [0, 1, 1]
+        with pytest.raises(PimExecError, match=r"channels \[1\]"):
+            machine.run_kernel([(0, 0), (0, 1)])
+        assert machine.n_requests == 0
+        assert all(
+            stats["instructions"] == 0
+            for stats in machine.sequencer_stats()
+        )
 
 
 class TestReplay:

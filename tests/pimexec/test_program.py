@@ -1,10 +1,13 @@
 """Tests for the HBM-PIMulator program-trace frontend."""
 
+import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
 
+from repro.errors import ConfigError
 from repro.memsys import MemSysConfig, MemorySystem, Op
 from repro.pimexec import PimExecMachine, parse_pim_program
 
@@ -349,3 +352,21 @@ class TestTimestamps:
         program = parse_pim_program("W GPR 0\n")
         with pytest.raises(ValueError, match="interarrival_ns"):
             program.to_requests(interarrival_ns=-1.0)
+
+    @pytest.mark.parametrize(
+        "knobs, message",
+        [
+            (dict(start_ns=-5.0), r"start_ns must be >= 0, got -5\.0"),
+            (dict(start_ns=math.nan), r"start_ns must be >= 0, got nan"),
+            (
+                dict(interarrival_ns=math.inf),
+                r"interarrival_ns must be >= 0, got inf",
+            ),
+        ],
+    )
+    def test_bad_cadence_names_its_parameter(self, knobs, message):
+        program = parse_pim_program("W GPR 0\nAB W\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning either
+            with pytest.raises(ConfigError, match=message):
+                program.to_requests(**{"interarrival_ns": 5.0, **knobs})

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ProgramFormatError
+from repro.memsys import Op, PackedTrace
 from repro.pimexec import (
     PimExecError,
     PimExecMachine,
@@ -25,10 +26,7 @@ from repro.pimexec import (
     parse_pim_program,
 )
 
-from tests.pimexec.test_tier_equivalence import (
-    assert_matches_oracle,
-    assert_streams_identical,
-)
+from tests.pimexec.test_tier_equivalence import assert_matches_oracle
 from tests.pimexec.unit_oracle import OracleGrid
 
 #: A small valid program trace to mutate (one of each record form).
@@ -163,10 +161,9 @@ class TestInstructionLevelFuzz:
     raw-byte — or raises the *same* typed error
     (:class:`PimExecError` / :class:`~repro.errors.ProgramFormatError`)
     on both: never silent divergence, never an implementation-specific
-    crash.  The machine runs each program twice, through
-    ``run_kernel(walk)`` (the lockstep path) and
-    ``run_kernel({ch: walk})`` (the generic round-robin loop), which
-    must emit the same request stream and sequencer counters.
+    crash.  The machine's ``run_kernel`` request stream must equal the
+    PIM requests the oracle's round-robin loop records, and both must
+    end with the same sequencer counters.
     """
 
     ARITH = ("ADD", "MUL", "MAC", "MAD", "MOV", "FILL")
@@ -241,9 +238,7 @@ class TestInstructionLevelFuzz:
             for space, index in registers:
                 grid.broadcast_page(channel, space, index, page(5.0))
 
-    def _run(
-        self, seed, grid, channels=None, per_channel=False, raw_bits=False
-    ):
+    def _run(self, seed, grid, channels=None, raw_bits=False):
         """Stage, draw and run one program on ``grid`` (the machine or
         the oracle); returns the grid or the typed error."""
         rng = random.Random(seed)
@@ -261,9 +256,7 @@ class TestInstructionLevelFuzz:
                 grid.run(program, walk, channels=channels)
                 return grid
             grid.load_kernel(program, channels=channels)
-            if per_channel:
-                targets = channels or range(grid.n_channels)
-                walk = {channel: walk for channel in targets}
+            grid.reset_requests()
             grid.run_kernel(walk, channels=channels)
         except (PimExecError, ProgramFormatError) as error:
             return (type(error), str(error))
@@ -272,15 +265,8 @@ class TestInstructionLevelFuzz:
     def _assert_same_outcome(
         self, seed, dtype, channels=None, raw_bits=False
     ):
-        lockstep, generic = (
-            self._run(
-                seed,
-                PimExecMachine(dtype=dtype),
-                channels,
-                per_channel=per_channel,
-                raw_bits=raw_bits,
-            )
-            for per_channel in (False, True)
+        machine = self._run(
+            seed, PimExecMachine(dtype=dtype), channels, raw_bits=raw_bits
         )
         oracle = self._run(
             seed,
@@ -288,25 +274,25 @@ class TestInstructionLevelFuzz:
             channels,
             raw_bits=raw_bits,
         )
-        outcomes = (lockstep, generic, oracle)
-        if any(isinstance(outcome, tuple) for outcome in outcomes):
-            # a typed error: every run must raise the same one
-            assert lockstep == generic == oracle
+        if isinstance(machine, tuple) or isinstance(oracle, tuple):
+            # a typed error: both runs must raise the same one
+            assert machine == oracle
             return
-        assert_matches_oracle(lockstep, oracle)
-        assert_matches_oracle(generic, oracle)
-        assert_streams_identical(lockstep, generic)
-        assert (
-            lockstep.sequencer_stats()
-            == generic.sequencer_stats()
-            == oracle.sequencer_stats()
+        assert_matches_oracle(machine, oracle)
+        assert machine.trace() == PackedTrace(
+            np.full(len(oracle.requests), Op.PIM.code),
+            [
+                machine.encode(ch, 0, row, col)
+                for ch, row, col in oracle.requests
+            ],
         )
+        assert machine.sequencer_stats() == oracle.sequencer_stats()
 
     @pytest.mark.parametrize("dtype", ("fp64", "fp16"))
     @pytest.mark.parametrize("seed", range(25))
     def test_lockstep_programs_bit_identical(self, seed, dtype):
-        """All-channel runs: the machine's lockstep path and its
-        round-robin loop against the oracle grid, same seed."""
+        """All-channel runs: the machine against the oracle grid, same
+        seed."""
         self._assert_same_outcome(seed, dtype)
 
     @pytest.mark.parametrize("seed", range(25))
@@ -318,8 +304,8 @@ class TestInstructionLevelFuzz:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_single_channel_programs_bit_identical(self, seed):
-        """Single-channel runs skip the lockstep path and fuzz the
-        per-channel execute instead."""
+        """Single-channel runs fuzz the one-channel unit selection
+        instead of the whole-machine one."""
         self._assert_same_outcome(3000 + seed, "fp16", channels=[0])
 
     @pytest.mark.parametrize("seed", range(10))

@@ -125,12 +125,6 @@ def assert_matches_oracle(machine, oracle):
             assert page_a.tobytes() == page_b.tobytes(), (where, row, col)
 
 
-def assert_streams_identical(a, b):
-    """The emitted request streams agree op-for-op, address-for-address."""
-    assert a.n_requests == b.n_requests
-    assert a.trace() == b.trace()
-
-
 #: ``(kernel, dtype) -> (packed request columns, sequencer counters,
 #: unit state)`` sha256 digests of :func:`run_builtin`, recorded on the
 #: per-unit reference grid (one ``BankExecUnit`` object per unit, the

@@ -9,10 +9,11 @@ about the production grid rather than a copy comparing against itself.
 :class:`OracleGrid` lays a machine's geometry out as a grid of
 :class:`BankExecUnit` objects and drives it like the machine's host
 actions: ``write_bank``, ``broadcast_scalar``, ``broadcast_page``, and
-``run`` — the generic round-robin kernel loop over one
-:class:`~repro.pimexec.CommandSequencer` per channel.  It emits no
-requests; streams are checked against the machine's own two kernel
-paths instead (see ``test_program_fuzz.py``).
+``run`` — the round-robin kernel loop over one
+:class:`~repro.pimexec.CommandSequencer` per channel, which records the
+PIM request each executed instruction costs in ``requests``, so the
+machine's lockstep stream is checked against it too (see
+``test_program_fuzz.py``).
 """
 
 from __future__ import annotations
@@ -261,6 +262,9 @@ class OracleGrid:
             for ch in range(n_channels)
         ]
         self.sequencers = [CommandSequencer() for _ in range(n_channels)]
+        #: ``(channel, row, col)`` of every PIM request :meth:`run`
+        #: issued, in issue order.
+        self.requests: _t.List[_t.Tuple[int, int, int]] = []
 
     @classmethod
     def like(cls, machine: _t.Any) -> "OracleGrid":
@@ -318,8 +322,9 @@ class OracleGrid:
         """Load ``program`` and run it to ``EXIT`` on each channel.
 
         Channels advance round-robin, one dynamic instruction each,
-        and every instruction executes unit by unit.  Returns the
-        dynamic instructions executed (all channels).
+        and every instruction executes unit by unit and appends its
+        PIM request to :attr:`requests`.  Returns the dynamic
+        instructions executed (all channels).
         """
         targets = (
             list(range(self.n_channels)) if channels is None else channels
@@ -340,6 +345,7 @@ class OracleGrid:
                 command, row, col = step
                 for unit in self.units[channel]:
                     unit.execute(command, row, col)
+                self.requests.append((channel, row, col))
                 executed += 1
                 running.append((channel, stepper))
             steppers = running

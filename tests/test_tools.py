@@ -34,6 +34,21 @@ def memsys_record(**overrides):
     return record
 
 
+def nn_record(**overrides):
+    record = {
+        "benchmark": "nn_transformer_throughput",
+        "fp16_commands_per_sec": 80_000,
+        "trace_records_per_sec": 30_000,
+        "telemetry_overhead_pct": 1.0,
+        "floor_commands_per_sec": 10_000,
+        "floor_trace_records_per_sec": 3_000,
+        "floor_telemetry_overhead_pct": 5.0,
+        "passed": True,
+    }
+    record.update(overrides)
+    return record
+
+
 def farm_record(**overrides):
     record = {
         "benchmark": "farm_replay_speedup",
@@ -311,6 +326,28 @@ class TestSpreadAwareNoise:
                 line
                 for line in report
                 if ": refresh_requests_per_sec = " in line
+            )
+            assert verdict in line
+
+    @pytest.mark.parametrize(
+        "metric, spread_key, value",
+        [
+            ("fp16_commands_per_sec", "fp16_commands_spread_pct", 9_500),
+            ("trace_records_per_sec", "trace_records_spread_pct", 2_850),
+        ],
+    )
+    def test_nn_rates_carry_their_spread(self, metric, spread_key, value):
+        # each misses its floor by 5%: inside a 10% spread, outside 2%
+        for spread_pct, verdict in (
+            (10.0, "NOISY MISS"),
+            (2.0, "FLOOR MISS"),
+        ):
+            _, report = compare_bench.compare_record(
+                nn_record(**{metric: value, spread_key: spread_pct}),
+                None,
+            )
+            line = next(
+                line for line in report if f": {metric} = " in line
             )
             assert verdict in line
 

@@ -122,6 +122,8 @@ FLOORS: _t.Dict[str, _t.List[_t.Tuple[str, ...]]] = {
 SPREAD_KEYS: _t.Dict[str, str] = {
     "telemetry_overhead_pct": "telemetry_overhead_spread_pct",
     "refresh_requests_per_sec": "refresh_spread_pct",
+    "fp16_commands_per_sec": "fp16_commands_spread_pct",
+    "trace_records_per_sec": "trace_records_spread_pct",
 }
 
 #: Non-numeric provenance fields carried into the JSONL history next to
