@@ -38,6 +38,7 @@ import os
 import pathlib
 import time
 
+from benchstats import spread
 from repro.farm import FarmConfig, replay_farm
 from repro.memsys import MemSysConfig, MemorySystem, synthesize_trace
 
@@ -47,6 +48,8 @@ N_CHANNELS = 4
 #: — enforced only on runners with >= FLOOR_MIN_CORES cores.
 FLOOR_SPEEDUP = 2.0
 FLOOR_MIN_CORES = 4
+#: Timed replays per regime; each rate is their median.
+REPEATS = 3
 
 
 def farm_config() -> MemSysConfig:
@@ -145,18 +148,15 @@ def main(argv=None) -> int:
     trace = build_trace(config)
 
     # steady state: one untimed single-process replay pre-faults the
-    # allocator's pools, then best-of-2 per regime
+    # allocator's pools, then the median of REPEATS runs per regime
     run_single(config, trace)
-    single_rate, single_stats = max(
-        (run_single(config, trace) for _ in range(2)),
-        key=lambda r: r[0],
-    )
-    farm_rate, farm_result = max(
-        (run_farm(config, trace, workers) for _ in range(2)),
-        key=lambda r: r[0],
-    )
+    single_runs = [run_single(config, trace) for _ in range(REPEATS)]
+    farm_runs = [run_farm(config, trace, workers) for _ in range(REPEATS)]
+    single_stats, farm_result = single_runs[-1][1], farm_runs[-1][1]
     assert_bit_identical(single_stats, farm_result.stats)
-    speedup = farm_rate / single_rate
+    single = spread([rate for rate, _ in single_runs])
+    farm = spread([rate for rate, _ in farm_runs])
+    speedup = farm["median"] / single["median"]
     report = farm_result.report
 
     record = {
@@ -167,8 +167,10 @@ def main(argv=None) -> int:
         "workers": workers,
         "mode": report.mode,
         "n_shards": report.n_shards,
-        "single_requests_per_sec": round(single_rate),
-        "farm_requests_per_sec": round(farm_rate),
+        "single_requests_per_sec": round(single["median"]),
+        "single_spread_pct": single["spread_pct"],
+        "farm_requests_per_sec": round(farm["median"]),
+        "farm_spread_pct": farm["spread_pct"],
         "speedup": round(speedup, 2),
         "bit_identical": True,  # asserted above; a lie cannot get here
         "retries": report.retries,

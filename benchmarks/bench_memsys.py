@@ -28,6 +28,10 @@ Regimes timed:
   :data:`N_DERIVATIONS` fresh recorders and recorded as a median and
   its spread — a per-layer record with no floor.
 
+Every rate in the record is the median of its runs, with their
+interquartile range as ``*_spread_pct`` of the median
+(``benchmarks/benchstats.py``).
+
 Each benchmark asserts the §2.1 analytic cross-check before timing, so
 the suite doubles as an end-to-end correctness smoke test at scale.
 
@@ -42,6 +46,7 @@ import pathlib
 import time
 
 import pytest
+from benchstats import spread
 
 from repro.arch.dram import macro_bandwidth_bits_per_sec
 from repro.memsys import MemSysConfig, MemorySystem, synthesize_trace
@@ -252,13 +257,6 @@ def test_bench_1m_refresh_replay(benchmark):
     assert rate >= MIN_FAST_REQUESTS_PER_SEC
 
 
-def median_spread(samples):
-    """``(median, (max - min) / median in percent)`` of ``samples``."""
-    samples = sorted(samples)
-    median = samples[len(samples) // 2]
-    return median, 100 * (samples[-1] - samples[0]) / median
-
-
 def main(argv=None) -> int:
     """Measure every regime and optionally write a JSON record."""
     parser = argparse.ArgumentParser(description=__doc__)
@@ -281,8 +279,9 @@ def main(argv=None) -> int:
     for _ in range(3):
         off_rates.append(run_fast())
         on_runs.append(run_fast_telemetry())
-    fast_rate = max(off_rates)
-    telemetry_rate = max(rate for rate, _ in on_runs)
+    fast = spread(off_rates)
+    fast_rate = fast["median"]
+    telemetry_on = spread([rate for rate, _ in on_runs])
     # percentile + time-series + energy assembly is deliberately
     # outside the replay's timed region — derivation must never ride
     # the hot path — and timed on its own, one fresh recorder each
@@ -295,7 +294,7 @@ def main(argv=None) -> int:
         derivation_times.append(elapsed)
     assert validate_timeseries(timeseries) == []
     assert validate_energy(energy) == []
-    derivation_s, derivation_spread_pct = median_spread(derivation_times)
+    derivation = spread(derivation_times)
     # median of the per-pair ratios: each pair shares its moment's
     # machine conditions, and the median rejects GC/scheduler outliers;
     # the spread (max - min ratio) is the run's own noise estimate
@@ -305,22 +304,20 @@ def main(argv=None) -> int:
     telemetry_overhead_pct = 100 * (ratios[len(ratios) // 2] - 1)
     spread_pct = 100 * (ratios[-1] - ratios[0])
     refresh_runs = [run_fast_refresh() for _ in range(N_REFRESH_RUNS)]
-    refresh_rate, refresh_spread_pct = median_spread(
-        [rate for rate, _ in refresh_runs]
-    )
-    certificate_s, certificate_spread_pct = median_spread(
-        [seconds for _, seconds in refresh_runs]
-    )
-    random_rate = max(run_random() for _ in range(3))
-    fcfs_random_rate = max(run_fcfs_random() for _ in range(3))
-    timestamped_rate, timestamped_spread_pct = median_spread(
-        [run_timestamped_refresh() for _ in range(3)]
-    )
+    refresh = spread([rate for rate, _ in refresh_runs])
+    refresh_rate = refresh["median"]
+    certificate = spread([seconds for _, seconds in refresh_runs])
+    random_traffic = spread([run_random() for _ in range(3)])
+    fcfs_traffic = spread([run_fcfs_random() for _ in range(3)])
+    timestamped = spread([run_timestamped_refresh() for _ in range(3)])
+    timestamped_rate = timestamped["median"]
     record = {
         "benchmark": "memsys_replay_throughput",
         "fast_requests": N_FAST,
         "fast_requests_per_sec": round(fast_rate),
-        "telemetry_requests_per_sec": round(telemetry_rate),
+        "fast_spread_pct": fast["spread_pct"],
+        "telemetry_requests_per_sec": round(telemetry_on["median"]),
+        "telemetry_requests_spread_pct": telemetry_on["spread_pct"],
         "telemetry_overhead_pct": round(telemetry_overhead_pct, 2),
         "telemetry_overhead_spread_pct": round(spread_pct, 2),
         "timeseries_windows": timeseries["n_windows"],
@@ -331,17 +328,19 @@ def main(argv=None) -> int:
             energy["requests_per_s_per_w"]
         ),
         "latency_percentiles": percentiles,
-        "derivation_s": round(derivation_s, 4),
-        "derivation_spread_pct": round(derivation_spread_pct, 2),
+        "derivation_s": round(derivation["median"], 4),
+        "derivation_spread_pct": derivation["spread_pct"],
         "refresh_requests_per_sec": round(refresh_rate),
-        "refresh_spread_pct": round(refresh_spread_pct, 2),
-        "refresh_certificate_s": round(certificate_s, 4),
-        "refresh_certificate_spread_pct": round(certificate_spread_pct, 2),
+        "refresh_spread_pct": refresh["spread_pct"],
+        "refresh_certificate_s": round(certificate["median"], 4),
+        "refresh_certificate_spread_pct": certificate["spread_pct"],
         "random_requests": N_RANDOM,
-        "random_requests_per_sec": round(random_rate),
-        "fcfs_random_requests_per_sec": round(fcfs_random_rate),
+        "random_requests_per_sec": round(random_traffic["median"]),
+        "random_spread_pct": random_traffic["spread_pct"],
+        "fcfs_random_requests_per_sec": round(fcfs_traffic["median"]),
+        "fcfs_random_spread_pct": fcfs_traffic["spread_pct"],
         "timestamped_refresh_requests_per_sec": round(timestamped_rate),
-        "timestamped_refresh_spread_pct": round(timestamped_spread_pct, 2),
+        "timestamped_refresh_spread_pct": timestamped["spread_pct"],
         "floor_requests_per_sec": MIN_FAST_REQUESTS_PER_SEC,
         "floor_timestamped_refresh_requests_per_sec": (
             MIN_TIMESTAMPED_REFRESH_REQUESTS_PER_SEC

@@ -28,8 +28,9 @@ push, next to ``BENCH_memsys.json`` and ``BENCH_pimexec.json``.
 import argparse
 import json
 import pathlib
-import statistics
 import time
+
+from benchstats import spread
 
 from repro.memsys import MemorySystem, MemSysConfig
 from repro.nn import (
@@ -108,23 +109,6 @@ def run_trace_pipeline(spec=None):
         "replay_s": replayed - lowered,
     }
     return len(program) / (replayed - started), len(program), seconds
-
-
-def layer_spread(samples):
-    """Median and interquartile range of one layer's timed runs."""
-    q1, median, q3 = statistics.quantiles(samples, n=4)
-    return {
-        "median": round(median, 6),
-        "iqr": round(q3 - q1, 6),
-        "repeats": len(samples),
-    }
-
-
-def rate_spread(rates):
-    """Median of ``rates`` and their interquartile range as a
-    percentage of it: the run's own noise estimate."""
-    spread = layer_spread(rates)
-    return spread["median"], 100 * spread["iqr"] / spread["median"]
 
 
 def replay_overhead(shape=None, pairs=5):
@@ -241,9 +225,8 @@ def main(argv=None) -> int:
 
     run_gemm_pipeline(dict(m=128, k=8, n=8))  # warm-up
     gemm_runs = [run_gemm_pipeline() for _ in range(REPEATS)]
-    commands_rate, commands_spread_pct = rate_spread(
-        [run[0] for run in gemm_runs]
-    )
+    commands = spread([run[0] for run in gemm_runs])
+    commands_rate = commands["median"]
     result = gemm_runs[-1][1]
     telemetry_rate, telemetry_overhead_pct, spread_pct, telemetry = (
         replay_overhead()
@@ -271,12 +254,11 @@ def main(argv=None) -> int:
         / energy["mean_power_w"]
     )
     trace_runs = [run_trace_pipeline() for _ in range(REPEATS)]
-    trace_rate, trace_spread_pct = rate_spread([run[0] for run in trace_runs])
+    trace = spread([run[0] for run in trace_runs])
+    trace_rate = trace["median"]
     trace_records = trace_runs[-1][1]
     layers = {
-        f"{pipeline}.{layer}": layer_spread(
-            [run[-1][layer] for run in runs]
-        )
+        f"{pipeline}.{layer}": spread([run[-1][layer] for run in runs])
         for pipeline, runs in (("gemm", gemm_runs), ("trace", trace_runs))
         for layer in runs[0][-1]
     }
@@ -287,7 +269,7 @@ def main(argv=None) -> int:
         "gemm_shape": GEMM_SHAPE,
         "replay_engine": result.engine,
         "fp16_commands_per_sec": round(commands_rate),
-        "fp16_commands_spread_pct": round(commands_spread_pct, 2),
+        "fp16_commands_spread_pct": commands["spread_pct"],
         "telemetry_commands_per_sec": round(telemetry_rate),
         "telemetry_overhead_pct": round(telemetry_overhead_pct, 2),
         "telemetry_overhead_spread_pct": round(spread_pct, 2),
@@ -300,7 +282,7 @@ def main(argv=None) -> int:
         "gemm_requests": result.n_requests,
         "trace_records": trace_records,
         "trace_records_per_sec": round(trace_rate),
-        "trace_records_spread_pct": round(trace_spread_pct, 2),
+        "trace_records_spread_pct": trace["spread_pct"],
         "layers": layers,
         "kernel_speedups": speedups,
         "floor_commands_per_sec": MIN_COMMANDS_PER_SEC,

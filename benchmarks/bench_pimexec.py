@@ -6,6 +6,12 @@ replay of the generated mixed host+PIM request stream through the
 banked memory system — on a large ``vector-sum`` kernel, and records
 the simulated host-vs-PIM speedup of every built-in kernel.
 
+The pipeline rates are the median of :data:`PIPELINE_RUNS` runs, with
+their interquartile range as ``*_spread_pct`` of the median
+(``benchmarks/benchstats.py``); each layer of a run — ``stage_s`` (data
+staging, outside the rates), ``execute_s`` and ``replay_s`` — is
+reported under ``"layers"`` as the median and IQR of the same runs.
+
 Each run asserts bit-exact correctness of the per-bank register state
 against the NumPy reference before timing counts, so the benchmark
 doubles as an at-scale end-to-end check.
@@ -20,7 +26,8 @@ import json
 import pathlib
 import time
 
-from repro.memsys import MemorySystem, MemSysConfig
+from benchstats import spread
+from repro.memsys import MemSysConfig
 from repro.pimexec import KERNEL_NAMES, PimExecMachine, build_kernel
 
 #: Vector length for the timed pipeline run (16384 all-bank commands).
@@ -34,9 +41,9 @@ N_CHANNELS = 16
 #: time sits far below it, so a kernel that silently leaves the
 #: lockstep path fails the bench.
 MIN_COMMANDS_PER_SEC = 1_000_000
-#: Timed runs behind the commands/s gate: a single ~20 ms run cannot
-#: resolve its floor from scheduler noise, the median of five can.
-PIPELINE_RUNS = 5
+#: Timed runs behind the commands/s gate and the per-layer record: a
+#: single ~20 ms run cannot resolve its floor from scheduler noise.
+PIPELINE_RUNS = 7
 MIN_VECTOR_SUM_SPEEDUP = 1.5
 MAX_TELEMETRY_OVERHEAD_PCT = 5.0
 
@@ -47,37 +54,54 @@ def bench_config(n_channels=N_CHANNELS):
 
 
 def run_pipeline(n=N_VALUES, telemetry=None):
-    """Time execute+replay of a ``vector-sum`` kernel of ``n`` values.
+    """Time stage, execute, and replay of a ``vector-sum`` kernel of
+    ``n`` values.
 
-    Returns ``(commands_per_sec, values_per_sec, result)``; an optional
-    :class:`repro.telemetry.ReplayTelemetry` instruments the replay.
+    Returns ``(commands_per_sec, values_per_sec, result, seconds)`` with
+    ``seconds`` keyed ``stage_s``/``execute_s``/``replay_s``; the rates
+    cover execute + replay (data staging is untimed there).  An
+    optional :class:`repro.telemetry.ReplayTelemetry` instruments the
+    replay.
     """
     kernel = build_kernel("vector-sum", n=n, config=bench_config())
     machine = PimExecMachine(kernel.config)
-    kernel.setup(machine)  # data staging is untimed
-    machine.reset_requests()
     started = time.perf_counter()
+    kernel.setup(machine)
+    machine.reset_requests()
+    staged = time.perf_counter()
     kernel.execute(machine)
+    executed = time.perf_counter()
     result = machine.replay(telemetry=telemetry)
-    elapsed = time.perf_counter() - started
+    replayed = time.perf_counter()
     assert kernel.check(machine), "bank state diverged from NumPy"
-    return result.n_pim / elapsed, n / elapsed, result
+    seconds = {
+        "stage_s": staged - started,
+        "execute_s": executed - staged,
+        "replay_s": replayed - executed,
+    }
+    elapsed = replayed - staged
+    return result.n_pim / elapsed, n / elapsed, result, seconds
 
 
 def pipeline_median(runs=PIPELINE_RUNS):
-    """Median commands/s of ``runs`` timed pipeline runs.
+    """``runs`` timed pipeline runs, summarized by :func:`spread`.
 
-    Returns ``(median, spread_pct, result)``: the spread (max - min
-    over the median) is the runs' own noise estimate, and ``result`` is
-    the last run's replay result.
+    Returns ``(commands, values, layers, result)``: the spreads of the
+    commands/s and values/s rates, one spread per layer keyed
+    ``stage_s``/``execute_s``/``replay_s``, and the last run's replay
+    result.
     """
-    rates = []
-    for _ in range(runs):
-        rate, _values, result = run_pipeline()
-        rates.append(rate)
-    rates.sort()
-    median = rates[len(rates) // 2]
-    return median, 100 * (rates[-1] - rates[0]) / median, result
+    samples = [run_pipeline() for _ in range(runs)]
+    layers = {
+        layer: spread([run[3][layer] for run in samples])
+        for layer in samples[0][3]
+    }
+    return (
+        spread([run[0] for run in samples]),
+        spread([run[1] for run in samples]),
+        layers,
+        samples[-1][2],
+    )
 
 
 def replay_overhead(n=N_VALUES, pairs=5):
@@ -142,12 +166,13 @@ def kernel_speedups(n=8_192):
 
 
 def test_bench_pipeline(benchmark):
-    commands_rate, spread_pct, result = benchmark.pedantic(
+    commands, _values, _layers, result = benchmark.pedantic(
         pipeline_median, rounds=1, iterations=1
     )
+    commands_rate = commands["median"]
     print(
         f"pipeline: median {commands_rate:,.0f} commands/s over "
-        f"{PIPELINE_RUNS} runs, spread {spread_pct:.1f}%"
+        f"{PIPELINE_RUNS} runs, spread {commands['spread_pct']:.1f}%"
     )
     # one all-bank command per slot per channel: each of the
     # 16 lanes * 4 units * N_CHANNELS banks holds N/(16*4*N_CHANNELS)
@@ -177,9 +202,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     run_pipeline(n=32_768)  # warm-up
-    commands_rate, values_rate, result = max(
-        (run_pipeline() for _ in range(3)), key=lambda r: r[0]
-    )
+    commands, values, layers, result = pipeline_median()
+    commands_rate = commands["median"]
     telemetry_rate, telemetry_overhead_pct, spread_pct, telemetry = (
         replay_overhead()
     )
@@ -204,6 +228,7 @@ def main(argv=None) -> int:
         "vector_sum_values": N_VALUES,
         "n_channels": N_CHANNELS,
         "all_bank_commands_per_sec": round(commands_rate),
+        "all_bank_commands_spread_pct": commands["spread_pct"],
         "telemetry_commands_per_sec": round(telemetry_rate),
         "telemetry_overhead_pct": round(telemetry_overhead_pct, 2),
         "telemetry_overhead_spread_pct": round(spread_pct, 2),
@@ -217,7 +242,8 @@ def main(argv=None) -> int:
             energy["requests_per_s_per_w"]
         ),
         "latency_percentiles": percentiles,
-        "values_per_sec": round(values_rate),
+        "values_per_sec": round(values["median"]),
+        "layers": layers,
         "replay_engine": result.engine,
         "kernel_speedups": speedups,
         "floor_commands_per_sec": MIN_COMMANDS_PER_SEC,

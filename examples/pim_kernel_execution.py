@@ -3,7 +3,8 @@
 This walkthrough builds the machinery of :mod:`repro.pimexec` by hand —
 no prebuilt kernel — so every moving part is visible:
 
-1. lay a vector out across the banks, one page per bank per *slot*;
+1. lay a vector out across the banks with a :class:`~repro.pimexec.Layout`,
+   one page per bank per *slot*, and stage it in one whole-machine write;
 2. download a three-command microkernel into each channel's CRF;
 3. run it: every dynamic instruction is one all-bank column access
    through the banked memory system, so the kernel's execution time
@@ -19,8 +20,9 @@ Run with ``PYTHONPATH=src python examples/pim_kernel_execution.py``.
 
 import numpy as np
 
-from repro.memsys import MemSysConfig, MemorySystem, MemRequest, Op
+from repro.memsys import MemSysConfig, MemorySystem, Op
 from repro.pimexec import (
+    Layout,
     Operand,
     PimCommand,
     PimExecMachine,
@@ -32,27 +34,23 @@ from repro.pimexec import (
 # ----------------------------------------------------------------------
 config = MemSysConfig()  # 2 channels x 4 banks, paper timing
 machine = PimExecMachine(config)
-lanes = machine.lanes          # 256-bit page = 16 16-bit words
-units = machine.total_units    # one execution unit per bank
-pages_per_row = config.timing.pages_per_row
+layout = Layout(config)  # where every value sits: lane, unit, slot
 
 N = 2048
 rng = np.random.default_rng(42)
 x = rng.standard_normal(N)
-pages = x.reshape(-1, units, lanes)  # [slot][unit][lane]
+# a vector is a one-column matrix: pages[slot][unit][lane]
+pages = layout.tiles(x[:, None])[:, 0]
 slots = pages.shape[0]
+walk = layout.addrs(0, slots)  # (row, col) of every slot
 
 print(f"machine: {machine!r}")
 print(
-    f"layout:  {N} values -> {slots} slots x {units} banks x "
-    f"{lanes} lanes"
+    f"layout:  {N} values -> {slots} slots x {layout.units} banks x "
+    f"{layout.lanes} lanes"
 )
 
-for s in range(slots):
-    row, col = divmod(s, pages_per_row)
-    for u in range(units):
-        ch, bank = divmod(u, config.banks_per_channel)
-        machine.write_bank(ch, bank, row, col, pages[s, u])
+machine.write_unit_pages(walk, pages)  # one page per unit per slot
 machine.reset_requests()  # data staging is not part of kernel time
 
 # ----------------------------------------------------------------------
@@ -73,11 +71,8 @@ machine.load_kernel(kernel)  # broadcast into every channel's CRF
 # ----------------------------------------------------------------------
 # 3. run: one all-bank column access per dynamic instruction
 # ----------------------------------------------------------------------
-walk = [divmod(s, pages_per_row) for s in range(slots)]
 executed = machine.run_kernel(walk)
-for u in range(units):
-    ch, bank = divmod(u, config.banks_per_channel)
-    machine.read_grf(ch, bank, "grf_b", 0)
+partials = machine.read_grfs("grf_b", 0)  # one AB read per unit
 pim = machine.replay()
 print(
     f"kernel:  {executed} all-bank instructions -> "
@@ -88,16 +83,10 @@ print(
 # ----------------------------------------------------------------------
 # 4. bit-exact check against NumPy
 # ----------------------------------------------------------------------
-reference = np.zeros((units, lanes))
+reference = np.zeros((layout.units, layout.lanes))
 for s in range(slots):
     reference = pages[s] + reference  # the ADD's operand order
-bit_exact = all(
-    np.array_equal(
-        machine.unit(*divmod(u, config.banks_per_channel)).grf_b[0],
-        reference[u],
-    )
-    for u in range(units)
-)
+bit_exact = np.array_equal(partials, reference)
 total = float(reference.sum())
 print(f"result:  sum = {total:.6f}, numpy says {x.sum():.6f}")
 print(f"bank GRF contents bit-exact vs NumPy: {bit_exact}")
@@ -106,14 +95,7 @@ assert bit_exact
 # ----------------------------------------------------------------------
 # 5. the host-only twin: one page per request over the host interface
 # ----------------------------------------------------------------------
-host_trace = []
-for s in range(slots):
-    row, col = divmod(s, pages_per_row)
-    for u in range(units):
-        ch, bank = divmod(u, config.banks_per_channel)
-        host_trace.append(
-            MemRequest(Op.READ, machine.encode(ch, bank, row, col))
-        )
+host_trace = layout.host_twin((Op.READ, s, layout.banks) for s in range(slots))
 host = MemorySystem(config).replay(host_trace)
 print(
     f"timing:  host-only {host.makespan_ns:.0f} ns vs "

@@ -43,16 +43,9 @@ Kernels
 
 Data layout
 -----------
-Matrices are *row-striped*: within tile ``t`` (``rows_per_tile =
-units * lanes`` rows), unit ``u`` holds rows ``[t*R + u*lanes,
-t*R + (u+1)*lanes)``; column ``k`` of tile ``t`` is one page per unit
-at slot ``base + t*K + k``, and slot ``s`` lives at ``(row, col) =
-(s // pages_per_row, s % pages_per_row)``.  Matrices whose row count
-is not a multiple of ``rows_per_tile`` are zero-padded (references pad
-identically, so checks stay bit-exact).  In bank-group mode the unit
-count halves, so the same matrix needs twice the tiles — twice the
-all-bank column accesses — which is exactly how the bank-group timing
-difference surfaces in ``exp_nn``.
+See :class:`~repro.pimexec.layout.Layout` (re-exported as
+:class:`repro.nn.Layout`), the one description of where every page
+sits: row-striped tiles, slots, and the host-only twins' banks.
 
 Host-only twins move every *logical* operand one page at a time over
 the host interface (inputs read once, outputs written once —
@@ -67,7 +60,7 @@ import typing as _t
 
 import numpy as np
 
-from ..memsys import MemRequest, MemSysConfig, Op
+from ..memsys import MemSysConfig, Op, PackedTrace
 from ..pimexec import (
     DTYPES,
     Operand,
@@ -77,7 +70,8 @@ from ..pimexec import (
     parse_command,
 )
 from ..pimexec.commands import GRF_REGS
-from ..pimexec.machine import LANE_BITS, PimExecMachine, page_encoder
+from ..pimexec.layout import Layout
+from ..pimexec.machine import PimExecMachine
 
 __all__ = [
     "NN_KERNEL_NAMES",
@@ -92,80 +86,8 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# layout
-# ----------------------------------------------------------------------
-class Layout:
-    """Row-striped tile layout of one machine mode over one geometry."""
-
-    def __init__(
-        self, config: MemSysConfig, bank_groups: bool = False
-    ) -> None:
-        self.config = config
-        self.bank_groups = bool(bank_groups)
-        self.ports = 2 if bank_groups else 1
-        if config.banks_per_channel % self.ports:
-            raise ValueError(
-                "bank-group mode needs an even banks_per_channel, got "
-                f"{config.banks_per_channel}"
-            )
-        self.lanes = config.timing.page_bits // LANE_BITS
-        self.n_channels = config.n_channels
-        self.units_per_channel = config.banks_per_channel // self.ports
-        self.units = self.n_channels * self.units_per_channel
-        #: Rows one tile spans: one row per lane per unit.
-        self.rows_per_tile = self.units * self.lanes
-        self.ppr = config.timing.pages_per_row
-        self.capacity_slots = config.rows_per_bank * self.ppr
-
-    def data_bank(self, u: int) -> int:
-        """Flat bank carrying global unit ``u``'s data pages (port 0)."""
-        return (u % self.units_per_channel) * self.ports
-
-    def slot_addr(self, s: int) -> _t.Tuple[int, int]:
-        return divmod(s, self.ppr)
-
-    def tiles(self, matrix: np.ndarray) -> np.ndarray:
-        """Row-striped pages ``(T, K, units, lanes)`` of ``matrix``.
-
-        Rows are zero-padded to a whole number of tiles; the dtype is
-        preserved (pad before casting to keep references bit-exact).
-        """
-        m, k = matrix.shape
-        r = self.rows_per_tile
-        t = -(-m // r)
-        padded = np.zeros((t * r, k), dtype=matrix.dtype)
-        padded[:m] = matrix
-        return padded.reshape(
-            t, self.units, self.lanes, k
-        ).transpose(0, 3, 1, 2)
-
-    def untile(self, pages: np.ndarray, m: int) -> np.ndarray:
-        """Inverse of :meth:`tiles`: ``(T, K, units, lanes)`` -> (m, K)."""
-        t, k = pages.shape[0], pages.shape[1]
-        matrix = pages.transpose(0, 2, 3, 1).reshape(
-            t * self.rows_per_tile, k
-        )
-        return matrix[:m]
-
-    def check_capacity(self, slots: int) -> None:
-        if slots > self.capacity_slots:
-            raise ValueError(
-                f"kernel needs {slots} slots per bank; geometry holds "
-                f"{self.capacity_slots}"
-            )
-
-
-# ----------------------------------------------------------------------
 # shared machine-side phases (each has a dtype-exact reference twin)
 # ----------------------------------------------------------------------
-def _tile_addrs(
-    layout: Layout, base: int, t: int, k_count: int
-) -> _t.List[_t.Tuple[int, int]]:
-    """``(row, col)`` of the ``k_count`` slots of tile ``t`` at ``base``."""
-    first = base + t * k_count
-    return [layout.slot_addr(s) for s in range(first, first + k_count)]
-
-
 def _stage_tiles(
     machine: PimExecMachine,
     layout: Layout,
@@ -173,10 +95,10 @@ def _stage_tiles(
     tiles: np.ndarray,
 ) -> None:
     """Write ``(T, K, units, lanes)`` pages into the banks."""
-    t_count, k_count = tiles.shape[0], tiles.shape[1]
+    count = tiles.shape[0] * tiles.shape[1]
     machine.write_unit_pages(
-        _tile_addrs(layout, base, 0, t_count * k_count),
-        tiles.reshape(t_count * k_count, layout.units, layout.lanes),
+        layout.addrs(base, count),
+        tiles.reshape(count, layout.units, layout.lanes),
     )
 
 
@@ -188,7 +110,7 @@ def _read_tile_pages(
     k_count: int,
 ) -> np.ndarray:
     """Host READ of one tile's pages -> ``(k_count, units, lanes)``."""
-    return machine.read_unit_pages(_tile_addrs(layout, base, t, k_count))
+    return machine.read_unit_pages(layout.addrs(base + t * k_count, k_count))
 
 
 def _write_tile_pages(
@@ -199,34 +121,48 @@ def _write_tile_pages(
     pages: np.ndarray,
 ) -> None:
     """Host WRITE of one tile's pages from ``(k_count, units, lanes)``."""
-    machine.write_unit_pages(
-        _tile_addrs(layout, base, t, pages.shape[0]), pages
-    )
+    k_count = pages.shape[0]
+    machine.write_unit_pages(layout.addrs(base + t * k_count, k_count), pages)
 
 
-def _collect_pages(
-    machine: PimExecMachine,
+def _result(
     layout: Layout,
-    base: int,
+    bases: _t.Sequence[int],
     t_count: int,
     k_count: int,
-) -> np.ndarray:
-    """Functional (request-free) peek at ``(T, K, units, lanes)`` pages."""
-    return np.array(
-        [
-            machine.array.load_pages(row, col)
-            for t in range(t_count)
-            for row, col in _tile_addrs(layout, base, t, k_count)
-        ],
-        dtype=machine.np_dtype,
-    ).reshape(t_count, k_count, layout.units, layout.lanes)
+    expected_pages: _t.Sequence[np.ndarray],
+    m: int,
+) -> _t.Tuple[
+    _t.Callable[..., bool], _t.Callable[..., np.ndarray], np.ndarray
+]:
+    """``(check, output, expected)`` of a kernel whose result is the
+    ``(t_count, k_count)`` page regions at ``bases``: ``check`` compares
+    each region bit-exactly with its ``expected_pages``, ``output`` and
+    ``expected`` untile the regions to ``m`` rows, side by side."""
 
+    def regions(machine: PimExecMachine) -> _t.List[np.ndarray]:
+        return [
+            layout.pages(machine, base, t_count * k_count).reshape(
+                t_count, k_count, layout.units, layout.lanes
+            )
+            for base in bases
+        ]
 
-def _write_unit_pages(
-    machine: PimExecMachine, layout: Layout, slot: int, pages: np.ndarray
-) -> None:
-    """Host WRITE of one per-unit page array ``(units, lanes)``."""
-    machine.write_unit_pages([layout.slot_addr(slot)], pages[None])
+    def untile(pages: _t.Sequence[np.ndarray]) -> np.ndarray:
+        return np.concatenate(
+            [layout.untile(region, m) for region in pages], axis=1
+        )
+
+    def check(machine: PimExecMachine) -> bool:
+        return all(
+            np.array_equal(got, want, equal_nan=True)
+            for got, want in zip(regions(machine), expected_pages)
+        )
+
+    def output(machine: PimExecMachine) -> np.ndarray:
+        return untile(regions(machine))
+
+    return check, output, untile(expected_pages)
 
 
 def _reduce_kernel(
@@ -285,7 +221,7 @@ def _run_gemm(
     zrow, zcol = layout.slot_addr(zero_slot)
     with machine.lockstep() as step:
         for t in range(t_count):
-            a_addrs = _tile_addrs(layout, a_base, t, k_count)
+            a_addrs = layout.addrs(a_base + t * k_count, k_count)
             for j0 in range(0, n, GRF_REGS):
                 width = min(GRF_REGS, n - j0)
                 for c in range(width):
@@ -364,11 +300,11 @@ def _run_softmax(
         machine.load_kernel(
             _reduce_kernel(Operand.grf_b(0), c_count)
         )
-        walk = [zero_addr] + _tile_addrs(layout, x_base, t, c_count)
+        walk = [zero_addr] + layout.addrs(x_base + t * c_count, c_count)
         machine.run_kernel(walk)
         sums = machine.read_grfs("grf_b", 0)
-        _write_unit_pages(
-            machine, layout, scratch_base + t, _recip(sums)
+        machine.write_unit_pages(
+            [layout.slot_addr(scratch_base + t)], _recip(sums)[None]
         )
         machine.load_kernel(
             [
@@ -459,7 +395,7 @@ def _run_layernorm(
         ),
     ]
     for t in range(t_count):
-        walk = [zero_addr] + _tile_addrs(layout, x_base, t, c_count)
+        walk = [zero_addr] + layout.addrs(x_base + t * c_count, c_count)
         machine.load_kernel(_reduce_kernel(Operand.grf_b(0), c_count))
         machine.run_kernel(walk)
         sums = machine.read_grfs("grf_b", 0)
@@ -471,9 +407,8 @@ def _run_layernorm(
         mean = sums * inv_c
         var = sumsq * inv_c - mean * mean
         invstd = _recip(np.sqrt(var + eps_d))
-        _write_unit_pages(machine, layout, scratch_base + 2 * t, -mean)
-        _write_unit_pages(
-            machine, layout, scratch_base + 2 * t + 1, invstd
+        machine.write_unit_pages(
+            layout.addrs(scratch_base + 2 * t, 2), np.stack([-mean, invstd])
         )
         machine.load_kernel(
             [
@@ -490,12 +425,7 @@ def _run_layernorm(
                 PimCommand(PimOpcode.EXIT),
             ]
         )
-        machine.run_kernel(
-            [
-                layout.slot_addr(scratch_base + 2 * t),
-                layout.slot_addr(scratch_base + 2 * t + 1),
-            ]
-        )
+        machine.run_kernel(layout.addrs(scratch_base + 2 * t, 2))
         with machine.lockstep() as step:
             for s, (row, col) in enumerate(walk[1:]):
                 machine.broadcast_scalars((gamma[s], beta[s]), row, col)
@@ -556,40 +486,26 @@ def _relu_pass(
 # ----------------------------------------------------------------------
 # host-only twins
 # ----------------------------------------------------------------------
-def _pages_for(values: int, lanes: int) -> int:
-    return -(-values // lanes)
-
-
 def _host_twin(
-    config: MemSysConfig,
+    layout: Layout,
     read_values: _t.Sequence[int],
     write_values: _t.Sequence[int],
-) -> _t.List[MemRequest]:
+) -> PackedTrace:
     """Host-only request stream: operands one page at a time.
 
     Each entry of ``read_values``/``write_values`` is one operand's
     value count; its pages spread round-robin over all banks at
-    sequential slots (streaming row locality, like the PR-3 twins).
+    sequential slots (streaming row locality, like the built-in twins).
     """
-    lanes = config.timing.page_bits // LANE_BITS
-    encode = page_encoder(config)
-    ppr = config.timing.pages_per_row
-    total_banks = config.n_channels * config.banks_per_channel
-    requests: _t.List[MemRequest] = []
-    slot_base = 0
+    steps = []
+    slot = 0
     for op, operands in ((Op.READ, read_values), (Op.WRITE, write_values)):
         for values in operands:
-            n_pages = _pages_for(values, lanes)
-            for p in range(n_pages):
-                bank = p % total_banks
-                slot = slot_base + p // total_banks
-                ch, flat = divmod(bank, config.banks_per_channel)
-                row, col = divmod(slot, ppr)
-                requests.append(
-                    MemRequest(op, encode(ch, flat, row, col))
-                )
-            slot_base += -(-n_pages // total_banks)
-    return requests
+            n_pages = -(-values // layout.lanes)
+            for first in range(0, n_pages, layout.banks):
+                steps.append((op, slot, min(layout.banks, n_pages - first)))
+                slot += 1
+    return layout.host_twin(steps)
 
 
 # ----------------------------------------------------------------------
@@ -649,8 +565,10 @@ def gemm_kernel(
     a_base, result_base = 0, t_count * k
     zero_slot = result_base + t_count * n
     layout.check_capacity(zero_slot + 1)
-    expected_pages = _ref_gemm(a_tiles, b_mat, np_dtype)
-    expected = layout.untile(expected_pages, m)
+    check, output, expected = _result(
+        layout, [result_base], t_count, n,
+        [_ref_gemm(a_tiles, b_mat, np_dtype)], m,
+    )
 
     def setup(machine: PimExecMachine) -> None:
         _stage_tiles(machine, layout, a_base, a_tiles)
@@ -662,19 +580,6 @@ def gemm_kernel(
         )
         for t in range(t_count):
             _read_tile_pages(machine, layout, result_base, t, n)
-
-    def check(machine: PimExecMachine) -> bool:
-        pages = _collect_pages(
-            machine, layout, result_base, t_count, n
-        )
-        return bool(
-            np.array_equal(pages, expected_pages, equal_nan=True)
-        )
-
-    def output(machine: PimExecMachine) -> np.ndarray:
-        return layout.untile(
-            _collect_pages(machine, layout, result_base, t_count, n), m
-        )
 
     return PimKernel(
         name="gemm",
@@ -689,9 +594,7 @@ def gemm_kernel(
         check=check,
         output=output,
         expected=expected,
-        host_trace=lambda: _host_twin(
-            config, [m * k, k * n], [m * n]
-        ),
+        host_trace=lambda: _host_twin(layout, [m * k, k * n], [m * n]),
     )
 
 
@@ -718,8 +621,9 @@ def softmax_kernel(
     scratch_base = t_count * c
     zero_slot = scratch_base + t_count
     layout.check_capacity(zero_slot + 1)
-    expected_pages = _ref_softmax(x_tiles)
-    expected = layout.untile(expected_pages, m)
+    check, output, expected = _result(
+        layout, [x_base], t_count, c, [_ref_softmax(x_tiles)], m
+    )
 
     def setup(machine: PimExecMachine) -> None:
         _stage_tiles(machine, layout, x_base, x_tiles)
@@ -731,17 +635,6 @@ def softmax_kernel(
         )
         for t in range(t_count):
             _read_tile_pages(machine, layout, x_base, t, c)
-
-    def check(machine: PimExecMachine) -> bool:
-        pages = _collect_pages(machine, layout, x_base, t_count, c)
-        return bool(
-            np.array_equal(pages, expected_pages, equal_nan=True)
-        )
-
-    def output(machine: PimExecMachine) -> np.ndarray:
-        return layout.untile(
-            _collect_pages(machine, layout, x_base, t_count, c), m
-        )
 
     return PimKernel(
         name="softmax",
@@ -756,7 +649,7 @@ def softmax_kernel(
         check=check,
         output=output,
         expected=expected,
-        host_trace=lambda: _host_twin(config, [m * c], [m * c]),
+        host_trace=lambda: _host_twin(layout, [m * c], [m * c]),
     )
 
 
@@ -787,8 +680,10 @@ def layernorm_kernel(
     scratch_base = t_count * c
     zero_slot = scratch_base + 2 * t_count
     layout.check_capacity(zero_slot + 1)
-    expected_pages = _ref_layernorm(x_tiles, gamma, beta, eps, np_dtype)
-    expected = layout.untile(expected_pages, m)
+    check, output, expected = _result(
+        layout, [x_base], t_count, c,
+        [_ref_layernorm(x_tiles, gamma, beta, eps, np_dtype)], m,
+    )
 
     def setup(machine: PimExecMachine) -> None:
         _stage_tiles(machine, layout, x_base, x_tiles)
@@ -800,17 +695,6 @@ def layernorm_kernel(
         )
         for t in range(t_count):
             _read_tile_pages(machine, layout, x_base, t, c)
-
-    def check(machine: PimExecMachine) -> bool:
-        pages = _collect_pages(machine, layout, x_base, t_count, c)
-        return bool(
-            np.array_equal(pages, expected_pages, equal_nan=True)
-        )
-
-    def output(machine: PimExecMachine) -> np.ndarray:
-        return layout.untile(
-            _collect_pages(machine, layout, x_base, t_count, c), m
-        )
 
     return PimKernel(
         name="layernorm",
@@ -825,9 +709,7 @@ def layernorm_kernel(
         check=check,
         output=output,
         expected=expected,
-        host_trace=lambda: _host_twin(
-            config, [m * c, 2 * c], [m * c]
-        ),
+        host_trace=lambda: _host_twin(layout, [m * c, 2 * c], [m * c]),
     )
 
 
@@ -881,9 +763,9 @@ def attention_kernel(
         # same layout _ref_softmax and the next GEMM's tiles consume
         probs = _ref_softmax(scores)
         expected_pages.append(_ref_gemm(probs, v[h], np_dtype))
-    expected = np.concatenate(
-        [layout.untile(pages, seq_len) for pages in expected_pages],
-        axis=1,
+    check, output, expected = _result(
+        layout, [base[2] for base in bases], t_count, d_head,
+        expected_pages, seq_len,
     )
 
     def setup(machine: PimExecMachine) -> None:
@@ -908,32 +790,6 @@ def attention_kernel(
             for t in range(t_count):
                 _read_tile_pages(machine, layout, out_base, t, d_head)
 
-    def check(machine: PimExecMachine) -> bool:
-        return all(
-            np.array_equal(
-                _collect_pages(
-                    machine, layout, bases[h][2], t_count, d_head
-                ),
-                expected_pages[h],
-                equal_nan=True,
-            )
-            for h in range(n_heads)
-        )
-
-    def output(machine: PimExecMachine) -> np.ndarray:
-        return np.concatenate(
-            [
-                layout.untile(
-                    _collect_pages(
-                        machine, layout, bases[h][2], t_count, d_head
-                    ),
-                    seq_len,
-                )
-                for h in range(n_heads)
-            ],
-            axis=1,
-        )
-
     d_model = n_heads * d_head
     return PimKernel(
         name="attention",
@@ -953,7 +809,7 @@ def attention_kernel(
         output=output,
         expected=expected,
         host_trace=lambda: _host_twin(
-            config,
+            layout,
             [n_heads * seq_len * d_head] * 3,
             [seq_len * d_model],
         ),
@@ -989,8 +845,10 @@ def ffn_kernel(
 
     h_pages = _ref_gemm(x_tiles, w1, np_dtype)
     relu_pages = np.maximum(h_pages, np_dtype.type(0.0))
-    expected_pages = _ref_gemm(relu_pages, w2, np_dtype)
-    expected = layout.untile(expected_pages, seq_len)
+    check, output, expected = _result(
+        layout, [out_base], t_count, d_model,
+        [_ref_gemm(relu_pages, w2, np_dtype)], seq_len,
+    )
 
     def setup(machine: PimExecMachine) -> None:
         _stage_tiles(machine, layout, x_base, x_tiles)
@@ -1005,20 +863,6 @@ def ffn_kernel(
         )
         for t in range(t_count):
             _read_tile_pages(machine, layout, out_base, t, d_model)
-
-    def check(machine: PimExecMachine) -> bool:
-        pages = _collect_pages(
-            machine, layout, out_base, t_count, d_model
-        )
-        return bool(
-            np.array_equal(pages, expected_pages, equal_nan=True)
-        )
-
-    def output(machine: PimExecMachine) -> np.ndarray:
-        return layout.untile(
-            _collect_pages(machine, layout, out_base, t_count, d_model),
-            seq_len,
-        )
 
     return PimKernel(
         name="ffn",
@@ -1037,7 +881,7 @@ def ffn_kernel(
         output=output,
         expected=expected,
         host_trace=lambda: _host_twin(
-            config,
+            layout,
             [seq_len * d_model, 2 * d_model * d_ff],
             [seq_len * d_model],
         ),

@@ -44,7 +44,8 @@ from ..errors import ConfigError
 from ..memsys import MemSysConfig
 from ..memsys.trace import INTERARRIVALS, arrival_times
 from ..pimexec.commands import GRF_REGS, parse_command
-from ..pimexec.machine import LANE_BITS, page_encoder
+from ..pimexec.layout import Layout
+from ..pimexec.machine import page_encoder
 from ..pimexec.program import (
     AB,
     GPR,
@@ -122,11 +123,11 @@ class _TraceBuilder:
                 f"channel {channel} out of range "
                 f"[0, {config.n_channels})"
             )
-        self.config = config
+        self.layout = Layout(config)
         self.channel = channel
-        self.banks = config.banks_per_channel
-        self.lanes = config.timing.page_bits // LANE_BITS
-        self.ppr = config.timing.pages_per_row
+        self.banks = self.layout.units_per_channel
+        #: The layer stripes its rows over one channel's banks.
+        self.rows_per_tile = self.banks * self.layout.lanes
         self._encode = page_encoder(config)
         self.records: _t.List[ProgramRecord] = []
         #: Dialect text per line (comments included), or ``None``.
@@ -138,20 +139,17 @@ class _TraceBuilder:
     def alloc(self, slots: int) -> int:
         base = self._slots
         self._slots += slots
-        capacity = self.config.rows_per_bank * self.ppr
         # the GPR/CFR apertures occupy the two highest rows
-        if self._slots > capacity - 2 * self.ppr:
+        capacity = self.layout.capacity_slots - 2 * self.layout.ppr
+        if self._slots > capacity:
             raise ConfigError(
                 f"transformer layer needs {self._slots} slots per "
-                f"bank; geometry holds {capacity - 2 * self.ppr}"
+                f"bank; geometry holds {capacity}"
             )
         return base
 
-    def slot_addr(self, slot: int) -> _t.Tuple[int, int]:
-        return divmod(slot, self.ppr)
-
     def page_address(self, bank: int, slot: int) -> int:
-        row, col = self.slot_addr(slot)
+        row, col = self.layout.slot_addr(slot)
         return self._encode(self.channel, bank, row, col)
 
     # -- record emitters ----------------------------------------------
@@ -208,7 +206,7 @@ class _TraceBuilder:
 
     # -- composite schedules ------------------------------------------
     def bank_op(self, slot: int) -> str:
-        row, col = self.slot_addr(slot)
+        row, col = self.layout.slot_addr(slot)
         return f"BANK,{row},{col}"
 
     def gemm(
@@ -397,8 +395,7 @@ def _layer_builder(
     builder = _TraceBuilder(config, channel, keep_text)
     d, heads, seq = spec.d_model, spec.n_heads, spec.seq_len
     d_head, d_ff = spec.d_head, spec.ff_width
-    rows_per_tile = builder.banks * builder.lanes
-    t_count = -(-seq // rows_per_tile)
+    t_count = -(-seq // builder.rows_per_tile)
 
     x_base = builder.alloc(t_count * d)
     ln_scratch = builder.alloc(2 * t_count)
@@ -415,7 +412,7 @@ def _layer_builder(
     builder.comment(
         f"transformer layer: d_model={d} heads={heads} seq={seq} "
         f"d_ff={d_ff} (channel {channel}, "
-        f"{t_count} tile(s) of {rows_per_tile} rows)"
+        f"{t_count} tile(s) of {builder.rows_per_tile} rows)"
     )
     builder.comment("stage activations X")
     builder.host_pages(True, x_base, t_count * d)

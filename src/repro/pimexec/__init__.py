@@ -20,6 +20,9 @@ running the kernel instead of evaluating a closed form:
   broadcasts, CRF downloads, kernel steps) as a memory request, so
   kernel time is measured by the real controllers and row-buffer state
   machines of :mod:`repro.memsys`;
+* :mod:`~repro.pimexec.layout` — :class:`Layout`, the one page layout
+  (lane, unit, slot, ``(row, col)``, tiles, capacity) every kernel
+  stages its data in, and the builder of host-only twin streams;
 * :mod:`~repro.pimexec.kernels` — :class:`PimKernel`, the one kernel
   container (the :mod:`repro.nn` builders return it too), the
   built-in kernels (``vector-sum``, ``axpy``, ``gemv``) with
@@ -65,6 +68,7 @@ from .kernels import (
     gemv_kernel,
     vector_sum_kernel,
 )
+from .layout import Layout
 from .machine import PimExecMachine, PimExecResult
 from .program import PimProgram, ProgramRecord, parse_pim_program
 from .regfile import DTYPES, UnitView, VectorUnitArray
@@ -86,6 +90,7 @@ __all__ = [
     "lower_kernel_binary",
     "KERNEL_NAMES",
     "KernelComparison",
+    "Layout",
     "PimKernel",
     "axpy_kernel",
     "build_kernel",

@@ -1,4 +1,4 @@
-"""Built-in PIM kernels: data layout, microkernel, and references.
+"""Built-in PIM kernels: microkernels, references, and host twins.
 
 Each builder returns a :class:`PimKernel` — the PIM analogue of
 :class:`repro.isa.programs.KernelBinary`: closures that stage input
@@ -12,12 +12,8 @@ comparison of ``exp_pimexec``.
 
 Data layout
 -----------
-Vectors are paged: ``lanes`` values per page, page ``p`` assigned
-round-robin to execution unit ``p % units`` at *slot* ``p // units``,
-and slot ``s`` lives at ``(row, col) = (s // pages_per_row,
-s % pages_per_row)``.  All banks of a channel therefore hold their
-slot-``s`` page at the same address — exactly what all-bank lockstep
-execution requires.
+See :class:`~repro.pimexec.layout.Layout`, the one description of
+where every page sits (a vector is a one-column row-striped matrix).
 
 Kernels
 -------
@@ -43,9 +39,10 @@ import typing as _t
 
 import numpy as np
 
-from ..memsys import MemRequest, MemSysConfig, MemorySystem, MemSysStats, Op
+from ..memsys import MemSysConfig, MemorySystem, MemSysStats, Op, PackedTrace
 from .commands import Operand, PimCommand, PimOpcode
-from .machine import PimExecMachine, PimExecResult, page_encoder as _encoder
+from .layout import Layout
+from .machine import PimExecMachine, PimExecResult
 
 __all__ = [
     "PimKernel",
@@ -79,7 +76,8 @@ class PimKernel:
     output: _t.Callable[[PimExecMachine], _t.Any]
     #: The dtype-exact NumPy reference of :attr:`output`.
     expected: _t.Any
-    host_trace: _t.Callable[[], _t.List[MemRequest]]
+    #: The host-only twin, built by :meth:`Layout.host_twin`.
+    host_trace: _t.Callable[[], PackedTrace]
     dtype: str = "fp64"
     bank_groups: bool = False
 
@@ -127,53 +125,13 @@ class KernelComparison:
 
 
 # ----------------------------------------------------------------------
-# layout helpers
-# ----------------------------------------------------------------------
-def _geometry(config: MemSysConfig) -> _t.Tuple[int, int, int]:
-    """(lanes, units, pages_per_row) of a geometry."""
-    from .machine import LANE_BITS
-
-    lanes = config.timing.page_bits // LANE_BITS
-    units = config.n_channels * config.banks_per_channel
-    return lanes, units, config.timing.pages_per_row
-
-
-def _slot_addr(slot: int, pages_per_row: int) -> _t.Tuple[int, int]:
-    return slot // pages_per_row, slot % pages_per_row
-
-
-def _check_capacity(slots: int, config: MemSysConfig) -> None:
-    capacity = config.rows_per_bank * config.timing.pages_per_row
-    if slots > capacity:
-        raise ValueError(
-            f"kernel needs {slots} slots per bank; geometry holds "
-            f"{capacity}"
-        )
-
-
-def _paged(
-    values: np.ndarray, lanes: int, units: int
-) -> _t.Tuple[np.ndarray, int]:
-    """Zero-pad and reshape to (slots, units, lanes)."""
-    granule = lanes * units
-    padded = int(-(-values.shape[0] // granule)) * granule
-    data = np.zeros(padded)
-    data[: values.shape[0]] = values
-    slots = padded // granule
-    return data.reshape(slots, units, lanes), slots
-
-
-def _unit_coords(
-    unit: int, config: MemSysConfig
-) -> _t.Tuple[int, int]:
-    """(channel, flat_bank) of global unit index ``unit``."""
-    per_channel = config.banks_per_channel
-    return unit // per_channel, unit % per_channel
-
-
-# ----------------------------------------------------------------------
 # vector sum
 # ----------------------------------------------------------------------
+def _grf_partials(machine: PimExecMachine) -> np.ndarray:
+    """Request-free peek at every unit's GRF_B0 -> ``(units, lanes)``."""
+    return machine.array.grf_b[:, :, 0].reshape(-1, machine.lanes)
+
+
 def vector_sum_kernel(
     n: int = 4096,
     config: _t.Optional[MemSysConfig] = None,
@@ -182,7 +140,7 @@ def vector_sum_kernel(
 ) -> PimKernel:
     """``sum(x)`` over ``n`` values (or an explicit ``values`` array)."""
     config = config or MemSysConfig()
-    lanes, units, ppr = _geometry(config)
+    layout = Layout(config)
     if values is None:
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(n)
@@ -191,22 +149,16 @@ def vector_sum_kernel(
         n = x.shape[0]
     if n < 1:
         raise ValueError("n must be >= 1")
-    pages, slots = _paged(x, lanes, units)
-    _check_capacity(slots, config)
+    pages = layout.tiles(x[:, None])[:, 0]
+    slots = pages.shape[0]
+    layout.check_capacity(slots)
+    walk = layout.addrs(0, slots)
 
     # per-unit reference: the same float64 adds in the same order as
     # ADD GRF_B0 <- BANK + GRF_B0 (result = page + accumulator)
-    reference = np.zeros((units, lanes))
+    reference = np.zeros((layout.units, layout.lanes))
     for s in range(slots):
         reference = pages[s] + reference
-    expected = float(reference.sum())
-
-    def setup(machine: PimExecMachine) -> None:
-        for s in range(slots):
-            row, col = _slot_addr(s, ppr)
-            for u in range(units):
-                ch, bank = _unit_coords(u, config)
-                machine.write_bank(ch, bank, row, col, pages[s, u])
 
     def execute(machine: PimExecMachine) -> None:
         machine.load_kernel(
@@ -221,42 +173,8 @@ def vector_sum_kernel(
                 PimCommand(PimOpcode.EXIT),
             ]
         )
-        machine.run_kernel(
-            [_slot_addr(s, ppr) for s in range(slots)]
-        )
-        for u in range(units):
-            ch, bank = _unit_coords(u, config)
-            machine.read_grf(ch, bank, "grf_b", 0)
-
-    def check(machine: PimExecMachine) -> bool:
-        return all(
-            np.array_equal(
-                machine.unit(*_unit_coords(u, config)).grf_b[0],
-                reference[u],
-            )
-            for u in range(units)
-        )
-
-    def output(machine: PimExecMachine) -> float:
-        partials = np.stack(
-            [
-                machine.unit(*_unit_coords(u, config)).grf_b[0]
-                for u in range(units)
-            ]
-        )
-        return float(partials.sum())
-
-    def host_trace() -> _t.List[MemRequest]:
-        encode = _encoder(config)
-        requests = []
-        for s in range(slots):
-            row, col = _slot_addr(s, ppr)
-            for u in range(units):
-                ch, bank = _unit_coords(u, config)
-                requests.append(
-                    MemRequest(Op.READ, encode(ch, bank, row, col))
-                )
-        return requests
+        machine.run_kernel(walk)
+        machine.read_grfs("grf_b", 0)
 
     return PimKernel(
         name="vector-sum",
@@ -264,15 +182,17 @@ def vector_sum_kernel(
         config=config,
         n_values=n,
         flops=n,
-        setup=setup,
+        setup=lambda machine: machine.write_unit_pages(walk, pages),
         execute=execute,
-        check=check,
-        output=output,
-        expected=expected,
-        host_trace=host_trace,
+        check=lambda machine: np.array_equal(
+            _grf_partials(machine), reference
+        ),
+        output=lambda machine: float(_grf_partials(machine).sum()),
+        expected=float(reference.sum()),
+        host_trace=lambda: layout.host_twin(
+            (Op.READ, s, layout.banks) for s in range(slots)
+        ),
     )
-
-
 
 
 # ----------------------------------------------------------------------
@@ -286,37 +206,37 @@ def axpy_kernel(
 ) -> PimKernel:
     """``y = a*x + y`` over ``n``-element vectors."""
     config = config or MemSysConfig()
-    lanes, units, ppr = _geometry(config)
+    layout = Layout(config)
+    if n < 1:
+        raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n)
     y = rng.standard_normal(n)
-    x_pages, slots = _paged(x, lanes, units)
-    y_pages, _ = _paged(y, lanes, units)
-    _check_capacity(2 * slots, config)
-    a_lanes = np.full(lanes, float(a))
+    x_pages = layout.tiles(x[:, None])[:, 0]
+    y_pages = layout.tiles(y[:, None])[:, 0]
+    slots = x_pages.shape[0]
+    layout.check_capacity(2 * slots)
+    a_lanes = np.full(layout.lanes, float(a))
 
     # reference matches MAC exactly: dst + src0*src1 with dst = y page
     # (FILLed into GRF_B0), src0 = x page (GRF_A0), src1 = SRF0 lanes
-    reference = np.empty_like(y_pages)
-    for s in range(slots):
-        reference[s] = y_pages[s] + x_pages[s] * a_lanes
-
-    def x_addr(s: int) -> _t.Tuple[int, int]:
-        return _slot_addr(s, ppr)
-
-    def y_addr(s: int) -> _t.Tuple[int, int]:
-        return _slot_addr(slots + s, ppr)
+    reference = y_pages + x_pages * a_lanes
 
     def setup(machine: PimExecMachine) -> None:
+        # x and y pages alternate per unit: no whole-machine write
+        # keeps this staging order
         for s in range(slots):
-            for u in range(units):
-                ch, bank = _unit_coords(u, config)
-                machine.write_bank(ch, bank, *x_addr(s), x_pages[s, u])
-                machine.write_bank(ch, bank, *y_addr(s), y_pages[s, u])
+            for u in range(layout.units):
+                ch, bank = layout.unit_bank(u)
+                machine.write_bank(
+                    ch, bank, *layout.slot_addr(s), x_pages[s, u]
+                )
+                machine.write_bank(
+                    ch, bank, *layout.slot_addr(slots + s), y_pages[s, u]
+                )
 
     def execute(machine: PimExecMachine) -> None:
-        for ch in range(config.n_channels):
-            machine.broadcast_scalar(ch, 0, a, *x_addr(0))
+        machine.broadcast_scalars([a], *layout.slot_addr(0))
         machine.load_kernel(
             [
                 PimCommand(
@@ -346,51 +266,13 @@ def axpy_kernel(
         )
         walk = []
         for s in range(slots):
-            walk.extend([x_addr(s), y_addr(s), y_addr(s)])
+            y_addr = layout.slot_addr(slots + s)
+            walk.extend([layout.slot_addr(s), y_addr, y_addr])
         machine.run_kernel(walk)
 
-    def check(machine: PimExecMachine) -> bool:
-        return all(
-            np.array_equal(
-                machine.unit(*_unit_coords(u, config)).load_page(
-                    *y_addr(s)
-                ),
-                reference[s, u],
-            )
-            for s in range(slots)
-            for u in range(units)
-        )
-
     def output(machine: PimExecMachine) -> float:
-        total = 0.0
-        for s in range(slots):
-            for u in range(units):
-                ch, bank = _unit_coords(u, config)
-                total += float(
-                    machine.unit(ch, bank).load_page(*y_addr(s)).sum()
-                )
-        return total
-
-    def host_trace() -> _t.List[MemRequest]:
-        encode = _encoder(config)
-        requests = []
-        for s in range(slots):
-            for u in range(units):
-                ch, bank = _unit_coords(u, config)
-                requests.append(
-                    MemRequest(Op.READ, encode(ch, bank, *x_addr(s)))
-                )
-            for u in range(units):
-                ch, bank = _unit_coords(u, config)
-                requests.append(
-                    MemRequest(Op.READ, encode(ch, bank, *y_addr(s)))
-                )
-            for u in range(units):
-                ch, bank = _unit_coords(u, config)
-                requests.append(
-                    MemRequest(Op.WRITE, encode(ch, bank, *y_addr(s)))
-                )
-        return requests
+        pages = layout.pages(machine, slots, slots)
+        return sum(float(p.sum()) for p in pages.reshape(-1, layout.lanes))
 
     return PimKernel(
         name="axpy",
@@ -400,10 +282,18 @@ def axpy_kernel(
         flops=2 * n,
         setup=setup,
         execute=execute,
-        check=check,
+        check=lambda machine: np.array_equal(
+            layout.pages(machine, slots, slots), reference
+        ),
         output=output,
         expected=float(reference.sum()),
-        host_trace=host_trace,
+        host_trace=lambda: layout.host_twin(
+            (op, slot, layout.banks)
+            for s in range(slots)
+            for op, slot in (
+                (Op.READ, s), (Op.READ, slots + s), (Op.WRITE, slots + s)
+            )
+        ),
     )
 
 
@@ -417,29 +307,30 @@ def gemv_kernel(
 ) -> PimKernel:
     """``y = A @ x`` with one output row per lane per bank.
 
-    ``A`` is ``(lanes * units) x n_cols``: unit ``u`` stores rows
-    ``[u*lanes, (u+1)*lanes)``, column ``j`` at slot ``j``.  The host
-    broadcasts ``x[j]`` into SRF0 and triggers one all-bank ``MAC``
-    per column — a mixed host+PIM command stream.
+    ``A`` is one ``(lanes * units) x n_cols`` tile: unit ``u`` stores
+    rows ``[u*lanes, (u+1)*lanes)``, column ``j`` at slot ``j``.  The
+    host broadcasts ``x[j]`` into SRF0 and triggers one all-bank
+    ``MAC`` per column — a mixed host+PIM command stream.
     """
     config = config or MemSysConfig()
-    lanes, units, ppr = _geometry(config)
+    layout = Layout(config)
     if n_cols < 1:
         raise ValueError("n_cols must be >= 1")
     # the host-only twin also stages x (ceil(n_cols/lanes) pages) and
     # the y result page beyond the matrix slots
-    _check_capacity(n_cols + -(-n_cols // lanes) + 1, config)
-    m = lanes * units
+    x_slots = -(-n_cols // layout.lanes)
+    layout.check_capacity(n_cols + x_slots + 1)
+    m = layout.rows_per_tile
     rng = np.random.default_rng(seed)
     matrix = rng.standard_normal((m, n_cols))
     x = rng.standard_normal(n_cols)
     # pages[j][u] = A[u*lanes:(u+1)*lanes, j]
-    pages = matrix.reshape(units, lanes, n_cols)
+    pages = layout.tiles(matrix)[0]
+    walk = layout.addrs(0, n_cols)
 
-    reference = np.zeros((units, lanes))
+    reference = np.zeros((layout.units, layout.lanes))
     for j in range(n_cols):
-        reference = reference + pages[:, :, j] * np.full(lanes, x[j])
-    expected = float(reference.sum())
+        reference = reference + pages[j] * np.full(layout.lanes, x[j])
 
     mac = PimCommand(
         PimOpcode.MAC,
@@ -448,77 +339,15 @@ def gemv_kernel(
         src1=Operand.srf(0),
     )
 
-    def setup(machine: PimExecMachine) -> None:
-        for j in range(n_cols):
-            row, col = _slot_addr(j, ppr)
-            for u in range(units):
-                ch, bank = _unit_coords(u, config)
-                machine.write_bank(ch, bank, row, col, pages[u, :, j])
-
     def execute(machine: PimExecMachine) -> None:
         # host-sequenced: the CRF holds the MAC microkernel; the host
         # interleaves SRF broadcasts of x[j] with the column walk
-        machine.load_kernel(
-            [mac, PimCommand(PimOpcode.EXIT)]
-        )
-        for j in range(n_cols):
-            row, col = _slot_addr(j, ppr)
-            for ch in range(config.n_channels):
-                machine.broadcast_scalar(ch, 0, x[j], row, col)
-            for ch in range(config.n_channels):
-                machine.pim_step(ch, mac, row, col)
-        for u in range(units):
-            ch, bank = _unit_coords(u, config)
-            machine.read_grf(ch, bank, "grf_b", 0)
-
-    def check(machine: PimExecMachine) -> bool:
-        return all(
-            np.array_equal(
-                machine.unit(*_unit_coords(u, config)).grf_b[0],
-                reference[u],
-            )
-            for u in range(units)
-        )
-
-    def output(machine: PimExecMachine) -> float:
-        return float(
-            np.stack(
-                [
-                    machine.unit(*_unit_coords(u, config)).grf_b[0]
-                    for u in range(units)
-                ]
-            ).sum()
-        )
-
-    def host_trace() -> _t.List[MemRequest]:
-        encode = _encoder(config)
-        requests = []
-        # x pages live beyond the matrix slots
-        x_slots = -(-n_cols // lanes)
-        for p in range(x_slots):
-            requests.append(
-                MemRequest(
-                    Op.READ,
-                    encode(0, 0, *_slot_addr(n_cols + p, ppr)),
-                )
-            )
-        for j in range(n_cols):
-            row, col = _slot_addr(j, ppr)
-            for u in range(units):
-                ch, bank = _unit_coords(u, config)
-                requests.append(
-                    MemRequest(Op.READ, encode(ch, bank, row, col))
-                )
-        # y: one result page per unit
-        for u in range(units):
-            ch, bank = _unit_coords(u, config)
-            requests.append(
-                MemRequest(
-                    Op.WRITE,
-                    encode(ch, bank, *_slot_addr(n_cols + x_slots, ppr)),
-                )
-            )
-        return requests
+        machine.load_kernel([mac, PimCommand(PimOpcode.EXIT)])
+        with machine.lockstep() as step:
+            for value, (row, col) in zip(x, walk):
+                machine.broadcast_scalars([value], row, col)
+                step(mac, row, col)
+        machine.read_grfs("grf_b", 0)
 
     return PimKernel(
         name="gemv",
@@ -526,12 +355,20 @@ def gemv_kernel(
         config=config,
         n_values=m * n_cols + n_cols,
         flops=2 * m * n_cols,
-        setup=setup,
+        setup=lambda machine: machine.write_unit_pages(walk, pages),
         execute=execute,
-        check=check,
-        output=output,
-        expected=expected,
-        host_trace=host_trace,
+        check=lambda machine: np.array_equal(
+            _grf_partials(machine), reference
+        ),
+        output=lambda machine: float(_grf_partials(machine).sum()),
+        expected=float(reference.sum()),
+        # x pages on the first bank beyond the matrix, the matrix, then
+        # one y result page per bank
+        host_trace=lambda: layout.host_twin(
+            [(Op.READ, n_cols + p, 1) for p in range(x_slots)]
+            + [(Op.READ, j, layout.banks) for j in range(n_cols)]
+            + [(Op.WRITE, n_cols + x_slots, layout.banks)]
+        ),
     )
 
 

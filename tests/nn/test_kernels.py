@@ -14,6 +14,7 @@ from repro.nn import (
 from repro.pimexec import compare_host_pim
 
 from tests.pimexec.test_tier_equivalence import (
+    host_twin_digest,
     stream_digests,
     unit_state_digest,
 )
@@ -202,6 +203,17 @@ GOLDEN_STREAMS = {
     ("ffn", "fp64", True): ("bbd3337e000853456e2f518e0fa62bdaafd192fa5870390497c2c8dd27e4d149", "afd04e40551ed2bf59ddcb412a630421cf0540a2e8cc03146c09c9ed0120f583", "d2513592ffd5a971e0cd7ce78a8307f78415b983177050a9e2d378e6d8d564fb"),
 }
 
+#: ``kernel -> sha256`` of the host-only twin
+#: (``tests.pimexec.test_tier_equivalence.host_twin_digest``) at
+#: ``GOLDEN_SHAPES``: the same in every dtype and execution mode.
+GOLDEN_HOST_TWINS = {
+    "gemm": "496173e08ddaebdb0f97a73ddf06b86ca4029355383b2d9c801797a937d0fe21",
+    "softmax": "9a2b6fb70df48d7905c0a34561f29ec0e7a06ca16ef0d004f28cb0c74ad72800",
+    "layernorm": "9544fcec752e9ce00be55ed715b085b76913d23034c38d6a16fbfdae242e03d1",
+    "attention": "88a52794dc876285789761acc047d20de79166df8940e0cc001a43f40c8d00e1",
+    "ffn": "54135f3a79f970d5181cc2445acf387958a01824fdbddfff67a42370549f4d66",
+}
+
 
 class TestGoldenStreams:
     @pytest.mark.parametrize("bank_groups", [False, True])
@@ -224,3 +236,16 @@ class TestGoldenStreams:
         assert stream_digests(machine) + (
             unit_state_digest(machine),
         ) == GOLDEN_STREAMS[name, dtype, bank_groups]
+
+    @pytest.mark.parametrize("bank_groups", [False, True])
+    @pytest.mark.parametrize("dtype", ["fp16", "fp64"])
+    @pytest.mark.parametrize("name", NN_KERNEL_NAMES)
+    def test_host_twin_matches_golden(self, name, dtype, bank_groups):
+        kernel = build_nn_kernel(
+            name,
+            dtype=dtype,
+            bank_groups=bank_groups,
+            seed=3,
+            **GOLDEN_SHAPES[name],
+        )
+        assert host_twin_digest(kernel) == GOLDEN_HOST_TWINS[name]

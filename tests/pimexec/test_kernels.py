@@ -72,6 +72,11 @@ class TestAxpy:
         kernel.execute(machine)
         assert kernel.check(machine)
 
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_rejects_empty(self, n):
+        with pytest.raises(ValueError, match="n must be"):
+            axpy_kernel(n=n)
+
 
 class TestGemv:
     def test_grf_accumulators_bit_exact(self):

@@ -22,7 +22,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.memsys import MemSysConfig
+from repro.memsys import MemSysConfig, PackedTrace
 from repro.nn import build_nn_kernel
 from repro.pimexec import KERNEL_NAMES, PimExecMachine, build_kernel
 from repro.telemetry import ReplayTelemetry
@@ -79,6 +79,14 @@ def stream_digests(machine):
         columns.update(column.tobytes())
     counters = hashlib.sha256(repr(machine.sequencer_stats()).encode())
     return columns.hexdigest(), counters.hexdigest()
+
+
+def host_twin_digest(kernel):
+    """sha256 of a kernel's host-only twin: op codes, then addresses."""
+    twin = PackedTrace.from_requests(kernel.host_trace())
+    digest = hashlib.sha256(twin.op_codes.tobytes())
+    digest.update(twin.addrs.tobytes())
+    return digest.hexdigest()
 
 
 def unit_state_digest(machine):
@@ -138,6 +146,14 @@ BUILTIN_GOLDENS = {
     ("gemv", "fp16"): ("8ef71d3f1309a9b442f0e61c5844c9670f44daece49426b33dbab704b9ab47d6", "7d45826d3f7eeabf568cbb82ec0a3283c3981b1143dce54189466ec094e1b865", "79454046b540f8f1f841a4eed79a70a98cc3f4a1dff0ae9d6223eaf1f2f2ad05"),
 }
 
+#: ``kernel -> sha256`` of :func:`host_twin_digest` at
+#: :func:`builtin_kwargs`'s shapes (the twin does not depend on dtype).
+BUILTIN_HOST_TWINS = {
+    "vector-sum": "77dc37135c242dfe24eb34dc83966c5dc0eb48f6365f928c921bba53d7678bcf",
+    "axpy": "18de449cb77318b5ee2395961fd154e68b020cd619a508088488391b5002ac0e",
+    "gemv": "e3413a020dc19e156b9db5c2afb6bb2c3ab4332548f0446100e9f92655e16dcd",
+}
+
 
 class TestUnitState:
     """The one unit grid against the reference grid's recordings."""
@@ -151,6 +167,11 @@ class TestUnitState:
         ) == BUILTIN_GOLDENS[name, dtype]
         if dtype == "fp64":  # the references are fp64-exact
             assert kernel.check(machine)
+
+    @pytest.mark.parametrize("name", KERNEL_NAMES)
+    def test_builtin_host_twins_match_golden(self, name):
+        kernel = build_kernel(name, **builtin_kwargs(name))
+        assert host_twin_digest(kernel) == BUILTIN_HOST_TWINS[name]
 
     def test_fp16_special_values_match_the_oracle(self):
         """Inf/NaN-producing fp16 steps stay bit-identical."""

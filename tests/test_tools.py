@@ -49,6 +49,19 @@ def nn_record(**overrides):
     return record
 
 
+def pimexec_record(**overrides):
+    record = {
+        "benchmark": "pimexec_pipeline_throughput",
+        "all_bank_commands_per_sec": 1_200_000,
+        "telemetry_overhead_pct": 1.0,
+        "floor_commands_per_sec": 1_000_000,
+        "floor_telemetry_overhead_pct": 5.0,
+        "passed": True,
+    }
+    record.update(overrides)
+    return record
+
+
 def farm_record(**overrides):
     record = {
         "benchmark": "farm_replay_speedup",
@@ -330,20 +343,38 @@ class TestSpreadAwareNoise:
             assert verdict in line
 
     @pytest.mark.parametrize(
-        "metric, spread_key, value",
+        "record, metric, spread_key, value",
         [
-            ("fp16_commands_per_sec", "fp16_commands_spread_pct", 9_500),
-            ("trace_records_per_sec", "trace_records_spread_pct", 2_850),
+            (
+                nn_record,
+                "fp16_commands_per_sec",
+                "fp16_commands_spread_pct",
+                9_500,
+            ),
+            (
+                nn_record,
+                "trace_records_per_sec",
+                "trace_records_spread_pct",
+                2_850,
+            ),
+            (
+                pimexec_record,
+                "all_bank_commands_per_sec",
+                "all_bank_commands_spread_pct",
+                950_000,
+            ),
         ],
     )
-    def test_nn_rates_carry_their_spread(self, metric, spread_key, value):
+    def test_rates_carry_their_spread(
+        self, record, metric, spread_key, value
+    ):
         # each misses its floor by 5%: inside a 10% spread, outside 2%
         for spread_pct, verdict in (
             (10.0, "NOISY MISS"),
             (2.0, "FLOOR MISS"),
         ):
             _, report = compare_bench.compare_record(
-                nn_record(**{metric: value, spread_key: spread_pct}),
+                record(**{metric: value, spread_key: spread_pct}),
                 None,
             )
             line = next(

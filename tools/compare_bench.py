@@ -124,6 +124,7 @@ SPREAD_KEYS: _t.Dict[str, str] = {
     "refresh_requests_per_sec": "refresh_spread_pct",
     "fp16_commands_per_sec": "fp16_commands_spread_pct",
     "trace_records_per_sec": "trace_records_spread_pct",
+    "all_bank_commands_per_sec": "all_bank_commands_spread_pct",
 }
 
 #: Non-numeric provenance fields carried into the JSONL history next to
